@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 
 class ConfigError(Exception):
@@ -152,10 +152,6 @@ class StrategyConfig:
             raise ConfigError(
                 f"{self.kind} supports flat aggregation only (model tree_max_group set)")
 
-    @property
-    def local_channels_of(self):
-        raise AttributeError  # use local_channels(model)
-
     def local_channels(self, model: ModelConfig) -> int:
         if self.kind in ("dist_token", "dchag"):
             return model.channels // self.tp_degree
@@ -197,7 +193,3 @@ class HardwareModel:
     def validate(self) -> None:
         if self.bytes_per_gpu <= 0 or self.gpus_per_node <= 0:
             raise ConfigError("hardware sizes must be positive")
-
-
-def with_overrides(cfg, **kwargs):
-    return replace(cfg, **kwargs)

@@ -26,11 +26,13 @@ and per step, in elements (multiply by precision bytes):
 * decoder: projection/pos at Dd, decoder blocks via the block formula,
   prediction head 2*B*S*C*pp, and target/diff chain ~5*B*S*C*pp.
 
-Parameter bytes follow the parameter table (transformer ~= 12*L*D^2 at
-mlp_ratio 4); grads = params, optimizer = 2x params (moment pair), all at
-`precision_bytes`.  FSDP divides transformer params/grads/optimizer by the
-fsdp degree; communication uses ring-algorithm byte counts matching the
-simulator's ledger formulas.
+Parameter bytes per rank and component come from `params`: the parameter
+table and its placement rule, the same ones that shard the simulator's
+ranks.  Grads = params, optimizer = 2x params (moment pair), all at
+`precision_bytes`.  FSDP is modeled here only: it divides the transformer
+blocks' params/grads/optimizer by the fsdp degree, and its payload is the
+tp-local block bytes.  Communication uses ring-algorithm byte counts
+matching the simulator's ledger formulas.
 """
 
 from __future__ import annotations
@@ -38,13 +40,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .config import (ConfigError, HardwareModel, ModelConfig, ParallelConfig,
-                     StrategyConfig, TreeSpec, build_tree_spec)
+                     StrategyConfig, TreeSpec)
+from .params import rank_parameter_sizes, rank_tree
+from .runtime import ring_allreduce_payload
 
 COMPONENTS = ("tokenize", "aggregate", "vit", "decoder")
-
-# Per-component activation fudge factors, fit once against engine
-# allocator peaks on the desk-scale calibration grid and frozen.
-CALIBRATION = {"tokenize": 1.0, "aggregate": 1.0, "vit": 1.0, "decoder": 1.0}
 
 
 @dataclass
@@ -87,34 +87,6 @@ class CostReport:
 
     def share(self, *names) -> float:
         return sum(self.component_total(n) for n in names) / max(self.total_bytes, 1)
-
-
-# -- parameter counts ----------------------------------------------------------
-
-
-def _agg_node_params(d: int, variant: str) -> int:
-    n = 4 * d * d + d  # wq, wk, wv, wo, bo
-    n += d  # learned query (single_query) or reduce query (full_cross)
-    return n
-
-
-def _linear_node_params(d: int, group: int) -> int:
-    return group + d * d + d
-
-
-def _tree_params(tree: TreeSpec, d: int, layer_kind: str, variant: str) -> int:
-    total = 0
-    for level in tree.levels:
-        for group in level:
-            if layer_kind == "linear":
-                total += _linear_node_params(d, group)
-            else:
-                total += _agg_node_params(d, variant)
-    return total
-
-
-def _block_params(d: int, m: int) -> int:
-    return 4 * d * d + 2 * m * d * d + (3 + m) * d + 4 * d  # proj + biases + norms
 
 
 # -- activation element counts (mirroring the executed graph) -------------------
@@ -194,9 +166,10 @@ def estimate(model: ModelConfig, strategy: StrategyConfig,
              precision_bytes: int = 8, batch: int = 1) -> CostReport:
     """Per-rank cost report for one training step.
 
-    Channel counts need not divide tp here (slabs round up); the simulator
-    is stricter.
+    Configurations the simulator rejects, such as channel slabs that tp does
+    not divide, raise ConfigError here too.
     """
+    strategy.validate(model)
     hw = hw or HardwareModel()
     pconfig = pconfig or ParallelConfig(dchag_tp=strategy.tp_degree)
     pb = precision_bytes
@@ -205,9 +178,9 @@ def estimate(model: ModelConfig, strategy: StrategyConfig,
     pp = model.patch_pixels
     heads, m, depth = model.heads, model.mlp_ratio, model.depth
     tp = strategy.tp_degree
-    fsdp = pconfig.fsdp
+    fsdp, dp = pconfig.fsdp, pconfig.dp
     t = s + 1
-    cloc = -(-c // tp) if strategy.kind in ("dist_token", "dchag") else c
+    cloc = strategy.local_channels(model)
     layer_tp = tp if strategy.kind in ("tp_only", "dist_token") or (
         strategy.kind == "dchag" and strategy.vit_tp_split) else 1
 
@@ -217,31 +190,41 @@ def estimate(model: ModelConfig, strategy: StrategyConfig,
     def add_comm(phase, axis, nbytes):
         comm[(phase, axis)] = comm.get((phase, axis), 0) + nbytes
 
+    # --- parameters, from the placement rule ---------------------------------
+    sizes = rank_parameter_sizes(model, strategy)
+    for comp, count, elems in sizes:
+        comps[comp].params_bytes += count * elems * pb
+    if fsdp > 1:
+        blocks = comps["vit"].params_bytes  # tp-local transformer blocks
+        comps["vit"].params_bytes = blocks // fsdp
+        add_comm("forward", "fsdp", blocks * (fsdp - 1) / fsdp)
+        add_comm("backward", "fsdp", blocks * (fsdp - 1) / fsdp)
+    if dp > 1:  # one gradient AllReduce per parameter tensor
+        add_comm("backward", "dp", sum(
+            count * ring_allreduce_payload(-(-elems // fsdp) if comp == "vit" else elems,
+                                           pb, dp)
+            for comp, count, elems in sizes))
+    if strategy.kind in ("dist_token", "dchag") and tp > 1:
+        add_comm("optimizer", "tp", ring_allreduce_payload(s * d, pb, tp))  # shared pos-embed grad
+
     # --- tokenize ---------------------------------------------------------
     tok = comps["tokenize"]
-    tok.params_bytes = (cloc * (pp * d + d) + cloc * d + s * d + 4 * d + d) * pb
     acts = b * cloc * s * pp * 2 + 4 * b * cloc * s * d  # input+patches, token chain
     if strategy.kind == "dist_token":
         acts += b * c * s * d  # gathered full token tensor
         add_comm("forward", "tp", b * cloc * s * d * pb * (tp - 1))
-    tok.activation_bytes = int(CALIBRATION["tokenize"] * acts * pb)
+    tok.activation_bytes = int(acts * pb)
     tok.flops = int(2 * b * cloc * s * pp * d + 3 * b * cloc * s * d)
 
     # --- aggregate --------------------------------------------------------
     agg = comps["aggregate"]
     if strategy.kind == "dchag":
-        tree = build_tree_spec(cloc, strategy.max_group)
-        agg.params_bytes = (_tree_params(tree, d, strategy.agg_layer_kind, model.agg_variant)
-                            + _agg_node_params(d, model.agg_variant)
-                            // (tp if strategy.final_layer_tp_split else 1)) * pb
+        tree = rank_tree(model, strategy)
         acts = _tree_acts(b, s, d, heads, tree, strategy.agg_layer_kind, model.agg_variant)
         acts += b * tp * s * d  # gathered streams
         acts += _attention_agg_acts(b, s, tp, d, heads, model.agg_variant,
                                     tp if strategy.final_layer_tp_split else 1)
         add_comm("forward", "tp", b * s * d * pb * (tp - 1))
-        if tp > 1:
-            add_comm("optimizer", "tp",
-                     2 * pb * (-(-s * d // tp)) * (tp - 1))  # shared pos-embed grad
         flops = sum(
             (_attention_agg_flops(b, s, g, d, heads, model.agg_variant, 1)
              if strategy.agg_layer_kind == "cross_attention"
@@ -251,8 +234,6 @@ def estimate(model: ModelConfig, strategy: StrategyConfig,
                                       tp if strategy.final_layer_tp_split else 1)
         agg.flops = int(flops)
     elif model.tree is not None:  # serial hierarchical architecture
-        agg.params_bytes = _tree_params(model.tree, d, model.agg_layer_kind,
-                                        model.agg_variant) * pb
         acts = _tree_acts(b, s, d, heads, model.tree, model.agg_layer_kind,
                           model.agg_variant)
         agg.flops = int(sum(
@@ -261,48 +242,33 @@ def estimate(model: ModelConfig, strategy: StrategyConfig,
              else 2 * b * s * d * (g + d))
             for level in model.tree.levels for g in level))
     else:
-        agg.params_bytes = _agg_node_params(d, model.agg_variant) * pb
-        if strategy.kind in ("tp_only", "dist_token"):
-            agg.params_bytes = (4 * d * d // tp + 2 * d) * pb
         acts = _attention_agg_acts(b, s, c, d, heads, model.agg_variant, layer_tp)
         agg.flops = int(_attention_agg_flops(b, s, c, d, heads, model.agg_variant, layer_tp))
         if layer_tp > 1:
             width = (c if model.agg_variant == "full_cross" else 1) * b * s * d
             add_comm("forward", "tp", 2 * width * pb * (tp - 1) / tp)
             add_comm("backward", "tp", 2 * b * s * c * d * pb * (tp - 1) / tp)
-    agg.activation_bytes = int(CALIBRATION["aggregate"] * acts * pb)
+            if model.agg_variant == "single_query":  # fanout of the learned query
+                add_comm("backward", "tp", 2 * d * pb * (tp - 1) / tp)
+    agg.activation_bytes = int(acts * pb)
 
     # --- transformer blocks -------------------------------------------------
     vit = comps["vit"]
-    blk_params = _block_params(d, m)
-    split_params = (4 * d * d + 2 * m * d * d + (3 + m) * d) / layer_tp + 4 * d
-    vit.params_bytes = int(depth * split_params * pb / fsdp) if fsdp > 1 else \
-        int(depth * split_params * pb)
     acts = depth * _block_acts(b, t, d, heads, m, layer_tp)
     acts += b * t * d + 3 * b * s * d + b * s + 2 * b * d  # concat, mask, metadata
-    vit.activation_bytes = int(CALIBRATION["vit"] * acts * pb)
+    vit.activation_bytes = int(acts * pb)
     vit.flops = int(depth * _block_flops(b, t, d, m, layer_tp))
     if layer_tp > 1:
         per_block = 4 * b * t * d * pb * (tp - 1) / tp  # two sums, RS+AG each
         add_comm("forward", "tp", depth * per_block)
         add_comm("backward", "tp", depth * per_block)
-    if fsdp > 1:
-        shard = blk_params * pb / fsdp
-        add_comm("forward", "fsdp", depth * shard * (fsdp - 1))
-        add_comm("backward", "fsdp", depth * shard * (fsdp - 1))
-    if pconfig.dp > 1:
-        n_param_elems = sum(cc.params_bytes for cc in comps.values()) / pb
-        add_comm("backward", "dp", 2 * n_param_elems * pb * (pconfig.dp - 1) / pconfig.dp)
 
     # --- decoder -------------------------------------------------------------
     dec = comps["decoder"]
     dd = model.decoder_dim
-    dec.params_bytes = (d + d * dd + dd + s * dd
-                        + model.decoder_depth * _block_params(dd, m)
-                        + dd * c * pp + c * pp) * pb
     acts = 3 * b * s * dd + model.decoder_depth * _block_acts(b, s, dd, 1, m, 1)
     acts += 8 * b * s * c * pp  # prediction head + target/masked-diff chain
-    dec.activation_bytes = int(CALIBRATION["decoder"] * acts * pb)
+    dec.activation_bytes = int(acts * pb)
     dec.flops = int(2 * b * s * d * dd + model.decoder_depth * _block_flops(b, s, dd, m, 1)
                     + 2 * b * s * dd * c * pp)
 
@@ -344,7 +310,7 @@ def plan(model: ModelConfig, hw: HardwareModel, family: str = "dchag",
          fsdp_allowed: bool = False) -> PlanResult:
     """Exhaustive search over the power-of-two grid for the least rank count
     whose per-rank cost fits the budget; ties break on smaller forward
-    communication payload."""
+    communication payload.  Layouts the simulator rejects are skipped."""
     if family not in ("serial", "tp_only", "dchag"):
         raise ConfigError(f"unknown strategy family {family}")
     best: PlanResult | None = None
@@ -366,7 +332,10 @@ def plan(model: ModelConfig, hw: HardwareModel, family: str = "dchag",
                                            max_group=max_group,
                                            agg_layer_kind="linear")
                 pcfg = ParallelConfig(dchag_tp=tp, fsdp=fsdp, dp=1)
-                rep = estimate(model, strat, pcfg, hw, precision_bytes, batch)
+                try:
+                    rep = estimate(model, strat, pcfg, hw, precision_bytes, batch)
+                except ConfigError:  # e.g. tp does not divide the channels
+                    continue
                 if not rep.fits:
                     continue
                 cand = PlanResult(True, ranks, strat, pcfg, rep)

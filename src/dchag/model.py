@@ -144,6 +144,19 @@ def masked_mse(pred: Tensor, images: np.ndarray, mask: np.ndarray,
     return T.scale(T.sum_all(T.mul(diff, diff)), 1.0 / denom)
 
 
+def trunk_loss(agg: Tensor, w: dict, model: ModelConfig, batch: Batch,
+               n_heads: int | None = None, hooks=None) -> Tensor:
+    """The trunk every composition shares: mask the aggregated stream, run
+    the transformer (head-split when `hooks` are given) and the decoder,
+    and score the reconstruction of the masked positions."""
+    with alloc_tag("vit"):
+        agg = apply_token_mask(agg, batch.mask, w["dec.mask"])
+        out = vit_forward(agg, Tensor(batch.meta), w, model, n_heads=n_heads, hooks=hooks)
+    with alloc_tag("decoder"):
+        pred = decode(out, w, model)
+        return masked_mse(pred, batch.images, batch.mask, model)
+
+
 # -- single-process compositions ----------------------------------------------
 
 
@@ -160,12 +173,7 @@ def forward_loss_serial(w: dict, model: ModelConfig, batch: Batch) -> Tensor:
         else:
             agg = tree_aggregate(tokens, model.tree, w, "agg.slab0",
                                  model.agg_layer_kind, model.agg_variant, model.heads)
-    with alloc_tag("vit"):
-        agg = apply_token_mask(agg, batch.mask, w["dec.mask"])
-        out = vit_forward(agg, Tensor(batch.meta), w, model)
-    with alloc_tag("decoder"):
-        pred = decode(out, w, model)
-        return masked_mse(pred, batch.images, batch.mask, model)
+    return trunk_loss(agg, w, model, batch)
 
 
 def forward_loss_dchag_reference(w: dict, model: ModelConfig,
@@ -199,9 +207,4 @@ def forward_loss_dchag_reference(w: dict, model: ModelConfig,
         gathered = streams[0] if tp == 1 else T.concat(streams, axis=1)
         agg = flat_aggregate(gathered, w, "agg.final", model.agg_variant,
                              model.heads, tag="agg-final")
-    with alloc_tag("vit"):
-        agg = apply_token_mask(agg, batch.mask, w["dec.mask"])
-        out = vit_forward(agg, Tensor(batch.meta), w, model)
-    with alloc_tag("decoder"):
-        pred = decode(out, w, model)
-        return masked_mse(pred, batch.images, batch.mask, model)
+    return trunk_loss(agg, w, model, batch)

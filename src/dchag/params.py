@@ -1,4 +1,4 @@
-"""Parameter creation, sharding, and serialization.
+"""Parameter creation, placement, sharding, and serialization.
 
 Master parameters for a (model, strategy) pair are created in one fixed,
 documented order so that every execution strategy can be seeded from the
@@ -11,7 +11,7 @@ same master set and compared gradient-for-gradient:
    - flat model:        agg.flat.{q|wq,wk,wv,wo,bo|rq}
    - hierarchical model: agg.slab0.l{level}.g{group}.<node params>
    - dchag strategy:    agg.slab{r}... for r in 0..tp-1, then agg.final.*
-4. transformer:     vit.blk{i}.{ln1.g, ln1.b, wq, bq, wk, bk, wv, bv,
+4. transformer:     vit.blk{i}.{ln1.g, ln1.b, wq, bq, wk, wv, bv,
                     wo, bo, ln2.g, ln2.b, w1, b1, w2, b2} for i in 0..L-1
 5. decoder:         dec.mask [D], dec.proj.w [D, Dd], dec.proj.b [Dd],
                     dec.pos [S, Dd], dec.blk{i}.* (block layout above,
@@ -19,17 +19,38 @@ same master set and compared gradient-for-gradient:
 
 Weights are truncated-normal (std 0.02), biases zero, layernorm gains one.
 Cross-attention aggregation nodes carry {q, wq, wk, wv, wo, bo} in the
-single_query variant ({rq} instead of {q} in full_cross); linear nodes
+single_query variant ({wq, wk, wv, wo, bo, rq} in full_cross); linear nodes
 carry {mix [g], w [D, D], b [D]}.
+
+One shape-only rule, `placement`, says where each parameter lives across
+the tp group.  Sharding, gradient reassembly and the cost model's
+per-rank parameter bytes all follow from it:
+
+  parameter                                     placement
+  --------------------------------------------  -------------------------
+  tok.w, tok.b, special.channel_id              split axis 0 (channel slab)
+    (dist_token, dchag)
+  agg.slab{r}.*                                 owned by tp rank r
+  head-split layers: agg.flat.* (tp_only,       wq, wk, wv, w1: split axis 1
+    dist_token), agg.final.* (dchag with          (column); bq, bv, b1: split
+    final_layer_tp_split), vit.blk*.* (tp_only,   axis 0; wo, w2: split axis 0
+    dist_token, dchag with vit_tp_split)          (row); other leaves replicated
+  everything else                               replicated
+
+Each parameter belongs to the component its name prefix names: tok.* and
+special.* to tokenize, agg.* to aggregate, vit.* to vit, dec.* to decoder.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
+import math
+from typing import NamedTuple
 
 import numpy as np
 
-from .config import ConfigError, ModelConfig, ParallelConfig, StrategyConfig, TreeSpec, build_tree_spec
+from .config import ConfigError, ModelConfig, StrategyConfig, TreeSpec, build_tree_spec
 from .rng import RngState
 
 
@@ -57,16 +78,26 @@ def _linear_node_specs(prefix: str, group: int, embed: int):
     ]
 
 
-def _tree_specs(prefix: str, tree: TreeSpec, layer_kind: str, variant: str, embed: int):
-    specs = []
+def _node_specs(prefix: str, group: int, layer_kind: str, variant: str, embed: int):
+    if layer_kind == "linear":
+        return _linear_node_specs(prefix, group, embed)
+    return _agg_node_specs(prefix, variant, embed)
+
+
+def _tree_layout(prefix: str, tree: TreeSpec, layer_kind: str, variant: str,
+                 embed: int, compact: bool):
+    if not compact:
+        for li, level in enumerate(tree.levels):
+            for gi, group in enumerate(level):
+                yield 1, _node_specs(f"{prefix}.l{li}.g{gi}", group, layer_kind, variant, embed)
+        return
+    runs = {}  # group size -> [first node of that size, node count]
     for li, level in enumerate(tree.levels):
-        for gi, group in enumerate(level):
-            node = f"{prefix}.l{li}.g{gi}"
-            if layer_kind == "linear":
-                specs += _linear_node_specs(node, group, embed)
-            else:
-                specs += _agg_node_specs(node, variant, embed)
-    return specs
+        for group in set(level):
+            run = runs.setdefault(group, [f"{prefix}.l{li}.g{level.index(group)}", 0])
+            run[1] += level.count(group)
+    for group, (node, count) in runs.items():
+        yield count, _node_specs(node, group, layer_kind, variant, embed)
 
 
 def _block_specs(prefix: str, width: int, mlp_ratio: int):
@@ -91,15 +122,30 @@ def _block_specs(prefix: str, width: int, mlp_ratio: int):
     ]
 
 
+def _blocks_layout(prefix: str, depth: int, width: int, mlp_ratio: int, compact: bool):
+    if compact:
+        if depth:
+            yield depth, _block_specs(f"{prefix}0", width, mlp_ratio)
+    else:
+        for i in range(depth):
+            yield 1, _block_specs(f"{prefix}{i}", width, mlp_ratio)
+
+
 def rank_tree(model: ModelConfig, strategy: StrategyConfig) -> TreeSpec:
     """Aggregation tree applied by each rank to its channel slab."""
     return build_tree_spec(strategy.local_channels(model), strategy.max_group)
 
 
-def parameter_specs(model: ModelConfig, strategy: StrategyConfig):
-    """Ordered (name, shape, init) triples for the master parameter set."""
+def _layout(model: ModelConfig, strategy: StrategyConfig, compact: bool):
+    """The parameter table as (count, specs) pairs, in creation order.
+
+    With compact=False every parameter appears once, with count 1.  With
+    compact=True the tree nodes of one group size, and the blocks of one
+    stack, are built once, under the first member's name, with the member
+    count; and only slab 0's tree is listed, as every slab's tree is alike.
+    """
     c, d, s, p = model.channels, model.embed, model.seq, model.patch
-    specs = [
+    yield 1, [
         ("tok.w", (c, p * p, d), "normal"),
         ("tok.b", (c, d), "zeros"),
         ("special.channel_id", (c, d), "normal"),
@@ -109,31 +155,33 @@ def parameter_specs(model: ModelConfig, strategy: StrategyConfig):
     ]
     if strategy.kind == "dchag":
         tree = rank_tree(model, strategy)
-        for r in range(strategy.tp_degree):
-            specs += _tree_specs(f"agg.slab{r}", tree, strategy.agg_layer_kind,
-                                 model.agg_variant, d)
-        specs += _agg_node_specs("agg.final", model.agg_variant, d)
+        for r in range(1 if compact else strategy.tp_degree):
+            yield from _tree_layout(f"agg.slab{r}", tree, strategy.agg_layer_kind,
+                                    model.agg_variant, d, compact)
+        yield 1, _agg_node_specs("agg.final", model.agg_variant, d)
     elif model.tree is not None:
-        specs += _tree_specs("agg.slab0", model.tree, model.agg_layer_kind,
-                             model.agg_variant, d)
+        yield from _tree_layout("agg.slab0", model.tree, model.agg_layer_kind,
+                                model.agg_variant, d, compact)
     else:
-        specs += _agg_node_specs("agg.flat", model.agg_variant, d)
-    for i in range(model.depth):
-        specs += _block_specs(f"vit.blk{i}", d, model.mlp_ratio)
+        yield 1, _agg_node_specs("agg.flat", model.agg_variant, d)
+    yield from _blocks_layout("vit.blk", model.depth, d, model.mlp_ratio, compact)
     dd = model.decoder_dim
-    specs += [
+    yield 1, [
         ("dec.mask", (d,), "normal"),
         ("dec.proj.w", (d, dd), "normal"),
         ("dec.proj.b", (dd,), "zeros"),
         ("dec.pos", (s, dd), "normal"),
     ]
-    for i in range(model.decoder_depth):
-        specs += _block_specs(f"dec.blk{i}", dd, model.mlp_ratio)
-    specs += [
+    yield from _blocks_layout("dec.blk", model.decoder_depth, dd, model.mlp_ratio, compact)
+    yield 1, [
         ("dec.head.w", (dd, c * p * p), "normal"),
         ("dec.head.b", (c * p * p,), "zeros"),
     ]
-    return specs
+
+
+def parameter_specs(model: ModelConfig, strategy: StrategyConfig):
+    """Ordered (name, shape, init) triples for the master parameter set."""
+    return [spec for _, specs in _layout(model, strategy, compact=False) for spec in specs]
 
 
 def create_master(model: ModelConfig, strategy: StrategyConfig,
@@ -150,31 +198,80 @@ def create_master(model: ModelConfig, strategy: StrategyConfig,
     return master
 
 
-# -- sharding ---------------------------------------------------------------
+# -- placement over the tp group -----------------------------------------------
 
-_COL_SPLIT = ("wq", "wk", "wv", "w1")  # split output features
-_COL_BIAS = ("bq", "bv", "b1")
-_ROW_SPLIT = ("wo", "w2")  # split input features; partial sums downstream
+
+class Placement(NamedTuple):
+    """Where one parameter lives across the tp group.  A split cuts
+    `split_axis` into tp equal contiguous pieces, rank r holding piece r;
+    an owned parameter lives on tp rank `owner` alone; with neither set the
+    parameter is replicated whole on every rank."""
+
+    split_axis: int | None = None
+    owner: int | None = None
+
+
+REPLICATED = Placement()
+_CHANNEL_SLAB = Placement(split_axis=0)
+# Head-split layers: column-split projections and their biases cut output
+# features; row-split projections cut input features, leaving partial sums.
+_HEAD_SPLIT = {leaf: Placement(split_axis=axis) for leaf, axis in (
+    ("wq", 1), ("wk", 1), ("wv", 1), ("w1", 1),
+    ("bq", 0), ("bv", 0), ("b1", 0),
+    ("wo", 0), ("w2", 0))}
 
 _CHANNEL_SLABBED = ("tok.w", "tok.b", "special.channel_id")
+_COMPONENT_OF_PREFIX = {"tok": "tokenize", "special": "tokenize", "agg": "aggregate",
+                        "vit": "vit", "dec": "decoder"}
 
 
-def _leaf(name: str) -> str:
-    return name.rsplit(".", 1)[-1]
+def _head_split(name: str, strategy: StrategyConfig) -> bool:
+    if strategy.kind in ("tp_only", "dist_token"):
+        return name.startswith(("agg.flat.", "vit.blk"))
+    if strategy.kind == "dchag":
+        return (strategy.final_layer_tp_split and name.startswith("agg.final.")
+                or strategy.vit_tp_split and name.startswith("vit.blk"))
+    return False
 
 
-def _block_shard(name: str, arr: np.ndarray, tp: int, idx: int) -> np.ndarray:
-    leaf = _leaf(name)
-    if leaf in _COL_SPLIT:
-        w = arr.shape[1] // tp
-        return arr[:, idx * w:(idx + 1) * w]
-    if leaf in _COL_BIAS:
-        w = arr.shape[0] // tp
-        return arr[idx * w:(idx + 1) * w]
-    if leaf in _ROW_SPLIT:
-        w = arr.shape[0] // tp
-        return arr[idx * w:(idx + 1) * w, :]
-    return arr  # ln/g, bo, b2: replicated
+def placement(name: str, strategy: StrategyConfig) -> Placement:
+    """The placement of parameter `name` under `strategy`; see the module
+    docstring for the table."""
+    if name in _CHANNEL_SLABBED:
+        return _CHANNEL_SLAB if strategy.kind in ("dist_token", "dchag") else REPLICATED
+    if name.startswith("agg.slab"):
+        return Placement(owner=int(name[8:name.index(".", 8)]))
+    if _head_split(name, strategy):
+        return _HEAD_SPLIT.get(name[name.rindex(".") + 1:], REPLICATED)
+    return REPLICATED
+
+
+def _component_of(name: str) -> str:
+    """The model component (allocator tag) a parameter belongs to."""
+    return _COMPONENT_OF_PREFIX[name[:name.index(".")]]
+
+
+@functools.lru_cache(maxsize=64)
+def rank_parameter_sizes(model: ModelConfig, strategy: StrategyConfig) -> tuple:
+    """(component, count, elements): how many parameter tensors of each size
+    tp rank 0 holds, per component.  Every rank holds as many, since channel
+    slabs and their trees are alike.
+
+    Memoized: a planner estimates one (model, strategy) pair at many
+    parallel grids in a row.
+    """
+    tp = strategy.tp_degree
+    counts = {}
+    for count, specs in _layout(model, strategy, compact=True):
+        component = _component_of(specs[0][0])
+        for name, shape, _ in specs:
+            place = placement(name, strategy)
+            if place.owner not in (None, 0):
+                continue
+            n = math.prod(shape)
+            key = component, n if place.split_axis is None else n // tp
+            counts[key] = counts.get(key, 0) + count
+    return tuple((component, count, n) for (component, n), count in counts.items())
 
 
 def shard_for_rank(master: dict, model: ModelConfig, strategy: StrategyConfig,
@@ -186,38 +283,16 @@ def shard_for_rank(master: dict, model: ModelConfig, strategy: StrategyConfig,
     """
     tp = strategy.tp_degree
     out = {}
-    slab = model.channels // tp if strategy.kind in ("dist_token", "dchag") else None
     for name, arr in master.items():
-        if slab is not None and name in _CHANNEL_SLABBED:
-            out[name] = arr[tp_index * slab:(tp_index + 1) * slab].copy()
+        place = placement(name, strategy)
+        if place.owner is not None and place.owner != tp_index:
             continue
-        if name.startswith("agg.slab"):
-            # per-rank partial aggregation tree: keep only this rank's slab
-            owner = int(name.split(".")[1][4:])
-            if owner == tp_index:
-                out[name] = arr.copy()
-            continue
-        if name.startswith("agg.final."):
-            if strategy.final_layer_tp_split and _leaf(name) not in ("q", "rq"):
-                out[name] = _block_shard(name, arr, tp, tp_index).copy()
-            else:
-                out[name] = arr.copy()
-            continue
-        if name.startswith("agg.flat."):
-            if strategy.kind in ("tp_only", "dist_token") and _leaf(name) not in ("q", "rq"):
-                out[name] = _block_shard(name, arr, tp, tp_index).copy()
-            else:
-                out[name] = arr.copy()
-            continue
-        if name.startswith("vit.blk"):
-            split = strategy.kind in ("tp_only", "dist_token") or (
-                strategy.kind == "dchag" and strategy.vit_tp_split)
-            if split:
-                out[name] = _block_shard(name, arr, tp, tp_index).copy()
-            else:
-                out[name] = arr.copy()
-            continue
-        out[name] = arr.copy()  # tokenizer (tp_only), special, decoder
+        if place.split_axis is not None:
+            width = arr.shape[place.split_axis] // tp
+            index = [slice(None)] * arr.ndim
+            index[place.split_axis] = slice(tp_index * width, (tp_index + 1) * width)
+            arr = arr[tuple(index)]
+        out[name] = arr.copy()
     return out
 
 
@@ -225,32 +300,23 @@ def unshard_grads(per_rank: list[dict], master: dict, model: ModelConfig,
                   strategy: StrategyConfig) -> dict[str, np.ndarray]:
     """Reassemble per-rank gradient dicts into master layout.
 
-    Split axes are concatenated in rank order; slabs are stacked; replicated
-    entries are taken from rank 0 (they are bit-identical by construction,
-    which equivalence tests assert separately).
+    Split axes are concatenated in rank order; owned entries come from
+    their owner; replicated entries are taken from rank 0 (they are
+    bit-identical by construction, which equivalence tests assert
+    separately).
     """
-    tp = strategy.tp_degree
     out = {}
     for name, arr in master.items():
-        if name.startswith("agg.slab"):
-            owner = int(name.split(".")[1][4:])
-            out[name] = per_rank[owner][name]
-            continue
-        if name in _CHANNEL_SLABBED and strategy.kind in ("dist_token", "dchag"):
-            out[name] = np.concatenate([g[name] for g in per_rank], axis=0)
-            continue
-        grads = [g[name] for g in per_rank]
-        if grads[0].shape == arr.shape:
-            out[name] = grads[0]
-            continue
-        leaf = _leaf(name)
-        if leaf in _COL_SPLIT:
-            out[name] = np.concatenate(grads, axis=1)
-        elif leaf in _COL_BIAS or leaf in _ROW_SPLIT:
-            out[name] = np.concatenate(grads, axis=0)
+        place = placement(name, strategy)
+        if place.owner is not None:
+            out[name] = per_rank[place.owner][name]
+        elif place.split_axis is not None:
+            out[name] = np.concatenate([g[name] for g in per_rank], axis=place.split_axis)
         else:
-            raise ConfigError(f"cannot unshard gradient for {name}")
-        assert out[name].shape == arr.shape, name
+            out[name] = per_rank[0][name]
+        if out[name].shape != arr.shape:
+            raise ConfigError(f"cannot unshard gradient for {name}: "
+                              f"{out[name].shape} vs master {arr.shape}")
     return out
 
 

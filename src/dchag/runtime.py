@@ -94,7 +94,7 @@ def _ring_allgather_payload(shard_nbytes: int, group: int) -> int:
     return shard_nbytes * (group - 1)
 
 
-def _ring_allreduce_payload(n_elem: int, itemsize: int, group: int) -> int:
+def ring_allreduce_payload(n_elem: int, itemsize: int, group: int) -> int:
     chunk = -(-n_elem // group)  # ceil, rounded to whole elements
     return 2 * chunk * itemsize * (group - 1)
 
@@ -150,7 +150,6 @@ class RankContext:
         }
         self.tracker = AllocTracker()
         self.phase = "forward"
-        self._runtime = runtime
 
     @property
     def tp(self) -> ProcessGroup:
@@ -163,10 +162,6 @@ class RankContext:
     @property
     def fsdp(self) -> ProcessGroup:
         return self.groups["fsdp"]
-
-    def record_event(self, op: str, axis: str, payload: int, tag: str) -> None:
-        """Ledger-only event (no data movement), e.g. modeled FSDP traffic."""
-        self._runtime.ledger.record(self.rank, op, axis, self.phase, payload, tag)
 
 
 @dataclass
@@ -280,7 +275,7 @@ class _Runtime:
             for a in arrs[1:]:
                 total += a
             outs = {r: total.copy() for r in members}
-            pay = _ring_allreduce_payload(arrs[0].size, arrs[0].itemsize, g)
+            pay = ring_allreduce_payload(arrs[0].size, arrs[0].itemsize, g)
             payloads = {r: pay for r in members}
         elif op == "Broadcast":
             self._check_identical_shapes(op, axis_name, members, arrs)

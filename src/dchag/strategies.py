@@ -20,6 +20,12 @@ Gradient flow across shards uses two tape ops: `fanout` (identity forward,
 gradient all-reduce backward) wherever a replicated tensor feeds a split
 projection, and `allsum` (fixed-order sum forward, identity backward)
 where split partial outputs merge.
+
+One driver, `run_hybrid_step`, executes every parallel step over the
+(tp, fsdp, dp) grid; `run_tp_step`, `run_dist_token_step` and
+`run_dchag_step` are single-batch entry points that check the strategy
+kind.  FSDP is not executed: it is modeled by `costmodel` only, and a grid
+with fsdp > 1 is rejected.
 """
 
 from __future__ import annotations
@@ -30,9 +36,9 @@ import numpy as np
 
 from . import tensor as T
 from .config import ConfigError, ModelConfig, ParallelConfig, StrategyConfig
-from .model import (Batch, apply_token_mask, decode, flat_aggregate,
-                    forward_loss_dchag_reference, forward_loss_serial,
-                    masked_mse, tokenize_channels, tree_aggregate, vit_forward)
+from .model import (Batch, flat_aggregate, forward_loss_dchag_reference,
+                    forward_loss_serial, tokenize_channels, tree_aggregate,
+                    trunk_loss)
 from .params import rank_tree, shard_for_rank, unshard_grads
 from .runtime import CommLedger, RankContext, spawn_ranks
 from .tensor import Tensor
@@ -129,31 +135,30 @@ def _extract_grads(w: dict) -> dict:
             for k, t in w.items()}
 
 
-# -- serial ---------------------------------------------------------------------
+# -- single-process steps ----------------------------------------------------------
+
+
+def _single_process_step(master: dict, forward) -> StepResult:
+    tracker = AllocTracker()
+    with activate(tracker):
+        w = _wrap_params(master)
+        loss = forward(w)
+        T.backward(loss)
+        return StepResult(loss=loss.item(), grads=_extract_grads(w),
+                          stats=tracker.stats())
 
 
 def run_serial_step(model: ModelConfig, master: dict, batch: Batch) -> StepResult:
     """Reference step; also captures per-component allocator statistics."""
-    tracker = AllocTracker()
-    with activate(tracker):
-        w = _wrap_params(master)
-        loss = forward_loss_serial(w, model, batch)
-        T.backward(loss)
-        return StepResult(loss=loss.item(), grads=_extract_grads(w),
-                          stats=tracker.stats())
+    return _single_process_step(master, lambda w: forward_loss_serial(w, model, batch))
 
 
 def run_dchag_reference_step(model: ModelConfig, strategy: StrategyConfig,
                              master: dict, batch: Batch) -> StepResult:
     """Single-process execution of the slab-tree architecture (the oracle
     for run_dchag_step)."""
-    tracker = AllocTracker()
-    with activate(tracker):
-        w = _wrap_params(master)
-        loss = forward_loss_dchag_reference(w, model, strategy, batch)
-        T.backward(loss)
-        return StepResult(loss=loss.item(), grads=_extract_grads(w),
-                          stats=tracker.stats())
+    return _single_process_step(
+        master, lambda w: forward_loss_dchag_reference(w, model, strategy, batch))
 
 
 # -- distributed forward passes ----------------------------------------------
@@ -183,13 +188,7 @@ def tp_forward_loss(w: dict, model: ModelConfig, strategy: StrategyConfig,
     with alloc_tag("aggregate"):
         agg = flat_aggregate(tokens, w, "agg.flat", model.agg_variant,
                              heads_local, hooks, tag="agg")
-    with alloc_tag("vit"):
-        agg = apply_token_mask(agg, batch.mask, w["dec.mask"])
-        out = vit_forward(agg, Tensor(batch.meta), w, model,
-                          n_heads=heads_local, hooks=hooks)
-    with alloc_tag("decoder"):
-        pred = decode(out, w, model)
-        return masked_mse(pred, batch.images, batch.mask, model)
+    return trunk_loss(agg, w, model, batch, heads_local, hooks)
 
 
 def dchag_forward_loss(w: dict, model: ModelConfig, strategy: StrategyConfig,
@@ -216,17 +215,10 @@ def dchag_forward_loss(w: dict, model: ModelConfig, strategy: StrategyConfig,
         else:
             agg = flat_aggregate(gathered, w, "agg.final", model.agg_variant,
                                  model.heads)
-    with alloc_tag("vit"):
-        agg = apply_token_mask(agg, batch.mask, w["dec.mask"])
-        if strategy.vit_tp_split:
-            out = vit_forward(agg, Tensor(batch.meta), w, model,
-                              n_heads=model.heads // strategy.tp_degree,
-                              hooks=TpHooks(ctx))
-        else:
-            out = vit_forward(agg, Tensor(batch.meta), w, model)
-    with alloc_tag("decoder"):
-        pred = decode(out, w, model)
-        return masked_mse(pred, batch.images, batch.mask, model)
+    if strategy.vit_tp_split:
+        return trunk_loss(agg, w, model, batch, model.heads // strategy.tp_degree,
+                          TpHooks(ctx))
+    return trunk_loss(agg, w, model, batch)
 
 
 _FORWARDS = {
@@ -236,16 +228,7 @@ _FORWARDS = {
 }
 
 
-# -- parallel step drivers ----------------------------------------------------
-
-
-def _check_grid(pconfig: ParallelConfig, strategy: StrategyConfig,
-                model: ModelConfig) -> None:
-    pconfig.validate()
-    strategy.validate(model)
-    if pconfig.dchag_tp != strategy.tp_degree:
-        raise ConfigError(
-            f"parallel grid tp={pconfig.dchag_tp} != strategy tp_degree={strategy.tp_degree}")
+# -- the parallel step driver ---------------------------------------------------
 
 
 def _sync_shared_grads(ctx: RankContext, w: dict, strategy: StrategyConfig) -> None:
@@ -264,87 +247,33 @@ def _sync_shared_grads(ctx: RankContext, w: dict, strategy: StrategyConfig) -> N
         t.grad = ctx.tp.all_reduce(t.grad, tag="shared-grad.special.pos")
 
 
-def _parallel_step(pconfig: ParallelConfig, model: ModelConfig,
-                   strategy: StrategyConfig, master: dict, batch: Batch,
-                   schedule_seed=None) -> ParallelStepResult:
-    _check_grid(pconfig, strategy, model)
-    forward = _FORWARDS[strategy.kind]
-
-    def program(ctx: RankContext):
-        tp_i = ctx.coords[0]
-        w = _wrap_params(shard_for_rank(master, model, strategy, tp_i))
-        ctx.phase = "forward"
-        loss = forward(w, model, strategy, batch, ctx)
-        ctx.phase = "backward"
-        T.backward(loss)
-        _sync_shared_grads(ctx, w, strategy)
-        return loss.item(), _extract_grads(w)
-
-    spawned = spawn_ranks(pconfig, program, schedule_seed=schedule_seed)
-    losses = [r[0] for r in spawned.results]
-    rank_grads = [r[1] for r in spawned.results]
-    grads = unshard_grads(rank_grads, master, model, strategy)
-    return ParallelStepResult(losses=losses, rank_grads=rank_grads, grads=grads,
-                              stats=spawned.stats, ledger=spawned.ledger)
-
-
-def run_tp_step(pconfig, model, strategy, master, batch, **kw) -> ParallelStepResult:
-    if strategy.kind != "tp_only":
-        raise ConfigError(f"run_tp_step needs kind=tp_only, got {strategy.kind}")
-    return _parallel_step(pconfig, model, strategy, master, batch, **kw)
-
-
-def run_dist_token_step(pconfig, model, strategy, master, batch, **kw) -> ParallelStepResult:
-    if strategy.kind != "dist_token":
-        raise ConfigError(f"run_dist_token_step needs kind=dist_token, got {strategy.kind}")
-    return _parallel_step(pconfig, model, strategy, master, batch, **kw)
-
-
-def run_dchag_step(pconfig, model, strategy, master, batch, **kw) -> ParallelStepResult:
-    if strategy.kind != "dchag":
-        raise ConfigError(f"run_dchag_step needs kind=dchag, got {strategy.kind}")
-    return _parallel_step(pconfig, model, strategy, master, batch, **kw)
-
-
-def _vit_block_param_bytes(model: ModelConfig) -> int:
-    d, m = model.embed, model.mlp_ratio
-    count = 4 * d * d + 2 * m * d * d + (9 + 2 * m) * d
-    return count * 8
-
-
 def run_hybrid_step(pconfig: ParallelConfig, model: ModelConfig,
                     strategy: StrategyConfig, master: dict,
                     batches: list, schedule_seed=None) -> ParallelStepResult:
-    """dchag x tp inner execution per (fsdp, dp) coordinate.
-
-    FSDP traffic is modeled: per transformer block one parameter AllGather
-    (forward) and one gradient ReduceScatter (backward) event sized by the
-    block's parameter shard, while compute proceeds unsharded.  The dp axis
-    executes a real gradient AllReduce; gradients are averaged.
-    """
-    _check_grid(pconfig, strategy, model)
+    """One parallel step: `strategy` over the tp axis, one batch per dp
+    coordinate.  The dp axis executes a real gradient AllReduce; gradients
+    are averaged.  FSDP is modeled by `costmodel` only, so fsdp > 1 is
+    rejected."""
+    pconfig.validate()
+    strategy.validate(model)
+    if strategy.kind not in _FORWARDS:
+        raise ConfigError(f"no parallel step for strategy kind {strategy.kind}")
+    if pconfig.dchag_tp != strategy.tp_degree:
+        raise ConfigError(
+            f"parallel grid tp={pconfig.dchag_tp} != strategy tp_degree={strategy.tp_degree}")
+    if pconfig.fsdp > 1:
+        raise ConfigError(f"fsdp={pconfig.fsdp} is not executed; costmodel.estimate models it")
     if len(batches) != pconfig.dp:
         raise ConfigError(f"need {pconfig.dp} batches, got {len(batches)}")
     forward = _FORWARDS[strategy.kind]
-    fsdp = pconfig.fsdp
-    blk_shard = _vit_block_param_bytes(model) // fsdp if fsdp > 1 else 0
 
     def program(ctx: RankContext):
         tp_i, _, dp_i = ctx.coords
-        batch = batches[dp_i]
         w = _wrap_params(shard_for_rank(master, model, strategy, tp_i))
         ctx.phase = "forward"
-        if fsdp > 1:
-            for i in range(model.depth):
-                ctx.record_event("AllGather", "fsdp", blk_shard * (fsdp - 1),
-                                 f"fsdp-params.blk{i}")
-        loss = forward(w, model, strategy, batch, ctx)
+        loss = forward(w, model, strategy, batches[dp_i], ctx)
         ctx.phase = "backward"
         T.backward(loss)
-        if fsdp > 1:
-            for i in range(model.depth):
-                ctx.record_event("ReduceScatter", "fsdp", blk_shard * (fsdp - 1),
-                                 f"fsdp-grads.blk{i}")
         _sync_shared_grads(ctx, w, strategy)
         if pconfig.dp > 1:
             ctx.phase = "backward"
@@ -362,3 +291,22 @@ def run_hybrid_step(pconfig: ParallelConfig, model: ModelConfig,
     grads = unshard_grads(rank_grads[: pconfig.dchag_tp], master, model, strategy)
     return ParallelStepResult(losses=losses, rank_grads=rank_grads, grads=grads,
                               stats=spawned.stats, ledger=spawned.ledger)
+
+
+def _single_batch_step(kind: str, pconfig, model, strategy, master, batch,
+                       **kw) -> ParallelStepResult:
+    if strategy.kind != kind:
+        raise ConfigError(f"needs kind={kind}, got {strategy.kind}")
+    return run_hybrid_step(pconfig, model, strategy, master, [batch], **kw)
+
+
+def run_tp_step(pconfig, model, strategy, master, batch, **kw) -> ParallelStepResult:
+    return _single_batch_step("tp_only", pconfig, model, strategy, master, batch, **kw)
+
+
+def run_dist_token_step(pconfig, model, strategy, master, batch, **kw) -> ParallelStepResult:
+    return _single_batch_step("dist_token", pconfig, model, strategy, master, batch, **kw)
+
+
+def run_dchag_step(pconfig, model, strategy, master, batch, **kw) -> ParallelStepResult:
+    return _single_batch_step("dchag", pconfig, model, strategy, master, batch, **kw)

@@ -281,16 +281,14 @@ class TestHybrid:
             _, n = hyb.ledger.query(axis="dp", op="AllReduce", rank=rank)
             assert n == n_rank_params
 
-    def test_fsdp_ledger_events_per_block(self):
+    def test_fsdp_rejected(self):
+        # FSDP is modeled by the cost model only; the simulator does not run it
         model = tiny(depth=2)
         strat = StrategyConfig(kind="dchag", tp_degree=1, max_group=2)
         master = create_master(model, strat, RngState(6))
-        hyb = run_hybrid_step(ParallelConfig(dchag_tp=1, fsdp=2), model, strat,
-                              master, [make_batch(model, 1, 0, [0])])
-        _, fw = hyb.ledger.query(phase="forward", axis="fsdp", op="AllGather")
-        _, bw = hyb.ledger.query(phase="backward", axis="fsdp", op="ReduceScatter")
-        assert fw == 2 * model.depth  # per rank per block
-        assert bw == 2 * model.depth
+        with pytest.raises(ConfigError, match="fsdp"):
+            run_hybrid_step(ParallelConfig(dchag_tp=1, fsdp=2), model, strat,
+                            master, [make_batch(model, 1, 0, [0])])
 
     def test_degenerate_equals_dchag_bit_exact(self):
         model = tiny()
@@ -314,13 +312,24 @@ class TestHybrid:
 
 class TestSharding:
     def test_shard_then_unshard_identity(self):
-        model = tiny(channels=8)
-        strat = StrategyConfig(kind="tp_only", tp_degree=2)
-        master = create_master(model, strat, RngState(5))
-        shards = [shard_for_rank(master, model, strat, r) for r in range(2)]
-        back = unshard_grads(shards, master, model, strat)
-        for k, v in master.items():
-            np.testing.assert_array_equal(back[k], v)
+        flags = ({}, {"vit_tp_split": False}, {"final_layer_tp_split": True},
+                 {"agg_layer_kind": "linear"})
+        cases = [(0, StrategyConfig()), (3, StrategyConfig())]
+        for tp in (1, 2, 4):
+            cases += [(0, StrategyConfig(kind="tp_only", tp_degree=tp)),
+                      (0, StrategyConfig(kind="dist_token", tp_degree=tp))]
+            cases += [(0, StrategyConfig(kind="dchag", tp_degree=tp, max_group=2, **f))
+                      for f in flags]
+        for variant in ("single_query", "full_cross"):
+            for tree, strat in cases:
+                model = tiny(channels=8, agg_variant=variant, tree_max_group=tree)
+                master = create_master(model, strat, RngState(5))
+                shards = [shard_for_rank(master, model, strat, r)
+                          for r in range(strat.tp_degree)]
+                back = unshard_grads(shards, master, model, strat)
+                assert back.keys() == master.keys()
+                for k, v in master.items():
+                    np.testing.assert_array_equal(back[k], v)
 
     def test_replicated_weights_identical_across_ranks(self):
         model = tiny(channels=8)
