@@ -77,17 +77,9 @@ class ModelConfig:
     heads: int
     mlp_ratio: int = 4
     agg_variant: str = "full_cross"
-    agg_layer_kind: str = "cross_attention"
-    tree_max_group: int = 0  # 0: flat aggregation; >0: hierarchical over all channels
     mask_ratio: float = 0.5
     decoder_depth: int = 1
     decoder_dim: int = 16
-
-    @property
-    def tree(self) -> "TreeSpec | None":
-        if self.tree_max_group:
-            return build_tree_spec(self.channels, self.tree_max_group)
-        return None
 
     @property
     def seq(self) -> int:
@@ -112,12 +104,18 @@ class ModelConfig:
             raise ConfigError(f"mask_ratio must be in [0, 1), got {self.mask_ratio}")
         if self.agg_variant not in AGG_VARIANTS:
             raise ConfigError(f"agg_variant must be one of {AGG_VARIANTS}")
-        if self.agg_layer_kind not in AGG_LAYER_KINDS:
-            raise ConfigError(f"agg_layer_kind must be one of {AGG_LAYER_KINDS}")
 
 
 @dataclass(frozen=True)
 class StrategyConfig:
+    """How the model is spread over the tp group.
+
+    `max_group` and `agg_layer_kind` are the one home of the hierarchical
+    aggregation tree: they shape the per-slab trees of dchag and of its
+    single-process reference.  Every other kind aggregates flat and
+    accepts, but does not read, them.
+    """
+
     kind: str = "serial"
     tp_degree: int = 1
     max_group: int = 128
@@ -148,9 +146,6 @@ class StrategyConfig:
             )
         if self.kind in ("tp_only", "dist_token") and not self.vit_tp_split:
             raise ConfigError(f"{self.kind} requires vit_tp_split=true")
-        if self.kind in ("tp_only", "dist_token") and model.tree_max_group:
-            raise ConfigError(
-                f"{self.kind} supports flat aggregation only (model tree_max_group set)")
 
     def local_channels(self, model: ModelConfig) -> int:
         if self.kind in ("dist_token", "dchag"):
@@ -188,8 +183,7 @@ class ParallelConfig:
 @dataclass(frozen=True)
 class HardwareModel:
     bytes_per_gpu: int = 64 * 2**30
-    gpus_per_node: int = 8
 
     def validate(self) -> None:
-        if self.bytes_per_gpu <= 0 or self.gpus_per_node <= 0:
-            raise ConfigError("hardware sizes must be positive")
+        if self.bytes_per_gpu <= 0:
+            raise ConfigError("bytes_per_gpu must be positive")

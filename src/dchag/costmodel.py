@@ -17,14 +17,17 @@ and per step, in elements (multiply by precision bytes):
   B*S*Ck*D tensors (summed output, bias add, reduce stage) that tensor
   parallelism does NOT divide — the quadratic channel term is the
   full_cross logits.
-* hierarchical aggregation: the flat-layer formula applied per tree node
-  with Ck = group size, plus one level-output concat per level; linear
-  nodes cost ~3 stream-sized tensors B*S*D each.
+* hierarchical aggregation (dchag): the flat-layer formula applied per
+  node of the rank's slab tree with Ck = group size, plus one level-output
+  concat per level (linear nodes cost ~3 stream-sized tensors B*S*D each),
+  the gathered tp streams, and the final layer over Ck = tp streams.
 * transformer block at sequence T=S+1: ~8 full-width B*T*D tensors
   (norms, residuals, summed outputs), ~6 split-width B*T*D/tp, three
   attention-logit tensors B*(H/tp)*T^2, three MLP tensors B*T*mD/tp.
 * decoder: projection/pos at Dd, decoder blocks via the block formula,
-  prediction head 2*B*S*C*pp, and target/diff chain ~5*B*S*C*pp.
+  then six B*S*C*pp tensors (prediction-head matmul and bias add, the
+  reordered target, the difference, the masked difference and its square)
+  and the two scalar loss tensors (sum and mean).
 
 Parameter bytes per rank and component come from `params`: the parameter
 table and its placement rule, the same ones that shard the simulator's
@@ -32,12 +35,15 @@ ranks.  Grads = params, optimizer = 2x params (moment pair), all at
 `precision_bytes`.  FSDP is modeled here only: it divides the transformer
 blocks' params/grads/optimizer by the fsdp degree, and its payload is the
 tp-local block bytes.  Communication uses ring-algorithm byte counts
-matching the simulator's ledger formulas.
+matching the simulator's ledger formulas; every head-split aggregation
+layer (agg.flat under tp_only and dist_token, agg.final under dchag's
+final_layer_tp_split) pays the same term: the output sum forward, the input
+fanout backward and, for single_query, the fanout of the learned query.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .config import (ConfigError, HardwareModel, ModelConfig, ParallelConfig,
                      StrategyConfig, TreeSpec)
@@ -72,21 +78,11 @@ class CostReport:
     def total_bytes(self) -> int:
         return sum(c.total_bytes for c in self.components.values())
 
-    @property
-    def total_flops(self) -> int:
-        return sum(c.flops for c in self.components.values())
-
-    def component_total(self, name: str) -> int:
-        return self.components[name].total_bytes
-
     def activation(self, name: str) -> int:
         return self.components[name].activation_bytes
 
     def forward_comm(self) -> int:
         return sum(v for (ph, _), v in self.comm.items() if ph == "forward")
-
-    def share(self, *names) -> float:
-        return sum(self.component_total(n) for n in names) / max(self.total_bytes, 1)
 
 
 # -- activation element counts (mirroring the executed graph) -------------------
@@ -190,6 +186,14 @@ def estimate(model: ModelConfig, strategy: StrategyConfig,
     def add_comm(phase, axis, nbytes):
         comm[(phase, axis)] = comm.get((phase, axis), 0) + nbytes
 
+    def add_head_split_agg_comm(ck):
+        """One aggregation layer over ck token stacks, head-split over tp."""
+        width = (ck if model.agg_variant == "full_cross" else 1) * b * s * d
+        add_comm("forward", "tp", 2 * width * pb * (tp - 1) / tp)  # output allsum
+        add_comm("backward", "tp", 2 * b * s * ck * d * pb * (tp - 1) / tp)  # input fanout
+        if model.agg_variant == "single_query":  # fanout of the learned query
+            add_comm("backward", "tp", 2 * d * pb * (tp - 1) / tp)
+
     # --- parameters, from the placement rule ---------------------------------
     sizes = rank_parameter_sizes(model, strategy)
     for comp, count, elems in sizes:
@@ -222,34 +226,23 @@ def estimate(model: ModelConfig, strategy: StrategyConfig,
         tree = rank_tree(model, strategy)
         acts = _tree_acts(b, s, d, heads, tree, strategy.agg_layer_kind, model.agg_variant)
         acts += b * tp * s * d  # gathered streams
-        acts += _attention_agg_acts(b, s, tp, d, heads, model.agg_variant,
-                                    tp if strategy.final_layer_tp_split else 1)
-        add_comm("forward", "tp", b * s * d * pb * (tp - 1))
+        final_tp = tp if strategy.final_layer_tp_split else 1
+        acts += _attention_agg_acts(b, s, tp, d, heads, model.agg_variant, final_tp)
+        add_comm("forward", "tp", b * s * d * pb * (tp - 1))  # stream gather
+        if final_tp > 1:
+            add_head_split_agg_comm(tp)
         flops = sum(
             (_attention_agg_flops(b, s, g, d, heads, model.agg_variant, 1)
              if strategy.agg_layer_kind == "cross_attention"
              else 2 * b * s * d * (g + d))
             for level in tree.levels for g in level)
-        flops += _attention_agg_flops(b, s, tp, d, heads, model.agg_variant,
-                                      tp if strategy.final_layer_tp_split else 1)
+        flops += _attention_agg_flops(b, s, tp, d, heads, model.agg_variant, final_tp)
         agg.flops = int(flops)
-    elif model.tree is not None:  # serial hierarchical architecture
-        acts = _tree_acts(b, s, d, heads, model.tree, model.agg_layer_kind,
-                          model.agg_variant)
-        agg.flops = int(sum(
-            (_attention_agg_flops(b, s, g, d, heads, model.agg_variant, 1)
-             if model.agg_layer_kind == "cross_attention"
-             else 2 * b * s * d * (g + d))
-            for level in model.tree.levels for g in level))
     else:
         acts = _attention_agg_acts(b, s, c, d, heads, model.agg_variant, layer_tp)
         agg.flops = int(_attention_agg_flops(b, s, c, d, heads, model.agg_variant, layer_tp))
         if layer_tp > 1:
-            width = (c if model.agg_variant == "full_cross" else 1) * b * s * d
-            add_comm("forward", "tp", 2 * width * pb * (tp - 1) / tp)
-            add_comm("backward", "tp", 2 * b * s * c * d * pb * (tp - 1) / tp)
-            if model.agg_variant == "single_query":  # fanout of the learned query
-                add_comm("backward", "tp", 2 * d * pb * (tp - 1) / tp)
+            add_head_split_agg_comm(c)
     agg.activation_bytes = int(acts * pb)
 
     # --- transformer blocks -------------------------------------------------
@@ -267,7 +260,7 @@ def estimate(model: ModelConfig, strategy: StrategyConfig,
     dec = comps["decoder"]
     dd = model.decoder_dim
     acts = 3 * b * s * dd + model.decoder_depth * _block_acts(b, s, dd, 1, m, 1)
-    acts += 8 * b * s * c * pp  # prediction head + target/masked-diff chain
+    acts += 6 * b * s * c * pp + 2  # prediction head, target/masked-diff chain, loss
     dec.activation_bytes = int(acts * pb)
     dec.flops = int(2 * b * s * d * dd + model.decoder_depth * _block_flops(b, s, dd, m, 1)
                     + 2 * b * s * dd * c * pp)
@@ -308,9 +301,12 @@ def _pow2_up_to(limit: int):
 def plan(model: ModelConfig, hw: HardwareModel, family: str = "dchag",
          precision_bytes: int = 2, batch: int = 1, rank_limit: int = 1024,
          fsdp_allowed: bool = False) -> PlanResult:
-    """Exhaustive search over the power-of-two grid for the least rank count
-    whose per-rank cost fits the budget; ties break on smaller forward
-    communication payload.  Layouts the simulator rejects are skipped."""
+    """Search over the power-of-two grid for the least rank count whose
+    per-rank cost fits the budget; ties break on smaller forward
+    communication payload.  Layouts the simulator rejects are skipped.
+
+    At one (tp, max_group), fsdp only grows the rank count, so the search
+    raises it only until the first fitting candidate."""
     if family not in ("serial", "tp_only", "dchag"):
         raise ConfigError(f"unknown strategy family {family}")
     best: PlanResult | None = None
@@ -321,8 +317,6 @@ def plan(model: ModelConfig, hw: HardwareModel, family: str = "dchag",
         for max_group in groups:
             for fsdp in _pow2_up_to(rank_limit // tp if fsdp_allowed else 1):
                 ranks = tp * fsdp
-                if ranks > rank_limit:
-                    continue
                 if family == "serial":
                     strat = StrategyConfig(kind="serial", tp_degree=1)
                 elif family == "tp_only":
@@ -343,66 +337,10 @@ def plan(model: ModelConfig, hw: HardwareModel, family: str = "dchag",
                         ranks == best.ranks
                         and rep.forward_comm() < best.report.forward_comm()):
                     best = cand
+                break
     if best is None:
         return PlanResult(False, reason=f"infeasible within rank limit {rank_limit}")
     return best
-
-
-# -- sweeps ---------------------------------------------------------------------
-
-
-SWEEP_COLUMNS = [
-    "axis_value", "strategy", "tp_degree", "max_group", "ranks",
-    "tokenize_bytes", "aggregate_bytes", "vit_bytes", "decoder_bytes",
-    "total_bytes", "tokenize_activation_bytes", "aggregate_activation_bytes",
-    "vit_activation_bytes", "decoder_activation_bytes",
-    "tokenize_share", "aggregate_share", "flops_total",
-    "forward_comm_bytes", "backward_comm_bytes", "fits",
-]
-
-
-def sweep(model: ModelConfig, axis: str, values, strategies,
-          hw: HardwareModel | None = None, precision_bytes: int = 2,
-          batch: int = 1, pconfigs=None) -> list[dict]:
-    """Evaluate `estimate` along one config axis for several strategies;
-    one output row per (value, strategy), in SWEEP_COLUMNS order."""
-    from dataclasses import replace
-
-    if axis not in ("channels", "embed"):
-        raise ConfigError(f"sweep axis must be channels or embed, got {axis}")
-    hw = hw or HardwareModel()
-    rows = []
-    for value in values:
-        m = replace(model, **{axis: int(value)})
-        for strat in strategies:
-            pcfg = ParallelConfig(dchag_tp=strat.tp_degree)
-            if pconfigs:
-                pcfg = pconfigs.get(strat.kind, pcfg)
-            rep = estimate(m, strat, pcfg, hw, precision_bytes, batch)
-            rows.append({
-                "axis_value": int(value),
-                "strategy": strat.kind,
-                "tp_degree": strat.tp_degree,
-                "max_group": strat.max_group if strat.kind == "dchag" else "",
-                "ranks": pcfg.world_size,
-                "tokenize_bytes": rep.component_total("tokenize"),
-                "aggregate_bytes": rep.component_total("aggregate"),
-                "vit_bytes": rep.component_total("vit"),
-                "decoder_bytes": rep.component_total("decoder"),
-                "total_bytes": rep.total_bytes,
-                "tokenize_activation_bytes": rep.activation("tokenize"),
-                "aggregate_activation_bytes": rep.activation("aggregate"),
-                "vit_activation_bytes": rep.activation("vit"),
-                "decoder_activation_bytes": rep.activation("decoder"),
-                "tokenize_share": round(rep.share("tokenize"), 6),
-                "aggregate_share": round(rep.share("aggregate"), 6),
-                "flops_total": rep.total_flops,
-                "forward_comm_bytes": rep.forward_comm(),
-                "backward_comm_bytes": sum(v for (ph, _), v in rep.comm.items()
-                                           if ph == "backward"),
-                "fits": int(rep.fits),
-            })
-    return rows
 
 
 # -- paper-scale surrogate configurations ---------------------------------------

@@ -106,29 +106,18 @@ def cross_attention_aggregate(x: Tensor, w: dict, prefix: str, variant: str,
         q = T.reshape(w[f"{prefix}.q"], (1, w[f"{prefix}.q"].shape[0]))
         if hooks:
             q = hooks.fanout(q, tag)
-        q = T.matmul(q, w[f"{prefix}.wq"])  # [1, Dl]
-        dl = q.shape[-1]
-        dh = dl // n_heads
-        qh = T.transpose(T.reshape(q, (1, n_heads, dh)), (1, 0, 2))  # [H, 1, Dh]
-        kh = split_heads(k, n_heads)
-        vh = split_heads(v, n_heads)
-        nd = kh.ndim
-        kt = T.transpose(kh, tuple(range(nd - 2)) + (nd - 1, nd - 2))
-        logits = T.scale(T.matmul(qh, kt), 1.0 / np.sqrt(dh))  # [..., H, 1, Ck]
-        probs = T.softmax(logits, axis=-1)
-        ctx = merge_heads(T.matmul(probs, vh))  # [..., 1, Dl]
-        out = T.matmul(ctx, w[f"{prefix}.wo"])
-        if hooks:
-            out = hooks.allsum(out, tag)
-        return T.add(out, w[f"{prefix}.bo"])
-
-    # full_cross
-    q = T.matmul(xf, w[f"{prefix}.wq"])
-    ctx = sdp_attention(q, k, v, n_heads)  # [..., Ck, Dl]
+    else:
+        q = xf
+    q = T.matmul(q, w[f"{prefix}.wq"])  # [1, Dl] or [..., Ck, Dl]
+    ctx = sdp_attention(q, k, v, n_heads)  # [..., 1 or Ck, Dl]
     out = T.matmul(ctx, w[f"{prefix}.wo"])
     if hooks:
         out = hooks.allsum(out, tag)
     out = T.add(out, w[f"{prefix}.bo"])  # replicated from here on
+    if variant == "single_query":
+        return out
+
+    # full_cross: a learned query reduces the Ck attended tokens to one
     d = out.shape[-1]
     rq = T.reshape(w[f"{prefix}.rq"], (d, 1))
     scores = T.scale(T.matmul(out, rq), 1.0 / np.sqrt(d))  # [..., Ck, 1]

@@ -1,11 +1,20 @@
 """Multi-channel ViT with channel aggregation and an MAE reconstruction head.
 
 Forward flow: per-channel patch tokenization (+ channel-ID and positional
-embeddings), channel aggregation down to one stream (flat cross-attention,
-a hierarchical tree, or slab trees + a shared final layer), random masking
-of spatial tokens, metadata-token concatenation, transformer blocks, and a
+embeddings), channel aggregation down to one stream, random masking of
+spatial tokens, metadata-token concatenation, transformer blocks, and a
 small decoder that reconstructs the pixels of every channel at the masked
 positions.
+
+Channel aggregation comes in two architectures.  Flat: one cross-attention
+layer reduces all C channels at once (`forward_loss_serial`, and tp_only /
+dist_token in `strategies`).  Hierarchical (D-CHAG): the channels are cut
+into tp equal slabs, each slab is reduced by its own tree of small layers
+shaped by the strategy's `max_group` and `agg_layer_kind`, and a shared
+final cross-attention reduces the tp slab streams
+(`forward_loss_dchag_reference`, and dchag in `strategies`).  At tp=1 the
+hierarchical model is one tree over all channels followed by a final
+layer over its single stream.
 """
 
 from __future__ import annotations
@@ -161,18 +170,13 @@ def trunk_loss(agg: Tensor, w: dict, model: ModelConfig, batch: Batch,
 
 
 def forward_loss_serial(w: dict, model: ModelConfig, batch: Batch) -> Tensor:
-    """Reference forward: flat aggregation, or a hierarchical tree over all
-    channels when the model declares one."""
+    """Reference forward of the flat architecture."""
     with alloc_tag("tokenize"):
         tokens = tokenize_channels(Tensor(batch.images), w["tok.w"], w["tok.b"],
                                    w["special.channel_id"], w["special.pos"],
                                    model.patch)
     with alloc_tag("aggregate"):
-        if model.tree is None:
-            agg = flat_aggregate(tokens, w, "agg.flat", model.agg_variant, model.heads)
-        else:
-            agg = tree_aggregate(tokens, model.tree, w, "agg.slab0",
-                                 model.agg_layer_kind, model.agg_variant, model.heads)
+        agg = flat_aggregate(tokens, w, "agg.flat", model.agg_variant, model.heads)
     return trunk_loss(agg, w, model, batch)
 
 
@@ -180,7 +184,9 @@ def forward_loss_dchag_reference(w: dict, model: ModelConfig,
                                  strategy: StrategyConfig, batch: Batch) -> Tensor:
     """Single-process execution of the slab-tree architecture: per-slab
     tokenization and partial aggregation, stream concatenation in slab
-    order, shared final cross-attention, then the common trunk.
+    order, shared final cross-attention, then the common trunk.  Valid at
+    any tp, including 1 (one tree over all channels, a final layer over its
+    single stream).
 
     This is the oracle the multi-rank execution must match: same
     parameters, same architecture, no collectives.

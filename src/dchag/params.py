@@ -1,4 +1,4 @@
-"""Parameter creation, placement, sharding, and serialization.
+"""Parameter creation, placement and sharding.
 
 Master parameters for a (model, strategy) pair are created in one fixed,
 documented order so that every execution strategy can be seeded from the
@@ -8,9 +8,9 @@ same master set and compared gradient-for-gradient:
 2. special tokens:  special.channel_id [C, D], special.pos [S, D],
                     special.meta_w [4, D], special.meta_b [D]
 3. aggregation:
-   - flat model:        agg.flat.{q|wq,wk,wv,wo,bo|rq}
-   - hierarchical model: agg.slab0.l{level}.g{group}.<node params>
-   - dchag strategy:    agg.slab{r}... for r in 0..tp-1, then agg.final.*
+   - flat (serial, tp_only, dist_token): agg.flat.{q|wq,wk,wv,wo,bo|rq}
+   - hierarchical (dchag): agg.slab{r}.l{level}.g{group}.<node params> for
+     r in 0..tp-1, then agg.final.*
 4. transformer:     vit.blk{i}.{ln1.g, ln1.b, wq, bq, wk, wv, bv,
                     wo, bo, ln2.g, ln2.b, w1, b1, w2, b2} for i in 0..L-1
 5. decoder:         dec.mask [D], dec.proj.w [D, Dd], dec.proj.b [Dd],
@@ -43,7 +43,6 @@ special.* to tokenize, agg.* to aggregate, vit.* to vit, dec.* to decoder.
 
 from __future__ import annotations
 
-import csv
 import functools
 import math
 from typing import NamedTuple
@@ -159,9 +158,6 @@ def _layout(model: ModelConfig, strategy: StrategyConfig, compact: bool):
             yield from _tree_layout(f"agg.slab{r}", tree, strategy.agg_layer_kind,
                                     model.agg_variant, d, compact)
         yield 1, _agg_node_specs("agg.final", model.agg_variant, d)
-    elif model.tree is not None:
-        yield from _tree_layout("agg.slab0", model.tree, model.agg_layer_kind,
-                                model.agg_variant, d, compact)
     else:
         yield 1, _agg_node_specs("agg.flat", model.agg_variant, d)
     yield from _blocks_layout("vit.blk", model.depth, d, model.mlp_ratio, compact)
@@ -317,33 +313,4 @@ def unshard_grads(per_rank: list[dict], master: dict, model: ModelConfig,
         if out[name].shape != arr.shape:
             raise ConfigError(f"cannot unshard gradient for {name}: "
                               f"{out[name].shape} vs master {arr.shape}")
-    return out
-
-
-# -- CSV round trip ----------------------------------------------------------
-
-
-def dump_weights_csv(path, weights: dict) -> None:
-    """One row per tensor: name, shape (x-joined), values (repr, bit-exact)."""
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["name", "shape", "values"])
-        for name in sorted(weights):
-            arr = weights[name]
-            shape = "x".join(str(d) for d in arr.shape)
-            vals = ";".join(repr(float(v)) for v in arr.ravel())
-            w.writerow([name, shape, vals])
-
-
-def load_weights_csv(path) -> dict[str, np.ndarray]:
-    out = {}
-    with open(path, newline="") as fh:
-        rdr = csv.reader(fh)
-        header = next(rdr)
-        if header != ["name", "shape", "values"]:
-            raise ConfigError(f"unexpected weight CSV header: {header}")
-        for name, shape, vals in rdr:
-            dims = tuple(int(d) for d in shape.split("x")) if shape else ()
-            arr = np.array([float(v) for v in vals.split(";")], dtype=np.float64)
-            out[name] = arr.reshape(dims)
     return out

@@ -23,35 +23,25 @@ def _derive_seed(seed: int, keys: tuple) -> int:
 
 
 class RngState:
-    """Seeded Philox stream with a draw counter for manifests."""
+    """Seeded Philox stream.  To replay a stream, rebuild it from the same
+    seed (or the same parent and `child` keys)."""
 
     def __init__(self, seed: int):
         self.seed = int(seed) & 0xFFFFFFFFFFFFFFFF
-        self.counter = 0
         self._gen = np.random.Generator(np.random.Philox(key=self.seed))
 
     def child(self, *keys) -> "RngState":
         """Independent substream derived from (seed, *keys)."""
         return RngState(_derive_seed(self.seed, keys))
 
-    def clone(self) -> "RngState":
-        """Copy that will replay exactly the same future draws."""
-        c = RngState(self.seed)
-        c.counter = self.counter
-        c._gen.bit_generator.state = self._gen.bit_generator.state
-        return c
-
     def normal(self, shape, std=1.0) -> np.ndarray:
-        self.counter += 1
         return self._gen.standard_normal(shape) * std
 
     def uniform(self, shape, low=0.0, high=1.0) -> np.ndarray:
-        self.counter += 1
         return self._gen.uniform(low, high, shape)
 
     def truncated_normal(self, shape, std=0.02) -> np.ndarray:
         """Normal(0, std) with draws outside two sigma rejected and redrawn."""
-        self.counter += 1
         out = self._gen.standard_normal(shape)
         bad = np.abs(out) > 2.0
         while bad.any():
@@ -60,9 +50,7 @@ class RngState:
         return out * std
 
     def permutation(self, n: int) -> np.ndarray:
-        self.counter += 1
         return self._gen.permutation(n)
 
     def integers(self, low: int, high: int, shape=()) -> np.ndarray:
-        self.counter += 1
         return self._gen.integers(low, high, shape)

@@ -17,16 +17,13 @@ from __future__ import annotations
 
 import csv
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .config import ParallelConfig
 from .rng import RngState
 from .tracking import AllocTracker, activate
-
-COLLECTIVE_OPS = ("AllGather", "ReduceScatter", "AllReduce", "Broadcast")
-PHASES = ("forward", "backward", "optimizer")
 
 
 class ProtocolError(Exception):

@@ -96,14 +96,6 @@ class Tensor:
         return scale(self, -1.0)
 
 
-def tensor(data, requires_grad=False) -> Tensor:
-    return Tensor(data, requires_grad=requires_grad)
-
-
-def zeros(shape, requires_grad=False) -> Tensor:
-    return Tensor(np.zeros(shape), requires_grad=requires_grad)
-
-
 def _flops(n: int) -> None:
     tr = current_tracker()
     if tr is not None:
@@ -353,18 +345,6 @@ def sum_all(x: Tensor) -> Tensor:
 
     def back(g):
         return (np.broadcast_to(g, shape).copy(),)
-
-    return Tensor(out, _parents=(x,), _backward=back)
-
-
-def sum_axis(x: Tensor, axis: int, keepdims: bool = False) -> Tensor:
-    out = x.data.sum(axis=axis, keepdims=keepdims)
-    _flops(x.size)
-    shape = x.data.shape
-
-    def back(g):
-        gg = g if keepdims else np.expand_dims(g, axis)
-        return (np.broadcast_to(gg, shape).copy(),)
 
     return Tensor(out, _parents=(x,), _backward=back)
 

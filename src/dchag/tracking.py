@@ -33,10 +33,6 @@ class AllocStats:
     def tag_flops(self, tag: str) -> int:
         return self.per_tag_flops.get(tag, 0)
 
-    @property
-    def total_flops(self) -> int:
-        return sum(self.per_tag_flops.values())
-
 
 class AllocTracker:
     """Mutable accounting state; one per simulated rank (or per serial run).

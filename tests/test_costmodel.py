@@ -1,14 +1,16 @@
 """The cost model against the simulator: per-rank parameter bytes against
-the shards ranks hold, and communication against the ledger."""
+the shards ranks hold, communication against the ledger, activation bytes
+against the allocator, and the planner against an exhaustive search."""
 
 import pytest
 
+from dchag import costmodel
 from dchag.config import (ConfigError, HardwareModel, ModelConfig, ParallelConfig,
                           StrategyConfig)
 from dchag.costmodel import COMPONENTS, estimate, plan
 from dchag.params import create_master, shard_for_rank
 from dchag.rng import RngState
-from dchag.strategies import run_hybrid_step
+from dchag.strategies import run_hybrid_step, run_serial_step
 from dchag.synthetic import make_batch
 
 # name prefix -> component, written out here rather than taken from params
@@ -27,34 +29,43 @@ def desk(variant="single_query", channels=8, **kw):
     return cfg
 
 
-def grid():
-    """(model tree_max_group, strategy) for every kind and flag the cost
-    model distinguishes, at tp 1, 2 and 4."""
-    cases = [(0, StrategyConfig(kind="serial")), (3, StrategyConfig(kind="serial"))]
-    for tp in (1, 2, 4):
-        cases += [
-            (0, StrategyConfig(kind="tp_only", tp_degree=tp)),
-            (0, StrategyConfig(kind="dist_token", tp_degree=tp)),
-            (0, StrategyConfig(kind="dchag", tp_degree=tp, max_group=2)),
-            (0, StrategyConfig(kind="dchag", tp_degree=tp, max_group=2, vit_tp_split=False)),
-            (0, StrategyConfig(kind="dchag", tp_degree=tp, max_group=2,
-                               final_layer_tp_split=True)),
-            (0, StrategyConfig(kind="dchag", tp_degree=tp, max_group=3,
-                               agg_layer_kind="linear")),
-        ]
-    return cases
+# every dchag flag set the cost model distinguishes
+DCHAG_FLAGS = ({}, {"vit_tp_split": False}, {"final_layer_tp_split": True},
+               {"final_layer_tp_split": True, "vit_tp_split": False},
+               {"agg_layer_kind": "linear", "max_group": 3})
 
 
-GRID = [(variant, tree, strat) for variant in VARIANTS for tree, strat in grid()]
+def parallel_strategies(tp):
+    return [StrategyConfig(kind="tp_only", tp_degree=tp),
+            StrategyConfig(kind="dist_token", tp_degree=tp),
+            *(StrategyConfig(**{"kind": "dchag", "tp_degree": tp, "max_group": 2, **f})
+              for f in DCHAG_FLAGS)]
+
+
+GRID = [(variant, strat) for variant in VARIANTS
+        for strat in [StrategyConfig(kind="serial")]
+        + [s for tp in (1, 2, 4) for s in parallel_strategies(tp)]]
+
+
+def flag_suffix(strat):
+    flags = [] if strat.vit_tp_split else ["vit-replicated"]
+    flags += ["final-split"] if strat.final_layer_tp_split else []
+    flags += ["linear"] if strat.agg_layer_kind == "linear" else []
+    return flags
 
 
 def case_id(case):
-    variant, tree, strat = case
-    flags = [f"tree{tree}"] if tree else []
-    flags += [] if strat.vit_tp_split else ["vit-replicated"]
-    flags += ["final-split"] if strat.final_layer_tp_split else []
-    flags += ["linear"] if strat.agg_layer_kind == "linear" else []
-    return "-".join([variant, strat.kind, f"tp{strat.tp_degree}", *flags])
+    variant, strat = case
+    return "-".join([variant, strat.kind, f"tp{strat.tp_degree}", *flag_suffix(strat)])
+
+
+def run_step(model, strat, batches):
+    """Serial step, or one parallel step with one batch per dp rank."""
+    master = create_master(model, strat, RngState(3))
+    if strat.kind == "serial":
+        return run_serial_step(model, master, batches[0])
+    pconfig = ParallelConfig(dchag_tp=strat.tp_degree, dp=len(batches))
+    return run_hybrid_step(pconfig, model, strat, master, batches)
 
 
 def shard_bytes(model, strat, master):
@@ -79,8 +90,8 @@ def ledger_comm(ledger, rank):
 class TestParameterBytes:
     @pytest.mark.parametrize("case", GRID, ids=case_id)
     def test_matches_shards(self, case):
-        variant, tree, strat = case
-        model = desk(variant, tree_max_group=tree)
+        variant, strat = case
+        model = desk(variant)
         master = create_master(model, strat, RngState(3))
         rep = estimate(model, strat, precision_bytes=8)
         got = {c: rep.components[c].params_bytes for c in COMPONENTS}
@@ -97,19 +108,28 @@ class TestParameterBytes:
         assert rep.comm["backward", "fsdp"] == blocks * 3 // 4
 
 
+def comm_cases():
+    """Every parallel case of the grid at dp 1 and 2, with ids of the form
+    tp-kind-variant[-flags][-dp2]."""
+    for variant, strat in GRID:
+        if strat.kind == "serial":
+            continue
+        for dp in (1, 2):
+            name = [str(strat.tp_degree), strat.kind, variant, *flag_suffix(strat)]
+            yield pytest.param(variant, strat, dp,
+                               id="-".join(name + (["dp2"] if dp == 2 else [])))
+
+
 class TestComm:
-    @pytest.mark.parametrize("variant", VARIANTS)
-    @pytest.mark.parametrize("kind", ["tp_only", "dist_token", "dchag"])
-    @pytest.mark.parametrize("tp", [2, 4])
-    def test_matches_ledger(self, tp, kind, variant):
+    @pytest.mark.parametrize("variant, strat, dp", comm_cases())
+    def test_matches_ledger(self, variant, strat, dp):
         model = desk(variant)
-        strat = StrategyConfig(kind=kind, tp_degree=tp, max_group=2)
-        master = create_master(model, strat, RngState(3))
-        batch = make_batch(model, 5, 0, [0, 1])
-        res = run_hybrid_step(ParallelConfig(dchag_tp=tp), model, strat, master, [batch])
-        rep = estimate(model, strat, precision_bytes=8, batch=batch.size)
+        batches = [make_batch(model, 5, 0, [2 * i, 2 * i + 1]) for i in range(dp)]
+        res = run_step(model, strat, batches)
+        pconfig = ParallelConfig(dchag_tp=strat.tp_degree, dp=dp)
+        rep = estimate(model, strat, pconfig, precision_bytes=8, batch=2)
         want = {k: v for k, v in rep.comm.items() if v}
-        for rank in range(tp):
+        for rank in range(pconfig.world_size):
             assert ledger_comm(res.ledger, rank) == want
 
     @pytest.mark.parametrize("variant", VARIANTS)
@@ -125,6 +145,21 @@ class TestComm:
             assert ledger_comm(res.ledger, rank) == {k: v for k, v in rep.comm.items() if v}
 
 
+class TestActivations:
+    """Components whose activation estimate is exact: the allocator's
+    per-tag peak on the busiest rank equals the estimate."""
+
+    @pytest.mark.parametrize("case", GRID, ids=case_id)
+    def test_tokenize_and_decoder_match_allocator(self, case):
+        variant, strat = case
+        model = desk(variant)
+        res = run_step(model, strat, [make_batch(model, 5, 0, [0, 1])])
+        stats = res.stats if isinstance(res.stats, list) else [res.stats]
+        rep = estimate(model, strat, precision_bytes=8, batch=2)
+        for comp in ("tokenize", "decoder"):
+            assert rep.activation(comp) == max(st.tag_peak(comp) for st in stats), comp
+
+
 class TestContract:
     @pytest.mark.parametrize("kind", ["dist_token", "dchag"])
     def test_indivisible_channels_rejected(self, kind):
@@ -132,11 +167,17 @@ class TestContract:
         with pytest.raises(ConfigError, match="divisible"):
             estimate(model, StrategyConfig(kind=kind, tp_degree=4))
 
+    @pytest.mark.parametrize("kind", ["serial", "tp_only", "dist_token", "dchag"])
+    def test_tree_settings_accepted_by_every_kind(self, kind):
+        model = desk()
+        strat = StrategyConfig(kind=kind, tp_degree=1, max_group=4, agg_layer_kind="linear")
+        strat.validate(model)
+        assert estimate(model, strat).fits
+
     def test_tp_only_needs_no_channel_divisibility(self):
         model = desk(channels=6)
         rep = estimate(model, StrategyConfig(kind="tp_only", tp_degree=4))
         assert rep.components["tokenize"].params_bytes > 0
-
 
 
 def test_plan_skips_layouts_the_simulator_rejects():
@@ -144,3 +185,81 @@ def test_plan_skips_layouts_the_simulator_rejects():
     model = desk(channels=6)
     best = plan(model, HardwareModel(), family="dchag", precision_bytes=8)
     assert best.feasible and best.strategy.tp_degree == 1
+
+
+def all_candidates(model, hw, family, rank_limit):
+    """Every (strategy, parallel grid, report) of the planner's power-of-two
+    grid that fits, in the planner's search order."""
+    tps = [2 ** i for i in range(11) if 2 ** i <= min(rank_limit, model.heads)]
+    groups = [2 ** i for i in range(1, 9)] if family == "dchag" else [128]
+    out = []
+    for tp in tps if family != "serial" else [1]:
+        for max_group in groups:
+            for fsdp in (2 ** i for i in range(11) if tp * 2 ** i <= rank_limit):
+                if family == "dchag":
+                    strat = StrategyConfig(kind="dchag", tp_degree=tp, max_group=max_group,
+                                           agg_layer_kind="linear")
+                else:
+                    strat = StrategyConfig(kind=family, tp_degree=tp)
+                pconfig = ParallelConfig(dchag_tp=tp, fsdp=fsdp)
+                try:
+                    rep = estimate(model, strat, pconfig, hw, 8)
+                except ConfigError:
+                    continue
+                if rep.fits:
+                    out.append((strat, pconfig, rep))
+    return out
+
+
+def planning_desk(variant):
+    """Parameter-heavy enough that FSDP pays off under tight budgets."""
+    return desk(variant, embed=64, depth=8, heads=8, mlp_ratio=4)
+
+
+def budgets(model):
+    """Per-rank byte budgets from roomy down to ones that need many ranks."""
+    total = estimate(model, StrategyConfig(), precision_bytes=8).total_bytes
+    return [int(total * f) for f in (2.0, 0.9, 0.6, 0.45, 0.3, 0.2, 0.1)]
+
+
+class TestPlan:
+    @pytest.mark.parametrize("family", ["serial", "tp_only", "dchag"])
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_matches_exhaustive_search(self, variant, family):
+        model = planning_desk(variant)
+        for budget in budgets(model):
+            hw = HardwareModel(bytes_per_gpu=budget)
+            got = plan(model, hw, family, precision_bytes=8, rank_limit=64,
+                       fsdp_allowed=True)
+            fits = all_candidates(model, hw, family, rank_limit=64)
+            if not fits:
+                assert not got.feasible
+                continue
+            strat, pconfig, rep = min(
+                fits, key=lambda c: (c[1].world_size, c[2].forward_comm()))
+            assert (got.strategy, got.pconfig, got.report) == (strat, pconfig, rep)
+
+    def test_stops_raising_fsdp_once_a_candidate_fits(self, monkeypatch):
+        model = planning_desk("full_cross")
+        hw = HardwareModel(bytes_per_gpu=budgets(model)[5])
+        calls = []
+        real = costmodel.estimate
+
+        def counting(model, strat, pconfig, *args):
+            rep = real(model, strat, pconfig, *args)
+            calls.append((strat.tp_degree, strat.max_group, pconfig.fsdp, rep.fits))
+            return rep
+
+        monkeypatch.setattr(costmodel, "estimate", counting)
+        best = plan(model, hw, "dchag", precision_bytes=8, rank_limit=64, fsdp_allowed=True)
+        assert best.feasible and best.pconfig.fsdp > 1
+        per_pair = {}
+        for tp, max_group, fsdp, fits in calls:
+            per_pair.setdefault((tp, max_group), []).append((fsdp, fits))
+        for pair, tried in per_pair.items():
+            fsdps = [f for f, _ in tried]
+            assert fsdps == sorted(fsdps), pair
+            assert [f for f, fits in tried if fits] in ([], [fsdps[-1]]), pair
+        full_grid = sum(len([f for f in (1, 2, 4, 8, 16, 32, 64) if tp * f <= 64])
+                        for tp, _ in per_pair)
+        assert len(calls) < full_grid
