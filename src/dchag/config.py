@@ -114,6 +114,11 @@ class StrategyConfig:
     aggregation tree: they shape the per-slab trees of dchag and of its
     single-process reference.  Every other kind aggregates flat and
     accepts, but does not read, them.
+
+    Three derived properties say what a kind splits over tp; the
+    simulator, the parameter placement and the cost model read only
+    these.  A group of one rank splits nothing, so a tp=1 parallel step
+    runs the serial layers.
     """
 
     kind: str = "serial"
@@ -122,6 +127,23 @@ class StrategyConfig:
     agg_layer_kind: str = "cross_attention"  # tree nodes: cross_attention or linear
     final_layer_tp_split: bool = False
     vit_tp_split: bool = True  # False applies the tp group to channel work only
+
+    @property
+    def slabs_channels(self) -> bool:
+        """Each tp rank tokenizes only its own channel slab."""
+        return self.kind in ("dist_token", "dchag")
+
+    @property
+    def splits_agg(self) -> bool:
+        """The flat aggregation layer (agg.flat, or dchag's agg.final) is
+        head-split over tp."""
+        return self.tp_degree > 1 and (self.kind in ("tp_only", "dist_token") or (
+            self.kind == "dchag" and self.final_layer_tp_split))
+
+    @property
+    def splits_vit(self) -> bool:
+        """The transformer blocks are head-split over tp."""
+        return self.tp_degree > 1 and self.kind != "serial" and self.vit_tp_split
 
     def validate(self, model: ModelConfig) -> None:
         if self.kind not in STRATEGY_KINDS:
@@ -132,15 +154,12 @@ class StrategyConfig:
             raise ConfigError("tp_degree must be >= 1")
         if self.agg_layer_kind not in AGG_LAYER_KINDS:
             raise ConfigError(f"agg_layer_kind must be one of {AGG_LAYER_KINDS}")
-        if self.kind in ("dist_token", "dchag") and model.channels % self.tp_degree:
+        if self.slabs_channels and model.channels % self.tp_degree:
             raise ConfigError(
                 f"channels {model.channels} not divisible by tp_degree {self.tp_degree}"
                 " (equal channel slabs required)"
             )
-        splits_layers = self.kind in ("tp_only", "dist_token") or (
-            self.kind == "dchag" and (self.vit_tp_split or self.final_layer_tp_split)
-        )
-        if splits_layers and model.heads % self.tp_degree:
+        if (self.splits_agg or self.splits_vit) and model.heads % self.tp_degree:
             raise ConfigError(
                 f"heads {model.heads} not divisible by tp_degree {self.tp_degree}"
             )
@@ -148,7 +167,7 @@ class StrategyConfig:
             raise ConfigError(f"{self.kind} requires vit_tp_split=true")
 
     def local_channels(self, model: ModelConfig) -> int:
-        if self.kind in ("dist_token", "dchag"):
+        if self.slabs_channels:
             return model.channels // self.tp_degree
         return model.channels
 

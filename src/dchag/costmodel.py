@@ -11,19 +11,24 @@ and per step, in elements (multiply by precision bytes):
   positional adds); distributed tokenization adds the gathered full token
   tensor B*C*S*D.
 * flat cross-attention aggregation over Ck token stacks: k/v (and q for
-  full_cross) at width D/tp, three logit-sized tensors (raw, scaled,
+  full_cross) at width D/tp, the single_query learned-query projection
+  (one row of width D/tp), three logit-sized tensors (raw, scaled,
   softmax) B*S*(H/tp)*Ck^2 for full_cross or B*S*(H/tp)*Ck for
-  single_query, context+merge at D/tp, and for full_cross ~3.2 full-width
+  single_query, context at D/tp (plus its head-merge copy for full_cross
+  when a rank holds several heads), and for full_cross ~3.2 full-width
   B*S*Ck*D tensors (summed output, bias add, reduce stage) that tensor
   parallelism does NOT divide — the quadratic channel term is the
   full_cross logits.
-* hierarchical aggregation (dchag): the flat-layer formula applied per
-  node of the rank's slab tree with Ck = group size, plus one level-output
-  concat per level (linear nodes cost ~3 stream-sized tensors B*S*D each),
-  the gathered tp streams, and the final layer over Ck = tp streams.
+* aggregation is one such flat layer, over Ck = C token stacks, or for
+  dchag over Ck = tp gathered streams after the rank's slab tree: the
+  flat-layer formula per tree node with Ck = group size, plus one
+  level-output concat per level (linear nodes cost ~3 stream-sized
+  tensors B*S*D each), and the gathered streams.
 * transformer block at sequence T=S+1: ~8 full-width B*T*D tensors
   (norms, residuals, summed outputs), ~6 split-width B*T*D/tp, three
-  attention-logit tensors B*(H/tp)*T^2, three MLP tensors B*T*mD/tp.
+  attention-logit tensors B*(H/tp)*T^2, three MLP tensors B*T*mD/tp; the
+  blocks follow the masked stream, the [B, 4] metadata input and its
+  token, and the concatenated sequence.
 * decoder: projection/pos at Dd, decoder blocks via the block formula,
   then six B*S*C*pp tensors (prediction-head matmul and bias add, the
   reordered target, the difference, the masked difference and its square)
@@ -35,10 +40,11 @@ ranks.  Grads = params, optimizer = 2x params (moment pair), all at
 `precision_bytes`.  FSDP is modeled here only: it divides the transformer
 blocks' params/grads/optimizer by the fsdp degree, and its payload is the
 tp-local block bytes.  Communication uses ring-algorithm byte counts
-matching the simulator's ledger formulas; every head-split aggregation
-layer (agg.flat under tp_only and dist_token, agg.final under dchag's
-final_layer_tp_split) pays the same term: the output sum forward, the input
-fanout backward and, for single_query, the fanout of the learned query.
+matching the simulator's ledger formulas.  Which layers are head-split is
+read from the strategy's `splits_agg` and `splits_vit`, as in the
+simulator; the head-split aggregation layer (agg.flat, or dchag's
+agg.final) pays the output sum forward, the input fanout backward and, for
+single_query, the fanout of the learned query.
 """
 
 from __future__ import annotations
@@ -91,8 +97,9 @@ class CostReport:
 def _attention_agg_acts(b, s, ck, d, heads, variant, tp):
     """Tensors one aggregation layer stores: key/value (query too for
     full_cross) at split width, three logit-sized tensors, context (+head
-    merge copy when several heads), and the full-width output chain (the
-    summed output gains one tensor under tensor parallelism)."""
+    merge copy when several local heads and several tokens), and the
+    full-width output chain (the summed output gains one tensor under
+    tensor parallelism)."""
     dl = d / tp
     hl = heads / tp
     out_chain = 2 + (1 if tp > 1 else 0)
@@ -100,10 +107,10 @@ def _attention_agg_acts(b, s, ck, d, heads, variant, tp):
         kv = 2 * b * s * ck * dl
         logits = 3 * b * s * hl * ck
         ctx = b * s * dl  # single token: the head merge aliases
-        return kv + logits + ctx + out_chain * b * s * d + d
+        return kv + logits + ctx + out_chain * b * s * d + dl  # dl: query projection
     qkv = 3 * b * s * ck * dl
     logits = 3 * b * s * hl * ck * ck
-    ctx = (2 if ck > 1 else 1) * b * s * ck * dl
+    ctx = (2 if hl > 1 and ck > 1 else 1) * b * s * ck * dl
     full = out_chain * b * s * ck * d
     reduce_stage = 3 * b * s * ck + b * s * d
     return qkv + logits + ctx + full + reduce_stage
@@ -165,9 +172,12 @@ def estimate(model: ModelConfig, strategy: StrategyConfig,
     Configurations the simulator rejects, such as channel slabs that tp does
     not divide, raise ConfigError here too.
     """
+    model.validate()
     strategy.validate(model)
     hw = hw or HardwareModel()
+    hw.validate()
     pconfig = pconfig or ParallelConfig(dchag_tp=strategy.tp_degree)
+    pconfig.validate()
     pb = precision_bytes
     b = batch
     c, d, s = model.channels, model.embed, model.seq
@@ -177,8 +187,8 @@ def estimate(model: ModelConfig, strategy: StrategyConfig,
     fsdp, dp = pconfig.fsdp, pconfig.dp
     t = s + 1
     cloc = strategy.local_channels(model)
-    layer_tp = tp if strategy.kind in ("tp_only", "dist_token") or (
-        strategy.kind == "dchag" and strategy.vit_tp_split) else 1
+    agg_tp = tp if strategy.splits_agg else 1
+    vit_tp = tp if strategy.splits_vit else 1
 
     comps = {name: ComponentCost() for name in COMPONENTS}
     comm: dict[tuple, float] = {}
@@ -208,7 +218,7 @@ def estimate(model: ModelConfig, strategy: StrategyConfig,
             count * ring_allreduce_payload(-(-elems // fsdp) if comp == "vit" else elems,
                                            pb, dp)
             for comp, count, elems in sizes))
-    if strategy.kind in ("dist_token", "dchag") and tp > 1:
+    if strategy.slabs_channels and tp > 1:
         add_comm("optimizer", "tp", ring_allreduce_payload(s * d, pb, tp))  # shared pos-embed grad
 
     # --- tokenize ---------------------------------------------------------
@@ -222,36 +232,33 @@ def estimate(model: ModelConfig, strategy: StrategyConfig,
 
     # --- aggregate --------------------------------------------------------
     agg = comps["aggregate"]
+    acts = flops = 0
+    ck = c  # token stacks the flat layer reduces
     if strategy.kind == "dchag":
         tree = rank_tree(model, strategy)
-        acts = _tree_acts(b, s, d, heads, tree, strategy.agg_layer_kind, model.agg_variant)
+        acts += _tree_acts(b, s, d, heads, tree, strategy.agg_layer_kind, model.agg_variant)
         acts += b * tp * s * d  # gathered streams
-        final_tp = tp if strategy.final_layer_tp_split else 1
-        acts += _attention_agg_acts(b, s, tp, d, heads, model.agg_variant, final_tp)
         add_comm("forward", "tp", b * s * d * pb * (tp - 1))  # stream gather
-        if final_tp > 1:
-            add_head_split_agg_comm(tp)
-        flops = sum(
+        flops += sum(
             (_attention_agg_flops(b, s, g, d, heads, model.agg_variant, 1)
              if strategy.agg_layer_kind == "cross_attention"
              else 2 * b * s * d * (g + d))
             for level in tree.levels for g in level)
-        flops += _attention_agg_flops(b, s, tp, d, heads, model.agg_variant, final_tp)
-        agg.flops = int(flops)
-    else:
-        acts = _attention_agg_acts(b, s, c, d, heads, model.agg_variant, layer_tp)
-        agg.flops = int(_attention_agg_flops(b, s, c, d, heads, model.agg_variant, layer_tp))
-        if layer_tp > 1:
-            add_head_split_agg_comm(c)
+        ck = tp
+    acts += _attention_agg_acts(b, s, ck, d, heads, model.agg_variant, agg_tp)
+    flops += _attention_agg_flops(b, s, ck, d, heads, model.agg_variant, agg_tp)
+    if strategy.splits_agg:
+        add_head_split_agg_comm(ck)
     agg.activation_bytes = int(acts * pb)
+    agg.flops = int(flops)
 
     # --- transformer blocks -------------------------------------------------
     vit = comps["vit"]
-    acts = depth * _block_acts(b, t, d, heads, m, layer_tp)
-    acts += b * t * d + 3 * b * s * d + b * s + 2 * b * d  # concat, mask, metadata
+    acts = depth * _block_acts(b, t, d, heads, m, vit_tp)
+    acts += b * t * d + 3 * b * s * d + b * s + 4 * b + 2 * b * d  # concat, mask, metadata
     vit.activation_bytes = int(acts * pb)
-    vit.flops = int(depth * _block_flops(b, t, d, m, layer_tp))
-    if layer_tp > 1:
+    vit.flops = int(depth * _block_flops(b, t, d, m, vit_tp))
+    if strategy.splits_vit:
         per_block = 4 * b * t * d * pb * (tp - 1) / tp  # two sums, RS+AG each
         add_comm("forward", "tp", depth * per_block)
         add_comm("backward", "tp", depth * per_block)
@@ -309,6 +316,8 @@ def plan(model: ModelConfig, hw: HardwareModel, family: str = "dchag",
     raises it only until the first fitting candidate."""
     if family not in ("serial", "tp_only", "dchag"):
         raise ConfigError(f"unknown strategy family {family}")
+    model.validate()
+    hw.validate()
     best: PlanResult | None = None
     tp_limit = min(rank_limit, model.heads)
     for tp in _pow2_up_to(tp_limit if family != "serial" else 1):

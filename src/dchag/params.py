@@ -24,18 +24,20 @@ carry {mix [g], w [D, D], b [D]}.
 
 One shape-only rule, `placement`, says where each parameter lives across
 the tp group.  Sharding, gradient reassembly and the cost model's
-per-rank parameter bytes all follow from it:
+per-rank parameter bytes all follow from it.  It reads the three layout
+properties of `StrategyConfig` (`slabs_channels`, `splits_agg`,
+`splits_vit`):
 
-  parameter                                     placement
-  --------------------------------------------  -------------------------
-  tok.w, tok.b, special.channel_id              split axis 0 (channel slab)
-    (dist_token, dchag)
-  agg.slab{r}.*                                 owned by tp rank r
-  head-split layers: agg.flat.* (tp_only,       wq, wk, wv, w1: split axis 1
-    dist_token), agg.final.* (dchag with          (column); bq, bv, b1: split
-    final_layer_tp_split), vit.blk*.* (tp_only,   axis 0; wo, w2: split axis 0
-    dist_token, dchag with vit_tp_split)          (row); other leaves replicated
-  everything else                               replicated
+  parameter                            placement
+  -----------------------------------  ----------------------------------
+  tok.w, tok.b, special.channel_id     split axis 0 (channel slab) when
+                                         slabs_channels
+  agg.slab{r}.*                        owned by tp rank r
+  agg.flat.*, agg.final.* when         wq, wk, wv, w1: split axis 1
+    splits_agg; vit.blk*.* when          (column); bq, bv, b1: split axis 0;
+    splits_vit (head-split layers)       wo, w2: split axis 0 (row); other
+                                         leaves replicated
+  everything else                      replicated
 
 Each parameter belongs to the component its name prefix names: tok.* and
 special.* to tokenize, agg.* to aggregate, vit.* to vit, dec.* to decoder.
@@ -222,19 +224,15 @@ _COMPONENT_OF_PREFIX = {"tok": "tokenize", "special": "tokenize", "agg": "aggreg
 
 
 def _head_split(name: str, strategy: StrategyConfig) -> bool:
-    if strategy.kind in ("tp_only", "dist_token"):
-        return name.startswith(("agg.flat.", "vit.blk"))
-    if strategy.kind == "dchag":
-        return (strategy.final_layer_tp_split and name.startswith("agg.final.")
-                or strategy.vit_tp_split and name.startswith("vit.blk"))
-    return False
+    return (strategy.splits_agg and name.startswith(("agg.flat.", "agg.final."))
+            or strategy.splits_vit and name.startswith("vit.blk"))
 
 
 def placement(name: str, strategy: StrategyConfig) -> Placement:
     """The placement of parameter `name` under `strategy`; see the module
     docstring for the table."""
     if name in _CHANNEL_SLABBED:
-        return _CHANNEL_SLAB if strategy.kind in ("dist_token", "dchag") else REPLICATED
+        return _CHANNEL_SLAB if strategy.slabs_channels else REPLICATED
     if name.startswith("agg.slab"):
         return Placement(owner=int(name[8:name.index(".", 8)]))
     if _head_split(name, strategy):

@@ -3,10 +3,8 @@
 Four step flavors share one model:
 
 * serial: the single-process reference.
-* tp_only: every rank tokenizes all channels redundantly; aggregation and
-  transformer projections are head-split, with activation summation
-  (ReduceScatter+AllGather) forward and gradient all-reduce backward at
-  each split boundary.
+* tp_only: every rank tokenizes all channels redundantly; the flat
+  aggregation layer and the transformer are head-split.
 * dist_token: like tp_only, but each rank tokenizes only its channel slab
   and an AllGather over the channel axis rebuilds the full token tensor;
   the gather's backward is a local slice.
@@ -16,10 +14,19 @@ Four step flavors share one model:
   gradient is computed identically on every rank, so backward needs no
   collective at the boundary.
 
-Gradient flow across shards uses two tape ops: `fanout` (identity forward,
-gradient all-reduce backward) wherever a replicated tensor feeds a split
-projection, and `allsum` (fixed-order sum forward, identity backward)
-where split partial outputs merge.
+What a kind splits over tp is said once, by three `StrategyConfig`
+properties: `slabs_channels` (a rank tokenizes only its slab),
+`splits_agg` (the flat aggregation layer, agg.flat or dchag's agg.final,
+is head-split) and `splits_vit` (the transformer is head-split).  Both
+split properties are false at tp=1, so a one-rank parallel step runs the
+serial layers.  `parallel_forward_loss` is the one forward of every
+parallel kind.
+
+A head-split layer exchanges activations through two tape ops: `fanout`
+(identity forward, gradient all-reduce as ReduceScatter+AllGather
+backward) wherever a replicated tensor feeds a split projection, and
+`allsum` (fixed-order ReduceScatter+AllGather sum forward, identity
+backward) where split partial outputs merge.
 
 One driver, `run_hybrid_step`, executes every parallel step over the
 (tp, fsdp, dp) grid; `run_tp_step`, `run_dist_token_step` and
@@ -161,23 +168,25 @@ def run_dchag_reference_step(model: ModelConfig, strategy: StrategyConfig,
         master, lambda w: forward_loss_dchag_reference(w, model, strategy, batch))
 
 
-# -- distributed forward passes ----------------------------------------------
+# -- the parallel forward ------------------------------------------------------
 
 
-def _slab(model: ModelConfig, strategy: StrategyConfig, index: int) -> slice:
-    cloc = model.channels // strategy.tp_degree
-    return slice(index * cloc, (index + 1) * cloc)
-
-
-def tp_forward_loss(w: dict, model: ModelConfig, strategy: StrategyConfig,
-                    batch: Batch, ctx: RankContext) -> Tensor:
-    """Forward for tp_only and dist_token (flat aggregation, split layers)."""
-    hooks = TpHooks(ctx)
-    heads_local = model.heads // strategy.tp_degree
+def parallel_forward_loss(w: dict, model: ModelConfig, strategy: StrategyConfig,
+                          batch: Batch, ctx: RankContext) -> Tensor:
+    """Forward of every parallel kind: tokenize the rank's channel slab (or
+    all channels), gather dist_token's tokens or reduce dchag's slab with
+    its tree and gather the streams, apply one flat aggregation layer, then
+    the common trunk; each layer head-split where the strategy splits it."""
     tp_i = ctx.coords[0]
+    hooks = TpHooks(ctx)
+
+    def heads_and_hooks(split: bool):
+        return (model.heads // strategy.tp_degree, hooks) if split else (model.heads, None)
+
     with alloc_tag("tokenize"):
-        if strategy.kind == "dist_token":
-            images = Tensor(batch.images[:, _slab(model, strategy, tp_i)].copy())
+        if strategy.slabs_channels:
+            cloc = strategy.local_channels(model)
+            images = Tensor(batch.images[:, tp_i * cloc:(tp_i + 1) * cloc].copy())
         else:
             images = Tensor(batch.images)  # redundant tokenization of all channels
         tokens = tokenize_channels(images, w["tok.w"], w["tok.b"],
@@ -186,46 +195,16 @@ def tp_forward_loss(w: dict, model: ModelConfig, strategy: StrategyConfig,
         if strategy.kind == "dist_token":
             tokens = gather_shards(ctx, tokens, axis=1, tag=TOKEN_GATHER_TAG)
     with alloc_tag("aggregate"):
-        agg = flat_aggregate(tokens, w, "agg.flat", model.agg_variant,
-                             heads_local, hooks, tag="agg")
-    return trunk_loss(agg, w, model, batch, heads_local, hooks)
-
-
-def dchag_forward_loss(w: dict, model: ModelConfig, strategy: StrategyConfig,
-                       batch: Batch, ctx: RankContext) -> Tensor:
-    """Forward for dchag: slab tokenization, per-rank tree, one gather,
-    shared final layer, then the common trunk."""
-    tp_i = ctx.coords[0]
-    tree = rank_tree(model, strategy)
-    with alloc_tag("tokenize"):
-        images = Tensor(batch.images[:, _slab(model, strategy, tp_i)].copy())
-        tokens = tokenize_channels(images, w["tok.w"], w["tok.b"],
-                                   w["special.channel_id"], w["special.pos"],
-                                   model.patch)
-    with alloc_tag("aggregate"):
-        stream = tree_aggregate(tokens, tree, w, f"agg.slab{tp_i}",
-                                strategy.agg_layer_kind, model.agg_variant,
-                                model.heads)
-        gathered = gather_shards(ctx, stream, axis=1, tag=DCHAG_BOUNDARY_TAG)
-        if strategy.final_layer_tp_split:
-            hooks = TpHooks(ctx)
-            agg = flat_aggregate(gathered, w, "agg.final", model.agg_variant,
-                                 model.heads // strategy.tp_degree, hooks,
-                                 tag="agg-final")
-        else:
-            agg = flat_aggregate(gathered, w, "agg.final", model.agg_variant,
-                                 model.heads)
-    if strategy.vit_tp_split:
-        return trunk_loss(agg, w, model, batch, model.heads // strategy.tp_degree,
-                          TpHooks(ctx))
-    return trunk_loss(agg, w, model, batch)
-
-
-_FORWARDS = {
-    "tp_only": tp_forward_loss,
-    "dist_token": tp_forward_loss,
-    "dchag": dchag_forward_loss,
-}
+        prefix, tag = "agg.flat", "agg"
+        if strategy.kind == "dchag":
+            stream = tree_aggregate(tokens, rank_tree(model, strategy), w,
+                                    f"agg.slab{tp_i}", strategy.agg_layer_kind,
+                                    model.agg_variant, model.heads)
+            tokens = gather_shards(ctx, stream, axis=1, tag=DCHAG_BOUNDARY_TAG)
+            prefix, tag = "agg.final", "agg-final"
+        agg = flat_aggregate(tokens, w, prefix, model.agg_variant,
+                             *heads_and_hooks(strategy.splits_agg), tag=tag)
+    return trunk_loss(agg, w, model, batch, *heads_and_hooks(strategy.splits_vit))
 
 
 # -- the parallel step driver ---------------------------------------------------
@@ -239,7 +218,7 @@ def _sync_shared_grads(ctx: RankContext, w: dict, strategy: StrategyConfig) -> N
     gradients are summed here, in the gradient-preparation stage, so the
     activation backward path itself stays collective-free.
     """
-    if strategy.kind not in ("dist_token", "dchag") or strategy.tp_degree == 1:
+    if not strategy.slabs_channels or strategy.tp_degree == 1:
         return
     ctx.phase = "optimizer"
     t = w["special.pos"]
@@ -256,8 +235,8 @@ def run_hybrid_step(pconfig: ParallelConfig, model: ModelConfig,
     rejected."""
     pconfig.validate()
     strategy.validate(model)
-    if strategy.kind not in _FORWARDS:
-        raise ConfigError(f"no parallel step for strategy kind {strategy.kind}")
+    if strategy.kind == "serial":
+        raise ConfigError("the serial strategy has no parallel step")
     if pconfig.dchag_tp != strategy.tp_degree:
         raise ConfigError(
             f"parallel grid tp={pconfig.dchag_tp} != strategy tp_degree={strategy.tp_degree}")
@@ -265,13 +244,12 @@ def run_hybrid_step(pconfig: ParallelConfig, model: ModelConfig,
         raise ConfigError(f"fsdp={pconfig.fsdp} is not executed; costmodel.estimate models it")
     if len(batches) != pconfig.dp:
         raise ConfigError(f"need {pconfig.dp} batches, got {len(batches)}")
-    forward = _FORWARDS[strategy.kind]
 
     def program(ctx: RankContext):
         tp_i, _, dp_i = ctx.coords
         w = _wrap_params(shard_for_rank(master, model, strategy, tp_i))
         ctx.phase = "forward"
-        loss = forward(w, model, strategy, batches[dp_i], ctx)
+        loss = parallel_forward_loss(w, model, strategy, batches[dp_i], ctx)
         ctx.phase = "backward"
         T.backward(loss)
         _sync_shared_grads(ctx, w, strategy)

@@ -315,26 +315,6 @@ def unfold_patches(x: Tensor, patch: int) -> Tensor:
                   _owns=not np.may_share_memory(xd, x.data))
 
 
-def fold_patches(x: Tensor, h: int, w: int, patch: int) -> Tensor:
-    """Inverse of unfold_patches: [..., C, S, P*P] -> [..., C, H, W]."""
-    *lead, c, s, pp = x.shape
-    hp, wp = h // patch, w // patch
-    if s != hp * wp or pp != patch * patch:
-        raise ShapeError(f"fold: {x.shape} inconsistent with {h}x{w} patch {patch}")
-    nd = x.ndim
-    perm = tuple(range(nd - 2)) + (nd - 2, nd, nd - 1, nd + 1)
-    src = x.data.reshape(*lead, c, hp, wp, patch, patch)
-    xd = src.transpose(perm).reshape(*lead, c, h, w)
-
-    def back(g):
-        gg = g.reshape(*lead, c, hp, patch, wp, patch)
-        gg = gg.transpose(perm)
-        return (gg.reshape(*lead, c, s, pp),)
-
-    return Tensor(xd, _parents=(x,), _backward=back,
-                  _owns=not np.may_share_memory(xd, x.data))
-
-
 # -- reductions --------------------------------------------------------------
 
 

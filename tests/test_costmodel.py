@@ -2,6 +2,9 @@
 the shards ranks hold, communication against the ledger, activation bytes
 against the allocator, and the planner against an exhaustive search."""
 
+import functools
+from dataclasses import replace
+
 import pytest
 
 from dchag import costmodel
@@ -80,9 +83,10 @@ def shard_bytes(model, strat, master):
 
 
 def ledger_comm(ledger, rank):
-    """(phase, axis) -> payload bytes of one rank, zero entries dropped."""
+    """(phase, axis) -> payload bytes of one rank, zero entries dropped; a
+    rank with no events has none."""
     out = {}
-    for ev in ledger.per_rank[rank]:
+    for ev in ledger.per_rank.get(rank, ()):
         out[ev.phase, ev.axis] = out.get((ev.phase, ev.axis), 0) + ev.payload_bytes_per_rank
     return {k: v for k, v in out.items() if v}
 
@@ -145,19 +149,34 @@ class TestComm:
             assert ledger_comm(res.ledger, rank) == {k: v for k, v in rep.comm.items() if v}
 
 
+@functools.lru_cache(maxsize=None)
+def activations(case):
+    """(estimated, measured) activation bytes per component of one grid case;
+    measured is the allocator's per-tag peak on the busiest rank."""
+    variant, strat = case
+    model = desk(variant)
+    res = run_step(model, strat, [make_batch(model, 5, 0, [0, 1])])
+    stats = res.stats if isinstance(res.stats, list) else [res.stats]
+    rep = estimate(model, strat, precision_bytes=8, batch=2)
+    return ({c: rep.activation(c) for c in COMPONENTS},
+            {c: max(st.tag_peak(c) for st in stats) for c in COMPONENTS})
+
+
 class TestActivations:
-    """Components whose activation estimate is exact: the allocator's
+    """The activation estimate of every component is exact: the allocator's
     per-tag peak on the busiest rank equals the estimate."""
 
     @pytest.mark.parametrize("case", GRID, ids=case_id)
     def test_tokenize_and_decoder_match_allocator(self, case):
-        variant, strat = case
-        model = desk(variant)
-        res = run_step(model, strat, [make_batch(model, 5, 0, [0, 1])])
-        stats = res.stats if isinstance(res.stats, list) else [res.stats]
-        rep = estimate(model, strat, precision_bytes=8, batch=2)
+        est, measured = activations(case)
         for comp in ("tokenize", "decoder"):
-            assert rep.activation(comp) == max(st.tag_peak(comp) for st in stats), comp
+            assert est[comp] == measured[comp], comp
+
+    @pytest.mark.parametrize("case", GRID, ids=case_id)
+    def test_aggregate_and_vit_match_allocator(self, case):
+        est, measured = activations(case)
+        for comp in ("aggregate", "vit"):
+            assert est[comp] == measured[comp], comp
 
 
 class TestContract:
@@ -173,6 +192,14 @@ class TestContract:
         strat = StrategyConfig(kind=kind, tp_degree=1, max_group=4, agg_layer_kind="linear")
         strat.validate(model)
         assert estimate(model, strat).fits
+
+    def test_invalid_model_rejected(self):
+        with pytest.raises(ConfigError, match="agg_variant"):
+            estimate(replace(desk(), agg_variant="bogus"), StrategyConfig())
+
+    def test_invalid_hardware_rejected(self):
+        with pytest.raises(ConfigError, match="bytes_per_gpu"):
+            plan(desk(), HardwareModel(bytes_per_gpu=-1))
 
     def test_tp_only_needs_no_channel_divisibility(self):
         model = desk(channels=6)

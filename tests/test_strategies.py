@@ -43,6 +43,11 @@ class TestTpEquivalence:
         assert ser.loss == tp.loss
         for k in ser.grads:
             np.testing.assert_array_equal(ser.grads[k], tp.grads[k])
+        # a one-rank group splits nothing: the serial graph, no collectives
+        (st,) = tp.stats
+        assert st.per_tag_peak == ser.stats.per_tag_peak
+        assert st.per_tag_flops == ser.stats.per_tag_flops
+        assert list(tp.ledger.events()) == []
 
     @pytest.mark.parametrize("tp", [2, 4])
     @pytest.mark.parametrize("channels", [4, 8, 16])

@@ -121,10 +121,13 @@ class TestRearrange:
         out = T.unfold_patches(x, 16)
         assert out.shape == (3, 16, 256)
 
-    def test_unfold_fold_roundtrip(self, rng):
-        x = Tensor(rng.normal((2, 3, 8, 12)))
-        back = T.fold_patches(T.unfold_patches(x, 4), 8, 12, 4)
-        np.testing.assert_array_equal(back.data, x.data)
+    def test_unfold_is_pixel_permutation(self):
+        x = Tensor(np.arange(2 * 3 * 8 * 12, dtype=float).reshape(2, 3, 8, 12))
+        out = T.unfold_patches(x, 4)
+        assert out.shape == (2, 3, 6, 16)
+        np.testing.assert_array_equal(np.sort(out.data, axis=None), x.data.ravel())
+        # row s of channel c holds patch s's pixels, row-major within the patch
+        np.testing.assert_array_equal(out.data[1, 2, 4], x.data[1, 2, 4:8, 4:8].ravel())
 
     def test_unfold_rejects_indivisible(self):
         with pytest.raises(ShapeError):
