@@ -145,7 +145,15 @@ class StrategyConfig:
         """The transformer blocks are head-split over tp."""
         return self.tp_degree > 1 and self.kind != "serial" and self.vit_tp_split
 
-    def validate(self, model: ModelConfig) -> None:
+    def validate(self, model: ModelConfig, pconfig: ParallelConfig | None = None) -> None:
+        """Check `model` and this strategy's layout over it; given a parallel
+        grid, check the grid too, and that its tp degree is this strategy's."""
+        model.validate()
+        if pconfig is not None:
+            pconfig.validate()
+            if pconfig.dchag_tp != self.tp_degree:
+                raise ConfigError(f"parallel grid tp={pconfig.dchag_tp} != strategy"
+                                  f" tp_degree={self.tp_degree}")
         if self.kind not in STRATEGY_KINDS:
             raise ConfigError(f"strategy kind must be one of {STRATEGY_KINDS}")
         if self.kind == "serial" and self.tp_degree != 1:

@@ -172,12 +172,10 @@ def estimate(model: ModelConfig, strategy: StrategyConfig,
     Configurations the simulator rejects, such as channel slabs that tp does
     not divide, raise ConfigError here too.
     """
-    model.validate()
-    strategy.validate(model)
     hw = hw or HardwareModel()
     hw.validate()
     pconfig = pconfig or ParallelConfig(dchag_tp=strategy.tp_degree)
-    pconfig.validate()
+    strategy.validate(model, pconfig)
     pb = precision_bytes
     b = batch
     c, d, s = model.channels, model.embed, model.seq

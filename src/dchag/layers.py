@@ -1,12 +1,14 @@
 """Layer math shared by the serial model and the sharded strategies.
 
 Every function takes plain weight tensors, so the same code serves full
-weights (serial) and head-sliced weights (tensor parallel).  Where a
-replicated tensor feeds a head-split projection, callers wrap it in
-`hooks.fanout` (identity forward, gradient all-reduce backward); where
-head-split partial outputs must be summed, `hooks.allsum` performs a
-ReduceScatter+AllGather forward.  With hooks=None both are no-ops and the
-math is the single-process reference.
+weights (serial) and head-sliced weights (tensor parallel).  A head-split
+layer takes the model's head count and its tp `group`, holds
+`n_heads // group.size` of the heads, and tags its collectives with its
+parameter prefix.  Its only exchanges are Megatron's two conjugate
+operators: `fanout` (identity forward, gradient all-reduce backward) where
+a replicated tensor feeds a split projection, and `allsum` (sum forward,
+identity backward) where split partial outputs merge.  With group=None
+both return their input, and the math is the single-process reference.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import tensor as T
+from .runtime import ProcessGroup
 from .tensor import Tensor
 
 LN_EPS = 1e-5
@@ -25,6 +28,38 @@ def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
     if b is not None:
         out = T.add(out, b)
     return out
+
+
+def fanout(group: ProcessGroup | None, x: Tensor, tag: str) -> Tensor:
+    """Identity forward; all-reduce (as ReduceScatter+AllGather) of the
+    gradient backward, summing the partial input-gradients of every rank's
+    split projection."""
+    if group is None:
+        return x
+
+    def back(g):
+        ax = g.ndim - 1
+        shard = group.reduce_scatter(g, axis=ax, tag=tag)
+        return (group.all_gather(shard, axis=ax, tag=tag),)
+
+    return Tensor(x.data.view(), _parents=(x,), _backward=back)
+
+
+def allsum(group: ProcessGroup | None, x: Tensor, tag: str) -> Tensor:
+    """Fixed-order sum of split partial outputs (ReduceScatter+AllGather)
+    forward; identity backward, since downstream of the sum every rank
+    holds the full gradient already."""
+    if group is None:
+        return x
+    ax = x.ndim - 1
+    shard = group.reduce_scatter(x.data, axis=ax, tag=tag)
+    full = group.all_gather(shard, axis=ax, tag=tag)
+    return Tensor(full, _parents=(x,), _backward=lambda g: (g,))
+
+
+def local_heads(n_heads: int, group: ProcessGroup | None) -> int:
+    """Heads one rank holds of a layer's `n_heads`, split over `group`."""
+    return n_heads if group is None else n_heads // group.size
 
 
 def split_heads(x: Tensor, n_heads: int) -> Tensor:
@@ -65,54 +100,45 @@ def sdp_attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int) -> Tensor:
 
 
 def transformer_block(x: Tensor, w: dict, prefix: str, n_heads: int,
-                      hooks=None, tag: str = "") -> Tensor:
+                      group: ProcessGroup | None = None) -> Tensor:
     """Pre-norm block: x + attn(ln1(x)); x + mlp(ln2(x))."""
     h = T.layernorm(x, w[f"{prefix}.ln1.g"], w[f"{prefix}.ln1.b"], LN_EPS)
-    if hooks:
-        h = hooks.fanout(h, tag)
+    h = fanout(group, h, prefix)
     q = linear(h, w[f"{prefix}.wq"], w[f"{prefix}.bq"])
     k = linear(h, w[f"{prefix}.wk"])
     v = linear(h, w[f"{prefix}.wv"], w[f"{prefix}.bv"])
-    ctx = sdp_attention(q, k, v, n_heads)
-    attn = T.matmul(ctx, w[f"{prefix}.wo"])
-    if hooks:
-        attn = hooks.allsum(attn, tag)
+    ctx = sdp_attention(q, k, v, local_heads(n_heads, group))
+    attn = allsum(group, T.matmul(ctx, w[f"{prefix}.wo"]), prefix)
     attn = T.add(attn, w[f"{prefix}.bo"])
     x = T.add(x, attn)
 
     h2 = T.layernorm(x, w[f"{prefix}.ln2.g"], w[f"{prefix}.ln2.b"], LN_EPS)
-    if hooks:
-        h2 = hooks.fanout(h2, tag)
+    h2 = fanout(group, h2, prefix)
     m = T.gelu(linear(h2, w[f"{prefix}.w1"], w[f"{prefix}.b1"]))
-    m = T.matmul(m, w[f"{prefix}.w2"])
-    if hooks:
-        m = hooks.allsum(m, tag)
+    m = allsum(group, T.matmul(m, w[f"{prefix}.w2"]), prefix)
     m = T.add(m, w[f"{prefix}.b2"])
     return T.add(x, m)
 
 
 def cross_attention_aggregate(x: Tensor, w: dict, prefix: str, variant: str,
-                              n_heads: int, hooks=None, tag: str = "") -> Tensor:
+                              n_heads: int, group: ProcessGroup | None = None) -> Tensor:
     """Reduce [..., Ck, D] token stacks to [..., 1, D] per position.
 
     single_query: one learned query attends over the Ck tokens (1 x Ck
     logits per head).  full_cross: the Ck tokens attend over themselves
     (Ck x Ck logits), then a learned query reduces the Ck outputs to one.
     """
-    xf = hooks.fanout(x, tag) if hooks else x
+    xf = fanout(group, x, prefix)
     k = T.matmul(xf, w[f"{prefix}.wk"])
     v = T.matmul(xf, w[f"{prefix}.wv"])
     if variant == "single_query":
         q = T.reshape(w[f"{prefix}.q"], (1, w[f"{prefix}.q"].shape[0]))
-        if hooks:
-            q = hooks.fanout(q, tag)
+        q = fanout(group, q, prefix)
     else:
         q = xf
     q = T.matmul(q, w[f"{prefix}.wq"])  # [1, Dl] or [..., Ck, Dl]
-    ctx = sdp_attention(q, k, v, n_heads)  # [..., 1 or Ck, Dl]
-    out = T.matmul(ctx, w[f"{prefix}.wo"])
-    if hooks:
-        out = hooks.allsum(out, tag)
+    ctx = sdp_attention(q, k, v, local_heads(n_heads, group))  # [..., 1 or Ck, Dl]
+    out = allsum(group, T.matmul(ctx, w[f"{prefix}.wo"]), prefix)
     out = T.add(out, w[f"{prefix}.bo"])  # replicated from here on
     if variant == "single_query":
         return out

@@ -29,6 +29,7 @@ from .layers import (N_DECODER_HEADS, cross_attention_aggregate, linear,
                      linear_mix_aggregate, transformer_block)
 from .params import rank_tree
 from .rng import RngState
+from .runtime import ProcessGroup
 from .tensor import Tensor
 from .tracking import alloc_tag
 
@@ -74,11 +75,11 @@ def tokenize_channels(images: Tensor, tok_w: Tensor, tok_b: Tensor,
 
 
 def flat_aggregate(tokens: Tensor, w: dict, prefix: str, variant: str,
-                   n_heads: int, hooks=None, tag: str = "aggregate") -> Tensor:
+                   n_heads: int, group: ProcessGroup | None = None) -> Tensor:
     """[B, Ck, S, D] -> [B, 1, S, D]: per spatial position, reduce the Ck
-    channel tokens to one vector."""
+    channel tokens to one vector (head-split over `group` when given)."""
     xt = T.transpose(tokens, (0, 2, 1, 3))  # [B, S, Ck, D]
-    out = cross_attention_aggregate(xt, w, prefix, variant, n_heads, hooks, tag)
+    out = cross_attention_aggregate(xt, w, prefix, variant, n_heads, group)
     return T.transpose(out, (0, 2, 1, 3))
 
 
@@ -118,15 +119,15 @@ def apply_token_mask(agg: Tensor, mask: np.ndarray, mask_token: Tensor) -> Tenso
 
 
 def vit_forward(agg: Tensor, meta: Tensor, w: dict, model: ModelConfig,
-                n_heads: int | None = None, hooks=None) -> Tensor:
-    """[B, 1, S, D] + metadata -> [B, S+1, D] through the transformer."""
+                group: ProcessGroup | None = None) -> Tensor:
+    """[B, 1, S, D] + metadata -> [B, S+1, D] through the transformer
+    (head-split over `group` when given)."""
     b, _, s, d = agg.shape
     meta_tok = linear(meta, w["special.meta_w"], w["special.meta_b"])
     meta_tok = T.reshape(meta_tok, (b, 1, d))
     x = T.concat([meta_tok, T.reshape(agg, (b, s, d))], axis=1)
-    heads = n_heads if n_heads is not None else model.heads
     for i in range(model.depth):
-        x = transformer_block(x, w, f"vit.blk{i}", heads, hooks, tag=f"vit.blk{i}")
+        x = transformer_block(x, w, f"vit.blk{i}", model.heads, group)
     return x
 
 
@@ -154,13 +155,13 @@ def masked_mse(pred: Tensor, images: np.ndarray, mask: np.ndarray,
 
 
 def trunk_loss(agg: Tensor, w: dict, model: ModelConfig, batch: Batch,
-               n_heads: int | None = None, hooks=None) -> Tensor:
+               group: ProcessGroup | None = None) -> Tensor:
     """The trunk every composition shares: mask the aggregated stream, run
-    the transformer (head-split when `hooks` are given) and the decoder,
+    the transformer (head-split over `group` when given) and the decoder,
     and score the reconstruction of the masked positions."""
     with alloc_tag("vit"):
         agg = apply_token_mask(agg, batch.mask, w["dec.mask"])
-        out = vit_forward(agg, Tensor(batch.meta), w, model, n_heads=n_heads, hooks=hooks)
+        out = vit_forward(agg, Tensor(batch.meta), w, model, group)
     with alloc_tag("decoder"):
         pred = decode(out, w, model)
         return masked_mse(pred, batch.images, batch.mask, model)
@@ -211,6 +212,5 @@ def forward_loss_dchag_reference(w: dict, model: ModelConfig,
                                           model.agg_variant, model.heads))
     with alloc_tag("aggregate"):
         gathered = streams[0] if tp == 1 else T.concat(streams, axis=1)
-        agg = flat_aggregate(gathered, w, "agg.final", model.agg_variant,
-                             model.heads, tag="agg-final")
+        agg = flat_aggregate(gathered, w, "agg.final", model.agg_variant, model.heads)
     return trunk_loss(agg, w, model, batch)

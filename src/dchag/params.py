@@ -185,6 +185,7 @@ def parameter_specs(model: ModelConfig, strategy: StrategyConfig):
 def create_master(model: ModelConfig, strategy: StrategyConfig,
                   rng: RngState) -> dict[str, np.ndarray]:
     """Draw all parameters from `rng` in the fixed creation order."""
+    strategy.validate(model)
     master = {}
     for name, shape, init in parameter_specs(model, strategy):
         if init == "zeros":

@@ -22,11 +22,10 @@ split properties are false at tp=1, so a one-rank parallel step runs the
 serial layers.  `parallel_forward_loss` is the one forward of every
 parallel kind.
 
-A head-split layer exchanges activations through two tape ops: `fanout`
-(identity forward, gradient all-reduce as ReduceScatter+AllGather
-backward) wherever a replicated tensor feeds a split projection, and
-`allsum` (fixed-order ReduceScatter+AllGather sum forward, identity
-backward) where split partial outputs merge.
+A layer the strategy splits is given the rank's tp group, and `None`
+otherwise; the layer derives its local heads and its exchanges from the
+group (see `layers`).  The token and stream gathers of dist_token and
+dchag are `gather_shards`, whose backward is a local slice.
 
 One driver, `run_hybrid_step`, executes every parallel step over the
 (tp, fsdp, dp) grid; `run_tp_step`, `run_dist_token_step` and
@@ -47,7 +46,7 @@ from .model import (Batch, flat_aggregate, forward_loss_dchag_reference,
                     forward_loss_serial, tokenize_channels, tree_aggregate,
                     trunk_loss)
 from .params import rank_tree, shard_for_rank, unshard_grads
-from .runtime import CommLedger, RankContext, spawn_ranks
+from .runtime import CommLedger, ProcessGroup, RankContext, spawn_ranks
 from .tensor import Tensor
 from .tracking import AllocStats, AllocTracker, activate, alloc_tag
 
@@ -55,49 +54,13 @@ DCHAG_BOUNDARY_TAG = "dchag-boundary"
 TOKEN_GATHER_TAG = "token-gather"
 
 
-# -- collective tape ops -------------------------------------------------------
+# -- the gather tape op ----------------------------------------------------------
 
 
-class TpHooks:
-    """Tape-level collectives bound to one rank's tp group."""
-
-    def __init__(self, ctx: RankContext):
-        self.ctx = ctx
-
-    def fanout(self, x: Tensor, tag: str) -> Tensor:
-        """Identity forward; all-reduce (as RS+AG) of the gradient backward.
-
-        Wraps any replicated tensor consumed by a head-split projection so
-        the partial input-gradients from every rank are summed.
-        """
-        group = self.ctx.tp
-
-        def back(g):
-            ax = g.ndim - 1
-            shard = group.reduce_scatter(g, axis=ax, tag=tag)
-            return (group.all_gather(shard, axis=ax, tag=tag),)
-
-        return Tensor(x.data.view(), _parents=(x,), _backward=back)
-
-    def allsum(self, x: Tensor, tag: str) -> Tensor:
-        """Sum split partial outputs (RS+AG forward); identity backward —
-        downstream of the sum every rank holds the full gradient already."""
-        group = self.ctx.tp
-        ax = x.ndim - 1
-        shard = group.reduce_scatter(x.data, axis=ax, tag=tag)
-        full = group.all_gather(shard, axis=ax, tag=tag)
-
-        def back(g):
-            return (g,)
-
-        return Tensor(full, _parents=(x,), _backward=back)
-
-
-def gather_shards(ctx: RankContext, x: Tensor, axis: int, tag: str) -> Tensor:
+def gather_shards(group: ProcessGroup, x: Tensor, axis: int, tag: str) -> Tensor:
     """AllGather along `axis`; backward takes the local slice of the incoming
     gradient (no collective — valid when the gradient of the gathered tensor
     is already complete on every rank)."""
-    group = ctx.tp
     full = group.all_gather(x.data, axis=axis, tag=tag)
     index, width = group.index, x.shape[axis]
 
@@ -157,6 +120,7 @@ def _single_process_step(master: dict, forward) -> StepResult:
 
 def run_serial_step(model: ModelConfig, master: dict, batch: Batch) -> StepResult:
     """Reference step; also captures per-component allocator statistics."""
+    model.validate()
     return _single_process_step(master, lambda w: forward_loss_serial(w, model, batch))
 
 
@@ -164,6 +128,7 @@ def run_dchag_reference_step(model: ModelConfig, strategy: StrategyConfig,
                              master: dict, batch: Batch) -> StepResult:
     """Single-process execution of the slab-tree architecture (the oracle
     for run_dchag_step)."""
+    strategy.validate(model)
     return _single_process_step(
         master, lambda w: forward_loss_dchag_reference(w, model, strategy, batch))
 
@@ -178,11 +143,6 @@ def parallel_forward_loss(w: dict, model: ModelConfig, strategy: StrategyConfig,
     its tree and gather the streams, apply one flat aggregation layer, then
     the common trunk; each layer head-split where the strategy splits it."""
     tp_i = ctx.coords[0]
-    hooks = TpHooks(ctx)
-
-    def heads_and_hooks(split: bool):
-        return (model.heads // strategy.tp_degree, hooks) if split else (model.heads, None)
-
     with alloc_tag("tokenize"):
         if strategy.slabs_channels:
             cloc = strategy.local_channels(model)
@@ -193,18 +153,18 @@ def parallel_forward_loss(w: dict, model: ModelConfig, strategy: StrategyConfig,
                                    w["special.channel_id"], w["special.pos"],
                                    model.patch)
         if strategy.kind == "dist_token":
-            tokens = gather_shards(ctx, tokens, axis=1, tag=TOKEN_GATHER_TAG)
+            tokens = gather_shards(ctx.tp, tokens, axis=1, tag=TOKEN_GATHER_TAG)
     with alloc_tag("aggregate"):
-        prefix, tag = "agg.flat", "agg"
+        prefix = "agg.flat"
         if strategy.kind == "dchag":
             stream = tree_aggregate(tokens, rank_tree(model, strategy), w,
                                     f"agg.slab{tp_i}", strategy.agg_layer_kind,
                                     model.agg_variant, model.heads)
-            tokens = gather_shards(ctx, stream, axis=1, tag=DCHAG_BOUNDARY_TAG)
-            prefix, tag = "agg.final", "agg-final"
-        agg = flat_aggregate(tokens, w, prefix, model.agg_variant,
-                             *heads_and_hooks(strategy.splits_agg), tag=tag)
-    return trunk_loss(agg, w, model, batch, *heads_and_hooks(strategy.splits_vit))
+            tokens = gather_shards(ctx.tp, stream, axis=1, tag=DCHAG_BOUNDARY_TAG)
+            prefix = "agg.final"
+        agg = flat_aggregate(tokens, w, prefix, model.agg_variant, model.heads,
+                             ctx.tp if strategy.splits_agg else None)
+    return trunk_loss(agg, w, model, batch, ctx.tp if strategy.splits_vit else None)
 
 
 # -- the parallel step driver ---------------------------------------------------
@@ -233,13 +193,9 @@ def run_hybrid_step(pconfig: ParallelConfig, model: ModelConfig,
     coordinate.  The dp axis executes a real gradient AllReduce; gradients
     are averaged.  FSDP is modeled by `costmodel` only, so fsdp > 1 is
     rejected."""
-    pconfig.validate()
-    strategy.validate(model)
+    strategy.validate(model, pconfig)
     if strategy.kind == "serial":
         raise ConfigError("the serial strategy has no parallel step")
-    if pconfig.dchag_tp != strategy.tp_degree:
-        raise ConfigError(
-            f"parallel grid tp={pconfig.dchag_tp} != strategy tp_degree={strategy.tp_degree}")
     if pconfig.fsdp > 1:
         raise ConfigError(f"fsdp={pconfig.fsdp} is not executed; costmodel.estimate models it")
     if len(batches) != pconfig.dp:

@@ -51,9 +51,6 @@ class AllocTracker:
 
     # -- tag scope --------------------------------------------------------
 
-    def current_tag(self) -> str:
-        return self._tag_stack[-1]
-
     @contextmanager
     def tag(self, name: str):
         self._tag_stack.append(name)

@@ -193,6 +193,11 @@ class TestContract:
         strat.validate(model)
         assert estimate(model, strat).fits
 
+    def test_grid_tp_mismatch_rejected(self):
+        strat = StrategyConfig(kind="dchag", tp_degree=2, max_group=2)
+        with pytest.raises(ConfigError, match="tp"):
+            estimate(desk(), strat, ParallelConfig(dchag_tp=4))
+
     def test_invalid_model_rejected(self):
         with pytest.raises(ConfigError, match="agg_variant"):
             estimate(replace(desk(), agg_variant="bogus"), StrategyConfig())

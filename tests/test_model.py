@@ -3,6 +3,7 @@ import pytest
 
 from dchag import tensor as T
 from dchag.config import ConfigError, ModelConfig, StrategyConfig, build_tree_spec
+from dchag.layers import allsum, fanout
 from dchag.model import (Batch, apply_token_mask, flat_aggregate,
                          forward_loss_dchag_reference, forward_loss_serial,
                          make_mask, masked_mse, tokenize_channels, tree_aggregate,
@@ -31,6 +32,17 @@ def wrap(master, requires_grad=True):
 
 def tiny_batch(model, seed=7, b=2):
     return make_batch(model, seed, 0, list(range(b)))
+
+
+# -- head-split exchanges ------------------------------------------------------
+
+
+class TestExchanges:
+    def test_no_group_returns_input(self, rng):
+        # the serial graph gains no op, allocation or tape node
+        x = Tensor(rng.normal((2, 3)), requires_grad=True)
+        assert fanout(None, x, "t") is x
+        assert allsum(None, x, "t") is x
 
 
 # -- tokenization ------------------------------------------------------------

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from dchag.config import ConfigError, ModelConfig, ParallelConfig, StrategyConfig
-from dchag.params import create_master, shard_for_rank, unshard_grads
+from dchag.params import create_master, parameter_specs, shard_for_rank, unshard_grads
 from dchag.rng import RngState
 from dchag.strategies import (DCHAG_BOUNDARY_TAG, TOKEN_GATHER_TAG,
                               run_dchag_reference_step, run_dchag_step,
@@ -70,6 +70,15 @@ class TestTpEquivalence:
         ser = run_serial_step(model, master, batch)
         res = run_tp_step(ParallelConfig(dchag_tp=2), model, strat, master, batch)
         assert_grads_match(ser.grads, res.grads)
+
+    def test_ledger_tags_are_layer_prefixes(self):
+        # a head-split layer tags its collectives with its parameter prefix
+        model = tiny(depth=2)
+        strat = StrategyConfig(kind="tp_only", tp_degree=2)
+        master = create_master(model, strat, RngState(5))
+        res = run_tp_step(ParallelConfig(dchag_tp=2), model, strat, master,
+                          make_batch(model, 1, 0, [0]))
+        assert {e.tag for e in res.ledger.events()} == {"agg.flat", "vit.blk0", "vit.blk1"}
 
     def test_backward_has_tp_reducescatter_events(self):
         model = tiny()
@@ -195,6 +204,16 @@ class TestDchag:
         assert ref.loss == res.loss
         for k in ref.grads:
             np.testing.assert_array_equal(ref.grads[k], res.grads[k])
+
+    def test_indivisible_channels_rejected_by_master_and_reference(self):
+        # the oracle must not silently drop the channels past the last slab
+        model = tiny(channels=6)
+        strat = StrategyConfig(kind="dchag", tp_degree=4, max_group=2)
+        with pytest.raises(ConfigError, match="divisible"):
+            create_master(model, strat, RngState(6))
+        master = {name: np.zeros(shape) for name, shape, _ in parameter_specs(model, strat)}
+        with pytest.raises(ConfigError, match="divisible"):
+            run_dchag_reference_step(model, strat, master, make_batch(model, 1, 0, [0]))
 
     def test_boundary_gather_contract(self):
         # forward: exactly one AllGather of S*D*8*(tp-1) bytes per rank;
@@ -352,3 +371,12 @@ class TestSharding:
         d = model.embed
         np.testing.assert_array_equal(s1["vit.blk0.wq"], master["vit.blk0.wq"][:, d // 2:])
         np.testing.assert_array_equal(s1["vit.blk0.wo"], master["vit.blk0.wo"][d // 2:, :])
+
+
+def test_serial_step_rejects_invalid_model():
+    model = ModelConfig(channels=4, image_h=8, image_w=8, patch=4, embed=6,
+                        depth=1, heads=4)
+    master = {name: np.zeros(shape)
+              for name, shape, _ in parameter_specs(model, StrategyConfig())}
+    with pytest.raises(ConfigError, match="heads"):
+        run_serial_step(model, master, make_batch(model, 1, 0, [0]))

@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dchag.config import ConfigError, TreeSpec, build_tree_spec
 
@@ -46,3 +48,13 @@ def test_bad_args():
         build_tree_spec(0, 4)
     with pytest.raises(ConfigError):
         build_tree_spec(8, 1)
+
+
+@settings(database=None, deadline=None)
+@given(local_channels=st.integers(1, 4096), max_group=st.integers(2, 256))
+def test_tree_spec_properties(local_channels, max_group):
+    spec = build_tree_spec(local_channels, max_group)
+    spec.validate(local_channels)
+    assert spec.fanout_max <= max_group
+    for level in spec.levels:
+        assert max(level) - min(level) <= 1
