@@ -128,6 +128,8 @@ def run_dchag_reference_step(model: ModelConfig, strategy: StrategyConfig,
                              master: dict, batch: Batch) -> StepResult:
     """Single-process execution of the slab-tree architecture (the oracle
     for run_dchag_step)."""
+    if strategy.kind != "dchag":
+        raise ConfigError(f"the dchag reference step needs kind=dchag, got {strategy.kind}")
     strategy.validate(model)
     return _single_process_step(
         master, lambda w: forward_loss_dchag_reference(w, model, strategy, batch))

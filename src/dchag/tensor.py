@@ -8,9 +8,12 @@ Design points that later modules rely on:
 * backward closures capture only numpy arrays and parent `Tensor`s, never
   the output tensor, so graphs are reference-cycle free and buffers are
   reclaimed (and de-accounted) deterministically by refcounting;
-* gradient accumulation is plain addition in reverse topological order of
-  a deterministic DFS, which makes multi-use gradients reproducible
-  bit-for-bit across runs.
+* gradient accumulation is out-of-place addition (`grad = grad + g`) in
+  reverse topological order of a deterministic DFS, which makes multi-use
+  gradients reproducible bit-for-bit across runs; a stored gradient is
+  never written after it is stored, so the first gradient a tensor receives
+  is kept without a copy, and a closure may hand the same array, or a view
+  of it, to several parents (closures never write into the `g` they get).
 """
 
 from __future__ import annotations
@@ -136,12 +139,26 @@ def scale(a: Tensor, s: float) -> Tensor:
     return Tensor(out, _parents=(a,), _backward=back)
 
 
+def _fold_rows(a: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """[..., m, k] and [..., m, n] as [rows, k] and [rows, n], every axis
+    but the last folded into the rows in `a`'s stride order, so a transposed
+    activation stack folds as a view and only `g` may be copied."""
+    lead = a.ndim - 1
+    perm = (*sorted(range(lead), key=lambda i: -a.strides[i]), lead)
+    return (a.transpose(perm).reshape(-1, a.shape[-1]),
+            g.transpose(perm).reshape(-1, g.shape[-1]))
+
+
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     """Batched matrix product over the trailing two axes.
 
     Leading axes broadcast; gradients are summed back over any broadcast
-    batch axes (the common case is a stacked activation times a shared
-    weight matrix).
+    batch axes.  The common case, a stacked activation times a shared 2-D
+    weight, takes the weight gradient as one 2-D product over the folded
+    rows (`_fold_rows`), never as one matrix per batch position.  Other
+    broadcast operands (a per-channel weight stack, a 2-D `a` against
+    stacked keys) are formed batched and then summed; their transients are
+    small.
     """
     if a.ndim < 2 or b.ndim < 2:
         raise ShapeError(f"matmul needs >=2-d operands, got {a.shape} x {b.shape}")
@@ -153,7 +170,11 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
     def back(g):
         da = _reduce_to(np.matmul(g, np.swapaxes(bd, -1, -2)), ad.shape)
-        db = _reduce_to(np.matmul(np.swapaxes(ad, -1, -2), g), bd.shape)
+        if bd.ndim == 2 and ad.ndim > 2:
+            af, gf = _fold_rows(ad, g)
+            db = af.T @ gf
+        else:
+            db = _reduce_to(np.matmul(np.swapaxes(ad, -1, -2), g), bd.shape)
         return da, db
 
     return Tensor(out, _parents=(a, b), _backward=back)
@@ -347,9 +368,9 @@ def backward(loss: Tensor) -> None:
             if not parent.requires_grad or g is None:
                 continue
             if parent.grad is None:
-                parent.grad = np.array(g, dtype=np.float64, copy=True)
+                parent.grad = g
             else:
-                parent.grad += g
+                parent.grad = parent.grad + g
 
 
 def clear_grads(tensors) -> None:

@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dchag import tensor as T
-from dchag.config import ConfigError, ModelConfig, StrategyConfig, build_tree_spec
+from dchag.config import (ConfigError, ModelConfig, ParallelConfig, StrategyConfig,
+                          build_tree_spec)
 from dchag.layers import allsum, fanout
 from dchag.model import (Batch, apply_token_mask, flat_aggregate,
                          forward_loss_dchag_reference, forward_loss_serial,
@@ -10,6 +13,8 @@ from dchag.model import (Batch, apply_token_mask, flat_aggregate,
                          vit_forward)
 from dchag.params import create_master
 from dchag.rng import RngState
+from dchag.runtime import spawn_ranks
+from dchag.strategies import gather_shards
 from dchag.synthetic import make_batch
 from dchag.tensor import Tensor
 
@@ -43,6 +48,69 @@ class TestExchanges:
         x = Tensor(rng.normal((2, 3)), requires_grad=True)
         assert fanout(None, x, "t") is x
         assert allsum(None, x, "t") is x
+
+    @settings(max_examples=20, deadline=None, database=None)
+    @given(tp=st.sampled_from((2, 4)), lead=st.lists(st.integers(1, 3), max_size=2),
+           width=st.integers(1, 3), seed=st.integers(0, 2 ** 32 - 1))
+    def test_fanout_and_allsum_are_conjugate(self, tp, lead, width, seed):
+        # fanout: identity forward, sum of the ranks' gradients backward;
+        # allsum: sum forward, identity backward; so each one's backward is
+        # the other's forward, and <allsum(x), y> = <x, fanout'(y)> over ranks
+        gen = np.random.default_rng(seed)
+        shape = (*lead, tp * width)
+        xs = gen.standard_normal((tp, *shape))
+        ys = gen.standard_normal((tp, *shape))
+
+        def program(ctx):
+            r = ctx.rank
+            xf = Tensor(xs[r], requires_grad=True)
+            out_f = fanout(ctx.tp, xf, "t")
+            T.backward(T.sum_all(T.mul(out_f, Tensor(ys[r]))))
+            xa = Tensor(xs[r], requires_grad=True)
+            out_a = allsum(ctx.tp, xa, "t")
+            T.backward(T.sum_all(T.mul(out_a, Tensor(ys[r]))))
+            sum_y = allsum(ctx.tp, Tensor(ys[r]), "t")
+            return out_f.data, xf.grad, out_a.data, xa.grad, sum_y.data
+
+        res = spawn_ranks(ParallelConfig(dchag_tp=tp), program).results
+        for r, (out_f, grad_f, out_a, grad_a, sum_y) in enumerate(res):
+            np.testing.assert_array_equal(out_f, xs[r])
+            np.testing.assert_array_equal(grad_a, ys[r])
+            np.testing.assert_array_equal(grad_f, sum_y)
+            assert rel_err(out_a, xs.sum(axis=0)) < 1e-12
+        lhs = sum(np.vdot(res[r][2], ys[r]) for r in range(tp))  # <allsum(x), y>
+        rhs = sum(np.vdot(xs[r], res[r][1]) for r in range(tp))  # <x, fanout'(y)>
+        assert abs(lhs - rhs) <= 1e-12 * (abs(lhs) + abs(rhs))
+
+    @settings(max_examples=20, deadline=None, database=None)
+    @given(tp=st.sampled_from((2, 4)), ndim=st.integers(1, 3), data=st.data(),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_gather_then_slice_is_identity(self, tp, ndim, data, seed):
+        # forward: the rank's own slice of the gathered tensor is its shard;
+        # backward: the shard's gradient is its slice of the (replicated)
+        # gradient of the gathered tensor
+        shape = tuple(data.draw(st.lists(st.integers(1, 3), min_size=ndim, max_size=ndim)))
+        axis = data.draw(st.integers(0, ndim - 1))
+        gen = np.random.default_rng(seed)
+        xs = gen.standard_normal((tp, *shape))
+        full_shape = list(shape)
+        full_shape[axis] *= tp
+        y = gen.standard_normal(full_shape)
+        width = shape[axis]
+
+        def program(ctx):
+            x = Tensor(xs[ctx.rank], requires_grad=True)
+            full = gather_shards(ctx.tp, x, axis, "t")
+            own = T.narrow(full, axis, ctx.tp.index * width, width)
+            T.backward(T.sum_all(T.mul(full, Tensor(y))))
+            return full.data, own.data, x.grad
+
+        res = spawn_ranks(ParallelConfig(dchag_tp=tp), program).results
+        ys = np.split(y, tp, axis=axis)
+        for r, (full, own, grad) in enumerate(res):
+            np.testing.assert_array_equal(full, np.concatenate(list(xs), axis=axis))
+            np.testing.assert_array_equal(own, xs[r])
+            np.testing.assert_array_equal(grad, ys[r])
 
 
 # -- tokenization ------------------------------------------------------------

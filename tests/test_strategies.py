@@ -215,6 +215,15 @@ class TestDchag:
         with pytest.raises(ConfigError, match="divisible"):
             run_dchag_reference_step(model, strat, master, make_batch(model, 1, 0, [0]))
 
+    def test_reference_rejects_other_kinds(self):
+        # the oracle names the wrong kind instead of failing on a missing tree weight
+        model = tiny(channels=4)
+        for kind, tp in (("serial", 1), ("tp_only", 2), ("dist_token", 2)):
+            strat = StrategyConfig(kind=kind, tp_degree=tp)
+            master = create_master(model, strat, RngState(6))
+            with pytest.raises(ConfigError, match=f"got {kind}"):
+                run_dchag_reference_step(model, strat, master, make_batch(model, 1, 0, [0]))
+
     def test_boundary_gather_contract(self):
         # forward: exactly one AllGather of S*D*8*(tp-1) bytes per rank;
         # backward: zero boundary-tagged events.

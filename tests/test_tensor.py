@@ -1,5 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dchag import tensor as T
 from dchag.tensor import Tensor, ShapeError, EngineError
@@ -45,6 +49,62 @@ class TestMatmul:
         }
         loss = lambda: T.sum_all(T.mul(m := T.matmul(ts["a"], ts["w"]), m))
         check_grad(loss, ts, tol=1e-6)
+
+
+def _sum_to(x, shape):
+    """Sum the broadcast axes of `x` away, leaving `shape`."""
+    x = x.sum(axis=tuple(range(x.ndim - len(shape))))
+    return x.sum(axis=tuple(i for i, n in enumerate(shape) if n == 1), keepdims=True)
+
+
+@st.composite
+def _matmul_operands(draw):
+    """Operands of every broadcast pattern matmul meets: a 2-D or 3-D `b`,
+    `a` with or without leading axes (some of size 1, so `a` broadcasts
+    against a 3-D `b`), laid out contiguous or as a transposed view."""
+    m, k, n = (draw(st.integers(1, 4)) for _ in range(3))
+    b_lead = draw(st.lists(st.integers(1, 3), max_size=1))
+    a_lead = draw(st.lists(st.integers(1, 3), max_size=3))
+    if b_lead and a_lead:
+        a_lead[-1] = 1 if draw(st.booleans()) else b_lead[0]
+    a_shape = (*a_lead, m, k)
+    perm = draw(st.permutations(range(len(a_shape))))
+    seed = draw(st.integers(0, 2 ** 32 - 1))
+    gen = np.random.default_rng(seed)
+    base = gen.standard_normal([a_shape[i] for i in perm])
+    a = base.transpose(np.argsort(perm))  # a view whose memory order is `perm`
+    b = gen.standard_normal((*b_lead, k, n))
+    g = gen.standard_normal(np.broadcast_shapes(a.shape[:-1] + (n,), b.shape[:-2] + (1, n)))
+    return a, b, g
+
+
+class TestMatmulBackward:
+    @settings(max_examples=150, deadline=None, database=None)
+    @given(_matmul_operands())
+    def test_grads_equal_batched_then_summed(self, operands):
+        a, b, g = operands
+        ta = Tensor(a, requires_grad=True)
+        tb = Tensor(b, requires_grad=True)
+        T.backward(T.sum_all(T.mul(T.matmul(ta, tb), Tensor(g))))
+        da = _sum_to(np.matmul(g, np.swapaxes(b, -1, -2)), a.shape)
+        db = _sum_to(np.matmul(np.swapaxes(a, -1, -2), g), b.shape)
+        assert ta.grad.shape == a.shape and tb.grad.shape == b.shape
+        assert rel_err(ta.grad, da) < 1e-12
+        assert rel_err(tb.grad, db) < 1e-12
+
+    def test_shared_weight_grad_has_no_per_position_transient(self, rng):
+        # [B,S,k,D] as the transposed view the aggregation layers pass in; one
+        # D x D matrix per (b, s) position would be a 32 MiB transient
+        a = Tensor(rng.normal((4, 4, 256, 64)).transpose(0, 2, 1, 3), requires_grad=True)
+        w = Tensor(rng.normal((64, 64)), requires_grad=True)
+        loss = T.sum_all(T.matmul(a, w))
+        tracemalloc.start()
+        try:
+            T.backward(loss)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2 ** 20, f"backward peak {peak / 2 ** 20:.1f} MiB"
 
 
 class TestSoftmax:
@@ -182,6 +242,24 @@ class TestBackward:
         y = T.add(x, x)
         T.backward(T.sum_all(y))
         np.testing.assert_array_equal(x.grad, 2 * np.ones(3))
+
+    def test_shared_gradient_is_not_written_by_later_accumulation(self, rng):
+        # the outer add hands one array to both of its parents, and the inner
+        # add hands that same array to x and y; x then accumulates 2*g from the
+        # scale, which must leave y's gradient (the shared array) untouched
+        ts = {
+            "x": Tensor(rng.normal((3, 4)), requires_grad=True),
+            "y": Tensor(rng.normal((3, 4)), requires_grad=True),
+        }
+        w = rng.normal((3, 4))
+
+        def f():
+            s = T.add(T.add(ts["x"], ts["y"]), T.scale(ts["x"], 2.0))
+            return T.sum_all(T.mul(s, Tensor(w)))
+
+        check_grad(f, ts)
+        np.testing.assert_array_equal(ts["y"].grad, w)
+        np.testing.assert_array_equal(ts["x"].grad, w + 2.0 * w)
 
     def test_non_scalar_rejected(self, rng):
         x = Tensor(rng.normal((2,)), requires_grad=True)
