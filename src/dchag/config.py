@@ -29,10 +29,6 @@ class TreeSpec:
     def fanout_max(self) -> int:
         return max(max(level) for level in self.levels)
 
-    @property
-    def depth(self) -> int:
-        return len(self.levels)
-
     def validate(self, local_channels: int) -> None:
         expect = local_channels
         for i, level in enumerate(self.levels):

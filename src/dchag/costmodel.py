@@ -39,12 +39,15 @@ table and its placement rule, the same ones that shard the simulator's
 ranks.  Grads = params, optimizer = 2x params (moment pair), all at
 `precision_bytes`.  FSDP is modeled here only: it divides the transformer
 blocks' params/grads/optimizer by the fsdp degree, and its payload is the
-tp-local block bytes.  Communication uses ring-algorithm byte counts
-matching the simulator's ledger formulas.  Which layers are head-split is
-read from the strategy's `splits_agg` and `splits_vit`, as in the
-simulator; the head-split aggregation layer (agg.flat, or dchag's
-agg.final) pays the output sum forward, the input fanout backward and, for
-single_query, the fanout of the learned query.
+tp-local block bytes.  Every tp and dp collective is charged through the
+ledger's own payload functions, `ring_allgather_payload` and
+`ring_allreduce_payload`, so estimate and ledger share one byte rule per
+collective.  Which layers are head-split is read from the strategy's
+`splits_agg` and `splits_vit`, as in the simulator; a head-split layer's
+exchanges are one AllReduce each: the aggregation layer (agg.flat, or
+dchag's agg.final) sums its output forward, fans out its input backward
+and, for single_query, fans out the learned query; a transformer block
+sums two outputs forward and fans out two inputs backward.
 """
 
 from __future__ import annotations
@@ -54,9 +57,8 @@ from dataclasses import dataclass
 from .config import (ConfigError, HardwareModel, ModelConfig, ParallelConfig,
                      StrategyConfig, TreeSpec)
 from .params import rank_parameter_sizes, rank_tree
-from .runtime import ring_allreduce_payload
-
-COMPONENTS = ("tokenize", "aggregate", "vit", "decoder")
+from .runtime import ring_allgather_payload, ring_allreduce_payload
+from .tracking import COMPONENT_TAGS
 
 
 @dataclass
@@ -188,7 +190,7 @@ def estimate(model: ModelConfig, strategy: StrategyConfig,
     agg_tp = tp if strategy.splits_agg else 1
     vit_tp = tp if strategy.splits_vit else 1
 
-    comps = {name: ComponentCost() for name in COMPONENTS}
+    comps = {name: ComponentCost() for name in COMPONENT_TAGS}
     comm: dict[tuple, float] = {}
 
     def add_comm(phase, axis, nbytes):
@@ -197,10 +199,10 @@ def estimate(model: ModelConfig, strategy: StrategyConfig,
     def add_head_split_agg_comm(ck):
         """One aggregation layer over ck token stacks, head-split over tp."""
         width = (ck if model.agg_variant == "full_cross" else 1) * b * s * d
-        add_comm("forward", "tp", 2 * width * pb * (tp - 1) / tp)  # output allsum
-        add_comm("backward", "tp", 2 * b * s * ck * d * pb * (tp - 1) / tp)  # input fanout
+        add_comm("forward", "tp", ring_allreduce_payload(width, pb, tp))  # output allsum
+        add_comm("backward", "tp", ring_allreduce_payload(b * s * ck * d, pb, tp))  # input fanout
         if model.agg_variant == "single_query":  # fanout of the learned query
-            add_comm("backward", "tp", 2 * d * pb * (tp - 1) / tp)
+            add_comm("backward", "tp", ring_allreduce_payload(d, pb, tp))
 
     # --- parameters, from the placement rule ---------------------------------
     sizes = rank_parameter_sizes(model, strategy)
@@ -224,7 +226,7 @@ def estimate(model: ModelConfig, strategy: StrategyConfig,
     acts = b * cloc * s * pp * 2 + 4 * b * cloc * s * d  # input+patches, token chain
     if strategy.kind == "dist_token":
         acts += b * c * s * d  # gathered full token tensor
-        add_comm("forward", "tp", b * cloc * s * d * pb * (tp - 1))
+        add_comm("forward", "tp", ring_allgather_payload(b * cloc * s * d * pb, tp))
     tok.activation_bytes = int(acts * pb)
     tok.flops = int(2 * b * cloc * s * pp * d + 3 * b * cloc * s * d)
 
@@ -236,7 +238,7 @@ def estimate(model: ModelConfig, strategy: StrategyConfig,
         tree = rank_tree(model, strategy)
         acts += _tree_acts(b, s, d, heads, tree, strategy.agg_layer_kind, model.agg_variant)
         acts += b * tp * s * d  # gathered streams
-        add_comm("forward", "tp", b * s * d * pb * (tp - 1))  # stream gather
+        add_comm("forward", "tp", ring_allgather_payload(b * s * d * pb, tp))  # stream gather
         flops += sum(
             (_attention_agg_flops(b, s, g, d, heads, model.agg_variant, 1)
              if strategy.agg_layer_kind == "cross_attention"
@@ -257,7 +259,7 @@ def estimate(model: ModelConfig, strategy: StrategyConfig,
     vit.activation_bytes = int(acts * pb)
     vit.flops = int(depth * _block_flops(b, t, d, m, vit_tp))
     if strategy.splits_vit:
-        per_block = 4 * b * t * d * pb * (tp - 1) / tp  # two sums, RS+AG each
+        per_block = 2 * ring_allreduce_payload(b * t * d, pb, tp)  # two exchanges per phase
         add_comm("forward", "tp", depth * per_block)
         add_comm("backward", "tp", depth * per_block)
 

@@ -5,10 +5,11 @@ weights (serial) and head-sliced weights (tensor parallel).  A head-split
 layer takes the model's head count and its tp `group`, holds
 `n_heads // group.size` of the heads, and tags its collectives with its
 parameter prefix.  Its only exchanges are Megatron's two conjugate
-operators: `fanout` (identity forward, gradient all-reduce backward) where
-a replicated tensor feeds a split projection, and `allsum` (sum forward,
-identity backward) where split partial outputs merge.  With group=None
-both return their input, and the math is the single-process reference.
+operators, each one AllReduce over the group: `fanout` (identity forward,
+gradient all-reduce backward) where a replicated tensor feeds a split
+projection, and `allsum` (all-reduce forward, identity backward) where
+split partial outputs merge.  With group=None both return their input,
+and the math is the single-process reference.
 """
 
 from __future__ import annotations
@@ -31,30 +32,22 @@ def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
 
 
 def fanout(group: ProcessGroup | None, x: Tensor, tag: str) -> Tensor:
-    """Identity forward; all-reduce (as ReduceScatter+AllGather) of the
-    gradient backward, summing the partial input-gradients of every rank's
-    split projection."""
+    """Identity forward; one AllReduce of the gradient backward, summing the
+    partial input-gradients of every rank's split projection."""
     if group is None:
         return x
-
-    def back(g):
-        ax = g.ndim - 1
-        shard = group.reduce_scatter(g, axis=ax, tag=tag)
-        return (group.all_gather(shard, axis=ax, tag=tag),)
-
-    return Tensor(x.data.view(), _parents=(x,), _backward=back)
+    return Tensor(x.data.view(), _parents=(x,),
+                  _backward=lambda g: (group.all_reduce(g, tag=tag),))
 
 
 def allsum(group: ProcessGroup | None, x: Tensor, tag: str) -> Tensor:
-    """Fixed-order sum of split partial outputs (ReduceScatter+AllGather)
-    forward; identity backward, since downstream of the sum every rank
+    """One AllReduce forward, the fixed-order sum of the split partial
+    outputs; identity backward, since downstream of the sum every rank
     holds the full gradient already."""
     if group is None:
         return x
-    ax = x.ndim - 1
-    shard = group.reduce_scatter(x.data, axis=ax, tag=tag)
-    full = group.all_gather(shard, axis=ax, tag=tag)
-    return Tensor(full, _parents=(x,), _backward=lambda g: (g,))
+    return Tensor(group.all_reduce(x.data, tag=tag), _parents=(x,),
+                  _backward=lambda g: (g,))
 
 
 def local_heads(n_heads: int, group: ProcessGroup | None) -> int:

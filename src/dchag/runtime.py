@@ -9,8 +9,13 @@ members with a fixed, group-index-ordered reduction.  Because ranks
 interact only through collectives and every reduction order is fixed,
 results and per-rank ledgers are identical under any scheduling order.
 
-Byte accounting follows ring algorithms: AllGather and ReduceScatter move
-shard_bytes*(g-1) per rank, AllReduce moves 2*ceil(n/g)*itemsize*(g-1).
+Byte accounting follows ring algorithms, one rule per collective:
+AllGather and ReduceScatter move shard_bytes*(g-1) per rank
+(`ring_allgather_payload`), AllReduce moves 2*ceil(n/g)*itemsize*(g-1)
+(`ring_allreduce_payload`, the bytes of a ReduceScatter then AllGather
+when g divides n), and Broadcast moves the whole tensor.  A one-member
+group moves nothing: it completes through the same rendezvous as any
+other group and records payload 0.
 """
 
 from __future__ import annotations
@@ -87,7 +92,7 @@ class CommLedger:
                             ev.payload_bytes_per_rank, ev.tag])
 
 
-def _ring_allgather_payload(shard_nbytes: int, group: int) -> int:
+def ring_allgather_payload(shard_nbytes: int, group: int) -> int:
     return shard_nbytes * (group - 1)
 
 
@@ -131,34 +136,19 @@ class RankContext:
 
     def __init__(self, runtime, rank: int, pconfig: ParallelConfig):
         self.rank = rank
-        self.pconfig = pconfig
         self.coords = pconfig.coords(rank)
         tp_i, fsdp_i, dp_i = self.coords
-        self.groups = {
-            "tp": ProcessGroup(runtime, "tp",
+        self.tp = ProcessGroup(runtime, "tp",
                                tuple(pconfig.rank_of(t, fsdp_i, dp_i)
-                                     for t in range(pconfig.dchag_tp)), rank),
-            "fsdp": ProcessGroup(runtime, "fsdp",
+                                     for t in range(pconfig.dchag_tp)), rank)
+        self.fsdp = ProcessGroup(runtime, "fsdp",
                                  tuple(pconfig.rank_of(tp_i, f, dp_i)
-                                       for f in range(pconfig.fsdp)), rank),
-            "dp": ProcessGroup(runtime, "dp",
+                                       for f in range(pconfig.fsdp)), rank)
+        self.dp = ProcessGroup(runtime, "dp",
                                tuple(pconfig.rank_of(tp_i, fsdp_i, d)
-                                     for d in range(pconfig.dp)), rank),
-        }
+                                     for d in range(pconfig.dp)), rank)
         self.tracker = AllocTracker()
         self.phase = "forward"
-
-    @property
-    def tp(self) -> ProcessGroup:
-        return self.groups["tp"]
-
-    @property
-    def dp(self) -> ProcessGroup:
-        return self.groups["dp"]
-
-    @property
-    def fsdp(self) -> ProcessGroup:
-        return self.groups["fsdp"]
 
 
 @dataclass
@@ -178,7 +168,6 @@ _READY, _BLOCKED, _DONE, _FAILED = range(4)
 class _Runtime:
     def __init__(self, pconfig: ParallelConfig, schedule_seed=None):
         pconfig.validate()
-        self.pconfig = pconfig
         self.world = pconfig.world_size
         self.ledger = CommLedger()
         self.contexts = [RankContext(self, r, pconfig) for r in range(self.world)]
@@ -204,10 +193,6 @@ class _Runtime:
     def collective(self, group: ProcessGroup, op: str, arr: np.ndarray,
                    kw: dict, tag: str):
         ctx = self.contexts[group.rank]
-        if group.size == 1:
-            out = self._complete_locally(op, arr, kw)
-            self.ledger.record(group.rank, op, group.axis, ctx.phase, 0, tag)
-            return out
         key = (group.axis, group.members)
         pending = self._pending.setdefault(key, {})
         for other_rank, (o_op, _, _, o_tag, _) in pending.items():
@@ -224,12 +209,6 @@ class _Runtime:
         else:
             self._yield_turn(group.rank)
         return self._mailbox.pop(group.rank)
-
-    @staticmethod
-    def _complete_locally(op: str, arr: np.ndarray, kw: dict) -> np.ndarray:
-        if op == "AllGather":
-            return np.concatenate([arr], axis=kw["axis"])
-        return arr.copy()
 
     def _complete_rendezvous(self, key, members) -> None:
         pending = self._pending.pop(key)
@@ -250,7 +229,7 @@ class _Runtime:
                         f"{members[0]} has {arrs[0].shape}, rank {r} has {a.shape}")
             full = np.concatenate(arrs, axis=ax)
             outs = {r: full.copy() for r in members}
-            payloads = {r: _ring_allgather_payload(a.nbytes, g)
+            payloads = {r: ring_allgather_payload(a.nbytes, g)
                         for r, a in zip(members, arrs)}
         elif op == "ReduceScatter":
             ax = kw["axis"]
@@ -264,7 +243,7 @@ class _Runtime:
                 total += a
             chunks = np.split(total, g, axis=ax)
             outs = {r: chunks[i].copy() for i, r in enumerate(members)}
-            payloads = {r: _ring_allgather_payload(chunks[i].nbytes, g)
+            payloads = {r: ring_allgather_payload(chunks[i].nbytes, g)
                         for i, r in enumerate(members)}
         elif op == "AllReduce":
             self._check_identical_shapes(op, axis_name, members, arrs)
@@ -279,7 +258,7 @@ class _Runtime:
             root = kw["root"]
             src = pending[members[root]][1]
             outs = {r: src.copy() for r in members}
-            payloads = {r: arrs[0].nbytes for r in members}
+            payloads = {r: arrs[0].nbytes if g > 1 else 0 for r in members}
         else:  # pragma: no cover
             raise ProtocolError(f"unknown collective {op}")
         for r in members:

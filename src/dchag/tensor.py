@@ -371,9 +371,3 @@ def backward(loss: Tensor) -> None:
                 parent.grad = g
             else:
                 parent.grad = parent.grad + g
-
-
-def clear_grads(tensors) -> None:
-    vals = tensors.values() if isinstance(tensors, dict) else tensors
-    for t in vals:
-        t.grad = None

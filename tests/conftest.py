@@ -36,7 +36,8 @@ def fd_grad(fn, tensors, wrt, h=1e-6):
 
 def check_grad(fn, tensors, tol=1e-5, h=1e-6):
     """Compare autodiff grads of scalar fn against central differences."""
-    T.clear_grads(tensors)
+    for t in tensors.values():
+        t.grad = None
     loss = fn()
     T.backward(loss)
     for name, t in tensors.items():

@@ -10,11 +10,12 @@ import pytest
 from dchag import costmodel
 from dchag.config import (ConfigError, HardwareModel, ModelConfig, ParallelConfig,
                           StrategyConfig)
-from dchag.costmodel import COMPONENTS, estimate, plan
+from dchag.costmodel import estimate, plan
 from dchag.params import create_master, shard_for_rank
 from dchag.rng import RngState
 from dchag.strategies import run_hybrid_step, run_serial_step
 from dchag.synthetic import make_batch
+from dchag.tracking import COMPONENT_TAGS
 
 # name prefix -> component, written out here rather than taken from params
 COMPONENT_OF = {"tok": "tokenize", "special": "tokenize", "agg": "aggregate",
@@ -73,12 +74,12 @@ def run_step(model, strat, batches):
 
 def shard_bytes(model, strat, master):
     """Component -> the most bytes any tp rank holds."""
-    out = dict.fromkeys(COMPONENTS, 0)
+    out = dict.fromkeys(COMPONENT_TAGS, 0)
     for r in range(strat.tp_degree):
-        held = dict.fromkeys(COMPONENTS, 0)
+        held = dict.fromkeys(COMPONENT_TAGS, 0)
         for name, arr in shard_for_rank(master, model, strat, r).items():
             held[COMPONENT_OF[name.split(".")[0]]] += arr.nbytes
-        out = {c: max(out[c], held[c]) for c in COMPONENTS}
+        out = {c: max(out[c], held[c]) for c in COMPONENT_TAGS}
     return out
 
 
@@ -98,7 +99,7 @@ class TestParameterBytes:
         model = desk(variant)
         master = create_master(model, strat, RngState(3))
         rep = estimate(model, strat, precision_bytes=8)
-        got = {c: rep.components[c].params_bytes for c in COMPONENTS}
+        got = {c: rep.components[c].params_bytes for c in COMPONENT_TAGS}
         assert got == shard_bytes(model, strat, master)
 
     def test_fsdp_divides_vit_and_moves_tp_local_blocks(self):
@@ -158,8 +159,8 @@ def activations(case):
     res = run_step(model, strat, [make_batch(model, 5, 0, [0, 1])])
     stats = res.stats if isinstance(res.stats, list) else [res.stats]
     rep = estimate(model, strat, precision_bytes=8, batch=2)
-    return ({c: rep.activation(c) for c in COMPONENTS},
-            {c: max(st.tag_peak(c) for st in stats) for c in COMPONENTS})
+    return ({c: rep.activation(c) for c in COMPONENT_TAGS},
+            {c: max(st.tag_peak(c) for st in stats) for c in COMPONENT_TAGS})
 
 
 class TestActivations:

@@ -13,7 +13,7 @@ from dchag.model import (Batch, apply_token_mask, flat_aggregate,
                          vit_forward)
 from dchag.params import create_master
 from dchag.rng import RngState
-from dchag.runtime import spawn_ranks
+from dchag.runtime import ring_allreduce_payload, spawn_ranks
 from dchag.strategies import gather_shards
 from dchag.synthetic import make_batch
 from dchag.tensor import Tensor
@@ -48,6 +48,24 @@ class TestExchanges:
         x = Tensor(rng.normal((2, 3)), requires_grad=True)
         assert fanout(None, x, "t") is x
         assert allsum(None, x, "t") is x
+
+    @pytest.mark.parametrize("tp", [2, 4])
+    def test_each_exchange_is_one_allreduce(self, tp):
+        # fanout's backward and allsum's forward: one AllReduce per rank each,
+        # carrying the ring all-reduce payload of the whole tensor
+        shape = (3, 2 * tp)
+
+        def program(ctx):
+            x = Tensor(np.ones(shape), requires_grad=True)
+            T.backward(T.sum_all(fanout(ctx.tp, x, "f")))
+            allsum(ctx.tp, Tensor(np.ones(shape)), "a")
+
+        ledger = spawn_ranks(ParallelConfig(dchag_tp=tp), program).ledger
+        pay = ring_allreduce_payload(3 * 2 * tp, 8, tp)
+        for rank in range(tp):
+            assert [(e.op, e.tag, e.payload_bytes_per_rank)
+                    for e in ledger.per_rank[rank]] == [("AllReduce", "f", pay),
+                                                       ("AllReduce", "a", pay)]
 
     @settings(max_examples=20, deadline=None, database=None)
     @given(tp=st.sampled_from((2, 4)), lead=st.lists(st.integers(1, 3), max_size=2),

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dchag.config import ParallelConfig
 from dchag.runtime import CommLedger, ProtocolError, spawn_ranks
@@ -46,6 +48,16 @@ class TestCollectives:
         events = list(res.ledger.events())
         assert len(events) == 1
         assert events[0].payload_bytes_per_rank == 0
+
+    @pytest.mark.parametrize("op", ["all_gather", "reduce_scatter", "all_reduce",
+                                    "broadcast"])
+    def test_one_rank_group_returns_input_payload_zero(self, op):
+        x = np.arange(6.0).reshape(2, 3)
+        res = spawn_ranks(ParallelConfig(), lambda ctx: getattr(ctx.tp, op)(x, tag="t"))
+        (out,) = res.results
+        np.testing.assert_array_equal(out, x)
+        assert not np.shares_memory(out, x)  # the rank owns its result
+        assert [e.payload_bytes_per_rank for e in res.ledger.events()] == [0]
 
     def test_all_gather_concatenates_and_accounts(self):
         def program(ctx):
@@ -177,6 +189,31 @@ class TestDeterminism:
         for rank in range(p.world_size):
             assert r1.ledger.per_rank[rank] == r2.ledger.per_rank[rank]
             assert r1.ledger.per_rank[rank] == r3.ledger.per_rank[rank]
+
+
+class TestScheduleIndependence:
+    @staticmethod
+    def _program(ctx):
+        # all four collectives on every axis, one-rank groups included
+        x = np.linspace(0.0, 1.0, 4) + ctx.rank
+        for i in range(3):
+            for group in (ctx.tp, ctx.dp, ctx.fsdp):
+                x = group.all_reduce(x * (ctx.rank + 1), tag=f"ar{i}")
+                shard = group.reduce_scatter(np.tile(x, group.size), axis=0, tag=f"rs{i}")
+                x = group.all_gather(shard + ctx.rank, axis=0, tag=f"ag{i}")[-4:]
+                x = group.broadcast(x, root=i % group.size, tag=f"bc{i}")
+        return x
+
+    @settings(max_examples=25, deadline=None, database=None)
+    @given(tp=st.sampled_from((1, 2, 4)), dp=st.sampled_from((1, 2)),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_any_schedule_matches_canonical_order(self, tp, dp, seed):
+        p = ParallelConfig(dchag_tp=tp, dp=dp)
+        shuffled = spawn_ranks(p, self._program, schedule_seed=seed)
+        canonical = spawn_ranks(p, self._program)
+        for a, b in zip(shuffled.results, canonical.results):
+            np.testing.assert_array_equal(a, b)
+        assert shuffled.ledger.per_rank == canonical.ledger.per_rank
 
 
 class TestLedger:

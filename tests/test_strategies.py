@@ -1,8 +1,14 @@
+from collections import Counter
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from dchag.config import ConfigError, ModelConfig, ParallelConfig, StrategyConfig
-from dchag.params import create_master, parameter_specs, shard_for_rank, unshard_grads
+from dchag.config import (AGG_LAYER_KINDS, AGG_VARIANTS, STRATEGY_KINDS, ConfigError,
+                          ModelConfig, ParallelConfig, StrategyConfig)
+from dchag.params import (create_master, parameter_specs, rank_parameter_sizes,
+                          shard_for_rank, unshard_grads)
 from dchag.rng import RngState
 from dchag.strategies import (DCHAG_BOUNDARY_TAG, TOKEN_GATHER_TAG,
                               run_dchag_reference_step, run_dchag_step,
@@ -80,13 +86,13 @@ class TestTpEquivalence:
                           make_batch(model, 1, 0, [0]))
         assert {e.tag for e in res.ledger.events()} == {"agg.flat", "vit.blk0", "vit.blk1"}
 
-    def test_backward_has_tp_reducescatter_events(self):
+    def test_backward_has_tp_allreduce_events(self):
         model = tiny()
         strat = StrategyConfig(kind="tp_only", tp_degree=2)
         master = create_master(model, strat, RngState(5))
         res = run_tp_step(ParallelConfig(dchag_tp=2), model, strat, master,
                           make_batch(model, 1, 0, [0]))
-        _, n = res.ledger.query(phase="backward", axis="tp", op="ReduceScatter")
+        _, n = res.ledger.query(phase="backward", axis="tp", op="AllReduce")
         assert n > 0
 
     def test_replicated_grads_bit_identical_across_ranks(self):
@@ -362,6 +368,35 @@ class TestSharding:
                 assert back.keys() == master.keys()
                 for k, v in master.items():
                     np.testing.assert_array_equal(back[k], v)
+
+    @settings(max_examples=40, deadline=None, database=None)
+    @given(kind=st.sampled_from(STRATEGY_KINDS), tp=st.sampled_from((1, 2, 4)),
+           channels=st.integers(1, 8), max_group=st.integers(2, 4),
+           variant=st.sampled_from(AGG_VARIANTS), layer_kind=st.sampled_from(AGG_LAYER_KINDS),
+           final_split=st.booleans(), vit_split=st.booleans())
+    def test_random_layout_round_trip(self, kind, tp, channels, max_group, variant,
+                                      layer_kind, final_split, vit_split):
+        model = tiny(channels=channels, agg_variant=variant)
+        strat = StrategyConfig(kind=kind, tp_degree=tp, max_group=max_group,
+                               agg_layer_kind=layer_kind,
+                               final_layer_tp_split=final_split, vit_tp_split=vit_split)
+        try:
+            master = create_master(model, strat, RngState(5))
+        except ConfigError:
+            assume(False)
+        shards = [shard_for_rank(master, model, strat, r) for r in range(tp)]
+        back = unshard_grads(shards, master, model, strat)
+        assert back.keys() == master.keys()
+        for k, v in master.items():
+            np.testing.assert_array_equal(back[k], v)
+        # the compact table the cost model reads counts what every rank holds
+        component = {"tok": "tokenize", "special": "tokenize", "agg": "aggregate",
+                     "vit": "vit", "dec": "decoder"}
+        compact = Counter({(comp, n): count
+                           for comp, count, n in rank_parameter_sizes(model, strat)})
+        for shard in shards:
+            assert compact == Counter((component[name.split(".")[0]], arr.size)
+                                      for name, arr in shard.items())
 
     def test_replicated_weights_identical_across_ranks(self):
         model = tiny(channels=8)
