@@ -62,6 +62,12 @@ def build_tree_spec(local_channels: int, max_group: int) -> TreeSpec:
     return TreeSpec(tuple(levels))
 
 
+# The least value of each ModelConfig size; only a block stack may be empty.
+_SIZE_FLOORS = {"channels": 1, "image_h": 1, "image_w": 1, "patch": 1, "embed": 1,
+                "heads": 1, "mlp_ratio": 1, "decoder_dim": 1, "depth": 0,
+                "decoder_depth": 0}
+
+
 @dataclass(frozen=True)
 class ModelConfig:
     channels: int
@@ -87,8 +93,9 @@ class ModelConfig:
         return self.patch * self.patch
 
     def validate(self) -> None:
-        if self.channels < 1:
-            raise ConfigError(f"channels must be >= 1, got {self.channels}")
+        for name, least in _SIZE_FLOORS.items():
+            if getattr(self, name) < least:
+                raise ConfigError(f"{name} must be >= {least}, got {getattr(self, name)}")
         if self.image_h % self.patch or self.image_w % self.patch:
             raise ConfigError(
                 f"image {self.image_h}x{self.image_w} not divisible by patch {self.patch}"
@@ -104,7 +111,7 @@ class ModelConfig:
 
 @dataclass(frozen=True)
 class StrategyConfig:
-    """How the model is spread over the tp group.
+    """How the model is spread over tp: a kind, its tp degree, dchag's tree.
 
     `max_group` and `agg_layer_kind` are the one home of the hierarchical
     aggregation tree: they shape the per-slab trees of dchag and of its
@@ -113,16 +120,17 @@ class StrategyConfig:
 
     Three derived properties say what a kind splits over tp; the
     simulator, the parameter placement and the cost model read only
-    these.  A group of one rank splits nothing, so a tp=1 parallel step
-    runs the serial layers.
+    these.  At tp > 1 every parallel kind head-splits the transformer
+    blocks; tp_only and dist_token also head-split their flat
+    aggregation layer, while dchag's final layer stays replicated.  A
+    group of one rank splits nothing, so a tp=1 parallel step runs the
+    serial layers.
     """
 
     kind: str = "serial"
     tp_degree: int = 1
     max_group: int = 128
     agg_layer_kind: str = "cross_attention"  # tree nodes: cross_attention or linear
-    final_layer_tp_split: bool = False
-    vit_tp_split: bool = True  # False applies the tp group to channel work only
 
     @property
     def slabs_channels(self) -> bool:
@@ -131,15 +139,13 @@ class StrategyConfig:
 
     @property
     def splits_agg(self) -> bool:
-        """The flat aggregation layer (agg.flat, or dchag's agg.final) is
-        head-split over tp."""
-        return self.tp_degree > 1 and (self.kind in ("tp_only", "dist_token") or (
-            self.kind == "dchag" and self.final_layer_tp_split))
+        """The flat aggregation layer agg.flat is head-split over tp."""
+        return self.tp_degree > 1 and self.kind != "dchag"
 
     @property
     def splits_vit(self) -> bool:
-        """The transformer blocks are head-split over tp."""
-        return self.tp_degree > 1 and self.kind != "serial" and self.vit_tp_split
+        """The transformer blocks are head-split over tp (serial has tp=1)."""
+        return self.tp_degree > 1
 
     def validate(self, model: ModelConfig, pconfig: ParallelConfig | None = None) -> None:
         """Check `model` and this strategy's layout over it; given a parallel
@@ -163,12 +169,10 @@ class StrategyConfig:
                 f"channels {model.channels} not divisible by tp_degree {self.tp_degree}"
                 " (equal channel slabs required)"
             )
-        if (self.splits_agg or self.splits_vit) and model.heads % self.tp_degree:
+        if model.heads % self.tp_degree:
             raise ConfigError(
                 f"heads {model.heads} not divisible by tp_degree {self.tp_degree}"
             )
-        if self.kind in ("tp_only", "dist_token") and not self.vit_tp_split:
-            raise ConfigError(f"{self.kind} requires vit_tp_split=true")
 
     def local_channels(self, model: ModelConfig) -> int:
         if self.slabs_channels:

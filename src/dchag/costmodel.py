@@ -19,11 +19,12 @@ and per step, in elements (multiply by precision bytes):
   B*S*Ck*D tensors (summed output, bias add, reduce stage) that tensor
   parallelism does NOT divide — the quadratic channel term is the
   full_cross logits.
-* aggregation is one such flat layer, over Ck = C token stacks, or for
-  dchag over Ck = tp gathered streams after the rank's slab tree: the
-  flat-layer formula per tree node with Ck = group size, plus one
-  level-output concat per level (linear nodes cost ~3 stream-sized
-  tensors B*S*D each), and the gathered streams.
+* aggregation is one such flat layer, head-split over Ck = C token
+  stacks for tp_only and dist_token, or for dchag replicated over Ck = tp
+  gathered streams after the rank's slab tree: the flat-layer formula per
+  tree node with Ck = group size, plus one level-output concat per level
+  (linear nodes cost ~3 stream-sized tensors B*S*D each), and the
+  gathered streams.
 * transformer block at sequence T=S+1: ~8 full-width B*T*D tensors
   (norms, residuals, summed outputs), ~6 split-width B*T*D/tp, three
   attention-logit tensors B*(H/tp)*T^2, three MLP tensors B*T*mD/tp; the
@@ -44,10 +45,11 @@ ledger's own payload functions, `ring_allgather_payload` and
 `ring_allreduce_payload`, so estimate and ledger share one byte rule per
 collective.  Which layers are head-split is read from the strategy's
 `splits_agg` and `splits_vit`, as in the simulator; a head-split layer's
-exchanges are one AllReduce each: the aggregation layer (agg.flat, or
-dchag's agg.final) sums its output forward, fans out its input backward
-and, for single_query, fans out the learned query; a transformer block
-sums two outputs forward and fans out two inputs backward.
+exchanges are one AllReduce each: agg.flat sums its output forward, fans
+out its input backward and, for single_query, fans out the learned query;
+a transformer block sums two outputs forward and fans out two inputs
+backward.  Slab tokenization adds one backward AllReduce of the
+positional-embedding gradient.
 """
 
 from __future__ import annotations
@@ -79,7 +81,6 @@ class ComponentCost:
 class CostReport:
     components: dict
     comm: dict  # (phase, axis) -> payload bytes per rank per step
-    bytes_per_gpu_budget: int
     fits: bool
 
     @property
@@ -187,22 +188,12 @@ def estimate(model: ModelConfig, strategy: StrategyConfig,
     fsdp, dp = pconfig.fsdp, pconfig.dp
     t = s + 1
     cloc = strategy.local_channels(model)
-    agg_tp = tp if strategy.splits_agg else 1
-    vit_tp = tp if strategy.splits_vit else 1
 
     comps = {name: ComponentCost() for name in COMPONENT_TAGS}
     comm: dict[tuple, float] = {}
 
     def add_comm(phase, axis, nbytes):
         comm[(phase, axis)] = comm.get((phase, axis), 0) + nbytes
-
-    def add_head_split_agg_comm(ck):
-        """One aggregation layer over ck token stacks, head-split over tp."""
-        width = (ck if model.agg_variant == "full_cross" else 1) * b * s * d
-        add_comm("forward", "tp", ring_allreduce_payload(width, pb, tp))  # output allsum
-        add_comm("backward", "tp", ring_allreduce_payload(b * s * ck * d, pb, tp))  # input fanout
-        if model.agg_variant == "single_query":  # fanout of the learned query
-            add_comm("backward", "tp", ring_allreduce_payload(d, pb, tp))
 
     # --- parameters, from the placement rule ---------------------------------
     sizes = rank_parameter_sizes(model, strategy)
@@ -219,7 +210,7 @@ def estimate(model: ModelConfig, strategy: StrategyConfig,
                                            pb, dp)
             for comp, count, elems in sizes))
     if strategy.slabs_channels and tp > 1:
-        add_comm("optimizer", "tp", ring_allreduce_payload(s * d, pb, tp))  # shared pos-embed grad
+        add_comm("backward", "tp", ring_allreduce_payload(s * d, pb, tp))  # shared pos-embed grad
 
     # --- tokenize ---------------------------------------------------------
     tok = comps["tokenize"]
@@ -233,7 +224,7 @@ def estimate(model: ModelConfig, strategy: StrategyConfig,
     # --- aggregate --------------------------------------------------------
     agg = comps["aggregate"]
     acts = flops = 0
-    ck = c  # token stacks the flat layer reduces
+    ck, agg_tp = c, tp  # agg.flat: C token stacks, head-split over tp
     if strategy.kind == "dchag":
         tree = rank_tree(model, strategy)
         acts += _tree_acts(b, s, d, heads, tree, strategy.agg_layer_kind, model.agg_variant)
@@ -244,20 +235,24 @@ def estimate(model: ModelConfig, strategy: StrategyConfig,
              if strategy.agg_layer_kind == "cross_attention"
              else 2 * b * s * d * (g + d))
             for level in tree.levels for g in level)
-        ck = tp
+        ck, agg_tp = tp, 1  # agg.final: tp gathered streams, replicated
     acts += _attention_agg_acts(b, s, ck, d, heads, model.agg_variant, agg_tp)
     flops += _attention_agg_flops(b, s, ck, d, heads, model.agg_variant, agg_tp)
-    if strategy.splits_agg:
-        add_head_split_agg_comm(ck)
+    if strategy.splits_agg:  # agg.flat over the C token stacks
+        width = (c if model.agg_variant == "full_cross" else 1) * b * s * d
+        add_comm("forward", "tp", ring_allreduce_payload(width, pb, tp))  # output allsum
+        add_comm("backward", "tp", ring_allreduce_payload(b * s * c * d, pb, tp))  # input fanout
+        if model.agg_variant == "single_query":  # fanout of the learned query
+            add_comm("backward", "tp", ring_allreduce_payload(d, pb, tp))
     agg.activation_bytes = int(acts * pb)
     agg.flops = int(flops)
 
     # --- transformer blocks -------------------------------------------------
     vit = comps["vit"]
-    acts = depth * _block_acts(b, t, d, heads, m, vit_tp)
+    acts = depth * _block_acts(b, t, d, heads, m, tp)
     acts += b * t * d + 3 * b * s * d + b * s + 4 * b + 2 * b * d  # concat, mask, metadata
     vit.activation_bytes = int(acts * pb)
-    vit.flops = int(depth * _block_flops(b, t, d, m, vit_tp))
+    vit.flops = int(depth * _block_flops(b, t, d, m, tp))
     if strategy.splits_vit:
         per_block = 2 * ring_allreduce_payload(b * t * d, pb, tp)  # two exchanges per phase
         add_comm("forward", "tp", depth * per_block)
@@ -279,7 +274,6 @@ def estimate(model: ModelConfig, strategy: StrategyConfig,
 
     report = CostReport(components=comps,
                         comm={k: int(v) for k, v in comm.items()},
-                        bytes_per_gpu_budget=hw.bytes_per_gpu,
                         fits=False)
     report.fits = report.total_bytes <= hw.bytes_per_gpu
     return report
@@ -295,7 +289,6 @@ class PlanResult:
     strategy: StrategyConfig | None = None
     pconfig: ParallelConfig | None = None
     report: CostReport | None = None
-    reason: str = ""
 
 
 def _pow2_up_to(limit: int):
@@ -348,7 +341,7 @@ def plan(model: ModelConfig, hw: HardwareModel, family: str = "dchag",
                     best = cand
                 break
     if best is None:
-        return PlanResult(False, reason=f"infeasible within rank limit {rank_limit}")
+        return PlanResult(False)
     return best
 
 

@@ -33,11 +33,11 @@ properties of `StrategyConfig` (`slabs_channels`, `splits_agg`,
   tok.w, tok.b, special.channel_id     split axis 0 (channel slab) when
                                          slabs_channels
   agg.slab{r}.*                        owned by tp rank r
-  agg.flat.*, agg.final.* when         wq, wk, wv, w1: split axis 1
-    splits_agg; vit.blk*.* when          (column); bq, bv, b1: split axis 0;
-    splits_vit (head-split layers)       wo, w2: split axis 0 (row); other
+  agg.flat.* when splits_agg;          wq, wk, wv, w1: split axis 1
+    vit.blk*.* when splits_vit           (column); bq, bv, b1: split axis 0;
+    (head-split layers)                  wo, w2: split axis 0 (row); other
                                          leaves replicated
-  everything else                      replicated
+  everything else, agg.final.* too     replicated
 
 Each parameter belongs to the component its name prefix names: tok.* and
 special.* to tokenize, agg.* to aggregate, vit.* to vit, dec.* to decoder.
@@ -225,7 +225,7 @@ _COMPONENT_OF_PREFIX = {"tok": "tokenize", "special": "tokenize", "agg": "aggreg
 
 
 def _head_split(name: str, strategy: StrategyConfig) -> bool:
-    return (strategy.splits_agg and name.startswith(("agg.flat.", "agg.final."))
+    return (strategy.splits_agg and name.startswith("agg.flat.")
             or strategy.splits_vit and name.startswith("vit.blk"))
 
 

@@ -10,17 +10,18 @@ Four step flavors share one model:
   the gather's backward is a local slice.
 * dchag: each rank tokenizes its slab and reduces it with its own
   aggregation tree to a single stream; one AllGather moves the tp streams;
-  a shared final cross-attention reduces them.  The gathered tensor's
-  gradient is computed identically on every rank, so backward needs no
-  collective at the boundary.
+  a replicated final cross-attention (agg.final) reduces them, and the
+  transformer is head-split.  The gathered tensor's gradient is computed
+  identically on every rank, so backward needs no collective at the
+  boundary.
 
 What a kind splits over tp is said once, by three `StrategyConfig`
 properties: `slabs_channels` (a rank tokenizes only its slab),
-`splits_agg` (the flat aggregation layer, agg.flat or dchag's agg.final,
-is head-split) and `splits_vit` (the transformer is head-split).  Both
-split properties are false at tp=1, so a one-rank parallel step runs the
-serial layers.  `parallel_forward_loss` is the one forward of every
-parallel kind.
+`splits_agg` (the flat aggregation layer agg.flat of tp_only and
+dist_token is head-split) and `splits_vit` (the transformer is
+head-split).  Both split properties are false at tp=1, so a one-rank
+parallel step runs the serial layers.  `parallel_forward_loss` is the
+one forward of every parallel kind.
 
 A layer the strategy splits is given the rank's tp group, and `None`
 otherwise; the layer derives its local heads and its exchanges from the
@@ -177,12 +178,12 @@ def _sync_shared_grads(ctx: RankContext, w: dict, strategy: StrategyConfig) -> N
 
     With slab tokenization the positional embedding is replicated but each
     rank back-propagates only its own slab's contribution; the partial
-    gradients are summed here, in the gradient-preparation stage, so the
-    activation backward path itself stays collective-free.
+    gradients are summed here, once the activation backward is done, so
+    that path itself stays collective-free.  The sum is recorded under the
+    backward phase, like the dp gradient AllReduce after it.
     """
     if not strategy.slabs_channels or strategy.tp_degree == 1:
         return
-    ctx.phase = "optimizer"
     t = w["special.pos"]
     if t.grad is not None:
         t.grad = ctx.tp.all_reduce(t.grad, tag="shared-grad.special.pos")
@@ -212,7 +213,6 @@ def run_hybrid_step(pconfig: ParallelConfig, model: ModelConfig,
         T.backward(loss)
         _sync_shared_grads(ctx, w, strategy)
         if pconfig.dp > 1:
-            ctx.phase = "backward"
             inv = 1.0 / pconfig.dp
             for name in sorted(w):
                 t = w[name]

@@ -40,18 +40,21 @@ class ShapeError(EngineError):
 class Tensor:
     __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward", "__weakref__")
 
-    def __init__(self, data, requires_grad=False, _parents=(), _backward=None,
-                 _owns=None):
+    def __init__(self, data, requires_grad=False, _parents=(), _backward=None):
         arr = np.asarray(data, dtype=np.float64)
         self.data = arr
         self.requires_grad = bool(requires_grad) or any(p.requires_grad for p in _parents)
         self.grad = None
         self._parents = tuple(_parents) if self.requires_grad else ()
         self._backward = _backward if self.requires_grad else None
-        # Charge owned buffers to the allocation tracker; views are free.
-        # Ops that may alias their input pass _owns explicitly (numpy's
-        # .base is unreliable for reshape-forced copies).
-        owns = (arr.base is None) if _owns is None else _owns
+        # Charge owned buffers to the allocation tracker; views are free.  An
+        # op output owns its buffer unless it shares memory with a parent
+        # (numpy's .base is unreliable for reshape-forced copies); a leaf
+        # owns its buffer unless it is a numpy view.
+        if _parents:
+            owns = not any(np.may_share_memory(arr, p.data) for p in _parents)
+        else:
+            owns = arr.base is None
         tr = current_tracker()
         if tr is not None and owns:
             tag = tr.allocate(arr.nbytes)
@@ -247,8 +250,7 @@ def reshape(x: Tensor, shape) -> Tensor:
     def back(g):
         return (g.reshape(old),)
 
-    return Tensor(out, _parents=(x,), _backward=back,
-                  _owns=not np.may_share_memory(out, x.data))
+    return Tensor(out, _parents=(x,), _backward=back)
 
 
 def transpose(x: Tensor, axes) -> Tensor:
@@ -257,7 +259,7 @@ def transpose(x: Tensor, axes) -> Tensor:
     def back(g):
         return (g.transpose(inv),)
 
-    return Tensor(x.data.transpose(axes), _parents=(x,), _backward=back, _owns=False)
+    return Tensor(x.data.transpose(axes), _parents=(x,), _backward=back)
 
 
 def concat(tensors, axis: int = 0) -> Tensor:
@@ -289,7 +291,7 @@ def narrow(x: Tensor, axis: int, start: int, length: int) -> Tensor:
         full[sl] = g
         return (full,)
 
-    return Tensor(x.data[sl], _parents=(x,), _backward=back, _owns=False)
+    return Tensor(x.data[sl], _parents=(x,), _backward=back)
 
 
 def unfold_patches(x: Tensor, patch: int) -> Tensor:
@@ -311,8 +313,7 @@ def unfold_patches(x: Tensor, patch: int) -> Tensor:
         gg = gg.transpose(perm)  # swap of the two middle pairs is self-inverse
         return (gg.reshape(*lead, c, h, w),)
 
-    return Tensor(xd, _parents=(x,), _backward=back,
-                  _owns=not np.may_share_memory(xd, x.data))
+    return Tensor(xd, _parents=(x,), _backward=back)
 
 
 # -- reductions --------------------------------------------------------------

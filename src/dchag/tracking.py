@@ -2,9 +2,9 @@
 
 Every materialized tensor buffer is charged to the tag that is active when
 it is created ("tokenize", "aggregate", "vit", "decoder", or a bookkeeping
-tag such as "params" / "backward" / "other").  Views are never charged:
-only buffers that own their memory count toward live/peak bytes, so the
-numbers reflect actual storage, not aliasing.
+tag such as "params" / "other").  Views are never charged: only buffers
+that own their memory count toward live/peak bytes, so the numbers
+reflect actual storage, not aliasing.
 """
 
 from __future__ import annotations

@@ -8,8 +8,8 @@ from dataclasses import replace
 import pytest
 
 from dchag import costmodel
-from dchag.config import (ConfigError, HardwareModel, ModelConfig, ParallelConfig,
-                          StrategyConfig)
+from dchag.config import (AGG_LAYER_KINDS, ConfigError, HardwareModel, ModelConfig,
+                          ParallelConfig, StrategyConfig)
 from dchag.costmodel import estimate, plan
 from dchag.params import create_master, shard_for_rank
 from dchag.rng import RngState
@@ -33,17 +33,16 @@ def desk(variant="single_query", channels=8, **kw):
     return cfg
 
 
-# every dchag flag set the cost model distinguishes
-DCHAG_FLAGS = ({}, {"vit_tp_split": False}, {"final_layer_tp_split": True},
-               {"final_layer_tp_split": True, "vit_tp_split": False},
-               {"agg_layer_kind": "linear", "max_group": 3})
+# dchag trees of both node kinds over the 8 channels: binary (three levels at
+# tp 1), uneven groups of 3, 3 and 2, and flat (one node per rank)
+DCHAG_FLAGS = tuple({"agg_layer_kind": kind, "max_group": g}
+                    for kind in AGG_LAYER_KINDS for g in (2, 3, 8))
 
 
 def parallel_strategies(tp):
     return [StrategyConfig(kind="tp_only", tp_degree=tp),
             StrategyConfig(kind="dist_token", tp_degree=tp),
-            *(StrategyConfig(**{"kind": "dchag", "tp_degree": tp, "max_group": 2, **f})
-              for f in DCHAG_FLAGS)]
+            *(StrategyConfig(kind="dchag", tp_degree=tp, **f) for f in DCHAG_FLAGS)]
 
 
 GRID = [(variant, strat) for variant in VARIANTS
@@ -52,10 +51,10 @@ GRID = [(variant, strat) for variant in VARIANTS
 
 
 def flag_suffix(strat):
-    flags = [] if strat.vit_tp_split else ["vit-replicated"]
-    flags += ["final-split"] if strat.final_layer_tp_split else []
-    flags += ["linear"] if strat.agg_layer_kind == "linear" else []
-    return flags
+    if strat.kind != "dchag":
+        return []
+    return (["linear"] if strat.agg_layer_kind == "linear" else []) + (
+        [f"g{strat.max_group}"] if strat.max_group != 2 else [])
 
 
 def case_id(case):
@@ -202,6 +201,15 @@ class TestContract:
     def test_invalid_model_rejected(self):
         with pytest.raises(ConfigError, match="agg_variant"):
             estimate(replace(desk(), agg_variant="bogus"), StrategyConfig())
+
+    @pytest.mark.parametrize("field, value", [
+        ("patch", 0), ("heads", 0), ("embed", 0), ("image_h", 0), ("patch", -4),
+        ("heads", -4), ("depth", -1), ("decoder_depth", -1), ("mlp_ratio", 0),
+        ("decoder_dim", 0)])
+    def test_impossible_size_rejected(self, field, value):
+        # no modulo check divides by it, and no cost is estimated from it
+        with pytest.raises(ConfigError, match=f"^{field} "):
+            estimate(replace(desk(), **{field: value}), StrategyConfig())
 
     def test_invalid_hardware_rejected(self):
         with pytest.raises(ConfigError, match="bytes_per_gpu"):

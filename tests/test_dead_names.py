@@ -3,7 +3,12 @@ dunder, defined in `src/dchag` is named somewhere in the code of `src/`,
 `tests/` or `bench/` besides its own definition.  A name counts where it
 appears as an identifier, or as a string literal that is exactly the name
 (as in the `getattr`-style patch lists of `bench/tracer.py`); comments and
-docstrings do not count."""
+docstrings do not count.
+
+Every dataclass field, and every attribute a method of `src/dchag` assigns
+on `self`, is read somewhere in the same code.  A read is an attribute load
+or a string literal that is exactly the name; an assignment, and a keyword
+argument to a constructor, is a write."""
 
 import ast
 import io
@@ -52,3 +57,47 @@ def test_every_definition_is_named_elsewhere():
     counts = name_counts()
     dead = [qual for qual, name in defs if counts[name] <= defined[name]]
     assert dead == []
+
+
+def _is_dataclass(decorator) -> bool:
+    func = decorator.func if isinstance(decorator, ast.Call) else decorator
+    return isinstance(func, ast.Name) and func.id == "dataclass"
+
+
+def state_definitions():
+    """(qualified name, name) of each dataclass field and each attribute a
+    method assigns on `self`, per class of the package."""
+    for path in sorted(PACKAGE.glob("*.py")):
+        for cls in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            names = set()
+            if any(_is_dataclass(d) for d in cls.decorator_list):
+                names |= {item.target.id for item in cls.body
+                          if isinstance(item, ast.AnnAssign)
+                          and isinstance(item.target, ast.Name)}
+            names |= {node.attr for node in ast.walk(cls)
+                      if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
+                      and isinstance(node.value, ast.Name) and node.value.id == "self"}
+            for name in sorted(names):
+                yield f"{path.stem}.{cls.name}.{name}", name
+
+
+def attribute_reads():
+    """How often each name is loaded as an attribute, or appears as an
+    identifier-only string literal, in the Python files of the repository."""
+    reads = Counter()
+    for top in ("src", "tests", "bench"):
+        for path in (ROOT / top).rglob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                    reads[node.attr] += 1
+                elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
+                      and IDENTIFIER.fullmatch(node.value)):
+                    reads[node.value] += 1
+    return reads
+
+
+def test_every_field_and_attribute_is_read():
+    reads = attribute_reads()
+    assert [qual for qual, name in state_definitions() if not reads[name]] == []

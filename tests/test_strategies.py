@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 from dchag.config import (AGG_LAYER_KINDS, AGG_VARIANTS, STRATEGY_KINDS, ConfigError,
                           ModelConfig, ParallelConfig, StrategyConfig)
-from dchag.params import (create_master, parameter_specs, rank_parameter_sizes,
-                          shard_for_rank, unshard_grads)
+from dchag.params import (REPLICATED, create_master, parameter_specs, placement,
+                          rank_parameter_sizes, shard_for_rank, unshard_grads)
 from dchag.rng import RngState
 from dchag.strategies import (DCHAG_BOUNDARY_TAG, TOKEN_GATHER_TAG,
                               run_dchag_reference_step, run_dchag_step,
@@ -104,6 +104,20 @@ class TestTpEquivalence:
         for name in ("vit.blk0.ln1.g", "dec.head.w", "tok.w", "special.meta_w"):
             np.testing.assert_array_equal(res.rank_grads[0][name],
                                           res.rank_grads[1][name])
+        # dchag's final layer is replicated: placed whole on every rank, its
+        # gradients bit-identical everywhere, and no collective of its own
+        model = tiny(channels=8, agg_variant="full_cross")
+        for tp in (2, 4):
+            strat = StrategyConfig(kind="dchag", tp_degree=tp, max_group=2)
+            master = create_master(model, strat, RngState(6))
+            res = run_dchag_step(ParallelConfig(dchag_tp=tp), model, strat, master,
+                                 make_batch(model, 1, 0, [0]))
+            final = [name for name in master if name.startswith("agg.final.")]
+            assert final and {placement(name, strat) for name in final} == {REPLICATED}
+            for grads in res.rank_grads[1:]:
+                for name in final:
+                    np.testing.assert_array_equal(grads[name], res.rank_grads[0][name])
+            assert "agg.final" not in {e.tag for e in res.ledger.events()}
 
     def test_indivisible_heads_rejected(self):
         model = tiny(heads=2)
@@ -252,32 +266,6 @@ class TestDchag:
         dchag_payload = model.seq * model.embed * 8 * (tp - 1)
         assert dist_payload // dchag_payload == model.channels // tp
 
-    def test_channel_only_tp_has_no_backward_tp_events(self):
-        # tp group used only for channel work: replicated final layer and ViT
-        model = tiny(channels=8)
-        strat = StrategyConfig(kind="dchag", tp_degree=2, max_group=2,
-                               vit_tp_split=False)
-        master = create_master(model, strat, RngState(6))
-        batch = make_batch(model, 11, 0, [0, 1])
-        res = run_dchag_step(ParallelConfig(dchag_tp=2), model, strat, master, batch)
-        assert res.ledger.query(phase="backward", axis="tp") == (0, 0)
-        _, fw = res.ledger.query(phase="forward", axis="tp")
-        assert fw == 2  # only the boundary gather, once per rank
-        ref = run_dchag_reference_step(model, strat, master, batch)
-        assert_grads_match(ref.grads, res.grads)
-
-    def test_final_layer_tp_split_still_matches(self):
-        model = tiny(channels=8, agg_variant="full_cross")
-        strat = StrategyConfig(kind="dchag", tp_degree=2, max_group=2,
-                               final_layer_tp_split=True)
-        master = create_master(model, strat, RngState(6))
-        batch = make_batch(model, 11, 0, [0])
-        ref = run_dchag_reference_step(model, strat, master, batch)
-        res = run_dchag_step(ParallelConfig(dchag_tp=2), model, strat, master, batch)
-        assert_grads_match(ref.grads, res.grads)
-        # boundary stays clean even when the final layer is head-split
-        assert res.ledger.query(phase="backward", tag=DCHAG_BOUNDARY_TAG) == (0, 0)
-
     def test_scheduler_independence(self):
         model = tiny(channels=8)
         strat = StrategyConfig(kind="dchag", tp_degree=4, max_group=2)
@@ -319,6 +307,18 @@ class TestHybrid:
             _, n = hyb.ledger.query(axis="dp", op="AllReduce", rank=rank)
             assert n == n_rank_params
 
+    @pytest.mark.parametrize("kind", ["dist_token", "dchag"])
+    def test_shared_pos_grad_sum_is_a_backward_event(self, kind):
+        # the optimizer phase is left to optimizer state; gradient sums are backward
+        model = tiny(channels=8)
+        strat = StrategyConfig(kind=kind, tp_degree=2, max_group=2)
+        master = create_master(model, strat, RngState(6))
+        res = run_hybrid_step(ParallelConfig(dchag_tp=2, dp=2), model, strat, master,
+                              [make_batch(model, 1, 0, [0]), make_batch(model, 1, 0, [1])])
+        assert res.ledger.query(phase="optimizer") == (0, 0)
+        _, n = res.ledger.query(phase="backward", tag="shared-grad.special.pos")
+        assert n == 4  # once per rank
+
     def test_fsdp_rejected(self):
         # FSDP is modeled by the cost model only; the simulator does not run it
         model = tiny(depth=2)
@@ -350,8 +350,7 @@ class TestHybrid:
 
 class TestSharding:
     def test_shard_then_unshard_identity(self):
-        flags = ({}, {"vit_tp_split": False}, {"final_layer_tp_split": True},
-                 {"agg_layer_kind": "linear"})
+        flags = ({}, {"agg_layer_kind": "linear"})
         cases = [StrategyConfig()]
         for tp in (1, 2, 4):
             cases += [StrategyConfig(kind="tp_only", tp_degree=tp),
@@ -372,14 +371,12 @@ class TestSharding:
     @settings(max_examples=40, deadline=None, database=None)
     @given(kind=st.sampled_from(STRATEGY_KINDS), tp=st.sampled_from((1, 2, 4)),
            channels=st.integers(1, 8), max_group=st.integers(2, 4),
-           variant=st.sampled_from(AGG_VARIANTS), layer_kind=st.sampled_from(AGG_LAYER_KINDS),
-           final_split=st.booleans(), vit_split=st.booleans())
+           variant=st.sampled_from(AGG_VARIANTS), layer_kind=st.sampled_from(AGG_LAYER_KINDS))
     def test_random_layout_round_trip(self, kind, tp, channels, max_group, variant,
-                                      layer_kind, final_split, vit_split):
+                                      layer_kind):
         model = tiny(channels=channels, agg_variant=variant)
         strat = StrategyConfig(kind=kind, tp_degree=tp, max_group=max_group,
-                               agg_layer_kind=layer_kind,
-                               final_layer_tp_split=final_split, vit_tp_split=vit_split)
+                               agg_layer_kind=layer_kind)
         try:
             master = create_master(model, strat, RngState(5))
         except ConfigError:
