@@ -164,6 +164,8 @@ class StrategyConfig:
             raise ConfigError("tp_degree must be >= 1")
         if self.agg_layer_kind not in AGG_LAYER_KINDS:
             raise ConfigError(f"agg_layer_kind must be one of {AGG_LAYER_KINDS}")
+        if self.max_group < 2:
+            raise ConfigError(f"max_group must be >= 2, got {self.max_group}")
         if self.slabs_channels and model.channels % self.tp_degree:
             raise ConfigError(
                 f"channels {model.channels} not divisible by tp_degree {self.tp_degree}"

@@ -1,55 +1,21 @@
 """Closed-form memory / FLOP / communication estimator and rank planner.
 
-Activation accounting enumerates the tensors the engine actually
-materializes (stored-for-backward, no checkpointing, views free), so the
-estimate can be validated against the allocator at desk scale and then
-evaluated at configurations far beyond it.  Key structural terms, per rank
-and per step, in elements (multiply by precision bytes):
+The contract, per rank and per step:
 
-* tokenization: input slab B*Cs*S*pp, patch rows B*Cs*S*pp, and four
-  token-sized tensors B*Cs*S*D (embedding matmul plus bias / channel-ID /
-  positional adds); distributed tokenization adds the gathered full token
-  tensor B*C*S*D.
-* flat cross-attention aggregation over Ck token stacks: k/v (and q for
-  full_cross) at width D/tp, the single_query learned-query projection
-  (one row of width D/tp), three logit-sized tensors (raw, scaled,
-  softmax) B*S*(H/tp)*Ck^2 for full_cross or B*S*(H/tp)*Ck for
-  single_query, context at D/tp (plus its head-merge copy for full_cross
-  when a rank holds several heads), and for full_cross ~3.2 full-width
-  B*S*Ck*D tensors (summed output, bias add, reduce stage) that tensor
-  parallelism does NOT divide — the quadratic channel term is the
-  full_cross logits.
-* aggregation is one such flat layer, head-split over Ck = C token
-  stacks for tp_only and dist_token, or for dchag replicated over Ck = tp
-  gathered streams after the rank's slab tree: the flat-layer formula per
-  tree node with Ck = group size, plus one level-output concat per level
-  (linear nodes cost ~3 stream-sized tensors B*S*D each), and the
-  gathered streams.
-* transformer block at sequence T=S+1: ~8 full-width B*T*D tensors
-  (norms, residuals, summed outputs), ~6 split-width B*T*D/tp, three
-  attention-logit tensors B*(H/tp)*T^2, three MLP tensors B*T*mD/tp; the
-  blocks follow the masked stream, the [B, 4] metadata input and its
-  token, and the concatenated sequence.
-* decoder: projection/pos at Dd, decoder blocks via the block formula,
-  then six B*S*C*pp tensors (prediction-head matmul and bias add, the
-  reordered target, the difference, the masked difference and its square)
-  and the two scalar loss tensors (sum and mean).
-
-Parameter bytes per rank and component come from `params`: the parameter
-table and its placement rule, the same ones that shard the simulator's
-ranks.  Grads = params, optimizer = 2x params (moment pair), all at
-`precision_bytes`.  FSDP is modeled here only: it divides the transformer
-blocks' params/grads/optimizer by the fsdp degree, and its payload is the
-tp-local block bytes.  Every tp and dp collective is charged through the
-ledger's own payload functions, `ring_allgather_payload` and
-`ring_allreduce_payload`, so estimate and ledger share one byte rule per
-collective.  Which layers are head-split is read from the strategy's
-`splits_agg` and `splits_vit`, as in the simulator; a head-split layer's
-exchanges are one AllReduce each: agg.flat sums its output forward, fans
-out its input backward and, for single_query, fans out the learned query;
-a transformer block sums two outputs forward and fans out two inputs
-backward.  Slab tokenization adds one backward AllReduce of the
-positional-embedding gradient.
+* Activations count exactly the tensors the engine materializes
+  (stored for backward, no checkpointing, views free), so at desk scale
+  each component's estimate equals the allocator's per-tag peak.  Each
+  layer's terms are written once, on the one function that returns its
+  activation elements and FLOPs together.
+* Parameter bytes come from `params`' table and placement rule, the ones
+  that shard the simulator's ranks.  Grads equal params; optimizer state
+  is twice params (the moment pair).
+* FSDP is modeled only: it divides the transformer blocks' params, grads
+  and optimizer state by its degree, and its payload is the tp-local
+  block bytes.
+* Every tp and dp collective is charged through the ledger's own payload
+  functions, `ring_allgather_payload` and `ring_allreduce_payload`, so
+  estimate and ledger share one byte rule per collective.
 """
 
 from __future__ import annotations
@@ -94,76 +60,91 @@ class CostReport:
         return sum(v for (ph, _), v in self.comm.items() if ph == "forward")
 
 
-# -- activation element counts (mirroring the executed graph) -------------------
+# -- one function per executed layer: (activation elements, FLOPs) ----------------
 
 
-def _attention_agg_acts(b, s, ck, d, heads, variant, tp):
-    """Tensors one aggregation layer stores: key/value (query too for
-    full_cross) at split width, three logit-sized tensors, context (+head
-    merge copy when several local heads and several tokens), and the
-    full-width output chain (the summed output gains one tensor under
-    tensor parallelism)."""
-    dl = d / tp
-    hl = heads / tp
+def _agg_layer(b, s, ck, d, heads, variant, tp):
+    """One cross-attention aggregation layer over Ck token stacks,
+    head-split over tp.
+
+    Activations: key/value (query too for full_cross) at width D/tp; the
+    single_query learned-query projection (one row of width D/tp); three
+    logit-sized tensors (raw, scaled, softmax) B*S*(H/tp)*Ck^2 for
+    full_cross or B*S*(H/tp)*Ck for single_query; the context at D/tp,
+    plus its head-merge copy for full_cross when a rank holds several
+    heads of several tokens; the full-width output chain (matmul, bias
+    add, and the summed output under tp), which tp does not divide; and
+    full_cross's reduce stage (three B*S*Ck score tensors and the B*S*D
+    output).  The quadratic channel term is the full_cross logits.
+
+    FLOPs: the key/value (and query) projections, the two attention
+    products, and the output projection of every attended token.
+    """
+    dl, hl = d / tp, heads / tp
     out_chain = 2 + (1 if tp > 1 else 0)
     if variant == "single_query":
-        kv = 2 * b * s * ck * dl
-        logits = 3 * b * s * hl * ck
-        ctx = b * s * dl  # single token: the head merge aliases
-        return kv + logits + ctx + out_chain * b * s * d + dl  # dl: query projection
-    qkv = 3 * b * s * ck * dl
-    logits = 3 * b * s * hl * ck * ck
+        acts = (2 * b * s * ck * dl + 3 * b * s * hl * ck + b * s * dl + out_chain * b * s * d
+                + dl)
+        flops = (2 * 2 * b * s * ck * d * dl + 2 * 2 * b * s * hl * ck * (d / heads)
+                 + 2 * b * s * d * dl)
+        return acts, flops
     ctx = (2 if hl > 1 and ck > 1 else 1) * b * s * ck * dl
-    full = out_chain * b * s * ck * d
-    reduce_stage = 3 * b * s * ck + b * s * d
-    return qkv + logits + ctx + full + reduce_stage
+    acts = (3 * b * s * ck * dl + 3 * b * s * hl * ck * ck + ctx + out_chain * b * s * ck * d
+            + 3 * b * s * ck + b * s * d)
+    flops = (3 * 2 * b * s * ck * d * dl + 2 * 2 * b * s * hl * ck * ck * (d / heads)
+             + 2 * b * s * ck * d * dl)
+    return acts, flops
 
 
-def _linear_node_acts(b, s, d):
-    return 3 * b * s * d  # mixed stream, matmul out, bias add
+def _tree(b, s, d, heads, tree: TreeSpec, layer_kind, variant):
+    """A rank's slab tree, summed over its nodes.
 
-
-def _tree_acts(b, s, d, heads, tree: TreeSpec, layer_kind, variant):
-    total = 0.0
+    A cross_attention node is an unsplit `_agg_layer` over its group.  A
+    linear node of group g stores its mixed stream, matmul output and bias
+    add (three B*S*D tensors) and costs 2*B*S*D*(g+D) FLOPs (the channel
+    mix, then the projection).  A level of several nodes also stores the
+    concatenation of their outputs, B*S*D per node.
+    """
+    acts = flops = 0
     for level in tree.levels:
-        for group in level:
+        for g in level:
             if layer_kind == "linear":
-                total += _linear_node_acts(b, s, d)
+                a, f = 3 * b * s * d, 2 * b * s * d * (g + d)
             else:
-                total += _attention_agg_acts(b, s, group, d, heads, variant, 1)
+                a, f = _agg_layer(b, s, g, d, heads, variant, 1)
+            acts, flops = acts + a, flops + f
         if len(level) > 1:
-            total += b * s * len(level) * d  # level-output concatenation
-    return total
+            acts += b * s * len(level) * d
+    return acts, flops
 
 
-def _block_acts(b, t, d, heads, m, tp):
-    """One transformer block: full-width tensors (norms, output chains,
-    residuals; two more under tensor parallelism), split-width q/k/v and
-    context (merge copy only with several local heads), attention logits,
-    and the MLP hidden chain."""
+def _block(b, t, d, heads, m, tp):
+    """One transformer block at sequence length T, head-split over tp.
+
+    Activations: eight full-width B*T*D tensors (norms, output chains,
+    residuals; two more summed outputs under tp), six split-width
+    B*T*D/tp (q and v with their bias adds, k, and the context; one more
+    head-merge copy when a rank holds several heads), three attention-logit
+    tensors B*(H/tp)*T^2 (raw, scaled, softmax), and three MLP hidden
+    tensors B*T*mD/tp.
+
+    FLOPs: the q/k/v/output projections, the two attention products and
+    the MLP's two matmuls, each divided over tp.
+    """
     hl = heads / tp
-    full = (8 + (2 if tp > 1 else 0)) * b * t * d
-    split = (6 + (1 if hl > 1 else 0)) * b * t * d / tp
-    logits = 3 * b * hl * t * t
-    mlp = 3 * b * t * m * d / tp
-    return full + split + logits + mlp
-
-
-def _attention_agg_flops(b, s, ck, d, heads, variant, tp):
-    proj = (2 if variant == "single_query" else 3) * 2 * b * s * ck * d * d / tp
-    att = 2 * 2 * b * s * (heads / tp) * (ck * ck if variant == "full_cross" else ck) * (d / heads)
-    out = 2 * b * s * (ck if variant == "full_cross" else 1) * d * d / tp
-    return proj + att + out
-
-
-def _block_flops(b, t, d, m, tp):
-    qkv_out = 4 * 2 * b * t * d * d / tp
-    att = 2 * 2 * b * t * t * d / tp
-    mlp = 2 * 2 * b * t * d * m * d / tp
-    return qkv_out + att + mlp
+    acts = ((8 + (2 if tp > 1 else 0)) * b * t * d + (6 + (1 if hl > 1 else 0)) * b * t * d / tp
+            + 3 * b * hl * t * t + 3 * b * t * m * d / tp)
+    flops = (4 * 2 * b * t * d * d + 2 * 2 * b * t * t * d + 2 * 2 * b * t * d * m * d) / tp
+    return acts, flops
 
 
 # -- the estimator ---------------------------------------------------------------
+
+
+def _check_sizes(**sizes) -> None:
+    for name, value in sizes.items():
+        if value < 1:
+            raise ConfigError(f"{name} must be >= 1, got {value}")
 
 
 def estimate(model: ModelConfig, strategy: StrategyConfig,
@@ -173,12 +154,14 @@ def estimate(model: ModelConfig, strategy: StrategyConfig,
     """Per-rank cost report for one training step.
 
     Configurations the simulator rejects, such as channel slabs that tp does
-    not divide, raise ConfigError here too.
+    not divide, raise ConfigError here too, as do a batch or precision
+    below one.
     """
     hw = hw or HardwareModel()
     hw.validate()
     pconfig = pconfig or ParallelConfig(dchag_tp=strategy.tp_degree)
     strategy.validate(model, pconfig)
+    _check_sizes(precision_bytes=precision_bytes, batch=batch)
     pb = precision_bytes
     b = batch
     c, d, s = model.channels, model.embed, model.seq
@@ -195,6 +178,10 @@ def estimate(model: ModelConfig, strategy: StrategyConfig,
     def add_comm(phase, axis, nbytes):
         comm[(phase, axis)] = comm.get((phase, axis), 0) + nbytes
 
+    def cost(comp, acts, flops):
+        comps[comp].activation_bytes = int(acts * pb)
+        comps[comp].flops = int(flops)
+
     # --- parameters, from the placement rule ---------------------------------
     sizes = rank_parameter_sizes(model, strategy)
     for comp, count, elems in sizes:
@@ -209,65 +196,60 @@ def estimate(model: ModelConfig, strategy: StrategyConfig,
             count * ring_allreduce_payload(-(-elems // fsdp) if comp == "vit" else elems,
                                            pb, dp)
             for comp, count, elems in sizes))
-    if strategy.slabs_channels and tp > 1:
-        add_comm("backward", "tp", ring_allreduce_payload(s * d, pb, tp))  # shared pos-embed grad
 
-    # --- tokenize ---------------------------------------------------------
-    tok = comps["tokenize"]
-    acts = b * cloc * s * pp * 2 + 4 * b * cloc * s * d  # input+patches, token chain
+    # --- tokenize: the input slab and its patch rows (B*Cs*S*pp each), and
+    # four token-sized tensors (the embedding matmul, then the bias,
+    # channel-ID and positional adds); dist_token also stores the gathered
+    # full token tensor.  FLOPs: the embedding matmul and the three adds.
+    acts = b * cloc * s * pp * 2 + 4 * b * cloc * s * d
     if strategy.kind == "dist_token":
-        acts += b * c * s * d  # gathered full token tensor
+        acts += b * c * s * d
         add_comm("forward", "tp", ring_allgather_payload(b * cloc * s * d * pb, tp))
-    tok.activation_bytes = int(acts * pb)
-    tok.flops = int(2 * b * cloc * s * pp * d + 3 * b * cloc * s * d)
+    if strategy.slabs_channels and tp > 1:  # fanout of the shared positional embedding
+        add_comm("backward", "tp", ring_allreduce_payload(s * d, pb, tp))
+    cost("tokenize", acts, 2 * b * cloc * s * pp * d + 3 * b * cloc * s * d)
 
-    # --- aggregate --------------------------------------------------------
-    agg = comps["aggregate"]
+    # --- aggregate: agg.flat over the C token stacks, head-split over tp;
+    # or dchag's slab tree, the gathered tp streams and agg.final over them,
+    # replicated.
     acts = flops = 0
-    ck, agg_tp = c, tp  # agg.flat: C token stacks, head-split over tp
+    ck, agg_tp = c, tp
     if strategy.kind == "dchag":
-        tree = rank_tree(model, strategy)
-        acts += _tree_acts(b, s, d, heads, tree, strategy.agg_layer_kind, model.agg_variant)
+        acts, flops = _tree(b, s, d, heads, rank_tree(model, strategy),
+                            strategy.agg_layer_kind, model.agg_variant)
         acts += b * tp * s * d  # gathered streams
-        add_comm("forward", "tp", ring_allgather_payload(b * s * d * pb, tp))  # stream gather
-        flops += sum(
-            (_attention_agg_flops(b, s, g, d, heads, model.agg_variant, 1)
-             if strategy.agg_layer_kind == "cross_attention"
-             else 2 * b * s * d * (g + d))
-            for level in tree.levels for g in level)
-        ck, agg_tp = tp, 1  # agg.final: tp gathered streams, replicated
-    acts += _attention_agg_acts(b, s, ck, d, heads, model.agg_variant, agg_tp)
-    flops += _attention_agg_flops(b, s, ck, d, heads, model.agg_variant, agg_tp)
-    if strategy.splits_agg:  # agg.flat over the C token stacks
+        add_comm("forward", "tp", ring_allgather_payload(b * s * d * pb, tp))
+        ck, agg_tp = tp, 1
+    layer_acts, layer_flops = _agg_layer(b, s, ck, d, heads, model.agg_variant, agg_tp)
+    cost("aggregate", acts + layer_acts, flops + layer_flops)
+    if strategy.splits_agg:
         width = (c if model.agg_variant == "full_cross" else 1) * b * s * d
         add_comm("forward", "tp", ring_allreduce_payload(width, pb, tp))  # output allsum
         add_comm("backward", "tp", ring_allreduce_payload(b * s * c * d, pb, tp))  # input fanout
         if model.agg_variant == "single_query":  # fanout of the learned query
             add_comm("backward", "tp", ring_allreduce_payload(d, pb, tp))
-    agg.activation_bytes = int(acts * pb)
-    agg.flops = int(flops)
 
-    # --- transformer blocks -------------------------------------------------
-    vit = comps["vit"]
-    acts = depth * _block_acts(b, t, d, heads, m, tp)
-    acts += b * t * d + 3 * b * s * d + b * s + 4 * b + 2 * b * d  # concat, mask, metadata
-    vit.activation_bytes = int(acts * pb)
-    vit.flops = int(depth * _block_flops(b, t, d, m, tp))
+    # --- vit: the blocks at T = S+1, after the masked stream, the [B, 4]
+    # metadata input and its token, and the concatenated sequence.
+    block_acts, block_flops = _block(b, t, d, heads, m, tp)
+    cost("vit", depth * block_acts + b * t * d + 3 * b * s * d + b * s + 4 * b + 2 * b * d,
+         depth * block_flops)
     if strategy.splits_vit:
         per_block = 2 * ring_allreduce_payload(b * t * d, pb, tp)  # two exchanges per phase
         add_comm("forward", "tp", depth * per_block)
         add_comm("backward", "tp", depth * per_block)
 
-    # --- decoder -------------------------------------------------------------
-    dec = comps["decoder"]
+    # --- decoder: the projection to Dd with its two adds (three B*S*Dd
+    # tensors), single-head blocks, then six B*S*C*pp tensors (the
+    # prediction-head matmul and bias add, the reordered target, the
+    # difference, the masked difference and its square) and the two scalar
+    # loss tensors.  FLOPs: the projection, the blocks and the head.
     dd = model.decoder_dim
-    acts = 3 * b * s * dd + model.decoder_depth * _block_acts(b, s, dd, 1, m, 1)
-    acts += 6 * b * s * c * pp + 2  # prediction head, target/masked-diff chain, loss
-    dec.activation_bytes = int(acts * pb)
-    dec.flops = int(2 * b * s * d * dd + model.decoder_depth * _block_flops(b, s, dd, m, 1)
-                    + 2 * b * s * dd * c * pp)
+    block_acts, block_flops = _block(b, s, dd, 1, m, 1)
+    cost("decoder",
+         3 * b * s * dd + model.decoder_depth * block_acts + 6 * b * s * c * pp + 2,
+         2 * b * s * d * dd + model.decoder_depth * block_flops + 2 * b * s * dd * c * pp)
 
-    # grads and optimizer state per component
     for cc in comps.values():
         cc.grad_bytes = cc.params_bytes
         cc.optimizer_bytes = 2 * cc.params_bytes
@@ -311,6 +293,7 @@ def plan(model: ModelConfig, hw: HardwareModel, family: str = "dchag",
         raise ConfigError(f"unknown strategy family {family}")
     model.validate()
     hw.validate()
+    _check_sizes(precision_bytes=precision_bytes, batch=batch)
     best: PlanResult | None = None
     tp_limit = min(rank_limit, model.heads)
     for tp in _pow2_up_to(tp_limit if family != "serial" else 1):

@@ -7,7 +7,8 @@ layer takes the model's head count and its tp `group`, holds
 parameter prefix.  Its only exchanges are Megatron's two conjugate
 operators, each one AllReduce over the group: `fanout` (identity forward,
 gradient all-reduce backward) where a replicated tensor feeds a split
-projection, and `allsum` (all-reduce forward, identity backward) where
+projection or a per-rank computation (a channel slab's positional
+embedding), and `allsum` (all-reduce forward, identity backward) where
 split partial outputs merge.  With group=None both return their input,
 and the math is the single-process reference.
 """

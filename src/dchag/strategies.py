@@ -26,7 +26,9 @@ one forward of every parallel kind.
 A layer the strategy splits is given the rank's tp group, and `None`
 otherwise; the layer derives its local heads and its exchanges from the
 group (see `layers`).  The token and stream gathers of dist_token and
-dchag are `gather_shards`, whose backward is a local slice.
+dchag are `gather_shards`, whose backward is a local slice.  A slab rank
+reads the replicated positional embedding through `layers.fanout`, so its
+gradient is summed over tp inside the backward.
 
 One driver, `run_hybrid_step`, executes every parallel step over the
 (tp, fsdp, dp) grid; `run_tp_step`, `run_dist_token_step` and
@@ -43,6 +45,7 @@ import numpy as np
 
 from . import tensor as T
 from .config import ConfigError, ModelConfig, ParallelConfig, StrategyConfig
+from .layers import fanout
 from .model import (Batch, flat_aggregate, forward_loss_dchag_reference,
                     forward_loss_serial, tokenize_channels, tree_aggregate,
                     trunk_loss)
@@ -152,9 +155,11 @@ def parallel_forward_loss(w: dict, model: ModelConfig, strategy: StrategyConfig,
             images = Tensor(batch.images[:, tp_i * cloc:(tp_i + 1) * cloc].copy())
         else:
             images = Tensor(batch.images)  # redundant tokenization of all channels
+        shares_pos = strategy.slabs_channels and strategy.tp_degree > 1
+        pos = fanout(ctx.tp if shares_pos else None, w["special.pos"],
+                     "shared-grad.special.pos")
         tokens = tokenize_channels(images, w["tok.w"], w["tok.b"],
-                                   w["special.channel_id"], w["special.pos"],
-                                   model.patch)
+                                   w["special.channel_id"], pos, model.patch)
         if strategy.kind == "dist_token":
             tokens = gather_shards(ctx.tp, tokens, axis=1, tag=TOKEN_GATHER_TAG)
     with alloc_tag("aggregate"):
@@ -171,22 +176,6 @@ def parallel_forward_loss(w: dict, model: ModelConfig, strategy: StrategyConfig,
 
 
 # -- the parallel step driver ---------------------------------------------------
-
-
-def _sync_shared_grads(ctx: RankContext, w: dict, strategy: StrategyConfig) -> None:
-    """Complete the gradient of shared parameters consumed per channel slab.
-
-    With slab tokenization the positional embedding is replicated but each
-    rank back-propagates only its own slab's contribution; the partial
-    gradients are summed here, once the activation backward is done, so
-    that path itself stays collective-free.  The sum is recorded under the
-    backward phase, like the dp gradient AllReduce after it.
-    """
-    if not strategy.slabs_channels or strategy.tp_degree == 1:
-        return
-    t = w["special.pos"]
-    if t.grad is not None:
-        t.grad = ctx.tp.all_reduce(t.grad, tag="shared-grad.special.pos")
 
 
 def run_hybrid_step(pconfig: ParallelConfig, model: ModelConfig,
@@ -211,7 +200,6 @@ def run_hybrid_step(pconfig: ParallelConfig, model: ModelConfig,
         loss = parallel_forward_loss(w, model, strategy, batches[dp_i], ctx)
         ctx.phase = "backward"
         T.backward(loss)
-        _sync_shared_grads(ctx, w, strategy)
         if pconfig.dp > 1:
             inv = 1.0 / pconfig.dp
             for name in sorted(w):

@@ -151,15 +151,18 @@ class TestComm:
 
 @functools.lru_cache(maxsize=None)
 def activations(case):
-    """(estimated, measured) activation bytes per component of one grid case;
-    measured is the allocator's per-tag peak on the busiest rank."""
+    """(estimated, measured) activation bytes and (estimated, measured) FLOPs
+    per component of one grid case; measured is the allocator's per-tag peak
+    and the tracker's per-tag FLOPs, each on the busiest rank."""
     variant, strat = case
     model = desk(variant)
     res = run_step(model, strat, [make_batch(model, 5, 0, [0, 1])])
     stats = res.stats if isinstance(res.stats, list) else [res.stats]
     rep = estimate(model, strat, precision_bytes=8, batch=2)
     return ({c: rep.activation(c) for c in COMPONENT_TAGS},
-            {c: max(st.tag_peak(c) for st in stats) for c in COMPONENT_TAGS})
+            {c: max(st.tag_peak(c) for st in stats) for c in COMPONENT_TAGS},
+            {c: rep.components[c].flops for c in COMPONENT_TAGS},
+            {c: max(st.tag_flops(c) for st in stats) for c in COMPONENT_TAGS})
 
 
 class TestActivations:
@@ -168,15 +171,37 @@ class TestActivations:
 
     @pytest.mark.parametrize("case", GRID, ids=case_id)
     def test_tokenize_and_decoder_match_allocator(self, case):
-        est, measured = activations(case)
+        est, measured, _, _ = activations(case)
         for comp in ("tokenize", "decoder"):
             assert est[comp] == measured[comp], comp
 
     @pytest.mark.parametrize("case", GRID, ids=case_id)
     def test_aggregate_and_vit_match_allocator(self, case):
-        est, measured = activations(case)
+        est, measured, _, _ = activations(case)
         for comp in ("aggregate", "vit"):
             assert est[comp] == measured[comp], comp
+
+
+# Today's least estimate/measured FLOP ratio over the grid per component;
+# the estimate counts the matmuls and leaves out most elementwise ops.
+FLOP_FLOORS = {"aggregate": 0.83, "vit": 0.70, "decoder": 0.77}
+
+
+class TestFlops:
+    """The tokenizer's FLOP estimate is exact; the other components stay
+    under the tracker's count, within a floor that guards against terms
+    going missing."""
+
+    @pytest.mark.parametrize("case", GRID, ids=case_id)
+    def test_tokenize_matches_tracker(self, case):
+        _, _, est, measured = activations(case)
+        assert est["tokenize"] == measured["tokenize"]
+
+    @pytest.mark.parametrize("case", GRID, ids=case_id)
+    def test_within_band_of_tracker(self, case):
+        _, _, est, measured = activations(case)
+        for comp, floor in FLOP_FLOORS.items():
+            assert floor * measured[comp] <= est[comp] <= measured[comp], comp
 
 
 class TestContract:
@@ -210,6 +235,14 @@ class TestContract:
         # no modulo check divides by it, and no cost is estimated from it
         with pytest.raises(ConfigError, match=f"^{field} "):
             estimate(replace(desk(), **{field: value}), StrategyConfig())
+
+    @pytest.mark.parametrize("arg, value", [
+        ("batch", 0), ("batch", -2), ("precision_bytes", 0), ("precision_bytes", -8)])
+    def test_impossible_batch_or_precision_rejected(self, arg, value):
+        with pytest.raises(ConfigError, match=f"^{arg} "):
+            estimate(desk(), StrategyConfig(), **{arg: value})
+        with pytest.raises(ConfigError, match=f"^{arg} "):
+            plan(desk(), HardwareModel(), **{arg: value})
 
     def test_invalid_hardware_rejected(self):
         with pytest.raises(ConfigError, match="bytes_per_gpu"):

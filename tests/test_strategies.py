@@ -235,6 +235,16 @@ class TestDchag:
         with pytest.raises(ConfigError, match="divisible"):
             run_dchag_reference_step(model, strat, master, make_batch(model, 1, 0, [0]))
 
+    @pytest.mark.parametrize("max_group", [1, 0, -2])
+    def test_tree_without_grouping_rejected(self, max_group):
+        # caught by the one layout check, before create_master builds a tree
+        model = tiny(channels=8)
+        strat = StrategyConfig(kind="dchag", tp_degree=2, max_group=max_group)
+        with pytest.raises(ConfigError, match="^max_group "):
+            strat.validate(model)
+        with pytest.raises(ConfigError, match="^max_group "):
+            create_master(model, strat, RngState(6))
+
     def test_reference_rejects_other_kinds(self):
         # the oracle names the wrong kind instead of failing on a missing tree weight
         model = tiny(channels=4)
@@ -307,17 +317,19 @@ class TestHybrid:
             _, n = hyb.ledger.query(axis="dp", op="AllReduce", rank=rank)
             assert n == n_rank_params
 
+    @pytest.mark.parametrize("tp", [1, 2])
     @pytest.mark.parametrize("kind", ["dist_token", "dchag"])
-    def test_shared_pos_grad_sum_is_a_backward_event(self, kind):
-        # the optimizer phase is left to optimizer state; gradient sums are backward
+    def test_shared_pos_grad_sum_is_a_backward_event(self, kind, tp):
+        # the optimizer phase is left to optimizer state; gradient sums are
+        # backward, and a one-rank slab holds the whole sum already
         model = tiny(channels=8)
-        strat = StrategyConfig(kind=kind, tp_degree=2, max_group=2)
+        strat = StrategyConfig(kind=kind, tp_degree=tp, max_group=2)
         master = create_master(model, strat, RngState(6))
-        res = run_hybrid_step(ParallelConfig(dchag_tp=2, dp=2), model, strat, master,
+        res = run_hybrid_step(ParallelConfig(dchag_tp=tp, dp=2), model, strat, master,
                               [make_batch(model, 1, 0, [0]), make_batch(model, 1, 0, [1])])
         assert res.ledger.query(phase="optimizer") == (0, 0)
         _, n = res.ledger.query(phase="backward", tag="shared-grad.special.pos")
-        assert n == 4  # once per rank
+        assert n == (2 * tp if tp > 1 else 0)  # once per rank
 
     def test_fsdp_rejected(self):
         # FSDP is modeled by the cost model only; the simulator does not run it
