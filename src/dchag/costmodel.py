@@ -2,11 +2,13 @@
 
 The contract, per rank and per step:
 
-* Activations count exactly the tensors the engine materializes
-  (stored for backward, no checkpointing, views free), so at desk scale
-  each component's estimate equals the allocator's per-tag peak.  Each
-  layer's terms are written once, on the one function that returns its
-  activation elements and FLOPs together.
+* Activations count exactly the buffers the engine materializes (views
+  free), so at desk scale each component's estimate equals the
+  allocator's per-tag peak.  Every tensor is stored for backward except
+  attention probabilities, which the fused attention op recomputes; its
+  logits are a transient, counted in the component's peak at the point
+  the op runs.  Each layer's terms are written once, on the one function
+  that returns its activation elements and FLOPs together.
 * Parameter bytes come from `params`' table and placement rule, the ones
   that shard the simulator's ranks.  Grads equal params; optimizer state
   is twice params (the moment pair).
@@ -61,6 +63,35 @@ class CostReport:
 
 
 # -- one function per executed layer: (activation elements, FLOPs) ----------------
+#
+# A layer's activation elements are a pair (kept, high): what it leaves
+# live for backward, and the highest it raises the live count above its
+# start.  They differ only across a fused attention op, whose logits are
+# live only inside it.
+
+
+def _then(*parts):
+    """Activation pairs run one after the other: kept elements add up, and
+    the high water is the highest live point of any part."""
+    kept = high = 0
+    for part_kept, part_high in parts:
+        high = max(high, kept + part_high)
+        kept += part_kept
+    return kept, high
+
+
+def _stored(n):
+    """n elements that stay live for backward."""
+    return n, n
+
+
+def _attention(rows, hl, tq, tk, dl):
+    """The fused attention op over `rows` broadcast positions: it keeps its
+    merged output (rows*Tq*Dl) and per-row log-sum-exp (rows*Hl*Tq), and
+    holds the logits (rows*Hl*Tq*Tk) on top of both; the scaled q and the
+    row sums it holds before the output exists are never larger than it."""
+    kept = rows * tq * (dl + hl)
+    return kept, kept + rows * hl * tq * tk
 
 
 def _agg_layer(b, s, ck, d, heads, variant, tp):
@@ -68,12 +99,11 @@ def _agg_layer(b, s, ck, d, heads, variant, tp):
     head-split over tp.
 
     Activations: key/value (query too for full_cross) at width D/tp; the
-    single_query learned-query projection (one row of width D/tp); three
-    logit-sized tensors (raw, scaled, softmax) B*S*(H/tp)*Ck^2 for
-    full_cross or B*S*(H/tp)*Ck for single_query; the context at D/tp,
-    plus its head-merge copy for full_cross when a rank holds several
-    heads of several tokens; the full-width output chain (matmul, bias
-    add, and the summed output under tp), which tp does not divide; and
+    single_query learned-query projection (one row of width D/tp); the
+    attention op over B*S positions, 1 (single_query) or Ck (full_cross)
+    query rows against Ck keys, whose B*S*(H/tp)*Ck or B*S*(H/tp)*Ck^2
+    logits are transient; the full-width output chain (matmul, bias add,
+    and the summed output under tp), which tp does not divide; and
     full_cross's reduce stage (three B*S*Ck score tensors and the B*S*D
     output).  The quadratic channel term is the full_cross logits.
 
@@ -83,21 +113,20 @@ def _agg_layer(b, s, ck, d, heads, variant, tp):
     dl, hl = d / tp, heads / tp
     out_chain = 2 + (1 if tp > 1 else 0)
     if variant == "single_query":
-        acts = (2 * b * s * ck * dl + 3 * b * s * hl * ck + b * s * dl + out_chain * b * s * d
-                + dl)
+        acts = _then(_stored(2 * b * s * ck * dl + dl), _attention(b * s, hl, 1, ck, dl),
+                     _stored(out_chain * b * s * d))
         flops = (2 * 2 * b * s * ck * d * dl + 2 * 2 * b * s * hl * ck * (d / heads)
                  + 2 * b * s * d * dl)
         return acts, flops
-    ctx = (2 if hl > 1 and ck > 1 else 1) * b * s * ck * dl
-    acts = (3 * b * s * ck * dl + 3 * b * s * hl * ck * ck + ctx + out_chain * b * s * ck * d
-            + 3 * b * s * ck + b * s * d)
+    acts = _then(_stored(3 * b * s * ck * dl), _attention(b * s, hl, ck, ck, dl),
+                 _stored(out_chain * b * s * ck * d + 3 * b * s * ck + b * s * d))
     flops = (3 * 2 * b * s * ck * d * dl + 2 * 2 * b * s * hl * ck * ck * (d / heads)
              + 2 * b * s * ck * d * dl)
     return acts, flops
 
 
 def _tree(b, s, d, heads, tree: TreeSpec, layer_kind, variant):
-    """A rank's slab tree, summed over its nodes.
+    """A rank's slab tree, its nodes run in order.
 
     A cross_attention node is an unsplit `_agg_layer` over its group.  A
     linear node of group g stores its mixed stream, matmul output and bias
@@ -105,35 +134,35 @@ def _tree(b, s, d, heads, tree: TreeSpec, layer_kind, variant):
     mix, then the projection).  A level of several nodes also stores the
     concatenation of their outputs, B*S*D per node.
     """
-    acts = flops = 0
+    parts, flops = [], 0
     for level in tree.levels:
         for g in level:
             if layer_kind == "linear":
-                a, f = 3 * b * s * d, 2 * b * s * d * (g + d)
+                a, f = _stored(3 * b * s * d), 2 * b * s * d * (g + d)
             else:
                 a, f = _agg_layer(b, s, g, d, heads, variant, 1)
-            acts, flops = acts + a, flops + f
+            parts.append(a)
+            flops += f
         if len(level) > 1:
-            acts += b * s * len(level) * d
-    return acts, flops
+            parts.append(_stored(b * s * len(level) * d))
+    return _then(*parts), flops
 
 
 def _block(b, t, d, heads, m, tp):
     """One transformer block at sequence length T, head-split over tp.
 
-    Activations: eight full-width B*T*D tensors (norms, output chains,
-    residuals; two more summed outputs under tp), six split-width
-    B*T*D/tp (q and v with their bias adds, k, and the context; one more
-    head-merge copy when a rank holds several heads), three attention-logit
-    tensors B*(H/tp)*T^2 (raw, scaled, softmax), and three MLP hidden
-    tensors B*T*mD/tp.
+    Activations, in order: the first norm (B*T*D); q and v with their bias
+    adds, and k (five B*T*D/tp); the attention op, whose B*(H/tp)*T^2
+    logits are transient; then seven full-width B*T*D tensors (output
+    chain, residuals, second norm, MLP output chain; two more summed
+    outputs under tp) and three MLP hidden tensors B*T*mD/tp.
 
     FLOPs: the q/k/v/output projections, the two attention products and
     the MLP's two matmuls, each divided over tp.
     """
-    hl = heads / tp
-    acts = ((8 + (2 if tp > 1 else 0)) * b * t * d + (6 + (1 if hl > 1 else 0)) * b * t * d / tp
-            + 3 * b * hl * t * t + 3 * b * t * m * d / tp)
+    acts = _then(_stored(b * t * d + 5 * b * t * d / tp),
+                 _attention(b, heads / tp, t, t, d / tp),
+                 _stored((7 + (2 if tp > 1 else 0)) * b * t * d + 3 * b * t * m * d / tp))
     flops = (4 * 2 * b * t * d * d + 2 * 2 * b * t * t * d + 2 * 2 * b * t * d * m * d) / tp
     return acts, flops
 
@@ -178,8 +207,8 @@ def estimate(model: ModelConfig, strategy: StrategyConfig,
     def add_comm(phase, axis, nbytes):
         comm[(phase, axis)] = comm.get((phase, axis), 0) + nbytes
 
-    def cost(comp, acts, flops):
-        comps[comp].activation_bytes = int(acts * pb)
+    def cost(comp, acts, flops):  # a component's activation bytes are its high water
+        comps[comp].activation_bytes = int(acts[1] * pb)
         comps[comp].flops = int(flops)
 
     # --- parameters, from the placement rule ---------------------------------
@@ -207,21 +236,21 @@ def estimate(model: ModelConfig, strategy: StrategyConfig,
         add_comm("forward", "tp", ring_allgather_payload(b * cloc * s * d * pb, tp))
     if strategy.slabs_channels and tp > 1:  # fanout of the shared positional embedding
         add_comm("backward", "tp", ring_allreduce_payload(s * d, pb, tp))
-    cost("tokenize", acts, 2 * b * cloc * s * pp * d + 3 * b * cloc * s * d)
+    cost("tokenize", _stored(acts), 2 * b * cloc * s * pp * d + 3 * b * cloc * s * d)
 
     # --- aggregate: agg.flat over the C token stacks, head-split over tp;
     # or dchag's slab tree, the gathered tp streams and agg.final over them,
     # replicated.
-    acts = flops = 0
+    acts, flops = _stored(0), 0
     ck, agg_tp = c, tp
     if strategy.kind == "dchag":
-        acts, flops = _tree(b, s, d, heads, rank_tree(model, strategy),
-                            strategy.agg_layer_kind, model.agg_variant)
-        acts += b * tp * s * d  # gathered streams
+        tree_acts, flops = _tree(b, s, d, heads, rank_tree(model, strategy),
+                                 strategy.agg_layer_kind, model.agg_variant)
+        acts = _then(tree_acts, _stored(b * tp * s * d))  # then the gathered streams
         add_comm("forward", "tp", ring_allgather_payload(b * s * d * pb, tp))
         ck, agg_tp = tp, 1
     layer_acts, layer_flops = _agg_layer(b, s, ck, d, heads, model.agg_variant, agg_tp)
-    cost("aggregate", acts + layer_acts, flops + layer_flops)
+    cost("aggregate", _then(acts, layer_acts), flops + layer_flops)
     if strategy.splits_agg:
         width = (c if model.agg_variant == "full_cross" else 1) * b * s * d
         add_comm("forward", "tp", ring_allreduce_payload(width, pb, tp))  # output allsum
@@ -232,7 +261,8 @@ def estimate(model: ModelConfig, strategy: StrategyConfig,
     # --- vit: the blocks at T = S+1, after the masked stream, the [B, 4]
     # metadata input and its token, and the concatenated sequence.
     block_acts, block_flops = _block(b, t, d, heads, m, tp)
-    cost("vit", depth * block_acts + b * t * d + 3 * b * s * d + b * s + 4 * b + 2 * b * d,
+    cost("vit", _then(_stored(b * t * d + 3 * b * s * d + b * s + 4 * b + 2 * b * d),
+                      *[block_acts] * depth),
          depth * block_flops)
     if strategy.splits_vit:
         per_block = 2 * ring_allreduce_payload(b * t * d, pb, tp)  # two exchanges per phase
@@ -247,7 +277,8 @@ def estimate(model: ModelConfig, strategy: StrategyConfig,
     dd = model.decoder_dim
     block_acts, block_flops = _block(b, s, dd, 1, m, 1)
     cost("decoder",
-         3 * b * s * dd + model.decoder_depth * block_acts + 6 * b * s * c * pp + 2,
+         _then(_stored(3 * b * s * dd), *[block_acts] * model.decoder_depth,
+               _stored(6 * b * s * c * pp + 2)),
          2 * b * s * d * dd + model.decoder_depth * block_flops + 2 * b * s * dd * c * pp)
 
     for cc in comps.values():

@@ -56,41 +56,13 @@ def local_heads(n_heads: int, group: ProcessGroup | None) -> int:
     return n_heads if group is None else n_heads // group.size
 
 
-def split_heads(x: Tensor, n_heads: int) -> Tensor:
-    """[..., Tn, Dl] -> [..., H, Tn, Dh]."""
-    *lead, tn, dl = x.shape
-    dh = dl // n_heads
-    x = T.reshape(x, (*lead, tn, n_heads, dh))
-    nd = x.ndim
-    perm = tuple(range(nd - 3)) + (nd - 2, nd - 3, nd - 1)
-    return T.transpose(x, perm)
-
-
-def merge_heads(x: Tensor) -> Tensor:
-    """[..., H, Tn, Dh] -> [..., Tn, H*Dh]."""
-    *lead, h, tn, dh = x.shape
-    nd = x.ndim
-    perm = tuple(range(nd - 3)) + (nd - 2, nd - 3, nd - 1)
-    x = T.transpose(x, perm)
-    return T.reshape(x, (*lead, tn, h * dh))
-
-
 def sdp_attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int) -> Tensor:
     """Scaled dot-product attention; q/k/v are [..., Tn, Dl] pre-head-split.
 
-    Materializes the logits and softmax tensors (the memory behavior the
-    allocator studies measure).
+    One fused tape op (`tensor.attention`): no logit-sized tensor outlives
+    the forward, and backward recomputes the probabilities.
     """
-    dh = q.shape[-1] // n_heads
-    qh = split_heads(q, n_heads)
-    kh = split_heads(k, n_heads)
-    vh = split_heads(v, n_heads)
-    nd = kh.ndim
-    kt = T.transpose(kh, tuple(range(nd - 2)) + (nd - 1, nd - 2))
-    logits = T.scale(T.matmul(qh, kt), 1.0 / np.sqrt(dh))
-    probs = T.softmax(logits, axis=-1)
-    ctx = T.matmul(probs, vh)
-    return merge_heads(ctx)
+    return T.attention(q, k, v, n_heads)
 
 
 def transformer_block(x: Tensor, w: dict, prefix: str, n_heads: int,

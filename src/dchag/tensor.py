@@ -5,6 +5,10 @@ Design points that later modules rely on:
 * every op output is a fresh `Tensor`; ops that are pure index
   rearrangements (reshape/transpose/narrow) wrap numpy views and are not
   charged to the allocation tracker, everything else owns its buffer;
+* a fused op charges every buffer its forward holds outside a `Tensor` to
+  the tracker as well: a transient from before its first use until it is
+  dropped, a buffer kept for backward for as long as the closure holding
+  it lives;
 * backward closures capture only numpy arrays and parent `Tensor`s, never
   the output tensor, so graphs are reference-cycle free and buffers are
   reclaimed (and de-accounted) deterministically by refcounting;
@@ -18,6 +22,7 @@ Design points that later modules rely on:
 
 from __future__ import annotations
 
+import functools
 import weakref
 
 import numpy as np
@@ -85,6 +90,15 @@ def _flops(n: int) -> None:
     tr = current_tracker()
     if tr is not None:
         tr.add_flops(int(n))
+
+
+def _held(nbytes: int):
+    """Charge `nbytes` that an op holds outside any `Tensor` to the active
+    tag; returns the call that releases them."""
+    tr = current_tracker()
+    if tr is None:
+        return lambda: None
+    return functools.partial(tr.release, nbytes, tr.allocate(nbytes))
 
 
 def _reduce_to(g: np.ndarray, shape: tuple) -> np.ndarray:
@@ -198,6 +212,84 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
         return (out * (g - dot),)
 
     return Tensor(out, _parents=(x,), _backward=back)
+
+
+def _heads(x: np.ndarray, n_heads: int) -> np.ndarray:
+    """[..., Tn, Dl] as the view [..., H, Tn, Dl/H]."""
+    *lead, tn, dl = x.shape
+    return x.reshape(*lead, tn, n_heads, dl // n_heads).swapaxes(-2, -3)
+
+
+def attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int) -> Tensor:
+    """Scaled dot-product attention over `n_heads` heads as one tape node.
+
+    q is [..., Tq, Dl], k and v are [..., Tk, Dl]; leading axes broadcast,
+    and head h reads features h*Dl/H to (h+1)*Dl/H.  Returns the merged
+    context [..., Tq, Dl].  The forward folds 1/sqrt(Dh) into q, forms the
+    logits in one buffer and turns them into probabilities in place; only
+    the output and the per-row log-sum-exp outlive it.  Backward recomputes
+    the probabilities from those two, as FlashAttention does (Dao et al.,
+    2022), so at most two logit-sized buffers exist at once.  The scaled q,
+    the logits and the row sums are charged to the tracker while they
+    exist, the log-sum-exp for as long as the backward closure lives.
+    """
+    if q.ndim < 2 or k.ndim < 2 or k.shape[-2:] != v.shape[-2:] or q.shape[-1] != k.shape[-1]:
+        raise ShapeError(f"attention needs q [..., Tq, D] and k, v [..., Tk, D], "
+                         f"got {q.shape}, {k.shape}, {v.shape}")
+    if q.shape[-1] % n_heads:
+        raise ShapeError(f"{n_heads} heads do not divide width {q.shape[-1]}")
+    tq, dl = q.shape[-2:]
+    tk = k.shape[-2]
+    lead = np.broadcast_shapes(q.shape[:-2], k.shape[:-2], v.shape[:-2])
+    scale = 1.0 / np.sqrt(dl // n_heads)
+    qd, kd, vd = q.data, k.data, v.data
+    kh, vh = _heads(kd, n_heads), _heads(vd, n_heads)
+
+    release_qs = _held(qd.nbytes)
+    qs = qd * scale
+    p = np.empty((*lead, n_heads, tq, tk))
+    release_p = _held(p.nbytes)
+    np.matmul(_heads(qs, n_heads), kh.swapaxes(-1, -2), out=p)
+    del qs
+    release_qs()
+    lse = p.max(axis=-1)
+    release_lse = _held(lse.nbytes)
+    p -= lse[..., None]
+    np.exp(p, out=p)
+    rowsum = p.sum(axis=-1)
+    release_rowsum = _held(rowsum.nbytes)
+    p /= rowsum[..., None]
+    lse += np.log(rowsum, out=rowsum)
+    del rowsum
+    release_rowsum()
+    ctx = np.empty((*lead, tq, dl))
+    np.matmul(p, vh, out=_heads(ctx, n_heads))
+    _flops(qd.size + p.size * (2 * (dl // n_heads) + 4) + 2 * lse.size + 2 * ctx.size * tk)
+
+    def back(g):
+        qsh = _heads(qd * scale, n_heads)
+        p = np.matmul(qsh, kh.swapaxes(-1, -2))
+        p -= lse[..., None]
+        np.exp(p, out=p)
+        gh = _heads(g, n_heads)
+        dv = np.empty((*lead, tk, dl))
+        np.matmul(p.swapaxes(-1, -2), gh, out=_heads(dv, n_heads))
+        ds = np.matmul(gh, vh.swapaxes(-1, -2))
+        ds -= np.einsum("...d,...d->...", gh, _heads(ctx, n_heads))[..., None]  # rowsum(dO*O)
+        ds *= p  # the logit gradient, without its factor `scale`
+        del p
+        dq = np.empty((*lead, tq, dl))
+        np.matmul(ds, kh, out=_heads(dq, n_heads))
+        dq *= scale
+        dk = np.empty((*lead, tk, dl))
+        np.matmul(ds.swapaxes(-1, -2), qsh, out=_heads(dk, n_heads))
+        return _reduce_to(dq, qd.shape), _reduce_to(dk, kd.shape), _reduce_to(dv, vd.shape)
+
+    out = Tensor(ctx, _parents=(q, k, v), _backward=back)
+    del p
+    release_p()
+    weakref.finalize(back, release_lse)
+    return out
 
 
 def gelu(x: Tensor) -> Tensor:

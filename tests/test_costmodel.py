@@ -11,11 +11,13 @@ from dchag import costmodel
 from dchag.config import (AGG_LAYER_KINDS, ConfigError, HardwareModel, ModelConfig,
                           ParallelConfig, StrategyConfig)
 from dchag.costmodel import estimate, plan
+from dchag.model import forward_loss_serial
 from dchag.params import create_master, shard_for_rank
 from dchag.rng import RngState
 from dchag.strategies import run_hybrid_step, run_serial_step
 from dchag.synthetic import make_batch
-from dchag.tracking import COMPONENT_TAGS
+from dchag.tensor import Tensor
+from dchag.tracking import COMPONENT_TAGS, AllocTracker, activate
 
 # name prefix -> component, written out here rather than taken from params
 COMPONENT_OF = {"tok": "tokenize", "special": "tokenize", "agg": "aggregate",
@@ -149,13 +151,28 @@ class TestComm:
             assert ledger_comm(res.ledger, rank) == {k: v for k, v in rep.comm.items() if v}
 
 
+# More channels and a longer sequence (S=64): here the attention logits,
+# which live only inside the fused op, set the aggregate and vit peaks
+# (`test_long_desk_peaks_inside_attention`), where on the desk above the
+# tensors kept for backward do.
+LONG = (("channels", 16), ("image_h", 32), ("image_w", 32))
+LONG_GRID = [(variant, strat) for variant in VARIANTS for strat in (
+    StrategyConfig(kind="serial"), StrategyConfig(kind="tp_only", tp_degree=2),
+    StrategyConfig(kind="dist_token", tp_degree=2),
+    StrategyConfig(kind="dchag", tp_degree=2, max_group=2),
+    StrategyConfig(kind="dchag", tp_degree=2, max_group=8, agg_layer_kind="linear"))]
+ACTIVATION_CASES = ([pytest.param(case, (), id=case_id(case)) for case in GRID]
+                    + [pytest.param(case, LONG, id=case_id(case) + "-long")
+                       for case in LONG_GRID])
+
+
 @functools.lru_cache(maxsize=None)
-def activations(case):
+def activations(case, geometry=()):
     """(estimated, measured) activation bytes and (estimated, measured) FLOPs
     per component of one grid case; measured is the allocator's per-tag peak
     and the tracker's per-tag FLOPs, each on the busiest rank."""
     variant, strat = case
-    model = desk(variant)
+    model = desk(variant, **dict(geometry))
     res = run_step(model, strat, [make_batch(model, 5, 0, [0, 1])])
     stats = res.stats if isinstance(res.stats, list) else [res.stats]
     rep = estimate(model, strat, precision_bytes=8, batch=2)
@@ -169,17 +186,32 @@ class TestActivations:
     """The activation estimate of every component is exact: the allocator's
     per-tag peak on the busiest rank equals the estimate."""
 
-    @pytest.mark.parametrize("case", GRID, ids=case_id)
-    def test_tokenize_and_decoder_match_allocator(self, case):
-        est, measured, _, _ = activations(case)
+    @pytest.mark.parametrize("case, geometry", ACTIVATION_CASES)
+    def test_tokenize_and_decoder_match_allocator(self, case, geometry):
+        est, measured, _, _ = activations(case, geometry)
         for comp in ("tokenize", "decoder"):
             assert est[comp] == measured[comp], comp
 
-    @pytest.mark.parametrize("case", GRID, ids=case_id)
-    def test_aggregate_and_vit_match_allocator(self, case):
-        est, measured, _, _ = activations(case)
+    @pytest.mark.parametrize("case, geometry", ACTIVATION_CASES)
+    def test_aggregate_and_vit_match_allocator(self, case, geometry):
+        est, measured, _, _ = activations(case, geometry)
         for comp in ("aggregate", "vit"):
             assert est[comp] == measured[comp], comp
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_long_desk_peaks_inside_attention(self, variant):
+        # what the forward leaves live is less than its peak: the peak was
+        # reached while an attention op held its logits
+        model = desk(variant, **dict(LONG))
+        master = create_master(model, StrategyConfig(), RngState(3))
+        tracker = AllocTracker()
+        with activate(tracker):
+            w = {k: Tensor(v, requires_grad=True) for k, v in master.items()}
+            loss = forward_loss_serial(w, model, make_batch(model, 5, 0, [0, 1]))
+            st = tracker.stats()  # `loss` holds the graph, so its tensors are live
+        del loss
+        for comp in ("aggregate", "vit"):
+            assert st.tag_peak(comp) > st.per_tag_live[comp], comp
 
 
 # Today's least estimate/measured FLOP ratio over the grid per component;

@@ -14,9 +14,10 @@ from dchag.model import (Batch, apply_token_mask, flat_aggregate,
 from dchag.params import create_master
 from dchag.rng import RngState
 from dchag.runtime import ring_allreduce_payload, spawn_ranks
-from dchag.strategies import gather_shards
+from dchag.strategies import gather_shards, run_serial_step
 from dchag.synthetic import make_batch
 from dchag.tensor import Tensor
+from dchag.tracking import current_tracker
 
 from conftest import check_grad, rel_err
 
@@ -252,10 +253,31 @@ class TestFlatAggregate:
             master["agg.flat.wo"], master["agg.flat.bo"], master["agg.flat.rq"], 2)
         assert rel_err(out.data, expect) < 1e-12
 
-    def test_quadratic_vs_linear_logit_storage(self):
-        # full_cross stores C*C logits per head per position; single_query C.
-        c = 256
-        assert c * c == 65536 and c == 256  # definition-forced arithmetic
+    def test_quadratic_vs_linear_logit_storage(self, monkeypatch):
+        # full_cross forms C*C logits per head per position, single_query C.
+        # The aggregation's attention op is the step's first; right after it,
+        # the aggregate peak exceeds the live bytes by exactly its logits.
+        real, after = T.attention, []
+
+        def attention(*args):
+            out = real(*args)
+            after.append(current_tracker().stats())
+            return out
+
+        monkeypatch.setattr(T, "attention", attention)
+
+        def logit_bytes(variant, c):
+            model = tiny_model(channels=c, agg_variant=variant)
+            after.clear()
+            run_serial_step(model, create_master(model, StrategyConfig(), RngState(3)),
+                            tiny_batch(model))
+            return after[0].tag_peak("aggregate") - after[0].per_tag_live["aggregate"]
+
+        model = tiny_model()
+        per_channel = 8 * 2 * model.seq * model.heads  # bytes, at batch 2
+        for variant, keys, growth in (("full_cross", 8, 4), ("single_query", 1, 2)):
+            assert logit_bytes(variant, 8) == per_channel * 8 * keys, variant
+            assert logit_bytes(variant, 16) == growth * logit_bytes(variant, 8), variant
 
     def test_channel_permutation_equivariance(self, rng):
         model = tiny_model(channels=5, embed=8, heads=2)

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from dchag import tensor as T
 from dchag.tensor import Tensor, ShapeError, EngineError
+from dchag.tracking import AllocTracker, activate
 
 from conftest import rel_err, check_grad
 
@@ -137,6 +138,148 @@ class TestSoftmax:
         ts = {"x": Tensor(rng.normal((3, 5)), requires_grad=True)}
         w = rng.normal((3, 5))  # break symmetry so grads are generic
         check_grad(lambda: T.sum_all(T.mul(T.softmax(ts["x"], -1), Tensor(w))), ts)
+
+
+def _unfused_attention(q, k, v, n_heads):
+    """The attention chain the fused op replaces: split heads, q·kᵀ, scale,
+    softmax, the product with v, merge heads."""
+    def split(x):
+        *lead, tn, dl = x.shape
+        x = T.reshape(x, (*lead, tn, n_heads, dl // n_heads))
+        nd = x.ndim
+        return T.transpose(x, (*range(nd - 3), nd - 2, nd - 3, nd - 1))
+
+    qh, kh, vh = split(q), split(k), split(v)
+    nd = kh.ndim
+    kt = T.transpose(kh, (*range(nd - 2), nd - 1, nd - 2))
+    logits = T.scale(T.matmul(qh, kt), 1.0 / np.sqrt(q.shape[-1] // n_heads))
+    ctx = T.matmul(T.softmax(logits, axis=-1), vh)
+    *lead, h, tn, dh = ctx.shape
+    nd = ctx.ndim
+    ctx = T.transpose(ctx, (*range(nd - 3), nd - 2, nd - 3, nd - 1))
+    return T.reshape(ctx, (*lead, tn, h * dh))
+
+
+@st.composite
+def _attention_operands(draw):
+    """q, k, v, an output gradient and a head count: 1-4 heads, Tq != Tk,
+    0-3 leading axes, sometimes a [1, Dl] q against stacked keys, and
+    sometimes logits near +-1000, where probabilities only survive the
+    recompute if the log-sum-exp is taken after the row maximum."""
+    heads = draw(st.integers(1, 4))
+    large = draw(st.booleans())
+    dh = draw(st.integers(2 if large else 1, 3))
+    dl = heads * dh
+    lead = tuple(draw(st.lists(st.integers(1, 3), max_size=3)))
+    learned_query = bool(lead) and draw(st.booleans())
+    tq = 1 if learned_query else draw(st.integers(1, 5))
+    # one key makes the q and k gradients zero, where relative error says nothing
+    tk = draw(st.integers(2, 5).filter(lambda n: n != tq))
+    gen = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    q = gen.standard_normal((tq, dl) if learned_query else (*lead, tq, dl))
+    k = gen.standard_normal((*lead, tk, dl))
+    v = gen.standard_normal((*lead, tk, dl))
+    if large:
+        # the first feature of every head: 1 in every key, +-1000*sqrt(dh) in
+        # q, so each row's logits sit at +-1000 and differ by O(1) over keys
+        k[..., ::dh] = 1.0
+        q[..., ::dh] = 1000.0 * np.sqrt(dh) * gen.choice([-1.0, 1.0], q[..., ::dh].shape)
+    g = gen.standard_normal((*lead, tq, dl))
+    return q, k, v, g, heads
+
+
+class TestAttention:
+    @settings(max_examples=150, deadline=None, database=None)
+    @given(_attention_operands())
+    def test_matches_unfused_chain(self, operands):
+        q, k, v, g, heads = operands
+        got, want = [], []
+        for fn, into in ((T.attention, got), (_unfused_attention, want)):
+            ts = [Tensor(x, requires_grad=True) for x in (q, k, v)]
+            out = fn(*ts, heads)
+            T.backward(T.sum_all(T.mul(out, Tensor(g))))
+            into += [out.data] + [t.grad for t in ts]
+        for name, a, b in zip(("out", "dq", "dk", "dv"), got, want):
+            assert a.shape == b.shape and np.isfinite(a).all(), name
+            assert rel_err(a, b) < 1e-12, name
+
+    def test_grad_multihead_leading_axes(self, rng):
+        ts = {n: Tensor(rng.normal((2, 3, t, 6)), requires_grad=True)
+              for n, t in (("q", 4), ("k", 5), ("v", 5))}
+        w = rng.normal((2, 3, 4, 6))
+        check_grad(lambda: T.sum_all(T.mul(T.attention(ts["q"], ts["k"], ts["v"], 3),
+                                           Tensor(w))), ts)
+
+    def test_grad_learned_query_against_stacked_keys(self, rng):
+        ts = {"q": Tensor(rng.normal((1, 4)), requires_grad=True),
+              "k": Tensor(rng.normal((3, 2, 5, 4)), requires_grad=True),
+              "v": Tensor(rng.normal((3, 2, 5, 4)), requires_grad=True)}
+        w = rng.normal((3, 2, 1, 4))
+        check_grad(lambda: T.sum_all(T.mul(T.attention(ts["q"], ts["k"], ts["v"], 2),
+                                           Tensor(w))), ts)
+
+    def test_rejects_mismatched_shapes(self):
+        with pytest.raises(ShapeError):
+            T.attention(Tensor(np.zeros((2, 4))), Tensor(np.zeros((3, 6))),
+                        Tensor(np.zeros((3, 6))), 2)
+        with pytest.raises(ShapeError, match="heads"):
+            T.attention(Tensor(np.zeros((2, 6))), Tensor(np.zeros((3, 6))),
+                        Tensor(np.zeros((3, 6))), 4)
+
+
+def _reachable_arrays(t):
+    """Every numpy array reachable from tensor `t` through its data, its
+    parents and the cells of its backward closure."""
+    found, seen, stack = [], set(), [t]
+    while stack:
+        obj = stack.pop()
+        if obj is None or id(obj) in seen:
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, np.ndarray):
+            found.append(obj)
+            stack.append(obj.base)
+        elif isinstance(obj, Tensor):
+            stack += [obj.data, obj._backward, *obj._parents]
+        elif callable(obj):
+            stack += [c.cell_contents for c in obj.__closure__ or ()]
+        elif isinstance(obj, (tuple, list)):
+            stack += obj
+    return found
+
+
+class TestAttentionMemory:
+    def test_forward_charges_output_lse_and_transient_logits(self, rng):
+        b, tq, tk, dl, heads = 2, 6, 9, 4, 2
+        tracker = AllocTracker()
+        with activate(tracker):
+            q = Tensor(rng.normal((b, tq, dl)), requires_grad=True)
+            k, v = (Tensor(rng.normal((b, tk, dl)), requires_grad=True) for _ in range(2))
+            before = tracker.stats()
+            out = T.attention(q, k, v, heads)
+            after = tracker.stats()
+            kept = out.data.nbytes + 8 * b * heads * tq  # output and log-sum-exp
+            logits = 8 * b * heads * tq * tk
+            assert before.peak_bytes == before.live_bytes
+            assert after.live_bytes - before.live_bytes == kept
+            assert after.peak_bytes - before.live_bytes == kept + logits
+            assert max(a.size for a in _reachable_arrays(out)) < b * heads * tq * tk
+            del out
+            assert tracker.live_bytes == before.live_bytes
+
+    def test_backward_holds_at_most_two_logit_buffers(self, rng):
+        # a long_sequence vit block's attention on one rank: [B, T, D] = [4, 257, 64]
+        q, k, v = (Tensor(rng.normal((4, 257, 64)), requires_grad=True) for _ in range(3))
+        out = T.attention(q, k, v, 8)
+        loss = T.sum_all(T.mul(out, Tensor(rng.normal(out.shape))))
+        logits = 8 * 4 * 8 * 257 * 257
+        tracemalloc.start()
+        try:
+            T.backward(loss)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * logits + 4 * 2 ** 20, f"backward peak {peak / 2 ** 20:.1f} MiB"
 
 
 class TestLayernorm:
