@@ -6,9 +6,10 @@ The contract, per rank and per step:
   free), so at desk scale each component's estimate equals the
   allocator's per-tag peak.  Every tensor is stored for backward except
   attention probabilities, which the fused attention op recomputes; its
-  logits are a transient, counted in the component's peak at the point
-  the op runs.  Each layer's terms are written once, on the one function
-  that returns its activation elements and FLOPs together.
+  logits, one block of positions at a time, are a transient, counted in
+  the component's peak at the point the op runs.  Each layer's terms are
+  written once, on the one function that returns its activation elements
+  and FLOPs together.
 * Parameter bytes come from `params`' table and placement rule, the ones
   that shard the simulator's ranks.  Grads equal params; optimizer state
   is twice params (the moment pair).
@@ -28,6 +29,7 @@ from .config import (ConfigError, HardwareModel, ModelConfig, ParallelConfig,
                      StrategyConfig, TreeSpec)
 from .params import rank_parameter_sizes, rank_tree
 from .runtime import ring_allgather_payload, ring_allreduce_payload
+from .tensor import attention_block_rows
 from .tracking import COMPONENT_TAGS
 
 
@@ -66,8 +68,8 @@ class CostReport:
 #
 # A layer's activation elements are a pair (kept, high): what it leaves
 # live for backward, and the highest it raises the live count above its
-# start.  They differ only across a fused attention op, whose logits are
-# live only inside it.
+# start.  They differ only across a fused attention op, whose block buffers
+# are live only inside it.
 
 
 def _then(*parts):
@@ -85,13 +87,15 @@ def _stored(n):
     return n, n
 
 
-def _attention(rows, hl, tq, tk, dl):
-    """The fused attention op over `rows` broadcast positions: it keeps its
-    merged output (rows*Tq*Dl) and per-row log-sum-exp (rows*Hl*Tq), and
-    holds the logits (rows*Hl*Tq*Tk) on top of both; the scaled q and the
-    row sums it holds before the output exists are never larger than it."""
-    kept = rows * tq * (dl + hl)
-    return kept, kept + rows * hl * tq * tk
+def _attention(n, hl, tq, tk, dl):
+    """The fused attention op over `n` broadcast positions: it keeps its
+    merged output (n*Tq*Dl) and per-row log-sum-exp (n*Hl*Tq), and on top
+    of both holds one block of `tensor.attention_block_rows` positions (all
+    n, if fewer) of scaled q, logits and row sums (Tq*Dl + Hl*Tq*Tk + Hl*Tq
+    per position)."""
+    kept = n * tq * (dl + hl)
+    blk = min(n, attention_block_rows(hl, tq, tk))
+    return kept, kept + blk * (hl * tq * tk + hl * tq + tq * dl)
 
 
 def _agg_layer(b, s, ck, d, heads, variant, tp):
@@ -101,11 +105,14 @@ def _agg_layer(b, s, ck, d, heads, variant, tp):
     Activations: key/value (query too for full_cross) at width D/tp; the
     single_query learned-query projection (one row of width D/tp); the
     attention op over B*S positions, 1 (single_query) or Ck (full_cross)
-    query rows against Ck keys, whose B*S*(H/tp)*Ck or B*S*(H/tp)*Ck^2
-    logits are transient; the full-width output chain (matmul, bias add,
-    and the summed output under tp), which tp does not divide; and
-    full_cross's reduce stage (three B*S*Ck score tensors and the B*S*D
-    output).  The quadratic channel term is the full_cross logits.
+    query rows against Ck keys, whose (H/tp)*Ck or (H/tp)*Ck^2 logits per
+    position are transient, one block of positions at a time; the
+    full-width output chain (matmul, bias add, and the summed output under
+    tp), which tp does not divide; and full_cross's reduce stage (three
+    B*S*Ck score tensors and the B*S*D output).  The quadratic channel term
+    is the full_cross logits, capped at one block: once one block no longer
+    holds all B*S positions, it grows with Ck^2 only through the positions
+    a block holds, down to one position.
 
     FLOPs: the key/value (and query) projections, the two attention
     products, and the output projection of every attended token.
@@ -152,10 +159,11 @@ def _block(b, t, d, heads, m, tp):
     """One transformer block at sequence length T, head-split over tp.
 
     Activations, in order: the first norm (B*T*D); q and v with their bias
-    adds, and k (five B*T*D/tp); the attention op, whose B*(H/tp)*T^2
-    logits are transient; then seven full-width B*T*D tensors (output
-    chain, residuals, second norm, MLP output chain; two more summed
-    outputs under tp) and three MLP hidden tensors B*T*mD/tp.
+    adds, and k (five B*T*D/tp); the attention op, whose (H/tp)*T^2 logits
+    per sequence are transient, one block of sequences at a time; then
+    seven full-width B*T*D tensors (output chain, residuals, second norm,
+    MLP output chain; two more summed outputs under tp) and three MLP
+    hidden tensors B*T*mD/tp.
 
     FLOPs: the q/k/v/output projections, the two attention products and
     the MLP's two matmuls, each divided over tp.
@@ -319,7 +327,9 @@ def plan(model: ModelConfig, hw: HardwareModel, family: str = "dchag",
     communication payload.  Layouts the simulator rejects are skipped.
 
     At one (tp, max_group), fsdp only grows the rank count, so the search
-    raises it only until the first fitting candidate."""
+    raises it only until the first fitting candidate.  A dchag `max_group`
+    that builds the same rank tree as a smaller one at the same tp costs
+    the same, so it is skipped."""
     if family not in ("serial", "tp_only", "dchag"):
         raise ConfigError(f"unknown strategy family {family}")
     model.validate()
@@ -330,17 +340,24 @@ def plan(model: ModelConfig, hw: HardwareModel, family: str = "dchag",
     for tp in _pow2_up_to(tp_limit if family != "serial" else 1):
         groups = ([g for g in _pow2_up_to(256) if g >= 2]
                   if family == "dchag" else [128])
+        trees = set()  # dchag trees already estimated at this tp
         for max_group in groups:
+            if family == "serial":
+                strat = StrategyConfig(kind="serial", tp_degree=1)
+            elif family == "tp_only":
+                strat = StrategyConfig(kind="tp_only", tp_degree=tp)
+            else:
+                strat = StrategyConfig(kind="dchag", tp_degree=tp, max_group=max_group,
+                                       agg_layer_kind="linear")
+                try:
+                    tree = rank_tree(model, strat)
+                except ConfigError:  # fewer channels than tp
+                    continue
+                if tree in trees:  # estimate reads max_group only through the tree
+                    continue
+                trees.add(tree)
             for fsdp in _pow2_up_to(rank_limit // tp if fsdp_allowed else 1):
                 ranks = tp * fsdp
-                if family == "serial":
-                    strat = StrategyConfig(kind="serial", tp_degree=1)
-                elif family == "tp_only":
-                    strat = StrategyConfig(kind="tp_only", tp_degree=tp)
-                else:
-                    strat = StrategyConfig(kind="dchag", tp_degree=tp,
-                                           max_group=max_group,
-                                           agg_layer_kind="linear")
                 pcfg = ParallelConfig(dchag_tp=tp, fsdp=fsdp, dp=1)
                 try:
                     rep = estimate(model, strat, pcfg, hw, precision_bytes, batch)

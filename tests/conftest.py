@@ -1,8 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from dchag import tensor as T
 from dchag.rng import RngState
+
+# Every property test: no example database, so runs do not depend on earlier
+# runs, and no deadline, since a step's time varies with the machine.
+settings.register_profile("dchag", database=None, deadline=None)
+settings.load_profile("dchag")
 
 
 def rel_err(a, b, floor=1e-300):

@@ -8,11 +8,12 @@ from dataclasses import replace
 import pytest
 
 from dchag import costmodel
+from dchag import tensor as T
 from dchag.config import (AGG_LAYER_KINDS, ConfigError, HardwareModel, ModelConfig,
                           ParallelConfig, StrategyConfig)
 from dchag.costmodel import estimate, plan
 from dchag.model import forward_loss_serial
-from dchag.params import create_master, shard_for_rank
+from dchag.params import create_master, rank_tree, shard_for_rank
 from dchag.rng import RngState
 from dchag.strategies import run_hybrid_step, run_serial_step
 from dchag.synthetic import make_batch
@@ -151,11 +152,15 @@ class TestComm:
             assert ledger_comm(res.ledger, rank) == {k: v for k, v in rep.comm.items() if v}
 
 
-# More channels and a longer sequence (S=64): here the attention logits,
-# which live only inside the fused op, set the aggregate and vit peaks
+# More channels and a longer sequence (S=64): here the attention op's block
+# buffers, which live only inside it, set the aggregate and vit peaks
 # (`test_long_desk_peaks_inside_attention`), where on the desk above the
-# tensors kept for backward do.
+# tensors kept for backward do.  The full_cross aggregation walks its 128
+# positions in two blocks of 64.  TALL's sequence (S=144) is long enough
+# that one position's ViT logits exceed a block, and its full_cross
+# aggregation ends in a ragged block (288 positions in blocks of 64).
 LONG = (("channels", 16), ("image_h", 32), ("image_w", 32))
+TALL = (("channels", 16), ("image_h", 48), ("image_w", 48))
 LONG_GRID = [(variant, strat) for variant in VARIANTS for strat in (
     StrategyConfig(kind="serial"), StrategyConfig(kind="tp_only", tp_degree=2),
     StrategyConfig(kind="dist_token", tp_degree=2),
@@ -163,7 +168,9 @@ LONG_GRID = [(variant, strat) for variant in VARIANTS for strat in (
     StrategyConfig(kind="dchag", tp_degree=2, max_group=8, agg_layer_kind="linear"))]
 ACTIVATION_CASES = ([pytest.param(case, (), id=case_id(case)) for case in GRID]
                     + [pytest.param(case, LONG, id=case_id(case) + "-long")
-                       for case in LONG_GRID])
+                       for case in LONG_GRID]
+                    + [pytest.param((variant, StrategyConfig(kind="serial")), TALL,
+                                    id=f"{variant}-serial-tp1-tall") for variant in VARIANTS])
 
 
 @functools.lru_cache(maxsize=None)
@@ -201,17 +208,21 @@ class TestActivations:
     @pytest.mark.parametrize("variant", VARIANTS)
     def test_long_desk_peaks_inside_attention(self, variant):
         # what the forward leaves live is less than its peak: the peak was
-        # reached while an attention op held its logits
-        model = desk(variant, **dict(LONG))
-        master = create_master(model, StrategyConfig(), RngState(3))
-        tracker = AllocTracker()
-        with activate(tracker):
-            w = {k: Tensor(v, requires_grad=True) for k, v in master.items()}
-            loss = forward_loss_serial(w, model, make_batch(model, 5, 0, [0, 1]))
-            st = tracker.stats()  # `loss` holds the graph, so its tensors are live
-        del loss
-        for comp in ("aggregate", "vit"):
-            assert st.tag_peak(comp) > st.per_tag_live[comp], comp
+        # reached while an attention op held its block buffers, of several
+        # positions (LONG's aggregation) or of one (TALL's vit)
+        assert T.attention_block_rows(4, 16, 16) == 64
+        assert T.attention_block_rows(4, 145, 145) == 1
+        for geometry, comps in ((LONG, ("aggregate", "vit")), (TALL, ("vit",))):
+            model = desk(variant, **dict(geometry))
+            master = create_master(model, StrategyConfig(), RngState(3))
+            tracker = AllocTracker()
+            with activate(tracker):
+                w = {k: Tensor(v, requires_grad=True) for k, v in master.items()}
+                loss = forward_loss_serial(w, model, make_batch(model, 5, 0, [0, 1]))
+                st = tracker.stats()  # `loss` holds the graph, so its tensors are live
+            del loss
+            for comp in comps:
+                assert st.tag_peak(comp) > st.per_tag_live[comp], (geometry, comp)
 
 
 # Today's least estimate/measured FLOP ratio over the grid per component;
@@ -293,7 +304,7 @@ def test_plan_skips_layouts_the_simulator_rejects():
     assert best.feasible and best.strategy.tp_degree == 1
 
 
-def all_candidates(model, hw, family, rank_limit):
+def all_candidates(model, hw, family, rank_limit, precision_bytes=8):
     """Every (strategy, parallel grid, report) of the planner's power-of-two
     grid that fits, in the planner's search order."""
     tps = [2 ** i for i in range(11) if 2 ** i <= min(rank_limit, model.heads)]
@@ -309,7 +320,7 @@ def all_candidates(model, hw, family, rank_limit):
                     strat = StrategyConfig(kind=family, tp_degree=tp)
                 pconfig = ParallelConfig(dchag_tp=tp, fsdp=fsdp)
                 try:
-                    rep = estimate(model, strat, pconfig, hw, 8)
+                    rep = estimate(model, strat, pconfig, hw, precision_bytes)
                 except ConfigError:
                     continue
                 if rep.fits:
@@ -344,6 +355,33 @@ class TestPlan:
             strat, pconfig, rep = min(
                 fits, key=lambda c: (c[1].world_size, c[2].forward_comm()))
             assert (got.strategy, got.pconfig, got.report) == (strat, pconfig, rep)
+
+    @pytest.mark.parametrize("label, channels, variant", [
+        ("1.7B", 128, "full_cross"), ("7B", 1024, "full_cross"), ("15B", 512, "single_query")])
+    def test_matches_exhaustive_search_at_paper_scale(self, monkeypatch, label, channels,
+                                                      variant):
+        # the benchmark's planning settings; the dchag search estimates each
+        # rank tree once per (tp, fsdp), however many max_group values build it
+        model = costmodel.surrogate_model(label, channels, variant)
+        hw = HardwareModel()
+        real, trees = costmodel.estimate, []
+
+        def recording(model, strat, pconfig, *args):
+            trees.append((strat.tp_degree, rank_tree(model, strat), pconfig.fsdp))
+            return real(model, strat, pconfig, *args)
+
+        for family in ("serial", "tp_only", "dchag"):
+            fits = all_candidates(model, hw, family, rank_limit=1024, precision_bytes=2)
+            trees.clear()
+            with monkeypatch.context() as mp:
+                mp.setattr(costmodel, "estimate", recording)
+                got = plan(model, hw, family, precision_bytes=2, rank_limit=1024,
+                           fsdp_allowed=True)
+            strat, pconfig, rep = min(
+                fits, key=lambda c: (c[1].world_size, c[2].forward_comm()))
+            assert (got.strategy, got.pconfig, got.report) == (strat, pconfig, rep), family
+            if family == "dchag":
+                assert len(set(trees)) == len(trees)
 
     def test_stops_raising_fsdp_once_a_candidate_fits(self, monkeypatch):
         model = planning_desk("full_cross")

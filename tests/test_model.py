@@ -68,7 +68,7 @@ class TestExchanges:
                     for e in ledger.per_rank[rank]] == [("AllReduce", "f", pay),
                                                        ("AllReduce", "a", pay)]
 
-    @settings(max_examples=20, deadline=None, database=None)
+    @settings(max_examples=20)
     @given(tp=st.sampled_from((2, 4)), lead=st.lists(st.integers(1, 3), max_size=2),
            width=st.integers(1, 3), seed=st.integers(0, 2 ** 32 - 1))
     def test_fanout_and_allsum_are_conjugate(self, tp, lead, width, seed):
@@ -101,7 +101,7 @@ class TestExchanges:
         rhs = sum(np.vdot(xs[r], res[r][1]) for r in range(tp))  # <x, fanout'(y)>
         assert abs(lhs - rhs) <= 1e-12 * (abs(lhs) + abs(rhs))
 
-    @settings(max_examples=20, deadline=None, database=None)
+    @settings(max_examples=20)
     @given(tp=st.sampled_from((2, 4)), ndim=st.integers(1, 3), data=st.data(),
            seed=st.integers(0, 2 ** 32 - 1))
     def test_gather_then_slice_is_identity(self, tp, ndim, data, seed):
@@ -256,7 +256,8 @@ class TestFlatAggregate:
     def test_quadratic_vs_linear_logit_storage(self, monkeypatch):
         # full_cross forms C*C logits per head per position, single_query C.
         # The aggregation's attention op is the step's first; right after it,
-        # the aggregate peak exceeds the live bytes by exactly its logits.
+        # the aggregate peak exceeds the live bytes by exactly its block: the
+        # logits, row sums and scaled q of a block of positions.
         real, after = T.attention, []
 
         def attention(*args):
@@ -266,7 +267,7 @@ class TestFlatAggregate:
 
         monkeypatch.setattr(T, "attention", attention)
 
-        def logit_bytes(variant, c):
+        def block_bytes(variant, c):
             model = tiny_model(channels=c, agg_variant=variant)
             after.clear()
             run_serial_step(model, create_master(model, StrategyConfig(), RngState(3)),
@@ -274,10 +275,25 @@ class TestFlatAggregate:
             return after[0].tag_peak("aggregate") - after[0].per_tag_live["aggregate"]
 
         model = tiny_model()
-        per_channel = 8 * 2 * model.seq * model.heads  # bytes, at batch 2
-        for variant, keys, growth in (("full_cross", 8, 4), ("single_query", 1, 2)):
-            assert logit_bytes(variant, 8) == per_channel * 8 * keys, variant
-            assert logit_bytes(variant, 16) == growth * logit_bytes(variant, 8), variant
+        h, d, positions = model.heads, model.embed, 2 * model.seq  # at batch 2
+
+        def expect(rows, queries, keys):
+            return 8 * rows * (h * queries * keys + h * queries + queries * d)
+
+        # one block holds every position, and its logits grow with C^2 and C
+        for variant, growth in (("full_cross", 4), ("single_query", 2)):
+            logits = []
+            for c in (8, 16):
+                queries = c if variant == "full_cross" else 1
+                got = block_bytes(variant, c)
+                assert got == expect(positions, queries, c), (variant, c)
+                logits.append(got - expect(positions, queries, 0))
+            assert logits[1] == growth * logits[0], variant
+        # a block of 16-channel full_cross logits is one position: at 16
+        # channels the op holds one position's, at 8 channels four positions'
+        monkeypatch.setattr(T, "ATTENTION_BLOCK", h * 16 * 16)
+        assert block_bytes("full_cross", 16) == expect(1, 16, 16)
+        assert block_bytes("full_cross", 8) == expect(4, 8, 8)
 
     def test_channel_permutation_equivariance(self, rng):
         model = tiny_model(channels=5, embed=8, heads=2)

@@ -204,7 +204,7 @@ class TestScheduleIndependence:
                 x = group.broadcast(x, root=i % group.size, tag=f"bc{i}")
         return x
 
-    @settings(max_examples=25, deadline=None, database=None)
+    @settings(max_examples=25)
     @given(tp=st.sampled_from((1, 2, 4)), dp=st.sampled_from((1, 2)),
            seed=st.integers(0, 2 ** 32 - 1))
     def test_any_schedule_matches_canonical_order(self, tp, dp, seed):

@@ -380,7 +380,7 @@ class TestSharding:
                 for k, v in master.items():
                     np.testing.assert_array_equal(back[k], v)
 
-    @settings(max_examples=40, deadline=None, database=None)
+    @settings(max_examples=40)
     @given(kind=st.sampled_from(STRATEGY_KINDS), tp=st.sampled_from((1, 2, 4)),
            channels=st.integers(1, 8), max_group=st.integers(2, 4),
            variant=st.sampled_from(AGG_VARIANTS), layer_kind=st.sampled_from(AGG_LAYER_KINDS))

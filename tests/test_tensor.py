@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dchag import costmodel
 from dchag import tensor as T
 from dchag.tensor import Tensor, ShapeError, EngineError
 from dchag.tracking import AllocTracker, activate
@@ -80,7 +81,7 @@ def _matmul_operands(draw):
 
 
 class TestMatmulBackward:
-    @settings(max_examples=150, deadline=None, database=None)
+    @settings(max_examples=150)
     @given(_matmul_operands())
     def test_grads_equal_batched_then_summed(self, operands):
         a, b, g = operands
@@ -189,7 +190,7 @@ def _attention_operands(draw):
 
 
 class TestAttention:
-    @settings(max_examples=150, deadline=None, database=None)
+    @settings(max_examples=150)
     @given(_attention_operands())
     def test_matches_unfused_chain(self, operands):
         q, k, v, g, heads = operands
@@ -202,6 +203,34 @@ class TestAttention:
         for name, a, b in zip(("out", "dq", "dk", "dv"), got, want):
             assert a.shape == b.shape and np.isfinite(a).all(), name
             assert rel_err(a, b) < 1e-12, name
+
+    @settings(max_examples=100)
+    @given(_attention_operands(), st.data())
+    def test_block_size_changes_no_bit_and_no_estimate(self, operands, data):
+        # one position per block, one block of every position, and blocks that
+        # leave a ragged last block wherever there are three or more positions
+        q, k, v, g, heads = operands
+        tq, dl = q.shape[-2:]
+        tk = k.shape[-2]
+        n = int(np.prod(k.shape[:-2]))
+        rows = data.draw(st.sampled_from([r for r in range(2, n) if n % r] or [1]))
+        results = []
+        for block in (1, 2 ** 40, rows * heads * tq * tk):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(T, "ATTENTION_BLOCK", block)
+                tracker = AllocTracker()
+                with activate(tracker):
+                    ts = [Tensor(x, requires_grad=True) for x in (q, k, v)]
+                    before = tracker.stats()
+                    out = T.attention(*ts, heads)
+                    after = tracker.stats()
+                kept, high = costmodel._attention(n, heads, tq, tk, dl)
+                assert after.live_bytes - before.live_bytes == 8 * kept
+                assert after.peak_bytes - before.live_bytes == 8 * high
+                T.backward(T.sum_all(T.mul(out, Tensor(g))))
+            results.append([out.data] + [t.grad for t in ts])
+        for name, *arrays in zip(("out", "dq", "dk", "dv"), *results):
+            assert all(np.array_equal(a, arrays[0]) for a in arrays[1:]), name
 
     def test_grad_multihead_leading_axes(self, rng):
         ts = {n: Tensor(rng.normal((2, 3, t, 6)), requires_grad=True)
@@ -249,37 +278,68 @@ def _reachable_arrays(t):
 
 
 class TestAttentionMemory:
-    def test_forward_charges_output_lse_and_transient_logits(self, rng):
-        b, tq, tk, dl, heads = 2, 6, 9, 4, 2
+    def test_forward_charges_output_lse_and_transient_logits(self, rng, monkeypatch):
+        # one block of both positions; then blocks of 2, 2 and 1 of 5 positions
+        tq, tk, dl, heads = 6, 9, 4, 2
+        for positions, block_rows in ((2, None), (5, 2)):
+            if block_rows is not None:
+                monkeypatch.setattr(T, "ATTENTION_BLOCK", block_rows * heads * tq * tk)
+            blk = min(positions, T.attention_block_rows(heads, tq, tk))
+            assert blk == (block_rows or positions)
+            tracker = AllocTracker()
+            with activate(tracker):
+                q = Tensor(rng.normal((positions, tq, dl)), requires_grad=True)
+                k, v = (Tensor(rng.normal((positions, tk, dl)), requires_grad=True)
+                        for _ in range(2))
+                before = tracker.stats()
+                out = T.attention(q, k, v, heads)
+                after = tracker.stats()
+                kept = out.data.nbytes + 8 * positions * heads * tq  # output and log-sum-exp
+                block = 8 * blk * (heads * tq * tk + heads * tq + tq * dl)  # logits, row sums, q
+                assert before.peak_bytes == before.live_bytes
+                assert after.live_bytes - before.live_bytes == kept
+                assert after.peak_bytes - before.live_bytes == kept + block
+                assert max(a.size for a in _reachable_arrays(out)) < positions * heads * tq * tk
+                del out
+                assert tracker.live_bytes == before.live_bytes
+
+    def test_forward_charges_a_copying_flatten(self, rng):
+        # q [1, 3, ...] against k, v [2, 3, ...]: the broadcast q cannot merge
+        # its leading axes into positions as a view, so it is copied
+        tq, tk, dl, heads = 2, 3, 4, 2
         tracker = AllocTracker()
         with activate(tracker):
-            q = Tensor(rng.normal((b, tq, dl)), requires_grad=True)
-            k, v = (Tensor(rng.normal((b, tk, dl)), requires_grad=True) for _ in range(2))
+            q = Tensor(rng.normal((1, 3, tq, dl)), requires_grad=True)
+            k, v = (Tensor(rng.normal((2, 3, tk, dl)), requires_grad=True) for _ in range(2))
             before = tracker.stats()
             out = T.attention(q, k, v, heads)
             after = tracker.stats()
-            kept = out.data.nbytes + 8 * b * heads * tq  # output and log-sum-exp
-            logits = 8 * b * heads * tq * tk
-            assert before.peak_bytes == before.live_bytes
-            assert after.live_bytes - before.live_bytes == kept
-            assert after.peak_bytes - before.live_bytes == kept + logits
-            assert max(a.size for a in _reachable_arrays(out)) < b * heads * tq * tk
-            del out
-            assert tracker.live_bytes == before.live_bytes
+        kept = out.data.nbytes + 8 * 6 * heads * tq
+        block = 8 * 6 * (heads * tq * tk + heads * tq + tq * dl)
+        assert after.live_bytes - before.live_bytes == kept
+        assert after.peak_bytes - before.live_bytes == kept + block + 8 * 6 * tq * dl
 
     def test_backward_holds_at_most_two_logit_buffers(self, rng):
-        # a long_sequence vit block's attention on one rank: [B, T, D] = [4, 257, 64]
-        q, k, v = (Tensor(rng.normal((4, 257, 64)), requires_grad=True) for _ in range(3))
-        out = T.attention(q, k, v, 8)
+        # a long_sequence vit block's attention on one rank: [B, T, D] = [4, 257, 64];
+        # one position's 8*257*257 logits exceed a block, so a block is one position
+        b, t, d, heads = 4, 257, 64, 8
+        assert T.attention_block_rows(heads, t, t) == 1
+        q, k, v = (Tensor(rng.normal((b, t, d)), requires_grad=True) for _ in range(3))
+        out = T.attention(q, k, v, heads)
         loss = T.sum_all(T.mul(out, Tensor(rng.normal(out.shape))))
-        logits = 8 * 4 * 8 * 257 * 257
+        block = 8 * heads * t * t
+        # dq, dk, dv, and the three output-sized arrays the engine holds above
+        # the op: the gradients of `out` and of the product, and the product's
+        # gradient for the constant factor
+        grads = 6 * 8 * b * t * d
         tracemalloc.start()
         try:
             T.backward(loss)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 2 * logits + 4 * 2 ** 20, f"backward peak {peak / 2 ** 20:.1f} MiB"
+        # 256 KiB covers the scaled-q and row-sum blocks (145 KiB) and Python objects
+        assert peak < 2 * block + grads + 2 ** 18, f"backward peak {peak / 2 ** 20:.2f} MiB"
 
 
 class TestLayernorm:

@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from dchag.config import ConfigError, TreeSpec, build_tree_spec
@@ -50,7 +50,6 @@ def test_bad_args():
         build_tree_spec(8, 1)
 
 
-@settings(database=None, deadline=None)
 @given(local_channels=st.integers(1, 4096), max_group=st.integers(2, 256))
 def test_tree_spec_properties(local_channels, max_group):
     spec = build_tree_spec(local_channels, max_group)
