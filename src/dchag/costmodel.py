@@ -108,14 +108,16 @@ def _agg_layer(b, s, ck, d, heads, variant, tp):
     query rows against Ck keys, whose (H/tp)*Ck or (H/tp)*Ck^2 logits per
     position are transient, one block of positions at a time; the
     full-width output chain (matmul, bias add, and the summed output under
-    tp), which tp does not divide; and full_cross's reduce stage (three
-    B*S*Ck score tensors and the B*S*D output).  The quadratic channel term
-    is the full_cross logits, capped at one block: once one block no longer
-    holds all B*S positions, it grows with Ck^2 only through the positions
-    a block holds, down to one position.
+    tp), which tp does not divide; and full_cross's reduce stage, a
+    single-head attention op over B*S positions, one learned query row
+    against the Ck full-width outputs.  The quadratic channel term is the
+    full_cross logits, capped at one block: once one block no longer holds
+    all B*S positions, it grows with Ck^2 only through the positions a
+    block holds, down to one position.
 
     FLOPs: the key/value (and query) projections, the two attention
-    products, and the output projection of every attended token.
+    products, the output projection of every attended token, and
+    full_cross's two reduce-stage products.
     """
     dl, hl = d / tp, heads / tp
     out_chain = 2 + (1 if tp > 1 else 0)
@@ -126,9 +128,9 @@ def _agg_layer(b, s, ck, d, heads, variant, tp):
                  + 2 * b * s * d * dl)
         return acts, flops
     acts = _then(_stored(3 * b * s * ck * dl), _attention(b * s, hl, ck, ck, dl),
-                 _stored(out_chain * b * s * ck * d + 3 * b * s * ck + b * s * d))
+                 _stored(out_chain * b * s * ck * d), _attention(b * s, 1, 1, ck, d))
     flops = (3 * 2 * b * s * ck * d * dl + 2 * 2 * b * s * hl * ck * ck * (d / heads)
-             + 2 * b * s * ck * d * dl)
+             + 2 * b * s * ck * d * dl + 2 * 2 * b * s * ck * d)
     return acts, flops
 
 

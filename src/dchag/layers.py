@@ -11,11 +11,13 @@ projection or a per-rank computation (a channel slab's positional
 embedding), and `allsum` (all-reduce forward, identity backward) where
 split partial outputs merge.  With group=None both return their input,
 and the math is the single-process reference.
+
+Every attention, and so every softmax, is `sdp_attention`, the engine's
+one fused op: the ViT and decoder blocks, the aggregation layers, and
+full_cross's learned-query reduce.
 """
 
 from __future__ import annotations
-
-import numpy as np
 
 from . import tensor as T
 from .runtime import ProcessGroup
@@ -92,7 +94,9 @@ def cross_attention_aggregate(x: Tensor, w: dict, prefix: str, variant: str,
 
     single_query: one learned query attends over the Ck tokens (1 x Ck
     logits per head).  full_cross: the Ck tokens attend over themselves
-    (Ck x Ck logits), then a learned query reduces the Ck outputs to one.
+    (Ck x Ck logits), then a learned query `rq` reduces the Ck outputs to
+    one by single-head attention over them (1 x Ck logits, scale 1/sqrt(D)),
+    the outputs serving as both keys and values.
     """
     xf = fanout(group, x, prefix)
     k = T.matmul(xf, w[f"{prefix}.wk"])
@@ -110,13 +114,8 @@ def cross_attention_aggregate(x: Tensor, w: dict, prefix: str, variant: str,
         return out
 
     # full_cross: a learned query reduces the Ck attended tokens to one
-    d = out.shape[-1]
-    rq = T.reshape(w[f"{prefix}.rq"], (d, 1))
-    scores = T.scale(T.matmul(out, rq), 1.0 / np.sqrt(d))  # [..., Ck, 1]
-    nd = scores.ndim
-    scores = T.transpose(scores, tuple(range(nd - 2)) + (nd - 1, nd - 2))
-    probs = T.softmax(scores, axis=-1)  # [..., 1, Ck]
-    return T.matmul(probs, out)
+    rq = T.reshape(w[f"{prefix}.rq"], (1, out.shape[-1]))
+    return sdp_attention(rq, out, out, 1)  # [..., 1, D]
 
 
 def linear_mix_aggregate(x: Tensor, w: dict, prefix: str) -> Tensor:

@@ -183,8 +183,8 @@ def run_hybrid_step(pconfig: ParallelConfig, model: ModelConfig,
                     batches: list, schedule_seed=None) -> ParallelStepResult:
     """One parallel step: `strategy` over the tp axis, one batch per dp
     coordinate.  The dp axis executes a real gradient AllReduce; gradients
-    are averaged.  FSDP is modeled by `costmodel` only, so fsdp > 1 is
-    rejected."""
+    are averaged, so the batches must be of equal size.  FSDP is modeled
+    by `costmodel` only, so fsdp > 1 is rejected."""
     strategy.validate(model, pconfig)
     if strategy.kind == "serial":
         raise ConfigError("the serial strategy has no parallel step")
@@ -192,6 +192,9 @@ def run_hybrid_step(pconfig: ParallelConfig, model: ModelConfig,
         raise ConfigError(f"fsdp={pconfig.fsdp} is not executed; costmodel.estimate models it")
     if len(batches) != pconfig.dp:
         raise ConfigError(f"need {pconfig.dp} batches, got {len(batches)}")
+    sizes = [b.size for b in batches]
+    if len(set(sizes)) > 1:  # the gradient average weighs every batch alike
+        raise ConfigError(f"dp batches must be of equal size, got sizes {sizes}")
 
     def program(ctx: RankContext):
         tp_i, _, dp_i = ctx.coords

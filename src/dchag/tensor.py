@@ -9,6 +9,8 @@ Design points that later modules rely on:
   the tracker as well: a transient from before its first use until it is
   dropped, a buffer kept for backward for as long as the closure holding
   it lives;
+* `attention` is the engine's only softmax: every attention in the model,
+  full_cross's learned-query reduce too, is that one fused op;
 * the fused attention op walks its broadcast positions in blocks whose
   logits fit `ATTENTION_BLOCK` elements, a size chosen so that a block stays
   in cache; each position is computed with the same numpy calls whatever
@@ -204,21 +206,6 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
 
 # -- nonlinearities ---------------------------------------------------------
-
-
-def softmax(x: Tensor, axis: int = -1) -> Tensor:
-    xd = x.data
-    shifted = xd - xd.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    out = e / e.sum(axis=axis, keepdims=True)
-    _flops(4 * out.size)
-
-    def back(g):
-        dot = (g * out).sum(axis=axis, keepdims=True)
-        return (out * (g - dot),)
-
-    return Tensor(out, _parents=(x,), _backward=back)
-
 
 # The fused attention op takes as many broadcast positions at a time as keep
 # one block's logits within this many elements.  A sweep of forward plus

@@ -6,11 +6,13 @@ import functools
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dchag import costmodel
 from dchag import tensor as T
-from dchag.config import (AGG_LAYER_KINDS, ConfigError, HardwareModel, ModelConfig,
-                          ParallelConfig, StrategyConfig)
+from dchag.config import (AGG_LAYER_KINDS, STRATEGY_KINDS, ConfigError, HardwareModel,
+                          ModelConfig, ParallelConfig, StrategyConfig)
 from dchag.costmodel import estimate, plan
 from dchag.model import forward_loss_serial
 from dchag.params import create_master, rank_tree, shard_for_rank
@@ -225,9 +227,51 @@ class TestActivations:
                 assert st.tag_peak(comp) > st.per_tag_live[comp], (geometry, comp)
 
 
+@st.composite
+def drawn_cases(draw):
+    """A point of the desk grid beyond the fixed one: variant, channel count,
+    kind, tp, tree, dp degree and the batch per dp rank.
+
+    One channel is left out.  There the decoder's reordered target is a
+    view of the unfolded patches, whose `Tensor` is dropped at once, so the
+    allocator releases a buffer that is still alive and reads one
+    B*S*C*P*P tensor below the estimate."""
+    variant = draw(st.sampled_from(VARIANTS))
+    kind = draw(st.sampled_from(STRATEGY_KINDS))
+    tp = 1 if kind == "serial" else draw(st.sampled_from((1, 2, 4)))
+    strat = StrategyConfig(kind=kind, tp_degree=tp, max_group=draw(st.integers(2, 8)),
+                           agg_layer_kind=draw(st.sampled_from(AGG_LAYER_KINDS)))
+    channels = (tp * draw(st.integers(2 if tp == 1 else 1, 4)) if strat.slabs_channels
+                else draw(st.integers(2, 12)))
+    dp = 1 if kind == "serial" else draw(st.integers(1, 2))
+    return variant, channels, strat, dp, draw(st.integers(1, 2))
+
+
+@settings(max_examples=40)
+@given(drawn_cases())
+def test_drawn_grid_matches_allocator_and_ledger(case):
+    # per component, the estimate is the busiest rank's allocator peak; per
+    # (phase, axis), its communication is every rank's ledger
+    variant, channels, strat, dp, batch = case
+    model = desk(variant, channels)
+    res = run_step(model, strat, [make_batch(model, 5, 0, range(i * batch, (i + 1) * batch))
+                                  for i in range(dp)])
+    pconfig = ParallelConfig(dchag_tp=strat.tp_degree, dp=dp)
+    rep = estimate(model, strat, pconfig, precision_bytes=8, batch=batch)
+    stats = res.stats if isinstance(res.stats, list) else [res.stats]
+    for comp in COMPONENT_TAGS:
+        assert rep.activation(comp) == max(s.tag_peak(comp) for s in stats), comp
+    want = {k: v for k, v in rep.comm.items() if v}
+    if strat.kind == "serial":
+        assert want == {}
+    else:
+        for rank in range(pconfig.world_size):
+            assert ledger_comm(res.ledger, rank) == want, rank
+
+
 # Today's least estimate/measured FLOP ratio over the grid per component;
 # the estimate counts the matmuls and leaves out most elementwise ops.
-FLOP_FLOORS = {"aggregate": 0.83, "vit": 0.70, "decoder": 0.77}
+FLOP_FLOORS = {"aggregate": 0.92, "vit": 0.70, "decoder": 0.77}
 
 
 class TestFlops:

@@ -359,6 +359,16 @@ class TestHybrid:
             run_hybrid_step(ParallelConfig(dchag_tp=2, dp=2), model, strat,
                             master, [make_batch(model, 1, 0, [0])])
 
+    def test_unequal_dp_batches_rejected(self):
+        # averaging the dp gradients weighs each batch alike, which is the
+        # gradient of the concatenated batch only when the sizes agree
+        model = tiny()
+        strat = StrategyConfig(kind="tp_only", tp_degree=2)
+        master = create_master(model, strat, RngState(6))
+        with pytest.raises(ConfigError, match=r"sizes \[2, 1\]"):
+            run_hybrid_step(ParallelConfig(dchag_tp=2, dp=2), model, strat, master,
+                            [make_batch(model, 11, 0, [0, 1]), make_batch(model, 11, 0, [2])])
+
 
 class TestSharding:
     def test_shard_then_unshard_identity(self):

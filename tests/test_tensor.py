@@ -109,64 +109,141 @@ class TestMatmulBackward:
         assert peak < 16 * 2 ** 20, f"backward peak {peak / 2 ** 20:.1f} MiB"
 
 
-class TestSoftmax:
-    def test_single_element(self):
-        out = T.softmax(Tensor([7.0]), axis=-1)
-        assert out.data[0] == 1.0
+def _probabilities(logits):
+    """Softmax of the rows of `logits` [..., Tk] through the fused op: one
+    head, q = the logits against identity keys (scaled by sqrt(Tk) to undo
+    the op's scale), and one-hot values, so each output row is one row of
+    probabilities."""
+    logits = np.asarray(logits, dtype=np.float64)
+    tk = logits.shape[-1]
+    q = Tensor(logits[..., None, :] * np.sqrt(tk))
+    eye = Tensor(np.eye(tk))
+    return T.attention(q, eye, eye, 1).data[..., 0, :]
 
-    def test_symmetry(self):
-        out = T.softmax(Tensor([0.0, 0.0, 0.0]), axis=-1)
-        np.testing.assert_allclose(out.data, [1 / 3] * 3)
+
+class TestSoftmax:
+    """The softmax inside `tensor.attention`, the engine's only softmax."""
+
+    def test_single_element(self, rng):
+        # one key: its probability is exactly 1, so the output is v bit for bit
+        q, k, v = (Tensor(rng.normal(shape)) for shape in ((2, 3, 4), (2, 1, 4), (2, 1, 4)))
+        out = T.attention(q, k, v, 2)
+        np.testing.assert_array_equal(out.data, np.broadcast_to(v.data, out.shape))
+
+    def test_symmetry(self, rng):
+        # equal logits (q = 0) weigh every key alike: the mean of the v rows
+        v = Tensor(rng.normal((2, 3, 4)))
+        out = T.attention(Tensor(np.zeros((2, 1, 4))), Tensor(rng.normal((2, 3, 4))), v, 2)
+        assert rel_err(out.data, v.data.mean(axis=-2, keepdims=True)) < 1e-15
+        np.testing.assert_array_equal(_probabilities([0.0, 0.0, 0.0]), [1 / 3] * 3)
 
     def test_extreme_logits_match_extended_precision(self):
         import mpmath
 
         mpmath.mp.dps = 60
         logits = [1000.0, 0.0]
-        out = T.softmax(Tensor(logits), axis=-1)
-        assert np.isfinite(out.data).all()
+        out = _probabilities(logits)
+        assert np.isfinite(out).all()
         es = [mpmath.exp(v) for v in logits]
         tot = sum(es)
         exact = np.array([float(e / tot) for e in es])
-        np.testing.assert_allclose(out.data, exact, rtol=1e-12, atol=1e-300)
+        np.testing.assert_allclose(out, exact, rtol=1e-12, atol=1e-300)
 
     def test_rows_sum_to_one(self, rng):
-        out = T.softmax(Tensor(rng.normal((3, 7))), axis=-1)
-        assert (out.data > 0).all()
-        np.testing.assert_allclose(out.data.sum(axis=-1), 1.0)
+        out = _probabilities(rng.normal((3, 7)))
+        assert (out > 0).all()
+        np.testing.assert_allclose(out.sum(axis=-1), 1.0)
 
     def test_grad(self, rng):
-        ts = {"x": Tensor(rng.normal((3, 5)), requires_grad=True)}
-        w = rng.normal((3, 5))  # break symmetry so grads are generic
-        check_grad(lambda: T.sum_all(T.mul(T.softmax(ts["x"], -1), Tensor(w))), ts)
+        # the gradient of the probabilities through their logits (in q)
+        ts = {"x": Tensor(rng.normal((3, 1, 5)), requires_grad=True)}
+        eye = Tensor(np.eye(5))
+        w = rng.normal((3, 1, 5))  # break symmetry so grads are generic
+        check_grad(lambda: T.sum_all(T.mul(T.attention(ts["x"], eye, eye, 1), Tensor(w))), ts)
 
 
-def _unfused_attention(q, k, v, n_heads):
-    """The attention chain the fused op replaces: split heads, q·kᵀ, scale,
-    softmax, the product with v, merge heads."""
-    def split(x):
-        *lead, tn, dl = x.shape
-        x = T.reshape(x, (*lead, tn, n_heads, dl // n_heads))
-        nd = x.ndim
-        return T.transpose(x, (*range(nd - 3), nd - 2, nd - 3, nd - 1))
+def _exact_attention(q, k, v, g, n_heads):
+    """The attention chain in long double, where it is exact to the float64
+    results' precision: its output and the q, k and v gradients for the
+    output gradient `g`, each as (value, first-order bound on the float64
+    op's error).
 
-    qh, kh, vh = split(q), split(k), split(v)
-    nd = kh.ndim
-    kt = T.transpose(kh, (*range(nd - 2), nd - 1, nd - 2))
-    logits = T.scale(T.matmul(qh, kt), 1.0 / np.sqrt(q.shape[-1] // n_heads))
-    ctx = T.matmul(T.softmax(logits, axis=-1), vh)
-    *lead, h, tn, dh = ctx.shape
-    nd = ctx.ndim
-    ctx = T.transpose(ctx, (*range(nd - 3), nd - 2, nd - 3, nd - 1))
-    return T.reshape(ctx, (*lead, tn, h * dh))
+    The bound follows every float64 rounding of the fused op to first
+    order, elementwise, with u = 2**-53 and gamma_n = n*u:
+    * each logit s = c*q.k (c = 1/sqrt(dh)) is off by at most
+      e = (dh+2)*u*c*|q|.|k| (the dot product, the scaled q and c itself):
+      at logits near +-1000 that is ~1e-13 absolute, which no row shift
+      cancels, since rounding is per key;
+    * a softmax moves its probabilities by p_j*(e_j - sum_l p_l e_l), so each
+      probability, in forward and recomputed in backward from the stored
+      log-sum-exp, is off by at most p*rho with rho = 2*max_row(e) +
+      u*(|s - max| + |lse| + 2*Tk + 8) (exp, the row sum and divide, the
+      stored lse);
+    * each product then adds its inputs' bounds through the absolute values
+      of the other factor, plus gamma_n times the product of absolute
+      values, and a sum over broadcast axes adds gamma_n of its terms.
+    So the logits' conditioning, their magnitude against their spread,
+    sets the bound: at logits of O(1) it is typically near 1e-14 of the
+    largest value, and at +-1000 near 2e-12.
+    """
+    ld = np.longdouble
+    u = 2.0 ** -53
+    dh = q.shape[-1] // n_heads
+    c = 1 / np.sqrt(ld(dh))
+
+    def heads(x):
+        return x.astype(ld).reshape(*x.shape[:-1], n_heads, dh).swapaxes(-2, -3)
+
+    def merged(x, shape):
+        x = x.swapaxes(-2, -3)
+        return _sum_to(x.reshape(*x.shape[:-2], -1), shape)
+
+    def mm(a, b, da=None, db=None):
+        """a @ b and its bound, from bounds da, db on a and b (None: exact)."""
+        bound = a.shape[-1] * u * (abs(a) @ abs(b))
+        if da is not None:
+            bound += da @ abs(b)
+        if db is not None:
+            bound += abs(a) @ db
+        return a @ b, bound
+
+    qh, kh, vh, gh = (heads(x) for x in (q, k, v, g))
+    kt = kh.swapaxes(-1, -2)
+    s = c * (qh @ kt)
+    e = (dh + 2) * u * c * (abs(qh) @ abs(kt))
+    mx = s.max(axis=-1, keepdims=True)
+    p = np.exp(s - mx)
+    tot = p.sum(axis=-1, keepdims=True)
+    p /= tot
+    lse = mx + np.log(tot)
+    rho = 2 * e.max(axis=-1, keepdims=True) + u * (abs(s - mx) + abs(lse) + 2 * s.shape[-1] + 8)
+    dp = p * rho
+    o, do = mm(p, vh, dp)
+    dv, ddv = mm(p.swapaxes(-1, -2), gh, dp.swapaxes(-1, -2))
+    gv, dgv = mm(gh, vh.swapaxes(-1, -2))
+    rows = (gh * o).sum(axis=-1, keepdims=True)  # rowsum(dO*O)
+    drows = (abs(gh) * (do + dh * u * abs(o))).sum(axis=-1, keepdims=True)
+    ds = p * (gv - rows)
+    dds = dp * abs(gv - rows) + p * (dgv + drows) + 2 * u * abs(ds)
+    dq, ddq = mm(ds, kh, dds)
+    dq, ddq = c * dq, c * ddq + 2 * u * c * abs(dq)
+    dk, ddk = mm(ds.swapaxes(-1, -2), c * qh, dds.swapaxes(-1, -2), 2 * u * c * abs(qh))
+
+    def value_and_bound(x, dx, shape):
+        n = x.size // np.prod(shape)  # terms per element of the broadcast sum
+        return merged(x, shape), merged(dx, shape) + (n - 1) * u * merged(abs(x), shape)
+
+    return [value_and_bound(x, dx, y.shape)
+            for x, dx, y in ((o, do, g), (dq, ddq, q), (dk, ddk, k), (dv, ddv, v))]
 
 
 @st.composite
 def _attention_operands(draw):
-    """q, k, v, an output gradient and a head count: 1-4 heads, Tq != Tk,
-    0-3 leading axes, sometimes a [1, Dl] q against stacked keys, and
-    sometimes logits near +-1000, where probabilities only survive the
-    recompute if the log-sum-exp is taken after the row maximum."""
+    """q, k, v, an output gradient, a head count and whether the logits are
+    large: 1-4 heads, Tq != Tk, 0-3 leading axes, sometimes a [1, Dl] q
+    against stacked keys, and sometimes logits near +-1000, where
+    probabilities only survive the recompute if the log-sum-exp is taken
+    after the row maximum."""
     heads = draw(st.integers(1, 4))
     large = draw(st.booleans())
     dh = draw(st.integers(2 if large else 1, 3))
@@ -186,30 +263,35 @@ def _attention_operands(draw):
         k[..., ::dh] = 1.0
         q[..., ::dh] = 1000.0 * np.sqrt(dh) * gen.choice([-1.0, 1.0], q[..., ::dh].shape)
     g = gen.standard_normal((*lead, tq, dl))
-    return q, k, v, g, heads
+    return q, k, v, g, heads, large
 
 
 class TestAttention:
     @settings(max_examples=150)
     @given(_attention_operands())
     def test_matches_unfused_chain(self, operands):
-        q, k, v, g, heads = operands
-        got, want = [], []
-        for fn, into in ((T.attention, got), (_unfused_attention, want)):
-            ts = [Tensor(x, requires_grad=True) for x in (q, k, v)]
-            out = fn(*ts, heads)
-            T.backward(T.sum_all(T.mul(out, Tensor(g))))
-            into += [out.data] + [t.grad for t in ts]
-        for name, a, b in zip(("out", "dq", "dk", "dv"), got, want):
+        # against the chain in long double: within 1e-12 at ordinary logits,
+        # and within the rounding bound that the logits' conditioning sets
+        # (see `_exact_attention`) everywhere, which at +-1000 is what
+        # decides: there two float64 results may differ by a few 1e-12
+        q, k, v, g, heads, large = operands
+        ts = [Tensor(x, requires_grad=True) for x in (q, k, v)]
+        out = T.attention(*ts, heads)
+        T.backward(T.sum_all(T.mul(out, Tensor(g))))
+        got = [out.data] + [t.grad for t in ts]
+        for name, a, (b, bound) in zip(("out", "dq", "dk", "dv"), got,
+                                       _exact_attention(q, k, v, g, heads)):
             assert a.shape == b.shape and np.isfinite(a).all(), name
-            assert rel_err(a, b) < 1e-12, name
+            assert (abs(a - b) <= bound).all(), name
+            if not large:
+                assert rel_err(a, b.astype(np.float64)) < 1e-12, name
 
     @settings(max_examples=100)
     @given(_attention_operands(), st.data())
     def test_block_size_changes_no_bit_and_no_estimate(self, operands, data):
         # one position per block, one block of every position, and blocks that
         # leave a ragged last block wherever there are three or more positions
-        q, k, v, g, heads = operands
+        q, k, v, g, heads, _ = operands
         tq, dl = q.shape[-2:]
         tk = k.shape[-2]
         n = int(np.prod(k.shape[:-2]))
@@ -474,7 +556,7 @@ class TestBackward:
 
         def run():
             x = Tensor(data.copy(), requires_grad=True)
-            y = T.softmax(T.matmul(x, x), axis=-1)
+            y = T.attention(T.matmul(x, x), x, x, 1)
             T.backward(T.sum_all(T.mul(y, y)))
             return x.grad.copy()
 
