@@ -160,8 +160,8 @@ def _tree(b, s, d, heads, tree: TreeSpec, layer_kind, variant):
 def _block(b, t, d, heads, m, tp):
     """One transformer block at sequence length T, head-split over tp.
 
-    Activations, in order: the first norm (B*T*D); q and v with their bias
-    adds, and k (five B*T*D/tp); the attention op, whose (H/tp)*T^2 logits
+    Activations, in order: the first norm (B*T*D); q with its bias add, k
+    and v (four B*T*D/tp); the attention op, whose (H/tp)*T^2 logits
     per sequence are transient, one block of sequences at a time; then
     seven full-width B*T*D tensors (output chain, residuals, second norm,
     MLP output chain; two more summed outputs under tp) and three MLP
@@ -170,7 +170,7 @@ def _block(b, t, d, heads, m, tp):
     FLOPs: the q/k/v/output projections, the two attention products and
     the MLP's two matmuls, each divided over tp.
     """
-    acts = _then(_stored(b * t * d + 5 * b * t * d / tp),
+    acts = _then(_stored(b * t * d + 4 * b * t * d / tp),
                  _attention(b, heads / tp, t, t, d / tp),
                  _stored((7 + (2 if tp > 1 else 0)) * b * t * d + 3 * b * t * m * d / tp))
     flops = (4 * 2 * b * t * d * d + 2 * 2 * b * t * t * d + 2 * 2 * b * t * d * m * d) / tp
@@ -237,16 +237,16 @@ def estimate(model: ModelConfig, strategy: StrategyConfig,
             for comp, count, elems in sizes))
 
     # --- tokenize: the input slab and its patch rows (B*Cs*S*pp each), and
-    # four token-sized tensors (the embedding matmul, then the bias,
-    # channel-ID and positional adds); dist_token also stores the gathered
-    # full token tensor.  FLOPs: the embedding matmul and the three adds.
-    acts = b * cloc * s * pp * 2 + 4 * b * cloc * s * d
+    # three token-sized tensors (the embedding matmul, then the channel-ID
+    # and positional adds); dist_token also stores the gathered full token
+    # tensor.  FLOPs: the embedding matmul and the two adds.
+    acts = b * cloc * s * pp * 2 + 3 * b * cloc * s * d
     if strategy.kind == "dist_token":
         acts += b * c * s * d
         add_comm("forward", "tp", ring_allgather_payload(b * cloc * s * d * pb, tp))
     if strategy.slabs_channels and tp > 1:  # fanout of the shared positional embedding
         add_comm("backward", "tp", ring_allreduce_payload(s * d, pb, tp))
-    cost("tokenize", _stored(acts), 2 * b * cloc * s * pp * d + 3 * b * cloc * s * d)
+    cost("tokenize", _stored(acts), 2 * b * cloc * s * pp * d + 2 * b * cloc * s * d)
 
     # --- aggregate: agg.flat over the C token stacks, head-split over tp;
     # or dchag's slab tree, the gathered tp streams and agg.final over them,
@@ -279,7 +279,7 @@ def estimate(model: ModelConfig, strategy: StrategyConfig,
         add_comm("forward", "tp", depth * per_block)
         add_comm("backward", "tp", depth * per_block)
 
-    # --- decoder: the projection to Dd with its two adds (three B*S*Dd
+    # --- decoder: the projection to Dd and its positional add (two B*S*Dd
     # tensors), single-head blocks, then six B*S*C*pp tensors (the
     # prediction-head matmul and bias add, the reordered target, the
     # difference, the masked difference and its square) and the two scalar
@@ -287,7 +287,7 @@ def estimate(model: ModelConfig, strategy: StrategyConfig,
     dd = model.decoder_dim
     block_acts, block_flops = _block(b, s, dd, 1, m, 1)
     cost("decoder",
-         _then(_stored(3 * b * s * dd), *[block_acts] * model.decoder_depth,
+         _then(_stored(2 * b * s * dd), *[block_acts] * model.decoder_depth,
                _stored(6 * b * s * c * pp + 2)),
          2 * b * s * d * dd + model.decoder_depth * block_flops + 2 * b * s * dd * c * pp)
 

@@ -69,18 +69,18 @@ def sdp_attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int) -> Tensor:
 
 def transformer_block(x: Tensor, w: dict, prefix: str, n_heads: int,
                       group: ProcessGroup | None = None) -> Tensor:
-    """Pre-norm block: x + attn(ln1(x)); x + mlp(ln2(x))."""
-    h = T.layernorm(x, w[f"{prefix}.ln1.g"], w[f"{prefix}.ln1.b"], LN_EPS)
+    """Pre-norm block: x + attn(ln1(x)); x + mlp(ln2(x)), unshifted norms."""
+    h = T.layernorm(x, w[f"{prefix}.ln1.g"], LN_EPS)
     h = fanout(group, h, prefix)
     q = linear(h, w[f"{prefix}.wq"], w[f"{prefix}.bq"])
     k = linear(h, w[f"{prefix}.wk"])
-    v = linear(h, w[f"{prefix}.wv"], w[f"{prefix}.bv"])
+    v = linear(h, w[f"{prefix}.wv"])
     ctx = sdp_attention(q, k, v, local_heads(n_heads, group))
     attn = allsum(group, T.matmul(ctx, w[f"{prefix}.wo"]), prefix)
     attn = T.add(attn, w[f"{prefix}.bo"])
     x = T.add(x, attn)
 
-    h2 = T.layernorm(x, w[f"{prefix}.ln2.g"], w[f"{prefix}.ln2.b"], LN_EPS)
+    h2 = T.layernorm(x, w[f"{prefix}.ln2.g"], LN_EPS)
     h2 = fanout(group, h2, prefix)
     m = T.gelu(linear(h2, w[f"{prefix}.w1"], w[f"{prefix}.b1"]))
     m = allsum(group, T.matmul(m, w[f"{prefix}.w2"]), prefix)

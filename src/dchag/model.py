@@ -58,19 +58,17 @@ def make_mask(model: ModelConfig, sample_ids, seed: int, step: int) -> np.ndarra
     return mask
 
 
-def tokenize_channels(images: Tensor, tok_w: Tensor, tok_b: Tensor,
-                      chan_id: Tensor, pos: Tensor, patch: int) -> Tensor:
+def tokenize_channels(images: Tensor, tok_w: Tensor, chan_id: Tensor,
+                      pos: Tensor, patch: int) -> Tensor:
     """[B, Cs, H, W] -> [B, Cs, S, D] tokens.
 
     Each channel's P x P patches pass through that channel's embedding map
-    (a stride-P convolution realized as unfold + matmul); the channel-ID
-    row and positional embedding are then added.
+    (unfold + matmul, a stride-P convolution); its channel-ID row, the map's
+    only bias, and the positional embedding are then added.
     """
     patches = T.unfold_patches(images, patch)  # [B, Cs, S, P*P]
     tokens = T.matmul(patches, tok_w)  # [B, Cs, S, D]
-    cs, d = tok_b.shape
-    tokens = T.add(tokens, T.reshape(tok_b, (cs, 1, d)))
-    tokens = T.add(tokens, T.reshape(chan_id, (cs, 1, d)))
+    tokens = T.add(tokens, T.reshape(chan_id, (chan_id.shape[0], 1, -1)))
     return T.add(tokens, pos)
 
 
@@ -135,8 +133,7 @@ def decode(vit_out: Tensor, w: dict, model: ModelConfig) -> Tensor:
     """[B, S+1, D] -> per-position pixel predictions [B, S, C*P*P]."""
     s = model.seq
     z = T.narrow(vit_out, 1, 1, s)  # drop the metadata token
-    z = linear(z, w["dec.proj.w"], w["dec.proj.b"])
-    z = T.add(z, w["dec.pos"])
+    z = T.add(T.matmul(z, w["dec.proj.w"]), w["dec.pos"])
     for i in range(model.decoder_depth):
         z = transformer_block(z, w, f"dec.blk{i}", N_DECODER_HEADS)
     return linear(z, w["dec.head.w"], w["dec.head.b"])
@@ -173,7 +170,7 @@ def trunk_loss(agg: Tensor, w: dict, model: ModelConfig, batch: Batch,
 def forward_loss_serial(w: dict, model: ModelConfig, batch: Batch) -> Tensor:
     """Reference forward of the flat architecture."""
     with alloc_tag("tokenize"):
-        tokens = tokenize_channels(Tensor(batch.images), w["tok.w"], w["tok.b"],
+        tokens = tokenize_channels(Tensor(batch.images), w["tok.w"],
                                    w["special.channel_id"], w["special.pos"],
                                    model.patch)
     with alloc_tag("aggregate"):
@@ -203,7 +200,6 @@ def forward_loss_dchag_reference(w: dict, model: ModelConfig,
             tokens = tokenize_channels(
                 T.narrow(images, 1, r * cloc, cloc),
                 T.narrow(w["tok.w"], 0, r * cloc, cloc),
-                T.narrow(w["tok.b"], 0, r * cloc, cloc),
                 T.narrow(w["special.channel_id"], 0, r * cloc, cloc),
                 w["special.pos"], model.patch)
         with alloc_tag("aggregate"):

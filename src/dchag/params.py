@@ -4,20 +4,28 @@ Master parameters for a (model, strategy) pair are created in one fixed,
 documented order so that every execution strategy can be seeded from the
 same master set and compared gradient-for-gradient:
 
-1. tokenizer:       tok.w [C, P*P, D], tok.b [C, D]
+1. tokenizer:       tok.w [C, P*P, D]
 2. special tokens:  special.channel_id [C, D], special.pos [S, D],
                     special.meta_w [4, D], special.meta_b [D]
 3. aggregation:
    - flat (serial, tp_only, dist_token): agg.flat.{q|wq,wk,wv,wo,bo|rq}
    - hierarchical (dchag): agg.slab{r}.l{level}.g{group}.<node params> for
      r in 0..tp-1, then agg.final.*
-4. transformer:     vit.blk{i}.{ln1.g, ln1.b, wq, bq, wk, wv, bv,
-                    wo, bo, ln2.g, ln2.b, w1, b1, w2, b2} for i in 0..L-1
-5. decoder:         dec.mask [D], dec.proj.w [D, Dd], dec.proj.b [Dd],
-                    dec.pos [S, Dd], dec.blk{i}.* (block layout above,
-                    width Dd), dec.head.w [Dd, C*P*P], dec.head.b [C*P*P]
+4. transformer:     vit.blk{i}.{ln1.g, wq, bq, wk, wv, wo, bo, ln2.g,
+                    w1, b1, w2, b2} for i in 0..L-1
+5. decoder:         dec.mask [D], dec.proj.w [D, Dd], dec.pos [S, Dd],
+                    dec.blk{i}.* (block layout above, width Dd),
+                    dec.head.w [Dd, C*P*P], dec.head.b [C*P*P]
 
 Weights are truncated-normal (std 0.02), biases zero, layernorm gains one.
+
+No parameter that another one absorbs (a change to it is one to that one):
+  - tokenizer bias: special.channel_id is the same per-channel constant;
+  - block key bias: a per-row logit constant, it cancels in the softmax;
+  - block value bias: attention rows sum to one, so bv @ wo is bo's;
+  - ln1.b / ln2.b: bq's on q, cancelled on k, bo's on v, b1's on the MLP;
+  - decoder projection bias: dec.pos is the per-position constant.
+
 Cross-attention aggregation nodes carry {q, wq, wk, wv, wo, bo} in the
 single_query variant ({wq, wk, wv, wo, bo, rq} in full_cross); linear nodes
 carry {mix [g], w [D, D], b [D]}.
@@ -30,11 +38,11 @@ properties of `StrategyConfig` (`slabs_channels`, `splits_agg`,
 
   parameter                            placement
   -----------------------------------  ----------------------------------
-  tok.w, tok.b, special.channel_id     split axis 0 (channel slab) when
+  tok.w, special.channel_id            split axis 0 (channel slab) when
                                          slabs_channels
   agg.slab{r}.*                        owned by tp rank r
   agg.flat.* when splits_agg;          wq, wk, wv, w1: split axis 1
-    vit.blk*.* when splits_vit           (column); bq, bv, b1: split axis 0;
+    vit.blk*.* when splits_vit           (column); bq, b1: split axis 0;
     (head-split layers)                  wo, w2: split axis 0 (row); other
                                          leaves replicated
   everything else, agg.final.* too     replicated
@@ -105,17 +113,13 @@ def _block_specs(prefix: str, width: int, mlp_ratio: int):
     hidden = mlp_ratio * width
     return [
         (f"{prefix}.ln1.g", (width,), "ones"),
-        (f"{prefix}.ln1.b", (width,), "zeros"),
         (f"{prefix}.wq", (width, width), "normal"),
         (f"{prefix}.bq", (width,), "zeros"),
-        # no key bias: it cancels in the softmax, leaving a dead parameter
         (f"{prefix}.wk", (width, width), "normal"),
         (f"{prefix}.wv", (width, width), "normal"),
-        (f"{prefix}.bv", (width,), "zeros"),
         (f"{prefix}.wo", (width, width), "normal"),
         (f"{prefix}.bo", (width,), "zeros"),
         (f"{prefix}.ln2.g", (width,), "ones"),
-        (f"{prefix}.ln2.b", (width,), "zeros"),
         (f"{prefix}.w1", (width, hidden), "normal"),
         (f"{prefix}.b1", (hidden,), "zeros"),
         (f"{prefix}.w2", (hidden, width), "normal"),
@@ -148,7 +152,6 @@ def _layout(model: ModelConfig, strategy: StrategyConfig, compact: bool):
     c, d, s, p = model.channels, model.embed, model.seq, model.patch
     yield 1, [
         ("tok.w", (c, p * p, d), "normal"),
-        ("tok.b", (c, d), "zeros"),
         ("special.channel_id", (c, d), "normal"),
         ("special.pos", (s, d), "normal"),
         ("special.meta_w", (4, d), "normal"),
@@ -167,7 +170,6 @@ def _layout(model: ModelConfig, strategy: StrategyConfig, compact: bool):
     yield 1, [
         ("dec.mask", (d,), "normal"),
         ("dec.proj.w", (d, dd), "normal"),
-        ("dec.proj.b", (dd,), "zeros"),
         ("dec.pos", (s, dd), "normal"),
     ]
     yield from _blocks_layout("dec.blk", model.decoder_depth, dd, model.mlp_ratio, compact)
@@ -216,10 +218,10 @@ _CHANNEL_SLAB = Placement(split_axis=0)
 # features; row-split projections cut input features, leaving partial sums.
 _HEAD_SPLIT = {leaf: Placement(split_axis=axis) for leaf, axis in (
     ("wq", 1), ("wk", 1), ("wv", 1), ("w1", 1),
-    ("bq", 0), ("bv", 0), ("b1", 0),
+    ("bq", 0), ("b1", 0),
     ("wo", 0), ("w2", 0))}
 
-_CHANNEL_SLABBED = ("tok.w", "tok.b", "special.channel_id")
+_CHANNEL_SLABBED = ("tok.w", "special.channel_id")
 _COMPONENT_OF_PREFIX = {"tok": "tokenize", "special": "tokenize", "agg": "aggregate",
                         "vit": "vit", "dec": "decoder"}
 

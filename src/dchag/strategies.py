@@ -105,8 +105,8 @@ def _wrap_params(arrays: dict) -> dict:
 
 
 def _extract_grads(w: dict) -> dict:
-    return {k: (t.grad.copy() if t.grad is not None else np.zeros(t.shape))
-            for k, t in w.items()}
+    """Gradients as stored (never written after), zeros where none."""
+    return {k: t.grad if t.grad is not None else np.zeros(t.shape) for k, t in w.items()}
 
 
 # -- single-process steps ----------------------------------------------------------
@@ -158,8 +158,8 @@ def parallel_forward_loss(w: dict, model: ModelConfig, strategy: StrategyConfig,
         shares_pos = strategy.slabs_channels and strategy.tp_degree > 1
         pos = fanout(ctx.tp if shares_pos else None, w["special.pos"],
                      "shared-grad.special.pos")
-        tokens = tokenize_channels(images, w["tok.w"], w["tok.b"],
-                                   w["special.channel_id"], pos, model.patch)
+        tokens = tokenize_channels(images, w["tok.w"], w["special.channel_id"], pos,
+                                   model.patch)
         if strategy.kind == "dist_token":
             tokens = gather_shards(ctx.tp, tokens, axis=1, tag=TOKEN_GATHER_TAG)
     with alloc_tag("aggregate"):

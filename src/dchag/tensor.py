@@ -58,16 +58,17 @@ class Tensor:
         self.data = arr
         self.requires_grad = bool(requires_grad) or any(p.requires_grad for p in _parents)
         self.grad = None
-        self._parents = tuple(_parents) if self.requires_grad else ()
         self._backward = _backward if self.requires_grad else None
-        # Charge owned buffers to the allocation tracker; views are free.  An
-        # op output owns its buffer unless it shares memory with a parent
-        # (numpy's .base is unreliable for reshape-forced copies); a leaf
-        # owns its buffer unless it is a numpy view.
+        # Charge owned buffers to the allocation tracker; views are free, and
+        # keep their parents even without grad, so the owner's charge lasts
+        # as long as the buffer.  An op output owns its buffer unless it
+        # shares memory with a parent (numpy's .base is unreliable for
+        # reshape-forced copies); a leaf owns its buffer unless it is a view.
         if _parents:
             owns = not any(np.may_share_memory(arr, p.data) for p in _parents)
         else:
             owns = arr.base is None
+        self._parents = tuple(_parents) if self.requires_grad or not owns else ()
         tr = current_tracker()
         if tr is not None and owns:
             tag = tr.allocate(arr.nbytes)
@@ -348,17 +349,17 @@ def gelu(x: Tensor) -> Tensor:
     return Tensor(out, _parents=(x,), _backward=back)
 
 
-def layernorm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
-    """Normalize over the last axis, then apply the affine (gamma, beta)."""
+def layernorm(x: Tensor, gamma: Tensor, eps: float = 1e-5) -> Tensor:
+    """Normalize over the last axis and scale by gamma; no shift (`params`)."""
     n = x.shape[-1]
-    if gamma.shape != (n,) or beta.shape != (n,):
-        raise ShapeError(f"layernorm affine shapes {gamma.shape}/{beta.shape} do not match feature dim {n}")
+    if gamma.shape != (n,):
+        raise ShapeError(f"layernorm gain shape {gamma.shape} does not match feature dim {n}")
     xd = x.data
     mu = xd.mean(axis=-1, keepdims=True)
     var = ((xd - mu) ** 2).mean(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + eps)
     xhat = (xd - mu) * inv
-    out = gamma.data * xhat + beta.data
+    out = gamma.data * xhat
     _flops(8 * out.size)
     gd = gamma.data
 
@@ -369,10 +370,9 @@ def layernorm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tens
         dx = inv * (dxhat - m1 - xhat * m2)
         axes = tuple(range(g.ndim - 1))
         dgamma = (g * xhat).sum(axis=axes)
-        dbeta = g.sum(axis=axes)
-        return dx, dgamma, dbeta
+        return dx, dgamma
 
-    return Tensor(out, _parents=(x, gamma, beta), _backward=back)
+    return Tensor(out, _parents=(x, gamma), _backward=back)
 
 
 # -- shape manipulation ------------------------------------------------------

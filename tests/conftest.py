@@ -19,6 +19,18 @@ def rel_err(a, b, floor=1e-300):
     return np.abs(a - b).max(initial=0.0) / denom
 
 
+def assert_grads_match(g1, g2, rtol=1e-10):
+    """The equivalence rule: per-tensor relative error with a floor tied to
+    the overall gradient scale (identically-zero-by-symmetry entries are
+    noise)."""
+    assert set(g1) == set(g2)
+    scale = max(np.abs(v).max() for v in g1.values())
+    for name in g1:
+        denom = max(np.abs(g1[name]).max(), np.abs(g2[name]).max(), 1e-3 * scale)
+        err = np.abs(g1[name] - g2[name]).max() / denom
+        assert err < rtol, f"{name}: rel err {err:.2e}"
+
+
 def fd_grad(fn, tensors, wrt, h=1e-6):
     """Central finite differences of scalar fn() with respect to tensors[wrt].
 

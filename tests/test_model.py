@@ -2,16 +2,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import erf
 
 from dchag import tensor as T
 from dchag.config import (ConfigError, ModelConfig, ParallelConfig, StrategyConfig,
                           build_tree_spec)
-from dchag.layers import allsum, fanout
-from dchag.model import (Batch, apply_token_mask, flat_aggregate,
+from dchag.layers import allsum, cross_attention_aggregate, fanout, transformer_block
+from dchag.model import (Batch, apply_token_mask, decode, flat_aggregate,
                          forward_loss_dchag_reference, forward_loss_serial,
                          make_mask, masked_mse, tokenize_channels, tree_aggregate,
                          vit_forward)
-from dchag.params import create_master
+from dchag.params import create_master, shard_for_rank, unshard_grads
 from dchag.rng import RngState
 from dchag.runtime import ring_allreduce_payload, spawn_ranks
 from dchag.strategies import gather_shards, run_serial_step
@@ -19,7 +20,7 @@ from dchag.synthetic import make_batch
 from dchag.tensor import Tensor
 from dchag.tracking import current_tracker
 
-from conftest import check_grad, rel_err
+from conftest import assert_grads_match, check_grad, rel_err
 
 
 def tiny_model(**kw):
@@ -141,23 +142,21 @@ class TestTokenize:
         model = tiny_model(channels=500, image_h=64, image_w=64, patch=16, embed=8)
         rng = RngState(0)
         tok_w = Tensor(rng.normal((500, 256, 8)))
-        tok_b = Tensor(np.zeros((500, 8)))
         chan = Tensor(np.zeros((500, 8)))
         pos = Tensor(np.zeros((16, 8)))
         imgs = Tensor(rng.normal((1, 500, 64, 64)))
-        out = tokenize_channels(imgs, tok_w, tok_b, chan, pos, 16)
+        out = tokenize_channels(imgs, tok_w, chan, pos, 16)
         assert out.shape == (1, 500, 16, 8)
 
     def test_zero_everything_gives_zero_tokens(self):
         out = tokenize_channels(Tensor(np.zeros((1, 2, 4, 4))),
                                 Tensor(np.zeros((2, 4, 3))), Tensor(np.zeros((2, 3))),
-                                Tensor(np.zeros((2, 3))), Tensor(np.zeros((4, 3))), 2)
+                                Tensor(np.zeros((4, 3))), 2)
         np.testing.assert_array_equal(out.data, 0.0)
 
     def test_gradient(self, rng):
         ts = {
             "w": Tensor(rng.normal((2, 16, 6), 0.1), requires_grad=True),
-            "b": Tensor(rng.normal((2, 6), 0.1), requires_grad=True),
             "cid": Tensor(rng.normal((2, 6), 0.1), requires_grad=True),
             "pos": Tensor(rng.normal((4, 6), 0.1), requires_grad=True),
         }
@@ -165,7 +164,7 @@ class TestTokenize:
         probe = rng.normal((1, 2, 4, 6))
 
         def f():
-            out = tokenize_channels(imgs, ts["w"], ts["b"], ts["cid"], ts["pos"], 4)
+            out = tokenize_channels(imgs, ts["w"], ts["cid"], ts["pos"], 4)
             return T.sum_all(T.mul(out, Tensor(probe)))
 
         check_grad(f, ts, tol=1e-5)
@@ -197,9 +196,12 @@ def brute_force_single_query(tokens, q, wq, wk, wv, wo, bo, heads):
 
 
 def brute_force_full_cross(tokens, wq, wk, wv, wo, bo, rq, heads):
+    """Explicit-loop full_cross layer; returns its output [B, 1, S, D] and
+    the reduce stage's weights [B, S, C] over the C attended tokens."""
     b_, c, s, d = tokens.shape
     dh = d // heads
     out = np.zeros((b_, 1, s, d))
+    weights = np.zeros((b_, s, c))
     for b in range(b_):
         for si in range(s):
             x = tokens[b, :, si, :]
@@ -214,9 +216,9 @@ def brute_force_full_cross(tokens, wq, wk, wv, wo, bo, rq, heads):
             proj = att @ wo + bo
             scores = proj @ rq / np.sqrt(d)
             e = np.exp(scores - scores.max())
-            p = e / e.sum()
-            out[b, 0, si, :] = p @ proj
-    return out
+            weights[b, si] = e / e.sum()
+            out[b, 0, si, :] = weights[b, si] @ proj
+    return out, weights
 
 
 class TestFlatAggregate:
@@ -248,7 +250,7 @@ class TestFlatAggregate:
         w = wrap(master, requires_grad=False)
         tokens = rng.normal((1, 3, 2, 8))
         out = flat_aggregate(Tensor(tokens), w, "agg.flat", "full_cross", 2)
-        expect = brute_force_full_cross(
+        expect, _ = brute_force_full_cross(
             tokens, master["agg.flat.wq"], master["agg.flat.wk"], master["agg.flat.wv"],
             master["agg.flat.wo"], master["agg.flat.bo"], master["agg.flat.rq"], 2)
         assert rel_err(out.data, expect) < 1e-12
@@ -304,7 +306,6 @@ class TestFlatAggregate:
 
         def agg_of(images, chan_rows):
             tokens = tokenize_channels(Tensor(images), Tensor(master["tok.w"][chan_rows]),
-                                       Tensor(master["tok.b"][chan_rows]),
                                        Tensor(master["special.channel_id"][chan_rows]),
                                        Tensor(master["special.pos"]), model.patch)
             return flat_aggregate(tokens, w, "agg.flat", "single_query", model.heads)
@@ -312,6 +313,69 @@ class TestFlatAggregate:
         base = agg_of(imgs, np.arange(5))
         permuted = agg_of(imgs[:, perm], perm)
         assert rel_err(base.data, permuted.data) < 1e-12
+
+
+class TestFullCrossReduce:
+    """full_cross's learned-query reduce where it weighs its inputs: the
+    drawn weights make it far from a mean, yet no input is saturated."""
+
+    D, HEADS, CK = 8, 2, 4
+
+    def draw(self, seed):
+        rng = RngState(seed)
+        d = self.D
+        master = {f"agg.flat.{leaf}": rng.normal(shape, 0.5) for leaf, shape in (
+            ("wq", (d, d)), ("wk", (d, d)), ("wv", (d, d)), ("wo", (d, d)), ("bo", (d,)))}
+        master["agg.flat.rq"] = rng.normal((d,), 1.5)
+        x = rng.normal((2, 3, self.CK, d))  # [B, S, Ck, D]
+        return master, x, rng.normal((2, 3, 1, d))
+
+    @pytest.mark.parametrize("seed", [0, 1, 5])
+    def test_weighs_its_inputs(self, seed):
+        master, x, probe = self.draw(seed)
+        expect, weights = brute_force_full_cross(
+            x.transpose(0, 2, 1, 3), *(master[f"agg.flat.{leaf}"]
+                                       for leaf in ("wq", "wk", "wv", "wo", "bo", "rq")),
+            self.HEADS)
+        # a mean's weights have no spread; saturated ones sit at 0 or 1
+        assert weights.std(axis=-1).mean() > 0.1
+        assert 0.005 < weights.min() and weights.max() < 0.9
+        ts = {**wrap(master), "x": Tensor(x, requires_grad=True)}
+
+        def f():
+            out = cross_attention_aggregate(ts["x"], ts, "agg.flat", "full_cross", self.HEADS)
+            return T.sum_all(T.mul(out, Tensor(probe)))
+
+        out = cross_attention_aggregate(Tensor(x), ts, "agg.flat", "full_cross", self.HEADS)
+        assert rel_err(out.data, expect.transpose(0, 2, 1, 3)) < 1e-12
+        check_grad(f, {name: ts[name] for name in ("agg.flat.rq", "x")}, tol=1e-6)
+        # rq's gradient clears the equivalence rule's 1e-3 floor by far (at the
+        # `many_channels` initialisation it is 3e-18 of the largest)
+        largest = max(np.abs(t.grad).max() for t in ts.values())
+        assert np.abs(ts["agg.flat.rq"].grad).max() > 1e-2 * largest
+
+    @pytest.mark.parametrize("seed", [0, 1, 5])
+    def test_head_split_matches_unsplit(self, seed):
+        master, x, probe = self.draw(seed)
+        strategy = StrategyConfig(kind="tp_only", tp_degree=2)
+
+        def run(w, group):
+            ts = {**wrap(w), "x": Tensor(x, requires_grad=True)}
+            out = cross_attention_aggregate(ts["x"], ts, "agg.flat", "full_cross",
+                                            self.HEADS, group)
+            T.backward(T.sum_all(T.mul(out, Tensor(probe))))
+            return out.data, {name: t.grad for name, t in ts.items()}
+
+        def program(ctx):
+            return run(shard_for_rank(master, None, strategy, ctx.coords[0]), ctx.tp)
+
+        out, grads = run(master, None)
+        ranks = spawn_ranks(ParallelConfig(dchag_tp=2), program).results
+        split = unshard_grads([g for _, g in ranks], master, None, strategy)
+        for rank_out, rank_grads in ranks:
+            assert rel_err(rank_out, out) < 1e-10
+            assert_grads_match({"x": grads["x"]}, {"x": rank_grads["x"]})
+        assert_grads_match({k: grads[k] for k in master}, split)
 
 
 class TestTreeAggregate:
@@ -383,6 +447,38 @@ class TestTreeAggregate:
 # -- transformer / mae ---------------------------------------------------------
 
 
+def block_params(w, prefix):
+    """A block's parameters from `w`, keyed by leaf name (ln1.g, wq, ...)."""
+    return {k[len(prefix) + 1:]: v for k, v in w.items() if k.startswith(prefix + ".")}
+
+
+def brute_force_block(x, p, heads):
+    """Explicit-loop pre-norm block on one [T, D] sequence.  Besides the
+    model's parameters it applies, where `p` has them, the biases the model
+    leaves out: the norms' shifts ln1.b and ln2.b and the value bias bv."""
+    def ln(v, g, b, eps=1e-5):
+        mu = v.mean(-1, keepdims=True)
+        var = ((v - mu) ** 2).mean(-1, keepdims=True)
+        return g * (v - mu) / np.sqrt(var + eps) + b
+
+    t, d = x.shape
+    dh = d // heads
+    h = ln(x, p["ln1.g"], p.get("ln1.b", 0.0))
+    q = h @ p["wq"] + p["bq"]
+    k = h @ p["wk"]
+    v = h @ p["wv"] + p.get("bv", 0.0)
+    ctx = np.zeros((t, d))
+    for hi in range(heads):
+        sl = slice(hi * dh, (hi + 1) * dh)
+        for i in range(t):
+            logits = np.array([q[i, sl] @ k[j, sl] for j in range(t)]) / np.sqrt(dh)
+            e = np.exp(logits - logits.max())
+            ctx[i, sl] = (e / e.sum()) @ v[:, sl]
+    x1 = x + ctx @ p["wo"] + p["bo"]
+    u = ln(x1, p["ln2.g"], p.get("ln2.b", 0.0)) @ p["w1"] + p["b1"]
+    return x1 + (0.5 * u * (1 + erf(u / np.sqrt(2)))) @ p["w2"] + p["b2"]
+
+
 class TestVit:
     def test_depth_zero_is_concat_only(self, rng):
         model = tiny_model(depth=0)
@@ -401,31 +497,8 @@ class TestVit:
         master = create_master(model, StrategyConfig(), RngState(21))
         w = wrap(master, requires_grad=False)
         x = rng.normal((1, 3, 4))
-        from dchag.layers import transformer_block
         out = transformer_block(Tensor(x), w, "vit.blk0", 1)
-
-        def ln(v, g, b, eps=1e-5):
-            mu = v.mean(-1, keepdims=True)
-            var = ((v - mu) ** 2).mean(-1, keepdims=True)
-            return g * (v - mu) / np.sqrt(var + eps) + b
-
-        def gelu_np(v):
-            from scipy.special import erf
-            return 0.5 * v * (1 + erf(v / np.sqrt(2)))
-
-        p = "vit.blk0"
-        h = ln(x[0], master[f"{p}.ln1.g"], master[f"{p}.ln1.b"])
-        q = h @ master[f"{p}.wq"] + master[f"{p}.bq"]
-        k = h @ master[f"{p}.wk"]
-        v = h @ master[f"{p}.wv"] + master[f"{p}.bv"]
-        logits = q @ k.T / np.sqrt(4)
-        e = np.exp(logits - logits.max(axis=1, keepdims=True))
-        pr = e / e.sum(axis=1, keepdims=True)
-        attn = (pr @ v) @ master[f"{p}.wo"] + master[f"{p}.bo"]
-        x1 = x[0] + attn
-        h2 = ln(x1, master[f"{p}.ln2.g"], master[f"{p}.ln2.b"])
-        m = gelu_np(h2 @ master[f"{p}.w1"] + master[f"{p}.b1"]) @ master[f"{p}.w2"] + master[f"{p}.b2"]
-        expect = x1 + m
+        expect = brute_force_block(x[0], block_params(master, "vit.blk0"), 1)
         assert rel_err(out.data[0], expect) < 1e-12
 
     def test_sequence_length_is_s_plus_one(self, rng):
@@ -435,6 +508,73 @@ class TestVit:
             out = vit_forward(Tensor(rng.normal((1, 1, s, 8))), Tensor(rng.normal((1, 4))),
                               w, cfg)
             assert out.shape[1] == s + 1
+
+
+class TestAbsorbedBiases:
+    """The model has no parameter that another one absorbs (`params`): each
+    bias it leaves out, kept nonzero in a numpy brute force, gives the same
+    output as the bias-free model with the absorbing parameter shifted."""
+
+    @pytest.mark.parametrize("tp", [1, 2])
+    def test_block_shifts_and_value_bias(self, rng, tp):
+        # bq absorbs ln1.b on q; ln1.b on k cancels in the softmax; bo absorbs
+        # ln1.b and bv on v, per head under tp as well; b1 absorbs ln2.b
+        d, heads, hidden = 8, 2, 16
+        shapes = {"ln1.g": (d,), "ln1.b": (d,), "wq": (d, d), "bq": (d,), "wk": (d, d),
+                  "wv": (d, d), "bv": (d,), "wo": (d, d), "bo": (d,), "ln2.g": (d,),
+                  "ln2.b": (d,), "w1": (d, hidden), "b1": (hidden,), "w2": (hidden, d),
+                  "b2": (d,)}
+        p = {leaf: rng.normal(shape, 0.5) for leaf, shape in shapes.items()}
+        x = rng.normal((2, 5, d))
+        expect = np.stack([brute_force_block(xi, p, heads) for xi in x])
+
+        absorbed = {leaf: p[leaf] for leaf in shapes if leaf not in ("ln1.b", "bv", "ln2.b")}
+        absorbed["bq"] = p["bq"] + p["ln1.b"] @ p["wq"]
+        absorbed["bo"] = p["bo"] + (p["ln1.b"] @ p["wv"] + p["bv"]) @ p["wo"]
+        absorbed["b1"] = p["b1"] + p["ln2.b"] @ p["w1"]
+        master = {f"vit.blk0.{leaf}": v for leaf, v in absorbed.items()}
+        strategy = StrategyConfig(kind="tp_only", tp_degree=tp)
+
+        def program(ctx):
+            w = wrap(shard_for_rank(master, None, strategy, ctx.coords[0]), False)
+            return transformer_block(Tensor(x), w, "vit.blk0", heads, ctx.tp).data
+
+        for out in spawn_ranks(ParallelConfig(dchag_tp=tp), program).results:
+            assert rel_err(out, expect) < 1e-12
+
+    def test_tokenizer_bias(self, rng):
+        # special.channel_id absorbs a per-channel tokenizer bias
+        b, c, side, patch, d = 2, 3, 8, 4, 6
+        images = rng.normal((b, c, side, side))
+        tok_w = rng.normal((c, patch * patch, d))
+        tok_b, chan_id = rng.normal((c, d)), rng.normal((c, d))
+        pos = rng.normal(((side // patch) ** 2, d))
+        expect = np.zeros((b, c, len(pos), d))
+        for bi in range(b):
+            for ci in range(c):
+                for i in range(side // patch):
+                    for j in range(side // patch):
+                        rows = images[bi, ci, i * patch:(i + 1) * patch, j * patch:(j + 1) * patch]
+                        s = i * (side // patch) + j
+                        expect[bi, ci, s] = (rows.reshape(-1) @ tok_w[ci] + tok_b[ci]
+                                             + chan_id[ci] + pos[s])
+        out = tokenize_channels(Tensor(images), Tensor(tok_w), Tensor(chan_id + tok_b),
+                                Tensor(pos), patch)
+        assert rel_err(out.data, expect) < 1e-12
+
+    def test_decoder_projection_bias(self, rng):
+        # dec.pos absorbs the decoder projection's bias
+        model = tiny_model()
+        master = {k: rng.normal(v.shape, 0.5)
+                  for k, v in create_master(model, StrategyConfig(), RngState(4)).items()
+                  if k.startswith("dec.")}
+        proj_b = rng.normal((model.decoder_dim,), 0.5)
+        vit_out = rng.normal((2, model.seq + 1, model.embed))
+        z = vit_out[:, 1:] @ master["dec.proj.w"] + proj_b + master["dec.pos"]
+        z = np.stack([brute_force_block(zi, block_params(master, "dec.blk0"), 1) for zi in z])
+        expect = z @ master["dec.head.w"] + master["dec.head.b"]
+        w = wrap({**master, "dec.pos": master["dec.pos"] + proj_b}, False)
+        assert rel_err(decode(Tensor(vit_out), w, model).data, expect) < 1e-12
 
 
 class TestMae:

@@ -16,6 +16,8 @@ from dchag.strategies import (DCHAG_BOUNDARY_TAG, TOKEN_GATHER_TAG,
                               run_serial_step, run_tp_step)
 from dchag.synthetic import make_batch
 
+from conftest import assert_grads_match
+
 
 def tiny(channels=4, **kw):
     base = dict(channels=channels, image_h=8, image_w=8, patch=4, embed=8,
@@ -25,17 +27,6 @@ def tiny(channels=4, **kw):
     cfg = ModelConfig(**base)
     cfg.validate()
     return cfg
-
-
-def assert_grads_match(g1, g2, rtol=1e-10):
-    """Spec tolerance: per-tensor relative error with a floor tied to the
-    overall gradient scale (identically-zero-by-symmetry entries are noise)."""
-    assert set(g1) == set(g2)
-    scale = max(np.abs(v).max() for v in g1.values())
-    for name in g1:
-        denom = max(np.abs(g1[name]).max(), np.abs(g2[name]).max(), 1e-3 * scale)
-        err = np.abs(g1[name] - g2[name]).max() / denom
-        assert err < rtol, f"{name}: rel err {err:.2e}"
 
 
 class TestTpEquivalence:
@@ -368,6 +359,36 @@ class TestHybrid:
         with pytest.raises(ConfigError, match=r"sizes \[2, 1\]"):
             run_hybrid_step(ParallelConfig(dchag_tp=2, dp=2), model, strat, master,
                             [make_batch(model, 11, 0, [0, 1]), make_batch(model, 11, 0, [2])])
+
+
+@pytest.mark.parametrize("variant", AGG_VARIANTS)
+def test_no_two_parameters_share_a_gradient(variant):
+    # a parameter that another one absorbs gets that one's gradient, bit for
+    # bit (a tokenizer bias did, special.channel_id's); the model has none
+    model = tiny(channels=4, agg_variant=variant)
+    batch = make_batch(model, 11, 0, [0, 1])
+    strats = [StrategyConfig(kind=kind, tp_degree=2, max_group=2, agg_layer_kind=layer)
+              for kind, layer in (("tp_only", "cross_attention"),
+                                  ("dist_token", "cross_attention"),
+                                  ("dchag", "cross_attention"), ("dchag", "linear"))]
+    master = create_master(model, StrategyConfig(), RngState(5))
+    runs = {"serial": run_serial_step(model, master, batch).grads}
+    for strat in strats:
+        master = create_master(model, strat, RngState(5))
+        name = f"{strat.kind}-{strat.agg_layer_kind}"
+        runs[name] = run_hybrid_step(ParallelConfig(dchag_tp=2), model, strat, master,
+                                     [batch]).grads
+        if strat.kind == "dchag":
+            runs[f"{name}-reference"] = run_dchag_reference_step(model, strat, master,
+                                                                 batch).grads
+    shared = []
+    for run, grads in runs.items():
+        seen = {}
+        for name, g in grads.items():
+            other = seen.setdefault((g.shape, g.tobytes()), name)
+            if other != name:
+                shared.append((run, other, name))
+    assert shared == []
 
 
 class TestSharding:

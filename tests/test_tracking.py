@@ -18,6 +18,19 @@ def test_views_not_charged():
     assert tr.live_bytes == 0
 
 
+def test_view_keeps_its_owners_charge():
+    # a gradient-free view outlives the Tensor that owns its buffer: the
+    # charge lasts until the view, and so the buffer, is gone
+    tr = AllocTracker()
+    with activate(tr):
+        owner = T.scale(Tensor(np.ones((4, 4))), 2.0)
+        view = T.narrow(T.transpose(owner, (1, 0)), 0, 1, 2)
+        del owner  # the input leaf goes: nothing refers to it
+        assert tr.live_bytes == 128
+        del view
+    assert tr.live_bytes == 0
+
+
 def test_peak_and_tag_accounting():
     tr = AllocTracker()
     with activate(tr):
