@@ -103,7 +103,6 @@ def _agg_layer(b, s, ck, d, heads, variant, tp):
     head-split over tp.
 
     Activations: key/value (query too for full_cross) at width D/tp; the
-    single_query learned-query projection (one row of width D/tp); the
     attention op over B*S positions, 1 (single_query) or Ck (full_cross)
     query rows against Ck keys, whose (H/tp)*Ck or (H/tp)*Ck^2 logits per
     position are transient, one block of positions at a time; the
@@ -122,7 +121,7 @@ def _agg_layer(b, s, ck, d, heads, variant, tp):
     dl, hl = d / tp, heads / tp
     out_chain = 2 + (1 if tp > 1 else 0)
     if variant == "single_query":
-        acts = _then(_stored(2 * b * s * ck * dl + dl), _attention(b * s, hl, 1, ck, dl),
+        acts = _then(_stored(2 * b * s * ck * dl), _attention(b * s, hl, 1, ck, dl),
                      _stored(out_chain * b * s * d))
         flops = (2 * 2 * b * s * ck * d * dl + 2 * 2 * b * s * hl * ck * (d / heads)
                  + 2 * b * s * d * dl)
@@ -265,8 +264,6 @@ def estimate(model: ModelConfig, strategy: StrategyConfig,
         width = (c if model.agg_variant == "full_cross" else 1) * b * s * d
         add_comm("forward", "tp", ring_allreduce_payload(width, pb, tp))  # output allsum
         add_comm("backward", "tp", ring_allreduce_payload(b * s * c * d, pb, tp))  # input fanout
-        if model.agg_variant == "single_query":  # fanout of the learned query
-            add_comm("backward", "tp", ring_allreduce_payload(d, pb, tp))
 
     # --- vit: the blocks at T = S+1, after the masked stream, the [B, 4]
     # metadata input and its token, and the concatenated sequence.

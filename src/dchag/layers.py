@@ -23,7 +23,6 @@ from . import tensor as T
 from .runtime import ProcessGroup
 from .tensor import Tensor
 
-LN_EPS = 1e-5
 N_DECODER_HEADS = 1  # the reconstruction decoder is small; single-head attention
 
 
@@ -69,8 +68,8 @@ def sdp_attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int) -> Tensor:
 
 def transformer_block(x: Tensor, w: dict, prefix: str, n_heads: int,
                       group: ProcessGroup | None = None) -> Tensor:
-    """Pre-norm block: x + attn(ln1(x)); x + mlp(ln2(x)), unshifted norms."""
-    h = T.layernorm(x, w[f"{prefix}.ln1.g"], LN_EPS)
+    """Pre-norm block: x + attn(ln1(x)); x + mlp(ln2(x)), norms without parameters."""
+    h = T.layernorm(x)
     h = fanout(group, h, prefix)
     q = linear(h, w[f"{prefix}.wq"], w[f"{prefix}.bq"])
     k = linear(h, w[f"{prefix}.wk"])
@@ -80,7 +79,7 @@ def transformer_block(x: Tensor, w: dict, prefix: str, n_heads: int,
     attn = T.add(attn, w[f"{prefix}.bo"])
     x = T.add(x, attn)
 
-    h2 = T.layernorm(x, w[f"{prefix}.ln2.g"], LN_EPS)
+    h2 = T.layernorm(x)
     h2 = fanout(group, h2, prefix)
     m = T.gelu(linear(h2, w[f"{prefix}.w1"], w[f"{prefix}.b1"]))
     m = allsum(group, T.matmul(m, w[f"{prefix}.w2"]), prefix)
@@ -92,21 +91,20 @@ def cross_attention_aggregate(x: Tensor, w: dict, prefix: str, variant: str,
                               n_heads: int, group: ProcessGroup | None = None) -> Tensor:
     """Reduce [..., Ck, D] token stacks to [..., 1, D] per position.
 
-    single_query: one learned query attends over the Ck tokens (1 x Ck
-    logits per head).  full_cross: the Ck tokens attend over themselves
-    (Ck x Ck logits), then a learned query `rq` reduces the Ck outputs to
-    one by single-head attention over them (1 x Ck logits, scale 1/sqrt(D)),
-    the outputs serving as both keys and values.
+    single_query: a learned query `q`, unprojected (a projection of one
+    vector is another), attends over the Ck tokens (1 x Ck logits per head).
+    full_cross: the Ck tokens attend over themselves (Ck x Ck logits), then
+    a learned query `rq` reduces the Ck outputs to one by single-head
+    attention over them (1 x Ck logits, scale 1/sqrt(D)), the outputs
+    serving as both keys and values.
     """
     xf = fanout(group, x, prefix)
     k = T.matmul(xf, w[f"{prefix}.wk"])
     v = T.matmul(xf, w[f"{prefix}.wv"])
     if variant == "single_query":
-        q = T.reshape(w[f"{prefix}.q"], (1, w[f"{prefix}.q"].shape[0]))
-        q = fanout(group, q, prefix)
+        q = T.reshape(w[f"{prefix}.q"], (1, -1))  # [1, Dl]
     else:
-        q = xf
-    q = T.matmul(q, w[f"{prefix}.wq"])  # [1, Dl] or [..., Ck, Dl]
+        q = T.matmul(xf, w[f"{prefix}.wq"])  # [..., Ck, Dl]
     ctx = sdp_attention(q, k, v, local_heads(n_heads, group))  # [..., 1 or Ck, Dl]
     out = allsum(group, T.matmul(ctx, w[f"{prefix}.wo"]), prefix)
     out = T.add(out, w[f"{prefix}.bo"])  # replicated from here on

@@ -8,25 +8,36 @@ same master set and compared gradient-for-gradient:
 2. special tokens:  special.channel_id [C, D], special.pos [S, D],
                     special.meta_w [4, D], special.meta_b [D]
 3. aggregation:
-   - flat (serial, tp_only, dist_token): agg.flat.{q|wq,wk,wv,wo,bo|rq}
+   - flat (serial, tp_only, dist_token): agg.flat.<node params>
    - hierarchical (dchag): agg.slab{r}.l{level}.g{group}.<node params> for
-     r in 0..tp-1, then agg.final.*
-4. transformer:     vit.blk{i}.{ln1.g, wq, bq, wk, wv, wo, bo, ln2.g,
-                    w1, b1, w2, b2} for i in 0..L-1
+     r in 0..tp-1, then agg.final.<node params>
+4. transformer:     vit.blk{i}.{wq, bq, wk, wv, wo, bo, w1, b1, w2, b2}
+                    for i in 0..L-1
 5. decoder:         dec.mask [D], dec.proj.w [D, Dd], dec.pos [S, Dd],
                     dec.blk{i}.* (block layout above, width Dd),
                     dec.head.w [Dd, C*P*P], dec.head.b [C*P*P]
 
-Weights are truncated-normal (std 0.02), biases zero, layernorm gains one.
+Weights are truncated-normal (std 0.02), biases zero.
 
 No parameter that another one absorbs (a change to it is one to that one):
   - tokenizer bias: special.channel_id is the same per-channel constant;
   - block key bias: a per-row logit constant, it cancels in the softmax;
   - block value bias: attention rows sum to one, so bv @ wo is bo's;
   - ln1.b / ln2.b: bq's on q, cancelled on k, bo's on v, b1's on the MLP;
+  - ln1.g / ln2.g: diag(g) @ W is wq's, wk's and wv's (w1's), per column
+    shard under tp as well;
+  - single_query's query projection: q @ wq is one learned vector, q's;
   - decoder projection bias: dec.pos is the per-position constant.
+Kept on purpose, as deleting them would make one block or node differ from
+the rest of its stack or tree:
+  - the last block's b2: dec.pos absorbs vit's (through dec.proj.w), and
+    dec.head.b the decoder's (through dec.head.w);
+  - a linear tree's biases below the root: a node is affine, so a child's
+    bias reaches the loss only through its parent's;
+  - the query and wk of an attention node over one input (a one-channel
+    slab): its one key takes the whole softmax, so they are inert.
 
-Cross-attention aggregation nodes carry {q, wq, wk, wv, wo, bo} in the
+Cross-attention aggregation nodes carry {q, wk, wv, wo, bo} in the
 single_query variant ({wq, wk, wv, wo, bo, rq} in full_cross); linear nodes
 carry {mix [g], w [D, D], b [D]}.
 
@@ -42,7 +53,7 @@ properties of `StrategyConfig` (`slabs_channels`, `splits_agg`,
                                          slabs_channels
   agg.slab{r}.*                        owned by tp rank r
   agg.flat.* when splits_agg;          wq, wk, wv, w1: split axis 1
-    vit.blk*.* when splits_vit           (column); bq, b1: split axis 0;
+    vit.blk*.* when splits_vit           (column); q, bq, b1: split axis 0;
     (head-split layers)                  wo, w2: split axis 0 (row); other
                                          leaves replicated
   everything else, agg.final.* too     replicated
@@ -64,11 +75,11 @@ from .rng import RngState
 
 
 def _agg_node_specs(prefix: str, variant: str, embed: int):
-    specs = []
     if variant == "single_query":
-        specs.append((f"{prefix}.q", (embed,), "normal"))
+        specs = [(f"{prefix}.q", (embed,), "normal")]
+    else:
+        specs = [(f"{prefix}.wq", (embed, embed), "normal")]
     specs += [
-        (f"{prefix}.wq", (embed, embed), "normal"),
         (f"{prefix}.wk", (embed, embed), "normal"),
         (f"{prefix}.wv", (embed, embed), "normal"),
         (f"{prefix}.wo", (embed, embed), "normal"),
@@ -112,14 +123,12 @@ def _tree_layout(prefix: str, tree: TreeSpec, layer_kind: str, variant: str,
 def _block_specs(prefix: str, width: int, mlp_ratio: int):
     hidden = mlp_ratio * width
     return [
-        (f"{prefix}.ln1.g", (width,), "ones"),
         (f"{prefix}.wq", (width, width), "normal"),
         (f"{prefix}.bq", (width,), "zeros"),
         (f"{prefix}.wk", (width, width), "normal"),
         (f"{prefix}.wv", (width, width), "normal"),
         (f"{prefix}.wo", (width, width), "normal"),
         (f"{prefix}.bo", (width,), "zeros"),
-        (f"{prefix}.ln2.g", (width,), "ones"),
         (f"{prefix}.w1", (width, hidden), "normal"),
         (f"{prefix}.b1", (hidden,), "zeros"),
         (f"{prefix}.w2", (hidden, width), "normal"),
@@ -192,8 +201,6 @@ def create_master(model: ModelConfig, strategy: StrategyConfig,
     for name, shape, init in parameter_specs(model, strategy):
         if init == "zeros":
             master[name] = np.zeros(shape)
-        elif init == "ones":
-            master[name] = np.ones(shape)
         else:
             master[name] = rng.truncated_normal(shape, std=0.02)
     return master
@@ -214,11 +221,12 @@ class Placement(NamedTuple):
 
 REPLICATED = Placement()
 _CHANNEL_SLAB = Placement(split_axis=0)
-# Head-split layers: column-split projections and their biases cut output
-# features; row-split projections cut input features, leaving partial sums.
+# Head-split layers: column-split projections, their biases and the learned
+# query cut output features; row-split projections cut input features,
+# leaving partial sums.
 _HEAD_SPLIT = {leaf: Placement(split_axis=axis) for leaf, axis in (
     ("wq", 1), ("wk", 1), ("wv", 1), ("w1", 1),
-    ("bq", 0), ("b1", 0),
+    ("q", 0), ("bq", 0), ("b1", 0),
     ("wo", 0), ("w2", 0))}
 
 _CHANNEL_SLABBED = ("tok.w", "special.channel_id")
@@ -271,7 +279,7 @@ def rank_parameter_sizes(model: ModelConfig, strategy: StrategyConfig) -> tuple:
     return tuple((component, count, n) for (component, n), count in counts.items())
 
 
-def shard_for_rank(master: dict, model: ModelConfig, strategy: StrategyConfig,
+def shard_for_rank(master: dict, strategy: StrategyConfig,
                    tp_index: int) -> dict[str, np.ndarray]:
     """Per-rank parameter arrays (copies; the rank owns them).
 
@@ -293,7 +301,7 @@ def shard_for_rank(master: dict, model: ModelConfig, strategy: StrategyConfig,
     return out
 
 
-def unshard_grads(per_rank: list[dict], master: dict, model: ModelConfig,
+def unshard_grads(per_rank: list[dict], master: dict,
                   strategy: StrategyConfig) -> dict[str, np.ndarray]:
     """Reassemble per-rank gradient dicts into master layout.
 

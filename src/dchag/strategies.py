@@ -198,7 +198,7 @@ def run_hybrid_step(pconfig: ParallelConfig, model: ModelConfig,
 
     def program(ctx: RankContext):
         tp_i, _, dp_i = ctx.coords
-        w = _wrap_params(shard_for_rank(master, model, strategy, tp_i))
+        w = _wrap_params(shard_for_rank(master, strategy, tp_i))
         ctx.phase = "forward"
         loss = parallel_forward_loss(w, model, strategy, batches[dp_i], ctx)
         ctx.phase = "backward"
@@ -215,7 +215,7 @@ def run_hybrid_step(pconfig: ParallelConfig, model: ModelConfig,
     spawned = spawn_ranks(pconfig, program, schedule_seed=schedule_seed)
     losses = [r[0] for r in spawned.results]
     rank_grads = [r[1] for r in spawned.results]
-    grads = unshard_grads(rank_grads[: pconfig.dchag_tp], master, model, strategy)
+    grads = unshard_grads(rank_grads[: pconfig.dchag_tp], master, strategy)
     return ParallelStepResult(losses=losses, rank_grads=rank_grads, grads=grads,
                               stats=spawned.stats, ledger=spawned.ledger)
 

@@ -8,7 +8,9 @@ Design points that later modules rely on:
 * a fused op charges every buffer its forward holds outside a `Tensor` to
   the tracker as well: a transient from before its first use until it is
   dropped, a buffer kept for backward for as long as the closure holding
-  it lives;
+  it lives.  Two kept buffers are the exceptions, held but not charged:
+  `gelu`'s Phi(x), input-sized, and `layernorm`'s 1/sigma, one element per
+  row;
 * `attention` is the engine's only softmax: every attention in the model,
   full_cross's learned-query reduce too, is that one fused op;
 * the fused attention op walks its broadcast positions in blocks whose
@@ -40,6 +42,7 @@ from .tracking import current_tracker
 
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
 _INV_SQRT2PI = 1.0 / np.sqrt(2.0 * np.pi)
+_LN_EPS = 1e-5
 
 
 class EngineError(Exception):
@@ -349,30 +352,21 @@ def gelu(x: Tensor) -> Tensor:
     return Tensor(out, _parents=(x,), _backward=back)
 
 
-def layernorm(x: Tensor, gamma: Tensor, eps: float = 1e-5) -> Tensor:
-    """Normalize over the last axis and scale by gamma; no shift (`params`)."""
-    n = x.shape[-1]
-    if gamma.shape != (n,):
-        raise ShapeError(f"layernorm gain shape {gamma.shape} does not match feature dim {n}")
+def layernorm(x: Tensor) -> Tensor:
+    """Normalize over the last axis; no gain and no shift (`params`)."""
     xd = x.data
     mu = xd.mean(axis=-1, keepdims=True)
     var = ((xd - mu) ** 2).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = 1.0 / np.sqrt(var + _LN_EPS)
     xhat = (xd - mu) * inv
-    out = gamma.data * xhat
-    _flops(8 * out.size)
-    gd = gamma.data
+    _flops(7 * xhat.size)
 
     def back(g):
-        dxhat = g * gd
-        m1 = dxhat.mean(axis=-1, keepdims=True)
-        m2 = (dxhat * xhat).mean(axis=-1, keepdims=True)
-        dx = inv * (dxhat - m1 - xhat * m2)
-        axes = tuple(range(g.ndim - 1))
-        dgamma = (g * xhat).sum(axis=axes)
-        return dx, dgamma
+        m1 = g.mean(axis=-1, keepdims=True)
+        m2 = (g * xhat).mean(axis=-1, keepdims=True)
+        return (inv * (g - m1 - xhat * m2),)
 
-    return Tensor(out, _parents=(x, gamma), _backward=back)
+    return Tensor(xhat, _parents=(x,), _backward=back)
 
 
 # -- shape manipulation ------------------------------------------------------

@@ -76,12 +76,12 @@ def run_step(model, strat, batches):
     return run_hybrid_step(pconfig, model, strat, master, batches)
 
 
-def shard_bytes(model, strat, master):
+def shard_bytes(strat, master):
     """Component -> the most bytes any tp rank holds."""
     out = dict.fromkeys(COMPONENT_TAGS, 0)
     for r in range(strat.tp_degree):
         held = dict.fromkeys(COMPONENT_TAGS, 0)
-        for name, arr in shard_for_rank(master, model, strat, r).items():
+        for name, arr in shard_for_rank(master, strat, r).items():
             held[COMPONENT_OF[name.split(".")[0]]] += arr.nbytes
         out = {c: max(out[c], held[c]) for c in COMPONENT_TAGS}
     return out
@@ -104,13 +104,13 @@ class TestParameterBytes:
         master = create_master(model, strat, RngState(3))
         rep = estimate(model, strat, precision_bytes=8)
         got = {c: rep.components[c].params_bytes for c in COMPONENT_TAGS}
-        assert got == shard_bytes(model, strat, master)
+        assert got == shard_bytes(strat, master)
 
     def test_fsdp_divides_vit_and_moves_tp_local_blocks(self):
         model = desk()
         strat = StrategyConfig(kind="dchag", tp_degree=2, max_group=2)
         master = create_master(model, strat, RngState(3))
-        blocks = shard_bytes(model, strat, master)["vit"]
+        blocks = shard_bytes(strat, master)["vit"]
         rep = estimate(model, strat, ParallelConfig(dchag_tp=2, fsdp=4), precision_bytes=8)
         assert rep.components["vit"].params_bytes == blocks // 4
         assert rep.comm["forward", "fsdp"] == blocks * 3 // 4

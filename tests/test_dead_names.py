@@ -8,7 +8,10 @@ docstrings do not count.
 Every dataclass field, and every attribute a method of `src/dchag` assigns
 on `self`, is read somewhere in the same code.  A read is an attribute load
 or a string literal that is exactly the name; an assignment, and a keyword
-argument to a constructor, is a write."""
+argument to a constructor, is a write.
+
+Every parameter of a function or lambda of `src/dchag`, other than `self`,
+is loaded in its body."""
 
 import ast
 import io
@@ -101,3 +104,24 @@ def attribute_reads():
 def test_every_field_and_attribute_is_read():
     reads = attribute_reads()
     assert [qual for qual, name in state_definitions() if not reads[name]] == []
+
+
+def unread_parameters():
+    """(qualified name, parameter) of each parameter, other than `self`, of
+    a function or lambda of the package that its body never loads."""
+    for path in sorted(PACKAGE.glob("*.py")):
+        for fn in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                continue
+            a = fn.args
+            params = [p.arg for p in (*a.posonlyargs, *a.args, *a.kwonlyargs, a.vararg, a.kwarg)
+                      if p is not None and p.arg != "self"]
+            body = fn.body if isinstance(fn.body, list) else [fn.body]
+            loaded = {node.id for stmt in body for node in ast.walk(stmt)
+                      if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+            name = getattr(fn, "name", f"<lambda>:{fn.lineno}")
+            yield from (f"{path.stem}.{name}.{p}" for p in params if p not in loaded)
+
+
+def test_every_parameter_is_read():
+    assert list(unread_parameters()) == []

@@ -173,12 +173,13 @@ class TestTokenize:
 # -- aggregation ---------------------------------------------------------------
 
 
-def brute_force_single_query(tokens, q, wq, wk, wv, wo, bo, heads):
-    """Explicit-loop scaled dot-product oracle for the learned-query reduce."""
+def brute_force_single_query(tokens, q, wk, wv, wo, bo, heads, wq=None):
+    """Explicit-loop scaled dot-product oracle for the learned-query reduce.
+    Given `wq`, it also applies the query projection the model leaves out."""
     b_, c, s, d = tokens.shape
     dh = d // heads
     out = np.zeros((b_, 1, s, d))
-    qp = q @ wq
+    qp = q if wq is None else q @ wq
     for b in range(b_):
         for si in range(s):
             x = tokens[b, :, si, :]  # [C, D]
@@ -240,8 +241,8 @@ class TestFlatAggregate:
         tokens = rng.normal((2, 3, 2, 4))
         out = flat_aggregate(Tensor(tokens), w, "agg.flat", "single_query", 1)
         expect = brute_force_single_query(
-            tokens, master["agg.flat.q"], master["agg.flat.wq"], master["agg.flat.wk"],
-            master["agg.flat.wv"], master["agg.flat.wo"], master["agg.flat.bo"], 1)
+            tokens, master["agg.flat.q"], master["agg.flat.wk"], master["agg.flat.wv"],
+            master["agg.flat.wo"], master["agg.flat.bo"], 1)
         assert rel_err(out.data, expect) < 1e-12
 
     def test_full_cross_matches_bruteforce_multihead(self, rng):
@@ -367,11 +368,11 @@ class TestFullCrossReduce:
             return out.data, {name: t.grad for name, t in ts.items()}
 
         def program(ctx):
-            return run(shard_for_rank(master, None, strategy, ctx.coords[0]), ctx.tp)
+            return run(shard_for_rank(master, strategy, ctx.coords[0]), ctx.tp)
 
         out, grads = run(master, None)
         ranks = spawn_ranks(ParallelConfig(dchag_tp=2), program).results
-        split = unshard_grads([g for _, g in ranks], master, None, strategy)
+        split = unshard_grads([g for _, g in ranks], master, strategy)
         for rank_out, rank_grads in ranks:
             assert rel_err(rank_out, out) < 1e-10
             assert_grads_match({"x": grads["x"]}, {"x": rank_grads["x"]})
@@ -448,14 +449,15 @@ class TestTreeAggregate:
 
 
 def block_params(w, prefix):
-    """A block's parameters from `w`, keyed by leaf name (ln1.g, wq, ...)."""
+    """A block's parameters from `w`, keyed by leaf name (wq, bq, ...)."""
     return {k[len(prefix) + 1:]: v for k, v in w.items() if k.startswith(prefix + ".")}
 
 
 def brute_force_block(x, p, heads):
     """Explicit-loop pre-norm block on one [T, D] sequence.  Besides the
-    model's parameters it applies, where `p` has them, the biases the model
-    leaves out: the norms' shifts ln1.b and ln2.b and the value bias bv."""
+    model's parameters it applies, where `p` has them, the ones the model
+    leaves out: the norms' gains ln1.g and ln2.g and shifts ln1.b and ln2.b,
+    and the value bias bv."""
     def ln(v, g, b, eps=1e-5):
         mu = v.mean(-1, keepdims=True)
         var = ((v - mu) ** 2).mean(-1, keepdims=True)
@@ -463,7 +465,7 @@ def brute_force_block(x, p, heads):
 
     t, d = x.shape
     dh = d // heads
-    h = ln(x, p["ln1.g"], p.get("ln1.b", 0.0))
+    h = ln(x, p.get("ln1.g", 1.0), p.get("ln1.b", 0.0))
     q = h @ p["wq"] + p["bq"]
     k = h @ p["wk"]
     v = h @ p["wv"] + p.get("bv", 0.0)
@@ -475,7 +477,7 @@ def brute_force_block(x, p, heads):
             e = np.exp(logits - logits.max())
             ctx[i, sl] = (e / e.sum()) @ v[:, sl]
     x1 = x + ctx @ p["wo"] + p["bo"]
-    u = ln(x1, p["ln2.g"], p.get("ln2.b", 0.0)) @ p["w1"] + p["b1"]
+    u = ln(x1, p.get("ln2.g", 1.0), p.get("ln2.b", 0.0)) @ p["w1"] + p["b1"]
     return x1 + (0.5 * u * (1 + erf(u / np.sqrt(2)))) @ p["w2"] + p["b2"]
 
 
@@ -520,10 +522,9 @@ class TestAbsorbedBiases:
         # bq absorbs ln1.b on q; ln1.b on k cancels in the softmax; bo absorbs
         # ln1.b and bv on v, per head under tp as well; b1 absorbs ln2.b
         d, heads, hidden = 8, 2, 16
-        shapes = {"ln1.g": (d,), "ln1.b": (d,), "wq": (d, d), "bq": (d,), "wk": (d, d),
-                  "wv": (d, d), "bv": (d,), "wo": (d, d), "bo": (d,), "ln2.g": (d,),
-                  "ln2.b": (d,), "w1": (d, hidden), "b1": (hidden,), "w2": (hidden, d),
-                  "b2": (d,)}
+        shapes = {"ln1.b": (d,), "wq": (d, d), "bq": (d,), "wk": (d, d), "wv": (d, d),
+                  "bv": (d,), "wo": (d, d), "bo": (d,), "ln2.b": (d,), "w1": (d, hidden),
+                  "b1": (hidden,), "w2": (hidden, d), "b2": (d,)}
         p = {leaf: rng.normal(shape, 0.5) for leaf, shape in shapes.items()}
         x = rng.normal((2, 5, d))
         expect = np.stack([brute_force_block(xi, p, heads) for xi in x])
@@ -536,7 +537,7 @@ class TestAbsorbedBiases:
         strategy = StrategyConfig(kind="tp_only", tp_degree=tp)
 
         def program(ctx):
-            w = wrap(shard_for_rank(master, None, strategy, ctx.coords[0]), False)
+            w = wrap(shard_for_rank(master, strategy, ctx.coords[0]), False)
             return transformer_block(Tensor(x), w, "vit.blk0", heads, ctx.tp).data
 
         for out in spawn_ranks(ParallelConfig(dchag_tp=tp), program).results:
@@ -575,6 +576,59 @@ class TestAbsorbedBiases:
         expect = z @ master["dec.head.w"] + master["dec.head.b"]
         w = wrap({**master, "dec.pos": master["dec.pos"] + proj_b}, False)
         assert rel_err(decode(Tensor(vit_out), w, model).data, expect) < 1e-12
+
+
+class TestAbsorbedWeights:
+    """The norms' gains and single_query's query projection, kept in a numpy
+    brute force, give the same output as the model without them, with the
+    weights that absorb them folded; head-split at tp 2 as well."""
+
+    @pytest.mark.parametrize("tp", [1, 2])
+    def test_block_gains(self, rng, tp):
+        # diag(ln1.g) @ W is wq's, wk's and wv's, diag(ln2.g) @ w1 is w1's
+        d, heads, hidden = 8, 2, 16
+        shapes = {"ln1.g": (d,), "wq": (d, d), "bq": (d,), "wk": (d, d), "wv": (d, d),
+                  "wo": (d, d), "bo": (d,), "ln2.g": (d,), "w1": (d, hidden),
+                  "b1": (hidden,), "w2": (hidden, d), "b2": (d,)}
+        p = {leaf: rng.normal(shape, 0.5) for leaf, shape in shapes.items()}
+        x = rng.normal((2, 5, d))
+        expect = np.stack([brute_force_block(xi, p, heads) for xi in x])
+
+        folded = {leaf: p[leaf] for leaf in shapes if leaf not in ("ln1.g", "ln2.g")}
+        for leaf in ("wq", "wk", "wv"):
+            folded[leaf] = p["ln1.g"][:, None] * p[leaf]
+        folded["w1"] = p["ln2.g"][:, None] * p["w1"]
+        master = {f"vit.blk0.{leaf}": v for leaf, v in folded.items()}
+        strategy = StrategyConfig(kind="tp_only", tp_degree=tp)
+
+        def program(ctx):
+            w = wrap(shard_for_rank(master, strategy, ctx.coords[0]), False)
+            return transformer_block(Tensor(x), w, "vit.blk0", heads, ctx.tp).data
+
+        for out in spawn_ranks(ParallelConfig(dchag_tp=tp), program).results:
+            assert rel_err(out, expect) < 1e-12
+
+    @pytest.mark.parametrize("tp", [1, 2])
+    def test_query_projection(self, rng, tp):
+        # the projected learned query q @ wq is itself one learned vector
+        d, heads, c = 8, 2, 3
+        q, wq = rng.normal((d,), 0.5), rng.normal((d, d), 0.5)
+        p = {leaf: rng.normal((d, d), 0.5) for leaf in ("wk", "wv", "wo")}
+        p["bo"] = rng.normal((d,), 0.5)
+        tokens = rng.normal((2, c, 3, d))  # [B, C, S, D]
+        expect = brute_force_single_query(tokens, q, p["wk"], p["wv"], p["wo"], p["bo"],
+                                          heads, wq=wq)
+        master = {f"agg.flat.{leaf}": v for leaf, v in {**p, "q": q @ wq}.items()}
+        strategy = StrategyConfig(kind="tp_only", tp_degree=tp)
+
+        def program(ctx):
+            w = wrap(shard_for_rank(master, strategy, ctx.coords[0]), False)
+            x = Tensor(tokens.transpose(0, 2, 1, 3))  # [B, S, C, D]
+            return cross_attention_aggregate(x, w, "agg.flat", "single_query", heads,
+                                             ctx.tp).data
+
+        for out in spawn_ranks(ParallelConfig(dchag_tp=tp), program).results:
+            assert rel_err(out, expect.transpose(0, 2, 1, 3)) < 1e-12
 
 
 class TestMae:

@@ -92,7 +92,7 @@ class TestTpEquivalence:
         master = create_master(model, strat, RngState(5))
         res = run_tp_step(ParallelConfig(dchag_tp=2), model, strat, master,
                           make_batch(model, 1, 0, [0]))
-        for name in ("vit.blk0.ln1.g", "dec.head.w", "tok.w", "special.meta_w"):
+        for name in ("vit.blk0.bo", "dec.head.w", "tok.w", "special.meta_w"):
             np.testing.assert_array_equal(res.rank_grads[0][name],
                                           res.rank_grads[1][name])
         # dchag's final layer is replicated: placed whole on every rank, its
@@ -404,9 +404,9 @@ class TestSharding:
             for strat in cases:
                 model = tiny(channels=8, agg_variant=variant)
                 master = create_master(model, strat, RngState(5))
-                shards = [shard_for_rank(master, model, strat, r)
+                shards = [shard_for_rank(master, strat, r)
                           for r in range(strat.tp_degree)]
-                back = unshard_grads(shards, master, model, strat)
+                back = unshard_grads(shards, master, strat)
                 assert back.keys() == master.keys()
                 for k, v in master.items():
                     np.testing.assert_array_equal(back[k], v)
@@ -424,8 +424,8 @@ class TestSharding:
             master = create_master(model, strat, RngState(5))
         except ConfigError:
             assume(False)
-        shards = [shard_for_rank(master, model, strat, r) for r in range(tp)]
-        back = unshard_grads(shards, master, model, strat)
+        shards = [shard_for_rank(master, strat, r) for r in range(tp)]
+        back = unshard_grads(shards, master, strat)
         assert back.keys() == master.keys()
         for k, v in master.items():
             np.testing.assert_array_equal(back[k], v)
@@ -442,16 +442,16 @@ class TestSharding:
         model = tiny(channels=8)
         strat = StrategyConfig(kind="dchag", tp_degree=2, max_group=2)
         master = create_master(model, strat, RngState(5))
-        s0 = shard_for_rank(master, model, strat, 0)
-        s1 = shard_for_rank(master, model, strat, 1)
-        for name in ("special.pos", "agg.final.wo", "vit.blk0.ln1.g", "dec.head.b"):
+        s0 = shard_for_rank(master, strat, 0)
+        s1 = shard_for_rank(master, strat, 1)
+        for name in ("special.pos", "agg.final.wo", "vit.blk0.bo", "dec.head.b"):
             np.testing.assert_array_equal(s0[name], s1[name])
 
     def test_tp_shards_are_exact_slices(self):
         model = tiny()
         strat = StrategyConfig(kind="tp_only", tp_degree=2)
         master = create_master(model, strat, RngState(5))
-        s1 = shard_for_rank(master, model, strat, 1)
+        s1 = shard_for_rank(master, strat, 1)
         d = model.embed
         np.testing.assert_array_equal(s1["vit.blk0.wq"], master["vit.blk0.wq"][:, d // 2:])
         np.testing.assert_array_equal(s1["vit.blk0.wo"], master["vit.blk0.wo"][d // 2:, :])

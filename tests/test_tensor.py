@@ -425,25 +425,21 @@ class TestAttentionMemory:
 
 
 class TestLayernorm:
-    def test_constant_input_returns_zero(self, rng):
-        # no shift: a constant row normalizes to zero whatever the gain
-        gamma = Tensor(rng.normal((4,)))
+    def test_constant_input_returns_zero(self):
+        # no shift: a constant row normalizes to zero
         x = Tensor(np.full((2, 4), 3.7))
-        out = T.layernorm(x, gamma)
+        out = T.layernorm(x)
         np.testing.assert_allclose(out.data, 0.0, atol=1e-9)
 
     def test_zero_mean(self):
-        out = T.layernorm(Tensor([[1.0, 2.0, 3.0]]), Tensor(np.ones(3)))
+        out = T.layernorm(Tensor([[1.0, 2.0, 3.0]]))
         assert abs(out.data.mean()) < 1e-12
 
     def test_grad(self, rng):
-        ts = {
-            "x": Tensor(rng.normal((2, 3, 6)), requires_grad=True),
-            "g": Tensor(rng.normal((6,)), requires_grad=True),
-        }
+        ts = {"x": Tensor(rng.normal((2, 3, 6)), requires_grad=True)}
         w = rng.normal((2, 3, 6))
         check_grad(
-            lambda: T.sum_all(T.mul(T.layernorm(ts["x"], ts["g"]), Tensor(w))),
+            lambda: T.sum_all(T.mul(T.layernorm(ts["x"]), Tensor(w))),
             ts,
             tol=1e-5,
         )

@@ -1,6 +1,11 @@
 import numpy as np
 
 from dchag import tensor as T
+from dchag.config import ModelConfig, StrategyConfig
+from dchag.model import forward_loss_serial
+from dchag.params import create_master
+from dchag.rng import RngState
+from dchag.synthetic import make_batch
 from dchag.tensor import Tensor
 from dchag.tracking import AllocTracker, activate, alloc_tag
 
@@ -83,3 +88,30 @@ def test_flops_counted_per_tag():
             b = Tensor(np.zeros((4, 5)))
             T.matmul(a, b)
     assert tr.per_tag_flops["vit"] == 2 * 3 * 5 * 4
+
+
+def test_buffers_held_outside_the_graph():
+    # Every float array a backward closure of a serial step holds shares
+    # memory with a Tensor of the graph, and so is charged with it, but
+    # these three: attention's log-sum-exp, which the op charges itself, and
+    # the two buffers `tensor` names as uncharged.  An op that hides a new
+    # buffer adds to the set.
+    model = ModelConfig(channels=4, image_h=8, image_w=8, patch=4, embed=8, depth=1,
+                        heads=2, mlp_ratio=2, agg_variant="full_cross", decoder_depth=1,
+                        decoder_dim=8)
+    master = create_master(model, StrategyConfig(), RngState(3))
+    w = {name: Tensor(arr, requires_grad=True) for name, arr in master.items()}
+    loss = forward_loss_serial(w, model, make_batch(model, 7, 0, [0, 1]))
+    T.backward(loss)
+    graph = T._topo_order(loss)
+    hidden = set()
+    for node in graph:
+        if node._backward is None:
+            continue
+        back = node._backward
+        for var, cell in zip(back.__code__.co_freevars, back.__closure__ or ()):
+            held = cell.cell_contents
+            if (isinstance(held, np.ndarray) and held.dtype.kind == "f"
+                    and not any(np.may_share_memory(held, t.data) for t in graph)):
+                hidden.add((back.__qualname__.split(".")[0], var))
+    assert hidden == {("attention", "lse"), ("gelu", "phi"), ("layernorm", "inv")}
