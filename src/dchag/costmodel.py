@@ -29,7 +29,7 @@ from .config import (ConfigError, HardwareModel, ModelConfig, ParallelConfig,
                      StrategyConfig, TreeSpec)
 from .params import rank_parameter_sizes, rank_tree
 from .runtime import ring_allgather_payload, ring_allreduce_payload
-from .tensor import attention_block_rows
+from .tensor import attention_block
 from .tracking import COMPONENT_TAGS
 
 
@@ -87,15 +87,18 @@ def _stored(n):
     return n, n
 
 
-def _attention(n, hl, tq, tk, dl):
+def _attention(n, hl, tq, tk, dl, q_shared):
     """The fused attention op over `n` broadcast positions: it keeps its
     merged output (n*Tq*Dl) and per-row log-sum-exp (n*Hl*Tq), and on top
-    of both holds one block of `tensor.attention_block_rows` positions (all
-    n, if fewer) of scaled q, logits and row sums (Tq*Dl + Hl*Tq*Tk + Hl*Tq
-    per position)."""
+    of both holds one (position, head) block of `tensor.attention_block`'s
+    size (whole positions, all n if fewer, or one position and some of its
+    heads) of logits and row sums (Tq*Tk + Tq per head), and the scaled q
+    of the block's positions (Tq*Dl each), or of q alone when `q_shared`:
+    a learned query that broadcasts over every position is scaled once."""
     kept = n * tq * (dl + hl)
-    blk = min(n, attention_block_rows(hl, tq, tk))
-    return kept, kept + blk * (hl * tq * tk + hl * tq + tq * dl)
+    rows, heads = attention_block(hl, tq, tk)
+    blk = min(n, rows)
+    return kept, kept + blk * heads * (tq * tk + tq) + (1 if q_shared else blk) * tq * dl
 
 
 def _agg_layer(b, s, ck, d, heads, variant, tp):
@@ -121,13 +124,16 @@ def _agg_layer(b, s, ck, d, heads, variant, tp):
     dl, hl = d / tp, heads / tp
     out_chain = 2 + (1 if tp > 1 else 0)
     if variant == "single_query":
-        acts = _then(_stored(2 * b * s * ck * dl), _attention(b * s, hl, 1, ck, dl),
+        acts = _then(_stored(2 * b * s * ck * dl),
+                     _attention(b * s, hl, 1, ck, dl, q_shared=True),
                      _stored(out_chain * b * s * d))
         flops = (2 * 2 * b * s * ck * d * dl + 2 * 2 * b * s * hl * ck * (d / heads)
                  + 2 * b * s * d * dl)
         return acts, flops
-    acts = _then(_stored(3 * b * s * ck * dl), _attention(b * s, hl, ck, ck, dl),
-                 _stored(out_chain * b * s * ck * d), _attention(b * s, 1, 1, ck, d))
+    acts = _then(_stored(3 * b * s * ck * dl),
+                 _attention(b * s, hl, ck, ck, dl, q_shared=False),
+                 _stored(out_chain * b * s * ck * d),
+                 _attention(b * s, 1, 1, ck, d, q_shared=True))
     flops = (3 * 2 * b * s * ck * d * dl + 2 * 2 * b * s * hl * ck * ck * (d / heads)
              + 2 * b * s * ck * d * dl + 2 * 2 * b * s * ck * d)
     return acts, flops
@@ -170,7 +176,7 @@ def _block(b, t, d, heads, m, tp):
     the MLP's two matmuls, each divided over tp.
     """
     acts = _then(_stored(b * t * d + 4 * b * t * d / tp),
-                 _attention(b, heads / tp, t, t, d / tp),
+                 _attention(b, heads / tp, t, t, d / tp, q_shared=False),
                  _stored((7 + (2 if tp > 1 else 0)) * b * t * d + 3 * b * t * m * d / tp))
     flops = (4 * 2 * b * t * d * d + 2 * 2 * b * t * t * d + 2 * 2 * b * t * d * m * d) / tp
     return acts, flops

@@ -62,16 +62,16 @@ TOKEN_GATHER_TAG = "token-gather"
 
 
 def gather_shards(group: ProcessGroup, x: Tensor, axis: int, tag: str) -> Tensor:
-    """AllGather along `axis`; backward takes the local slice of the incoming
-    gradient (no collective — valid when the gradient of the gathered tensor
-    is already complete on every rank)."""
+    """AllGather along `axis`; backward hands on the local slice of the
+    incoming gradient, a view (no collective — valid when the gradient of
+    the gathered tensor is already complete on every rank)."""
     full = group.all_gather(x.data, axis=axis, tag=tag)
     index, width = group.index, x.shape[axis]
 
     def back(g):
         sl = [slice(None)] * g.ndim
         sl[axis] = slice(index * width, (index + 1) * width)
-        return (g[tuple(sl)].copy(),)
+        return (g[tuple(sl)],)
 
     return Tensor(full, _parents=(x,), _backward=back)
 

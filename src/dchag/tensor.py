@@ -13,11 +13,19 @@ Design points that later modules rely on:
   row;
 * `attention` is the engine's only softmax: every attention in the model,
   full_cross's learned-query reduce too, is that one fused op;
-* the fused attention op walks its broadcast positions in blocks whose
-  logits fit `ATTENTION_BLOCK` elements, a size chosen so that a block stays
-  in cache; each position is computed with the same numpy calls whatever
-  the block size, so results do not depend on it, and only the transient
-  (one block, not every position) does;
+* the fused attention op walks (position, head) blocks whose logits fit
+  `ATTENTION_BLOCK` elements, a size chosen so that a block stays in cache:
+  whole positions while one position's logits fit, else heads of one
+  position; each head is computed with the same numpy calls whatever the
+  block size, so results do not depend on it, and only the transient (one
+  block, not every position) does;
+* importing this module sets glibc's allocation policy for the process
+  (`MALLOC_POLICY_SET` says whether it took): one arena, no trimming, and
+  a fixed 32 MiB mmap threshold.  A step frees what the next allocates
+  again; by default glibc handed those pages back and faulted them in anew
+  each step, 15-33 thousand minor faults per `long_sequence` step, and the
+  ranks' per-thread arenas each held their own.  The tracker's numbers
+  count tensor bytes, not pages, so the policy does not move them;
 * backward closures capture only numpy arrays and parent `Tensor`s, never
   the output tensor, so graphs are reference-cycle free and buffers are
   reclaimed (and de-accounted) deterministically by refcounting;
@@ -31,6 +39,7 @@ Design points that later modules rely on:
 
 from __future__ import annotations
 
+import ctypes
 import functools
 import math
 import weakref
@@ -43,6 +52,37 @@ from .tracking import current_tracker
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
 _INV_SQRT2PI = 1.0 / np.sqrt(2.0 * np.pi)
 _LN_EPS = 1e-5
+
+# glibc's mallopt parameters (malloc.h) and the values this module sets.
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD, _M_ARENA_MAX = -1, -3, -8
+_MALLOC_POLICY = ((_M_ARENA_MAX, 1), (_M_MMAP_THRESHOLD, 32 * 2 ** 20), (_M_TRIM_THRESHOLD, -1))
+
+
+def _set_malloc_policy() -> bool:
+    """Keep freed heap pages in the process, in one arena (glibc only).
+
+    A step frees ~100 MiB that the next step allocates again.  By default
+    glibc trims that memory back to the OS and serves large blocks by mmap,
+    so every step faults its pages in anew; and each rank thread gets an
+    arena of its own, stranding one rank's freed pages where the next rank
+    cannot reuse them, though ranks run one at a time.  One arena, blocks
+    under 32 MiB from the heap and no trimming fix both.  Both thresholds
+    are set because setting either one turns off glibc's dynamic mmap
+    threshold: the trim threshold alone made faults worse (`long_sequence`
+    serial 33k to 46k per step, dchag 19k to 79k).  Returns whether every
+    setting took; without glibc's mallopt, sets nothing and returns False.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError, TypeError):  # no C library, or not glibc's
+        return False
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    taken = [mallopt(param, value) for param, value in _MALLOC_POLICY]
+    return all(ok == 1 for ok in taken)
+
+
+MALLOC_POLICY_SET = _set_malloc_policy()
 
 
 class EngineError(Exception):
@@ -211,28 +251,32 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
 # -- nonlinearities ---------------------------------------------------------
 
-# The fused attention op takes as many broadcast positions at a time as keep
-# one block's logits within this many elements.  A sweep of forward plus
-# backward at the desk's hot shapes (Xeon, 2 MiB L2 per core, one core, BLAS
-# on one thread; blocks of 2**12 to 2**20 elements, and one block holding
-# every position) found 2**15 to 2**17 equally fast.  One block was 1.9x
-# slower on the [4,64,64,64] 8-head full_cross aggregation (273 against
-# 146 ms) and 1.6x on its 2-head tp shard (54 against 34 ms), and 1.4x on
-# the [4,257,64] ViT attention; the dchag tree nodes and the decoder did not
-# move.  At 2**16 the backward's two logit-sized blocks (1 MiB) fit in L2.
+# The fused attention op walks (position, head) blocks whose logits fit this
+# many elements.  A sweep of forward plus backward at the desk's hot shapes
+# (Xeon, 2 MiB L2 per core, one core, BLAS on one thread; blocks of 2**12 to
+# 2**20 elements, and one block holding every position) found 2**15 to 2**17
+# equally fast.  One block was 1.9x slower on the [4,64,64,64] 8-head
+# full_cross aggregation (273 against 146 ms) and 1.6x on its 2-head tp shard
+# (54 against 34 ms), and 1.4x on the [4,257,64] ViT attention; the dchag tree
+# nodes and the decoder did not move.  At 2**16 the backward's two
+# logit-sized blocks (1 MiB) fit in L2.
 ATTENTION_BLOCK = 2 ** 16
 
 
-def attention_block_rows(n_heads, tq: int, tk: int):
-    """Broadcast positions per block of the fused attention op: as many as
-    fit `ATTENTION_BLOCK` logit elements, and at least one."""
-    return max(1, ATTENTION_BLOCK // (n_heads * tq * tk))
+def attention_block(n_heads, tq: int, tk: int) -> tuple:
+    """(positions, heads) per block of the fused attention op.  When one
+    broadcast position's H*Tq*Tk logits fit `ATTENTION_BLOCK` elements, a
+    block is as many whole positions as fit; otherwise it is one position
+    and as many of its heads as fit, at least one."""
+    if n_heads * tq * tk <= ATTENTION_BLOCK:
+        return ATTENTION_BLOCK // (n_heads * tq * tk), n_heads
+    return 1, max(1, ATTENTION_BLOCK // (tq * tk))
 
 
-def _heads(x: np.ndarray, n_heads: int) -> np.ndarray:
-    """[..., Tn, Dl] as the view [..., H, Tn, Dl/H]."""
-    *lead, tn, dl = x.shape
-    return x.reshape(*lead, tn, n_heads, dl // n_heads).swapaxes(-2, -3)
+def _heads(x: np.ndarray, n_heads: int, hs: slice) -> np.ndarray:
+    """Heads `hs` of [n, Tn, Dl] as the view [n, heads, Tn, Dl/H]."""
+    n, tn, dl = x.shape
+    return x.reshape(n, tn, n_heads, dl // n_heads)[:, :, hs].swapaxes(1, 2)
 
 
 def _positions(x: np.ndarray, lead: tuple, n: int) -> np.ndarray:
@@ -252,16 +296,20 @@ def attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int) -> Tensor:
     outlive the forward; backward recomputes the probabilities from those
     two, as FlashAttention does (Dao et al., 2022).
 
-    Both passes walk the broadcast positions in blocks of
-    `attention_block_rows` positions, reusing one block-sized buffer each
-    for the scaled q, the logits and the row sums (and, in backward, the
+    Both passes walk (position, head) blocks of `attention_block`'s size:
+    whole positions when one position's logits fit a block, else one
+    position and some of its heads.  Each pass reuses one block-sized
+    buffer each for the logits and the row sums (and, in backward, the
     logit gradient), so no logit buffer exceeds one block and a block's
-    elementwise passes run in cache.  Each position is computed with the
-    same numpy calls as an unblocked pass would make, so the result does
-    not depend on the block size.  The forward charges the output and the
-    block buffers to the tracker from their allocation, the log-sum-exp for
-    as long as the backward closure lives, and a copy that flattening
-    broadcast operands makes while it exists.
+    elementwise passes run in cache.  The scaled q is taken once per
+    block of positions, and once in all when q broadcasts over every
+    position (a learned query), which the logits and dk then read as a
+    broadcast view.  Each head's matrices go through the same numpy calls
+    as an unblocked pass would make, so the result does not depend on the
+    block size.  The forward charges the output and the block buffers to
+    the tracker from their allocation, the log-sum-exp for as long as the
+    backward closure lives, and a copy that flattening broadcast operands
+    makes while it exists.
     """
     if q.ndim < 2 or k.ndim < 2 or k.shape[-2:] != v.shape[-2:] or q.shape[-1] != k.shape[-1]:
         raise ShapeError(f"attention needs q [..., Tq, D] and k, v [..., Tk, D], "
@@ -273,16 +321,32 @@ def attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int) -> Tensor:
     tk = k.shape[-2]
     lead = np.broadcast_shapes(q.shape[:-2], k.shape[:-2], v.shape[:-2])
     n = math.prod(lead)
-    rows = attention_block_rows(h, tq, tk)
+    rows, hb = attention_block(h, tq, tk)
     blk = min(n, rows)
+    shared = math.prod(q.shape[:-2]) == 1  # one q for every position
     scale = 1.0 / np.sqrt(dl // h)
     qd, kd, vd = q.data, k.data, v.data
 
-    def logits(qb, kb, qs, p):
-        """A block's scaled q into `qs` and its logits into `p`, each cut to
-        the block's positions; returns the two."""
-        qs = np.multiply(qb, scale, out=qs[:len(qb)])
-        return qs, np.matmul(_heads(qs, h), _heads(kb, h).swapaxes(-1, -2), out=p[:len(qb)])
+    def blocks(qf, qs):
+        """(positions, heads, scaled q) of each block in order; the q of a
+        block of positions is scaled into `qs` once for all its heads, and
+        a shared q is `qs`, scaled already."""
+        for i in range(0, n, rows):
+            sl = slice(i, i + rows)
+            qb = qf[sl]
+            qsb = qs if shared else np.multiply(qb, scale, out=qs[:len(qb)])
+            for j in range(0, h, hb):
+                yield sl, slice(j, j + hb), qsb
+
+    def logits(sl, hs, qsb, kf, p):
+        """A block's logits into `p`, cut to the block's size."""
+        kh = _heads(kf[sl], h, hs)
+        return np.matmul(_heads(qsb, h, hs), kh.swapaxes(-1, -2), out=p[:len(kh), :kh.shape[1]])
+
+    def scaled_q():
+        """The buffer of the scaled q: q itself scaled when shared, else
+        one block of positions to fill."""
+        return qd.reshape(1, tq, dl) * scale if shared else np.empty((blk, tq, dl))
 
     qf, kf, vf = flat = [_positions(x, lead, n) for x in (qd, kd, vd)]
     release_copies = _held(sum(f.nbytes for f, x in zip(flat, (qd, kd, vd))
@@ -291,20 +355,19 @@ def attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int) -> Tensor:
     release_ctx = _held(ctx.nbytes)
     lse = np.empty((n, h, tq))
     release_lse = _held(lse.nbytes)
-    qs, p, rowsum = np.empty((blk, tq, dl)), np.empty((blk, h, tq, tk)), np.empty((blk, h, tq))
+    qs, p, rowsum = scaled_q(), np.empty((blk, hb, tq, tk)), np.empty((blk, hb, tq))
     release_blocks = _held(qs.nbytes + p.nbytes + rowsum.nbytes)
     ctxf = ctx.reshape(n, tq, dl)
-    for i in range(0, n, rows):
-        sl = slice(i, i + rows)
-        _, pb = logits(qf[sl], kf[sl], qs, p)
-        lb, rb = lse[sl], rowsum[:len(pb)]
+    for sl, hs, qsb in blocks(qf, qs):
+        pb = logits(sl, hs, qsb, kf, p)
+        lb, rb = lse[sl, hs], rowsum[:len(pb), :pb.shape[1]]
         pb.max(axis=-1, out=lb)
         pb -= lb[..., None]
         np.exp(pb, out=pb)
         pb.sum(axis=-1, out=rb)
         pb /= rb[..., None]
         lb += np.log(rb, out=rb)
-        np.matmul(pb, _heads(vf[sl], h), out=_heads(ctxf[sl], h))
+        np.matmul(pb, _heads(vf[sl], h, hs), out=_heads(ctxf[sl], h, hs))
     del flat, qf, kf, vf, qs, p, rowsum
     release_blocks()
     release_copies()
@@ -315,21 +378,21 @@ def attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int) -> Tensor:
         gf = g.reshape(n, tq, dl)
         dq, dk, dv = (np.empty((*lead, t, dl)) for t in (tq, tk, tk))
         dqf, dkf, dvf = (x.reshape(n, *x.shape[-2:]) for x in (dq, dk, dv))
-        qs, p, ds = np.empty((blk, tq, dl)), np.empty((blk, h, tq, tk)), np.empty((blk, h, tq, tk))
-        dot = np.empty((blk, tq, h)).swapaxes(-1, -2)  # the layout einsum fills fastest
-        for i in range(0, n, rows):
-            sl = slice(i, i + rows)
-            qsb, pb = logits(qf[sl], kf[sl], qs, p)
-            pb -= lse[sl, ..., None]
+        qs, p, ds = scaled_q(), np.empty((blk, hb, tq, tk)), np.empty((blk, hb, tq, tk))
+        dot = np.empty((blk, tq, hb)).swapaxes(-1, -2)  # the layout einsum fills fastest
+        for sl, hs, qsb in blocks(qf, qs):
+            pb = logits(sl, hs, qsb, kf, p)
+            pb -= lse[sl, hs, :, None]
             np.exp(pb, out=pb)
-            gh = _heads(gf[sl], h)
-            np.matmul(pb.swapaxes(-1, -2), gh, out=_heads(dvf[sl], h))
-            dsb = np.matmul(gh, _heads(vf[sl], h).swapaxes(-1, -2), out=ds[:len(pb)])
-            dsb -= np.einsum("...d,...d->...", gh, _heads(ctxf[sl], h),
-                             out=dot[:len(pb)])[..., None]  # rowsum(dO*O)
+            cut = (slice(len(pb)), slice(pb.shape[1]))
+            gh = _heads(gf[sl], h, hs)
+            np.matmul(pb.swapaxes(-1, -2), gh, out=_heads(dvf[sl], h, hs))
+            dsb = np.matmul(gh, _heads(vf[sl], h, hs).swapaxes(-1, -2), out=ds[cut])
+            dsb -= np.einsum("...d,...d->...", gh, _heads(ctxf[sl], h, hs),
+                             out=dot[cut])[..., None]  # rowsum(dO*O)
             dsb *= pb  # the logit gradient, without its factor `scale`
-            np.matmul(dsb, _heads(kf[sl], h), out=_heads(dqf[sl], h))
-            np.matmul(dsb.swapaxes(-1, -2), _heads(qsb, h), out=_heads(dkf[sl], h))
+            np.matmul(dsb, _heads(kf[sl], h, hs), out=_heads(dqf[sl], h, hs))
+            np.matmul(dsb.swapaxes(-1, -2), _heads(qsb, h, hs), out=_heads(dkf[sl], h, hs))
         dq *= scale
         return _reduce_to(dq, qd.shape), _reduce_to(dk, kd.shape), _reduce_to(dv, vd.shape)
 
@@ -454,7 +517,7 @@ def sum_all(x: Tensor) -> Tensor:
     shape = x.data.shape
 
     def back(g):
-        return (np.broadcast_to(g, shape).copy(),)
+        return (np.broadcast_to(g, shape),)
 
     return Tensor(out, _parents=(x,), _backward=back)
 

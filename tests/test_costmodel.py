@@ -211,9 +211,9 @@ class TestActivations:
     def test_long_desk_peaks_inside_attention(self, variant):
         # what the forward leaves live is less than its peak: the peak was
         # reached while an attention op held its block buffers, of several
-        # positions (LONG's aggregation) or of one (TALL's vit)
-        assert T.attention_block_rows(4, 16, 16) == 64
-        assert T.attention_block_rows(4, 145, 145) == 1
+        # positions (LONG's aggregation) or of three heads of one (TALL's vit)
+        assert T.attention_block(4, 16, 16) == (64, 4)
+        assert T.attention_block(4, 145, 145) == (1, 3)
         for geometry, comps in ((LONG, ("aggregate", "vit")), (TALL, ("vit",))):
             model = desk(variant, **dict(geometry))
             master = create_master(model, StrategyConfig(), RngState(3))

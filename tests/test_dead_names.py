@@ -11,7 +11,11 @@ or a string literal that is exactly the name; an assignment, and a keyword
 argument to a constructor, is a write.
 
 Every parameter of a function or lambda of `src/dchag`, other than `self`,
-is loaded in its body."""
+is loaded in its body.
+
+Every name a module of `src/dchag` assigns at its top level, other than a
+dunder, is read somewhere in the same code: loaded as a name or an
+attribute, or named by an identifier-only string literal."""
 
 import ast
 import io
@@ -125,3 +129,30 @@ def unread_parameters():
 
 def test_every_parameter_is_read():
     assert list(unread_parameters()) == []
+
+
+def module_constants():
+    """(qualified name, name) of each name a module of the package assigns
+    at its top level, dunders exempt."""
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, ast.Assign):
+                targets = node.targets
+            elif isinstance(node, ast.AnnAssign):
+                targets = [node.target]
+            else:
+                continue
+            for target in targets:
+                for name in ast.walk(target):
+                    if (isinstance(name, ast.Name)
+                            and not (name.id.startswith("__") and name.id.endswith("__"))):
+                        yield f"{path.stem}.{name.id}", name.id
+
+
+def test_every_module_constant_is_read():
+    reads = attribute_reads()
+    for top in ("src", "tests", "bench"):
+        for path in (ROOT / top).rglob("*.py"):
+            reads.update(node.id for node in ast.walk(ast.parse(path.read_text()))
+                         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load))
+    assert [qual for qual, name in module_constants() if not reads[name]] == []

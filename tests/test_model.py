@@ -132,6 +132,23 @@ class TestExchanges:
             np.testing.assert_array_equal(own, xs[r])
             np.testing.assert_array_equal(grad, ys[r])
 
+    def test_gather_and_sum_hand_on_views_of_their_gradient(self):
+        # neither backward copies: each parent's gradient shares memory with
+        # the gradient the op received (closures never write into it)
+        def program(ctx):
+            full = gather_shards(ctx.tp, Tensor(np.ones((2, 3)), requires_grad=True), 1, "t")
+            g = np.arange(12.0).reshape(2, 6)
+            (gx,) = full._backward(g)
+            return np.shares_memory(gx, g), gx
+
+        for r, (shares, gx) in enumerate(spawn_ranks(ParallelConfig(dchag_tp=2), program).results):
+            assert shares
+            np.testing.assert_array_equal(gx, np.arange(12.0).reshape(2, 6)[:, 3 * r:3 * r + 3])
+        g = np.array(2.0)
+        (gx,) = T.sum_all(Tensor(np.ones((2, 3)), requires_grad=True))._backward(g)
+        assert np.shares_memory(gx, g)
+        np.testing.assert_array_equal(gx, np.full((2, 3), 2.0))
+
 
 # -- tokenization ------------------------------------------------------------
 
@@ -260,7 +277,8 @@ class TestFlatAggregate:
         # full_cross forms C*C logits per head per position, single_query C.
         # The aggregation's attention op is the step's first; right after it,
         # the aggregate peak exceeds the live bytes by exactly its block: the
-        # logits, row sums and scaled q of a block of positions.
+        # logits, row sums and scaled q of a block of positions, where
+        # single_query's learned query is scaled once for all positions.
         real, after = T.attention, []
 
         def attention(*args):
@@ -280,23 +298,23 @@ class TestFlatAggregate:
         model = tiny_model()
         h, d, positions = model.heads, model.embed, 2 * model.seq  # at batch 2
 
-        def expect(rows, queries, keys):
-            return 8 * rows * (h * queries * keys + h * queries + queries * d)
+        def expect(rows, queries, keys, q_rows):
+            return 8 * (rows * (h * queries * keys + h * queries) + q_rows * queries * d)
 
         # one block holds every position, and its logits grow with C^2 and C
         for variant, growth in (("full_cross", 4), ("single_query", 2)):
             logits = []
             for c in (8, 16):
-                queries = c if variant == "full_cross" else 1
+                queries, q_rows = (c, positions) if variant == "full_cross" else (1, 1)
                 got = block_bytes(variant, c)
-                assert got == expect(positions, queries, c), (variant, c)
-                logits.append(got - expect(positions, queries, 0))
+                assert got == expect(positions, queries, c, q_rows), (variant, c)
+                logits.append(got - expect(positions, queries, 0, q_rows))
             assert logits[1] == growth * logits[0], variant
         # a block of 16-channel full_cross logits is one position: at 16
         # channels the op holds one position's, at 8 channels four positions'
         monkeypatch.setattr(T, "ATTENTION_BLOCK", h * 16 * 16)
-        assert block_bytes("full_cross", 16) == expect(1, 16, 16)
-        assert block_bytes("full_cross", 8) == expect(4, 8, 8)
+        assert block_bytes("full_cross", 16) == expect(1, 16, 16, 1)
+        assert block_bytes("full_cross", 8) == expect(4, 8, 8, 4)
 
     def test_channel_permutation_equivariance(self, rng):
         model = tiny_model(channels=5, embed=8, heads=2)

@@ -289,15 +289,17 @@ class TestAttention:
     @settings(max_examples=100)
     @given(_attention_operands(), st.data())
     def test_block_size_changes_no_bit_and_no_estimate(self, operands, data):
-        # one position per block, one block of every position, and blocks that
-        # leave a ragged last block wherever there are three or more positions
+        # one head of one position per block, one block of every position,
+        # blocks that leave a ragged last block wherever there are three or
+        # more positions, and blocks of some of a position's heads
         q, k, v, g, heads, _ = operands
         tq, dl = q.shape[-2:]
         tk = k.shape[-2]
         n = int(np.prod(k.shape[:-2]))
         rows = data.draw(st.sampled_from([r for r in range(2, n) if n % r] or [1]))
+        some_heads = data.draw(st.integers(1, max(1, heads - 1)))
         results = []
-        for block in (1, 2 ** 40, rows * heads * tq * tk):
+        for block in (1, 2 ** 40, rows * heads * tq * tk, some_heads * tq * tk):
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(T, "ATTENTION_BLOCK", block)
                 tracker = AllocTracker()
@@ -306,7 +308,7 @@ class TestAttention:
                     before = tracker.stats()
                     out = T.attention(*ts, heads)
                     after = tracker.stats()
-                kept, high = costmodel._attention(n, heads, tq, tk, dl)
+                kept, high = costmodel._attention(n, heads, tq, tk, dl, q_shared=q.ndim == 2)
                 assert after.live_bytes - before.live_bytes == 8 * kept
                 assert after.peak_bytes - before.live_bytes == 8 * high
                 T.backward(T.sum_all(T.mul(out, Tensor(g))))
@@ -361,13 +363,16 @@ def _reachable_arrays(t):
 
 class TestAttentionMemory:
     def test_forward_charges_output_lse_and_transient_logits(self, rng, monkeypatch):
-        # one block of both positions; then blocks of 2, 2 and 1 of 5 positions
+        # one block of both positions; blocks of 2, 2 and 1 of 5 positions;
+        # blocks of one head of one position
         tq, tk, dl, heads = 6, 9, 4, 2
-        for positions, block_rows in ((2, None), (5, 2)):
-            if block_rows is not None:
-                monkeypatch.setattr(T, "ATTENTION_BLOCK", block_rows * heads * tq * tk)
-            blk = min(positions, T.attention_block_rows(heads, tq, tk))
-            assert blk == (block_rows or positions)
+        for positions, block_size, blk, hb in ((2, None, 2, heads),
+                                               (5, 2 * heads * tq * tk, 2, heads),
+                                               (3, tq * tk, 1, 1)):
+            if block_size is not None:
+                monkeypatch.setattr(T, "ATTENTION_BLOCK", block_size)
+            rows, got_hb = T.attention_block(heads, tq, tk)
+            assert (min(positions, rows), got_hb) == (blk, hb)
             tracker = AllocTracker()
             with activate(tracker):
                 q = Tensor(rng.normal((positions, tq, dl)), requires_grad=True)
@@ -377,7 +382,7 @@ class TestAttentionMemory:
                 out = T.attention(q, k, v, heads)
                 after = tracker.stats()
                 kept = out.data.nbytes + 8 * positions * heads * tq  # output and log-sum-exp
-                block = 8 * blk * (heads * tq * tk + heads * tq + tq * dl)  # logits, row sums, q
+                block = 8 * blk * (hb * tq * tk + hb * tq + tq * dl)  # logits, row sums, q
                 assert before.peak_bytes == before.live_bytes
                 assert after.live_bytes - before.live_bytes == kept
                 assert after.peak_bytes - before.live_bytes == kept + block
@@ -403,13 +408,14 @@ class TestAttentionMemory:
 
     def test_backward_holds_at_most_two_logit_buffers(self, rng):
         # a long_sequence vit block's attention on one rank: [B, T, D] = [4, 257, 64];
-        # one position's 8*257*257 logits exceed a block, so a block is one position
+        # one head's 257*257 logits exceed a block, so a block is one head of
+        # one position
         b, t, d, heads = 4, 257, 64, 8
-        assert T.attention_block_rows(heads, t, t) == 1
+        assert T.attention_block(heads, t, t) == (1, 1)
         q, k, v = (Tensor(rng.normal((b, t, d)), requires_grad=True) for _ in range(3))
         out = T.attention(q, k, v, heads)
         loss = T.sum_all(T.mul(out, Tensor(rng.normal(out.shape))))
-        block = 8 * heads * t * t
+        block = 8 * t * t
         # dq, dk, dv, and the three output-sized arrays the engine holds above
         # the op: the gradients of `out` and of the product, and the product's
         # gradient for the constant factor
@@ -420,7 +426,7 @@ class TestAttentionMemory:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        # 256 KiB covers the scaled-q and row-sum blocks (145 KiB) and Python objects
+        # 256 KiB covers the scaled-q and row-sum blocks (130 KiB) and Python objects
         assert peak < 2 * block + grads + 2 ** 18, f"backward peak {peak / 2 ** 20:.2f} MiB"
 
 
