@@ -2,12 +2,14 @@
 
 The contract, per rank and per step:
 
-* Activations count exactly the buffers the engine materializes (views
-  free), so at desk scale each component's estimate equals the
-  allocator's per-tag peak.  Every tensor is stored for backward except
-  attention probabilities, which the fused attention op recomputes; its
-  logits, one block of positions at a time, are a transient, counted in
-  the component's peak at the point the op runs.  Each layer's terms are
+* Activations count exactly the buffers the engine holds (views free),
+  so at desk scale each component's estimate equals the allocator's
+  per-tag peak.  A buffer is held while a backward closure saved it (the
+  saved set: what each backward reads) or the model code still holds its
+  tensor.  Every other intermediate is a transient, live from its op until
+  the next op has read it, as are the fused attention op's logit blocks,
+  one block of positions at a time; a transient counts in the
+  component's peak at the point it is live.  Each layer's terms are
   written once, on the one function that returns its activation elements
   and FLOPs together.
 * Parameter bytes come from `params`' table and placement rule, the ones
@@ -67,9 +69,12 @@ class CostReport:
 # -- one function per executed layer: (activation elements, FLOPs) ----------------
 #
 # A layer's activation elements are a pair (kept, high): what it leaves
-# live for backward, and the highest it raises the live count above its
-# start.  They differ only across a fused attention op, whose block buffers
-# are live only inside it.
+# live, and the highest it raises the live count above its start.  A
+# buffer stays live while a backward closure saved it or the model code
+# still holds its tensor; the rest go as soon as the next op has read
+# them.  So kept is the layer's saved set plus the outputs the code still
+# holds, and high adds the transients: the fused attention op's block
+# buffers, and the intermediates freed inside the layer.
 
 
 def _then(*parts):
@@ -83,8 +88,21 @@ def _then(*parts):
 
 
 def _stored(n):
-    """n elements that stay live for backward."""
+    """n elements that stay live."""
     return n, n
+
+
+def _freed(n):
+    """n elements, live from an earlier part, that go."""
+    return -n, 0
+
+
+def _chain(n):
+    """Two or more ops in turn, each making n elements from its
+    predecessor's output, which nothing saves and which goes once read
+    (a projection's matmul, bias add and residual add): the last output
+    stays, and two are live at once."""
+    return n, 2 * n
 
 
 def _attention(n, hl, tq, tk, dl, q_shared):
@@ -109,10 +127,10 @@ def _agg_layer(b, s, ck, d, heads, variant, tp):
     attention op over B*S positions, 1 (single_query) or Ck (full_cross)
     query rows against Ck keys, whose (H/tp)*Ck or (H/tp)*Ck^2 logits per
     position are transient, one block of positions at a time; the
-    full-width output chain (matmul, bias add, and the summed output under
-    tp), which tp does not divide; and full_cross's reduce stage, a
-    single-head attention op over B*S positions, one learned query row
-    against the Ck full-width outputs.  The quadratic channel term is the
+    full-width output chain (matmul, the sum over tp, bias add), which tp
+    does not divide; and full_cross's reduce stage, a single-head
+    attention op over B*S positions, one learned query row against the Ck
+    full-width outputs, which it keeps.  The quadratic channel term is the
     full_cross logits, capped at one block: once one block no longer holds
     all B*S positions, it grows with Ck^2 only through the positions a
     block holds, down to one position.
@@ -122,17 +140,16 @@ def _agg_layer(b, s, ck, d, heads, variant, tp):
     full_cross's two reduce-stage products.
     """
     dl, hl = d / tp, heads / tp
-    out_chain = 2 + (1 if tp > 1 else 0)
     if variant == "single_query":
         acts = _then(_stored(2 * b * s * ck * dl),
                      _attention(b * s, hl, 1, ck, dl, q_shared=True),
-                     _stored(out_chain * b * s * d))
+                     _chain(b * s * d))
         flops = (2 * 2 * b * s * ck * d * dl + 2 * 2 * b * s * hl * ck * (d / heads)
                  + 2 * b * s * d * dl)
         return acts, flops
     acts = _then(_stored(3 * b * s * ck * dl),
                  _attention(b * s, hl, ck, ck, dl, q_shared=False),
-                 _stored(out_chain * b * s * ck * d),
+                 _chain(b * s * ck * d),
                  _attention(b * s, 1, 1, ck, d, q_shared=True))
     flops = (3 * 2 * b * s * ck * d * dl + 2 * 2 * b * s * hl * ck * ck * (d / heads)
              + 2 * b * s * ck * d * dl + 2 * 2 * b * s * ck * d)
@@ -143,41 +160,56 @@ def _tree(b, s, d, heads, tree: TreeSpec, layer_kind, variant):
     """A rank's slab tree, its nodes run in order.
 
     A cross_attention node is an unsplit `_agg_layer` over its group.  A
-    linear node of group g stores its mixed stream, matmul output and bias
-    add (three B*S*D tensors) and costs 2*B*S*D*(g+D) FLOPs (the channel
-    mix, then the projection).  A level of several nodes also stores the
-    concatenation of their outputs, B*S*D per node.
+    linear node of group g keeps its mixed stream and the output of its
+    projection chain (matmul, bias add), B*S*D each, and costs
+    2*B*S*D*(g+D) FLOPs (the channel mix, then the projection).  A level
+    of several nodes concatenates their outputs, B*S*D per node, and then
+    drops them, unless a full_cross node's reduce attention keeps its
+    own.
+
+    Returns the activation pair, the FLOPs, and the elements of the
+    tree's output stream that nothing keeps: the stream goes once it is
+    gathered.
     """
     parts, flops = [], 0
+    loose = 0 if layer_kind != "linear" and variant == "full_cross" else b * s * d
     for level in tree.levels:
         for g in level:
             if layer_kind == "linear":
-                a, f = _stored(3 * b * s * d), 2 * b * s * d * (g + d)
+                a, f = _then(_stored(b * s * d), _chain(b * s * d)), 2 * b * s * d * (g + d)
             else:
                 a, f = _agg_layer(b, s, g, d, heads, variant, 1)
             parts.append(a)
             flops += f
         if len(level) > 1:
-            parts.append(_stored(b * s * len(level) * d))
-    return _then(*parts), flops
+            parts += [_stored(b * s * len(level) * d), _freed(len(level) * loose)]
+    return _then(*parts), flops, loose
 
 
 def _block(b, t, d, heads, m, tp):
     """One transformer block at sequence length T, head-split over tp.
 
-    Activations, in order: the first norm (B*T*D); q with its bias add, k
-    and v (four B*T*D/tp); the attention op, whose (H/tp)*T^2 logits
-    per sequence are transient, one block of sequences at a time; then
-    seven full-width B*T*D tensors (output chain, residuals, second norm,
-    MLP output chain; two more summed outputs under tp) and three MLP
-    hidden tensors B*T*mD/tp.
+    Activations, in order: the first norm's 1/sigma (B*T) and output
+    (B*T*D); q through its matmul and bias add, then k and v (B*T*D/tp
+    each); the attention op, whose (H/tp)*T^2 logits per sequence are
+    transient, one block of sequences at a time; the attention branch's
+    chain to the mid residual (B*T*D); the second norm; the first MLP
+    layer through its bias add, then gelu's Phi and output (B*T*mD/tp
+    each); the MLP branch's chain to the block's output (B*T*D).  The mid
+    residual and the block's input, which no backward reads, then go.
 
     FLOPs: the q/k/v/output projections, the two attention products and
     the MLP's two matmuls, each divided over tp.
     """
-    acts = _then(_stored(b * t * d + 4 * b * t * d / tp),
+    n, hidden = b * t * d, b * t * m * d / tp
+    acts = _then(_stored(b * t + n),
+                 _chain(n / tp), _stored(2 * n / tp),
                  _attention(b, heads / tp, t, t, d / tp, q_shared=False),
-                 _stored((7 + (2 if tp > 1 else 0)) * b * t * d + 3 * b * t * m * d / tp))
+                 _chain(n),
+                 _stored(b * t + n),
+                 _chain(hidden), _stored(2 * hidden),
+                 _chain(n),
+                 _freed(2 * n))
     flops = (4 * 2 * b * t * d * d + 2 * 2 * b * t * t * d + 2 * 2 * b * t * d * m * d) / tp
     return acts, flops
 
@@ -241,27 +273,30 @@ def estimate(model: ModelConfig, strategy: StrategyConfig,
                                            pb, dp)
             for comp, count, elems in sizes))
 
-    # --- tokenize: the input slab and its patch rows (B*Cs*S*pp each), and
-    # three token-sized tensors (the embedding matmul, then the channel-ID
-    # and positional adds); dist_token also stores the gathered full token
-    # tensor.  FLOPs: the embedding matmul and the two adds.
-    acts = b * cloc * s * pp * 2 + 3 * b * cloc * s * d
+    # --- tokenize: the rank's images and their patch rows (B*Cs*S*pp each;
+    # the images go on return), then the token chain (embedding matmul,
+    # channel-ID and positional adds; B*Cs*S*D).  dist_token then gathers
+    # every rank's tokens and drops its own.  FLOPs: the embedding matmul
+    # and the two adds.
+    pixels, tokens = b * cloc * s * pp, b * cloc * s * d
+    acts = _then(_stored(2 * pixels), _chain(tokens), _freed(pixels))
     if strategy.kind == "dist_token":
-        acts += b * c * s * d
+        acts = _then(acts, _stored(b * c * s * d), _freed(tokens))
         add_comm("forward", "tp", ring_allgather_payload(b * cloc * s * d * pb, tp))
     if strategy.slabs_channels and tp > 1:  # fanout of the shared positional embedding
         add_comm("backward", "tp", ring_allreduce_payload(s * d, pb, tp))
-    cost("tokenize", _stored(acts), 2 * b * cloc * s * pp * d + 2 * b * cloc * s * d)
+    cost("tokenize", acts, 2 * b * cloc * s * pp * d + 2 * b * cloc * s * d)
 
     # --- aggregate: agg.flat over the C token stacks, head-split over tp;
-    # or dchag's slab tree, the gathered tp streams and agg.final over them,
+    # or dchag's slab tree, the gathered tp streams (after which the rank's
+    # own stream goes, unless the tree keeps it) and agg.final over them,
     # replicated.
     acts, flops = _stored(0), 0
     ck, agg_tp = c, tp
     if strategy.kind == "dchag":
-        tree_acts, flops = _tree(b, s, d, heads, rank_tree(model, strategy),
-                                 strategy.agg_layer_kind, model.agg_variant)
-        acts = _then(tree_acts, _stored(b * tp * s * d))  # then the gathered streams
+        tree_acts, flops, stream = _tree(b, s, d, heads, rank_tree(model, strategy),
+                                         strategy.agg_layer_kind, model.agg_variant)
+        acts = _then(tree_acts, _stored(b * tp * s * d), _freed(stream))
         add_comm("forward", "tp", ring_allgather_payload(b * s * d * pb, tp))
         ck, agg_tp = tp, 1
     layer_acts, layer_flops = _agg_layer(b, s, ck, d, heads, model.agg_variant, agg_tp)
@@ -271,27 +306,30 @@ def estimate(model: ModelConfig, strategy: StrategyConfig,
         add_comm("forward", "tp", ring_allreduce_payload(width, pb, tp))  # output allsum
         add_comm("backward", "tp", ring_allreduce_payload(b * s * c * d, pb, tp))  # input fanout
 
-    # --- vit: the blocks at T = S+1, after the masked stream, the [B, 4]
-    # metadata input and its token, and the concatenated sequence.
+    # --- vit: the mask and its complement (B*S each), the masked stream
+    # (two products, then their sum), the [B, 4] metadata input and its
+    # token chain, and the concatenated sequence, which the first block
+    # drops; then the blocks at T = S+1.
     block_acts, block_flops = _block(b, t, d, heads, m, tp)
-    cost("vit", _then(_stored(b * t * d + 3 * b * s * d + b * s + 4 * b + 2 * b * d),
-                      *[block_acts] * depth),
-         depth * block_flops)
+    prologue = _then(_stored(2 * b * s), _stored(3 * b * s * d), _freed(2 * b * s * d),
+                     _stored(4 * b), _chain(b * d), _stored(b * t * d))
+    cost("vit", _then(prologue, *[block_acts] * depth), depth * block_flops)
     if strategy.splits_vit:
         per_block = 2 * ring_allreduce_payload(b * t * d, pb, tp)  # two exchanges per phase
         add_comm("forward", "tp", depth * per_block)
         add_comm("backward", "tp", depth * per_block)
 
-    # --- decoder: the projection to Dd and its positional add (two B*S*Dd
-    # tensors), single-head blocks, then six B*S*C*pp tensors (the
-    # prediction-head matmul and bias add, the reordered target, the
-    # difference, the masked difference and its square) and the two scalar
-    # loss tensors.  FLOPs: the projection, the blocks and the head.
-    dd = model.decoder_dim
+    # --- decoder: the projection to Dd with its positional add, which the
+    # first block drops; single-head blocks; then B*S*C*pp tensors: the
+    # prediction-head chain (matmul, bias add), the target chain (the
+    # images, their patch rows, reordered), the masked-difference chain
+    # (difference, times the mask) and its square, and the scalar sum.
+    # FLOPs: the projection, the blocks and the head.
+    dd, pixels = model.decoder_dim, b * s * c * pp
     block_acts, block_flops = _block(b, s, dd, 1, m, 1)
     cost("decoder",
-         _then(_stored(2 * b * s * dd), *[block_acts] * model.decoder_depth,
-               _stored(6 * b * s * c * pp + 2)),
+         _then(_chain(b * s * dd), *[block_acts] * model.decoder_depth,
+               _chain(pixels), _chain(pixels), _chain(pixels), _stored(pixels + 1)),
          2 * b * s * d * dd + model.decoder_depth * block_flops + 2 * b * s * dd * c * pp)
 
     for cc in comps.values():

@@ -68,23 +68,23 @@ def sdp_attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int) -> Tensor:
 
 def transformer_block(x: Tensor, w: dict, prefix: str, n_heads: int,
                       group: ProcessGroup | None = None) -> Tensor:
-    """Pre-norm block: x + attn(ln1(x)); x + mlp(ln2(x)), norms without parameters."""
-    h = T.layernorm(x)
-    h = fanout(group, h, prefix)
+    """Pre-norm block: x + attn(ln1(x)); x + mlp(ln2(x)), norms without parameters.
+
+    Each branch ends in the same chain: a split projection, its sum over
+    the group, its bias and the residual add, each op's output dropped as
+    soon as the next has read it."""
+    def residual(x: Tensor, hidden: Tensor, name: str) -> Tensor:
+        out = allsum(group, T.matmul(hidden, w[f"{prefix}.w{name}"]), prefix)
+        out = T.add(out, w[f"{prefix}.b{name}"])
+        return T.add(x, out)
+
+    h = fanout(group, T.layernorm(x), prefix)
     q = linear(h, w[f"{prefix}.wq"], w[f"{prefix}.bq"])
     k = linear(h, w[f"{prefix}.wk"])
     v = linear(h, w[f"{prefix}.wv"])
-    ctx = sdp_attention(q, k, v, local_heads(n_heads, group))
-    attn = allsum(group, T.matmul(ctx, w[f"{prefix}.wo"]), prefix)
-    attn = T.add(attn, w[f"{prefix}.bo"])
-    x = T.add(x, attn)
-
-    h2 = T.layernorm(x)
-    h2 = fanout(group, h2, prefix)
-    m = T.gelu(linear(h2, w[f"{prefix}.w1"], w[f"{prefix}.b1"]))
-    m = allsum(group, T.matmul(m, w[f"{prefix}.w2"]), prefix)
-    m = T.add(m, w[f"{prefix}.b2"])
-    return T.add(x, m)
+    x = residual(x, sdp_attention(q, k, v, local_heads(n_heads, group)), "o")
+    h = fanout(group, T.layernorm(x), prefix)
+    return residual(x, T.gelu(linear(h, w[f"{prefix}.w1"], w[f"{prefix}.b1"])), "2")
 
 
 def cross_attention_aggregate(x: Tensor, w: dict, prefix: str, variant: str,

@@ -207,6 +207,7 @@ class _Runtime:
             self._complete_rendezvous(key, group.members)
             # fall through: our own mailbox is filled and state is READY
         else:
+            del pending  # a waiting rank must not keep the later ranks' inputs alive
             self._yield_turn(group.rank)
         return self._mailbox.pop(group.rank)
 

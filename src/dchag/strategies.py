@@ -142,6 +142,17 @@ def run_dchag_reference_step(model: ModelConfig, strategy: StrategyConfig,
 # -- the parallel forward ------------------------------------------------------
 
 
+def _rank_images(model: ModelConfig, strategy: StrategyConfig, batch: Batch,
+                 tp_i: int) -> Tensor:
+    """The images tp rank `tp_i` tokenizes: a copy of its channel slab, or
+    every channel (tp_only tokenizes redundantly).  Tokenization drops
+    them, so they are not held beyond it."""
+    if not strategy.slabs_channels:
+        return Tensor(batch.images)
+    cloc = strategy.local_channels(model)
+    return Tensor(batch.images[:, tp_i * cloc:(tp_i + 1) * cloc].copy())
+
+
 def parallel_forward_loss(w: dict, model: ModelConfig, strategy: StrategyConfig,
                           batch: Batch, ctx: RankContext) -> Tensor:
     """Forward of every parallel kind: tokenize the rank's channel slab (or
@@ -150,16 +161,11 @@ def parallel_forward_loss(w: dict, model: ModelConfig, strategy: StrategyConfig,
     the common trunk; each layer head-split where the strategy splits it."""
     tp_i = ctx.coords[0]
     with alloc_tag("tokenize"):
-        if strategy.slabs_channels:
-            cloc = strategy.local_channels(model)
-            images = Tensor(batch.images[:, tp_i * cloc:(tp_i + 1) * cloc].copy())
-        else:
-            images = Tensor(batch.images)  # redundant tokenization of all channels
         shares_pos = strategy.slabs_channels and strategy.tp_degree > 1
         pos = fanout(ctx.tp if shares_pos else None, w["special.pos"],
                      "shared-grad.special.pos")
-        tokens = tokenize_channels(images, w["tok.w"], w["special.channel_id"], pos,
-                                   model.patch)
+        tokens = tokenize_channels(_rank_images(model, strategy, batch, tp_i), w["tok.w"],
+                                   w["special.channel_id"], pos, model.patch)
         if strategy.kind == "dist_token":
             tokens = gather_shards(ctx.tp, tokens, axis=1, tag=TOKEN_GATHER_TAG)
     with alloc_tag("aggregate"):
@@ -169,6 +175,7 @@ def parallel_forward_loss(w: dict, model: ModelConfig, strategy: StrategyConfig,
                                     f"agg.slab{tp_i}", strategy.agg_layer_kind,
                                     model.agg_variant, model.heads)
             tokens = gather_shards(ctx.tp, stream, axis=1, tag=DCHAG_BOUNDARY_TAG)
+            del stream  # the gather's backward does not read it
             prefix = "agg.final"
         agg = flat_aggregate(tokens, w, prefix, model.agg_variant, model.heads,
                              ctx.tp if strategy.splits_agg else None)

@@ -2,15 +2,21 @@
 
 Design points that later modules rely on:
 
+* a `Tensor` is its data and, when it requires grad, a `Node`; the tape
+  links nodes, never tensors, and a backward closure captures only the
+  arrays and plain values its backward reads, never a `Tensor` or a node.
+  So an intermediate's buffer is freed as soon as the model code drops its
+  `Tensor`, unless a closure saved the array, as in PyTorch's autograd
+  (Paszke et al., 2019);
 * every op output is a fresh `Tensor`; ops that are pure index
-  rearrangements (reshape/transpose/narrow) wrap numpy views and are not
-  charged to the allocation tracker, everything else owns its buffer;
-* a fused op charges every buffer its forward holds outside a `Tensor` to
-  the tracker as well: a transient from before its first use until it is
-  dropped, a buffer kept for backward for as long as the closure holding
-  it lives.  Two kept buffers are the exceptions, held but not charged:
-  `gelu`'s Phi(x), input-sized, and `layernorm`'s 1/sigma, one element per
-  row;
+  rearrangements (reshape/transpose/narrow) wrap numpy views, everything
+  else makes a new buffer.  Every buffer is charged to the allocation
+  tracker once, by one rule (`tracking.AllocTracker.charge`): an op
+  output, and every buffer a fused op holds outside a `Tensor` (the
+  attention op's blocks and log-sum-exp, `gelu`'s Phi(x), `layernorm`'s
+  1/sigma), from its allocation until its memory is freed; a view of
+  charged memory adds nothing; a leaf's memory, which its caller owns,
+  for as long as the engine holds a view of it;
 * `attention` is the engine's only softmax: every attention in the model,
   full_cross's learned-query reduce too, is that one fused op;
 * the fused attention op walks (position, head) blocks whose logits fit
@@ -26,9 +32,10 @@ Design points that later modules rely on:
   each step, 15-33 thousand minor faults per `long_sequence` step, and the
   ranks' per-thread arenas each held their own.  The tracker's numbers
   count tensor bytes, not pages, so the policy does not move them;
-* backward closures capture only numpy arrays and parent `Tensor`s, never
-  the output tensor, so graphs are reference-cycle free and buffers are
-  reclaimed (and de-accounted) deterministically by refcounting;
+* graphs are reference-cycle free, so buffers are reclaimed (and
+  de-accounted) deterministically by refcounting; `backward` drops each
+  node's closure once it has handed on its gradients, and every gradient
+  but the leaves', so the saved buffers go as it passes;
 * gradient accumulation is out-of-place addition (`grad = grad + g`) in
   reverse topological order of a deterministic DFS, which makes multi-use
   gradients reproducible bit-for-bit across runs; a stored gradient is
@@ -40,9 +47,7 @@ Design points that later modules rely on:
 from __future__ import annotations
 
 import ctypes
-import functools
 import math
-import weakref
 
 import numpy as np
 from scipy.special import erf
@@ -93,29 +98,60 @@ class ShapeError(EngineError):
     """Incompatible operand shapes."""
 
 
+class Node:
+    """A tape entry of a `Tensor` that requires grad: the gradient it has
+    received, the backward closure that hands it on (None for a leaf, and
+    once it has run) and the parents' nodes, None where a parent needs no
+    gradient.  A node refers to no `Tensor` and no buffer but what its
+    closure captured, so a graph keeps alive only what backward reads."""
+
+    __slots__ = ("grad", "backward", "parents")
+
+    def __init__(self, backward, parents):
+        self.grad = None
+        self.backward = backward
+        self.parents = parents
+
+
 class Tensor:
-    __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward", "__weakref__")
+    __slots__ = ("data", "node")
 
     def __init__(self, data, requires_grad=False, _parents=(), _backward=None):
         arr = np.asarray(data, dtype=np.float64)
+        if not _parents:  # a leaf holds the caller's memory through a view of its own
+            arr = arr.view()
         self.data = arr
-        self.requires_grad = bool(requires_grad) or any(p.requires_grad for p in _parents)
-        self.grad = None
-        self._backward = _backward if self.requires_grad else None
-        # Charge owned buffers to the allocation tracker; views are free, and
-        # keep their parents even without grad, so the owner's charge lasts
-        # as long as the buffer.  An op output owns its buffer unless it
-        # shares memory with a parent (numpy's .base is unreliable for
-        # reshape-forced copies); a leaf owns its buffer unless it is a view.
-        if _parents:
-            owns = not any(np.may_share_memory(arr, p.data) for p in _parents)
-        else:
-            owns = arr.base is None
-        self._parents = tuple(_parents) if self.requires_grad or not owns else ()
+        parents = tuple(p.node for p in _parents)
+        self.node = (Node(_backward, parents)
+                     if requires_grad or any(n is not None for n in parents) else None)
         tr = current_tracker()
-        if tr is not None and owns:
-            tag = tr.allocate(arr.nbytes)
-            weakref.finalize(self, tr.release, arr.nbytes, tag)
+        if tr is not None:
+            tr.charge(arr, borrowed=not _parents)
+
+    # -- the tape entry --------------------------------------------------------
+
+    @property
+    def requires_grad(self) -> bool:
+        return self.node is not None
+
+    @property
+    def grad(self):
+        return None if self.node is None else self.node.grad
+
+    @grad.setter
+    def grad(self, g):
+        if self.node is not None:
+            self.node.grad = g
+        elif g is not None:
+            raise EngineError("a tensor that does not require grad holds no gradient")
+
+    @property
+    def _backward(self):
+        return None if self.node is None else self.node.backward
+
+    @_backward.setter
+    def _backward(self, back):
+        self.node.backward = back
 
     # -- basic introspection ------------------------------------------------
 
@@ -144,13 +180,13 @@ def _flops(n: int) -> None:
         tr.add_flops(int(n))
 
 
-def _held(nbytes: int):
-    """Charge `nbytes` that an op holds outside any `Tensor` to the active
-    tag; returns the call that releases them."""
+def _charged(buf: np.ndarray) -> np.ndarray:
+    """`buf`, charged to the active tag until its memory is freed (a view
+    of charged memory adds nothing)."""
     tr = current_tracker()
-    if tr is None or not nbytes:
-        return lambda: None
-    return functools.partial(tr.release, nbytes, tr.allocate(nbytes))
+    if tr is not None:
+        tr.charge(buf)
+    return buf
 
 
 def _reduce_to(g: np.ndarray, shape: tuple) -> np.ndarray:
@@ -170,9 +206,10 @@ def _reduce_to(g: np.ndarray, shape: tuple) -> np.ndarray:
 def add(a: Tensor, b: Tensor) -> Tensor:
     out = a.data + b.data
     _flops(out.size)
+    sa, sb = a.shape, b.shape
 
     def back(g):
-        return _reduce_to(g, a.data.shape), _reduce_to(g, b.data.shape)
+        return _reduce_to(g, sa), _reduce_to(g, sb)
 
     return Tensor(out, _parents=(a, b), _backward=back)
 
@@ -180,20 +217,27 @@ def add(a: Tensor, b: Tensor) -> Tensor:
 def sub(a: Tensor, b: Tensor) -> Tensor:
     out = a.data - b.data
     _flops(out.size)
+    sa, sb = a.shape, b.shape
 
     def back(g):
-        return _reduce_to(g, a.data.shape), _reduce_to(-g, b.data.shape)
+        return _reduce_to(g, sa), _reduce_to(-g, sb)
 
     return Tensor(out, _parents=(a, b), _backward=back)
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
+    """Elementwise product.  Each factor is saved only if the other one
+    needs its gradient: a product with a constant mask keeps the mask, not
+    the masked tensor."""
     out = a.data * b.data
     _flops(out.size)
-    ad, bd = a.data, b.data
+    sa, sb = a.shape, b.shape
+    ad = a.data if b.requires_grad else None
+    bd = b.data if a.requires_grad else None
 
     def back(g):
-        return _reduce_to(g * bd, ad.shape), _reduce_to(g * ad, bd.shape)
+        return (None if bd is None else _reduce_to(g * bd, sa),
+                None if ad is None else _reduce_to(g * ad, sb))
 
     return Tensor(out, _parents=(a, b), _backward=back)
 
@@ -306,10 +350,10 @@ def attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int) -> Tensor:
     position (a learned query), which the logits and dk then read as a
     broadcast view.  Each head's matrices go through the same numpy calls
     as an unblocked pass would make, so the result does not depend on the
-    block size.  The forward charges the output and the block buffers to
-    the tracker from their allocation, the log-sum-exp for as long as the
-    backward closure lives, and a copy that flattening broadcast operands
-    makes while it exists.
+    block size.  The forward charges every buffer it allocates from its
+    allocation until it is freed: the output and the log-sum-exp, which
+    backward reads, and the block buffers and any copy that flattening
+    broadcast operands makes, which go when the forward returns.
     """
     if q.ndim < 2 or k.ndim < 2 or k.shape[-2:] != v.shape[-2:] or q.shape[-1] != k.shape[-1]:
         raise ShapeError(f"attention needs q [..., Tq, D] and k, v [..., Tk, D], "
@@ -348,29 +392,28 @@ def attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int) -> Tensor:
         one block of positions to fill."""
         return qd.reshape(1, tq, dl) * scale if shared else np.empty((blk, tq, dl))
 
-    qf, kf, vf = flat = [_positions(x, lead, n) for x in (qd, kd, vd)]
-    release_copies = _held(sum(f.nbytes for f, x in zip(flat, (qd, kd, vd))
-                               if not np.may_share_memory(f, x)))
-    ctx = np.empty((*lead, tq, dl))
-    release_ctx = _held(ctx.nbytes)
-    lse = np.empty((n, h, tq))
-    release_lse = _held(lse.nbytes)
-    qs, p, rowsum = scaled_q(), np.empty((blk, hb, tq, tk)), np.empty((blk, hb, tq))
-    release_blocks = _held(qs.nbytes + p.nbytes + rowsum.nbytes)
+    ctx = _charged(np.empty((*lead, tq, dl)))
     ctxf = ctx.reshape(n, tq, dl)
-    for sl, hs, qsb in blocks(qf, qs):
-        pb = logits(sl, hs, qsb, kf, p)
-        lb, rb = lse[sl, hs], rowsum[:len(pb), :pb.shape[1]]
-        pb.max(axis=-1, out=lb)
-        pb -= lb[..., None]
-        np.exp(pb, out=pb)
-        pb.sum(axis=-1, out=rb)
-        pb /= rb[..., None]
-        lb += np.log(rb, out=rb)
-        np.matmul(pb, _heads(vf[sl], h, hs), out=_heads(ctxf[sl], h, hs))
-    del flat, qf, kf, vf, qs, p, rowsum
-    release_blocks()
-    release_copies()
+    lse = _charged(np.empty((n, h, tq)))
+
+    def fill():
+        """The forward pass into `ctx` and `lse`; its flattening copies and
+        block buffers are freed on return."""
+        qf, kf, vf = (_charged(_positions(x, lead, n)) for x in (qd, kd, vd))
+        qs = _charged(scaled_q())
+        p, rowsum = _charged(np.empty((blk, hb, tq, tk))), _charged(np.empty((blk, hb, tq)))
+        for sl, hs, qsb in blocks(qf, qs):
+            pb = logits(sl, hs, qsb, kf, p)
+            lb, rb = lse[sl, hs], rowsum[:len(pb), :pb.shape[1]]
+            pb.max(axis=-1, out=lb)
+            pb -= lb[..., None]
+            np.exp(pb, out=pb)
+            pb.sum(axis=-1, out=rb)
+            pb /= rb[..., None]
+            lb += np.log(rb, out=rb)
+            np.matmul(pb, _heads(vf[sl], h, hs), out=_heads(ctxf[sl], h, hs))
+
+    fill()
     _flops(qd.size + n * h * tq * tk * (2 * (dl // h) + 4) + 2 * lse.size + 2 * ctx.size * tk)
 
     def back(g):
@@ -396,15 +439,12 @@ def attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int) -> Tensor:
         dq *= scale
         return _reduce_to(dq, qd.shape), _reduce_to(dk, kd.shape), _reduce_to(dv, vd.shape)
 
-    release_ctx()
-    out = Tensor(ctx, _parents=(q, k, v), _backward=back)
-    weakref.finalize(back, release_lse)
-    return out
+    return Tensor(ctx, _parents=(q, k, v), _backward=back)
 
 
 def gelu(x: Tensor) -> Tensor:
     xd = x.data
-    phi = 0.5 * (1.0 + erf(xd * _INV_SQRT2))
+    phi = _charged(0.5 * (1.0 + erf(xd * _INV_SQRT2)))
     out = xd * phi
     _flops(8 * out.size)
 
@@ -420,7 +460,7 @@ def layernorm(x: Tensor) -> Tensor:
     xd = x.data
     mu = xd.mean(axis=-1, keepdims=True)
     var = ((xd - mu) ** 2).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + _LN_EPS)
+    inv = _charged(1.0 / np.sqrt(var + _LN_EPS))
     xhat = (xd - mu) * inv
     _flops(7 * xhat.size)
 
@@ -525,11 +565,11 @@ def sum_all(x: Tensor) -> Tensor:
 # -- backward engine ----------------------------------------------------------
 
 
-def _topo_order(root: Tensor) -> list[Tensor]:
+def _topo_order(root: Node) -> list[Node]:
     """Iterative DFS post-order; deterministic given graph construction order."""
-    order: list[Tensor] = []
+    order: list[Node] = []
     seen: set[int] = set()
-    stack: list[tuple[Tensor, bool]] = [(root, False)]
+    stack: list[tuple[Node, bool]] = [(root, False)]
     while stack:
         node, expanded = stack.pop()
         if expanded:
@@ -539,28 +579,36 @@ def _topo_order(root: Tensor) -> list[Tensor]:
             continue
         seen.add(id(node))
         stack.append((node, True))
-        for p in node._parents:
-            if id(p) not in seen:
+        for p in node.parents:
+            if p is not None and id(p) not in seen:
                 stack.append((p, False))
     return order
 
 
 def backward(loss: Tensor) -> None:
-    """Populate .grad for every requires_grad tensor reachable from `loss`."""
+    """Populate .grad for every requires_grad leaf reachable from `loss`.
+
+    Each node's closure is dropped once it has handed on its gradients, and
+    so are the gradients of every node but the leaves, as PyTorch does
+    without `retain_graph`: the buffers only backward read go as it passes,
+    and a second backward through the same graph is an error.
+    """
     if loss.data.shape != ():
         raise EngineError(f"backward requires a scalar loss, got shape {loss.data.shape}")
-    if not loss.requires_grad:
+    root = loss.node
+    if root is None:
         raise EngineError("backward on a tensor with no recorded graph")
-    order = _topo_order(loss)
-    loss.grad = np.ones(())
+    if root.parents and root.backward is None:
+        raise EngineError("backward through a graph that an earlier backward freed")
+    order = _topo_order(root)
+    root.grad = np.ones(())
     for node in reversed(order):
-        if node._backward is None or node.grad is None:
+        back, g = node.backward, node.grad
+        if node.parents:
+            node.backward = node.grad = None
+        if back is None or g is None:
             continue
-        grads = node._backward(node.grad)
-        for parent, g in zip(node._parents, grads):
-            if not parent.requires_grad or g is None:
+        for parent, pg in zip(node.parents, back(g)):
+            if parent is None or pg is None:
                 continue
-            if parent.grad is None:
-                parent.grad = g
-            else:
-                parent.grad = parent.grad + g
+            parent.grad = pg if parent.grad is None else parent.grad + pg

@@ -483,8 +483,7 @@ class TestStepsReuseTheirPages:
     """Once one step has run, the next reuses the pages it freed, so it
     takes few minor page faults: on this desk a few hundred at most, from
     heap growth as the allocator settles and from thread stacks.  Under
-    glibc's default policy the second serial step took ~19 thousand and the
-    second tp=2 step ~3 thousand."""
+    glibc's default policy the second serial step took ~19 thousand."""
 
     MAX_FAULTS = 1024  # 4 MiB of 4 KiB pages
 
@@ -494,12 +493,12 @@ class TestStepsReuseTheirPages:
         return model, make_batch(model, 11, 0, list(range(8)))
 
     @staticmethod
-    def second_step_faults(step, who: str) -> int:
-        """Minor faults of the second of two calls of `step`, counted by
+    def faults_after(warm_up, step, who: str) -> int:
+        """Minor faults of `step`, run after `warm_up`, counted by
         `getrusage` for `who` (a `resource.RUSAGE_*` name)."""
         import resource  # POSIX only, as the policy is
 
-        step()
+        warm_up()
         before = resource.getrusage(getattr(resource, who)).ru_minflt
         step()
         return resource.getrusage(getattr(resource, who)).ru_minflt - before
@@ -507,17 +506,23 @@ class TestStepsReuseTheirPages:
     def test_serial_step(self):
         model, batch = self.desk()
         master = create_master(model, StrategyConfig(), RngState(5))
-        faults = self.second_step_faults(lambda: run_serial_step(model, master, batch),
-                                          "RUSAGE_THREAD")
-        assert faults <= self.MAX_FAULTS
+        def step():
+            run_serial_step(model, master, batch)
+
+        assert self.faults_after(step, step, "RUSAGE_THREAD") <= self.MAX_FAULTS
 
     def test_tp2_step(self):
-        # every step starts new rank threads; they reuse the pages that the
-        # previous step's ranks freed
+        # the rank threads of a step reuse the pages that another thread
+        # freed: here a serial step of a larger batch on this thread.  With
+        # one arena per thread (no M_ARENA_MAX) the ranks faulted in 13-15
+        # thousand pages of their own; with one arena, 14-44.
         model, batch = self.desk()
         strat = StrategyConfig(kind="tp_only", tp_degree=2)
         master = create_master(model, strat, RngState(5))
-        faults = self.second_step_faults(
+        serial_master = create_master(model, StrategyConfig(), RngState(5))
+        larger = make_batch(model, 11, 0, list(range(12)))
+        faults = self.faults_after(
+            lambda: run_serial_step(model, serial_master, larger),
             lambda: run_tp_step(ParallelConfig(dchag_tp=2), model, strat, master, batch),
             "RUSAGE_SELF")
         assert faults <= self.MAX_FAULTS

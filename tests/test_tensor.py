@@ -342,7 +342,7 @@ class TestAttention:
 
 def _reachable_arrays(t):
     """Every numpy array reachable from tensor `t` through its data, its
-    parents and the cells of its backward closure."""
+    node's parents and the cells of each node's backward closure."""
     found, seen, stack = [], set(), [t]
     while stack:
         obj = stack.pop()
@@ -353,7 +353,9 @@ def _reachable_arrays(t):
             found.append(obj)
             stack.append(obj.base)
         elif isinstance(obj, Tensor):
-            stack += [obj.data, obj._backward, *obj._parents]
+            stack += [obj.data, obj.node]
+        elif isinstance(obj, T.Node):
+            stack += [obj.backward, *obj.parents]
         elif callable(obj):
             stack += [c.cell_contents for c in obj.__closure__ or ()]
         elif isinstance(obj, (tuple, list)):
