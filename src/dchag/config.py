@@ -14,37 +14,14 @@ AGG_LAYER_KINDS = ("cross_attention", "linear")
 STRATEGY_KINDS = ("serial", "tp_only", "dist_token", "dchag")
 
 
-@dataclass(frozen=True)
-class TreeSpec:
-    """Grouping plan for hierarchical channel aggregation.
+def build_tree_spec(local_channels: int, max_group: int) -> tuple[tuple[int, ...], ...]:
+    """The grouping plan of hierarchical channel aggregation, as its levels
+    of group sizes.
 
-    levels[0] partitions the local channel count; each later level
-    partitions the previous level's group count; the last level has one
-    group.  fanout_max is the largest group anywhere in the tree.
-    """
-
-    levels: tuple[tuple[int, ...], ...]
-
-    @property
-    def fanout_max(self) -> int:
-        return max(max(level) for level in self.levels)
-
-    def validate(self, local_channels: int) -> None:
-        expect = local_channels
-        for i, level in enumerate(self.levels):
-            if sum(level) != expect:
-                raise ConfigError(
-                    f"tree level {i} groups {level} sum to {sum(level)}, expected {expect}"
-                )
-            expect = len(level)
-        if expect != 1:
-            raise ConfigError("tree must terminate in a single group")
-
-
-def build_tree_spec(local_channels: int, max_group: int) -> TreeSpec:
-    """Greedy balanced grouping: contiguous groups of size <= max_group
-    (sizes differing by at most one), repeated on group counts until a
-    single group remains."""
+    Greedy balanced grouping: level 0 partitions the local channels into
+    contiguous groups of size <= max_group (sizes differing by at most
+    one); each later level partitions the previous level's group count the
+    same way, until a level of one group."""
     if local_channels < 1:
         raise ConfigError(f"local_channels must be >= 1, got {local_channels}")
     if max_group < 2:
@@ -59,7 +36,7 @@ def build_tree_spec(local_channels: int, max_group: int) -> TreeSpec:
         if k == 1:
             break
         n = k
-    return TreeSpec(tuple(levels))
+    return tuple(levels)
 
 
 # The least value of each ModelConfig size; only a block stack may be empty.

@@ -27,8 +27,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .config import (ConfigError, HardwareModel, ModelConfig, ParallelConfig,
-                     StrategyConfig, TreeSpec)
+from .config import ConfigError, HardwareModel, ModelConfig, ParallelConfig, StrategyConfig
+from .layers import N_DECODER_HEADS
 from .params import rank_parameter_sizes, rank_tree
 from .runtime import ring_allgather_payload, ring_allreduce_payload
 from .tensor import attention_block
@@ -156,7 +156,7 @@ def _agg_layer(b, s, ck, d, heads, variant, tp):
     return acts, flops
 
 
-def _tree(b, s, d, heads, tree: TreeSpec, layer_kind, variant):
+def _tree(b, s, d, heads, tree: tuple, layer_kind, variant):
     """A rank's slab tree, its nodes run in order.
 
     A cross_attention node is an unsplit `_agg_layer` over its group.  A
@@ -173,7 +173,7 @@ def _tree(b, s, d, heads, tree: TreeSpec, layer_kind, variant):
     """
     parts, flops = [], 0
     loose = 0 if layer_kind != "linear" and variant == "full_cross" else b * s * d
-    for level in tree.levels:
+    for level in tree:
         for g in level:
             if layer_kind == "linear":
                 a, f = _then(_stored(b * s * d), _chain(b * s * d)), 2 * b * s * d * (g + d)
@@ -320,13 +320,14 @@ def estimate(model: ModelConfig, strategy: StrategyConfig,
         add_comm("backward", "tp", depth * per_block)
 
     # --- decoder: the projection to Dd with its positional add, which the
-    # first block drops; single-head blocks; then B*S*C*pp tensors: the
-    # prediction-head chain (matmul, bias add), the target chain (the
-    # images, their patch rows, reordered), the masked-difference chain
-    # (difference, times the mask) and its square, and the scalar sum.
+    # first block drops; blocks of N_DECODER_HEADS heads; then B*S*C*pp
+    # tensors: the prediction-head chain (matmul, bias add), the target
+    # chain (the images, then their patch rows, which the loss reads
+    # through a view), the masked-difference chain (difference, times the
+    # mask) and its square, and the scalar sum.
     # FLOPs: the projection, the blocks and the head.
     dd, pixels = model.decoder_dim, b * s * c * pp
-    block_acts, block_flops = _block(b, s, dd, 1, m, 1)
+    block_acts, block_flops = _block(b, s, dd, N_DECODER_HEADS, m, 1)
     cost("decoder",
          _then(_chain(b * s * dd), *[block_acts] * model.decoder_depth,
                _chain(pixels), _chain(pixels), _chain(pixels), _stored(pixels + 1)),

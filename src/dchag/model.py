@@ -6,15 +6,25 @@ spatial tokens, metadata-token concatenation, transformer blocks, and a
 small decoder that reconstructs the pixels of every channel at the masked
 positions.
 
+Every activation between layers is position-major, since aggregation
+reduces the channels at each spatial position, and the channel gathers of
+the parallel strategies concatenate along the channel axis:
+
+* patch rows are [B, S, C, P*P] (`tensor.unfold_patches`);
+* channel stacks are [B, S, C, D]: the tokens, a tree level's streams, and
+  the slab streams that the final layer reduces;
+* a stream is a one-channel stack, [B, S, 1, D];
+* predictions are [B, S, C*P*P], the patch rows of a position in a row.
+
 Channel aggregation comes in two architectures.  Flat: one cross-attention
-layer reduces all C channels at once (`forward_loss_serial`, and tp_only /
-dist_token in `strategies`).  Hierarchical (D-CHAG): the channels are cut
-into tp equal slabs, each slab is reduced by its own tree of small layers
-shaped by the strategy's `max_group` and `agg_layer_kind`, and a shared
-final cross-attention reduces the tp slab streams
-(`forward_loss_dchag_reference`, and dchag in `strategies`).  At tp=1 the
-hierarchical model is one tree over all channels followed by a final
-layer over its single stream.
+layer (`layers.cross_attention_aggregate`) reduces all C channels at once
+(`forward_loss_serial`, and tp_only / dist_token in `strategies`).
+Hierarchical (D-CHAG): the channels are cut into tp equal slabs, each slab
+is reduced by its own tree of small layers shaped by the strategy's
+`max_group` and `agg_layer_kind`, and a shared final cross-attention
+reduces the tp slab streams (`forward_loss_dchag_reference`, and dchag in
+`strategies`).  At tp=1 the hierarchical model is one tree over all
+channels followed by a final layer over its single stream.
 """
 
 from __future__ import annotations
@@ -24,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .config import ConfigError, ModelConfig, StrategyConfig, TreeSpec
+from .config import ConfigError, ModelConfig, StrategyConfig
 from .layers import (N_DECODER_HEADS, cross_attention_aggregate, linear,
                      linear_mix_aggregate, transformer_block)
 from .params import rank_tree
@@ -60,37 +70,28 @@ def make_mask(model: ModelConfig, sample_ids, seed: int, step: int) -> np.ndarra
 
 def tokenize_channels(images: Tensor, tok_w: Tensor, chan_id: Tensor,
                       pos: Tensor, patch: int) -> Tensor:
-    """[B, Cs, H, W] -> [B, Cs, S, D] tokens.
+    """[B, Cs, H, W] -> the channel stack [B, S, Cs, D].
 
     Each channel's P x P patches pass through that channel's embedding map
-    (unfold + matmul, a stride-P convolution); its channel-ID row, the map's
-    only bias, and the positional embedding are then added.
+    (unfold + matmul, a stride-P convolution), read through a transposed
+    view of the patch rows; its channel-ID row, the map's only bias, and
+    the positional embedding are then added.
     """
-    patches = T.unfold_patches(images, patch)  # [B, Cs, S, P*P]
-    tokens = T.matmul(patches, tok_w)  # [B, Cs, S, D]
+    rows = T.transpose(T.unfold_patches(images, patch), (0, 2, 1, 3))  # [B, Cs, S, P*P]
+    tokens = T.matmul(rows, tok_w)  # [B, Cs, S, D]
     tokens = T.add(tokens, T.reshape(chan_id, (chan_id.shape[0], 1, -1)))
-    return T.add(tokens, pos)
+    return T.transpose(T.add(tokens, pos), (0, 2, 1, 3))
 
 
-def flat_aggregate(tokens: Tensor, w: dict, prefix: str, variant: str,
-                   n_heads: int, group: ProcessGroup | None = None) -> Tensor:
-    """[B, Ck, S, D] -> [B, 1, S, D]: per spatial position, reduce the Ck
-    channel tokens to one vector (head-split over `group` when given)."""
-    xt = T.transpose(tokens, (0, 2, 1, 3))  # [B, S, Ck, D]
-    out = cross_attention_aggregate(xt, w, prefix, variant, n_heads, group)
-    return T.transpose(out, (0, 2, 1, 3))
-
-
-def tree_aggregate(tokens: Tensor, spec: TreeSpec, w: dict, prefix: str,
+def tree_aggregate(x: Tensor, tree: tuple, w: dict, prefix: str,
                    layer_kind: str, variant: str, n_heads: int) -> Tensor:
-    """Hierarchical reduction: each group at each level collapses to one
-    stream; every tree node has its own parameters under
-    `{prefix}.l{level}.g{group}`."""
-    if sum(spec.levels[0]) != tokens.shape[1]:
+    """Hierarchical reduction of a channel stack to a stream: each group of
+    `tree`'s levels (`config.build_tree_spec`) collapses to one stream;
+    every tree node has its own parameters under `{prefix}.l{level}.g{group}`."""
+    if sum(tree[0]) != x.shape[2]:
         raise ConfigError(
-            f"tree level 0 partitions {sum(spec.levels[0])} channels, input has {tokens.shape[1]}")
-    x = T.transpose(tokens, (0, 2, 1, 3))  # [B, S, Cloc, D]
-    for li, level in enumerate(spec.levels):
+            f"tree level 0 partitions {sum(tree[0])} channels, input has {x.shape[2]}")
+    for li, level in enumerate(tree):
         outs = []
         off = 0
         for gi, group in enumerate(level):
@@ -102,15 +103,15 @@ def tree_aggregate(tokens: Tensor, spec: TreeSpec, w: dict, prefix: str,
             else:
                 outs.append(cross_attention_aggregate(xg, w, node, variant, n_heads))
         x = outs[0] if len(outs) == 1 else T.concat(outs, axis=2)
-    return T.transpose(x, (0, 2, 1, 3))  # [B, 1, S, D]
+    return x
 
 
 def apply_token_mask(agg: Tensor, mask: np.ndarray, mask_token: Tensor) -> Tensor:
     """Replace masked spatial positions of the aggregated stream with the
     learned mask token."""
     b, s = mask.shape
-    m = Tensor(mask.reshape(b, 1, s, 1))
-    keep = Tensor(1.0 - mask.reshape(b, 1, s, 1))
+    m = Tensor(mask.reshape(b, s, 1, 1))
+    keep = Tensor(1.0 - mask.reshape(b, s, 1, 1))
     d = mask_token.shape[0]
     tok = T.reshape(mask_token, (1, 1, 1, d))
     return T.add(T.mul(agg, keep), T.mul(tok, m))
@@ -118,9 +119,9 @@ def apply_token_mask(agg: Tensor, mask: np.ndarray, mask_token: Tensor) -> Tenso
 
 def vit_forward(agg: Tensor, meta: Tensor, w: dict, model: ModelConfig,
                 group: ProcessGroup | None = None) -> Tensor:
-    """[B, 1, S, D] + metadata -> [B, S+1, D] through the transformer
-    (head-split over `group` when given)."""
-    b, _, s, d = agg.shape
+    """The stream [B, S, 1, D] + metadata -> [B, S+1, D] through the
+    transformer (head-split over `group` when given)."""
+    b, s, _, d = agg.shape
     meta_tok = linear(meta, w["special.meta_w"], w["special.meta_b"])
     meta_tok = T.reshape(meta_tok, (b, 1, d))
     x = T.concat([meta_tok, T.reshape(agg, (b, s, d))], axis=1)
@@ -141,11 +142,11 @@ def decode(vit_out: Tensor, w: dict, model: ModelConfig) -> Tensor:
 
 def masked_mse(pred: Tensor, images: np.ndarray, mask: np.ndarray,
                model: ModelConfig) -> Tensor:
-    """Mean squared reconstruction error over masked positions only."""
-    target = T.unfold_patches(Tensor(images), model.patch)  # [B, C, S, P*P]
-    target = T.transpose(target, (0, 2, 1, 3))
+    """Mean squared reconstruction error over masked positions only; the
+    target is the patch rows, read as [B, S, C*P*P] through a view."""
     b, s = mask.shape
-    target = T.reshape(target, (b, s, model.channels * model.patch_pixels))
+    target = T.reshape(T.unfold_patches(Tensor(images), model.patch),
+                       (b, s, model.channels * model.patch_pixels))
     diff = T.mul(T.sub(pred, target), Tensor(mask.reshape(b, s, 1)))
     denom = float(mask.sum()) * model.channels * model.patch_pixels
     return T.scale(T.sum_all(T.mul(diff, diff)), 1.0 / denom)
@@ -174,17 +175,17 @@ def forward_loss_serial(w: dict, model: ModelConfig, batch: Batch) -> Tensor:
                                    w["special.channel_id"], w["special.pos"],
                                    model.patch)
     with alloc_tag("aggregate"):
-        agg = flat_aggregate(tokens, w, "agg.flat", model.agg_variant, model.heads)
+        agg = cross_attention_aggregate(tokens, w, "agg.flat", model.agg_variant, model.heads)
     return trunk_loss(agg, w, model, batch)
 
 
 def forward_loss_dchag_reference(w: dict, model: ModelConfig,
                                  strategy: StrategyConfig, batch: Batch) -> Tensor:
-    """Single-process execution of the slab-tree architecture: per-slab
-    tokenization and partial aggregation, stream concatenation in slab
-    order, shared final cross-attention, then the common trunk.  Valid at
-    any tp, including 1 (one tree over all channels, a final layer over its
-    single stream).
+    """Single-process execution of the slab-tree architecture: tokenization
+    of every channel, each slab of the channel stack reduced by its own
+    tree, the slab streams stacked in slab order, shared final
+    cross-attention, then the common trunk.  Valid at any tp, including 1
+    (one tree over all channels, a final layer over its single stream).
 
     This is the oracle the multi-rank execution must match: same
     parameters, same architecture, no collectives.
@@ -193,20 +194,13 @@ def forward_loss_dchag_reference(w: dict, model: ModelConfig,
     cloc = model.channels // tp
     tree = rank_tree(model, strategy)
     with alloc_tag("tokenize"):
-        images = Tensor(batch.images)
-    streams = []
-    for r in range(tp):
-        with alloc_tag("tokenize"):
-            tokens = tokenize_channels(
-                T.narrow(images, 1, r * cloc, cloc),
-                T.narrow(w["tok.w"], 0, r * cloc, cloc),
-                T.narrow(w["special.channel_id"], 0, r * cloc, cloc),
-                w["special.pos"], model.patch)
-        with alloc_tag("aggregate"):
-            streams.append(tree_aggregate(tokens, tree, w, f"agg.slab{r}",
-                                          strategy.agg_layer_kind,
-                                          model.agg_variant, model.heads))
+        tokens = tokenize_channels(Tensor(batch.images), w["tok.w"], w["special.channel_id"],
+                                   w["special.pos"], model.patch)
     with alloc_tag("aggregate"):
-        gathered = streams[0] if tp == 1 else T.concat(streams, axis=1)
-        agg = flat_aggregate(gathered, w, "agg.final", model.agg_variant, model.heads)
+        streams = [tree_aggregate(T.narrow(tokens, 2, r * cloc, cloc), tree, w,
+                                  f"agg.slab{r}", strategy.agg_layer_kind,
+                                  model.agg_variant, model.heads)
+                   for r in range(tp)]
+        stack = streams[0] if tp == 1 else T.concat(streams, axis=2)
+        agg = cross_attention_aggregate(stack, w, "agg.final", model.agg_variant, model.heads)
     return trunk_loss(agg, w, model, batch)

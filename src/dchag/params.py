@@ -70,7 +70,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .config import ConfigError, ModelConfig, StrategyConfig, TreeSpec, build_tree_spec
+from .config import ConfigError, ModelConfig, StrategyConfig, build_tree_spec
 from .rng import RngState
 
 
@@ -104,15 +104,15 @@ def _node_specs(prefix: str, group: int, layer_kind: str, variant: str, embed: i
     return _agg_node_specs(prefix, variant, embed)
 
 
-def _tree_layout(prefix: str, tree: TreeSpec, layer_kind: str, variant: str,
+def _tree_layout(prefix: str, tree: tuple, layer_kind: str, variant: str,
                  embed: int, compact: bool):
     if not compact:
-        for li, level in enumerate(tree.levels):
+        for li, level in enumerate(tree):
             for gi, group in enumerate(level):
                 yield 1, _node_specs(f"{prefix}.l{li}.g{gi}", group, layer_kind, variant, embed)
         return
     runs = {}  # group size -> [first node of that size, node count]
-    for li, level in enumerate(tree.levels):
+    for li, level in enumerate(tree):
         for group in set(level):
             run = runs.setdefault(group, [f"{prefix}.l{li}.g{level.index(group)}", 0])
             run[1] += level.count(group)
@@ -145,8 +145,9 @@ def _blocks_layout(prefix: str, depth: int, width: int, mlp_ratio: int, compact:
             yield 1, _block_specs(f"{prefix}{i}", width, mlp_ratio)
 
 
-def rank_tree(model: ModelConfig, strategy: StrategyConfig) -> TreeSpec:
-    """Aggregation tree applied by each rank to its channel slab."""
+def rank_tree(model: ModelConfig, strategy: StrategyConfig) -> tuple[tuple[int, ...], ...]:
+    """Aggregation tree applied by each rank to its channel slab: its levels
+    of group sizes (`build_tree_spec`)."""
     return build_tree_spec(strategy.local_channels(model), strategy.max_group)
 
 

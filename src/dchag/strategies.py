@@ -6,14 +6,14 @@ Four step flavors share one model:
 * tp_only: every rank tokenizes all channels redundantly; the flat
   aggregation layer and the transformer are head-split.
 * dist_token: like tp_only, but each rank tokenizes only its channel slab
-  and an AllGather over the channel axis rebuilds the full token tensor;
+  and an AllGather over the channel axis rebuilds the full channel stack;
   the gather's backward is a local slice.
 * dchag: each rank tokenizes its slab and reduces it with its own
-  aggregation tree to a single stream; one AllGather moves the tp streams;
-  a replicated final cross-attention (agg.final) reduces them, and the
-  transformer is head-split.  The gathered tensor's gradient is computed
-  identically on every rank, so backward needs no collective at the
-  boundary.
+  aggregation tree to a single stream; one AllGather stacks the tp
+  streams; a replicated final cross-attention (agg.final) reduces them,
+  and the transformer is head-split.  The gathered tensor's gradient is
+  computed identically on every rank, so backward needs no collective at
+  the boundary.
 
 What a kind splits over tp is said once, by three `StrategyConfig`
 properties: `slabs_channels` (a rank tokenizes only its slab),
@@ -26,7 +26,11 @@ one forward of every parallel kind.
 A layer the strategy splits is given the rank's tp group, and `None`
 otherwise; the layer derives its local heads and its exchanges from the
 group (see `layers`).  The token and stream gathers of dist_token and
-dchag are `gather_shards`, whose backward is a local slice.  A slab rank
+dchag are `gather_shards`, whose backward is a local slice.  Both
+concatenate position-major stacks (`model`) along the channel axis, 2, so
+each yields its aggregation layer's input as one contiguous array.  That
+layer is called as `layers.cross_attention_aggregate`, looked up at each
+call, so a wrapper set on `layers` (`bench/tracer.py`) sees it.  A slab rank
 reads the replicated positional embedding through `layers.fanout`, so its
 gradient is summed over tp inside the backward.
 
@@ -43,12 +47,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import layers
 from . import tensor as T
 from .config import ConfigError, ModelConfig, ParallelConfig, StrategyConfig
-from .layers import fanout
-from .model import (Batch, flat_aggregate, forward_loss_dchag_reference,
-                    forward_loss_serial, tokenize_channels, tree_aggregate,
-                    trunk_loss)
+from .model import (Batch, forward_loss_dchag_reference, forward_loss_serial,
+                    tokenize_channels, tree_aggregate, trunk_loss)
 from .params import rank_tree, shard_for_rank, unshard_grads
 from .runtime import CommLedger, ProcessGroup, RankContext, spawn_ranks
 from .tensor import Tensor
@@ -162,23 +165,23 @@ def parallel_forward_loss(w: dict, model: ModelConfig, strategy: StrategyConfig,
     tp_i = ctx.coords[0]
     with alloc_tag("tokenize"):
         shares_pos = strategy.slabs_channels and strategy.tp_degree > 1
-        pos = fanout(ctx.tp if shares_pos else None, w["special.pos"],
-                     "shared-grad.special.pos")
+        pos = layers.fanout(ctx.tp if shares_pos else None, w["special.pos"],
+                            "shared-grad.special.pos")
         tokens = tokenize_channels(_rank_images(model, strategy, batch, tp_i), w["tok.w"],
                                    w["special.channel_id"], pos, model.patch)
         if strategy.kind == "dist_token":
-            tokens = gather_shards(ctx.tp, tokens, axis=1, tag=TOKEN_GATHER_TAG)
+            tokens = gather_shards(ctx.tp, tokens, axis=2, tag=TOKEN_GATHER_TAG)
     with alloc_tag("aggregate"):
         prefix = "agg.flat"
         if strategy.kind == "dchag":
             stream = tree_aggregate(tokens, rank_tree(model, strategy), w,
                                     f"agg.slab{tp_i}", strategy.agg_layer_kind,
                                     model.agg_variant, model.heads)
-            tokens = gather_shards(ctx.tp, stream, axis=1, tag=DCHAG_BOUNDARY_TAG)
+            tokens = gather_shards(ctx.tp, stream, axis=2, tag=DCHAG_BOUNDARY_TAG)
             del stream  # the gather's backward does not read it
             prefix = "agg.final"
-        agg = flat_aggregate(tokens, w, prefix, model.agg_variant, model.heads,
-                             ctx.tp if strategy.splits_agg else None)
+        agg = layers.cross_attention_aggregate(tokens, w, prefix, model.agg_variant, model.heads,
+                                               ctx.tp if strategy.splits_agg else None)
     return trunk_loss(agg, w, model, batch, ctx.tp if strategy.splits_vit else None)
 
 

@@ -271,7 +271,9 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     rows (`_fold_rows`), never as one matrix per batch position.  Other
     broadcast operands (a per-channel weight stack, a 2-D `a` against
     stacked keys) are formed batched and then summed; their transients are
-    small.
+    small.  As in `mul`, each operand is saved only if the other one needs
+    its gradient, and only the gradients the parents need are formed: a
+    constant's product (the patch rows, the metadata) hands back None.
     """
     if a.ndim < 2 or b.ndim < 2:
         raise ShapeError(f"matmul needs >=2-d operands, got {a.shape} x {b.shape}")
@@ -279,16 +281,18 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise ShapeError(f"matmul inner dimensions differ: {a.shape} x {b.shape}")
     out = np.matmul(a.data, b.data)
     _flops(2 * out.size * a.shape[-1])
-    ad, bd = a.data, b.data
+    sa, sb = a.shape, b.shape
+    ad = a.data if b.requires_grad else None
+    bd = b.data if a.requires_grad else None
 
     def back(g):
-        da = _reduce_to(np.matmul(g, np.swapaxes(bd, -1, -2)), ad.shape)
-        if bd.ndim == 2 and ad.ndim > 2:
+        da = None if bd is None else _reduce_to(np.matmul(g, np.swapaxes(bd, -1, -2)), sa)
+        if ad is None:
+            return da, None
+        if len(sb) == 2 and ad.ndim > 2:
             af, gf = _fold_rows(ad, g)
-            db = af.T @ gf
-        else:
-            db = _reduce_to(np.matmul(np.swapaxes(ad, -1, -2), g), bd.shape)
-        return da, db
+            return da, af.T @ gf
+        return da, _reduce_to(np.matmul(np.swapaxes(ad, -1, -2), g), sb)
 
     return Tensor(out, _parents=(a, b), _backward=back)
 
@@ -527,22 +531,25 @@ def narrow(x: Tensor, axis: int, start: int, length: int) -> Tensor:
 
 
 def unfold_patches(x: Tensor, patch: int) -> Tensor:
-    """[..., C, H, W] -> [..., C, S, P*P] with S = (H/P)*(W/P).
+    """[..., C, H, W] -> patch rows [..., S, C, P*P], S = (H/P)*(W/P).
 
-    Pure bijective rearrangement of pixels into per-patch rows.
+    Pure bijective rearrangement of pixels: row (s, c) holds channel c's
+    pixels of patch s, row-major within the patch.  Position-major, as
+    every activation is (`model`), so a position's rows are contiguous.
     """
     *lead, c, h, w = x.shape
     if h % patch or w % patch:
         raise ShapeError(f"image {h}x{w} not divisible by patch {patch}")
     hp, wp = h // patch, w // patch
-    nd = x.ndim
-    perm = tuple(range(nd - 2)) + (nd - 2, nd, nd - 1, nd + 1)
+    n = len(lead)
+    # [..., C, Hp, P, Wp, P] -> [..., Hp, Wp, C, P, P]
+    perm = (*range(n), n + 1, n + 3, n, n + 2, n + 4)
+    inv = tuple(np.argsort(perm))
     src = x.data.reshape(*lead, c, hp, patch, wp, patch)
-    xd = src.transpose(perm).reshape(*lead, c, hp * wp, patch * patch)
+    xd = src.transpose(perm).reshape(*lead, hp * wp, c, patch * patch)
 
     def back(g):
-        gg = g.reshape(*lead, c, hp, wp, patch, patch)
-        gg = gg.transpose(perm)  # swap of the two middle pairs is self-inverse
+        gg = g.reshape(*lead, hp, wp, c, patch, patch).transpose(inv)
         return (gg.reshape(*lead, c, h, w),)
 
     return Tensor(xd, _parents=(x,), _backward=back)

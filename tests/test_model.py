@@ -8,10 +8,9 @@ from dchag import tensor as T
 from dchag.config import (ConfigError, ModelConfig, ParallelConfig, StrategyConfig,
                           build_tree_spec)
 from dchag.layers import allsum, cross_attention_aggregate, fanout, transformer_block
-from dchag.model import (Batch, apply_token_mask, decode, flat_aggregate,
-                         forward_loss_dchag_reference, forward_loss_serial,
-                         make_mask, masked_mse, tokenize_channels, tree_aggregate,
-                         vit_forward)
+from dchag.model import (Batch, apply_token_mask, decode, forward_loss_dchag_reference,
+                         forward_loss_serial, make_mask, masked_mse, tokenize_channels,
+                         tree_aggregate, vit_forward)
 from dchag.params import create_master, shard_for_rank, unshard_grads
 from dchag.rng import RngState
 from dchag.runtime import ring_allreduce_payload, spawn_ranks
@@ -163,7 +162,7 @@ class TestTokenize:
         pos = Tensor(np.zeros((16, 8)))
         imgs = Tensor(rng.normal((1, 500, 64, 64)))
         out = tokenize_channels(imgs, tok_w, chan, pos, 16)
-        assert out.shape == (1, 500, 16, 8)
+        assert out.shape == (1, 16, 500, 8)
 
     def test_zero_everything_gives_zero_tokens(self):
         out = tokenize_channels(Tensor(np.zeros((1, 2, 4, 4))),
@@ -178,7 +177,7 @@ class TestTokenize:
             "pos": Tensor(rng.normal((4, 6), 0.1), requires_grad=True),
         }
         imgs = Tensor(rng.normal((1, 2, 8, 8)))
-        probe = rng.normal((1, 2, 4, 6))
+        probe = rng.normal((1, 4, 2, 6))
 
         def f():
             out = tokenize_channels(imgs, ts["w"], ts["cid"], ts["pos"], 4)
@@ -193,13 +192,13 @@ class TestTokenize:
 def brute_force_single_query(tokens, q, wk, wv, wo, bo, heads, wq=None):
     """Explicit-loop scaled dot-product oracle for the learned-query reduce.
     Given `wq`, it also applies the query projection the model leaves out."""
-    b_, c, s, d = tokens.shape
+    b_, s, c, d = tokens.shape
     dh = d // heads
-    out = np.zeros((b_, 1, s, d))
+    out = np.zeros((b_, s, 1, d))
     qp = q if wq is None else q @ wq
     for b in range(b_):
         for si in range(s):
-            x = tokens[b, :, si, :]  # [C, D]
+            x = tokens[b, si]  # [C, D]
             k = x @ wk
             v = x @ wv
             merged = np.zeros(d)
@@ -209,20 +208,20 @@ def brute_force_single_query(tokens, q, wk, wv, wo, bo, heads, wq=None):
                 e = np.exp(logits - logits.max())
                 p = e / e.sum()
                 merged[sl] = sum(p[c_] * v[c_, sl] for c_ in range(c))
-            out[b, 0, si, :] = merged @ wo + bo
+            out[b, si, 0] = merged @ wo + bo
     return out
 
 
 def brute_force_full_cross(tokens, wq, wk, wv, wo, bo, rq, heads):
-    """Explicit-loop full_cross layer; returns its output [B, 1, S, D] and
+    """Explicit-loop full_cross layer; returns its output [B, S, 1, D] and
     the reduce stage's weights [B, S, C] over the C attended tokens."""
-    b_, c, s, d = tokens.shape
+    b_, s, c, d = tokens.shape
     dh = d // heads
-    out = np.zeros((b_, 1, s, d))
+    out = np.zeros((b_, s, 1, d))
     weights = np.zeros((b_, s, c))
     for b in range(b_):
         for si in range(s):
-            x = tokens[b, :, si, :]
+            x = tokens[b, si]
             q, k, v = x @ wq, x @ wk, x @ wv
             att = np.zeros((c, d))
             for h in range(heads):
@@ -235,7 +234,7 @@ def brute_force_full_cross(tokens, wq, wk, wv, wo, bo, rq, heads):
             scores = proj @ rq / np.sqrt(d)
             e = np.exp(scores - scores.max())
             weights[b, si] = e / e.sum()
-            out[b, 0, si, :] = weights[b, si] @ proj
+            out[b, si, 0] = weights[b, si] @ proj
     return out, weights
 
 
@@ -244,19 +243,19 @@ class TestFlatAggregate:
         model = tiny_model(channels=1)
         master = create_master(model, StrategyConfig(), RngState(3))
         w = wrap(master, requires_grad=False)
-        tokens = Tensor(rng.normal((1, 1, 4, 8)))
-        out = flat_aggregate(tokens, w, "agg.flat", "single_query", model.heads)
+        tokens = Tensor(rng.normal((1, 4, 1, 8)))
+        out = cross_attention_aggregate(tokens, w, "agg.flat", "single_query", model.heads)
         # with one key the softmax is exactly 1, so output = v @ wo + bo
-        v = tokens.data[0, :, :, :].transpose(1, 0, 2) @ master["agg.flat.wv"]
-        expect = v.reshape(4, 8) @ master["agg.flat.wo"] + master["agg.flat.bo"]
-        np.testing.assert_allclose(out.data[0, 0], expect, atol=1e-12)
+        v = tokens.data[0] @ master["agg.flat.wv"]
+        expect = v @ master["agg.flat.wo"] + master["agg.flat.bo"]
+        np.testing.assert_allclose(out.data[0], expect, atol=1e-12)
 
     def test_single_query_matches_bruteforce(self, rng):
         model = tiny_model(channels=3, embed=4, heads=1)
         master = create_master(model, StrategyConfig(), RngState(5))
         w = wrap(master, requires_grad=False)
-        tokens = rng.normal((2, 3, 2, 4))
-        out = flat_aggregate(Tensor(tokens), w, "agg.flat", "single_query", 1)
+        tokens = rng.normal((2, 2, 3, 4))
+        out = cross_attention_aggregate(Tensor(tokens), w, "agg.flat", "single_query", 1)
         expect = brute_force_single_query(
             tokens, master["agg.flat.q"], master["agg.flat.wk"], master["agg.flat.wv"],
             master["agg.flat.wo"], master["agg.flat.bo"], 1)
@@ -266,8 +265,8 @@ class TestFlatAggregate:
         model = tiny_model(channels=3, embed=8, heads=2, agg_variant="full_cross")
         master = create_master(model, StrategyConfig(), RngState(6))
         w = wrap(master, requires_grad=False)
-        tokens = rng.normal((1, 3, 2, 8))
-        out = flat_aggregate(Tensor(tokens), w, "agg.flat", "full_cross", 2)
+        tokens = rng.normal((1, 2, 3, 8))
+        out = cross_attention_aggregate(Tensor(tokens), w, "agg.flat", "full_cross", 2)
         expect, _ = brute_force_full_cross(
             tokens, master["agg.flat.wq"], master["agg.flat.wk"], master["agg.flat.wv"],
             master["agg.flat.wo"], master["agg.flat.bo"], master["agg.flat.rq"], 2)
@@ -327,7 +326,7 @@ class TestFlatAggregate:
             tokens = tokenize_channels(Tensor(images), Tensor(master["tok.w"][chan_rows]),
                                        Tensor(master["special.channel_id"][chan_rows]),
                                        Tensor(master["special.pos"]), model.patch)
-            return flat_aggregate(tokens, w, "agg.flat", "single_query", model.heads)
+            return cross_attention_aggregate(tokens, w, "agg.flat", "single_query", model.heads)
 
         base = agg_of(imgs, np.arange(5))
         permuted = agg_of(imgs[:, perm], perm)
@@ -353,8 +352,7 @@ class TestFullCrossReduce:
     def test_weighs_its_inputs(self, seed):
         master, x, probe = self.draw(seed)
         expect, weights = brute_force_full_cross(
-            x.transpose(0, 2, 1, 3), *(master[f"agg.flat.{leaf}"]
-                                       for leaf in ("wq", "wk", "wv", "wo", "bo", "rq")),
+            x, *(master[f"agg.flat.{leaf}"] for leaf in ("wq", "wk", "wv", "wo", "bo", "rq")),
             self.HEADS)
         # a mean's weights have no spread; saturated ones sit at 0 or 1
         assert weights.std(axis=-1).mean() > 0.1
@@ -366,7 +364,7 @@ class TestFullCrossReduce:
             return T.sum_all(T.mul(out, Tensor(probe)))
 
         out = cross_attention_aggregate(Tensor(x), ts, "agg.flat", "full_cross", self.HEADS)
-        assert rel_err(out.data, expect.transpose(0, 2, 1, 3)) < 1e-12
+        assert rel_err(out.data, expect) < 1e-12
         check_grad(f, {name: ts[name] for name in ("agg.flat.rq", "x")}, tol=1e-6)
         # rq's gradient clears the equivalence rule's 1e-3 floor by far (at the
         # `many_channels` initialisation it is 3e-18 of the largest)
@@ -401,14 +399,14 @@ class TestTreeAggregate:
     def test_degenerate_single_level_equals_flat(self, rng):
         model = tiny_model(channels=4, embed=8, heads=2, agg_variant="full_cross")
         spec = build_tree_spec(4, 8)
-        assert spec.levels == ((4,),)
+        assert spec == ((4,),)
         master = create_master(model, StrategyConfig(), RngState(4))
         # copy flat weights into the single tree node
         node = {k.replace("agg.flat", "agg.slab0.l0.g0"): v for k, v in master.items()
                 if k.startswith("agg.flat")}
         w = wrap({**master, **node}, requires_grad=False)
         tokens = Tensor(rng.normal((2, 4, 4, 8)))
-        flat = flat_aggregate(tokens, w, "agg.flat", "full_cross", 2)
+        flat = cross_attention_aggregate(tokens, w, "agg.flat", "full_cross", 2)
         tree = tree_aggregate(tokens, spec, w, "agg.slab0", "cross_attention",
                               "full_cross", 2)
         np.testing.assert_array_equal(flat.data, tree.data)
@@ -416,7 +414,7 @@ class TestTreeAggregate:
     def test_two_level_matches_manual_composition(self, rng):
         model = tiny_model(channels=4, embed=8, heads=2)
         spec = build_tree_spec(4, 2)
-        assert spec.levels == ((2, 2), (2,))
+        assert spec == ((2, 2), (2,))
         strategy = StrategyConfig(kind="dchag", tp_degree=1, max_group=2)
         master = create_master(model, strategy, RngState(11))
         w = wrap(master, requires_grad=False)
@@ -424,12 +422,12 @@ class TestTreeAggregate:
         out = tree_aggregate(Tensor(tokens), spec, w, "agg.slab0",
                              "cross_attention", "single_query", 2)
         # manual composition with the same node weights
-        lvl0 = [
-            flat_aggregate(Tensor(tokens[:, :2]), w, "agg.slab0.l0.g0", "single_query", 2),
-            flat_aggregate(Tensor(tokens[:, 2:]), w, "agg.slab0.l0.g1", "single_query", 2),
-        ]
-        merged = T.concat(lvl0, axis=1)
-        expect = flat_aggregate(merged, w, "agg.slab0.l1.g0", "single_query", 2)
+        lvl0 = [cross_attention_aggregate(Tensor(tokens[:, :, :2]), w, "agg.slab0.l0.g0",
+                                          "single_query", 2),
+                cross_attention_aggregate(Tensor(tokens[:, :, 2:]), w, "agg.slab0.l0.g1",
+                                          "single_query", 2)]
+        merged = T.concat(lvl0, axis=2)
+        expect = cross_attention_aggregate(merged, w, "agg.slab0.l1.g0", "single_query", 2)
         assert rel_err(out.data, expect.data) < 1e-12
 
     def test_linear_nodes(self, rng):
@@ -439,7 +437,7 @@ class TestTreeAggregate:
                                   agg_layer_kind="linear")
         master = create_master(model, strategy, RngState(12))
         w = wrap(master, requires_grad=False)
-        tokens = rng.normal((1, 4, 3, 8))
+        tokens = rng.normal((1, 3, 4, 8))
         out = tree_aggregate(Tensor(tokens), spec, w, "agg.slab0", "linear",
                              "single_query", 2)
         # hand-roll: each node is (sum_g mix_g x_g) @ W + b
@@ -447,11 +445,10 @@ class TestTreeAggregate:
             mixed = np.einsum("g,bsgd->bsd", master[f"{p}.mix"], x)
             return mixed @ master[f"{p}.w"] + master[f"{p}.b"]
 
-        xt = tokens.transpose(0, 2, 1, 3)
-        a = node(xt[:, :, :2], "agg.slab0.l0.g0")
-        b = node(xt[:, :, 2:], "agg.slab0.l0.g1")
+        a = node(tokens[:, :, :2], "agg.slab0.l0.g0")
+        b = node(tokens[:, :, 2:], "agg.slab0.l0.g1")
         expect = node(np.stack([a, b], axis=2), "agg.slab0.l1.g0")
-        assert rel_err(out.data[:, 0], expect) < 1e-12
+        assert rel_err(out.data[:, :, 0], expect) < 1e-12
 
     def test_partition_mismatch_rejected(self, rng):
         model = tiny_model()
@@ -504,11 +501,11 @@ class TestVit:
         model = tiny_model(depth=0)
         master = create_master(model, StrategyConfig(), RngState(2))
         w = wrap(master, requires_grad=False)
-        agg = rng.normal((2, 1, 4, 8))
+        agg = rng.normal((2, 4, 1, 8))
         meta = rng.normal((2, 4))
         out = vit_forward(Tensor(agg), Tensor(meta), w, model)
         assert out.shape == (2, 5, 8)
-        np.testing.assert_array_equal(out.data[:, 1:, :], agg[:, 0])
+        np.testing.assert_array_equal(out.data[:, 1:, :], agg[:, :, 0])
         expect_meta = meta @ master["special.meta_w"] + master["special.meta_b"]
         np.testing.assert_array_equal(out.data[:, 0, :], expect_meta)
 
@@ -525,7 +522,7 @@ class TestVit:
         for s, cfg in ((4, tiny_model()), (16, tiny_model(image_h=16, image_w=16))):
             master = create_master(cfg, StrategyConfig(), RngState(1))
             w = wrap(master, requires_grad=False)
-            out = vit_forward(Tensor(rng.normal((1, 1, s, 8))), Tensor(rng.normal((1, 4))),
+            out = vit_forward(Tensor(rng.normal((1, s, 1, 8))), Tensor(rng.normal((1, 4))),
                               w, cfg)
             assert out.shape[1] == s + 1
 
@@ -568,14 +565,14 @@ class TestAbsorbedBiases:
         tok_w = rng.normal((c, patch * patch, d))
         tok_b, chan_id = rng.normal((c, d)), rng.normal((c, d))
         pos = rng.normal(((side // patch) ** 2, d))
-        expect = np.zeros((b, c, len(pos), d))
+        expect = np.zeros((b, len(pos), c, d))
         for bi in range(b):
             for ci in range(c):
                 for i in range(side // patch):
                     for j in range(side // patch):
                         rows = images[bi, ci, i * patch:(i + 1) * patch, j * patch:(j + 1) * patch]
                         s = i * (side // patch) + j
-                        expect[bi, ci, s] = (rows.reshape(-1) @ tok_w[ci] + tok_b[ci]
+                        expect[bi, s, ci] = (rows.reshape(-1) @ tok_w[ci] + tok_b[ci]
                                              + chan_id[ci] + pos[s])
         out = tokenize_channels(Tensor(images), Tensor(tok_w), Tensor(chan_id + tok_b),
                                 Tensor(pos), patch)
@@ -633,7 +630,7 @@ class TestAbsorbedWeights:
         q, wq = rng.normal((d,), 0.5), rng.normal((d, d), 0.5)
         p = {leaf: rng.normal((d, d), 0.5) for leaf in ("wk", "wv", "wo")}
         p["bo"] = rng.normal((d,), 0.5)
-        tokens = rng.normal((2, c, 3, d))  # [B, C, S, D]
+        tokens = rng.normal((2, 3, c, d))  # [B, S, C, D]
         expect = brute_force_single_query(tokens, q, p["wk"], p["wv"], p["wo"], p["bo"],
                                           heads, wq=wq)
         master = {f"agg.flat.{leaf}": v for leaf, v in {**p, "q": q @ wq}.items()}
@@ -641,12 +638,11 @@ class TestAbsorbedWeights:
 
         def program(ctx):
             w = wrap(shard_for_rank(master, strategy, ctx.coords[0]), False)
-            x = Tensor(tokens.transpose(0, 2, 1, 3))  # [B, S, C, D]
-            return cross_attention_aggregate(x, w, "agg.flat", "single_query", heads,
-                                             ctx.tp).data
+            return cross_attention_aggregate(Tensor(tokens), w, "agg.flat", "single_query",
+                                             heads, ctx.tp).data
 
         for out in spawn_ranks(ParallelConfig(dchag_tp=tp), program).results:
-            assert rel_err(out, expect.transpose(0, 2, 1, 3)) < 1e-12
+            assert rel_err(out, expect) < 1e-12
 
 
 class TestMae:
@@ -664,18 +660,39 @@ class TestMae:
         model = tiny_model()
         imgs = rng.normal((1, 4, 8, 8))
         mask = make_mask(model, [0], seed=1, step=0)
-        target = T.unfold_patches(Tensor(imgs), 4)
-        target = T.reshape(T.transpose(target, (0, 2, 1, 3)), (1, 4, 64))
+        target = T.reshape(T.unfold_patches(Tensor(imgs), 4), (1, 4, 64))
         loss = masked_mse(target, imgs, mask, model)
         assert loss.item() == 0.0
 
+    def test_target_is_a_view_of_the_patch_rows(self, rng, monkeypatch):
+        # the patch rows are position-major like the predictions, so the
+        # loss reads its target without copying them
+        model = tiny_model()
+        rows, targets = [], []
+        unfold, sub = T.unfold_patches, T.sub
+
+        def unfold_spy(*args):
+            rows.append(unfold(*args))
+            return rows[-1]
+
+        def sub_spy(pred, target):
+            targets.append(target)
+            return sub(pred, target)
+
+        monkeypatch.setattr(T, "unfold_patches", unfold_spy)
+        monkeypatch.setattr(T, "sub", sub_spy)
+        masked_mse(Tensor(rng.normal((2, model.seq, 64))), rng.normal((2, 4, 8, 8)),
+                   make_mask(model, [0, 1], seed=1, step=0), model)
+        (row,), (target,) = rows, targets
+        assert np.shares_memory(target.data, row.data)
+
     def test_apply_mask_replaces_positions(self, rng):
-        agg = rng.normal((1, 1, 4, 8))
+        agg = rng.normal((1, 4, 1, 8))
         mask = np.array([[0.0, 1.0, 0.0, 1.0]])
         tok = rng.normal((8,))
         out = apply_token_mask(Tensor(agg), mask, Tensor(tok))
         np.testing.assert_array_equal(out.data[0, 0, 0], agg[0, 0, 0])
-        np.testing.assert_array_equal(out.data[0, 0, 1], tok)
+        np.testing.assert_array_equal(out.data[0, 1, 0], tok)
 
     def test_mask_ratio_zero_runs_end_to_end(self):
         model = tiny_model(mask_ratio=0.0)

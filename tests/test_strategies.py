@@ -7,6 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from dchag import layers
 from dchag import tensor as T
 from dchag.config import (AGG_LAYER_KINDS, AGG_VARIANTS, STRATEGY_KINDS, ConfigError,
                           ModelConfig, ParallelConfig, StrategyConfig)
@@ -458,6 +459,31 @@ class TestSharding:
         d = model.embed
         np.testing.assert_array_equal(s1["vit.blk0.wq"], master["vit.blk0.wq"][:, d // 2:])
         np.testing.assert_array_equal(s1["vit.blk0.wo"], master["vit.blk0.wo"][d // 2:, :])
+
+
+@pytest.mark.parametrize("kind, prefix", [("dist_token", "agg.flat"), ("dchag", "agg.final")])
+def test_gathered_stacks_fold_as_views(monkeypatch, kind, prefix):
+    # the channel gathers concatenate position-major stacks along the
+    # channel axis, so the stack each gather hands its aggregation layer is
+    # one contiguous array, whose rows the weight gradients fold in place
+    stacks = []
+    aggregate = layers.cross_attention_aggregate
+
+    def spy(x, w, name, *args):
+        if name == prefix:
+            stacks.append(x.data)
+        return aggregate(x, w, name, *args)
+
+    monkeypatch.setattr(layers, "cross_attention_aggregate", spy)
+    model = tiny(channels=8)
+    strat = StrategyConfig(kind=kind, tp_degree=2, max_group=2)
+    run_hybrid_step(ParallelConfig(dchag_tp=2), model, strat,
+                    create_master(model, strat, RngState(5)), [make_batch(model, 11, 0, [0, 1])])
+    assert len(stacks) == 2
+    for x in stacks:
+        assert x.flags.c_contiguous
+        rows, _ = T._fold_rows(x, np.zeros(x.shape))
+        assert np.shares_memory(rows, x)
 
 
 def test_serial_step_rejects_invalid_model():

@@ -108,6 +108,22 @@ class TestMatmulBackward:
             tracemalloc.stop()
         assert peak < 16 * 2 ** 20, f"backward peak {peak / 2 ** 20:.1f} MiB"
 
+    @pytest.mark.parametrize("a_needs_grad", [False, True])
+    def test_a_constant_operand_gets_no_gradient(self, rng, a_needs_grad):
+        # patch rows times the tokenizer's weights: the constant's gradient is
+        # not formed, and the product holds nothing of the other operand,
+        # whose own gradient does not read it
+        a, b, g = rng.normal((2, 3, 5, 4)), rng.normal((4, 6)), rng.normal((2, 3, 5, 6))
+        ta, tb = Tensor(a, requires_grad=a_needs_grad), Tensor(b, requires_grad=not a_needs_grad)
+        out = T.matmul(ta, tb)
+        needy = ta if a_needs_grad else tb
+        assert not any(np.shares_memory(x, needy.data) for x in _reachable_arrays(out))
+        da, db = out.node.backward(g)
+        if a_needs_grad:
+            assert db is None and rel_err(da, g @ b.T) < 1e-12
+        else:
+            assert da is None and rel_err(db, _sum_to(np.swapaxes(a, -1, -2) @ g, b.shape)) < 1e-12
+
 
 def _probabilities(logits):
     """Softmax of the rows of `logits` [..., Tk] through the fused op: one
@@ -467,15 +483,15 @@ class TestRearrange:
     def test_unfold_shape(self, rng):
         x = Tensor(rng.normal((3, 64, 64)))
         out = T.unfold_patches(x, 16)
-        assert out.shape == (3, 16, 256)
+        assert out.shape == (16, 3, 256)
 
     def test_unfold_is_pixel_permutation(self):
         x = Tensor(np.arange(2 * 3 * 8 * 12, dtype=float).reshape(2, 3, 8, 12))
         out = T.unfold_patches(x, 4)
-        assert out.shape == (2, 3, 6, 16)
+        assert out.shape == (2, 6, 3, 16)
         np.testing.assert_array_equal(np.sort(out.data, axis=None), x.data.ravel())
-        # row s of channel c holds patch s's pixels, row-major within the patch
-        np.testing.assert_array_equal(out.data[1, 2, 4], x.data[1, 2, 4:8, 4:8].ravel())
+        # row (s, c) holds channel c's pixels of patch s, row-major within the patch
+        np.testing.assert_array_equal(out.data[1, 4, 2], x.data[1, 2, 4:8, 4:8].ravel())
 
     def test_unfold_rejects_indivisible(self):
         with pytest.raises(ShapeError):
@@ -483,11 +499,8 @@ class TestRearrange:
 
     def test_unfold_grad(self, rng):
         ts = {"x": Tensor(rng.normal((1, 2, 4, 4)), requires_grad=True)}
-        w = rng.normal((1, 2, 4, 4))
-        check_grad(
-            lambda: T.sum_all(T.mul(T.unfold_patches(ts["x"], 2), Tensor(w.reshape(1, 2, 4, 4)))),
-            ts,
-        )
+        w = rng.normal((1, 4, 2, 4))
+        check_grad(lambda: T.sum_all(T.mul(T.unfold_patches(ts["x"], 2), Tensor(w))), ts)
 
     def test_concat_narrow_identity(self, rng):
         x = Tensor(rng.normal((2, 6, 3)))

@@ -2,45 +2,44 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from dchag.config import ConfigError, TreeSpec, build_tree_spec
+from dchag.config import ConfigError, build_tree_spec
+
+
+def assert_partition(levels, local_channels, max_group):
+    """Each level's groups sum to the group count of the level before (level
+    0 to the local channels), the last level is one group, no group exceeds
+    `max_group`, and the groups of one level differ by at most one."""
+    expect = local_channels
+    for level in levels:
+        assert sum(level) == expect
+        assert max(level) <= max_group
+        assert max(level) - min(level) <= 1
+        expect = len(level)
+    assert expect == 1
 
 
 def test_two_gpus_512_channels_grouping():
     # 512 channels over two ranks -> 256 local, two 128-wide groups then a combiner
-    spec = build_tree_spec(256, 128)
-    assert spec.levels == ((128, 128), (2,))
-    assert spec.fanout_max == 128
+    assert build_tree_spec(256, 128) == ((128, 128), (2,))
 
 
 def test_eight_layers_of_32():
-    spec = build_tree_spec(256, 32)
-    assert spec.levels == ((32,) * 8, (8,))
-    assert spec.fanout_max == 32
+    assert build_tree_spec(256, 32) == ((32,) * 8, (8,))
 
 
 def test_no_split_needed():
-    assert build_tree_spec(5, 8).levels == ((5,),)
-    assert build_tree_spec(1, 2).levels == ((1,),)
+    assert build_tree_spec(5, 8) == ((5,),)
+    assert build_tree_spec(1, 2) == ((1,),)
 
 
 def test_balanced_remainders():
-    spec = build_tree_spec(10, 4)
-    assert spec.levels == ((4, 3, 3), (3,))
-    for level in spec.levels:
-        assert max(level) - min(level) <= 1
+    assert build_tree_spec(10, 4) == ((4, 3, 3), (3,))
 
 
 def test_deep_recursion_terminates_at_one():
-    spec = build_tree_spec(64, 2)
-    assert spec.levels[-1] == (2,) or spec.levels[-1] == (1,)
-    spec.validate(64)
-
-
-def test_validate_rejects_bad_partition():
-    with pytest.raises(ConfigError):
-        TreeSpec(((2, 2),)).validate(5)
-    with pytest.raises(ConfigError):
-        TreeSpec(((2, 2), (2,), (2,))).validate(4)
+    levels = build_tree_spec(64, 2)
+    assert levels[-1] == (2,)
+    assert_partition(levels, 64, 2)
 
 
 def test_bad_args():
@@ -52,8 +51,4 @@ def test_bad_args():
 
 @given(local_channels=st.integers(1, 4096), max_group=st.integers(2, 256))
 def test_tree_spec_properties(local_channels, max_group):
-    spec = build_tree_spec(local_channels, max_group)
-    spec.validate(local_channels)
-    assert spec.fanout_max <= max_group
-    for level in spec.levels:
-        assert max(level) - min(level) <= 1
+    assert_partition(build_tree_spec(local_channels, max_group), local_channels, max_group)
