@@ -12,6 +12,7 @@ The contract, per rank and per step:
   component's peak at the point it is live.  Each layer's terms are
   written once, on the one function that returns its activation elements
   and FLOPs together.
+* FLOPs follow `tracking`'s rule and equal the tracker's per-tag count.
 * Parameter bytes come from `params`' table and placement rule, the ones
   that shard the simulator's ranks.  Grads equal params; optimizer state
   is twice params (the moment pair).
@@ -144,14 +145,13 @@ def _agg_layer(b, s, ck, d, heads, variant, tp):
         acts = _then(_stored(2 * b * s * ck * dl),
                      _attention(b * s, hl, 1, ck, dl, q_shared=True),
                      _chain(b * s * d))
-        flops = (2 * 2 * b * s * ck * d * dl + 2 * 2 * b * s * hl * ck * (d / heads)
-                 + 2 * b * s * d * dl)
+        flops = 2 * 2 * b * s * ck * d * dl + 2 * 2 * b * s * ck * dl + 2 * b * s * d * dl
         return acts, flops
     acts = _then(_stored(3 * b * s * ck * dl),
                  _attention(b * s, hl, ck, ck, dl, q_shared=False),
                  _chain(b * s * ck * d),
                  _attention(b * s, 1, 1, ck, d, q_shared=True))
-    flops = (3 * 2 * b * s * ck * d * dl + 2 * 2 * b * s * hl * ck * ck * (d / heads)
+    flops = (3 * 2 * b * s * ck * d * dl + 2 * 2 * b * s * ck * ck * dl
              + 2 * b * s * ck * d * dl + 2 * 2 * b * s * ck * d)
     return acts, flops
 
@@ -276,8 +276,7 @@ def estimate(model: ModelConfig, strategy: StrategyConfig,
     # --- tokenize: the rank's images and their patch rows (B*Cs*S*pp each;
     # the images go on return), then the token chain (embedding matmul,
     # channel-ID and positional adds; B*Cs*S*D).  dist_token then gathers
-    # every rank's tokens and drops its own.  FLOPs: the embedding matmul
-    # and the two adds.
+    # every rank's tokens and drops its own.  FLOPs: the embedding matmul.
     pixels, tokens = b * cloc * s * pp, b * cloc * s * d
     acts = _then(_stored(2 * pixels), _chain(tokens), _freed(pixels))
     if strategy.kind == "dist_token":
@@ -285,7 +284,7 @@ def estimate(model: ModelConfig, strategy: StrategyConfig,
         add_comm("forward", "tp", ring_allgather_payload(b * cloc * s * d * pb, tp))
     if strategy.slabs_channels and tp > 1:  # fanout of the shared positional embedding
         add_comm("backward", "tp", ring_allreduce_payload(s * d, pb, tp))
-    cost("tokenize", acts, 2 * b * cloc * s * pp * d + 2 * b * cloc * s * d)
+    cost("tokenize", acts, 2 * b * cloc * s * pp * d)
 
     # --- aggregate: agg.flat over the C token stacks, head-split over tp;
     # or dchag's slab tree, the gathered tp streams (after which the rank's
@@ -309,11 +308,12 @@ def estimate(model: ModelConfig, strategy: StrategyConfig,
     # --- vit: the mask and its complement (B*S each), the masked stream
     # (two products, then their sum), the [B, 4] metadata input and its
     # token chain, and the concatenated sequence, which the first block
-    # drops; then the blocks at T = S+1.
+    # drops; then the blocks at T = S+1.  FLOPs: the metadata projection
+    # ([B, 4] by [4, D]) and the blocks.
     block_acts, block_flops = _block(b, t, d, heads, m, tp)
     prologue = _then(_stored(2 * b * s), _stored(3 * b * s * d), _freed(2 * b * s * d),
                      _stored(4 * b), _chain(b * d), _stored(b * t * d))
-    cost("vit", _then(prologue, *[block_acts] * depth), depth * block_flops)
+    cost("vit", _then(prologue, *[block_acts] * depth), 8 * b * d + depth * block_flops)
     if strategy.splits_vit:
         per_block = 2 * ring_allreduce_payload(b * t * d, pb, tp)  # two exchanges per phase
         add_comm("forward", "tp", depth * per_block)
@@ -378,7 +378,7 @@ def plan(model: ModelConfig, hw: HardwareModel, family: str = "dchag",
         raise ConfigError(f"unknown strategy family {family}")
     model.validate()
     hw.validate()
-    _check_sizes(precision_bytes=precision_bytes, batch=batch)
+    _check_sizes(precision_bytes=precision_bytes, batch=batch, rank_limit=rank_limit)
     best: PlanResult | None = None
     tp_limit = min(rank_limit, model.heads)
     for tp in _pow2_up_to(tp_limit if family != "serial" else 1):
@@ -436,6 +436,8 @@ SURROGATES = {
 
 
 def surrogate_model(label: str, channels: int, agg_variant: str = "full_cross") -> ModelConfig:
+    if label not in SURROGATES:
+        raise ConfigError(f"unknown surrogate {label!r}, not one of {', '.join(SURROGATES)}")
     shape = SURROGATES[label]
     return ModelConfig(channels=channels, image_h=128, image_w=128, patch=16,
                        mlp_ratio=4, agg_variant=agg_variant,

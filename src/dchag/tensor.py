@@ -19,6 +19,7 @@ Design points that later modules rely on:
   for as long as the engine holds a view of it;
 * `attention` is the engine's only softmax: every attention in the model,
   full_cross's learned-query reduce too, is that one fused op;
+* FLOPs follow `tracking`'s rule: only `matmul` and `attention` count any;
 * the fused attention op walks (position, head) blocks whose logits fit
   `ATTENTION_BLOCK` elements, a size chosen so that a block stays in cache:
   whole positions while one position's logits fit, else heads of one
@@ -205,7 +206,6 @@ def _reduce_to(g: np.ndarray, shape: tuple) -> np.ndarray:
 
 def add(a: Tensor, b: Tensor) -> Tensor:
     out = a.data + b.data
-    _flops(out.size)
     sa, sb = a.shape, b.shape
 
     def back(g):
@@ -216,7 +216,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
     out = a.data - b.data
-    _flops(out.size)
     sa, sb = a.shape, b.shape
 
     def back(g):
@@ -230,7 +229,6 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     needs its gradient: a product with a constant mask keeps the mask, not
     the masked tensor."""
     out = a.data * b.data
-    _flops(out.size)
     sa, sb = a.shape, b.shape
     ad = a.data if b.requires_grad else None
     bd = b.data if a.requires_grad else None
@@ -244,7 +242,6 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
 
 def scale(a: Tensor, s: float) -> Tensor:
     out = a.data * s
-    _flops(out.size)
 
     def back(g):
         return (g * s,)
@@ -418,7 +415,7 @@ def attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int) -> Tensor:
             np.matmul(pb, _heads(vf[sl], h, hs), out=_heads(ctxf[sl], h, hs))
 
     fill()
-    _flops(qd.size + n * h * tq * tk * (2 * (dl // h) + 4) + 2 * lse.size + 2 * ctx.size * tk)
+    _flops(4 * n * tq * tk * dl)
 
     def back(g):
         qf, kf, vf = (_positions(x, lead, n) for x in (qd, kd, vd))
@@ -450,7 +447,6 @@ def gelu(x: Tensor) -> Tensor:
     xd = x.data
     phi = _charged(0.5 * (1.0 + erf(xd * _INV_SQRT2)))
     out = xd * phi
-    _flops(8 * out.size)
 
     def back(g):
         pdf = np.exp(-0.5 * xd * xd) * _INV_SQRT2PI
@@ -466,7 +462,6 @@ def layernorm(x: Tensor) -> Tensor:
     var = ((xd - mu) ** 2).mean(axis=-1, keepdims=True)
     inv = _charged(1.0 / np.sqrt(var + _LN_EPS))
     xhat = (xd - mu) * inv
-    _flops(7 * xhat.size)
 
     def back(g):
         m1 = g.mean(axis=-1, keepdims=True)
@@ -560,7 +555,6 @@ def unfold_patches(x: Tensor, patch: int) -> Tensor:
 
 def sum_all(x: Tensor) -> Tensor:
     out = x.data.sum()
-    _flops(x.size)
     shape = x.data.shape
 
     def back(g):

@@ -1,8 +1,10 @@
-"""The cost model against the simulator: per-rank parameter bytes against
-the shards ranks hold, communication against the ledger, activation bytes
-against the allocator, and the planner against an exhaustive search."""
+"""The cost model against the simulator: per-rank parameter and gradient
+bytes against the shards and gradients ranks hold, communication against
+the ledger, activation bytes and FLOPs against the allocator's tracker, and
+the planner against an exhaustive search."""
 
 import functools
+from collections import namedtuple
 from dataclasses import replace
 
 import pytest
@@ -76,15 +78,21 @@ def run_step(model, strat, batches):
     return run_hybrid_step(pconfig, model, strat, master, batches)
 
 
-def shard_bytes(strat, master):
-    """Component -> the most bytes any tp rank holds."""
+def busiest_bytes(per_rank):
+    """Component -> the most bytes any rank holds, from each rank's arrays
+    by parameter name."""
     out = dict.fromkeys(COMPONENT_TAGS, 0)
-    for r in range(strat.tp_degree):
+    for arrays in per_rank:
         held = dict.fromkeys(COMPONENT_TAGS, 0)
-        for name, arr in shard_for_rank(master, strat, r).items():
+        for name, arr in arrays.items():
             held[COMPONENT_OF[name.split(".")[0]]] += arr.nbytes
         out = {c: max(out[c], held[c]) for c in COMPONENT_TAGS}
     return out
+
+
+def shard_bytes(strat, master):
+    """Component -> the most bytes any tp rank holds."""
+    return busiest_bytes(shard_for_rank(master, strat, r) for r in range(strat.tp_degree))
 
 
 def ledger_comm(ledger, rank):
@@ -105,6 +113,12 @@ class TestParameterBytes:
         rep = estimate(model, strat, precision_bytes=8)
         got = {c: rep.components[c].params_bytes for c in COMPONENT_TAGS}
         assert got == shard_bytes(strat, master)
+
+    @pytest.mark.parametrize("case", GRID, ids=case_id)
+    def test_grad_bytes_match_rank_grads(self, case):
+        est, measured = step_costs(case, ())
+        for comp in COMPONENT_TAGS:
+            assert est[comp].grads == measured[comp].grads, comp
 
     def test_fsdp_divides_vit_and_moves_tp_local_blocks(self):
         model = desk()
@@ -175,37 +189,49 @@ ACTIVATION_CASES = ([pytest.param(case, (), id=case_id(case)) for case in GRID]
                                     id=f"{variant}-serial-tp1-tall") for variant in VARIANTS])
 
 
+Costs = namedtuple("Costs", "activation flops grads")
+
+
 @functools.lru_cache(maxsize=None)
-def activations(case, geometry=()):
-    """(estimated, measured) activation bytes and (estimated, measured) FLOPs
-    per component of one grid case; measured is the allocator's per-tag peak
-    and the tracker's per-tag FLOPs, each on the busiest rank."""
+def step_costs(case, geometry):
+    """(estimated, measured) `Costs` per component of one grid case: bytes of
+    activations, FLOPs and bytes of gradients.  Measured is the allocator's
+    per-tag peak, the tracker's per-tag FLOPs and the gradients a rank
+    holds, each on the busiest rank."""
     variant, strat = case
     model = desk(variant, **dict(geometry))
     res = run_step(model, strat, [make_batch(model, 5, 0, [0, 1])])
     stats = res.stats if isinstance(res.stats, list) else [res.stats]
+    grads = busiest_bytes([res.grads] if strat.kind == "serial" else res.rank_grads)
     rep = estimate(model, strat, precision_bytes=8, batch=2)
-    return ({c: rep.activation(c) for c in COMPONENT_TAGS},
-            {c: max(st.tag_peak(c) for st in stats) for c in COMPONENT_TAGS},
-            {c: rep.components[c].flops for c in COMPONENT_TAGS},
-            {c: max(st.tag_flops(c) for st in stats) for c in COMPONENT_TAGS})
+    return ({c: Costs(rep.activation(c), rep.components[c].flops, rep.components[c].grad_bytes)
+             for c in COMPONENT_TAGS},
+            {c: Costs(max(st.tag_peak(c) for st in stats), max(st.tag_flops(c) for st in stats),
+                      grads[c]) for c in COMPONENT_TAGS})
 
 
 class TestActivations:
-    """The activation estimate of every component is exact: the allocator's
-    per-tag peak on the busiest rank equals the estimate."""
+    """The activation and FLOP estimates of every component are exact: the
+    allocator's per-tag peak and the tracker's per-tag FLOPs on the busiest
+    rank equal them."""
 
     @pytest.mark.parametrize("case, geometry", ACTIVATION_CASES)
     def test_tokenize_and_decoder_match_allocator(self, case, geometry):
-        est, measured, _, _ = activations(case, geometry)
+        est, measured = step_costs(case, geometry)
         for comp in ("tokenize", "decoder"):
-            assert est[comp] == measured[comp], comp
+            assert est[comp].activation == measured[comp].activation, comp
 
     @pytest.mark.parametrize("case, geometry", ACTIVATION_CASES)
     def test_aggregate_and_vit_match_allocator(self, case, geometry):
-        est, measured, _, _ = activations(case, geometry)
+        est, measured = step_costs(case, geometry)
         for comp in ("aggregate", "vit"):
-            assert est[comp] == measured[comp], comp
+            assert est[comp].activation == measured[comp].activation, comp
+
+    @pytest.mark.parametrize("case, geometry", ACTIVATION_CASES)
+    def test_flops_match_tracker(self, case, geometry):
+        est, measured = step_costs(case, geometry)
+        for comp in COMPONENT_TAGS:
+            assert est[comp].flops == measured[comp].flops, comp
 
     @pytest.mark.parametrize("variant", VARIANTS)
     def test_long_desk_peaks_inside_attention(self, variant):
@@ -245,8 +271,8 @@ def drawn_cases(draw):
 @settings(max_examples=40)
 @given(drawn_cases())
 def test_drawn_grid_matches_allocator_and_ledger(case):
-    # per component, the estimate is the busiest rank's allocator peak; per
-    # (phase, axis), its communication is every rank's ledger
+    # per component, the estimate is the busiest rank's allocator peak and
+    # FLOPs; per (phase, axis), its communication is every rank's ledger
     variant, channels, strat, dp, batch = case
     model = desk(variant, channels)
     res = run_step(model, strat, [make_batch(model, 5, 0, range(i * batch, (i + 1) * batch))
@@ -256,34 +282,13 @@ def test_drawn_grid_matches_allocator_and_ledger(case):
     stats = res.stats if isinstance(res.stats, list) else [res.stats]
     for comp in COMPONENT_TAGS:
         assert rep.activation(comp) == max(s.tag_peak(comp) for s in stats), comp
+        assert rep.components[comp].flops == max(s.tag_flops(comp) for s in stats), comp
     want = {k: v for k, v in rep.comm.items() if v}
     if strat.kind == "serial":
         assert want == {}
     else:
         for rank in range(pconfig.world_size):
             assert ledger_comm(res.ledger, rank) == want, rank
-
-
-# Today's least estimate/measured FLOP ratio over the grid per component;
-# the estimate counts the matmuls and leaves out most elementwise ops.
-FLOP_FLOORS = {"aggregate": 0.92, "vit": 0.70, "decoder": 0.77}
-
-
-class TestFlops:
-    """The tokenizer's FLOP estimate is exact; the other components stay
-    under the tracker's count, within a floor that guards against terms
-    going missing."""
-
-    @pytest.mark.parametrize("case", GRID, ids=case_id)
-    def test_tokenize_matches_tracker(self, case):
-        _, _, est, measured = activations(case)
-        assert est["tokenize"] == measured["tokenize"]
-
-    @pytest.mark.parametrize("case", GRID, ids=case_id)
-    def test_within_band_of_tracker(self, case):
-        _, _, est, measured = activations(case)
-        for comp, floor in FLOP_FLOORS.items():
-            assert floor * measured[comp] <= est[comp] <= measured[comp], comp
 
 
 class TestContract:
@@ -325,6 +330,15 @@ class TestContract:
             estimate(desk(), StrategyConfig(), **{arg: value})
         with pytest.raises(ConfigError, match=f"^{arg} "):
             plan(desk(), HardwareModel(), **{arg: value})
+
+    @pytest.mark.parametrize("rank_limit", [0, -3])
+    def test_impossible_rank_limit_rejected(self, rank_limit):
+        with pytest.raises(ConfigError, match="^rank_limit "):
+            plan(desk(), HardwareModel(), rank_limit=rank_limit)
+
+    def test_unknown_surrogate_rejected(self):
+        with pytest.raises(ConfigError, match="8B.*1.7B, 7B, 15B, 26B"):
+            costmodel.surrogate_model("8B", 128)
 
     def test_invalid_hardware_rejected(self):
         with pytest.raises(ConfigError, match="bytes_per_gpu"):

@@ -154,6 +154,23 @@ def test_flops_counted_per_tag():
     assert tr.per_tag_flops["vit"] == 2 * 3 * 5 * 4
 
 
+def test_only_matrix_products_count_flops():
+    # elementwise ops, norms and reductions add none; attention adds its two
+    # products, 4*n*Tq*Tk*Dl over its n positions, a learned query [1, Dl]
+    # that broadcasts over them too
+    x = Tensor(np.random.default_rng(0).standard_normal((2, 3, 5, 4)))
+    tr = AllocTracker()
+    with activate(tr), alloc_tag("aggregate"):
+        for op in (T.gelu, T.layernorm, T.sum_all, lambda t: T.add(t, t),
+                   lambda t: T.sub(t, t), lambda t: T.mul(t, t), lambda t: T.scale(t, 2.0)):
+            op(x)
+            assert tr.per_tag_flops == {}, op
+        T.attention(x, x, x, 2)
+        assert tr.per_tag_flops["aggregate"] == 4 * 6 * 5 * 5 * 4
+        T.attention(Tensor(np.ones((1, 4))), x, x, 2)
+        assert tr.per_tag_flops["aggregate"] == 4 * 6 * 5 * 5 * 4 + 4 * 6 * 1 * 5 * 4
+
+
 def closure_cells(fn):
     """(variable, value) of every cell of `fn`'s closure, and of the
     closures of the functions and tuples it holds."""
