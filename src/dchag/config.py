@@ -69,6 +69,12 @@ class ModelConfig:
     def patch_pixels(self) -> int:
         return self.patch * self.patch
 
+    @property
+    def masked_count(self) -> int:
+        """Spatial tokens masked per sample: `mask_ratio` of the sequence,
+        rounded, and at least one, so the loss always has a term."""
+        return max(1, int(round(self.mask_ratio * self.seq)))
+
     def validate(self) -> None:
         for name, least in _SIZE_FLOORS.items():
             if getattr(self, name) < least:

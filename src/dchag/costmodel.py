@@ -320,18 +320,21 @@ def estimate(model: ModelConfig, strategy: StrategyConfig,
         add_comm("backward", "tp", depth * per_block)
 
     # --- decoder: the projection to Dd with its positional add, which the
-    # first block drops; blocks of N_DECODER_HEADS heads; then B*S*C*pp
+    # first block drops; blocks of N_DECODER_HEADS heads over all S
+    # positions; the gather of the B*M masked rows (M = `masked_count` per
+    # sample), after which the [B, S, Dd] rows it read go; then B*M*C*pp
     # tensors: the prediction-head chain (matmul, bias add), the target
-    # chain (the images, then their patch rows, which the loss reads
-    # through a view), the masked-difference chain (difference, times the
-    # mask) and its square, and the scalar sum.
-    # FLOPs: the projection, the blocks and the head.
-    dd, pixels = model.decoder_dim, b * s * c * pp
+    # (the masked positions' patch rows) and their difference, after which
+    # the prediction and the target go, and the square and the scalar sum.
+    # FLOPs: the projection, the blocks and the head over the masked rows.
+    dd, rows = model.decoder_dim, b * model.masked_count
+    pixels = rows * c * pp
     block_acts, block_flops = _block(b, s, dd, N_DECODER_HEADS, m, 1)
     cost("decoder",
          _then(_chain(b * s * dd), *[block_acts] * model.decoder_depth,
-               _chain(pixels), _chain(pixels), _chain(pixels), _stored(pixels + 1)),
-         2 * b * s * d * dd + model.decoder_depth * block_flops + 2 * b * s * dd * c * pp)
+               _stored(rows * dd), _freed(b * s * dd),
+               _chain(pixels), _stored(2 * pixels), _freed(2 * pixels), _stored(pixels + 1)),
+         2 * b * s * d * dd + model.decoder_depth * block_flops + 2 * rows * dd * c * pp)
 
     for cc in comps.values():
         cc.grad_bytes = cc.params_bytes

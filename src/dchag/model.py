@@ -3,8 +3,8 @@
 Forward flow: per-channel patch tokenization (+ channel-ID and positional
 embeddings), channel aggregation down to one stream, random masking of
 spatial tokens, metadata-token concatenation, transformer blocks, and a
-small decoder that reconstructs the pixels of every channel at the masked
-positions.
+small decoder whose prediction head and loss run on the masked positions
+alone: they reconstruct the pixels of every channel there.
 
 Every activation between layers is position-major, since aggregation
 reduces the channels at each spatial position, and the channel gathers of
@@ -14,7 +14,10 @@ the parallel strategies concatenate along the channel axis:
 * channel stacks are [B, S, C, D]: the tokens, a tree level's streams, and
   the slab streams that the final layer reduces;
 * a stream is a one-channel stack, [B, S, 1, D];
-* predictions are [B, S, C*P*P], the patch rows of a position in a row.
+* predictions are [M, C*P*P], one row per masked position, holding that
+  position's patch rows; the M positions are the flat indices b*S + s of
+  the mask, in order (`masked_rows`), so a mask may mask a different count
+  in each sample.
 
 Channel aggregation comes in two architectures.  Flat: one cross-attention
 layer (`layers.cross_attention_aggregate`) reduces all C channels at once
@@ -56,16 +59,27 @@ class Batch:
 
 
 def make_mask(model: ModelConfig, sample_ids, seed: int, step: int) -> np.ndarray:
-    """Per-sample uniformly random token mask; at least one token is always
-    masked so the loss denominator never vanishes."""
-    s = model.seq
-    n = max(1, int(round(model.mask_ratio * s)))
+    """Per-sample uniformly random token mask of `model.masked_count`
+    positions."""
+    s, n = model.seq, model.masked_count
     mask = np.zeros((len(sample_ids), s))
     root = RngState(seed)
     for i, sid in enumerate(sample_ids):
         idx = root.child("mask", step, int(sid)).permutation(s)[:n]
         mask[i, idx] = 1.0
     return mask
+
+
+def masked_rows(mask: np.ndarray) -> np.ndarray:
+    """The flat indices b*S + s of a [B, S] mask's masked positions, in
+    order.  Raises ConfigError unless every entry is 0 or 1 and at least
+    one position is masked: the loss averages over the masked positions."""
+    if not np.isin(mask, (0.0, 1.0)).all():
+        raise ConfigError("a token mask holds only 0 and 1")
+    rows = np.flatnonzero(mask)
+    if rows.size == 0:
+        raise ConfigError("the token mask masks no position, so the loss has no term")
+    return rows
 
 
 def tokenize_channels(images: Tensor, tok_w: Tensor, chan_id: Tensor,
@@ -130,39 +144,52 @@ def vit_forward(agg: Tensor, meta: Tensor, w: dict, model: ModelConfig,
     return x
 
 
-def decode(vit_out: Tensor, w: dict, model: ModelConfig) -> Tensor:
-    """[B, S+1, D] -> per-position pixel predictions [B, S, C*P*P]."""
-    s = model.seq
+def decode(vit_out: Tensor, w: dict, model: ModelConfig, rows: np.ndarray) -> Tensor:
+    """[B, S+1, D] -> pixel predictions [M, C*P*P] of the masked positions
+    `rows` (`masked_rows`).  The decoder blocks attend over all S
+    positions; the prediction head reads only the masked rows."""
+    b, s = vit_out.shape[0], model.seq
     z = T.narrow(vit_out, 1, 1, s)  # drop the metadata token
     z = T.add(T.matmul(z, w["dec.proj.w"]), w["dec.pos"])
     for i in range(model.decoder_depth):
         z = transformer_block(z, w, f"dec.blk{i}", N_DECODER_HEADS)
+    z = T.take_rows(T.reshape(z, (b * s, model.decoder_dim)), rows)
     return linear(z, w["dec.head.w"], w["dec.head.b"])
 
 
-def masked_mse(pred: Tensor, images: np.ndarray, mask: np.ndarray,
+def masked_mse(pred: Tensor, images: np.ndarray, rows: np.ndarray,
                model: ModelConfig) -> Tensor:
-    """Mean squared reconstruction error over masked positions only; the
-    target is the patch rows, read as [B, S, C*P*P] through a view."""
-    b, s = mask.shape
-    target = T.reshape(T.unfold_patches(Tensor(images), model.patch),
-                       (b, s, model.channels * model.patch_pixels))
-    diff = T.mul(T.sub(pred, target), Tensor(mask.reshape(b, s, 1)))
-    denom = float(mask.sum()) * model.channels * model.patch_pixels
-    return T.scale(T.sum_all(T.mul(diff, diff)), 1.0 / denom)
+    """Mean squared reconstruction error of the predictions `pred` [M,
+    C*P*P] of the masked positions `rows` (`masked_rows`).
+
+    The target is those positions' patch rows, read from `images` [B, C,
+    H, W] through its view [B, C, Hp, P, Wp, P], so no other position's
+    pixels are copied.  `pred` and the target go once their difference
+    exists: `trunk_loss` passes `pred` straight in, and CPython (3.11 on)
+    hands a call's arguments to the callee's frame.
+    """
+    b, c, h, w = images.shape
+    p = model.patch
+    bi, si = np.divmod(rows, model.seq)
+    hi, wi = np.divmod(si, w // p)
+    target = images.reshape(b, c, h // p, p, w // p, p)[bi, :, hi, :, wi, :]  # [M, C, P, P]
+    diff = T.sub(pred, Tensor(target.reshape(len(rows), -1)))
+    del pred, target
+    return T.scale(T.sum_all(T.mul(diff, diff)), 1.0 / diff.size)
 
 
 def trunk_loss(agg: Tensor, w: dict, model: ModelConfig, batch: Batch,
                group: ProcessGroup | None = None) -> Tensor:
     """The trunk every composition shares: mask the aggregated stream, run
     the transformer (head-split over `group` when given) and the decoder,
-    and score the reconstruction of the masked positions."""
+    and score the reconstruction of the masked positions.  The masked
+    stream goes once the transformer has read it."""
+    rows = masked_rows(batch.mask)
     with alloc_tag("vit"):
-        agg = apply_token_mask(agg, batch.mask, w["dec.mask"])
-        out = vit_forward(agg, Tensor(batch.meta), w, model, group)
+        out = vit_forward(apply_token_mask(agg, batch.mask, w["dec.mask"]),
+                          Tensor(batch.meta), w, model, group)
     with alloc_tag("decoder"):
-        pred = decode(out, w, model)
-        return masked_mse(pred, batch.images, batch.mask, model)
+        return masked_mse(decode(out, w, model, rows), batch.images, rows, model)
 
 
 # -- single-process compositions ----------------------------------------------

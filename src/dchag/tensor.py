@@ -525,6 +525,20 @@ def narrow(x: Tensor, axis: int, start: int, length: int) -> Tensor:
     return Tensor(x.data[sl], _parents=(x,), _backward=back)
 
 
+def take_rows(x: Tensor, rows: np.ndarray) -> Tensor:
+    """Rows `rows` of x along its first axis, as a new buffer ([N, F] ->
+    [M, F]).  The rows must be distinct: backward scatters the gradient
+    into zeros by assignment.  It saves only the indices and the shape."""
+    shape = x.data.shape
+
+    def back(g):
+        full = np.zeros(shape)
+        full[rows] = g
+        return (full,)
+
+    return Tensor(x.data[rows], _parents=(x,), _backward=back)
+
+
 def unfold_patches(x: Tensor, patch: int) -> Tensor:
     """[..., C, H, W] -> patch rows [..., S, C, P*P], S = (H/P)*(W/P).
 

@@ -4,6 +4,7 @@ from hypothesis import settings
 
 from dchag import tensor as T
 from dchag.rng import RngState
+from dchag.tensor import Tensor
 
 # Every property test: no example database, so runs do not depend on earlier
 # runs, and no deadline, since a step's time varies with the machine.
@@ -64,6 +65,29 @@ def check_grad(fn, tensors, tol=1e-5, h=1e-6):
         fd = fd_grad(fn, tensors, name, h=h)
         err = rel_err(t.grad, fd)
         assert err < tol, f"gradient mismatch for {name}: rel err {err:.3e}"
+
+
+def reachable_arrays(t):
+    """Every numpy array reachable from tensor `t` through its data, its
+    node's parents and the cells of each node's backward closure."""
+    found, seen, stack = [], set(), [t]
+    while stack:
+        obj = stack.pop()
+        if obj is None or id(obj) in seen:
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, np.ndarray):
+            found.append(obj)
+            stack.append(obj.base)
+        elif isinstance(obj, Tensor):
+            stack += [obj.data, obj.node]
+        elif isinstance(obj, T.Node):
+            stack += [obj.backward, *obj.parents]
+        elif callable(obj):
+            stack += [c.cell_contents for c in obj.__closure__ or ()]
+        elif isinstance(obj, (tuple, list)):
+            stack += obj
+    return found
 
 
 @pytest.fixture

@@ -182,11 +182,22 @@ LONG_GRID = [(variant, strat) for variant in VARIANTS for strat in (
     StrategyConfig(kind="dist_token", tp_degree=2),
     StrategyConfig(kind="dchag", tp_degree=2, max_group=2),
     StrategyConfig(kind="dchag", tp_degree=2, max_group=8, agg_layer_kind="linear"))]
+# The decoder's head and loss run on the masked rows: mask_ratio 0.0 masks
+# one position of each sample's S (the floor), 0.75 masks 3 of 4 on the desk
+# and 48 of 64 on LONG.
+MASK_GRID = [("single_query", StrategyConfig(kind="serial")),
+             ("full_cross", StrategyConfig(kind="tp_only", tp_degree=2)),
+             ("full_cross", StrategyConfig(kind="dchag", tp_degree=2, max_group=2))]
+MASK_RATIOS = {"mask0": (("mask_ratio", 0.0),), "mask75": (("mask_ratio", 0.75),)}
 ACTIVATION_CASES = ([pytest.param(case, (), id=case_id(case)) for case in GRID]
                     + [pytest.param(case, LONG, id=case_id(case) + "-long")
                        for case in LONG_GRID]
                     + [pytest.param((variant, StrategyConfig(kind="serial")), TALL,
-                                    id=f"{variant}-serial-tp1-tall") for variant in VARIANTS])
+                                    id=f"{variant}-serial-tp1-tall") for variant in VARIANTS]
+                    + [pytest.param(case, ratio, id=f"{case_id(case)}-{name}")
+                       for case in MASK_GRID for name, ratio in MASK_RATIOS.items()]
+                    + [pytest.param(MASK_GRID[0], LONG + MASK_RATIOS["mask75"],
+                                    id=case_id(MASK_GRID[0]) + "-long-mask75")])
 
 
 Costs = namedtuple("Costs", "activation flops grads")

@@ -9,17 +9,17 @@ from dchag.config import (ConfigError, ModelConfig, ParallelConfig, StrategyConf
                           build_tree_spec)
 from dchag.layers import allsum, cross_attention_aggregate, fanout, transformer_block
 from dchag.model import (Batch, apply_token_mask, decode, forward_loss_dchag_reference,
-                         forward_loss_serial, make_mask, masked_mse, tokenize_channels,
-                         tree_aggregate, vit_forward)
+                         forward_loss_serial, make_mask, masked_mse, masked_rows,
+                         tokenize_channels, tree_aggregate, vit_forward)
 from dchag.params import create_master, shard_for_rank, unshard_grads
 from dchag.rng import RngState
 from dchag.runtime import ring_allreduce_payload, spawn_ranks
 from dchag.strategies import gather_shards, run_serial_step
 from dchag.synthetic import make_batch
 from dchag.tensor import Tensor
-from dchag.tracking import current_tracker
+from dchag.tracking import AllocTracker, activate, current_tracker
 
-from conftest import assert_grads_match, check_grad, rel_err
+from conftest import assert_grads_match, check_grad, reachable_arrays, rel_err
 
 
 def tiny_model(**kw):
@@ -590,7 +590,9 @@ class TestAbsorbedBiases:
         z = np.stack([brute_force_block(zi, block_params(master, "dec.blk0"), 1) for zi in z])
         expect = z @ master["dec.head.w"] + master["dec.head.b"]
         w = wrap({**master, "dec.pos": master["dec.pos"] + proj_b}, False)
-        assert rel_err(decode(Tensor(vit_out), w, model).data, expect) < 1e-12
+        every_position = np.arange(2 * model.seq)
+        pred = decode(Tensor(vit_out), w, model, every_position)
+        assert rel_err(pred.data, expect.reshape(2 * model.seq, -1)) < 1e-12
 
 
 class TestAbsorbedWeights:
@@ -659,32 +661,77 @@ class TestMae:
     def test_perfect_prediction_zero_loss(self, rng):
         model = tiny_model()
         imgs = rng.normal((1, 4, 8, 8))
-        mask = make_mask(model, [0], seed=1, step=0)
-        target = T.reshape(T.unfold_patches(Tensor(imgs), 4), (1, 4, 64))
-        loss = masked_mse(target, imgs, mask, model)
+        rows = masked_rows(make_mask(model, [0], seed=1, step=0))
+        target = T.unfold_patches(Tensor(imgs), 4).data.reshape(model.seq, 64)[rows]
+        loss = masked_mse(Tensor(target), imgs, rows, model)
         assert loss.item() == 0.0
 
-    def test_target_is_a_view_of_the_patch_rows(self, rng, monkeypatch):
-        # the patch rows are position-major like the predictions, so the
-        # loss reads its target without copying them
+    def test_unequal_counts_match_the_full_head_loss(self, rng):
+        # the head and the loss over the masked rows alone give the loss, and
+        # the head's gradients, of a head over every position whose error is
+        # masked: a numpy brute force, with 3, 1 and 4 masked positions
         model = tiny_model()
-        rows, targets = [], []
-        unfold, sub = T.unfold_patches, T.sub
+        master = {k: rng.normal(v.shape, 0.5)
+                  for k, v in create_master(model, StrategyConfig(), RngState(4)).items()
+                  if k.startswith("dec.")}
+        b, s, p = 3, model.seq, model.patch
+        vit_out = rng.normal((b, s + 1, model.embed))
+        images = rng.normal((b, model.channels, 8, 8))
+        mask = np.array([[1.0, 0.0, 1.0, 1.0], [0.0, 1.0, 0.0, 0.0], [1.0, 1.0, 1.0, 1.0]])
+        w = wrap(master)
+        rows = masked_rows(mask)
+        loss = masked_mse(decode(Tensor(vit_out), w, model, rows), images, rows, model)
+        T.backward(loss)
 
-        def unfold_spy(*args):
-            rows.append(unfold(*args))
-            return rows[-1]
+        z = vit_out[:, 1:] @ master["dec.proj.w"] + master["dec.pos"]
+        z = np.stack([brute_force_block(zi, block_params(master, "dec.blk0"), 1) for zi in z])
+        pred = z @ master["dec.head.w"] + master["dec.head.b"]  # [B, S, C*P*P]
+        target = np.zeros_like(pred)
+        for bi in range(b):
+            for si in range(s):
+                i, j = divmod(si, 8 // p)
+                target[bi, si] = images[bi, :, i * p:(i + 1) * p, j * p:(j + 1) * p].ravel()
+        n = mask.sum() * pred.shape[-1]
+        err = (pred - target) * mask[..., None]
+        dpred = 2.0 * err / n
+        assert rel_err(loss.item(), (err ** 2).sum() / n) < 1e-12
+        assert rel_err(w["dec.head.w"].grad, np.einsum("bsd,bsk->dk", z, dpred)) < 1e-12
+        assert rel_err(w["dec.head.b"].grad, dpred.sum(axis=(0, 1))) < 1e-12
 
-        def sub_spy(pred, target):
-            targets.append(target)
-            return sub(pred, target)
+    def test_no_buffer_of_every_position_pixels(self, rng):
+        # the head and the loss see only the masked rows: no array that the
+        # decoder and the loss charge, or that the loss's graph holds, has
+        # B*S*C*P*P elements (B=3, so no parameter has that many)
+        model = tiny_model()
+        b = 3
+        full = b * model.seq * model.channels * model.patch_pixels
+        charged = []
 
-        monkeypatch.setattr(T, "unfold_patches", unfold_spy)
-        monkeypatch.setattr(T, "sub", sub_spy)
-        masked_mse(Tensor(rng.normal((2, model.seq, 64))), rng.normal((2, 4, 8, 8)),
-                   make_mask(model, [0, 1], seed=1, step=0), model)
-        (row,), (target,) = rows, targets
-        assert np.shares_memory(target.data, row.data)
+        class Recording(AllocTracker):
+            def charge(self, buf, borrowed=False):
+                charged.append(buf.size)
+                super().charge(buf, borrowed)
+
+        master = create_master(model, StrategyConfig(), RngState(4))
+        w = wrap({k: v for k, v in master.items() if k.startswith("dec.")})
+        rows = masked_rows(make_mask(model, range(b), seed=1, step=0))
+        with activate(Recording()):
+            loss = masked_mse(decode(Tensor(rng.normal((b, model.seq + 1, model.embed))), w,
+                                     model, rows),
+                              rng.normal((b, model.channels, 8, 8)), rows, model)
+        assert charged and full not in charged
+        assert all(a.size != full for a in reachable_arrays(loss))
+
+    @pytest.mark.parametrize("mask, what", [
+        (np.zeros((2, 4)), "masks no position"),
+        (np.array([[0.0, 0.5, 1.0, 0.0], [1.0, 0.0, 0.0, 0.0]]), "only 0 and 1")])
+    def test_bad_mask_rejected(self, mask, what):
+        model = tiny_model()
+        batch = tiny_batch(model)
+        batch.mask = mask
+        master = create_master(model, StrategyConfig(), RngState(5))
+        with pytest.raises(ConfigError, match=what):
+            run_serial_step(model, master, batch)
 
     def test_apply_mask_replaces_positions(self, rng):
         agg = rng.normal((1, 4, 1, 8))

@@ -10,7 +10,7 @@ from dchag import tensor as T
 from dchag.tensor import Tensor, ShapeError, EngineError
 from dchag.tracking import AllocTracker, activate
 
-from conftest import rel_err, check_grad
+from conftest import check_grad, reachable_arrays, rel_err
 
 
 class TestMatmul:
@@ -117,7 +117,7 @@ class TestMatmulBackward:
         ta, tb = Tensor(a, requires_grad=a_needs_grad), Tensor(b, requires_grad=not a_needs_grad)
         out = T.matmul(ta, tb)
         needy = ta if a_needs_grad else tb
-        assert not any(np.shares_memory(x, needy.data) for x in _reachable_arrays(out))
+        assert not any(np.shares_memory(x, needy.data) for x in reachable_arrays(out))
         da, db = out.node.backward(g)
         if a_needs_grad:
             assert db is None and rel_err(da, g @ b.T) < 1e-12
@@ -356,29 +356,6 @@ class TestAttention:
                         Tensor(np.zeros((3, 6))), 4)
 
 
-def _reachable_arrays(t):
-    """Every numpy array reachable from tensor `t` through its data, its
-    node's parents and the cells of each node's backward closure."""
-    found, seen, stack = [], set(), [t]
-    while stack:
-        obj = stack.pop()
-        if obj is None or id(obj) in seen:
-            continue
-        seen.add(id(obj))
-        if isinstance(obj, np.ndarray):
-            found.append(obj)
-            stack.append(obj.base)
-        elif isinstance(obj, Tensor):
-            stack += [obj.data, obj.node]
-        elif isinstance(obj, T.Node):
-            stack += [obj.backward, *obj.parents]
-        elif callable(obj):
-            stack += [c.cell_contents for c in obj.__closure__ or ()]
-        elif isinstance(obj, (tuple, list)):
-            stack += obj
-    return found
-
-
 class TestAttentionMemory:
     def test_forward_charges_output_lse_and_transient_logits(self, rng, monkeypatch):
         # one block of both positions; blocks of 2, 2 and 1 of 5 positions;
@@ -404,7 +381,7 @@ class TestAttentionMemory:
                 assert before.peak_bytes == before.live_bytes
                 assert after.live_bytes - before.live_bytes == kept
                 assert after.peak_bytes - before.live_bytes == kept + block
-                assert max(a.size for a in _reachable_arrays(out)) < positions * heads * tq * tk
+                assert max(a.size for a in reachable_arrays(out)) < positions * heads * tq * tk
                 del out
                 assert tracker.live_bytes == before.live_bytes
 
@@ -501,6 +478,27 @@ class TestRearrange:
         ts = {"x": Tensor(rng.normal((1, 2, 4, 4)), requires_grad=True)}
         w = rng.normal((1, 4, 2, 4))
         check_grad(lambda: T.sum_all(T.mul(T.unfold_patches(ts["x"], 2), Tensor(w))), ts)
+
+    def test_take_rows_grad(self, rng):
+        ts = {"x": Tensor(rng.normal((5, 3)), requires_grad=True)}
+        w = rng.normal((3, 3))
+        rows = np.array([4, 0, 2])
+        check_grad(lambda: T.sum_all(T.mul(T.take_rows(ts["x"], rows), Tensor(w))), ts)
+
+    def test_take_rows_charges_only_its_output(self, rng):
+        # the gathered rows are a new buffer, and backward reads none of x
+        tracker = AllocTracker()
+        with activate(tracker):
+            x = Tensor(rng.normal((6, 4)), requires_grad=True)
+            before = tracker.stats()
+            out = T.take_rows(x, np.array([1, 5]))
+            after = tracker.stats()
+            np.testing.assert_array_equal(out.data, x.data[[1, 5]])
+            assert after.live_bytes - before.live_bytes == out.data.nbytes == 8 * 2 * 4
+            assert after.peak_bytes == after.live_bytes
+            assert not any(np.shares_memory(a, x.data) for a in reachable_arrays(out))
+            del out
+            assert tracker.live_bytes == before.live_bytes
 
     def test_concat_narrow_identity(self, rng):
         x = Tensor(rng.normal((2, 6, 3)))
