@@ -26,6 +26,14 @@ Design points that later modules rely on:
   position; each head is computed with the same numpy calls whatever the
   block size, so results do not depend on it, and only the transient (one
   block, not every position) does;
+* `gelu`'s Phi(x) is numpy alone (`normal_cdf`), after Cephes' ndtr.c.  For
+  |x| <= sqrt2 it is one rational in x^2, erf's with the 1/2 and 1/sqrt2
+  folded into its coefficients, evaluated over the flat array in blocks of
+  `PHI_BLOCK` elements, a size chosen, like `ATTENTION_BLOCK`, so that a
+  block's scratch stays in cache from one numpy pass to the next.  Beyond
+  sqrt2, erfc's rationals times exp(-x^2/2) run on those elements alone,
+  gathered, with |x| clamped at 40, where Phi is 0 or 1 in float64: infinities
+  give 0 and 1, NaN stays NaN, and no warning is raised;
 * importing this module sets glibc's allocation policy for the process
   (`MALLOC_POLICY_SET` says whether it took): one arena, no trimming, and
   a fixed 32 MiB mmap threshold.  A step frees what the next allocates
@@ -51,7 +59,6 @@ import ctypes
 import math
 
 import numpy as np
-from scipy.special import erf
 
 from .tracking import current_tracker
 
@@ -443,14 +450,139 @@ def attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int) -> Tensor:
     return Tensor(ctx, _parents=(q, k, v), _backward=back)
 
 
+# Phi(x), the standard normal CDF, from Cephes' ndtr.c (S. L. Moshier, Cephes
+# Math Library), with the erf and erfc rationals written in x.
+# Coefficients are Cephes', highest power first; a monic polynomial's leading
+# 1 is left out.  erf(z) = z T(z^2) / U(z^2) for |z| <= 1; erfc(z) =
+# exp(-z^2) P(z) / Q(z) for 1 <= z < 8, and exp(-z^2) R(z) / S(z) from 8 up.
+_ERF_T = (9.60497373987051638749E0, 9.00260197203842689217E1, 2.23200534594684319226E3,
+          7.00332514112805075473E3, 5.55923013010394962768E4)
+_ERF_U = (3.35617141647503099647E1, 5.21357949780152679795E2, 4.59432382970980127987E3,
+          2.26290000613890934246E4, 4.92673942608635921086E4)
+_ERFC_P = (2.46196981473530512524E-10, 5.64189564831068821977E-1, 7.46321056442269912687E0,
+           4.86371970985681366614E1, 1.96520832956077098242E2, 5.26445194995477358631E2,
+           9.34528527171957607540E2, 1.02755188689515710272E3, 5.57535335369399327526E2)
+_ERFC_Q = (1.32281951154744992508E1, 8.67072140885989742329E1, 3.54937778887819891062E2,
+           9.75708501743205489753E2, 1.82390916687909736289E3, 2.24633760818710981792E3,
+           1.65666309194161350182E3, 5.57535340817727675546E2)
+_ERFC_R = (5.64189583547755073984E-1, 1.27536670759978104416E0, 5.01905042251180477414E0,
+           6.16021097993053585195E0, 7.40974269950448939160E0, 2.97886665372100240670E0)
+_ERFC_S = (2.26052863220117276590E0, 9.39603524938001434673E0, 1.20489539808096656605E1,
+           1.70814450747565897222E1, 9.60896809063285878198E0, 3.36907645100081516050E0)
+
+# The core, |x| <= sqrt2: Phi(x) = 1/2 + x N(x^2) / D(x^2), D monic.  With
+# z^2 = w/2 (w = x^2), T_i and U_i, the coefficients of z^(8-2i), take
+# 2^(i-4), and U's leading 1 takes 2^-5; scaling both by 2^5 keeps D monic,
+# and N takes the 1/2 and 1/sqrt2 of 1/2 erf(x/sqrt2).
+_PHI_CORE = math.sqrt(2.0)
+_PHI_NUM = tuple(t * 2.0 ** i * _INV_SQRT2 for i, t in enumerate(_ERF_T))
+_PHI_DEN = tuple(u * 2.0 ** (i + 1) for i, u in enumerate(_ERF_U))
+# The tail, |x| > sqrt2: Phi(-|x|) = 1/2 erfc(|x|/sqrt2), the 1/2 folded into
+# P and R.  Phi(-40), about exp(-800)/(40 sqrt(2 pi)), is below the least
+# subnormal (Phi underflows from x = -38.49), so clamping |x| at 40 gives Phi
+# exactly 0 or 1 from there on, infinities included, with no inf - inf or
+# inf/inf.
+_TAIL_NEAR = (tuple(0.5 * c for c in _ERFC_P), (1.0, *_ERFC_Q))
+_TAIL_FAR = (tuple(0.5 * c for c in _ERFC_R), (1.0, *_ERFC_S))
+_TAIL_CLAMP = 40.0
+_VELTKAMP = 2.0 ** 27 + 1.0  # splits a double into two halves of 26 bits
+
+# Elements per block of `normal_cdf`'s core.  The core is 23 numpy passes over
+# a block (the range test, the square, two Horner loops, the quotient and
+# 1/2 + x N/D); the block's input, scratch (x^2 and D) and output, 1 MiB at
+# 2**15, stay in L2 from pass to pass.  On the Phi inputs of one benchmark
+# step per strategy (Xeon, 2 MiB L2 per core, one core, best of 15), blocks
+# of 2**14 to 2**16 ran alike; 2**12 was 1.6x slower (per-call overhead), and
+# 2**19, a `long_sequence` serial input of 263168 elements in one block,
+# 1.4x slower (out of cache).
+PHI_BLOCK = 2 ** 15
+
+
+def _polyval(x: np.ndarray, coefs: tuple) -> np.ndarray:
+    """The polynomial with `coefs`, highest power first, at `x` (Horner)."""
+    acc = coefs[0]
+    for c in coefs[1:]:
+        acc = acc * x + c
+    return acc
+
+
+def _phi_tail(x: np.ndarray) -> np.ndarray:
+    """Phi(x) where |x| > sqrt2, or x is NaN: q = 1/2 erfc(|x|/sqrt2) is
+    Phi(x) for x < 0 and 1 - Phi(x) for x > 0.  exp(-x^2/2) is evaluated
+    on x^2 split exactly into hi + lo (Dekker's product, Veltkamp's split):
+    exp(-hi/2) (1 - lo/2).  The rounding of x*x alone would cost Phi up to
+    x^2/2 * 2^-53 of relative error, 7.6e-14 at x = -37."""
+    a = np.minimum(np.abs(x), _TAIL_CLAMP)  # NaN stays NaN
+    z = a * _INV_SQRT2
+    (pn, pd), (rn, rd) = _TAIL_NEAR, _TAIL_FAR
+    q = np.where(z < 8.0, _polyval(z, pn) / _polyval(z, pd), _polyval(z, rn) / _polyval(z, rd))
+    hi = a * a
+    c = a * _VELTKAMP
+    ah = c - (c - a)
+    al = a - ah
+    lo = ((ah * ah - hi) + 2.0 * ah * al) + al * al
+    q *= np.exp(-0.5 * hi) * (1.0 - 0.5 * lo)
+    return np.where(x < 0.0, q, 1.0 - q)
+
+
+def normal_cdf(x: np.ndarray) -> np.ndarray:
+    """Phi(x), the standard normal CDF, elementwise into a new float64
+    array: the core rational over the flat array one `PHI_BLOCK` at a time,
+    then `_phi_tail` on the elements past sqrt2 (and NaNs), gathered.  A
+    block that holds none squares x directly; otherwise it squares x clipped
+    to the core, so x^2 cannot overflow, and the core's value for a tail
+    element (x times a positive N/D below 1) is finite or infinite but never
+    warns.  Relative error is at most ~3e-15 wherever Phi(x) is a normal
+    float."""
+    xf = np.ravel(x)
+    phi = np.empty(xf.shape)
+    size = min(xf.size, PHI_BLOCK)
+    w, den = np.empty(size), np.empty(size)
+    tails = []
+    for start in range(0, xf.size, PHI_BLOCK):
+        xb, pb = xf[start:start + PHI_BLOCK], phi[start:start + PHI_BLOCK]
+        wb, db = w[:len(xb)], den[:len(xb)]
+        if xb.min() >= -_PHI_CORE and xb.max() <= _PHI_CORE:  # False on a NaN
+            np.multiply(xb, xb, out=wb)
+        else:
+            np.clip(xb, -_PHI_CORE, _PHI_CORE, out=wb)
+            tails.append(start + np.flatnonzero(wb != xb))
+            wb *= wb
+        np.multiply(wb, _PHI_NUM[0], out=pb)
+        pb += _PHI_NUM[1]
+        for c in _PHI_NUM[2:]:
+            pb *= wb
+            pb += c
+        np.add(wb, _PHI_DEN[0], out=db)
+        for c in _PHI_DEN[1:]:
+            db *= wb
+            db += c
+        pb /= db
+        pb *= xb  # a tail element's value here is overwritten below
+        pb += 0.5
+    if tails:
+        at = np.concatenate(tails)
+        phi[at] = _phi_tail(xf[at])
+    return phi.reshape(np.shape(x))
+
+
 def gelu(x: Tensor) -> Tensor:
+    """x Phi(x), exact GELU.  Phi(x) (`normal_cdf`) is the one buffer the
+    op holds for backward, which recomputes the pdf from x:
+    g (Phi(x) + x pdf(x)), built in one buffer."""
     xd = x.data
-    phi = _charged(0.5 * (1.0 + erf(xd * _INV_SQRT2)))
+    phi = _charged(normal_cdf(xd))
     out = xd * phi
 
     def back(g):
-        pdf = np.exp(-0.5 * xd * xd) * _INV_SQRT2PI
-        return (g * (phi + xd * pdf),)
+        t = xd * xd
+        t *= -0.5
+        np.exp(t, out=t)
+        t *= xd
+        t *= _INV_SQRT2PI
+        t += phi
+        t *= g
+        return (t,)
 
     return Tensor(out, _parents=(x,), _backward=back)
 

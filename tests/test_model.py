@@ -1,8 +1,9 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.special import erf
 
 from dchag import tensor as T
 from dchag.config import (ConfigError, ModelConfig, ParallelConfig, StrategyConfig,
@@ -468,6 +469,11 @@ def block_params(w, prefix):
     return {k[len(prefix) + 1:]: v for k, v in w.items() if k.startswith(prefix + ".")}
 
 
+# libm's erf, elementwise: the reference block's GELU stays independent of
+# the engine's own Phi rational.
+libm_erf = np.vectorize(math.erf, otypes=[float])
+
+
 def brute_force_block(x, p, heads):
     """Explicit-loop pre-norm block on one [T, D] sequence.  Besides the
     model's parameters it applies, where `p` has them, the ones the model
@@ -493,7 +499,7 @@ def brute_force_block(x, p, heads):
             ctx[i, sl] = (e / e.sum()) @ v[:, sl]
     x1 = x + ctx @ p["wo"] + p["bo"]
     u = ln(x1, p.get("ln2.g", 1.0), p.get("ln2.b", 0.0)) @ p["w1"] + p["b1"]
-    return x1 + (0.5 * u * (1 + erf(u / np.sqrt(2)))) @ p["w2"] + p["b2"]
+    return x1 + (0.5 * u * (1 + libm_erf(u / np.sqrt(2)))) @ p["w2"] + p["b2"]
 
 
 class TestVit:

@@ -1,5 +1,8 @@
+import math
 import tracemalloc
+import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -451,9 +454,101 @@ class TestGelu:
         ts = {"x": Tensor(rng.normal((4, 4)), requires_grad=True)}
         check_grad(lambda: T.sum_all(T.gelu(ts["x"])), ts, tol=1e-5)
 
+    @pytest.mark.parametrize("sign", [-1.0, 1.0])
+    def test_grad_in_tail(self, sign):
+        rng = np.random.default_rng(3)
+        x, w = sign * rng.uniform(2.0, 6.0, (4, 4)), rng.normal(size=(4, 4))
+        ts = {"x": Tensor(x, requires_grad=True)}
+        check_grad(lambda: T.sum_all(T.mul(T.gelu(ts["x"]), Tensor(w))), ts, tol=1e-5)
+
     def test_values(self):
         out = T.gelu(Tensor([0.0, 100.0, -100.0]))
         np.testing.assert_allclose(out.data, [0.0, 100.0, 0.0], atol=1e-12)
+
+    def test_matches_x_phi(self):
+        x = np.linspace(-9.0, 9.0, 180).reshape(9, 20)
+        want = x * np.array([mp_phi(v) for v in x.ravel()]).reshape(x.shape)
+        np.testing.assert_allclose(T.gelu(Tensor(x)).data, want, rtol=PHI_RTOL, atol=1e-300)
+
+
+PHI_RTOL = 2e-14  # relative error bound of Phi where Phi(x) is a normal float
+TINY = np.finfo(np.float64).tiny
+BLK = T.PHI_BLOCK
+SQRT2 = np.sqrt(2.0)
+
+
+def mp_phi(x):
+    """Phi(x) to 50 digits, rounded once to float64."""
+    with mpmath.workdps(50):
+        return float(mpmath.ncdf(mpmath.mpf(float(x))))
+
+
+def phi_errors(got, want):
+    """Relative error where Phi is a normal float, and absolute error
+    (in units of the least normal) where it is subnormal or zero."""
+    normal = want >= TINY
+    rel = np.abs(got[normal] - want[normal]) / want[normal]
+    sub = np.abs(got[~normal] - want[~normal]) / TINY
+    return rel.max(initial=0.0), sub.max(initial=0.0)
+
+
+def assert_phi_accurate(got, want):
+    rel, sub = phi_errors(got, want)
+    assert rel <= PHI_RTOL, f"relative error {rel:.2e}"
+    assert sub <= PHI_RTOL, f"absolute error {sub:.2e} x the least normal"
+
+
+@pytest.fixture(scope="module")
+def phi_grid():
+    """x from -40 to 40 across both branches, the erfc branch's switch at
+    |x| = 8 sqrt2 and the tails down to underflow, with the points next to
+    the branch point sqrt2; and Phi there to 50 digits."""
+    edges = [np.nextafter(SQRT2, 0.0), SQRT2, np.nextafter(SQRT2, 2.0), 8.0 * SQRT2]
+    x = np.concatenate([np.linspace(-40.0, 40.0, 4001), np.linspace(-1.5, 1.5, 601),
+                        edges, np.negative(edges)])
+    return x, np.array([mp_phi(v) for v in x])
+
+
+class TestNormalCdf:
+    def test_grid(self, phi_grid):
+        x, want = phi_grid
+        assert_phi_accurate(T.normal_cdf(x), want)
+
+    @pytest.mark.parametrize("size", [1, BLK - 1, BLK, BLK + 1, 3 * BLK + 7])
+    def test_block_sizes(self, phi_grid, size):
+        """Core and tail elements at random positions; every second block
+        holds core elements only, so both ways through a block run."""
+        x, want = phi_grid
+        rng = np.random.default_rng(size)
+        pick = rng.integers(len(x), size=size)
+        core = np.flatnonzero(np.abs(x) <= SQRT2)
+        core_block = np.arange(size) // BLK % 2 == 1
+        pick[core_block] = rng.choice(core, core_block.sum())
+        assert_phi_accurate(T.normal_cdf(x[pick]), want[pick])
+
+    def test_special_values_without_warning(self):
+        special = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 1e308, -1e308, 5e-324])
+        want = np.array([0.5, 0.5, 1.0, 0.0, np.nan, 1.0, 0.0, 0.5])
+        x = np.random.default_rng(0).uniform(-1.0, 1.0, 2 * BLK + 3)
+        at = np.random.default_rng(1).choice(x.size, special.size, replace=False)
+        x[at] = special
+        # underflow to 0 is the result asked for; numpy ignores it by default
+        with warnings.catch_warnings(), np.errstate(divide="raise", over="raise",
+                                                    invalid="raise"):
+            warnings.simplefilter("error")
+            got_alone = T.normal_cdf(special)
+            got = T.normal_cdf(x)
+        np.testing.assert_array_equal(got_alone, want)
+        np.testing.assert_array_equal(got[at], want)
+
+    def test_lower_tail_does_not_cancel(self):
+        """1/2 (1 + erf(x/sqrt2)) loses every digit to cancellation as x
+        falls below -3; the tail branch keeps full relative accuracy."""
+        x = np.linspace(-8.5, -3.0, 56)
+        want = np.array([mp_phi(v) for v in x])
+        old = 0.5 * (1.0 + np.vectorize(math.erf, otypes=[float])(x / SQRT2))
+        assert phi_errors(old, want)[0] > 1e-2
+        assert_phi_accurate(T.normal_cdf(x), want)
 
 
 class TestRearrange:
