@@ -8,10 +8,10 @@ The contract, per rank and per step:
   saved set: what each backward reads) or the model code still holds its
   tensor.  Every other intermediate is a transient, live from its op until
   the next op has read it, as are the fused attention op's logit blocks,
-  one block of positions at a time; a transient counts in the
-  component's peak at the point it is live.  Each layer's terms are
-  written once, on the one function that returns its activation elements
-  and FLOPs together.
+  one block of positions at a time, and gelu's block scratch; a transient
+  counts in the component's peak at the point it is live.  Each layer's
+  terms are written once, on the one function that returns its activation
+  elements and FLOPs together.
 * FLOPs follow `tracking`'s rule and equal the tracker's per-tag count.
 * Parameter bytes come from `params`' table and placement rule, the ones
   that shard the simulator's ranks.  Grads equal params; optimizer state
@@ -32,7 +32,7 @@ from .config import ConfigError, HardwareModel, ModelConfig, ParallelConfig, Str
 from .layers import N_DECODER_HEADS
 from .params import rank_parameter_sizes, rank_tree
 from .runtime import ring_allgather_payload, ring_allreduce_payload
-from .tensor import attention_block
+from .tensor import PHI_BLOCK, attention_block
 from .tracking import COMPONENT_TAGS
 
 
@@ -75,7 +75,8 @@ class CostReport:
 # still holds its tensor; the rest go as soon as the next op has read
 # them.  So kept is the layer's saved set plus the outputs the code still
 # holds, and high adds the transients: the fused attention op's block
-# buffers, and the intermediates freed inside the layer.
+# buffers, gelu's block scratch, and the intermediates freed inside the
+# layer.
 
 
 def _then(*parts):
@@ -118,6 +119,14 @@ def _attention(n, hl, tq, tk, dl, q_shared):
     rows, heads = attention_block(hl, tq, tk)
     blk = min(n, rows)
     return kept, kept + blk * heads * (tq * tk + tq) + (1 if q_shared else blk) * tq * dl
+
+
+def _gelu(n):
+    """`tensor.gelu` over n elements, whose input nothing but gelu reads:
+    it keeps its derivative and output, holds a block scratch of
+    min(n, PHI_BLOCK) elements while it forms the derivative, and its input
+    goes on return."""
+    return _then((2 * n, 2 * n + min(n, PHI_BLOCK)), _freed(n))
 
 
 def _agg_layer(b, s, ck, d, heads, variant, tp):
@@ -207,7 +216,7 @@ def _block(b, t, d, heads, m, tp):
                  _attention(b, heads / tp, t, t, d / tp, q_shared=False),
                  _chain(n),
                  _stored(b * t + n),
-                 _chain(hidden), _stored(2 * hidden),
+                 _chain(hidden), _gelu(hidden),
                  _chain(n),
                  _freed(2 * n))
     flops = (4 * 2 * b * t * d * d + 2 * 2 * b * t * t * d + 2 * 2 * b * t * d * m * d) / tp

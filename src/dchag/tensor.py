@@ -13,10 +13,11 @@ Design points that later modules rely on:
   else makes a new buffer.  Every buffer is charged to the allocation
   tracker once, by one rule (`tracking.AllocTracker.charge`): an op
   output, and every buffer a fused op holds outside a `Tensor` (the
-  attention op's blocks and log-sum-exp, `gelu`'s Phi(x), `layernorm`'s
-  1/sigma), from its allocation until its memory is freed; a view of
-  charged memory adds nothing; a leaf's memory, which its caller owns,
-  for as long as the engine holds a view of it;
+  attention op's blocks and log-sum-exp, `gelu`'s derivative and its
+  block scratch, `layernorm`'s 1/sigma), from its allocation until its
+  memory is freed; a view of charged memory adds nothing; a leaf's
+  memory, which its caller owns, for as long as the engine holds a view
+  of it;
 * `attention` is the engine's only softmax: every attention in the model,
   full_cross's learned-query reduce too, is that one fused op;
 * FLOPs follow `tracking`'s rule: only `matmul` and `attention` count any;
@@ -33,7 +34,8 @@ Design points that later modules rely on:
   block's scratch stays in cache from one numpy pass to the next.  Beyond
   sqrt2, erfc's rationals times exp(-x^2/2) run on those elements alone,
   gathered, with |x| clamped at 40, where Phi is 0 or 1 in float64: infinities
-  give 0 and 1, NaN stays NaN, and no warning is raised;
+  give 0 and 1, NaN stays NaN, and no warning is raised.  `gelu` saves its
+  derivative Phi(x) + x pdf(x) in Phi's buffer, not its input;
 * importing this module sets glibc's allocation policy for the process
   (`MALLOC_POLICY_SET` says whether it took): one arena, no trimming, and
   a fixed 32 MiB mmap threshold.  A step frees what the next allocates
@@ -566,39 +568,56 @@ def normal_cdf(x: np.ndarray) -> np.ndarray:
     return phi.reshape(np.shape(x))
 
 
+def _add_x_pdf(x: np.ndarray, d: np.ndarray) -> None:
+    """d += x pdf(x) over flat x and d, one `PHI_BLOCK` at a time, in a
+    charged block scratch that goes on return."""
+    t = _charged(np.empty(min(x.size, PHI_BLOCK)))
+    for start in range(0, x.size, PHI_BLOCK):
+        xb = x[start:start + PHI_BLOCK]
+        tb = np.multiply(xb, xb, out=t[:len(xb)])
+        tb *= -0.5
+        np.exp(tb, out=tb)
+        tb *= xb
+        tb *= _INV_SQRT2PI
+        d[start:start + PHI_BLOCK] += tb
+
+
 def gelu(x: Tensor) -> Tensor:
-    """x Phi(x), exact GELU.  Phi(x) (`normal_cdf`) is the one buffer the
-    op holds for backward, which recomputes the pdf from x:
-    g (Phi(x) + x pdf(x)), built in one buffer."""
+    """x Phi(x), exact GELU.  The one buffer the op holds for backward is
+    its derivative Phi(x) + x pdf(x), so backward is g times it and x is
+    not saved.  The forward forms the derivative in Phi's buffer
+    (`normal_cdf`) once the output has read Phi."""
     xd = x.data
-    phi = _charged(normal_cdf(xd))
-    out = xd * phi
+    deriv = _charged(normal_cdf(xd))  # Phi(x) until x pdf(x) is added
+    out = _charged(xd * deriv)
+    _add_x_pdf(np.ravel(xd), deriv.reshape(-1))
 
     def back(g):
-        t = xd * xd
-        t *= -0.5
-        np.exp(t, out=t)
-        t *= xd
-        t *= _INV_SQRT2PI
-        t += phi
-        t *= g
-        return (t,)
+        return (g * deriv,)
 
     return Tensor(out, _parents=(x,), _backward=back)
 
 
 def layernorm(x: Tensor) -> Tensor:
-    """Normalize over the last axis; no gain and no shift (`params`)."""
+    """Normalize over the last axis; no gain and no shift (`params`).  x is
+    centred once, into the buffer that becomes x-hat, and backward builds
+    its result in one buffer, with the same values an unfused evaluation
+    gives."""
     xd = x.data
     mu = xd.mean(axis=-1, keepdims=True)
-    var = ((xd - mu) ** 2).mean(axis=-1, keepdims=True)
+    xhat = xd - mu
+    var = np.square(xhat).mean(axis=-1, keepdims=True)
     inv = _charged(1.0 / np.sqrt(var + _LN_EPS))
-    xhat = (xd - mu) * inv
+    xhat *= inv
 
     def back(g):
         m1 = g.mean(axis=-1, keepdims=True)
-        m2 = (g * xhat).mean(axis=-1, keepdims=True)
-        return (inv * (g - m1 - xhat * m2),)
+        t = g * xhat
+        m2 = t.mean(axis=-1, keepdims=True)
+        dx = g - m1
+        dx -= np.multiply(xhat, m2, out=t)
+        dx *= inv
+        return (dx,)
 
     return Tensor(xhat, _parents=(x,), _backward=back)
 

@@ -19,10 +19,12 @@ from dchag.costmodel import estimate, plan
 from dchag.model import forward_loss_serial
 from dchag.params import create_master, rank_tree, shard_for_rank
 from dchag.rng import RngState
-from dchag.strategies import run_hybrid_step, run_serial_step
+from dchag.strategies import run_dchag_reference_step, run_hybrid_step, run_serial_step
 from dchag.synthetic import make_batch
 from dchag.tensor import Tensor
 from dchag.tracking import COMPONENT_TAGS, AllocTracker, activate
+
+from conftest import assert_grads_match
 
 # name prefix -> component, written out here rather than taken from params
 COMPONENT_OF = {"tok": "tokenize", "special": "tokenize", "agg": "aggregate",
@@ -177,6 +179,9 @@ class TestComm:
 # aggregation ends in a ragged block (288 positions in blocks of 64).
 LONG = (("channels", 16), ("image_h", 32), ("image_w", 32))
 TALL = (("channels", 16), ("image_h", 48), ("image_w", 48))
+# WIDE's serial MLP input (2*65*256 elements) is past one `tensor.PHI_BLOCK`,
+# so gelu's block scratch stops growing with it.
+WIDE = LONG + (("embed", 64), ("mlp_ratio", 4))
 LONG_GRID = [(variant, strat) for variant in VARIANTS for strat in (
     StrategyConfig(kind="serial"), StrategyConfig(kind="tp_only", tp_degree=2),
     StrategyConfig(kind="dist_token", tp_degree=2),
@@ -194,6 +199,8 @@ ACTIVATION_CASES = ([pytest.param(case, (), id=case_id(case)) for case in GRID]
                        for case in LONG_GRID]
                     + [pytest.param((variant, StrategyConfig(kind="serial")), TALL,
                                     id=f"{variant}-serial-tp1-tall") for variant in VARIANTS]
+                    + [pytest.param(("single_query", StrategyConfig(kind="serial")), WIDE,
+                                    id="single_query-serial-tp1-wide")]
                     + [pytest.param(case, ratio, id=f"{case_id(case)}-{name}")
                        for case in MASK_GRID for name, ratio in MASK_RATIOS.items()]
                     + [pytest.param(MASK_GRID[0], LONG + MASK_RATIOS["mask75"],
@@ -300,6 +307,53 @@ def test_drawn_grid_matches_allocator_and_ledger(case):
     else:
         for rank in range(pconfig.world_size):
             assert ledger_comm(res.ledger, rank) == want, rank
+
+
+# The paper's regime on a desk small in D and S only: 128 channels over 8 tp
+# ranks, where each rank's dchag tree has two levels (two nodes of 8, then
+# one of 2) and every head-split layer and MLP is divided 8 ways.
+PAPER_TP = 8
+PAPER_STRATEGIES = [StrategyConfig(kind="tp_only", tp_degree=PAPER_TP),
+                    StrategyConfig(kind="dist_token", tp_degree=PAPER_TP),
+                    *(StrategyConfig(kind="dchag", tp_degree=PAPER_TP, max_group=8,
+                                     agg_layer_kind=kind) for kind in AGG_LAYER_KINDS)]
+
+
+def paper_desk():
+    return desk("full_cross", 128, embed=32, heads=32, depth=1)
+
+
+@functools.lru_cache(maxsize=None)
+def paper_oracle(strat):
+    """The oracle step on the paper desk: the single-process slab tree of a
+    dchag `strat`, else the serial step (tp_only and dist_token share the
+    serial master)."""
+    model = paper_desk()
+    batch = make_batch(model, 5, 0, [0])
+    if strat.kind == "dchag":
+        return run_dchag_reference_step(model, strat, create_master(model, strat, RngState(3)),
+                                        batch)
+    return run_step(model, StrategyConfig(kind="serial"), [batch])
+
+
+@pytest.mark.parametrize("strat", PAPER_STRATEGIES, ids=lambda s: "-".join(
+    [s.kind, *flag_suffix(s)]))
+def test_paper_channel_count_matches_allocator_ledger_and_oracle(strat):
+    model = paper_desk()
+    if strat.kind == "dchag":
+        assert rank_tree(model, strat) == ((8, 8), (2,))
+    res = run_step(model, strat, [make_batch(model, 5, 0, [0])])
+    rep = estimate(model, strat, precision_bytes=8)
+    for comp in COMPONENT_TAGS:
+        assert rep.activation(comp) == max(s.tag_peak(comp) for s in res.stats), comp
+        assert rep.components[comp].flops == max(s.tag_flops(comp) for s in res.stats), comp
+    want = {k: v for k, v in rep.comm.items() if v}
+    for rank in range(PAPER_TP):
+        assert ledger_comm(res.ledger, rank) == want, rank
+    oracle = paper_oracle(strat if strat.kind == "dchag" else StrategyConfig(kind="serial"))
+    for loss in res.losses:
+        assert abs(loss - oracle.loss) <= 1e-10 * abs(oracle.loss)
+    assert_grads_match(oracle.grads, res.grads)
 
 
 class TestContract:

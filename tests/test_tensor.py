@@ -439,6 +439,19 @@ class TestLayernorm:
         out = T.layernorm(Tensor([[1.0, 2.0, 3.0]]))
         assert abs(out.data.mean()) < 1e-12
 
+    def test_matches_unfused_bits(self):
+        # x centred once and the backward built in place give the values of
+        # the formulas written out in full
+        rng = np.random.default_rng(5)
+        x, g = rng.normal(size=(4, 9, 16)), rng.normal(size=(4, 9, 16))
+        mu = x.mean(axis=-1, keepdims=True)
+        inv = 1.0 / np.sqrt(((x - mu) ** 2).mean(axis=-1, keepdims=True) + T._LN_EPS)
+        xhat = (x - mu) * inv
+        m1, m2 = g.mean(axis=-1, keepdims=True), (g * xhat).mean(axis=-1, keepdims=True)
+        out = T.layernorm(Tensor(x, requires_grad=True))
+        np.testing.assert_array_equal(out.data, xhat)
+        np.testing.assert_array_equal(out.node.backward(g)[0], inv * (g - m1 - xhat * m2))
+
     def test_grad(self, rng):
         ts = {"x": Tensor(rng.normal((2, 3, 6)), requires_grad=True)}
         w = rng.normal((2, 3, 6))
@@ -447,6 +460,12 @@ class TestLayernorm:
             ts,
             tol=1e-5,
         )
+
+
+PHI_RTOL = 2e-14  # relative error bound of Phi where Phi(x) is a normal float
+TINY = np.finfo(np.float64).tiny
+BLK = T.PHI_BLOCK
+SQRT2 = np.sqrt(2.0)
 
 
 class TestGelu:
@@ -470,11 +489,32 @@ class TestGelu:
         want = x * np.array([mp_phi(v) for v in x.ravel()]).reshape(x.shape)
         np.testing.assert_allclose(T.gelu(Tensor(x)).data, want, rtol=PHI_RTOL, atol=1e-300)
 
-
-PHI_RTOL = 2e-14  # relative error bound of Phi where Phi(x) is a normal float
-TINY = np.finfo(np.float64).tiny
-BLK = T.PHI_BLOCK
-SQRT2 = np.sqrt(2.0)
+    @pytest.mark.parametrize("size", [64, 2 * BLK + 5])
+    def test_backward_bits(self, size):
+        """The gradient is g (Phi(x) + x pdf(x)) to the bit, the pdf term
+        formed in this order from x: core and tail points, the clamp at
+        40, infinities and NaN, and past one block, tail points on both
+        sides of each block edge."""
+        rng = np.random.default_rng(size)
+        x = rng.uniform(-SQRT2, SQRT2, size)
+        special = [np.nextafter(SQRT2, 2.0), -np.nextafter(SQRT2, 2.0), 40.0, -40.0,
+                   np.inf, -np.inf, np.nan]
+        tail = rng.choice([-1.0, 1.0], 24) * rng.uniform(SQRT2, 40.0, 24)
+        x[rng.choice(size, 24 + len(special), replace=False)] = [*tail, *special]
+        for edge in range(BLK, size, BLK):
+            x[edge - 2:edge + 2] = rng.uniform(SQRT2, 40.0, 4) * [-1.0, 1.0, 1.0, -1.0]
+        g = rng.normal(size=x.shape)
+        with np.errstate(invalid="ignore"):  # 0 * inf in x pdf(x) at the infinities
+            t = x * x
+            t *= -0.5
+            np.exp(t, out=t)
+            t *= x
+            t *= 1.0 / np.sqrt(2.0 * np.pi)
+            t += T.normal_cdf(x)
+            t *= g
+            xt = Tensor(x, requires_grad=True)
+            T.backward(T.sum_all(T.mul(T.gelu(xt), Tensor(g))))
+        np.testing.assert_array_equal(xt.grad, t)  # NaN where t is NaN
 
 
 def mp_phi(x):
