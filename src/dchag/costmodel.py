@@ -8,10 +8,10 @@ The contract, per rank and per step:
   saved set: what each backward reads) or the model code still holds its
   tensor.  Every other intermediate is a transient, live from its op until
   the next op has read it, as are the fused attention op's logit blocks,
-  one block of positions at a time, and gelu's block scratch; a transient
-  counts in the component's peak at the point it is live.  Each layer's
-  terms are written once, on the one function that returns its activation
-  elements and FLOPs together.
+  one block of positions at a time, the pool's scores and fold copy, and
+  gelu's block scratch; a transient counts in the component's peak at the
+  point it is live.  Each layer's terms are written once, on the one
+  function that returns its activation elements and FLOPs together.
 * FLOPs follow `tracking`'s rule and equal the tracker's per-tag count.
 * Parameter bytes come from `params`' table and placement rule, the ones
   that shard the simulator's ranks.  Grads equal params; optimizer state
@@ -75,8 +75,8 @@ class CostReport:
 # still holds its tensor; the rest go as soon as the next op has read
 # them.  So kept is the layer's saved set plus the outputs the code still
 # holds, and high adds the transients: the fused attention op's block
-# buffers, gelu's block scratch, and the intermediates freed inside the
-# layer.
+# buffers, the pool's scores and fold copy, gelu's block scratch, and the
+# intermediates freed inside the layer.
 
 
 def _then(*parts):
@@ -107,18 +107,28 @@ def _chain(n):
     return n, 2 * n
 
 
-def _attention(n, hl, tq, tk, dl, q_shared):
+def _attention(n, hl, tq, tk, dl):
     """The fused attention op over `n` broadcast positions: it keeps its
     merged output (n*Tq*Dl) and per-row log-sum-exp (n*Hl*Tq), and on top
     of both holds one (position, head) block of `tensor.attention_block`'s
     size (whole positions, all n if fewer, or one position and some of its
     heads) of logits and row sums (Tq*Tk + Tq per head), and the scaled q
-    of the block's positions (Tq*Dl each), or of q alone when `q_shared`:
-    a learned query that broadcasts over every position is scaled once."""
+    of the block's positions (Tq*Dl each)."""
     kept = n * tq * (dl + hl)
     rows, heads = attention_block(hl, tq, tk)
     blk = min(n, rows)
-    return kept, kept + blk * heads * (tq * tk + tq) + (1 if q_shared else blk) * tq * dl
+    return kept, kept + blk * heads * (tq * tk + tq) + blk * tq * dl
+
+
+def _pool(n, hl, tk, dl, fold):
+    """`tensor.attention_pool` over `n` positions of Tk keys: it keeps its
+    output (n*Dl) and per-(position, head) log-sum-exp (n*Hl).  Its scores
+    (n*Tk*Hl) are live through it: first with the `fold` elements of the
+    copy its fold makes of x (none when x folds as a view), then with the
+    log-sum-exp and the row sums, and at last with the log-sum-exp and the
+    output, which is no smaller."""
+    kept = n * (dl + hl)
+    return kept, n * tk * hl + max(fold, kept)
 
 
 def _gelu(n):
@@ -129,40 +139,59 @@ def _gelu(n):
     return _then((2 * n, 2 * n + min(n, PHI_BLOCK)), _freed(n))
 
 
-def _agg_layer(b, s, ck, d, heads, variant, tp):
+def _agg_layer(b, s, ck, d, heads, variant, tp, fold=0):
     """One cross-attention aggregation layer over Ck token stacks,
-    head-split over tp.
+    head-split over tp; `fold` is the copy, if any, that `attention_pool`
+    makes of its input stack (`_fold_copy`).
 
-    Activations: key/value (query too for full_cross) at width D/tp; the
-    attention op over B*S positions, 1 (single_query) or Ck (full_cross)
-    query rows against Ck keys, whose (H/tp)*Ck or (H/tp)*Ck^2 logits per
-    position are transient, one block of positions at a time; the
-    full-width output chain (matmul, the sum over tp, bias add), which tp
-    does not divide; and full_cross's reduce stage, a single-head
-    attention op over B*S positions, one learned query row against the Ck
-    full-width outputs, which it keeps.  The quadratic channel term is the
-    full_cross logits, capped at one block: once one block no longer holds
-    all B*S positions, it grows with Ck^2 only through the positions a
-    block holds, down to one position.
+    Activations: single_query keeps its value projection (B*S*Ck*D/tp) and
+    the learned query with the key projection absorbed (D*H/tp), and pools
+    the Ck tokens with them (`_pool`); no key is formed.  full_cross keeps
+    key, value and query (B*S*Ck*D/tp each) for the fused attention op,
+    Ck query rows against Ck keys, whose (H/tp)*Ck^2 logits per position
+    are transient, one block of positions at a time.  Then the full-width
+    output chain (matmul, the sum over tp, bias add), which tp does not
+    divide; and full_cross's reduce, a single-head pool of the Ck
+    full-width outputs, which it reads as a view.  The quadratic channel
+    term is the full_cross logits, capped at one block: once one block no
+    longer holds all B*S positions, it grows with Ck^2 only through the
+    positions a block holds, down to one position.
 
-    FLOPs: the key/value (and query) projections, the two attention
-    products, the output projection of every attended token, and
-    full_cross's two reduce-stage products.
+    FLOPs: single_query's value projection, the absorbed query (2*D*D/tp),
+    the pool's scores (2*B*S*Ck*D*H/tp) and pooling (2*B*S*Ck*D/tp);
+    full_cross's key, value and query projections and the two attention
+    products; the output projection of every attended token; and
+    full_cross's reduce, whose scores and pooling are 2*B*S*Ck*D each.
     """
-    dl, hl = d / tp, heads / tp
+    n, dl, hl = b * s, d / tp, heads / tp
     if variant == "single_query":
-        acts = _then(_stored(2 * b * s * ck * dl),
-                     _attention(b * s, hl, 1, ck, dl, q_shared=True),
-                     _chain(b * s * d))
-        flops = 2 * 2 * b * s * ck * d * dl + 2 * 2 * b * s * ck * dl + 2 * b * s * d * dl
+        acts = _then(_stored(n * ck * dl), _stored(d * hl),
+                     _pool(n, hl, ck, dl, fold), _chain(n * d))
+        flops = (2 * n * ck * d * dl + 2 * d * dl + 2 * n * ck * (d * hl + dl)
+                 + 2 * n * d * dl)
         return acts, flops
-    acts = _then(_stored(3 * b * s * ck * dl),
-                 _attention(b * s, hl, ck, ck, dl, q_shared=False),
-                 _chain(b * s * ck * d),
-                 _attention(b * s, 1, 1, ck, d, q_shared=True))
-    flops = (3 * 2 * b * s * ck * d * dl + 2 * 2 * b * s * ck * ck * dl
-             + 2 * b * s * ck * d * dl + 2 * 2 * b * s * ck * d)
+    acts = _then(_stored(3 * n * ck * dl),
+                 _attention(n, hl, ck, ck, dl),
+                 _chain(n * ck * d),
+                 _pool(n, 1, ck, d, 0))
+    flops = (3 * 2 * n * ck * d * dl + 2 * 2 * n * ck * ck * dl
+             + 2 * n * ck * d * dl + 2 * 2 * n * ck * d)
     return acts, flops
+
+
+def _fold_copy(b, s, d, g, width, level):
+    """Elements of the copy that a single_query tree node's pool makes when
+    it folds its input into rows (`tensor.attention_pool`): a node over g
+    of its level's `width` channels reads a narrowed view of the level's
+    stack.  At level 0 that stack is the rank's tokens, channel-major in
+    memory ([B, Cs, S, D]), so g < width channels fold in place only at
+    B = 1 (or when S = g = 1); above it, the stack is the concatenated
+    streams of the level below, position-major ([B, S, width, D]), so they
+    fold in place only at g = 1 (or when S = B = 1)."""
+    if g == width:
+        return 0
+    in_place = (b == 1 or s == g == 1) if level == 0 else (g == 1 or s == b == 1)
+    return 0 if in_place else b * s * g * d
 
 
 def _tree(b, s, d, heads, tree: tuple, layer_kind, variant):
@@ -173,26 +202,24 @@ def _tree(b, s, d, heads, tree: tuple, layer_kind, variant):
     projection chain (matmul, bias add), B*S*D each, and costs
     2*B*S*D*(g+D) FLOPs (the channel mix, then the projection).  A level
     of several nodes concatenates their outputs, B*S*D per node, and then
-    drops them, unless a full_cross node's reduce attention keeps its
-    own.
+    drops them.  No backward reads a node's output, so the tree's output
+    stream, B*S*D, goes once it is gathered.
 
-    Returns the activation pair, the FLOPs, and the elements of the
-    tree's output stream that nothing keeps: the stream goes once it is
-    gathered.
+    Returns the activation pair and the FLOPs.
     """
     parts, flops = [], 0
-    loose = 0 if layer_kind != "linear" and variant == "full_cross" else b * s * d
-    for level in tree:
+    for li, level in enumerate(tree):
         for g in level:
             if layer_kind == "linear":
                 a, f = _then(_stored(b * s * d), _chain(b * s * d)), 2 * b * s * d * (g + d)
             else:
-                a, f = _agg_layer(b, s, g, d, heads, variant, 1)
+                fold = _fold_copy(b, s, d, g, sum(level), li) if variant == "single_query" else 0
+                a, f = _agg_layer(b, s, g, d, heads, variant, 1, fold)
             parts.append(a)
             flops += f
         if len(level) > 1:
-            parts += [_stored(b * s * len(level) * d), _freed(len(level) * loose)]
-    return _then(*parts), flops, loose
+            parts += [_stored(b * s * len(level) * d), _freed(len(level) * b * s * d)]
+    return _then(*parts), flops
 
 
 def _block(b, t, d, heads, m, tp):
@@ -213,7 +240,7 @@ def _block(b, t, d, heads, m, tp):
     n, hidden = b * t * d, b * t * m * d / tp
     acts = _then(_stored(b * t + n),
                  _chain(n / tp), _stored(2 * n / tp),
-                 _attention(b, heads / tp, t, t, d / tp, q_shared=False),
+                 _attention(b, heads / tp, t, t, d / tp),
                  _chain(n),
                  _stored(b * t + n),
                  _chain(hidden), _gelu(hidden),
@@ -297,14 +324,13 @@ def estimate(model: ModelConfig, strategy: StrategyConfig,
 
     # --- aggregate: agg.flat over the C token stacks, head-split over tp;
     # or dchag's slab tree, the gathered tp streams (after which the rank's
-    # own stream goes, unless the tree keeps it) and agg.final over them,
-    # replicated.
+    # own stream goes) and agg.final over them, replicated.
     acts, flops = _stored(0), 0
     ck, agg_tp = c, tp
     if strategy.kind == "dchag":
-        tree_acts, flops, stream = _tree(b, s, d, heads, rank_tree(model, strategy),
-                                         strategy.agg_layer_kind, model.agg_variant)
-        acts = _then(tree_acts, _stored(b * tp * s * d), _freed(stream))
+        tree_acts, flops = _tree(b, s, d, heads, rank_tree(model, strategy),
+                                 strategy.agg_layer_kind, model.agg_variant)
+        acts = _then(tree_acts, _stored(b * tp * s * d), _freed(b * s * d))
         add_comm("forward", "tp", ring_allgather_payload(b * s * d * pb, tp))
         ck, agg_tp = tp, 1
     layer_acts, layer_flops = _agg_layer(b, s, ck, d, heads, model.agg_variant, agg_tp)

@@ -12,9 +12,12 @@ embedding), and `allsum` (all-reduce forward, identity backward) where
 split partial outputs merge.  With group=None both return their input,
 and the math is the single-process reference.
 
-Every attention, and so every softmax, is `sdp_attention`, the engine's
-one fused op: the ViT and decoder blocks, the aggregation layers, and
-full_cross's learned-query reduce.
+Two tape ops hold every softmax.  Self-attention, in the ViT and decoder
+blocks and full_cross's first stage, is `sdp_attention`, the engine's fused
+`attention` op.  A learned query over a position's tokens, single_query's
+layer and full_cross's reduce, is `tensor.attention_pool`, which scores the
+tokens against the query with the key projection absorbed, so it forms no
+key tensor.
 """
 
 from __future__ import annotations
@@ -87,33 +90,49 @@ def transformer_block(x: Tensor, w: dict, prefix: str, n_heads: int,
     return residual(x, T.gelu(linear(h, w[f"{prefix}.w1"], w[f"{prefix}.b1"])), "2")
 
 
+def learned_query_scores(wk: Tensor, q: Tensor, n_heads: int) -> Tensor:
+    """u [D, H], whose column h is wk's head-h columns times q's head-h
+    slice, so that x @ u[:, h] is q_h . (x @ wk)_h: each head's key
+    projection absorbed into its learned query."""
+    d, dl = wk.shape
+    dh = dl // n_heads
+    wkh = T.transpose(T.reshape(wk, (d, n_heads, dh)), (1, 0, 2))  # [H, D, Dl/H]
+    u = T.matmul(wkh, T.reshape(q, (n_heads, dh, 1)))  # [H, D, 1]
+    return T.transpose(T.reshape(u, (n_heads, d)), (1, 0))
+
+
 def cross_attention_aggregate(x: Tensor, w: dict, prefix: str, variant: str,
                               n_heads: int, group: ProcessGroup | None = None) -> Tensor:
     """Reduce [..., Ck, D] token stacks to [..., 1, D] per position.
 
     single_query: a learned query `q`, unprojected (a projection of one
-    vector is another), attends over the Ck tokens (1 x Ck logits per head).
-    full_cross: the Ck tokens attend over themselves (Ck x Ck logits), then
-    a learned query `rq` reduces the Ck outputs to one by single-head
-    attention over them (1 x Ck logits, scale 1/sqrt(D)), the outputs
-    serving as both keys and values.
+    vector is another), attends over the Ck tokens, keyed by `wk`.  The key
+    projection is absorbed into the query (`learned_query_scores`), so one
+    `tensor.attention_pool` scores the tokens themselves and no key tensor
+    is made.  full_cross: the Ck tokens attend over themselves (Ck x Ck
+    logits, the fused `attention` op), then a learned query `rq` reduces
+    the Ck outputs to one by a single-head `attention_pool` over them
+    (scale 1/sqrt(D)), the outputs serving as both keys and values.
     """
     xf = fanout(group, x, prefix)
-    k = T.matmul(xf, w[f"{prefix}.wk"])
-    v = T.matmul(xf, w[f"{prefix}.wv"])
+    heads = local_heads(n_heads, group)
     if variant == "single_query":
-        q = T.reshape(w[f"{prefix}.q"], (1, -1))  # [1, Dl]
+        v = T.matmul(xf, w[f"{prefix}.wv"])
+        u = learned_query_scores(w[f"{prefix}.wk"], w[f"{prefix}.q"], heads)
+        ctx = T.attention_pool(xf, u, v, heads)  # [..., 1, Dl]
     else:
+        k = T.matmul(xf, w[f"{prefix}.wk"])
+        v = T.matmul(xf, w[f"{prefix}.wv"])
         q = T.matmul(xf, w[f"{prefix}.wq"])  # [..., Ck, Dl]
-    ctx = sdp_attention(q, k, v, local_heads(n_heads, group))  # [..., 1 or Ck, Dl]
+        ctx = sdp_attention(q, k, v, heads)  # [..., Ck, Dl]
     out = allsum(group, T.matmul(ctx, w[f"{prefix}.wo"]), prefix)
     out = T.add(out, w[f"{prefix}.bo"])  # replicated from here on
     if variant == "single_query":
         return out
 
     # full_cross: a learned query reduces the Ck attended tokens to one
-    rq = T.reshape(w[f"{prefix}.rq"], (1, out.shape[-1]))
-    return sdp_attention(rq, out, out, 1)  # [..., 1, D]
+    rq = T.reshape(w[f"{prefix}.rq"], (out.shape[-1], 1))
+    return T.attention_pool(out, rq, out, 1)  # [..., 1, D]
 
 
 def linear_mix_aggregate(x: Tensor, w: dict, prefix: str) -> Tensor:

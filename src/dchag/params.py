@@ -35,7 +35,10 @@ the rest of its stack or tree:
   - a linear tree's biases below the root: a node is affine, so a child's
     bias reaches the loss only through its parent's;
   - the query and wk of an attention node over one input (a one-channel
-    slab): its one key takes the whole softmax, so they are inert.
+    slab): its one key takes the whole softmax, so they are inert.  The
+    learned-query pools (`tensor.attention_pool`) give single_query's q
+    and wk, and full_cross's rq, a gradient of exactly 0; full_cross's
+    wq and wk get rounding noise through the fused attention op.
 
 Cross-attention aggregation nodes carry {q, wk, wv, wo, bo} in the
 single_query variant ({wq, wk, wv, wo, bo, rq} in full_cross); linear nodes

@@ -13,14 +13,18 @@ Design points that later modules rely on:
   else makes a new buffer.  Every buffer is charged to the allocation
   tracker once, by one rule (`tracking.AllocTracker.charge`): an op
   output, and every buffer a fused op holds outside a `Tensor` (the
-  attention op's blocks and log-sum-exp, `gelu`'s derivative and its
-  block scratch, `layernorm`'s 1/sigma), from its allocation until its
-  memory is freed; a view of charged memory adds nothing; a leaf's
-  memory, which its caller owns, for as long as the engine holds a view
-  of it;
-* `attention` is the engine's only softmax: every attention in the model,
-  full_cross's learned-query reduce too, is that one fused op;
-* FLOPs follow `tracking`'s rule: only `matmul` and `attention` count any;
+  attention op's blocks and log-sum-exp, the pool's scores, log-sum-exp
+  and fold copy, `gelu`'s derivative and its block scratch, `layernorm`'s
+  1/sigma), from its allocation until its memory is freed; a view of
+  charged memory adds nothing; a leaf's memory, which its caller owns, for
+  as long as the engine holds a view of it;
+* two fused ops hold every softmax.  `attention` is self-attention: the
+  ViT and decoder blocks and full_cross's first aggregation stage.
+  `attention_pool` is a learned query per head over a position's tokens,
+  with the key projection absorbed into the query: single_query's
+  aggregation layer and full_cross's reduce;
+* FLOPs follow `tracking`'s rule: only `matmul`, `attention` and
+  `attention_pool` count any;
 * the fused attention op walks (position, head) blocks whose logits fit
   `ATTENTION_BLOCK` elements, a size chosen so that a block stays in cache:
   whole positions while one position's logits fit, else heads of one
@@ -258,12 +262,19 @@ def scale(a: Tensor, s: float) -> Tensor:
     return Tensor(out, _parents=(a,), _backward=back)
 
 
+def _row_order(a: np.ndarray) -> tuple:
+    """`a`'s axes but the last in stride order, largest first, then the
+    last: the order in which a transposed activation stack folds into rows
+    as a view."""
+    lead = a.ndim - 1
+    return (*sorted(range(lead), key=lambda i: -a.strides[i]), lead)
+
+
 def _fold_rows(a: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """[..., m, k] and [..., m, n] as [rows, k] and [rows, n], every axis
     but the last folded into the rows in `a`'s stride order, so a transposed
     activation stack folds as a view and only `g` may be copied."""
-    lead = a.ndim - 1
-    perm = (*sorted(range(lead), key=lambda i: -a.strides[i]), lead)
+    perm = _row_order(a)
     return (a.transpose(perm).reshape(-1, a.shape[-1]),
             g.transpose(perm).reshape(-1, g.shape[-1]))
 
@@ -356,11 +367,9 @@ def attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int) -> Tensor:
     buffer each for the logits and the row sums (and, in backward, the
     logit gradient), so no logit buffer exceeds one block and a block's
     elementwise passes run in cache.  The scaled q is taken once per
-    block of positions, and once in all when q broadcasts over every
-    position (a learned query), which the logits and dk then read as a
-    broadcast view.  Each head's matrices go through the same numpy calls
-    as an unblocked pass would make, so the result does not depend on the
-    block size.  The forward charges every buffer it allocates from its
+    block of positions.  Each head's matrices go through the same numpy
+    calls as an unblocked pass would make, so the result does not depend
+    on the block size.  The forward charges every buffer it allocates from its
     allocation until it is freed: the output and the log-sum-exp, which
     backward reads, and the block buffers and any copy that flattening
     broadcast operands makes, which go when the forward returns.
@@ -377,18 +386,16 @@ def attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int) -> Tensor:
     n = math.prod(lead)
     rows, hb = attention_block(h, tq, tk)
     blk = min(n, rows)
-    shared = math.prod(q.shape[:-2]) == 1  # one q for every position
     scale = 1.0 / np.sqrt(dl // h)
     qd, kd, vd = q.data, k.data, v.data
 
     def blocks(qf, qs):
         """(positions, heads, scaled q) of each block in order; the q of a
-        block of positions is scaled into `qs` once for all its heads, and
-        a shared q is `qs`, scaled already."""
+        block of positions is scaled into `qs` once for all its heads."""
         for i in range(0, n, rows):
             sl = slice(i, i + rows)
             qb = qf[sl]
-            qsb = qs if shared else np.multiply(qb, scale, out=qs[:len(qb)])
+            qsb = np.multiply(qb, scale, out=qs[:len(qb)])
             for j in range(0, h, hb):
                 yield sl, slice(j, j + hb), qsb
 
@@ -396,11 +403,6 @@ def attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int) -> Tensor:
         """A block's logits into `p`, cut to the block's size."""
         kh = _heads(kf[sl], h, hs)
         return np.matmul(_heads(qsb, h, hs), kh.swapaxes(-1, -2), out=p[:len(kh), :kh.shape[1]])
-
-    def scaled_q():
-        """The buffer of the scaled q: q itself scaled when shared, else
-        one block of positions to fill."""
-        return qd.reshape(1, tq, dl) * scale if shared else np.empty((blk, tq, dl))
 
     ctx = _charged(np.empty((*lead, tq, dl)))
     ctxf = ctx.reshape(n, tq, dl)
@@ -410,7 +412,7 @@ def attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int) -> Tensor:
         """The forward pass into `ctx` and `lse`; its flattening copies and
         block buffers are freed on return."""
         qf, kf, vf = (_charged(_positions(x, lead, n)) for x in (qd, kd, vd))
-        qs = _charged(scaled_q())
+        qs = _charged(np.empty((blk, tq, dl)))
         p, rowsum = _charged(np.empty((blk, hb, tq, tk))), _charged(np.empty((blk, hb, tq)))
         for sl, hs, qsb in blocks(qf, qs):
             pb = logits(sl, hs, qsb, kf, p)
@@ -431,7 +433,8 @@ def attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int) -> Tensor:
         gf = g.reshape(n, tq, dl)
         dq, dk, dv = (np.empty((*lead, t, dl)) for t in (tq, tk, tk))
         dqf, dkf, dvf = (x.reshape(n, *x.shape[-2:]) for x in (dq, dk, dv))
-        qs, p, ds = scaled_q(), np.empty((blk, hb, tq, tk)), np.empty((blk, hb, tq, tk))
+        qs = np.empty((blk, tq, dl))
+        p, ds = np.empty((blk, hb, tq, tk)), np.empty((blk, hb, tq, tk))
         dot = np.empty((blk, tq, hb)).swapaxes(-1, -2)  # the layout einsum fills fastest
         for sl, hs, qsb in blocks(qf, qs):
             pb = logits(sl, hs, qsb, kf, p)
@@ -450,6 +453,81 @@ def attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int) -> Tensor:
         return _reduce_to(dq, qd.shape), _reduce_to(dk, kd.shape), _reduce_to(dv, vd.shape)
 
     return Tensor(ctx, _parents=(q, k, v), _backward=back)
+
+
+def attention_pool(x: Tensor, u: Tensor, v: Tensor, n_heads: int) -> Tensor:
+    """One learned query per head pools Tk values, as one tape node.
+
+    x is [..., Tk, Dx], u is [Dx, H] and v is [..., Tk, Dl], x and v with
+    the same leading axes.  Head h scores each of a position's Tk keys as
+    x @ u[:, h], scaled by 1/sqrt(Dl/H) as `attention` scales, takes the
+    softmax of the scores over the keys and pools v's features h*Dl/H to
+    (h+1)*Dl/H with it; returns [..., 1, Dl].  This is `attention` with
+    query q_h and keys x @ W_k, where u[:, h] = W_k[:, head h] @ q_h:
+    q_h . (W_k^T x) = (W_k q_h) . x, so no key is ever formed.
+
+    The scores are one 2-D product over x's rows, folded in x's stride
+    order (`_fold_rows`), so a transposed stack folds as a view; otherwise
+    the fold copies x, and the copy is charged while the product reads it.
+    The op keeps x, u, v and a per-(position, head) log-sum-exp for
+    backward, which recomputes the scores; not its output.  Its transients
+    are the scores (n*Tk*H), the fold's copy while the scores are formed,
+    and the row sums, freed before the output is made.
+    """
+    if (x.ndim < 2 or x.shape[:-1] != v.shape[:-1]
+            or u.shape != (x.shape[-1], n_heads) or v.shape[-1] % n_heads):
+        raise ShapeError(f"attention_pool needs x [..., Tk, Dx], u [Dx, {n_heads}] and "
+                         f"v [..., Tk, Dl] with {n_heads} heads dividing Dl, "
+                         f"got {x.shape}, {u.shape}, {v.shape}")
+    h = n_heads
+    *lead, tk, dx = x.shape
+    dl = v.shape[-1]
+    dh = dl // h
+    scale = 1.0 / np.sqrt(dh)
+    xd, ud, vd = x.data, u.data, v.data
+    vh = vd.reshape(*lead, tk, h, dh)
+    perm = _row_order(xd)
+    inv = tuple(np.argsort(perm))
+    folded = tuple(xd.shape[i] for i in perm[:-1])
+
+    def unfold(rows):
+        """[rows, n] in x's row order as the view [..., Tk, n]."""
+        return rows.reshape(*folded, rows.shape[-1]).transpose(inv)
+
+    xf = _charged(xd.transpose(perm).reshape(-1, dx))
+    s = _charged(xf @ ud)  # the scores, [rows, H] in x's row order
+    del xf
+    s *= scale
+    sl = unfold(s)
+    lse = _charged(sl.max(axis=-2))
+    sl -= lse[..., None, :]
+    np.exp(s, out=s)
+    rowsum = _charged(sl.sum(axis=-2))
+    sl /= rowsum[..., None, :]
+    lse += np.log(rowsum, out=rowsum)
+    del rowsum
+    out = _charged(np.empty((*lead, 1, dl)))
+    np.einsum("...kh,...khd->...hd", sl, vh, out=out.reshape(*lead, h, dh))
+    _flops(2 * math.prod(lead) * tk * (dx * h + dl))
+
+    def back(g):
+        xf = xd.transpose(perm).reshape(-1, dx)
+        p = xf @ ud
+        p *= scale
+        pl = unfold(p)
+        pl -= lse[..., None, :]
+        np.exp(p, out=p)
+        gh = g.reshape(*lead, h, dh)
+        dv = np.empty(vd.shape)
+        np.multiply(pl[..., None], gh[..., None, :, :], out=dv.reshape(vh.shape))
+        ds = np.empty(p.shape)  # the score gradient, in x's row order
+        dsl = np.einsum("...hd,...khd->...kh", gh, vh, out=unfold(ds))
+        dsl -= np.einsum("...kh,...kh->...h", pl, dsl)[..., None, :]
+        ds *= p
+        ds *= scale
+        return unfold(ds @ ud.T), xf.T @ ds, dv
+
+    return Tensor(out, _parents=(x, u, v), _backward=back)
 
 
 # Phi(x), the standard normal CDF, from Cephes' ndtr.c (S. L. Moshier, Cephes
@@ -500,11 +578,14 @@ _VELTKAMP = 2.0 ** 27 + 1.0  # splits a double into two halves of 26 bits
 PHI_BLOCK = 2 ** 15
 
 
-def _polyval(x: np.ndarray, coefs: tuple) -> np.ndarray:
-    """The polynomial with `coefs`, highest power first, at `x` (Horner)."""
-    acc = coefs[0]
-    for c in coefs[1:]:
-        acc = acc * x + c
+def _horner(x: np.ndarray, coefs: tuple) -> np.ndarray:
+    """The polynomial with `coefs`, highest power first, at `x`: Horner's
+    rule in one new array."""
+    acc = x * coefs[0]
+    acc += coefs[1]
+    for c in coefs[2:]:
+        acc *= x
+        acc += c
     return acc
 
 
@@ -513,11 +594,18 @@ def _phi_tail(x: np.ndarray) -> np.ndarray:
     Phi(x) for x < 0 and 1 - Phi(x) for x > 0.  exp(-x^2/2) is evaluated
     on x^2 split exactly into hi + lo (Dekker's product, Veltkamp's split):
     exp(-hi/2) (1 - lo/2).  The rounding of x*x alone would cost Phi up to
-    x^2/2 * 2^-53 of relative error, 7.6e-14 at x = -37."""
+    x^2/2 * 2^-53 of relative error, 7.6e-14 at x = -37.  Each erfc
+    rational runs on its own elements alone, z < 8 and the rest (NaN
+    included)."""
     a = np.minimum(np.abs(x), _TAIL_CLAMP)  # NaN stays NaN
     z = a * _INV_SQRT2
-    (pn, pd), (rn, rd) = _TAIL_NEAR, _TAIL_FAR
-    q = np.where(z < 8.0, _polyval(z, pn) / _polyval(z, pd), _polyval(z, rn) / _polyval(z, rd))
+    q = np.empty_like(z)
+    near = z < 8.0
+    for part, (num, den) in ((near, _TAIL_NEAR), (~near, _TAIL_FAR)):
+        zp = z[part]
+        r = _horner(zp, num)
+        r /= _horner(zp, den)
+        q[part] = r
     hi = a * a
     c = a * _VELTKAMP
     ah = c - (c - a)
@@ -600,14 +688,18 @@ def gelu(x: Tensor) -> Tensor:
 
 def layernorm(x: Tensor) -> Tensor:
     """Normalize over the last axis; no gain and no shift (`params`).  x is
-    centred once, into the buffer that becomes x-hat, and backward builds
-    its result in one buffer, with the same values an unfused evaluation
+    centred once, into the buffer that becomes x-hat; the variance is each
+    row's dot product with itself, so no other input-sized buffer is made,
+    and 1/sigma is formed in the variance's buffer.  Backward builds its
+    result in one buffer, with the same values an unfused evaluation
     gives."""
     xd = x.data
     mu = xd.mean(axis=-1, keepdims=True)
     xhat = xd - mu
-    var = np.square(xhat).mean(axis=-1, keepdims=True)
-    inv = _charged(1.0 / np.sqrt(var + _LN_EPS))
+    var = np.einsum("...d,...d->...", xhat, xhat)[..., None]
+    var /= xd.shape[-1]
+    var += _LN_EPS
+    inv = _charged(np.divide(1.0, np.sqrt(var, out=var), out=var))
     xhat *= inv
 
     def back(g):

@@ -22,7 +22,7 @@ from dchag.rng import RngState
 from dchag.strategies import run_dchag_reference_step, run_hybrid_step, run_serial_step
 from dchag.synthetic import make_batch
 from dchag.tensor import Tensor
-from dchag.tracking import COMPONENT_TAGS, AllocTracker, activate
+from dchag.tracking import COMPONENT_TAGS, AllocTracker, activate, current_tracker
 
 from conftest import assert_grads_match
 
@@ -307,6 +307,36 @@ def test_drawn_grid_matches_allocator_and_ledger(case):
     else:
         for rank in range(pconfig.world_size):
             assert ledger_comm(res.ledger, rank) == want, rank
+
+
+@pytest.mark.parametrize("max_group, batch", [(2, 1), (2, 2), (3, 2), (8, 2)])
+def test_tree_pools_charge_what_the_estimate_says(monkeypatch, max_group, batch):
+    # every pool of a one-rank single_query tree charges `_pool`'s terms,
+    # the copy `_fold_copy` says its fold makes included: a node over part
+    # of a level folds in place only at batch 1 on the tokens (level 0), and
+    # only over one stream above it; the final layer's one stream folds in
+    # place.  The step's peaks alone do not see the copy on this desk.
+    model = desk("single_query")
+    strat = StrategyConfig(kind="dchag", tp_degree=1, max_group=max_group)
+    b, s, d, h = batch, model.seq, model.embed, model.heads
+    tree = rank_tree(model, strat)
+    want = [costmodel._pool(b * s, h, g, d, costmodel._fold_copy(b, s, d, g, sum(level), li))
+            for li, level in enumerate(tree) for g in level] + [costmodel._pool(b * s, h, 1, d, 0)]
+    got, real = [], T.attention_pool
+
+    def pool(*args):
+        tracker = current_tracker()
+        tracker.peak_bytes = before = tracker.live_bytes
+        out = real(*args)
+        got.append(((tracker.live_bytes - before) // 8, (tracker.peak_bytes - before) // 8))
+        return out
+
+    monkeypatch.setattr(T, "attention_pool", pool)
+    run_step(model, strat, [make_batch(model, 5, 0, range(batch))])
+    assert got == want
+    copies = [f for li, level in enumerate(tree) for g in level
+              if (f := costmodel._fold_copy(b, s, d, g, sum(level), li))]
+    assert bool(copies) == (max_group < 8)  # the one node of 8 reads the whole slab
 
 
 # The paper's regime on a desk small in D and S only: 128 channels over 8 tp

@@ -274,21 +274,29 @@ class TestFlatAggregate:
         assert rel_err(out.data, expect) < 1e-12
 
     def test_quadratic_vs_linear_logit_storage(self, monkeypatch):
-        # full_cross forms C*C logits per head per position, single_query C.
-        # The aggregation's attention op is the step's first; right after it,
-        # the aggregate peak exceeds the live bytes by exactly its block: the
-        # logits, row sums and scaled q of a block of positions, where
-        # single_query's learned query is scaled once for all positions.
-        real, after = T.attention, []
+        # full_cross forms C*C logits per head per position in the fused
+        # attention op, single_query C scores per head in the pool.  Either
+        # op is the aggregation's first; right after it, the aggregate peak
+        # exceeds the live bytes by exactly its transient: full_cross's
+        # block of logits, row sums and scaled q, and single_query's scores,
+        # which outlive the row sums and, its input folding as a view, meet
+        # no copy of it.
+        after = []
 
-        def attention(*args):
-            out = real(*args)
-            after.append(current_tracker().stats())
-            return out
+        def spy(name):
+            real = getattr(T, name)
 
-        monkeypatch.setattr(T, "attention", attention)
+            def op(*args):
+                out = real(*args)
+                after.append(current_tracker().stats())
+                return out
 
-        def block_bytes(variant, c):
+            monkeypatch.setattr(T, name, op)
+
+        spy("attention")
+        spy("attention_pool")
+
+        def transient(variant, c):
             model = tiny_model(channels=c, agg_variant=variant)
             after.clear()
             run_serial_step(model, create_master(model, StrategyConfig(), RngState(3)),
@@ -298,23 +306,22 @@ class TestFlatAggregate:
         model = tiny_model()
         h, d, positions = model.heads, model.embed, 2 * model.seq  # at batch 2
 
-        def expect(rows, queries, keys, q_rows):
-            return 8 * (rows * (h * queries * keys + h * queries) + q_rows * queries * d)
+        def block(rows, c):
+            return 8 * rows * (h * c * c + h * c + c * d)
 
-        # one block holds every position, and its logits grow with C^2 and C
-        for variant, growth in (("full_cross", 4), ("single_query", 2)):
-            logits = []
-            for c in (8, 16):
-                queries, q_rows = (c, positions) if variant == "full_cross" else (1, 1)
-                got = block_bytes(variant, c)
-                assert got == expect(positions, queries, c, q_rows), (variant, c)
-                logits.append(got - expect(positions, queries, 0, q_rows))
-            assert logits[1] == growth * logits[0], variant
+        # one block holds every position, and its logits grow with C^2; the
+        # scores grow with C
+        logits = []
+        for c in (8, 16):
+            assert transient("full_cross", c) == block(positions, c), c
+            assert transient("single_query", c) == 8 * positions * h * c, c
+            logits.append(block(positions, c) - 8 * positions * (h * c + c * d))
+        assert logits[1] == 4 * logits[0]
         # a block of 16-channel full_cross logits is one position: at 16
         # channels the op holds one position's, at 8 channels four positions'
         monkeypatch.setattr(T, "ATTENTION_BLOCK", h * 16 * 16)
-        assert block_bytes("full_cross", 16) == expect(1, 16, 16, 1)
-        assert block_bytes("full_cross", 8) == expect(4, 8, 8, 4)
+        assert transient("full_cross", 16) == block(1, 16)
+        assert transient("full_cross", 8) == block(4, 8)
 
     def test_channel_permutation_equivariance(self, rng):
         model = tiny_model(channels=5, embed=8, heads=2)

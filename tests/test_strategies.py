@@ -271,6 +271,22 @@ class TestDchag:
         dchag_payload = model.seq * model.embed * 8 * (tp - 1)
         assert dist_payload // dchag_payload == model.channels // tp
 
+    @pytest.mark.parametrize("variant, inert", [("single_query", ("q", "wk")),
+                                                ("full_cross", ("rq",))])
+    def test_one_channel_node_scores_get_exactly_zero_gradient(self, variant, inert):
+        # C = tp: each rank's tree is one node over its one channel, whose
+        # one key takes the whole softmax of every learned-query pool
+        model = tiny(channels=2, agg_variant=variant)
+        strat = StrategyConfig(kind="dchag", tp_degree=2, max_group=2)
+        master = create_master(model, strat, RngState(6))
+        res = run_dchag_step(ParallelConfig(dchag_tp=2), model, strat, master,
+                             make_batch(model, 11, 0, [0, 1]))
+        for r in range(2):
+            node = f"agg.slab{r}.l0.g0"
+            for name in inert:
+                assert (res.grads[f"{node}.{name}"] == 0.0).all(), (node, name)
+            assert np.abs(res.grads[f"{node}.wv"]).max() > 0.0
+
     def test_scheduler_independence(self):
         model = tiny(channels=8)
         strat = StrategyConfig(kind="dchag", tp_degree=4, max_group=2)

@@ -327,7 +327,7 @@ class TestAttention:
                     before = tracker.stats()
                     out = T.attention(*ts, heads)
                     after = tracker.stats()
-                kept, high = costmodel._attention(n, heads, tq, tk, dl, q_shared=q.ndim == 2)
+                kept, high = costmodel._attention(n, heads, tq, tk, dl)
                 assert after.live_bytes - before.live_bytes == 8 * kept
                 assert after.peak_bytes - before.live_bytes == 8 * high
                 T.backward(T.sum_all(T.mul(out, Tensor(g))))
@@ -428,6 +428,88 @@ class TestAttentionMemory:
         assert peak < 2 * block + grads + 2 ** 18, f"backward peak {peak / 2 ** 20:.2f} MiB"
 
 
+def _pool_operands(rng, lead, tk, dx, heads, dl):
+    """x as the transposed view of a [lead0, Tk, lead1, Dx] array, the
+    layout of the token slabs, with u and v to match."""
+    x = Tensor(rng.normal((lead[0], tk, lead[1], dx)), requires_grad=True)
+    u = Tensor(rng.normal((dx, heads)), requires_grad=True)
+    v = Tensor(rng.normal((*lead, tk, dl)), requires_grad=True)
+    return x, u, v
+
+
+def _slab_view(x):
+    return T.transpose(x, (0, 2, 1, 3))
+
+
+class TestAttentionPool:
+    @pytest.mark.parametrize("heads", [1, 2, 8])
+    def test_grad(self, rng, heads):
+        x, u, v = _pool_operands(rng, (2, 3), 3, 5, heads, 2 * heads)
+        w = rng.normal((2, 3, 1, 2 * heads))
+        check_grad(lambda: T.sum_all(T.mul(T.attention_pool(_slab_view(x), u, v, heads),
+                                           Tensor(w))), {"x": x, "u": u, "v": v})
+
+    @pytest.mark.parametrize("heads", [1, 2, 8])
+    def test_matches_bruteforce(self, rng, heads):
+        # per head, the softmax over the keys of the scaled scores x @ u[:, h]
+        # weighs v's head-h features
+        dl = 3 * heads
+        x, u, v = _pool_operands(rng, (2, 4), 5, 6, heads, dl)
+        xs = np.swapaxes(x.data, 1, 2)
+        out = T.attention_pool(_slab_view(x), u, v, heads).data
+        want = np.empty((2, 4, 1, dl))
+        for h in range(heads):
+            s = xs @ u.data[:, h] / np.sqrt(dl // heads)  # [2, 4, Tk]
+            p = np.exp(s - s.max(axis=-1, keepdims=True))
+            p /= p.sum(axis=-1, keepdims=True)
+            cols = slice(h * 3, (h + 1) * 3)
+            want[..., 0, cols] = np.einsum("bsk,bskd->bsd", p, v.data[..., cols])
+        assert rel_err(out, want) < 1e-12
+
+    def test_one_key_gives_exactly_zero_score_gradient(self, rng):
+        # the one key takes the whole softmax, so the scores, and x and u
+        # through them, get no gradient at all, not rounding noise
+        x, u, v = _pool_operands(rng, (2, 3), 1, 5, 2, 4)
+        g = rng.normal((2, 3, 1, 4))
+        T.backward(T.sum_all(T.mul(T.attention_pool(_slab_view(x), u, v, 2), Tensor(g))))
+        assert (x.grad == 0.0).all() and (u.grad == 0.0).all()
+        np.testing.assert_array_equal(v.grad, g)
+
+    @pytest.mark.parametrize("narrow", [False, True])
+    def test_charges_match_costmodel(self, rng, narrow):
+        # a whole slab folds into rows as a view; two of its three channels
+        # do not, and the fold's copy is charged while the scores are formed
+        tk, dx, heads, dl = 3, 16, 2, 4
+        tracker = AllocTracker()
+        with activate(tracker):
+            x, u, v = _pool_operands(rng, (2, 5), tk, dx, heads, dl)
+            xs = _slab_view(x)
+            if narrow:
+                tk = 2
+                xs, v = T.narrow(xs, 2, 1, tk), T.narrow(v, 2, 1, tk)
+            before = tracker.stats()
+            out = T.attention_pool(xs, u, v, heads)
+            after = tracker.stats()
+        kept, high = costmodel._pool(10, heads, tk, dl, 10 * tk * dx if narrow else 0)
+        assert before.peak_bytes == before.live_bytes
+        assert after.live_bytes - before.live_bytes == 8 * kept
+        assert after.peak_bytes - before.live_bytes == 8 * high
+        # backward recomputes the scores and does not read the output
+        assert not any(np.shares_memory(a, out.data) for a in reachable_arrays(out)
+                       if a is not out.data)
+        del out
+        assert tracker.live_bytes == before.live_bytes
+
+    def test_rejects_mismatched_shapes(self):
+        x, v = Tensor(np.zeros((2, 3, 4))), Tensor(np.zeros((2, 3, 6)))
+        with pytest.raises(ShapeError):
+            T.attention_pool(x, Tensor(np.zeros((4, 3))), Tensor(np.zeros((2, 2, 6))), 3)
+        with pytest.raises(ShapeError):
+            T.attention_pool(x, Tensor(np.zeros((4, 2))), v, 3)
+        with pytest.raises(ShapeError):
+            T.attention_pool(x, Tensor(np.zeros((4, 4))), v, 4)
+
+
 class TestLayernorm:
     def test_constant_input_returns_zero(self):
         # no shift: a constant row normalizes to zero
@@ -440,17 +522,39 @@ class TestLayernorm:
         assert abs(out.data.mean()) < 1e-12
 
     def test_matches_unfused_bits(self):
-        # x centred once and the backward built in place give the values of
-        # the formulas written out in full
+        # x centred once, 1/sigma formed in the variance's buffer and the
+        # backward built in place give the values of the formulas written
+        # out in full, the variance as each centred row's dot product with
+        # itself; that sums in another order than the mean of the squares,
+        # so it agrees with it to rounding only
         rng = np.random.default_rng(5)
         x, g = rng.normal(size=(4, 9, 16)), rng.normal(size=(4, 9, 16))
         mu = x.mean(axis=-1, keepdims=True)
-        inv = 1.0 / np.sqrt(((x - mu) ** 2).mean(axis=-1, keepdims=True) + T._LN_EPS)
+        var = np.einsum("...d,...d->...", x - mu, x - mu)[..., None] / 16
+        assert rel_err(var, ((x - mu) ** 2).mean(axis=-1, keepdims=True)) < 1e-15
+        inv = 1.0 / np.sqrt(var + T._LN_EPS)
         xhat = (x - mu) * inv
         m1, m2 = g.mean(axis=-1, keepdims=True), (g * xhat).mean(axis=-1, keepdims=True)
         out = T.layernorm(Tensor(x, requires_grad=True))
         np.testing.assert_array_equal(out.data, xhat)
         np.testing.assert_array_equal(out.node.backward(g)[0], inv * (g - m1 - xhat * m2))
+
+    def test_forward_allocates_only_what_the_tracker_charges(self, rng):
+        # at a long_sequence block's [B, T, D]: x-hat and 1/sigma, plus the
+        # row means (8 KiB), the 64 KiB buffer numpy's ufuncs fill from a
+        # broadcast operand, and Python objects; no squared copy of x-hat
+        # (514 KiB)
+        x = Tensor(rng.normal((4, 257, 64)), requires_grad=True)
+        tracker = AllocTracker()
+        with activate(tracker):
+            tracemalloc.start()
+            try:
+                out = T.layernorm(x)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+        assert tracker.peak_bytes == out.data.nbytes + 8 * 4 * 257
+        assert peak <= tracker.peak_bytes + 2 ** 17, f"forward peak {peak} B"
 
     def test_grad(self, rng):
         ts = {"x": Tensor(rng.normal((2, 3, 6)), requires_grad=True)}
@@ -538,6 +642,29 @@ def assert_phi_accurate(got, want):
     assert sub <= PHI_RTOL, f"absolute error {sub:.2e} x the least normal"
 
 
+def _polyval(x, coefs):
+    acc = coefs[0]
+    for c in coefs[1:]:
+        acc = acc * x + c
+    return acc
+
+
+def _phi_tail_both_rationals(x):
+    """`tensor._phi_tail` with both erfc rationals evaluated over every
+    element and np.where picking one, the reference for its bits."""
+    a = np.minimum(np.abs(x), T._TAIL_CLAMP)
+    z = a * T._INV_SQRT2
+    (pn, pd), (rn, rd) = T._TAIL_NEAR, T._TAIL_FAR
+    q = np.where(z < 8.0, _polyval(z, pn) / _polyval(z, pd), _polyval(z, rn) / _polyval(z, rd))
+    hi = a * a
+    c = a * T._VELTKAMP
+    ah = c - (c - a)
+    al = a - ah
+    lo = ((ah * ah - hi) + 2.0 * ah * al) + al * al
+    q *= np.exp(-0.5 * hi) * (1.0 - 0.5 * lo)
+    return np.where(x < 0.0, q, 1.0 - q)
+
+
 @pytest.fixture(scope="module")
 def phi_grid():
     """x from -40 to 40 across both branches, the erfc branch's switch at
@@ -580,6 +707,16 @@ class TestNormalCdf:
             got = T.normal_cdf(x)
         np.testing.assert_array_equal(got_alone, want)
         np.testing.assert_array_equal(got[at], want)
+
+    def test_tail_matches_both_rationals_everywhere(self, phi_grid):
+        # each erfc rational on its own elements gives the bits of both
+        # rationals over every element with np.where picking one, on the
+        # grid's tail, both sides of the switch at |x| = 8 sqrt2 included,
+        # and at the infinities and NaN
+        x = phi_grid[0]
+        x = np.concatenate([x[np.abs(x) > SQRT2], [np.inf, -np.inf, np.nan]])
+        assert (np.abs(x) < 8.0 * SQRT2).any() and (np.abs(x) > 8.0 * SQRT2).any()
+        np.testing.assert_array_equal(T._phi_tail(x), _phi_tail_both_rationals(x))
 
     def test_lower_tail_does_not_cancel(self):
         """1/2 (1 + erf(x/sqrt2)) loses every digit to cancellation as x
