@@ -7,11 +7,12 @@ The contract, per rank and per step:
   per-tag peak.  A buffer is held while a backward closure saved it (the
   saved set: what each backward reads) or the model code still holds its
   tensor.  Every other intermediate is a transient, live from its op until
-  the next op has read it, as are the fused attention op's logit blocks,
-  one block of positions at a time, the pool's scores and fold copy, and
-  gelu's block scratch; a transient counts in the component's peak at the
-  point it is live.  Each layer's terms are written once, on the one
-  function that returns its activation elements and FLOPs together.
+  the next op has read it, as are the fused attention op's projections and
+  logit blocks, one block of positions at a time, the pool's scores, fold
+  copy and values, and gelu's block scratch; a transient counts in the
+  component's peak at the point it is live.  Each layer's terms are
+  written once, on the one function that returns its activation elements
+  and FLOPs together.
 * FLOPs follow `tracking`'s rule and equal the tracker's per-tag count.
 * Parameter bytes come from `params`' table and placement rule, the ones
   that shard the simulator's ranks.  Grads equal params; optimizer state
@@ -74,9 +75,9 @@ class CostReport:
 # buffer stays live while a backward closure saved it or the model code
 # still holds its tensor; the rest go as soon as the next op has read
 # them.  So kept is the layer's saved set plus the outputs the code still
-# holds, and high adds the transients: the fused attention op's block
-# buffers, the pool's scores and fold copy, gelu's block scratch, and the
-# intermediates freed inside the layer.
+# holds, and high adds the transients: the fused attention op's projections
+# and block buffers, the pool's scores, fold copy and values, gelu's block
+# scratch, and the intermediates freed inside the layer.
 
 
 def _then(*parts):
@@ -107,28 +108,29 @@ def _chain(n):
     return n, 2 * n
 
 
-def _attention(n, hl, tq, tk, dl):
-    """The fused attention op over `n` broadcast positions: it keeps its
-    merged output (n*Tq*Dl) and per-row log-sum-exp (n*Hl*Tq), and on top
-    of both holds one (position, head) block of `tensor.attention_block`'s
-    size (whole positions, all n if fewer, or one position and some of its
-    heads) of logits and row sums (Tq*Tk + Tq per head), and the scaled q
-    of the block's positions (Tq*Dl each)."""
-    kept = n * tq * (dl + hl)
-    rows, heads = attention_block(hl, tq, tk)
-    blk = min(n, rows)
-    return kept, kept + blk * heads * (tq * tk + tq) + blk * tq * dl
+def _attention(n, hl, t, dl):
+    """The fused attention op over `n` positions of T tokens, projected to
+    width Dl: it keeps its merged output (n*T*Dl) and per-row log-sum-exp
+    (n*Hl*T); x, which it also saves, is its caller's.  While it runs it
+    holds, on top of both, the projections [q | k | v] (3*n*T*Dl) and one
+    (position, head) block of `tensor.attention_block`'s size (whole
+    positions, all n if fewer, or one position and some of its heads) of
+    logits and row sums (T*T + T per head)."""
+    kept = n * t * (dl + hl)
+    rows, heads = attention_block(hl, t, t)
+    return kept, kept + 3 * n * t * dl + min(n, rows) * heads * (t * t + t)
 
 
-def _pool(n, hl, tk, dl, fold):
+def _pool(n, hl, tk, dl, fold, projects=True):
     """`tensor.attention_pool` over `n` positions of Tk keys: it keeps its
     output (n*Dl) and per-(position, head) log-sum-exp (n*Hl).  Its scores
     (n*Tk*Hl) are live through it: first with the `fold` elements of the
     copy its fold makes of x (none when x folds as a view), then with the
-    log-sum-exp and the row sums, and at last with the log-sum-exp and the
-    output, which is no smaller."""
+    log-sum-exp and the row sums, and at last with the log-sum-exp, the
+    values, which are x itself unless it `projects` them (n*Tk*Dl), and the
+    output, which is no smaller than the row sums."""
     kept = n * (dl + hl)
-    return kept, n * tk * hl + max(fold, kept)
+    return kept, n * tk * hl + max(fold, kept + (n * tk * dl if projects else 0))
 
 
 def _gelu(n):
@@ -144,18 +146,18 @@ def _agg_layer(b, s, ck, d, heads, variant, tp, fold=0):
     head-split over tp; `fold` is the copy, if any, that `attention_pool`
     makes of its input stack (`_fold_copy`).
 
-    Activations: single_query keeps its value projection (B*S*Ck*D/tp) and
-    the learned query with the key projection absorbed (D*H/tp), and pools
-    the Ck tokens with them (`_pool`); no key is formed.  full_cross keeps
-    key, value and query (B*S*Ck*D/tp each) for the fused attention op,
-    Ck query rows against Ck keys, whose (H/tp)*Ck^2 logits per position
-    are transient, one block of positions at a time.  Then the full-width
-    output chain (matmul, the sum over tp, bias add), which tp does not
-    divide; and full_cross's reduce, a single-head pool of the Ck
-    full-width outputs, which it reads as a view.  The quadratic channel
-    term is the full_cross logits, capped at one block: once one block no
-    longer holds all B*S positions, it grows with Ck^2 only through the
-    positions a block holds, down to one position.
+    Activations: single_query keeps the learned query with the key
+    projection absorbed (D*H/tp) and pools the Ck tokens with it (`_pool`),
+    projecting the values (B*S*Ck*D/tp) inside the pool; no key is formed.
+    full_cross runs the fused attention op, Ck tokens against themselves,
+    whose projections (3*B*S*Ck*D/tp) and (H/tp)*Ck^2 logits per position
+    are transient, the logits one block of positions at a time.  Then the
+    full-width output chain (matmul, the sum over tp, bias add), which tp
+    does not divide; and full_cross's reduce, a single-head pool of the Ck
+    full-width outputs, which are its values as they are.  The quadratic
+    channel term is the full_cross logits, capped at one block: once one
+    block no longer holds all B*S positions, it grows with Ck^2 only
+    through the positions a block holds, down to one position.
 
     FLOPs: single_query's value projection, the absorbed query (2*D*D/tp),
     the pool's scores (2*B*S*Ck*D*H/tp) and pooling (2*B*S*Ck*D/tp);
@@ -165,15 +167,13 @@ def _agg_layer(b, s, ck, d, heads, variant, tp, fold=0):
     """
     n, dl, hl = b * s, d / tp, heads / tp
     if variant == "single_query":
-        acts = _then(_stored(n * ck * dl), _stored(d * hl),
-                     _pool(n, hl, ck, dl, fold), _chain(n * d))
+        acts = _then(_stored(d * hl), _pool(n, hl, ck, dl, fold), _chain(n * d))
         flops = (2 * n * ck * d * dl + 2 * d * dl + 2 * n * ck * (d * hl + dl)
                  + 2 * n * d * dl)
         return acts, flops
-    acts = _then(_stored(3 * n * ck * dl),
-                 _attention(n, hl, ck, ck, dl),
+    acts = _then(_attention(n, hl, ck, dl),
                  _chain(n * ck * d),
-                 _pool(n, 1, ck, d, 0))
+                 _pool(n, 1, ck, d, 0, projects=False))
     flops = (3 * 2 * n * ck * d * dl + 2 * 2 * n * ck * ck * dl
              + 2 * n * ck * d * dl + 2 * 2 * n * ck * d)
     return acts, flops
@@ -182,7 +182,7 @@ def _agg_layer(b, s, ck, d, heads, variant, tp, fold=0):
 def _fold_copy(b, s, d, g, width, level):
     """Elements of the copy that a single_query tree node's pool makes when
     it folds its input into rows (`tensor.attention_pool`): a node over g
-    of its level's `width` channels reads a narrowed view of the level's
+    of its level's `width` channels reads a `split` piece of the level's
     stack.  At level 0 that stack is the rank's tokens, channel-major in
     memory ([B, Cs, S, D]), so g < width channels fold in place only at
     B = 1 (or when S = g = 1); above it, the stack is the concatenated
@@ -226,21 +226,22 @@ def _block(b, t, d, heads, m, tp):
     """One transformer block at sequence length T, head-split over tp.
 
     Activations, in order: the first norm's 1/sigma (B*T) and output
-    (B*T*D); q through its matmul and bias add, then k and v (B*T*D/tp
-    each); the attention op, whose (H/tp)*T^2 logits per sequence are
-    transient, one block of sequences at a time; the attention branch's
-    chain to the mid residual (B*T*D); the second norm; the first MLP
-    layer through its bias add, then gelu's Phi and output (B*T*mD/tp
-    each); the MLP branch's chain to the block's output (B*T*D).  The mid
-    residual and the block's input, which no backward reads, then go.
+    (B*T*D); the attention op, which reads the norm's output and keeps its
+    own output and log-sum-exp, while its q/k/v projections (3*B*T*D/tp)
+    and (H/tp)*T^2 logits per sequence are transient, the logits one block
+    of sequences at a time; the attention branch's chain to the mid
+    residual (B*T*D); the second norm; the first MLP layer through its bias
+    add, then gelu's derivative and output (B*T*mD/tp each); the MLP
+    branch's chain to the block's output (B*T*D).  The mid residual and the
+    block's input, which no backward reads, then go.
 
     FLOPs: the q/k/v/output projections, the two attention products and
-    the MLP's two matmuls, each divided over tp.
+    the MLP's two matmuls, each divided over tp; the attention op's
+    backward recomputes its projections, which adds no model FLOPs.
     """
     n, hidden = b * t * d, b * t * m * d / tp
     acts = _then(_stored(b * t + n),
-                 _chain(n / tp), _stored(2 * n / tp),
-                 _attention(b, heads / tp, t, t, d / tp),
+                 _attention(b, heads / tp, t, d / tp),
                  _chain(n),
                  _stored(b * t + n),
                  _chain(hidden), _gelu(hidden),

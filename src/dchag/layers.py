@@ -12,12 +12,16 @@ embedding), and `allsum` (all-reduce forward, identity backward) where
 split partial outputs merge.  With group=None both return their input,
 and the math is the single-process reference.
 
-Two tape ops hold every softmax.  Self-attention, in the ViT and decoder
-blocks and full_cross's first stage, is `sdp_attention`, the engine's fused
-`attention` op.  A learned query over a position's tokens, single_query's
-layer and full_cross's reduce, is `tensor.attention_pool`, which scores the
-tokens against the query with the key projection absorbed, so it forms no
-key tensor.
+Two tape ops hold every softmax, and each takes a layer's input and its
+projection weights, so no projection is a tensor of the graph.
+Self-attention, in the ViT and decoder blocks and full_cross's first
+stage, is `sdp_attention`, the engine's fused `attention` op: it forms q, k
+and v as one product inside it and recomputes them in backward.  A learned
+query over a position's tokens, single_query's layer and full_cross's
+reduce, is `tensor.attention_pool`, which scores the tokens against the
+query with the key projection absorbed, so it forms no key tensor, and
+projects the values inside it (single_query) or pools the tokens
+themselves (full_cross).
 """
 
 from __future__ import annotations
@@ -60,13 +64,16 @@ def local_heads(n_heads: int, group: ProcessGroup | None) -> int:
     return n_heads if group is None else n_heads // group.size
 
 
-def sdp_attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int) -> Tensor:
-    """Scaled dot-product attention; q/k/v are [..., Tn, Dl] pre-head-split.
+def sdp_attention(x: Tensor, wq: Tensor, bq: Tensor | None, wk: Tensor, wv: Tensor,
+                  n_heads: int) -> Tensor:
+    """Scaled dot-product self-attention of x [..., Tn, D] through the
+    projections wq, wk, wv [D, Dl] and the optional query bias bq.
 
-    One fused tape op (`tensor.attention`): no logit-sized tensor outlives
-    the forward, and backward recomputes the probabilities.
+    One fused tape op (`tensor.attention`): q, k, v and the logits are
+    formed inside it and none outlives the forward; backward recomputes
+    them.
     """
-    return T.attention(q, k, v, n_heads)
+    return T.attention(x, wq, bq, wk, wv, n_heads)
 
 
 def transformer_block(x: Tensor, w: dict, prefix: str, n_heads: int,
@@ -82,10 +89,8 @@ def transformer_block(x: Tensor, w: dict, prefix: str, n_heads: int,
         return T.add(x, out)
 
     h = fanout(group, T.layernorm(x), prefix)
-    q = linear(h, w[f"{prefix}.wq"], w[f"{prefix}.bq"])
-    k = linear(h, w[f"{prefix}.wk"])
-    v = linear(h, w[f"{prefix}.wv"])
-    x = residual(x, sdp_attention(q, k, v, local_heads(n_heads, group)), "o")
+    x = residual(x, sdp_attention(h, w[f"{prefix}.wq"], w[f"{prefix}.bq"], w[f"{prefix}.wk"],
+                                  w[f"{prefix}.wv"], local_heads(n_heads, group)), "o")
     h = fanout(group, T.layernorm(x), prefix)
     return residual(x, T.gelu(linear(h, w[f"{prefix}.w1"], w[f"{prefix}.b1"])), "2")
 
@@ -109,22 +114,21 @@ def cross_attention_aggregate(x: Tensor, w: dict, prefix: str, variant: str,
     vector is another), attends over the Ck tokens, keyed by `wk`.  The key
     projection is absorbed into the query (`learned_query_scores`), so one
     `tensor.attention_pool` scores the tokens themselves and no key tensor
-    is made.  full_cross: the Ck tokens attend over themselves (Ck x Ck
-    logits, the fused `attention` op), then a learned query `rq` reduces
-    the Ck outputs to one by a single-head `attention_pool` over them
-    (scale 1/sqrt(D)), the outputs serving as both keys and values.
+    is made; the pool projects the values by `wv` inside it.  full_cross:
+    the Ck tokens attend over themselves (Ck x Ck logits) through `wq`, `wk`
+    and `wv` in one fused `attention` op, with no query bias, then a learned
+    query `rq` reduces the Ck outputs to one by a single-head
+    `attention_pool` over them (scale 1/sqrt(D)), the outputs serving as
+    both keys and values.  Neither op keeps a projection for backward.
     """
     xf = fanout(group, x, prefix)
     heads = local_heads(n_heads, group)
     if variant == "single_query":
-        v = T.matmul(xf, w[f"{prefix}.wv"])
         u = learned_query_scores(w[f"{prefix}.wk"], w[f"{prefix}.q"], heads)
-        ctx = T.attention_pool(xf, u, v, heads)  # [..., 1, Dl]
+        ctx = T.attention_pool(xf, u, w[f"{prefix}.wv"], heads)  # [..., 1, Dl]
     else:
-        k = T.matmul(xf, w[f"{prefix}.wk"])
-        v = T.matmul(xf, w[f"{prefix}.wv"])
-        q = T.matmul(xf, w[f"{prefix}.wq"])  # [..., Ck, Dl]
-        ctx = sdp_attention(q, k, v, heads)  # [..., Ck, Dl]
+        ctx = sdp_attention(xf, w[f"{prefix}.wq"], None, w[f"{prefix}.wk"], w[f"{prefix}.wv"],
+                            heads)  # [..., Ck, Dl]
     out = allsum(group, T.matmul(ctx, w[f"{prefix}.wo"]), prefix)
     out = T.add(out, w[f"{prefix}.bo"])  # replicated from here on
     if variant == "single_query":
@@ -132,7 +136,7 @@ def cross_attention_aggregate(x: Tensor, w: dict, prefix: str, variant: str,
 
     # full_cross: a learned query reduces the Ck attended tokens to one
     rq = T.reshape(w[f"{prefix}.rq"], (out.shape[-1], 1))
-    return T.attention_pool(out, rq, out, 1)  # [..., 1, D]
+    return T.attention_pool(out, rq, None, 1)  # [..., 1, D]
 
 
 def linear_mix_aggregate(x: Tensor, w: dict, prefix: str) -> Tensor:

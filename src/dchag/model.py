@@ -107,10 +107,7 @@ def tree_aggregate(x: Tensor, tree: tuple, w: dict, prefix: str,
             f"tree level 0 partitions {sum(tree[0])} channels, input has {x.shape[2]}")
     for li, level in enumerate(tree):
         outs = []
-        off = 0
-        for gi, group in enumerate(level):
-            xg = T.narrow(x, 2, off, group)
-            off += group
+        for gi, xg in enumerate(T.split(x, 2, level)):
             node = f"{prefix}.l{li}.g{gi}"
             if layer_kind == "linear":
                 outs.append(linear_mix_aggregate(xg, w, node))
@@ -149,7 +146,7 @@ def decode(vit_out: Tensor, w: dict, model: ModelConfig, rows: np.ndarray) -> Te
     `rows` (`masked_rows`).  The decoder blocks attend over all S
     positions; the prediction head reads only the masked rows."""
     b, s = vit_out.shape[0], model.seq
-    z = T.narrow(vit_out, 1, 1, s)  # drop the metadata token
+    _, z = T.split(vit_out, 1, (1, s))  # drop the metadata token
     z = T.add(T.matmul(z, w["dec.proj.w"]), w["dec.pos"])
     for i in range(model.decoder_depth):
         z = transformer_block(z, w, f"dec.blk{i}", N_DECODER_HEADS)
@@ -224,10 +221,9 @@ def forward_loss_dchag_reference(w: dict, model: ModelConfig,
         tokens = tokenize_channels(Tensor(batch.images), w["tok.w"], w["special.channel_id"],
                                    w["special.pos"], model.patch)
     with alloc_tag("aggregate"):
-        streams = [tree_aggregate(T.narrow(tokens, 2, r * cloc, cloc), tree, w,
-                                  f"agg.slab{r}", strategy.agg_layer_kind,
+        streams = [tree_aggregate(slab, tree, w, f"agg.slab{r}", strategy.agg_layer_kind,
                                   model.agg_variant, model.heads)
-                   for r in range(tp)]
+                   for r, slab in enumerate(T.split(tokens, 2, [cloc] * tp))]
         stack = streams[0] if tp == 1 else T.concat(streams, axis=2)
         agg = cross_attention_aggregate(stack, w, "agg.final", model.agg_variant, model.heads)
     return trunk_loss(agg, w, model, batch)

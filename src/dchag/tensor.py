@@ -9,22 +9,30 @@ Design points that later modules rely on:
   `Tensor`, unless a closure saved the array, as in PyTorch's autograd
   (Paszke et al., 2019);
 * every op output is a fresh `Tensor`; ops that are pure index
-  rearrangements (reshape/transpose/narrow) wrap numpy views, everything
-  else makes a new buffer.  Every buffer is charged to the allocation
-  tracker once, by one rule (`tracking.AllocTracker.charge`): an op
-  output, and every buffer a fused op holds outside a `Tensor` (the
-  attention op's blocks and log-sum-exp, the pool's scores, log-sum-exp
-  and fold copy, `gelu`'s derivative and its block scratch, `layernorm`'s
-  1/sigma), from its allocation until its memory is freed; a view of
-  charged memory adds nothing; a leaf's memory, which its caller owns, for
-  as long as the engine holds a view of it;
-* two fused ops hold every softmax.  `attention` is self-attention: the
-  ViT and decoder blocks and full_cross's first aggregation stage.
-  `attention_pool` is a learned query per head over a position's tokens,
-  with the key projection absorbed into the query: single_query's
-  aggregation layer and full_cross's reduce;
+  rearrangements (reshape/transpose/split) wrap numpy views, everything
+  else makes a new buffer.  `split`'s pieces share one node, whose
+  backward concatenates their gradients.  Every buffer is charged to the
+  allocation tracker once, by one rule (`tracking.AllocTracker.charge`):
+  an op output, and every buffer a fused op holds outside a `Tensor` (the
+  attention op's projections, blocks and log-sum-exp, the pool's scores,
+  values, log-sum-exp and fold copy, `gelu`'s derivative and its block
+  scratch, `layernorm`'s 1/sigma), from its allocation until its memory is
+  freed; a view of charged memory adds nothing; a leaf's memory, which its
+  caller owns, for as long as the engine holds a view of it;
+* two fused ops hold every softmax, and each takes its input and its
+  projection weights, not projections.  `attention` is self-attention: the
+  ViT and decoder blocks and full_cross's first aggregation stage.  It
+  holds x, the weights, its output and the per-row log-sum-exp; q, k, v
+  and the logits live only while it runs.  `attention_pool` is a learned
+  query per head over a position's tokens, with the key projection
+  absorbed into the query: single_query's aggregation layer and
+  full_cross's reduce, whose values are its input.  It holds x, the query
+  scores u, the value weights and the log-sum-exp; the scores and the
+  values live only while it runs.  Backward recomputes what the forward
+  formed and freed;
 * FLOPs follow `tracking`'s rule: only `matmul`, `attention` and
-  `attention_pool` count any;
+  `attention_pool` count any, each once, in forward: a recompute in
+  backward adds none, as model FLOPs count no recomputation;
 * the fused attention op walks (position, head) blocks whose logits fit
   `ATTENTION_BLOCK` elements, a size chosen so that a block stays in cache:
   whole positions while one position's logits fit, else heads of one
@@ -344,78 +352,93 @@ def _heads(x: np.ndarray, n_heads: int, hs: slice) -> np.ndarray:
     return x.reshape(n, tn, n_heads, dl // n_heads)[:, :, hs].swapaxes(1, 2)
 
 
-def _positions(x: np.ndarray, lead: tuple, n: int) -> np.ndarray:
-    """[..., Tn, Dl] broadcast to `lead` and flattened to [n, Tn, Dl]; a view
-    unless broadcast leading axes cannot merge, when it is a copy."""
-    if x.shape[:-2] != lead:  # broadcast_to costs more than the reshape
-        x = np.broadcast_to(x, (*lead, *x.shape[-2:]))
-    return x.reshape(n, *x.shape[-2:])
+def attention(x: Tensor, wq: Tensor, bq: Tensor | None, wk: Tensor, wv: Tensor,
+              n_heads: int) -> Tensor:
+    """Scaled dot-product self-attention of x over `n_heads` heads, its
+    q, k and v projections included, as one tape node.
 
+    x is [..., T, D]; wq, wk and wv are [D, Dl], and the query bias bq, which
+    may be None, is [Dl].  With q = x wq + bq, k = x wk and v = x wv, head h
+    reads features h*Dl/H to (h+1)*Dl/H of each; the op returns the merged
+    context softmax(q k^T / sqrt(Dl/H)) v, [..., T, Dl].
 
-def attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int) -> Tensor:
-    """Scaled dot-product attention over `n_heads` heads as one tape node.
-
-    q is [..., Tq, Dl], k and v are [..., Tk, Dl]; leading axes broadcast,
-    and head h reads features h*Dl/H to (h+1)*Dl/H.  Returns the merged
-    context [..., Tq, Dl].  Only the output and the per-row log-sum-exp
-    outlive the forward; backward recomputes the probabilities from those
-    two, as FlashAttention does (Dao et al., 2022).
+    q, k and v are x's products with the three weights, written into the
+    three position-major planes of one [3, ..., T, Dl] buffer, in which q
+    takes its bias and its scale.  Each product writes a contiguous plane,
+    and no concatenation of the weights is made, which at paper scale (D
+    large, few tokens per rank) would outweigh the buffer.
+    Only the output and the per-row log-sum-exp outlive the forward, beside
+    x and the weights, which the op saves: backward recomputes the
+    projections, as selective recomputation does (Korthikanti et al.,
+    2022), and the probabilities from the log-sum-exp, as FlashAttention
+    does (Dao et al., 2022).
 
     Both passes walk (position, head) blocks of `attention_block`'s size:
     whole positions when one position's logits fit a block, else one
     position and some of its heads.  Each pass reuses one block-sized
     buffer each for the logits and the row sums (and, in backward, the
     logit gradient), so no logit buffer exceeds one block and a block's
-    elementwise passes run in cache.  The scaled q is taken once per
-    block of positions.  Each head's matrices go through the same numpy
-    calls as an unblocked pass would make, so the result does not depend
-    on the block size.  The forward charges every buffer it allocates from its
-    allocation until it is freed: the output and the log-sum-exp, which
-    backward reads, and the block buffers and any copy that flattening
-    broadcast operands makes, which go when the forward returns.
+    elementwise passes run in cache.  Each head's matrices go through the
+    same numpy calls as an unblocked pass would make, so the result does
+    not depend on the block size.  The forward charges every buffer it
+    allocates from its allocation until it is freed: the output and the
+    log-sum-exp, which backward reads, and the projections and the block
+    buffers, which go when it returns.  Backward writes dq, dk and dv into
+    the planes of one [3, ..., T, Dl] buffer, drops the recomputed
+    projections before it forms dx, and folds the weight gradients one
+    plane at a time.
     """
-    if q.ndim < 2 or k.ndim < 2 or k.shape[-2:] != v.shape[-2:] or q.shape[-1] != k.shape[-1]:
-        raise ShapeError(f"attention needs q [..., Tq, D] and k, v [..., Tk, D], "
-                         f"got {q.shape}, {k.shape}, {v.shape}")
-    if q.shape[-1] % n_heads:
-        raise ShapeError(f"{n_heads} heads do not divide width {q.shape[-1]}")
+    weights = (wq, wk, wv)
+    if (x.ndim < 2 or any(w.ndim != 2 or w.shape != wq.shape for w in weights)
+            or wq.shape[0] != x.shape[-1] or (bq is not None and bq.shape != wq.shape[1:])):
+        raise ShapeError(f"attention needs x [..., T, D], wq, wk, wv [D, Dl] and bq [Dl], got "
+                         f"{x.shape}, {wq.shape}, {wk.shape}, {wv.shape}, "
+                         f"{None if bq is None else bq.shape}")
+    if wq.shape[1] % n_heads:
+        raise ShapeError(f"{n_heads} heads do not divide width {wq.shape[1]}")
     h = n_heads
-    tq, dl = q.shape[-2:]
-    tk = k.shape[-2]
-    lead = np.broadcast_shapes(q.shape[:-2], k.shape[:-2], v.shape[:-2])
+    *lead, t, d = x.shape
+    dl = wq.shape[1]
     n = math.prod(lead)
-    rows, hb = attention_block(h, tq, tk)
+    rows, hb = attention_block(h, t, t)
     blk = min(n, rows)
     scale = 1.0 / np.sqrt(dl // h)
-    qd, kd, vd = q.data, k.data, v.data
+    xd, wd = x.data, tuple(w.data for w in weights)
+    bd = None if bq is None else bq.data
 
-    def blocks(qf, qs):
-        """(positions, heads, scaled q) of each block in order; the q of a
-        block of positions is scaled into `qs` once for all its heads."""
+    def project(charge):
+        """q, k and v, x's products with wq, wk and wv, as the three planes of
+        one [3, n, T, Dl] buffer (to which `charge` is applied), q biased and
+        scaled."""
+        qkv = charge(np.empty((3, n, t, dl)))
+        for plane, w in zip(qkv, wd):
+            np.matmul(xd, w, out=plane.reshape(*lead, t, dl))
+        q = qkv[0]
+        if bd is not None:
+            q += bd
+        q *= scale
+        return qkv
+
+    def blocks(qkv):
+        """(positions, heads, their q, k and v) of each block in order."""
         for i in range(0, n, rows):
             sl = slice(i, i + rows)
-            qb = qf[sl]
-            qsb = np.multiply(qb, scale, out=qs[:len(qb)])
             for j in range(0, h, hb):
-                yield sl, slice(j, j + hb), qsb
+                hs = slice(j, j + hb)
+                yield sl, hs, *(_heads(plane[sl], h, hs) for plane in qkv)
 
-    def logits(sl, hs, qsb, kf, p):
+    def logits(qh, kh, p):
         """A block's logits into `p`, cut to the block's size."""
-        kh = _heads(kf[sl], h, hs)
-        return np.matmul(_heads(qsb, h, hs), kh.swapaxes(-1, -2), out=p[:len(kh), :kh.shape[1]])
-
-    ctx = _charged(np.empty((*lead, tq, dl)))
-    ctxf = ctx.reshape(n, tq, dl)
-    lse = _charged(np.empty((n, h, tq)))
+        return np.matmul(qh, kh.swapaxes(-1, -2), out=p[:len(kh), :kh.shape[1]])
 
     def fill():
-        """The forward pass into `ctx` and `lse`; its flattening copies and
-        block buffers are freed on return."""
-        qf, kf, vf = (_charged(_positions(x, lead, n)) for x in (qd, kd, vd))
-        qs = _charged(np.empty((blk, tq, dl)))
-        p, rowsum = _charged(np.empty((blk, hb, tq, tk))), _charged(np.empty((blk, hb, tq)))
-        for sl, hs, qsb in blocks(qf, qs):
-            pb = logits(sl, hs, qsb, kf, p)
+        """The forward pass: the output [n, T, Dl] and the log-sum-exp.  The
+        projections and the block buffers go on return."""
+        qkv = project(_charged)
+        ctxf, lse = _charged(np.empty((n, t, dl))), _charged(np.empty((n, h, t)))
+        p, rowsum = _charged(np.empty((blk, hb, t, t))), _charged(np.empty((blk, hb, t)))
+        for sl, hs, qh, kh, vh in blocks(qkv):
+            pb = logits(qh, kh, p)
             lb, rb = lse[sl, hs], rowsum[:len(pb), :pb.shape[1]]
             pb.max(axis=-1, out=lb)
             pb -= lb[..., None]
@@ -423,69 +446,88 @@ def attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int) -> Tensor:
             pb.sum(axis=-1, out=rb)
             pb /= rb[..., None]
             lb += np.log(rb, out=rb)
-            np.matmul(pb, _heads(vf[sl], h, hs), out=_heads(ctxf[sl], h, hs))
+            np.matmul(pb, vh, out=_heads(ctxf[sl], h, hs))
+        return ctxf, lse
 
-    fill()
-    _flops(4 * n * tq * tk * dl)
+    ctxf, lse = fill()
+    _flops(2 * n * t * d * 3 * dl + 4 * n * t * t * dl)
 
-    def back(g):
-        qf, kf, vf = (_positions(x, lead, n) for x in (qd, kd, vd))
-        gf = g.reshape(n, tq, dl)
-        dq, dk, dv = (np.empty((*lead, t, dl)) for t in (tq, tk, tk))
-        dqf, dkf, dvf = (x.reshape(n, *x.shape[-2:]) for x in (dq, dk, dv))
-        qs = np.empty((blk, tq, dl))
-        p, ds = np.empty((blk, hb, tq, tk)), np.empty((blk, hb, tq, tk))
-        dot = np.empty((blk, tq, hb)).swapaxes(-1, -2)  # the layout einsum fills fastest
-        for sl, hs, qsb in blocks(qf, qs):
-            pb = logits(sl, hs, qsb, kf, p)
+    def projection_grads(g, qkv):
+        """dq, dk and dv as the planes of one [3, n, T, Dl] buffer, from the
+        recomputed projections `qkv`, which go when it returns."""
+        gf = g.reshape(n, t, dl)
+        dqkv = np.empty((3, n, t, dl))
+        dq, dk, dv = dqkv
+        p, ds = np.empty((blk, hb, t, t)), np.empty((blk, hb, t, t))
+        dot = np.empty((blk, t, hb)).swapaxes(-1, -2)  # the layout einsum fills fastest
+        for sl, hs, qh, kh, vh in blocks(qkv):
+            pb = logits(qh, kh, p)
             pb -= lse[sl, hs, :, None]
             np.exp(pb, out=pb)
             cut = (slice(len(pb)), slice(pb.shape[1]))
             gh = _heads(gf[sl], h, hs)
-            np.matmul(pb.swapaxes(-1, -2), gh, out=_heads(dvf[sl], h, hs))
-            dsb = np.matmul(gh, _heads(vf[sl], h, hs).swapaxes(-1, -2), out=ds[cut])
+            np.matmul(pb.swapaxes(-1, -2), gh, out=_heads(dv[sl], h, hs))
+            dsb = np.matmul(gh, vh.swapaxes(-1, -2), out=ds[cut])
             dsb -= np.einsum("...d,...d->...", gh, _heads(ctxf[sl], h, hs),
                              out=dot[cut])[..., None]  # rowsum(dO*O)
             dsb *= pb  # the logit gradient, without its factor `scale`
-            np.matmul(dsb, _heads(kf[sl], h, hs), out=_heads(dqf[sl], h, hs))
-            np.matmul(dsb.swapaxes(-1, -2), _heads(qsb, h, hs), out=_heads(dkf[sl], h, hs))
+            np.matmul(dsb, kh, out=_heads(dq[sl], h, hs))
+            np.matmul(dsb.swapaxes(-1, -2), qh, out=_heads(dk[sl], h, hs))
         dq *= scale
-        return _reduce_to(dq, qd.shape), _reduce_to(dk, kd.shape), _reduce_to(dv, vd.shape)
+        return dqkv
 
-    return Tensor(ctx, _parents=(q, k, v), _backward=back)
+    def back(g):
+        dqkv = projection_grads(g, project(lambda buf: buf))
+        parts = [plane.reshape(*lead, t, dl) for plane in dqkv]
+        dx = np.matmul(parts[0], wd[0].T)
+        for part, w in zip(parts[1:], wd[1:]):
+            dx += np.matmul(part, w.T)
+        perm = _row_order(xd)
+        xr = xd.transpose(perm).reshape(-1, d)
+        dw = [xr.T @ part.transpose(perm).reshape(-1, dl) for part in parts]
+        if bd is None:
+            return dx, *dw
+        return dx, *dw, parts[0].sum(axis=tuple(range(len(lead) + 1)))
+
+    parents = (x, *weights) + (() if bq is None else (bq,))
+    return Tensor(ctxf.reshape(*lead, t, dl), _parents=parents, _backward=back)
 
 
-def attention_pool(x: Tensor, u: Tensor, v: Tensor, n_heads: int) -> Tensor:
-    """One learned query per head pools Tk values, as one tape node.
+def attention_pool(x: Tensor, u: Tensor, wv: Tensor | None, n_heads: int) -> Tensor:
+    """One learned query per head pools the values of x's Tk tokens, as one
+    tape node.
 
-    x is [..., Tk, Dx], u is [Dx, H] and v is [..., Tk, Dl], x and v with
-    the same leading axes.  Head h scores each of a position's Tk keys as
-    x @ u[:, h], scaled by 1/sqrt(Dl/H) as `attention` scales, takes the
-    softmax of the scores over the keys and pools v's features h*Dl/H to
-    (h+1)*Dl/H with it; returns [..., 1, Dl].  This is `attention` with
-    query q_h and keys x @ W_k, where u[:, h] = W_k[:, head h] @ q_h:
-    q_h . (W_k^T x) = (W_k q_h) . x, so no key is ever formed.
+    x is [..., Tk, Dx], u is [Dx, H] and the value projection wv is [Dx,
+    Dl]; with wv None the values are x itself (Dl = Dx).  Head h scores each
+    of a position's Tk keys as x @ u[:, h], scaled by 1/sqrt(Dl/H) as
+    `attention` scales, takes the softmax of the scores over the keys and
+    pools the values' features h*Dl/H to (h+1)*Dl/H with it; returns [...,
+    1, Dl].  This is `attention` with query q_h and keys x @ W_k, where
+    u[:, h] = W_k[:, head h] @ q_h: q_h . (W_k^T x) = (W_k q_h) . x, so no
+    key is ever formed.
 
     The scores are one 2-D product over x's rows, folded in x's stride
     order (`_fold_rows`), so a transposed stack folds as a view; otherwise
     the fold copies x, and the copy is charged while the product reads it.
-    The op keeps x, u, v and a per-(position, head) log-sum-exp for
-    backward, which recomputes the scores; not its output.  Its transients
-    are the scores (n*Tk*H), the fold's copy while the scores are formed,
-    and the row sums, freed before the output is made.
+    The op keeps x, u, wv and a per-(position, head) log-sum-exp for
+    backward, which recomputes the scores and the values; not its output.
+    Its transients are the scores (n*Tk*H), the fold's copy while the
+    scores are formed, the row sums, and the values x @ wv (n*Tk*Dl) while
+    the output is pooled.  With wv None, x's gradient through the scores is
+    added into its gradient as the values, so backward hands on one array.
     """
-    if (x.ndim < 2 or x.shape[:-1] != v.shape[:-1]
-            or u.shape != (x.shape[-1], n_heads) or v.shape[-1] % n_heads):
+    dl = x.shape[-1] if wv is None else wv.shape[-1]
+    if (x.ndim < 2 or u.shape != (x.shape[-1], n_heads) or dl % n_heads
+            or (wv is not None and wv.shape != (x.shape[-1], dl))):
         raise ShapeError(f"attention_pool needs x [..., Tk, Dx], u [Dx, {n_heads}] and "
-                         f"v [..., Tk, Dl] with {n_heads} heads dividing Dl, "
-                         f"got {x.shape}, {u.shape}, {v.shape}")
+                         f"wv [Dx, Dl] or None with {n_heads} heads dividing Dl, got "
+                         f"{x.shape}, {u.shape}, {None if wv is None else wv.shape}")
     h = n_heads
     *lead, tk, dx = x.shape
-    dl = v.shape[-1]
     dh = dl // h
     scale = 1.0 / np.sqrt(dh)
-    xd, ud, vd = x.data, u.data, v.data
-    vh = vd.reshape(*lead, tk, h, dh)
+    xd, ud = x.data, u.data
+    wvd = None if wv is None else wv.data
     perm = _row_order(xd)
     inv = tuple(np.argsort(perm))
     folded = tuple(xd.shape[i] for i in perm[:-1])
@@ -493,6 +535,12 @@ def attention_pool(x: Tensor, u: Tensor, v: Tensor, n_heads: int) -> Tensor:
     def unfold(rows):
         """[rows, n] in x's row order as the view [..., Tk, n]."""
         return rows.reshape(*folded, rows.shape[-1]).transpose(inv)
+
+    def values(charge):
+        """The values [..., Tk, Dl], x @ wv (to which `charge` is applied)
+        or x, and their heads [..., Tk, H, Dl/H]."""
+        v = xd if wvd is None else charge(np.matmul(xd, wvd))
+        return v, v.reshape(*lead, tk, h, dh)
 
     xf = _charged(xd.transpose(perm).reshape(-1, dx))
     s = _charged(xf @ ud)  # the scores, [rows, H] in x's row order
@@ -506,9 +554,12 @@ def attention_pool(x: Tensor, u: Tensor, v: Tensor, n_heads: int) -> Tensor:
     sl /= rowsum[..., None, :]
     lse += np.log(rowsum, out=rowsum)
     del rowsum
+    v, vh = values(_charged)
     out = _charged(np.empty((*lead, 1, dl)))
     np.einsum("...kh,...khd->...hd", sl, vh, out=out.reshape(*lead, h, dh))
-    _flops(2 * math.prod(lead) * tk * (dx * h + dl))
+    del v, vh
+    n = math.prod(lead)
+    _flops(2 * n * tk * (dx * h + dl) + (0 if wvd is None else 2 * n * tk * dx * dl))
 
     def back(g):
         xf = xd.transpose(perm).reshape(-1, dx)
@@ -518,16 +569,26 @@ def attention_pool(x: Tensor, u: Tensor, v: Tensor, n_heads: int) -> Tensor:
         pl -= lse[..., None, :]
         np.exp(p, out=p)
         gh = g.reshape(*lead, h, dh)
-        dv = np.empty(vd.shape)
+        v, vh = values(lambda buf: buf)
+        dv = np.empty(v.shape)
         np.multiply(pl[..., None], gh[..., None, :, :], out=dv.reshape(vh.shape))
         ds = np.empty(p.shape)  # the score gradient, in x's row order
         dsl = np.einsum("...hd,...khd->...kh", gh, vh, out=unfold(ds))
+        del v, vh
         dsl -= np.einsum("...kh,...kh->...h", pl, dsl)[..., None, :]
         ds *= p
         ds *= scale
-        return unfold(ds @ ud.T), xf.T @ ds, dv
+        du = xf.T @ ds
+        dscore = unfold(ds @ ud.T)
+        if wvd is None:  # x is the values: one gradient
+            dv += dscore
+            return dv, du
+        dwv = xf.T @ dv.transpose(perm).reshape(-1, dl)
+        dxv = np.matmul(dv, wvd.T)
+        dxv += dscore
+        return dxv, du, dwv
 
-    return Tensor(out, _parents=(x, u, v), _backward=back)
+    return Tensor(out, _parents=(x, u) + (() if wv is None else (wv,)), _backward=back)
 
 
 # Phi(x), the standard normal CDF, from Cephes' ndtr.c (S. L. Moshier, Cephes
@@ -753,19 +814,46 @@ def concat(tensors, axis: int = 0) -> Tensor:
     return Tensor(out, _parents=tuple(tensors), _backward=back)
 
 
-def narrow(x: Tensor, axis: int, start: int, length: int) -> Tensor:
-    """Contiguous slice along one axis (a view; gradient scatters back)."""
-    sl = [slice(None)] * x.ndim
-    sl[axis] = slice(start, start + length)
-    sl = tuple(sl)
-    shape = x.data.shape
+class _PieceGrads:
+    """The gradients the pieces of one `split` hand back, by piece index.
+    The engine adds the gradients a node receives; adding two of these
+    merges them, out of place, summing a piece that both hold."""
 
-    def back(g):
-        full = np.zeros(shape)
-        full[sl] = g
-        return (full,)
+    __slots__ = ("grads",)
 
-    return Tensor(x.data[sl], _parents=(x,), _backward=back)
+    def __init__(self, grads: dict):
+        self.grads = grads
+
+    def __add__(self, other: _PieceGrads) -> _PieceGrads:
+        merged = dict(self.grads)
+        for i, g in other.grads.items():
+            merged[i] = merged[i] + g if i in merged else g
+        return _PieceGrads(merged)
+
+
+def split(x: Tensor, axis: int, sizes) -> list[Tensor]:
+    """x cut along `axis` into consecutive pieces of `sizes`, which add up
+    to the axis' length; each piece is a view.
+
+    The pieces share one tape node over x, whose backward is one
+    concatenation of their gradients, with zeros only for the pieces that
+    got none: no piece's gradient is scattered into an array of x's size.
+    """
+    sizes = tuple(sizes)
+    if sum(sizes) != x.shape[axis] or min(sizes) < 1:
+        raise ShapeError(f"split of an axis of {x.shape[axis]} into pieces of {sizes}")
+    views = np.split(x.data, np.cumsum(sizes[:-1]), axis=axis)
+    shapes = [v.shape for v in views]
+
+    def back(pieces):
+        if len(shapes) == 1:
+            return (pieces.grads[0],)
+        return (np.concatenate([pieces.grads[i] if i in pieces.grads else np.zeros(shape)
+                                for i, shape in enumerate(shapes)], axis=axis),)
+
+    whole = Tensor(x.data, _parents=(x,), _backward=back)
+    return [Tensor(v, _parents=(whole,), _backward=lambda g, i=i: (_PieceGrads({i: g}),))
+            for i, v in enumerate(views)]
 
 
 def take_rows(x: Tensor, rows: np.ndarray) -> Tensor:

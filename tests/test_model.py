@@ -121,7 +121,7 @@ class TestExchanges:
         def program(ctx):
             x = Tensor(xs[ctx.rank], requires_grad=True)
             full = gather_shards(ctx.tp, x, axis, "t")
-            own = T.narrow(full, axis, ctx.tp.index * width, width)
+            own = T.split(full, axis, [width] * tp)[ctx.tp.index]
             T.backward(T.sum_all(T.mul(full, Tensor(y))))
             return full.data, own.data, x.grad
 
@@ -277,10 +277,10 @@ class TestFlatAggregate:
         # full_cross forms C*C logits per head per position in the fused
         # attention op, single_query C scores per head in the pool.  Either
         # op is the aggregation's first; right after it, the aggregate peak
-        # exceeds the live bytes by exactly its transient: full_cross's
-        # block of logits, row sums and scaled q, and single_query's scores,
-        # which outlive the row sums and, its input folding as a view, meet
-        # no copy of it.
+        # exceeds the live bytes by exactly its transient.  full_cross's is
+        # its q/k/v projections and its block of logits and row sums.
+        # single_query's is its scores and values, which outlive the row sums
+        # and, its input folding as a view, meet no copy of it.
         after = []
 
         def spy(name):
@@ -306,22 +306,25 @@ class TestFlatAggregate:
         model = tiny_model()
         h, d, positions = model.heads, model.embed, 2 * model.seq  # at batch 2
 
-        def block(rows, c):
-            return 8 * rows * (h * c * c + h * c + c * d)
+        def block(rows, c):  # logits and row sums of `rows` positions
+            return 8 * rows * h * (c * c + c)
+
+        def full_cross(rows, c):
+            return 8 * 3 * positions * c * d + block(rows, c)
 
         # one block holds every position, and its logits grow with C^2; the
-        # scores grow with C
+        # projections, scores and values grow with C
         logits = []
         for c in (8, 16):
-            assert transient("full_cross", c) == block(positions, c), c
-            assert transient("single_query", c) == 8 * positions * h * c, c
-            logits.append(block(positions, c) - 8 * positions * (h * c + c * d))
+            assert transient("full_cross", c) == full_cross(positions, c), c
+            assert transient("single_query", c) == 8 * positions * c * (h + d), c
+            logits.append(block(positions, c) - 8 * positions * h * c)
         assert logits[1] == 4 * logits[0]
         # a block of 16-channel full_cross logits is one position: at 16
         # channels the op holds one position's, at 8 channels four positions'
         monkeypatch.setattr(T, "ATTENTION_BLOCK", h * 16 * 16)
-        assert transient("full_cross", 16) == block(1, 16)
-        assert transient("full_cross", 8) == block(4, 8)
+        assert transient("full_cross", 16) == full_cross(1, 16)
+        assert transient("full_cross", 8) == full_cross(4, 8)
 
     def test_channel_permutation_equivariance(self, rng):
         model = tiny_model(channels=5, embed=8, heads=2)

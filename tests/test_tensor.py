@@ -129,36 +129,46 @@ class TestMatmulBackward:
 
 
 def _probabilities(logits):
-    """Softmax of the rows of `logits` [..., Tk] through the fused op: one
-    head, q = the logits against identity keys (scaled by sqrt(Tk) to undo
-    the op's scale), and one-hot values, so each output row is one row of
-    probabilities."""
+    """Softmax of the rows of `logits` [R, Tk] (R <= Tk), or of one row
+    [Tk], through the fused op: one head over Tk tokens that are the
+    identity rows, so k and v are the identity and q is wq, whose first R
+    rows are the logits (scaled by sqrt(Tk) to undo the op's scale); each
+    output row is then one row of probabilities."""
     logits = np.asarray(logits, dtype=np.float64)
-    tk = logits.shape[-1]
-    q = Tensor(logits[..., None, :] * np.sqrt(tk))
+    rows = np.atleast_2d(logits)
+    r, tk = rows.shape
+    wq = np.zeros((tk, tk))
+    wq[:r] = rows * np.sqrt(tk)
     eye = Tensor(np.eye(tk))
-    return T.attention(q, eye, eye, 1).data[..., 0, :]
+    return T.attention(eye, Tensor(wq), None, eye, eye, 1).data[:r].reshape(logits.shape)
+
+
+def _projections(x, wq, wk, wv):
+    """x's product with [wq | wk | wv], as the op forms it, split into q, k, v."""
+    qkv = np.matmul(x, np.concatenate((wq, wk, wv), axis=1))
+    return np.split(qkv, 3, axis=-1)
 
 
 class TestSoftmax:
-    """The softmax inside `tensor.attention`, the engine's only softmax."""
+    """The softmax inside `tensor.attention`, the engine's only softmax over
+    more than a pool's keys."""
 
     def test_single_element(self, rng):
-        # one key: its probability is exactly 1, so the output is v bit for bit
-        q, k, v = (Tensor(rng.normal(shape)) for shape in ((2, 3, 4), (2, 1, 4), (2, 1, 4)))
-        out = T.attention(q, k, v, 2)
-        np.testing.assert_array_equal(out.data, np.broadcast_to(v.data, out.shape))
+        # one token: its probability is exactly 1, so the output is the op's
+        # value projection bit for bit
+        x, wq, wk, wv = rng.normal((2, 1, 4)), *(rng.normal((4, 6)) for _ in range(3))
+        out = T.attention(Tensor(x), Tensor(wq), None, Tensor(wk), Tensor(wv), 2)
+        np.testing.assert_array_equal(out.data, _projections(x, wq, wk, wv)[2])
 
     def test_symmetry(self, rng):
-        # equal logits (q = 0) weigh every key alike: the mean of the v rows
-        v = Tensor(rng.normal((2, 3, 4)))
-        out = T.attention(Tensor(np.zeros((2, 1, 4))), Tensor(rng.normal((2, 3, 4))), v, 2)
-        assert rel_err(out.data, v.data.mean(axis=-2, keepdims=True)) < 1e-15
+        # equal logits (q = 0) weigh every token alike: the mean of the v rows
+        x, wk, wv = rng.normal((2, 3, 4)), rng.normal((4, 4)), rng.normal((4, 4))
+        out = T.attention(Tensor(x), Tensor(np.zeros((4, 4))), None, Tensor(wk), Tensor(wv), 2)
+        v = _projections(x, np.zeros((4, 4)), wk, wv)[2]
+        assert rel_err(out.data, np.broadcast_to(v.mean(axis=-2, keepdims=True), v.shape)) < 1e-15
         np.testing.assert_array_equal(_probabilities([0.0, 0.0, 0.0]), [1 / 3] * 3)
 
     def test_extreme_logits_match_extended_precision(self):
-        import mpmath
-
         mpmath.mp.dps = 60
         logits = [1000.0, 0.0]
         out = _probabilities(logits)
@@ -174,48 +184,53 @@ class TestSoftmax:
         np.testing.assert_allclose(out.sum(axis=-1), 1.0)
 
     def test_grad(self, rng):
-        # the gradient of the probabilities through their logits (in q)
-        ts = {"x": Tensor(rng.normal((3, 1, 5)), requires_grad=True)}
-        eye = Tensor(np.eye(5))
-        w = rng.normal((3, 1, 5))  # break symmetry so grads are generic
-        check_grad(lambda: T.sum_all(T.mul(T.attention(ts["x"], eye, eye, 1), Tensor(w))), ts)
+        # the gradient of the probabilities through their logits, which the
+        # query bias sets in every row: q = bq against identity keys
+        ts = {"b": Tensor(rng.normal((5,)), requires_grad=True)}
+        eye, zero = Tensor(np.eye(5)), Tensor(np.zeros((5, 5)))
+        w = rng.normal((5, 5))  # break symmetry so grads are generic
+        check_grad(lambda: T.sum_all(T.mul(T.attention(eye, zero, ts["b"], eye, eye, 1),
+                                           Tensor(w))), ts)
 
 
-def _exact_attention(q, k, v, g, n_heads):
+def _exact_attention(x, wq, bq, wk, wv, g, n_heads):
     """The attention chain in long double, where it is exact to the float64
-    results' precision: its output and the q, k and v gradients for the
-    output gradient `g`, each as (value, first-order bound on the float64
-    op's error).
+    results' precision: its output and the x, wq, bq, wk and wv gradients
+    for the output gradient `g`, each as (value, first-order bound on the
+    float64 op's error).
 
     The bound follows every float64 rounding of the fused op to first
     order, elementwise, with u = 2**-53 and gamma_n = n*u:
+    * each product adds its inputs' bounds through the absolute values of
+      the other factor, plus gamma_n times the product of absolute values,
+      and a sum adds gamma_n of its terms; so q, k and v carry the bounds
+      of their projection (and q of its bias add);
     * each logit s = c*q.k (c = 1/sqrt(dh)) is off by at most
-      e = (dh+2)*u*c*|q|.|k| (the dot product, the scaled q and c itself):
-      at logits near +-1000 that is ~1e-13 absolute, which no row shift
-      cancels, since rounding is per key;
+      e = (dh+2)*u*c*|q|.|k| (the dot product, the scaled q and c itself)
+      plus c times q's and k's bounds through the other: at logits near
+      +-1000 that is ~1e-13 absolute, which no row shift cancels, since
+      rounding is per key;
     * a softmax moves its probabilities by p_j*(e_j - sum_l p_l e_l), so each
       probability, in forward and recomputed in backward from the stored
       log-sum-exp, is off by at most p*rho with rho = 2*max_row(e) +
-      u*(|s - max| + |lse| + 2*Tk + 8) (exp, the row sum and divide, the
-      stored lse);
-    * each product then adds its inputs' bounds through the absolute values
-      of the other factor, plus gamma_n times the product of absolute
-      values, and a sum over broadcast axes adds gamma_n of its terms.
+      u*(|s - max| + |lse| + 2*T + 8) (exp, the row sum and divide, the
+      stored lse).
     So the logits' conditioning, their magnitude against their spread,
     sets the bound: at logits of O(1) it is typically near 1e-14 of the
     largest value, and at +-1000 near 2e-12.
     """
     ld = np.longdouble
     u = 2.0 ** -53
-    dh = q.shape[-1] // n_heads
+    dl = wq.shape[1]
+    dh = dl // n_heads
     c = 1 / np.sqrt(ld(dh))
 
-    def heads(x):
-        return x.astype(ld).reshape(*x.shape[:-1], n_heads, dh).swapaxes(-2, -3)
+    def heads(a):
+        return a.reshape(*a.shape[:-1], n_heads, dh).swapaxes(-2, -3)
 
-    def merged(x, shape):
-        x = x.swapaxes(-2, -3)
-        return _sum_to(x.reshape(*x.shape[:-2], -1), shape)
+    def merged(a):
+        a = a.swapaxes(-2, -3)
+        return a.reshape(*a.shape[:-2], -1)
 
     def mm(a, b, da=None, db=None):
         """a @ b and its bound, from bounds da, db on a and b (None: exact)."""
@@ -226,10 +241,18 @@ def _exact_attention(q, k, v, g, n_heads):
             bound += abs(a) @ db
         return a @ b, bound
 
-    qh, kh, vh, gh = (heads(x) for x in (q, k, v, g))
-    kt = kh.swapaxes(-1, -2)
+    x, wq, wk, wv, g = (a.astype(ld) for a in (x, wq, wk, wv, g))
+    b = np.zeros(dl, dtype=ld) if bq is None else bq.astype(ld)
+    q, dq0 = mm(x, wq)
+    q = q + b
+    dq0 = dq0 + u * abs(q)
+    k, dk0 = mm(x, wk)
+    v, dv0 = mm(x, wv)
+    qh, kh, vh, gh = (heads(a) for a in (q, k, v, g))
+    eq, ek, ev = (heads(a) for a in (dq0, dk0, dv0))
+    kt, ekt = kh.swapaxes(-1, -2), ek.swapaxes(-1, -2)
     s = c * (qh @ kt)
-    e = (dh + 2) * u * c * (abs(qh) @ abs(kt))
+    e = (dh + 2) * u * c * (abs(qh) @ abs(kt)) + c * (eq @ abs(kt) + abs(qh) @ ekt)
     mx = s.max(axis=-1, keepdims=True)
     p = np.exp(s - mx)
     tot = p.sum(axis=-1, keepdims=True)
@@ -237,52 +260,84 @@ def _exact_attention(q, k, v, g, n_heads):
     lse = mx + np.log(tot)
     rho = 2 * e.max(axis=-1, keepdims=True) + u * (abs(s - mx) + abs(lse) + 2 * s.shape[-1] + 8)
     dp = p * rho
-    o, do = mm(p, vh, dp)
+    o, do = mm(p, vh, dp, ev)
     dv, ddv = mm(p.swapaxes(-1, -2), gh, dp.swapaxes(-1, -2))
-    gv, dgv = mm(gh, vh.swapaxes(-1, -2))
+    gv, dgv = mm(gh, vh.swapaxes(-1, -2), None, ev.swapaxes(-1, -2))
     rows = (gh * o).sum(axis=-1, keepdims=True)  # rowsum(dO*O)
     drows = (abs(gh) * (do + dh * u * abs(o))).sum(axis=-1, keepdims=True)
     ds = p * (gv - rows)
     dds = dp * abs(gv - rows) + p * (dgv + drows) + 2 * u * abs(ds)
-    dq, ddq = mm(ds, kh, dds)
+    dq, ddq = mm(ds, kh, dds, ek)
     dq, ddq = c * dq, c * ddq + 2 * u * c * abs(dq)
-    dk, ddk = mm(ds.swapaxes(-1, -2), c * qh, dds.swapaxes(-1, -2), 2 * u * c * abs(qh))
+    dk, ddk = mm(ds.swapaxes(-1, -2), c * qh, dds.swapaxes(-1, -2),
+                 2 * u * c * abs(qh) + c * eq)
 
-    def value_and_bound(x, dx, shape):
-        n = x.size // np.prod(shape)  # terms per element of the broadcast sum
-        return merged(x, shape), merged(dx, shape) + (n - 1) * u * merged(abs(x), shape)
-
-    return [value_and_bound(x, dx, y.shape)
-            for x, dx, y in ((o, do, g), (dq, ddq, q), (dk, ddk, k), (dv, ddv, v))]
+    dqkv = np.concatenate([merged(a) for a in (dq, dk, dv)], axis=-1)
+    ddqkv = np.concatenate([merged(a) for a in (ddq, ddk, ddv)], axis=-1)
+    dx = mm(dqkv, np.concatenate((wq, wk, wv), axis=1).T, ddqkv)
+    xr = x.reshape(-1, x.shape[-1])
+    dw = [mm(xr.T, dqkv[..., i * dl:(i + 1) * dl].reshape(-1, dl), None,
+             ddqkv[..., i * dl:(i + 1) * dl].reshape(-1, dl)) for i in range(3)]
+    dqr, ddqr = dqkv[..., :dl].reshape(-1, dl), ddqkv[..., :dl].reshape(-1, dl)
+    db = (dqr.sum(axis=0), ddqr.sum(axis=0) + (len(dqr) - 1) * u * abs(dqr).sum(axis=0))
+    return [(merged(o), merged(do)), dx, dw[0], db, dw[1], dw[2]]
 
 
 @st.composite
 def _attention_operands(draw):
-    """q, k, v, an output gradient, a head count and whether the logits are
-    large: 1-4 heads, Tq != Tk, 0-3 leading axes, sometimes a [1, Dl] q
-    against stacked keys, and sometimes logits near +-1000, where
+    """x, wq, bq (or None), wk, wv, an output gradient, a head count and
+    whether the logits are large: 1-4 heads, 0-3 leading axes, x sometimes
+    a transposed view, and sometimes logits near +-1000, where
     probabilities only survive the recompute if the log-sum-exp is taken
-    after the row maximum."""
+    after the row maximum.
+
+    At ordinary logits wq, wk and wv are orthonormal columns of D >= 3*Dl,
+    so every entry of q, k and v is an independent standard normal (q
+    shifted by a small bias): the logits are those of independent normal
+    queries and keys.  Weights of random norm scale every token's logits
+    alike, and correlated features add up over a head, so a few draws would
+    saturate the softmax, where the rounding bound, not 1e-12, is what
+    holds.  At large logits D is 2 to 5, below, at or above Dl."""
     heads = draw(st.integers(1, 4))
     large = draw(st.booleans())
     dh = draw(st.integers(2 if large else 1, 3))
     dl = heads * dh
+    d = draw(st.integers(2, 5) if large else st.integers(3 * dl, 3 * dl + 2))
     lead = tuple(draw(st.lists(st.integers(1, 3), max_size=3)))
-    learned_query = bool(lead) and draw(st.booleans())
-    tq = 1 if learned_query else draw(st.integers(1, 5))
-    # one key makes the q and k gradients zero, where relative error says nothing
-    tk = draw(st.integers(2, 5).filter(lambda n: n != tq))
+    # one token makes the q and k gradients rounding noise, where relative
+    # error says nothing
+    t = draw(st.integers(2, 5))
+    shape = (*lead, t, d)
+    perm = draw(st.permutations(range(len(shape))))
     gen = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
-    q = gen.standard_normal((tq, dl) if learned_query else (*lead, tq, dl))
-    k = gen.standard_normal((*lead, tk, dl))
-    v = gen.standard_normal((*lead, tk, dl))
+    x = gen.standard_normal([shape[i] for i in perm]).transpose(np.argsort(perm))
     if large:
-        # the first feature of every head: 1 in every key, +-1000*sqrt(dh) in
-        # q, so each row's logits sit at +-1000 and differ by O(1) over keys
-        k[..., ::dh] = 1.0
-        q[..., ::dh] = 1000.0 * np.sqrt(dh) * gen.choice([-1.0, 1.0], q[..., ::dh].shape)
-    g = gen.standard_normal((*lead, tq, dl))
-    return q, k, v, g, heads, large
+        wq, wk, wv = (w / np.linalg.norm(w, axis=0)
+                      for w in (gen.standard_normal((d, dl)) for _ in range(3)))
+    else:
+        basis = np.linalg.qr(gen.standard_normal((d, 3 * dl)))[0]
+        wq, wk, wv = (np.ascontiguousarray(w) for w in np.split(basis, 3, axis=1))
+    bq = 0.5 * gen.standard_normal(dl) if draw(st.booleans()) else None
+    if large:
+        # the first feature of every head: x's feature 0 is 1 and feature 1
+        # is +-1 in every token; k reads feature 0, so it is 1 in every token,
+        # and q reads feature 1 times 1000*sqrt(dh), so each row's logits sit
+        # at +-1000 and differ by O(1) over the tokens
+        x[..., 0] = 1.0
+        x[..., 1] = gen.choice([-1.0, 1.0], x[..., 1].shape)
+        wk[:, ::dh] = 0.0
+        wk[0, ::dh] = 1.0
+        wq[:, ::dh] = 0.0
+        wq[1, ::dh] = 1000.0 * np.sqrt(dh)
+        if bq is not None:
+            bq[::dh] = 0.0
+    g = gen.standard_normal((*lead, t, dl))
+    return x, wq, bq, wk, wv, g, heads, large
+
+
+def _attention_tensors(x, wq, bq, wk, wv):
+    """x, wq, bq (None stays None), wk, wv as tensors that need gradients."""
+    return [None if a is None else Tensor(a, requires_grad=True) for a in (x, wq, bq, wk, wv)]
 
 
 class TestAttention:
@@ -293,17 +348,21 @@ class TestAttention:
         # and within the rounding bound that the logits' conditioning sets
         # (see `_exact_attention`) everywhere, which at +-1000 is what
         # decides: there two float64 results may differ by a few 1e-12
-        q, k, v, g, heads, large = operands
-        ts = [Tensor(x, requires_grad=True) for x in (q, k, v)]
+        *arrays, g, heads, large = operands
+        ts = _attention_tensors(*arrays)
         out = T.attention(*ts, heads)
         T.backward(T.sum_all(T.mul(out, Tensor(g))))
-        got = [out.data] + [t.grad for t in ts]
-        for name, a, (b, bound) in zip(("out", "dq", "dk", "dv"), got,
-                                       _exact_attention(q, k, v, g, heads)):
-            assert a.shape == b.shape and np.isfinite(a).all(), name
-            assert (abs(a - b) <= bound).all(), name
+        want = _exact_attention(*arrays, g, heads)
+        for name, a, b in zip(("out", "dx", "dwq", "dbq", "dwk", "dwv"),
+                              [out] + ts, want):
+            if a is None:  # no query bias
+                continue
+            got = a.data if name == "out" else a.grad
+            value, bound = b
+            assert got.shape == value.shape and np.isfinite(got).all(), name
+            assert (abs(got - value) <= bound).all(), name
             if not large:
-                assert rel_err(a, b.astype(np.float64)) < 1e-12, name
+                assert rel_err(got, value.astype(np.float64)) < 1e-12, name
 
     @settings(max_examples=100)
     @given(_attention_operands(), st.data())
@@ -311,98 +370,139 @@ class TestAttention:
         # one head of one position per block, one block of every position,
         # blocks that leave a ragged last block wherever there are three or
         # more positions, and blocks of some of a position's heads
-        q, k, v, g, heads, _ = operands
-        tq, dl = q.shape[-2:]
-        tk = k.shape[-2]
-        n = int(np.prod(k.shape[:-2]))
+        x, wq, bq, wk, wv, g, heads, _ = operands
+        *lead, t, _ = x.shape
+        dl = wq.shape[1]
+        n = math.prod(lead)
         rows = data.draw(st.sampled_from([r for r in range(2, n) if n % r] or [1]))
         some_heads = data.draw(st.integers(1, max(1, heads - 1)))
         results = []
-        for block in (1, 2 ** 40, rows * heads * tq * tk, some_heads * tq * tk):
+        for block in (1, 2 ** 40, rows * heads * t * t, some_heads * t * t):
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(T, "ATTENTION_BLOCK", block)
                 tracker = AllocTracker()
                 with activate(tracker):
-                    ts = [Tensor(x, requires_grad=True) for x in (q, k, v)]
+                    ts = _attention_tensors(x, wq, bq, wk, wv)
                     before = tracker.stats()
                     out = T.attention(*ts, heads)
                     after = tracker.stats()
-                kept, high = costmodel._attention(n, heads, tq, tk, dl)
+                kept, high = costmodel._attention(n, heads, t, dl)
                 assert after.live_bytes - before.live_bytes == 8 * kept
                 assert after.peak_bytes - before.live_bytes == 8 * high
                 T.backward(T.sum_all(T.mul(out, Tensor(g))))
-            results.append([out.data] + [t.grad for t in ts])
-        for name, *arrays in zip(("out", "dq", "dk", "dv"), *results):
+            results.append([out.data] + [a.grad for a in ts if a is not None])
+        for name, *arrays in zip(("out", "dx", "dwq", "dbq", "dwk", "dwv"), *results):
             assert all(np.array_equal(a, arrays[0]) for a in arrays[1:]), name
 
-    def test_grad_multihead_leading_axes(self, rng):
-        ts = {n: Tensor(rng.normal((2, 3, t, 6)), requires_grad=True)
-              for n, t in (("q", 4), ("k", 5), ("v", 5))}
-        w = rng.normal((2, 3, 4, 6))
-        check_grad(lambda: T.sum_all(T.mul(T.attention(ts["q"], ts["k"], ts["v"], 3),
-                                           Tensor(w))), ts)
+    @pytest.mark.parametrize("heads", [1, 2, 3])
+    def test_grad_of_input_weights_and_bias(self, rng, heads):
+        # a tp rank's shard (Dl = 2*heads below D = 8) of full_cross's first
+        # stage over a token slab read as its transposed view
+        d, dl = 8, 2 * heads
+        ts = {"x": Tensor(rng.normal((2, 3, 2, d)), requires_grad=True),
+              "bq": Tensor(rng.normal((dl,)), requires_grad=True),
+              **{name: Tensor(rng.normal((d, dl)), requires_grad=True)
+                 for name in ("wq", "wk", "wv")}}
+        w = rng.normal((2, 2, 3, dl))
+        check_grad(lambda: T.sum_all(T.mul(
+            T.attention(_slab_view(ts["x"]), ts["wq"], ts["bq"], ts["wk"], ts["wv"], heads),
+            Tensor(w))), ts)
 
-    def test_grad_learned_query_against_stacked_keys(self, rng):
-        ts = {"q": Tensor(rng.normal((1, 4)), requires_grad=True),
-              "k": Tensor(rng.normal((3, 2, 5, 4)), requires_grad=True),
-              "v": Tensor(rng.normal((3, 2, 5, 4)), requires_grad=True)}
-        w = rng.normal((3, 2, 1, 4))
-        check_grad(lambda: T.sum_all(T.mul(T.attention(ts["q"], ts["k"], ts["v"], 2),
-                                           Tensor(w))), ts)
+    @pytest.mark.parametrize("heads", [1, 2, 4])
+    def test_matches_numpy_reference(self, rng, heads):
+        # softmax((x wq + bq)(x wk)^T / sqrt(dh)) (x wv), head by head
+        d, dl = 6, 2 * heads
+        x = rng.normal((2, 3, 5, d))
+        wq, wk, wv = (rng.normal((d, dl)) for _ in range(3))
+        bq = rng.normal((dl,))
+        out = T.attention(Tensor(x), Tensor(wq), Tensor(bq), Tensor(wk), Tensor(wv), heads).data
+        q, k, v = x @ wq + bq, x @ wk, x @ wv
+        want = np.empty(out.shape)
+        for h in range(heads):
+            cols = slice(2 * h, 2 * h + 2)
+            s = q[..., cols] @ np.swapaxes(k[..., cols], -1, -2) / np.sqrt(2)
+            p = np.exp(s - s.max(axis=-1, keepdims=True))
+            p /= p.sum(axis=-1, keepdims=True)
+            want[..., cols] = p @ v[..., cols]
+        assert rel_err(out, want) < 1e-12
 
     def test_rejects_mismatched_shapes(self):
-        with pytest.raises(ShapeError):
-            T.attention(Tensor(np.zeros((2, 4))), Tensor(np.zeros((3, 6))),
-                        Tensor(np.zeros((3, 6))), 2)
+        x, w = Tensor(np.zeros((2, 3, 4))), Tensor(np.zeros((4, 6)))
+        with pytest.raises(ShapeError):  # x's width is not the weights' input width
+            T.attention(Tensor(np.zeros((2, 3, 5))), w, None, w, w, 2)
+        with pytest.raises(ShapeError):  # the projections differ in width
+            T.attention(x, w, None, Tensor(np.zeros((4, 4))), w, 2)
+        with pytest.raises(ShapeError):  # the bias is not [Dl]
+            T.attention(x, w, Tensor(np.zeros(4)), w, w, 2)
         with pytest.raises(ShapeError, match="heads"):
-            T.attention(Tensor(np.zeros((2, 6))), Tensor(np.zeros((3, 6))),
-                        Tensor(np.zeros((3, 6))), 4)
+            T.attention(x, w, None, w, w, 4)
+
+
+def _owner(a):
+    """The array that owns `a`'s memory."""
+    while isinstance(a.base, np.ndarray):
+        a = a.base
+    return a
+
+
+def _attention_inputs(rng, lead, t, d, dl):
+    """x [*lead, T, D] and wq, bq, wk, wv for Dl, as tensors that need
+    gradients."""
+    return (Tensor(rng.normal((*lead, t, d)), requires_grad=True),
+            *(Tensor(rng.normal(shape), requires_grad=True)
+              for shape in ((d, dl), (dl,), (d, dl), (d, dl))))
 
 
 class TestAttentionMemory:
-    def test_forward_charges_output_lse_and_transient_logits(self, rng, monkeypatch):
+    def test_forward_charges_output_lse_and_transient_projections_and_logits(
+            self, rng, monkeypatch):
         # one block of both positions; blocks of 2, 2 and 1 of 5 positions;
-        # blocks of one head of one position
-        tq, tk, dl, heads = 6, 9, 4, 2
+        # blocks of one head of one position.  After the forward the op
+        # holds its output and log-sum-exp, and no projection.
+        t, d, dl, heads = 6, 5, 4, 2
         for positions, block_size, blk, hb in ((2, None, 2, heads),
-                                               (5, 2 * heads * tq * tk, 2, heads),
-                                               (3, tq * tk, 1, 1)):
+                                               (5, 2 * heads * t * t, 2, heads),
+                                               (3, t * t, 1, 1)):
             if block_size is not None:
                 monkeypatch.setattr(T, "ATTENTION_BLOCK", block_size)
-            rows, got_hb = T.attention_block(heads, tq, tk)
+            rows, got_hb = T.attention_block(heads, t, t)
             assert (min(positions, rows), got_hb) == (blk, hb)
             tracker = AllocTracker()
             with activate(tracker):
-                q = Tensor(rng.normal((positions, tq, dl)), requires_grad=True)
-                k, v = (Tensor(rng.normal((positions, tk, dl)), requires_grad=True)
-                        for _ in range(2))
+                ts = _attention_inputs(rng, (positions,), t, d, dl)
                 before = tracker.stats()
-                out = T.attention(q, k, v, heads)
+                out = T.attention(*ts, heads)
                 after = tracker.stats()
-                kept = out.data.nbytes + 8 * positions * heads * tq  # output and log-sum-exp
-                block = 8 * blk * (hb * tq * tk + hb * tq + tq * dl)  # logits, row sums, q
+                lse = 8 * positions * heads * t
+                kept = out.data.nbytes + lse
+                qkv = 8 * 3 * positions * t * dl
+                block = 8 * blk * hb * (t * t + t)  # logits and row sums
                 assert before.peak_bytes == before.live_bytes
                 assert after.live_bytes - before.live_bytes == kept
-                assert after.peak_bytes - before.live_bytes == kept + block
-                assert max(a.size for a in reachable_arrays(out)) < positions * heads * tq * tk
+                assert after.peak_bytes - before.live_bytes == kept + qkv + block
+                inputs = {id(_owner(a.data)) for a in ts}
+                saved = {id(o): o.nbytes for o in map(_owner, reachable_arrays(out))
+                         if id(o) not in inputs}
+                assert sorted(saved.values()) == sorted((lse, out.data.nbytes))
+                assert max(a.size for a in reachable_arrays(out)) < positions * t * dl * 3
                 del out
                 assert tracker.live_bytes == before.live_bytes
 
-    def test_forward_charges_a_copying_flatten(self, rng):
-        # q [1, 3, ...] against k, v [2, 3, ...]: the broadcast q cannot merge
-        # its leading axes into positions as a view, so it is copied
-        tq, tk, dl, heads = 2, 3, 4, 2
-        tracker = AllocTracker()
-        with activate(tracker):
-            q = Tensor(rng.normal((1, 3, tq, dl)), requires_grad=True)
-            k, v = (Tensor(rng.normal((2, 3, tk, dl)), requires_grad=True) for _ in range(2))
-            before = tracker.stats()
-            out = T.attention(q, k, v, heads)
-            after = tracker.stats()
-        kept = out.data.nbytes + 8 * 6 * heads * tq
-        block = 8 * 6 * (heads * tq * tk + heads * tq + tq * dl)
-        assert after.live_bytes - before.live_bytes == kept
-        assert after.peak_bytes - before.live_bytes == kept + block + 8 * 6 * tq * dl
+    def test_a_transposed_input_is_read_in_place(self, rng):
+        # a token slab's transposed view charges what a contiguous x does:
+        # the product reads it where it lies
+        t, d, dl, heads = 3, 4, 4, 2
+        charges = []
+        for view in (False, True):
+            tracker = AllocTracker()
+            with activate(tracker):
+                x, *weights = _attention_inputs(rng, (2, 3), t, d, dl)
+                if view:
+                    x = _slab_view(Tensor(rng.normal((2, t, 3, d)), requires_grad=True))
+                before = tracker.stats()
+                T.attention(x, *weights, heads)
+                charges.append(tracker.stats().peak_bytes - before.live_bytes)
+        assert charges[0] == charges[1] == 8 * costmodel._attention(6, heads, t, dl)[1]
 
     def test_backward_holds_at_most_two_logit_buffers(self, rng):
         # a long_sequence vit block's attention on one rank: [B, T, D] = [4, 257, 64];
@@ -410,31 +510,32 @@ class TestAttentionMemory:
         # one position
         b, t, d, heads = 4, 257, 64, 8
         assert T.attention_block(heads, t, t) == (1, 1)
-        q, k, v = (Tensor(rng.normal((b, t, d)), requires_grad=True) for _ in range(3))
-        out = T.attention(q, k, v, heads)
+        ts = _attention_inputs(rng, (b,), t, d, d)
+        out = T.attention(*ts, heads)
         loss = T.sum_all(T.mul(out, Tensor(rng.normal(out.shape))))
         block = 8 * t * t
-        # dq, dk, dv, and the three output-sized arrays the engine holds above
-        # the op: the gradients of `out` and of the product, and the product's
-        # gradient for the constant factor
-        grads = 6 * 8 * b * t * d
+        # the recomputed projections and their gradient (3 each), and the
+        # three output-sized arrays the engine holds above the op: the
+        # gradients of `out` and of the product, and the product's gradient
+        # for the constant factor
+        grads = 9 * 8 * b * t * d
         tracemalloc.start()
         try:
             T.backward(loss)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        # 256 KiB covers the scaled-q and row-sum blocks (130 KiB) and Python objects
+        # 256 KiB covers the row-sum blocks, the weight gradients and Python objects
         assert peak < 2 * block + grads + 2 ** 18, f"backward peak {peak / 2 ** 20:.2f} MiB"
 
 
 def _pool_operands(rng, lead, tk, dx, heads, dl):
     """x as the transposed view of a [lead0, Tk, lead1, Dx] array, the
-    layout of the token slabs, with u and v to match."""
+    layout of the token slabs, with u and wv to match."""
     x = Tensor(rng.normal((lead[0], tk, lead[1], dx)), requires_grad=True)
     u = Tensor(rng.normal((dx, heads)), requires_grad=True)
-    v = Tensor(rng.normal((*lead, tk, dl)), requires_grad=True)
-    return x, u, v
+    wv = Tensor(rng.normal((dx, dl)), requires_grad=True)
+    return x, u, wv
 
 
 def _slab_view(x):
@@ -444,36 +545,60 @@ def _slab_view(x):
 class TestAttentionPool:
     @pytest.mark.parametrize("heads", [1, 2, 8])
     def test_grad(self, rng, heads):
-        x, u, v = _pool_operands(rng, (2, 3), 3, 5, heads, 2 * heads)
+        x, u, wv = _pool_operands(rng, (2, 3), 3, 5, heads, 2 * heads)
         w = rng.normal((2, 3, 1, 2 * heads))
-        check_grad(lambda: T.sum_all(T.mul(T.attention_pool(_slab_view(x), u, v, heads),
-                                           Tensor(w))), {"x": x, "u": u, "v": v})
+        check_grad(lambda: T.sum_all(T.mul(T.attention_pool(_slab_view(x), u, wv, heads),
+                                           Tensor(w))), {"x": x, "u": u, "wv": wv})
+
+    @pytest.mark.parametrize("heads", [1, 2])
+    def test_grad_when_x_is_the_values(self, rng, heads):
+        # full_cross's reduce: x serves as keys and values, one gradient
+        x, u, _ = _pool_operands(rng, (2, 3), 3, 4, heads, 4)
+        w = rng.normal((2, 3, 1, 4))
+        check_grad(lambda: T.sum_all(T.mul(T.attention_pool(_slab_view(x), u, None, heads),
+                                           Tensor(w))), {"x": x, "u": u})
+
+    @pytest.mark.parametrize("heads", [1, 2])
+    def test_x_as_the_values_matches_an_identity_projection(self, rng, heads):
+        x, u, _ = _pool_operands(rng, (2, 3), 4, 6, heads, 6)
+        g = rng.normal((2, 3, 1, 6))
+        results = []
+        for wv in (None, Tensor(np.eye(6))):
+            x.grad = u.grad = None
+            out = T.attention_pool(_slab_view(x), u, wv, heads)
+            T.backward(T.sum_all(T.mul(out, Tensor(g))))
+            results.append((out.data, x.grad, u.grad))
+        for name, a, b in zip(("out", "dx", "du"), *results):
+            assert rel_err(a, b) < 1e-12, name
 
     @pytest.mark.parametrize("heads", [1, 2, 8])
     def test_matches_bruteforce(self, rng, heads):
         # per head, the softmax over the keys of the scaled scores x @ u[:, h]
-        # weighs v's head-h features
+        # weighs the values x @ wv's head-h features
         dl = 3 * heads
-        x, u, v = _pool_operands(rng, (2, 4), 5, 6, heads, dl)
+        x, u, wv = _pool_operands(rng, (2, 4), 5, 6, heads, dl)
         xs = np.swapaxes(x.data, 1, 2)
-        out = T.attention_pool(_slab_view(x), u, v, heads).data
+        v = xs @ wv.data
+        out = T.attention_pool(_slab_view(x), u, wv, heads).data
         want = np.empty((2, 4, 1, dl))
         for h in range(heads):
             s = xs @ u.data[:, h] / np.sqrt(dl // heads)  # [2, 4, Tk]
             p = np.exp(s - s.max(axis=-1, keepdims=True))
             p /= p.sum(axis=-1, keepdims=True)
             cols = slice(h * 3, (h + 1) * 3)
-            want[..., 0, cols] = np.einsum("bsk,bskd->bsd", p, v.data[..., cols])
+            want[..., 0, cols] = np.einsum("bsk,bskd->bsd", p, v[..., cols])
         assert rel_err(out, want) < 1e-12
 
     def test_one_key_gives_exactly_zero_score_gradient(self, rng):
-        # the one key takes the whole softmax, so the scores, and x and u
-        # through them, get no gradient at all, not rounding noise
-        x, u, v = _pool_operands(rng, (2, 3), 1, 5, 2, 4)
+        # the one key takes the whole softmax, so the scores, and u through
+        # them, get no gradient at all, not rounding noise; x's gradient is
+        # its values' alone
+        x, u, wv = _pool_operands(rng, (2, 3), 1, 5, 2, 4)
         g = rng.normal((2, 3, 1, 4))
-        T.backward(T.sum_all(T.mul(T.attention_pool(_slab_view(x), u, v, 2), Tensor(g))))
-        assert (x.grad == 0.0).all() and (u.grad == 0.0).all()
-        np.testing.assert_array_equal(v.grad, g)
+        T.backward(T.sum_all(T.mul(T.attention_pool(_slab_view(x), u, wv, 2), Tensor(g))))
+        assert (u.grad == 0.0).all()
+        np.testing.assert_array_equal(np.swapaxes(x.grad, 1, 2), np.matmul(g, wv.data.T))
+        assert rel_err(wv.grad, np.einsum("bskd,bske->de", np.swapaxes(x.data, 1, 2), g)) < 1e-12
 
     @pytest.mark.parametrize("narrow", [False, True])
     def test_charges_match_costmodel(self, rng, narrow):
@@ -482,32 +607,48 @@ class TestAttentionPool:
         tk, dx, heads, dl = 3, 16, 2, 4
         tracker = AllocTracker()
         with activate(tracker):
-            x, u, v = _pool_operands(rng, (2, 5), tk, dx, heads, dl)
+            x, u, wv = _pool_operands(rng, (2, 5), tk, dx, heads, dl)
             xs = _slab_view(x)
             if narrow:
                 tk = 2
-                xs, v = T.narrow(xs, 2, 1, tk), T.narrow(v, 2, 1, tk)
+                xs = T.split(xs, 2, (1, tk))[1]
             before = tracker.stats()
-            out = T.attention_pool(xs, u, v, heads)
+            out = T.attention_pool(xs, u, wv, heads)
             after = tracker.stats()
         kept, high = costmodel._pool(10, heads, tk, dl, 10 * tk * dx if narrow else 0)
         assert before.peak_bytes == before.live_bytes
         assert after.live_bytes - before.live_bytes == 8 * kept
         assert after.peak_bytes - before.live_bytes == 8 * high
-        # backward recomputes the scores and does not read the output
+        # backward recomputes the scores and the values and does not read the output
         assert not any(np.shares_memory(a, out.data) for a in reachable_arrays(out)
                        if a is not out.data)
         del out
         assert tracker.live_bytes == before.live_bytes
 
+    def test_charges_match_costmodel_when_x_is_the_values(self, rng):
+        tk, dx, heads = 3, 8, 2
+        tracker = AllocTracker()
+        with activate(tracker):
+            x, u, _ = _pool_operands(rng, (2, 5), tk, dx, heads, dx)
+            before = tracker.stats()
+            out = T.attention_pool(_slab_view(x), u, None, heads)
+            after = tracker.stats()
+        kept, high = costmodel._pool(10, heads, tk, dx, 0, projects=False)
+        assert after.live_bytes - before.live_bytes == 8 * kept
+        assert after.peak_bytes - before.live_bytes == 8 * high
+        del out
+        assert tracker.live_bytes == before.live_bytes
+
     def test_rejects_mismatched_shapes(self):
-        x, v = Tensor(np.zeros((2, 3, 4))), Tensor(np.zeros((2, 3, 6)))
-        with pytest.raises(ShapeError):
-            T.attention_pool(x, Tensor(np.zeros((4, 3))), Tensor(np.zeros((2, 2, 6))), 3)
-        with pytest.raises(ShapeError):
-            T.attention_pool(x, Tensor(np.zeros((4, 2))), v, 3)
-        with pytest.raises(ShapeError):
-            T.attention_pool(x, Tensor(np.zeros((4, 4))), v, 4)
+        x, wv = Tensor(np.zeros((2, 3, 4))), Tensor(np.zeros((4, 6)))
+        with pytest.raises(ShapeError):  # wv's input width is not x's
+            T.attention_pool(x, Tensor(np.zeros((4, 3))), Tensor(np.zeros((5, 6))), 3)
+        with pytest.raises(ShapeError):  # u has two heads, not three
+            T.attention_pool(x, Tensor(np.zeros((4, 2))), wv, 3)
+        with pytest.raises(ShapeError):  # four heads do not divide Dl = 6
+            T.attention_pool(x, Tensor(np.zeros((4, 4))), wv, 4)
+        with pytest.raises(ShapeError):  # nor three heads x's width, its values'
+            T.attention_pool(x, Tensor(np.zeros((4, 3))), None, 3)
 
 
 class TestLayernorm:
@@ -772,10 +913,44 @@ class TestRearrange:
             del out
             assert tracker.live_bytes == before.live_bytes
 
-    def test_concat_narrow_identity(self, rng):
+    def test_concat_split_identity(self, rng):
         x = Tensor(rng.normal((2, 6, 3)))
-        parts = [T.narrow(x, 1, 0, 2), T.narrow(x, 1, 2, 4)]
+        parts = T.split(x, 1, (2, 4))
+        assert all(np.shares_memory(p.data, x.data) for p in parts)
         np.testing.assert_array_equal(T.concat(parts, axis=1).data, x.data)
+
+    def test_split_grad(self, rng):
+        ts = {"x": Tensor(rng.normal((2, 6, 3)), requires_grad=True)}
+        w = [rng.normal((2, n, 3)) for n in (1, 3, 2)]
+        check_grad(lambda: T.sum_all(T.concat(
+            [T.mul(p, Tensor(wp)) for p, wp in zip(T.split(ts["x"], 1, (1, 3, 2)), w)], 1)), ts)
+
+    def test_split_grad_equals_scattered_pieces(self, rng):
+        # each piece's gradient in its place and zeros elsewhere, bit for bit
+        # what scattering every piece into zeros of x's shape and adding the
+        # scattered arrays gives; a piece read twice sums its gradients, and
+        # a piece nothing reads gets zeros
+        x = Tensor(rng.normal((3, 7, 2)), requires_grad=True)
+        sizes, g = (2, 1, 3, 1), [rng.normal((3, n, 2)) for n in (2, 1, 3, 1)]
+        pieces = T.split(x, 1, sizes)
+        terms = [T.mul(pieces[0], Tensor(g[0])), T.mul(pieces[2], Tensor(g[2])),
+                 T.mul(pieces[3], Tensor(g[3])), T.mul(pieces[0], Tensor(g[1][:, :1] * g[0]))]
+        T.backward(T.sum_all(T.concat(terms, 1)))
+        want = np.zeros(x.shape)
+        for (start, stop), grad in (((0, 2), g[0]), ((3, 6), g[2]), ((6, 7), g[3]),
+                                    ((0, 2), g[1][:, :1] * g[0])):
+            full = np.zeros(x.shape)
+            full[:, start:stop] = grad
+            want = want + full
+        np.testing.assert_array_equal(x.grad, want)
+        assert (x.grad[:, 2] == 0.0).all()
+
+    def test_split_rejects_sizes_that_do_not_cover_the_axis(self):
+        x = Tensor(np.zeros((2, 5)))
+        with pytest.raises(ShapeError):
+            T.split(x, 1, (2, 2))
+        with pytest.raises(ShapeError):
+            T.split(x, 1, (5, 0))
 
     def test_concat_grad(self, rng):
         ts = {
@@ -842,7 +1017,7 @@ class TestBackward:
 
         def run():
             x = Tensor(data.copy(), requires_grad=True)
-            y = T.attention(T.matmul(x, x), x, x, 1)
+            y = T.attention(T.matmul(x, x), x, None, x, x, 1)
             T.backward(T.sum_all(T.mul(y, y)))
             return x.grad.copy()
 
