@@ -9,10 +9,10 @@ The contract, per rank and per step:
   tensor.  Every other intermediate is a transient, live from its op until
   the next op has read it, as are the fused attention op's projections and
   logit blocks, one block of positions at a time, the pool's scores, fold
-  copy and values, and gelu's block scratch; a transient counts in the
-  component's peak at the point it is live.  Each layer's terms are
-  written once, on the one function that returns its activation elements
-  and FLOPs together.
+  copy and values, and the MLP op's hidden activation and Phi block; a
+  transient counts in the component's peak at the point it is live.  Each
+  layer's terms are written once, on the one function that returns its
+  activation elements and FLOPs together.
 * FLOPs follow `tracking`'s rule and equal the tracker's per-tag count.
 * Parameter bytes come from `params`' table and placement rule, the ones
   that shard the simulator's ranks.  Grads equal params; optimizer state
@@ -76,8 +76,9 @@ class CostReport:
 # still holds its tensor; the rest go as soon as the next op has read
 # them.  So kept is the layer's saved set plus the outputs the code still
 # holds, and high adds the transients: the fused attention op's projections
-# and block buffers, the pool's scores, fold copy and values, gelu's block
-# scratch, and the intermediates freed inside the layer.
+# and block buffers, the pool's scores, fold copy and values, the MLP op's
+# hidden activation and Phi block, and the intermediates freed inside the
+# layer.
 
 
 def _then(*parts):
@@ -133,12 +134,12 @@ def _pool(n, hl, tk, dl, fold, projects=True):
     return kept, n * tk * hl + max(fold, kept + (n * tk * dl if projects else 0))
 
 
-def _gelu(n):
-    """`tensor.gelu` over n elements, whose input nothing but gelu reads:
-    it keeps its derivative and output, holds a block scratch of
-    min(n, PHI_BLOCK) elements while it forms the derivative, and its input
-    goes on return."""
-    return _then((2 * n, 2 * n + min(n, PHI_BLOCK)), _freed(n))
+def _mlp(hidden, n):
+    """`tensor.mlp` with `hidden` hidden and n output elements, whose output
+    the caller's chain counts: it stores nothing.  While it runs it holds
+    its hidden activation, first with one block of Phi (min(hidden,
+    PHI_BLOCK) elements), then with its output."""
+    return 0, hidden + max(min(hidden, PHI_BLOCK), n)
 
 
 def _agg_layer(b, s, ck, d, heads, variant, tp, fold=0):
@@ -230,21 +231,23 @@ def _block(b, t, d, heads, m, tp):
     own output and log-sum-exp, while its q/k/v projections (3*B*T*D/tp)
     and (H/tp)*T^2 logits per sequence are transient, the logits one block
     of sequences at a time; the attention branch's chain to the mid
-    residual (B*T*D); the second norm; the first MLP layer through its bias
-    add, then gelu's derivative and output (B*T*mD/tp each); the MLP
-    branch's chain to the block's output (B*T*D).  The mid residual and the
+    residual (B*T*D); the second norm; the MLP op, which reads the norm's
+    output and keeps nothing, while its hidden activation (B*T*mD/tp) and
+    one block of Phi are transient; the MLP branch's chain from the op's
+    output to the block's output (B*T*D).  The mid residual and the
     block's input, which no backward reads, then go.
 
     FLOPs: the q/k/v/output projections, the two attention products and
-    the MLP's two matmuls, each divided over tp; the attention op's
-    backward recomputes its projections, which adds no model FLOPs.
+    the MLP's two products, each divided over tp; the backward of the
+    attention op and of the MLP op recomputes their projections and hidden
+    activation, which adds no model FLOPs.
     """
     n, hidden = b * t * d, b * t * m * d / tp
     acts = _then(_stored(b * t + n),
                  _attention(b, heads / tp, t, d / tp),
                  _chain(n),
                  _stored(b * t + n),
-                 _chain(hidden), _gelu(hidden),
+                 _mlp(hidden, n),
                  _chain(n),
                  _freed(2 * n))
     flops = (4 * 2 * b * t * d * d + 2 * 2 * b * t * t * d + 2 * 2 * b * t * d * m * d) / tp

@@ -12,8 +12,8 @@ embedding), and `allsum` (all-reduce forward, identity backward) where
 split partial outputs merge.  With group=None both return their input,
 and the math is the single-process reference.
 
-Two tape ops hold every softmax, and each takes a layer's input and its
-projection weights, so no projection is a tensor of the graph.
+Three fused tape ops take a layer's input and its weights, so no
+projection and no hidden activation is a tensor of the graph.
 Self-attention, in the ViT and decoder blocks and full_cross's first
 stage, is `sdp_attention`, the engine's fused `attention` op: it forms q, k
 and v as one product inside it and recomputes them in backward.  A learned
@@ -21,7 +21,8 @@ query over a position's tokens, single_query's layer and full_cross's
 reduce, is `tensor.attention_pool`, which scores the tokens against the
 query with the key projection absorbed, so it forms no key tensor, and
 projects the values inside it (single_query) or pools the tokens
-themselves (full_cross).
+themselves (full_cross).  A block's MLP is `tensor.mlp`, which forms the
+hidden activation and its GELU inside it and recomputes them in backward.
 """
 
 from __future__ import annotations
@@ -80,19 +81,22 @@ def transformer_block(x: Tensor, w: dict, prefix: str, n_heads: int,
                       group: ProcessGroup | None = None) -> Tensor:
     """Pre-norm block: x + attn(ln1(x)); x + mlp(ln2(x)), norms without parameters.
 
-    Each branch ends in the same chain: a split projection, its sum over
-    the group, its bias and the residual add, each op's output dropped as
-    soon as the next has read it."""
-    def residual(x: Tensor, hidden: Tensor, name: str) -> Tensor:
-        out = allsum(group, T.matmul(hidden, w[f"{prefix}.w{name}"]), prefix)
+    Each branch ends in a split partial output: the attention context's
+    output projection, or the fused MLP (`tensor.mlp`, gelu(h w1 + b1) w2,
+    which keeps no hidden-sized buffer).  Then come the same ops: its sum
+    over the group, its bias and the residual add, each op's output
+    dropped as soon as the next has read it."""
+    def residual(x: Tensor, out: Tensor, name: str) -> Tensor:
+        out = allsum(group, out, prefix)
         out = T.add(out, w[f"{prefix}.b{name}"])
         return T.add(x, out)
 
     h = fanout(group, T.layernorm(x), prefix)
-    x = residual(x, sdp_attention(h, w[f"{prefix}.wq"], w[f"{prefix}.bq"], w[f"{prefix}.wk"],
-                                  w[f"{prefix}.wv"], local_heads(n_heads, group)), "o")
+    ctx = sdp_attention(h, w[f"{prefix}.wq"], w[f"{prefix}.bq"], w[f"{prefix}.wk"],
+                        w[f"{prefix}.wv"], local_heads(n_heads, group))
+    x = residual(x, T.matmul(ctx, w[f"{prefix}.wo"]), "o")  # the product keeps ctx
     h = fanout(group, T.layernorm(x), prefix)
-    return residual(x, T.gelu(linear(h, w[f"{prefix}.w1"], w[f"{prefix}.b1"])), "2")
+    return residual(x, T.mlp(h, w[f"{prefix}.w1"], w[f"{prefix}.b1"], w[f"{prefix}.w2"]), "2")
 
 
 def learned_query_scores(wk: Tensor, q: Tensor, n_heads: int) -> Tensor:

@@ -179,14 +179,26 @@ def trunk_loss(agg: Tensor, w: dict, model: ModelConfig, batch: Batch,
                group: ProcessGroup | None = None) -> Tensor:
     """The trunk every composition shares: mask the aggregated stream, run
     the transformer (head-split over `group` when given) and the decoder,
-    and score the reconstruction of the masked positions.  The masked
-    stream goes once the transformer has read it."""
+    and score the reconstruction of the masked positions.
+
+    Callers pass `agg` straight from `aggregated`, so this frame holds the
+    only reference to it (CPython, 3.11 on, hands a call's arguments to the
+    callee's frame), and the stream, which no backward reads, goes once
+    it is masked."""
     rows = masked_rows(batch.mask)
     with alloc_tag("vit"):
-        out = vit_forward(apply_token_mask(agg, batch.mask, w["dec.mask"]),
-                          Tensor(batch.meta), w, model, group)
+        agg = apply_token_mask(agg, batch.mask, w["dec.mask"])
+        out = vit_forward(agg, Tensor(batch.meta), w, model, group)
     with alloc_tag("decoder"):
         return masked_mse(decode(out, w, model, rows), batch.images, rows, model)
+
+
+def aggregated(layer, *args) -> Tensor:
+    """`layer(*args)`, the aggregation that reduces a channel stack to the
+    stream, under the `aggregate` tag; a composition hands the stream
+    straight to `trunk_loss`."""
+    with alloc_tag("aggregate"):
+        return layer(*args)
 
 
 # -- single-process compositions ----------------------------------------------
@@ -198,9 +210,8 @@ def forward_loss_serial(w: dict, model: ModelConfig, batch: Batch) -> Tensor:
         tokens = tokenize_channels(Tensor(batch.images), w["tok.w"],
                                    w["special.channel_id"], w["special.pos"],
                                    model.patch)
-    with alloc_tag("aggregate"):
-        agg = cross_attention_aggregate(tokens, w, "agg.flat", model.agg_variant, model.heads)
-    return trunk_loss(agg, w, model, batch)
+    return trunk_loss(aggregated(cross_attention_aggregate, tokens, w, "agg.flat",
+                                 model.agg_variant, model.heads), w, model, batch)
 
 
 def forward_loss_dchag_reference(w: dict, model: ModelConfig,
@@ -220,10 +231,12 @@ def forward_loss_dchag_reference(w: dict, model: ModelConfig,
     with alloc_tag("tokenize"):
         tokens = tokenize_channels(Tensor(batch.images), w["tok.w"], w["special.channel_id"],
                                    w["special.pos"], model.patch)
-    with alloc_tag("aggregate"):
+
+    def aggregate():
         streams = [tree_aggregate(slab, tree, w, f"agg.slab{r}", strategy.agg_layer_kind,
                                   model.agg_variant, model.heads)
                    for r, slab in enumerate(T.split(tokens, 2, [cloc] * tp))]
         stack = streams[0] if tp == 1 else T.concat(streams, axis=2)
-        agg = cross_attention_aggregate(stack, w, "agg.final", model.agg_variant, model.heads)
-    return trunk_loss(agg, w, model, batch)
+        return cross_attention_aggregate(stack, w, "agg.final", model.agg_variant, model.heads)
+
+    return trunk_loss(aggregated(aggregate), w, model, batch)

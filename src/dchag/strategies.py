@@ -50,7 +50,7 @@ import numpy as np
 from . import layers
 from . import tensor as T
 from .config import ConfigError, ModelConfig, ParallelConfig, StrategyConfig
-from .model import (Batch, forward_loss_dchag_reference, forward_loss_serial,
+from .model import (Batch, aggregated, forward_loss_dchag_reference, forward_loss_serial,
                     tokenize_channels, tree_aggregate, trunk_loss)
 from .params import rank_tree, shard_for_rank, unshard_grads
 from .runtime import CommLedger, ProcessGroup, RankContext, spawn_ranks
@@ -171,18 +171,20 @@ def parallel_forward_loss(w: dict, model: ModelConfig, strategy: StrategyConfig,
                                    w["special.channel_id"], pos, model.patch)
         if strategy.kind == "dist_token":
             tokens = gather_shards(ctx.tp, tokens, axis=2, tag=TOKEN_GATHER_TAG)
-    with alloc_tag("aggregate"):
-        prefix = "agg.flat"
+
+    def aggregate():
+        stack, prefix = tokens, "agg.flat"
         if strategy.kind == "dchag":
-            stream = tree_aggregate(tokens, rank_tree(model, strategy), w,
-                                    f"agg.slab{tp_i}", strategy.agg_layer_kind,
-                                    model.agg_variant, model.heads)
-            tokens = gather_shards(ctx.tp, stream, axis=2, tag=DCHAG_BOUNDARY_TAG)
+            stream = tree_aggregate(tokens, rank_tree(model, strategy), w, f"agg.slab{tp_i}",
+                                    strategy.agg_layer_kind, model.agg_variant, model.heads)
+            stack = gather_shards(ctx.tp, stream, axis=2, tag=DCHAG_BOUNDARY_TAG)
             del stream  # the gather's backward does not read it
             prefix = "agg.final"
-        agg = layers.cross_attention_aggregate(tokens, w, prefix, model.agg_variant, model.heads,
-                                               ctx.tp if strategy.splits_agg else None)
-    return trunk_loss(agg, w, model, batch, ctx.tp if strategy.splits_vit else None)
+        return layers.cross_attention_aggregate(stack, w, prefix, model.agg_variant, model.heads,
+                                                ctx.tp if strategy.splits_agg else None)
+
+    return trunk_loss(aggregated(aggregate), w, model, batch,
+                      ctx.tp if strategy.splits_vit else None)
 
 
 # -- the parallel step driver ---------------------------------------------------

@@ -15,39 +15,42 @@ Design points that later modules rely on:
   allocation tracker once, by one rule (`tracking.AllocTracker.charge`):
   an op output, and every buffer a fused op holds outside a `Tensor` (the
   attention op's projections, blocks and log-sum-exp, the pool's scores,
-  values, log-sum-exp and fold copy, `gelu`'s derivative and its block
-  scratch, `layernorm`'s 1/sigma), from its allocation until its memory is
+  values, log-sum-exp and fold copy, the MLP's hidden activation and Phi
+  block, `layernorm`'s 1/sigma), from its allocation until its memory is
   freed; a view of charged memory adds nothing; a leaf's memory, which its
   caller owns, for as long as the engine holds a view of it;
-* two fused ops hold every softmax, and each takes its input and its
-  projection weights, not projections.  `attention` is self-attention: the
-  ViT and decoder blocks and full_cross's first aggregation stage.  It
-  holds x, the weights, its output and the per-row log-sum-exp; q, k, v
-  and the logits live only while it runs.  `attention_pool` is a learned
-  query per head over a position's tokens, with the key projection
-  absorbed into the query: single_query's aggregation layer and
-  full_cross's reduce, whose values are its input.  It holds x, the query
-  scores u, the value weights and the log-sum-exp; the scores and the
-  values live only while it runs.  Backward recomputes what the forward
-  formed and freed;
-* FLOPs follow `tracking`'s rule: only `matmul`, `attention` and
-  `attention_pool` count any, each once, in forward: a recompute in
-  backward adds none, as model FLOPs count no recomputation;
+* three fused ops take a layer's input and its weights, and hold no
+  intermediate of the layer for backward, which recomputes what the
+  forward formed and freed, as selective recomputation does (Korthikanti
+  et al., 2022).  `attention` is self-attention: the ViT and decoder
+  blocks and full_cross's first aggregation stage.  It holds x, the
+  weights, its output and the per-row log-sum-exp; q, k, v and the logits
+  live only while it runs.  `attention_pool` is a learned query per head
+  over a position's tokens, with the key projection absorbed into the
+  query: single_query's aggregation layer and full_cross's reduce, whose
+  values are its input.  It holds x, the query scores u, the value
+  weights and the log-sum-exp; the scores and the values live only while
+  it runs.  `mlp` is a block's gelu(x w1 + b1) w2.  It holds x and the
+  three weights; the hidden activation and one block of Phi live only
+  while it runs;
+* FLOPs follow `tracking`'s rule: only `matmul`, `attention`,
+  `attention_pool` and `mlp` count any, each once, in forward: a
+  recompute in backward adds none, as model FLOPs count no recomputation;
 * the fused attention op walks (position, head) blocks whose logits fit
   `ATTENTION_BLOCK` elements, a size chosen so that a block stays in cache:
   whole positions while one position's logits fit, else heads of one
   position; each head is computed with the same numpy calls whatever the
   block size, so results do not depend on it, and only the transient (one
   block, not every position) does;
-* `gelu`'s Phi(x) is numpy alone (`normal_cdf`), after Cephes' ndtr.c.  For
+* GELU's Phi(x) is numpy alone (`normal_cdf`), after Cephes' ndtr.c.  For
   |x| <= sqrt2 it is one rational in x^2, erf's with the 1/2 and 1/sqrt2
   folded into its coefficients, evaluated over the flat array in blocks of
   `PHI_BLOCK` elements, a size chosen, like `ATTENTION_BLOCK`, so that a
   block's scratch stays in cache from one numpy pass to the next.  Beyond
   sqrt2, erfc's rationals times exp(-x^2/2) run on those elements alone,
   gathered, with |x| clamped at 40, where Phi is 0 or 1 in float64: infinities
-  give 0 and 1, NaN stays NaN, and no warning is raised.  `gelu` saves its
-  derivative Phi(x) + x pdf(x) in Phi's buffer, not its input;
+  give 0 and 1, NaN stays NaN, and no warning is raised.  `mlp` applies GELU
+  to its hidden activation in place, one such block at a time;
 * importing this module sets glibc's allocation policy for the process
   (`MALLOC_POLICY_SET` says whether it took): one arena, no trimming, and
   a fixed 32 MiB mmap threshold.  A step frees what the next allocates
@@ -717,34 +720,78 @@ def normal_cdf(x: np.ndarray) -> np.ndarray:
     return phi.reshape(np.shape(x))
 
 
-def _add_x_pdf(x: np.ndarray, d: np.ndarray) -> None:
-    """d += x pdf(x) over flat x and d, one `PHI_BLOCK` at a time, in a
-    charged block scratch that goes on return."""
-    t = _charged(np.empty(min(x.size, PHI_BLOCK)))
-    for start in range(0, x.size, PHI_BLOCK):
-        xb = x[start:start + PHI_BLOCK]
-        tb = np.multiply(xb, xb, out=t[:len(xb)])
-        tb *= -0.5
-        np.exp(tb, out=tb)
-        tb *= xb
-        tb *= _INV_SQRT2PI
-        d[start:start + PHI_BLOCK] += tb
+def _gelu_in_place(a: np.ndarray) -> None:
+    """a = a Phi(a) over contiguous a, one `PHI_BLOCK` at a time; each
+    block's Phi (`normal_cdf`) is a charged scratch that goes once read."""
+    flat = a.reshape(-1)
+    for i in range(0, flat.size, PHI_BLOCK):
+        block = flat[i:i + PHI_BLOCK]
+        block *= _charged(normal_cdf(block))
 
 
-def gelu(x: Tensor) -> Tensor:
-    """x Phi(x), exact GELU.  The one buffer the op holds for backward is
-    its derivative Phi(x) + x pdf(x), so backward is g times it and x is
-    not saved.  The forward forms the derivative in Phi's buffer
-    (`normal_cdf`) once the output has read Phi."""
-    xd = x.data
-    deriv = _charged(normal_cdf(xd))  # Phi(x) until x pdf(x) is added
-    out = _charged(xd * deriv)
-    _add_x_pdf(np.ravel(xd), deriv.reshape(-1))
+def _gelu_and_derivative(a: np.ndarray) -> np.ndarray:
+    """a Phi(a) in a new buffer, with contiguous a turned into GELU's
+    derivative Phi(a) + a pdf(a), one `PHI_BLOCK` at a time."""
+    act = np.empty(a.shape)
+    flat, act_flat = a.reshape(-1), act.reshape(-1)
+    for i in range(0, flat.size, PHI_BLOCK):
+        block = flat[i:i + PHI_BLOCK]
+        phi = normal_cdf(block)
+        np.multiply(block, phi, out=act_flat[i:i + PHI_BLOCK])
+        t = block * block  # a pdf(a)
+        t *= -0.5
+        np.exp(t, out=t)
+        t *= block
+        t *= _INV_SQRT2PI
+        np.add(phi, t, out=block)
+    return act
+
+
+def mlp(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor) -> Tensor:
+    """gelu(x w1 + b1) w2, with exact GELU (a Phi(a)), as one tape node.
+
+    x is [..., D], w1 [D, Dh], b1 [Dh] and w2 [Dh, Do]; returns [..., Do].
+    The hidden activation a = x w1 + b1 is one buffer, which GELU overwrites
+    one `PHI_BLOCK` at a time, each block's Phi a block-sized scratch that
+    goes once read; the output's product reads a, and it goes on return.
+    The op saves x, w1, b1 and w2, and no hidden-sized buffer: backward
+    recomputes a, as selective recomputation does (Korthikanti et al.,
+    2022), and per block writes gelu(a) into one buffer and turns a into
+    GELU's derivative Phi(a) + a pdf(a).  Every value comes from the numpy
+    calls of the chain matmul, bias add, GELU and matmul, so the output and
+    the gradients are that chain's to the bit.  The forward charges a, the
+    Phi block and the output while each lives.
+    """
+    if (x.ndim < 2 or w1.ndim != 2 or w2.ndim != 2 or w1.shape[0] != x.shape[-1]
+            or b1.shape != w1.shape[1:] or w2.shape[0] != w1.shape[1]):
+        raise ShapeError(f"mlp needs x [..., D], w1 [D, Dh], b1 [Dh] and w2 [Dh, Do], got "
+                         f"{x.shape}, {w1.shape}, {b1.shape}, {w2.shape}")
+    xd, w1d, b1d, w2d = x.data, w1.data, b1.data, w2.data
+
+    def hidden():
+        """a = x w1 + b1, the pre-activation, in a new buffer."""
+        a = np.matmul(xd, w1d)
+        a += b1d
+        return a
+
+    a = _charged(hidden())
+    _gelu_in_place(a)
+    out = _charged(np.matmul(a, w2d))
+    _flops(2 * a.size * (xd.shape[-1] + w2d.shape[1]))
+    del a
 
     def back(g):
-        return (g * deriv,)
+        a = hidden()
+        hf, gf = _fold_rows(_gelu_and_derivative(a), g)  # a is GELU's derivative from here
+        dw2 = hf.T @ gf
+        del hf, gf
+        da = np.matmul(g, w2d.T)
+        da *= a
+        del a
+        xf, df = _fold_rows(xd, da)
+        return np.matmul(da, w1d.T), xf.T @ df, _reduce_to(da, b1d.shape), dw2
 
-    return Tensor(out, _parents=(x,), _backward=back)
+    return Tensor(out, _parents=(x, w1, b1, w2), _backward=back)
 
 
 def layernorm(x: Tensor) -> Tensor:

@@ -179,8 +179,8 @@ class TestComm:
 # aggregation ends in a ragged block (288 positions in blocks of 64).
 LONG = (("channels", 16), ("image_h", 32), ("image_w", 32))
 TALL = (("channels", 16), ("image_h", 48), ("image_w", 48))
-# WIDE's serial MLP input (2*65*256 elements) is past one `tensor.PHI_BLOCK`,
-# so gelu's block scratch stops growing with it.
+# WIDE's serial MLP hidden activation (2*65*256 elements) is past one
+# `tensor.PHI_BLOCK`, so the MLP op's Phi block stops growing with it.
 WIDE = LONG + (("embed", 64), ("mlp_ratio", 4))
 LONG_GRID = [(variant, strat) for variant in VARIANTS for strat in (
     StrategyConfig(kind="serial"), StrategyConfig(kind="tp_only", tp_degree=2),

@@ -713,33 +713,95 @@ BLK = T.PHI_BLOCK
 SQRT2 = np.sqrt(2.0)
 
 
-class TestGelu:
-    def test_grad(self, rng):
-        ts = {"x": Tensor(rng.normal((4, 4)), requires_grad=True)}
-        check_grad(lambda: T.sum_all(T.gelu(ts["x"])), ts, tol=1e-5)
+def _gelu_op(x):
+    """x Phi(x) as a tape op of its own, the GELU that `tensor.mlp` fuses:
+    its derivative Phi(x) + x pdf(x) formed in this order from x, and
+    backward g times it."""
+    xd = x.data
+    deriv = T.normal_cdf(xd)
+    out = xd * deriv
+    t = xd * xd
+    t *= -0.5
+    np.exp(t, out=t)
+    t *= xd
+    t *= 1.0 / np.sqrt(2.0 * np.pi)
+    deriv += t
+    return Tensor(out, _parents=(x,), _backward=lambda g: (g * deriv,))
 
-    @pytest.mark.parametrize("sign", [-1.0, 1.0])
-    def test_grad_in_tail(self, sign):
-        rng = np.random.default_rng(3)
-        x, w = sign * rng.uniform(2.0, 6.0, (4, 4)), rng.normal(size=(4, 4))
-        ts = {"x": Tensor(x, requires_grad=True)}
-        check_grad(lambda: T.sum_all(T.mul(T.gelu(ts["x"]), Tensor(w))), ts, tol=1e-5)
+
+def _mlp_chain(x, w1, b1, w2):
+    """The unfused MLP: matmul, bias add, GELU and matmul, each a tape op."""
+    return T.matmul(_gelu_op(T.add(T.matmul(x, w1), b1)), w2)
+
+
+def _mlp_operands(rng, x, hidden, out, scale=1.0):
+    """Tensors that need gradients: x as given, and w1 [D, hidden], b1 and
+    w2 [hidden, out] drawn at `scale`."""
+    d = x.shape[-1]
+    return (Tensor(x, requires_grad=True),
+            *(Tensor(rng.normal(shape, scale), requires_grad=True)
+              for shape in ((d, hidden), (hidden,), (hidden, out))))
+
+
+def _gelu_through_mlp(x, g=None):
+    """GELU of x alone through `mlp`: each element its own row of width one,
+    with w1 = w2 = 1 and b1 = 0, so the products are exact, infinities
+    included; with `g`, also x's gradient for the output gradient g."""
+    xt = Tensor(np.reshape(x, (-1, 1)), requires_grad=True)
+    one = (Tensor(np.ones((1, 1))), Tensor(np.zeros(1)), Tensor(np.ones((1, 1))))
+    out = T.mlp(xt, *one)
+    if g is None:
+        return out.data.reshape(np.shape(x))
+    T.backward(T.sum_all(T.mul(out, Tensor(np.reshape(g, (-1, 1))))))
+    return out.data.reshape(np.shape(x)), xt.grad.reshape(np.shape(x))
+
+
+class TestMlp:
+    @pytest.mark.parametrize("transposed", [False, True])
+    @pytest.mark.parametrize("lead, d, hidden", [((2, 3), 4, 6), ((3, 40), 16, 300)])
+    def test_matches_the_unfused_chain_bits(self, rng, transposed, lead, d, hidden):
+        # x ~ N(0, 2^2) against N(0, 1) weights puts most pre-activations in
+        # Phi's tail; [3, 40] x 300 is past one PHI_BLOCK, its second block
+        # ragged.  A transposed x is the view a token slab arrives as.
+        x = rng.normal((lead[1], lead[0], d), 2.0).swapaxes(0, 1) if transposed \
+            else rng.normal((*lead, d), 2.0)
+        ts = _mlp_operands(rng, x, hidden, 5)
+        g = rng.normal((*lead, 5))
+        results = []
+        for op in (T.mlp, _mlp_chain):
+            for t in ts:
+                t.grad = None
+            out = op(*ts)
+            T.backward(T.sum_all(T.mul(out, Tensor(g))))
+            results.append((out.data, *(t.grad for t in ts)))
+        pre = np.abs(np.matmul(x, ts[1].data) + ts[2].data)
+        assert (pre > SQRT2).any() and (pre <= SQRT2).any()
+        for name, a, b in zip(("out", "dx", "dw1", "db1", "dw2"), *results):
+            np.testing.assert_array_equal(a, b, err_msg=name)
+
+    @pytest.mark.parametrize("scale", [0.5, 3.0])
+    def test_grad(self, rng, scale):
+        # at scale 3 most pre-activations lie in Phi's tail, on both sides
+        x, w1, b1, w2 = _mlp_operands(rng, rng.normal((2, 3, 4), scale), 5, 3, scale)
+        w = rng.normal((2, 3, 3))
+        check_grad(lambda: T.sum_all(T.mul(T.mlp(x, w1, b1, w2), Tensor(w))),
+                   {"x": x, "w1": w1, "b1": b1, "w2": w2}, tol=1e-5)
 
     def test_values(self):
-        out = T.gelu(Tensor([0.0, 100.0, -100.0]))
-        np.testing.assert_allclose(out.data, [0.0, 100.0, 0.0], atol=1e-12)
+        np.testing.assert_allclose(_gelu_through_mlp(np.array([0.0, 100.0, -100.0])),
+                                   [0.0, 100.0, 0.0], atol=1e-12)
 
     def test_matches_x_phi(self):
         x = np.linspace(-9.0, 9.0, 180).reshape(9, 20)
         want = x * np.array([mp_phi(v) for v in x.ravel()]).reshape(x.shape)
-        np.testing.assert_allclose(T.gelu(Tensor(x)).data, want, rtol=PHI_RTOL, atol=1e-300)
+        np.testing.assert_allclose(_gelu_through_mlp(x), want, rtol=PHI_RTOL, atol=1e-300)
 
     @pytest.mark.parametrize("size", [64, 2 * BLK + 5])
-    def test_backward_bits(self, size):
-        """The gradient is g (Phi(x) + x pdf(x)) to the bit, the pdf term
-        formed in this order from x: core and tail points, the clamp at
-        40, infinities and NaN, and past one block, tail points on both
-        sides of each block edge."""
+    def test_gelu_bits_at_extremes(self, size):
+        """The output is x Phi(x) and the gradient g (Phi(x) + x pdf(x)) to
+        the bit, the pdf term formed in this order from x: core and tail
+        points, the clamp at 40, infinities and NaN, and past one block,
+        tail points on both sides of each block edge."""
         rng = np.random.default_rng(size)
         x = rng.uniform(-SQRT2, SQRT2, size)
         special = [np.nextafter(SQRT2, 2.0), -np.nextafter(SQRT2, 2.0), 40.0, -40.0,
@@ -750,16 +812,51 @@ class TestGelu:
             x[edge - 2:edge + 2] = rng.uniform(SQRT2, 40.0, 4) * [-1.0, 1.0, 1.0, -1.0]
         g = rng.normal(size=x.shape)
         with np.errstate(invalid="ignore"):  # 0 * inf in x pdf(x) at the infinities
+            phi = T.normal_cdf(x)
             t = x * x
             t *= -0.5
             np.exp(t, out=t)
             t *= x
             t *= 1.0 / np.sqrt(2.0 * np.pi)
-            t += T.normal_cdf(x)
+            t += phi
             t *= g
-            xt = Tensor(x, requires_grad=True)
-            T.backward(T.sum_all(T.mul(T.gelu(xt), Tensor(g))))
-        np.testing.assert_array_equal(xt.grad, t)  # NaN where t is NaN
+            out, dx = _gelu_through_mlp(x, g)
+            np.testing.assert_array_equal(out, x * phi)  # NaN at -inf, as -inf * 0
+        np.testing.assert_array_equal(dx, t)  # NaN where t is NaN
+
+    @pytest.mark.parametrize("rows, hidden", [(6, 4), (12, 2), (40, T.PHI_BLOCK // 20 + 3)])
+    def test_charges_match_costmodel(self, rng, rows, hidden):
+        # the op keeps its output alone; while it ran it held the hidden
+        # activation with one block of Phi, then with the output.  An output
+        # width of 3 against a hidden width of 4 or 2 makes the Phi block or
+        # the output the larger; the last case is past one PHI_BLOCK.
+        tracker = AllocTracker()
+        with activate(tracker):
+            x, w1, b1, w2 = _mlp_operands(rng, rng.normal((2, rows // 2, 3)), hidden, 3)
+            before = tracker.stats()
+            out = T.mlp(x, w1, b1, w2)
+            after = tracker.stats()
+        kept, high = costmodel._mlp(rows * hidden, out.size)
+        assert kept == 0  # the output is the first link of the block's chain, which counts it
+        assert before.peak_bytes == before.live_bytes
+        assert after.live_bytes - before.live_bytes == out.data.nbytes
+        assert after.peak_bytes - before.live_bytes == 8 * high
+        # backward reads x and the weights alone: no other array is saved
+        inputs = {id(_owner(t.data)) for t in (x, w1, b1, w2)}
+        assert {id(_owner(a)) for a in reachable_arrays(out) if a is not out.data} <= inputs
+        del out
+        assert tracker.live_bytes == before.live_bytes
+
+    def test_rejects_mismatched_shapes(self):
+        x, w1, b1, w2 = (Tensor(np.zeros(s)) for s in ((2, 3, 4), (4, 6), (6,), (6, 5)))
+        with pytest.raises(ShapeError):  # w1 reads width 5, x has 4
+            T.mlp(x, Tensor(np.zeros((5, 6))), b1, w2)
+        with pytest.raises(ShapeError):  # b1 is not of the hidden width
+            T.mlp(x, w1, Tensor(np.zeros(5)), w2)
+        with pytest.raises(ShapeError):  # w2 reads width 5, the hidden is 6
+            T.mlp(x, w1, b1, Tensor(np.zeros((5, 5))))
+        with pytest.raises(ShapeError):  # x needs rows
+            T.mlp(Tensor(np.zeros(4)), w1, b1, w2)
 
 
 def mp_phi(x):

@@ -1,16 +1,20 @@
+import threading
 import tracemalloc
 import types
+import weakref
 
 import numpy as np
 import pytest
 
+from dchag import model as dmodel
 from dchag import tensor as T
 from dchag.config import ModelConfig, ParallelConfig, StrategyConfig
 from dchag.model import forward_loss_dchag_reference, forward_loss_serial
 from dchag.params import create_master, shard_for_rank
 from dchag.rng import RngState
 from dchag.runtime import spawn_ranks
-from dchag.strategies import parallel_forward_loss, run_hybrid_step
+from dchag.strategies import (parallel_forward_loss, run_dchag_reference_step,
+                              run_hybrid_step, run_serial_step)
 from dchag.synthetic import make_batch
 from dchag.tensor import EngineError, Tensor
 from dchag.tracking import AllocTracker, activate, alloc_tag, current_tracker
@@ -138,19 +142,21 @@ def test_a_product_with_a_constant_keeps_only_the_constant():
 
 
 @pytest.mark.parametrize("n", [6, T.PHI_BLOCK + 5])
-def test_gelu_keeps_its_derivative_not_its_input(n):
-    # once the caller drops gelu's input, what is left is the output and one
-    # input-sized derivative; while forming the derivative, gelu held one
-    # block of scratch on top of both
+def test_mlp_keeps_its_input_not_its_hidden_activation(n):
+    # n rows of width one, a hidden width of two: once the op returns, what
+    # it leaves beyond its input and weights is its output; while it ran it
+    # held the 2n hidden elements, with one block of Phi, then the output
     tr = AllocTracker()
     with activate(tr):
-        x = Tensor(np.linspace(-4.0, 4.0, n), requires_grad=True)
+        x = Tensor(np.linspace(-4.0, 4.0, n)[:, None], requires_grad=True)
+        w1, b1, w2 = (Tensor(np.full(shape, 0.5), requires_grad=True)
+                      for shape in ((1, 2), (2,), (2, 1)))
         h = T.scale(x, 2.0)
         start = tr.live_bytes
-        y = T.gelu(h)
-        assert tr.peak_bytes == start + 2 * h.data.nbytes + 8 * min(n, T.PHI_BLOCK)
-        del h
-        assert tr.live_bytes == x.data.nbytes + 2 * y.data.nbytes
+        y = T.mlp(h, w1, b1, w2)
+        assert tr.peak_bytes == start + 8 * (2 * n + max(min(2 * n, T.PHI_BLOCK), n))
+        del h  # backward reads it: it stays
+        assert tr.live_bytes == start + y.data.nbytes
 
 
 def tracking_desk(**kw):
@@ -174,12 +180,13 @@ def test_only_matrix_products_count_flops():
     # elementwise ops, norms and reductions add none; attention adds its
     # projection, 2*n*T*D*3Dl over its n positions, and its two products,
     # 4*n*T*T*Dl; the pool its scores, 2*n*Tk*D*H, its value projection,
-    # 2*n*Tk*D*Dl, and its pooling, 2*n*Tk*Dl
+    # 2*n*Tk*D*Dl, and its pooling, 2*n*Tk*Dl; the MLP its two products,
+    # 2*r*D*Dh and 2*r*Dh*Do over its r rows
     x = Tensor(np.random.default_rng(0).standard_normal((2, 3, 5, 4)))
     w = Tensor(np.ones((4, 6)))
     tr = AllocTracker()
     with activate(tr), alloc_tag("aggregate"):
-        for op in (T.gelu, T.layernorm, T.sum_all, lambda t: T.add(t, t),
+        for op in (T.layernorm, T.sum_all, lambda t: T.add(t, t),
                    lambda t: T.sub(t, t), lambda t: T.mul(t, t), lambda t: T.scale(t, 2.0)):
             op(x)
             assert tr.per_tag_flops == {}, op
@@ -189,6 +196,9 @@ def test_only_matrix_products_count_flops():
         T.attention_pool(x, Tensor(np.ones((4, 2))), w, 2)
         pool = 2 * 6 * 5 * 4 * 2 + 2 * 6 * 5 * 4 * 6 + 2 * 6 * 5 * 6
         assert tr.per_tag_flops["aggregate"] == attention + pool
+        T.mlp(x, w, Tensor(np.ones(6)), Tensor(np.ones((6, 3))))
+        mlp = 2 * 30 * 4 * 6 + 2 * 30 * 6 * 3
+        assert tr.per_tag_flops["aggregate"] == attention + pool + mlp
 
 
 def closure_cells(fn):
@@ -227,9 +237,10 @@ def graph_faults(loss):
 
 # every buffer that a fused op allocates and its backward reads: the
 # attention op's output and log-sum-exp (its projections it recomputes), the
-# pool's log-sum-exp (its scores and values it recomputes)
+# pool's log-sum-exp (its scores and values it recomputes), and layernorm's
+# 1/sigma; the MLP op allocates none (its hidden activation it recomputes)
 SAVED_OUTSIDE_TENSORS = {("attention", "ctxf"), ("attention", "lse"), ("attention_pool", "lse"),
-                         ("gelu", "deriv"), ("layernorm", "inv")}
+                         ("layernorm", "inv")}
 
 
 @pytest.mark.parametrize("variant", ["single_query", "full_cross"])
@@ -261,6 +272,74 @@ def test_backward_closures_hold_only_charged_arrays(variant):
         for faults, checked in spawn_ranks(ParallelConfig(dchag_tp=2), program).results:
             assert faults == set(), (kind, layer_kind)
             assert SAVED_OUTSIDE_TENSORS <= checked
+
+
+def test_no_closure_holds_a_hidden_activation():
+    # the MLP op keeps its input and its weights: the hidden activation, its
+    # GELU and GELU's derivative are recomputed in backward, so the only
+    # arrays of a hidden width that a closure holds are w1 and b1.  The
+    # ViT's hidden width is 24, split to 12 over tp 2; the decoder's is 24.
+    model = tracking_desk(mlp_ratio=3)
+    batch = make_batch(model, 7, 0, [0, 1])
+
+    def hidden_arrays(w, loss, widths):
+        """(closure variable, shape) of each float array of a hidden width
+        that a closure holds and that is no w1 or b1."""
+        weights = [t.data for name, t in w.items() if name.endswith((".w1", ".b1"))]
+        return {(var, held.shape) for node in T._topo_order(loss.node) if node.backward
+                for var, held in closure_cells(node.backward)
+                if isinstance(held, np.ndarray) and held.ndim and held.shape[-1] in widths
+                and not any(np.shares_memory(held, p) for p in weights)}
+
+    master = create_master(model, StrategyConfig(), RngState(3))
+    w = {name: Tensor(arr, requires_grad=True) for name, arr in master.items()}
+    assert hidden_arrays(w, forward_loss_serial(w, model, batch), {24}) == set()
+    strat = StrategyConfig(kind="tp_only", tp_degree=2)
+
+    def program(ctx):
+        w = {name: Tensor(arr, requires_grad=True)
+             for name, arr in shard_for_rank(master, strat, ctx.coords[0]).items()}
+        return hidden_arrays(w, parallel_forward_loss(w, model, strat, batch, ctx), {12, 24})
+
+    assert spawn_ranks(ParallelConfig(dchag_tp=2), program).results == [set(), set()]
+
+
+@pytest.mark.parametrize("variant", ["single_query", "full_cross"])
+def test_the_aggregated_stream_goes_before_the_first_vit_block(monkeypatch, variant):
+    # no backward reads the aggregation's output, the stream [B, S, 1, D];
+    # every composition hands it to trunk_loss, which drops it once masked,
+    # so it is freed, and its bytes leave the aggregate tag, before the
+    # transformer's first block runs
+    model = tracking_desk(agg_variant=variant)
+    batch = make_batch(model, 7, 0, [0, 1])
+    stream_bytes = 8 * 2 * model.seq * model.embed
+    at_mask, checked = {}, []
+    real_mask, real_block = dmodel.apply_token_mask, dmodel.transformer_block
+
+    def mask(agg, *args):
+        assert agg.shape == (2, model.seq, 1, model.embed) and agg.data.base is None
+        live = current_tracker().per_tag_live["aggregate"]
+        at_mask[threading.get_ident()] = weakref.ref(agg.data), live
+        return real_mask(agg, *args)
+
+    def block(x, w, prefix, *args):
+        if prefix == "vit.blk0":
+            stream, live = at_mask.pop(threading.get_ident())
+            checked.append((stream() is None,
+                            live - current_tracker().per_tag_live["aggregate"]))
+        return real_block(x, w, prefix, *args)
+
+    monkeypatch.setattr(dmodel, "apply_token_mask", mask)
+    monkeypatch.setattr(dmodel, "transformer_block", block)
+    dchag = StrategyConfig(kind="dchag", tp_degree=2, max_group=2)
+    run_serial_step(model, create_master(model, StrategyConfig(), RngState(3)), batch)
+    run_dchag_reference_step(model, dchag, create_master(model, dchag, RngState(3)), batch)
+    for kind, layer_kind in (("tp_only", "cross_attention"), ("dist_token", "cross_attention"),
+                             ("dchag", "cross_attention"), ("dchag", "linear")):
+        strat = StrategyConfig(kind=kind, tp_degree=2, max_group=2, agg_layer_kind=layer_kind)
+        run_hybrid_step(ParallelConfig(dchag_tp=2), model, strat,
+                        create_master(model, strat, RngState(3)), [batch])
+    assert checked == [(True, stream_bytes)] * (2 + 4 * 2)  # two single-process, four 2-rank
 
 
 def test_backward_frees_what_it_has_passed():
@@ -316,7 +395,7 @@ def test_live_bytes_match_tracemalloc_after_a_forward():
     # the traced region, and the caller's references to them dropped, what
     # tracemalloc sees of a serial forward is the tracker's live bytes plus
     # the graph's Python objects
-    model = tracking_desk(channels=12, image_h=32, image_w=32, embed=32, depth=2, heads=4)
+    model = tracking_desk(channels=16, image_h=32, image_w=32, embed=32, depth=2, heads=4)
     import numpy.random  # noqa: F401  numpy loads it on first use, which is not to be traced
     tracemalloc.start()
     try:
