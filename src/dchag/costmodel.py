@@ -7,12 +7,13 @@ The contract, per rank and per step:
   per-tag peak.  A buffer is held while a backward closure saved it (the
   saved set: what each backward reads) or the model code still holds its
   tensor.  Every other intermediate is a transient, live from its op until
-  the next op has read it, as are the fused attention op's projections and
-  logit blocks, one block of positions at a time, the pool's scores, fold
-  copy and values, and the MLP op's hidden activation and Phi block; a
-  transient counts in the component's peak at the point it is live.  Each
-  layer's terms are written once, on the one function that returns its
-  activation elements and FLOPs together.
+  the next op has read it, as are the fused attention op's context and its
+  projections and logit blocks, one block of positions at a time, the
+  pool's scores, fold copy, values and pooled values, and the MLP op's
+  hidden activation and Phi block; a transient counts in the component's
+  peak at the point it is live.  Each layer's terms are written once, on
+  the one function that returns its activation elements and FLOPs
+  together.
 * FLOPs follow `tracking`'s rule and equal the tracker's per-tag count.
 * Parameter bytes come from `params`' table and placement rule, the ones
   that shard the simulator's ranks.  Grads equal params; optimizer state
@@ -75,10 +76,12 @@ class CostReport:
 # buffer stays live while a backward closure saved it or the model code
 # still holds its tensor; the rest go as soon as the next op has read
 # them.  So kept is the layer's saved set plus the outputs the code still
-# holds, and high adds the transients: the fused attention op's projections
-# and block buffers, the pool's scores, fold copy and values, the MLP op's
-# hidden activation and Phi block, and the intermediates freed inside the
-# layer.
+# holds, and high adds the transients: the fused attention op's context,
+# projection block and logit blocks, the pool's scores, fold copy, values
+# and pooled values, the MLP op's hidden activation and Phi block, and the
+# intermediates freed inside the layer.  A fused op that ends in an output
+# projection hands its output on to the sum over tp: the caller's chain
+# counts it.
 
 
 def _then(*parts):
@@ -109,29 +112,40 @@ def _chain(n):
     return n, 2 * n
 
 
-def _attention(n, hl, t, dl):
+def _attention(n, hl, t, dl, do, run):
     """The fused attention op over `n` positions of T tokens, projected to
-    width Dl: it keeps its merged output (n*T*Dl) and per-row log-sum-exp
-    (n*Hl*T); x, which it also saves, is its caller's.  While it runs it
-    holds, on top of both, the projections [q | k | v] (3*n*T*Dl) and one
-    (position, head) block of `tensor.attention_block`'s size (whole
-    positions, all n if fewer, or one position and some of its heads) of
-    logits and row sums (T*T + T per head)."""
-    kept = n * t * (dl + hl)
+    width Dl and out to Do, in runs of `run` positions (its input's last
+    lead axis): it keeps its per-row log-sum-exp (n*Hl*T); its output
+    (n*T*Do) the caller's chain counts, and x, which it also saves, is its
+    caller's.  While it runs it holds the context (n*T*Dl) and the
+    log-sum-exp, first with one block of positions of
+    `tensor.attention_block`'s size, no longer than a run: the block's
+    projections [q | k | v] (3*T*Dl per position) and its logits and row
+    sums (T*T + T per head, for some of a position's heads if one
+    position's logits exceed a block); then with its output."""
+    lse = n * hl * t
     rows, heads = attention_block(hl, t, t)
-    return kept, kept + 3 * n * t * dl + min(n, rows) * heads * (t * t + t)
+    blk = min(run, rows)
+    return lse, lse + n * t * dl + max(blk * (3 * t * dl + heads * (t * t + t)), n * t * do)
 
 
-def _pool(n, hl, tk, dl, fold, projects=True):
-    """`tensor.attention_pool` over `n` positions of Tk keys: it keeps its
-    output (n*Dl) and per-(position, head) log-sum-exp (n*Hl).  Its scores
-    (n*Tk*Hl) are live through it: first with the `fold` elements of the
-    copy its fold makes of x (none when x folds as a view), then with the
+def _pool(n, hl, tk, dl, fold, do=None):
+    """`tensor.attention_pool` over `n` positions of Tk keys, projecting its
+    values to width Dl and its output to Do unless `do` is None, when its
+    values are x itself.  It keeps its per-(position, head) log-sum-exp
+    (n*Hl), and its output (n*Dl) when it projects none; a projected output
+    (n*Do) the caller's chain counts.  Its scores (n*Tk*Hl) are live
+    through the pooling: first with the `fold` elements of the copy its
+    fold makes of x (none when x folds as a view), then with the
     log-sum-exp and the row sums, and at last with the log-sum-exp, the
-    values, which are x itself unless it `projects` them (n*Tk*Dl), and the
-    output, which is no smaller than the row sums."""
-    kept = n * (dl + hl)
-    return kept, n * tk * hl + max(fold, kept + (n * tk * dl if projects else 0))
+    projected values (n*Tk*Dl) and the pooled values (n*Dl), which are no
+    fewer than the row sums.  A projected output is then live with the
+    log-sum-exp and the pooled values."""
+    if do is None:
+        kept = n * (dl + hl)
+        return kept, n * tk * hl + max(fold, kept)
+    lse, pooled = n * hl, n * dl
+    return lse, max(n * tk * hl + max(fold, lse + n * tk * dl + pooled), lse + pooled + n * do)
 
 
 def _mlp(hidden, n):
@@ -149,16 +163,18 @@ def _agg_layer(b, s, ck, d, heads, variant, tp, fold=0):
 
     Activations: single_query keeps the learned query with the key
     projection absorbed (D*H/tp) and pools the Ck tokens with it (`_pool`),
-    projecting the values (B*S*Ck*D/tp) inside the pool; no key is formed.
-    full_cross runs the fused attention op, Ck tokens against themselves,
-    whose projections (3*B*S*Ck*D/tp) and (H/tp)*Ck^2 logits per position
-    are transient, the logits one block of positions at a time.  Then the
-    full-width output chain (matmul, the sum over tp, bias add), which tp
-    does not divide; and full_cross's reduce, a single-head pool of the Ck
-    full-width outputs, which are its values as they are.  The quadratic
-    channel term is the full_cross logits, capped at one block: once one
-    block no longer holds all B*S positions, it grows with Ck^2 only
-    through the positions a block holds, down to one position.
+    projecting the values (B*S*Ck*D/tp) and the output inside the pool; no
+    key is formed.  full_cross runs the fused attention op, Ck tokens
+    against themselves, whose context (B*S*Ck*D/tp) is transient, and so
+    are its projections (3*Ck*D/tp per position) and (H/tp)*Ck^2 logits per
+    position, one block of positions at a time, within one run of S.  Then
+    the full-width output chain (the op's output, the sum over tp, bias
+    add), which tp does not divide; and full_cross's reduce, a single-head
+    pool of the Ck full-width outputs, which are its values as they are.
+    The quadratic channel term is the full_cross logits, capped at one
+    block: once one block no longer holds a run of S positions, it grows
+    with Ck^2 only through the positions a block holds, down to one
+    position.
 
     FLOPs: single_query's value projection, the absorbed query (2*D*D/tp),
     the pool's scores (2*B*S*Ck*D*H/tp) and pooling (2*B*S*Ck*D/tp);
@@ -168,13 +184,13 @@ def _agg_layer(b, s, ck, d, heads, variant, tp, fold=0):
     """
     n, dl, hl = b * s, d / tp, heads / tp
     if variant == "single_query":
-        acts = _then(_stored(d * hl), _pool(n, hl, ck, dl, fold), _chain(n * d))
+        acts = _then(_stored(d * hl), _pool(n, hl, ck, dl, fold, d), _chain(n * d))
         flops = (2 * n * ck * d * dl + 2 * d * dl + 2 * n * ck * (d * hl + dl)
                  + 2 * n * d * dl)
         return acts, flops
-    acts = _then(_attention(n, hl, ck, dl),
+    acts = _then(_attention(n, hl, ck, dl, d, s),
                  _chain(n * ck * d),
-                 _pool(n, 1, ck, d, 0, projects=False))
+                 _pool(n, 1, ck, d, 0))
     flops = (3 * 2 * n * ck * d * dl + 2 * 2 * n * ck * ck * dl
              + 2 * n * ck * d * dl + 2 * 2 * n * ck * d)
     return acts, flops
@@ -228,23 +244,24 @@ def _block(b, t, d, heads, m, tp):
 
     Activations, in order: the first norm's 1/sigma (B*T) and output
     (B*T*D); the attention op, which reads the norm's output and keeps its
-    own output and log-sum-exp, while its q/k/v projections (3*B*T*D/tp)
-    and (H/tp)*T^2 logits per sequence are transient, the logits one block
-    of sequences at a time; the attention branch's chain to the mid
-    residual (B*T*D); the second norm; the MLP op, which reads the norm's
-    output and keeps nothing, while its hidden activation (B*T*mD/tp) and
-    one block of Phi are transient; the MLP branch's chain from the op's
-    output to the block's output (B*T*D).  The mid residual and the
-    block's input, which no backward reads, then go.
+    log-sum-exp, while its context (B*T*D/tp) is transient, and so are its
+    q/k/v projections (3*T*D/tp per sequence) and (H/tp)*T^2 logits per
+    sequence, one block of sequences at a time; the attention branch's
+    chain from the op's output to the mid residual (B*T*D); the second
+    norm; the MLP op, which reads the norm's output and keeps nothing,
+    while its hidden activation (B*T*mD/tp) and one block of Phi are
+    transient; the MLP branch's chain from the op's output to the block's
+    output (B*T*D).  The mid residual and the block's input, which no
+    backward reads, then go.
 
     FLOPs: the q/k/v/output projections, the two attention products and
     the MLP's two products, each divided over tp; the backward of the
-    attention op and of the MLP op recomputes their projections and hidden
-    activation, which adds no model FLOPs.
+    attention op and of the MLP op recomputes their projections, context
+    and hidden activation, which adds no model FLOPs.
     """
     n, hidden = b * t * d, b * t * m * d / tp
     acts = _then(_stored(b * t + n),
-                 _attention(b, heads / tp, t, d / tp),
+                 _attention(b, heads / tp, t, d / tp, d, b),
                  _chain(n),
                  _stored(b * t + n),
                  _mlp(hidden, n),
@@ -347,11 +364,12 @@ def estimate(model: ModelConfig, strategy: StrategyConfig,
     # --- vit: the mask and its complement (B*S each), the masked stream
     # (two products, then their sum), the [B, 4] metadata input and its
     # token chain, and the concatenated sequence, which the first block
-    # drops; then the blocks at T = S+1.  FLOPs: the metadata projection
-    # ([B, 4] by [4, D]) and the blocks.
+    # drops; the masked stream and the metadata token go once it is made.
+    # Then the blocks at T = S+1.  FLOPs: the metadata projection ([B, 4]
+    # by [4, D]) and the blocks.
     block_acts, block_flops = _block(b, t, d, heads, m, tp)
     prologue = _then(_stored(2 * b * s), _stored(3 * b * s * d), _freed(2 * b * s * d),
-                     _stored(4 * b), _chain(b * d), _stored(b * t * d))
+                     _stored(4 * b), _chain(b * d), _stored(b * t * d), _freed(b * s * d + b * d))
     cost("vit", _then(prologue, *[block_acts] * depth), 8 * b * d + depth * block_flops)
     if strategy.splits_vit:
         per_block = 2 * ring_allreduce_payload(b * t * d, pb, tp)  # two exchanges per phase

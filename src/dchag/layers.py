@@ -13,16 +13,20 @@ split partial outputs merge.  With group=None both return their input,
 and the math is the single-process reference.
 
 Three fused tape ops take a layer's input and its weights, so no
-projection and no hidden activation is a tensor of the graph.
-Self-attention, in the ViT and decoder blocks and full_cross's first
-stage, is `sdp_attention`, the engine's fused `attention` op: it forms q, k
-and v as one product inside it and recomputes them in backward.  A learned
-query over a position's tokens, single_query's layer and full_cross's
-reduce, is `tensor.attention_pool`, which scores the tokens against the
-query with the key projection absorbed, so it forms no key tensor, and
-projects the values inside it (single_query) or pools the tokens
-themselves (full_cross).  A block's MLP is `tensor.mlp`, which forms the
-hidden activation and its GELU inside it and recomputes them in backward.
+projection, no attention context and no hidden activation is a tensor of
+the graph.  Self-attention, in the ViT and decoder blocks and full_cross's
+first stage, is `sdp_attention`, the engine's fused `attention` op: it
+forms q, k and v one block of positions at a time and ends in the output
+projection, so it keeps neither the projections nor the context, and
+backward recomputes them.  A learned query over a position's tokens,
+single_query's layer and full_cross's reduce, is `tensor.attention_pool`,
+which scores the tokens against the query with the key projection
+absorbed, so it forms no key tensor; single_query's pool projects the
+values and its pooled output inside it, full_cross's pools the tokens
+themselves.  A block's MLP is `tensor.mlp`, which forms the hidden
+activation and its GELU inside it and recomputes them in backward.  Each
+op's output goes straight to `allsum`, so no name holds it while the sum
+is formed.
 """
 
 from __future__ import annotations
@@ -66,35 +70,37 @@ def local_heads(n_heads: int, group: ProcessGroup | None) -> int:
 
 
 def sdp_attention(x: Tensor, wq: Tensor, bq: Tensor | None, wk: Tensor, wv: Tensor,
-                  n_heads: int) -> Tensor:
+                  wo: Tensor, n_heads: int) -> Tensor:
     """Scaled dot-product self-attention of x [..., Tn, D] through the
-    projections wq, wk, wv [D, Dl] and the optional query bias bq.
+    projections wq, wk, wv [D, Dl] and the optional query bias bq, ending in
+    the output projection wo [Dl, Do].
 
-    One fused tape op (`tensor.attention`): q, k, v and the logits are
-    formed inside it and none outlives the forward; backward recomputes
-    them.
+    One fused tape op (`tensor.attention`): q, k, v, the logits and the
+    context are formed inside it and none outlives the forward; backward
+    recomputes them.
     """
-    return T.attention(x, wq, bq, wk, wv, n_heads)
+    return T.attention(x, wq, bq, wk, wv, wo, n_heads)
 
 
 def transformer_block(x: Tensor, w: dict, prefix: str, n_heads: int,
                       group: ProcessGroup | None = None) -> Tensor:
     """Pre-norm block: x + attn(ln1(x)); x + mlp(ln2(x)), norms without parameters.
 
-    Each branch ends in a split partial output: the attention context's
-    output projection, or the fused MLP (`tensor.mlp`, gelu(h w1 + b1) w2,
-    which keeps no hidden-sized buffer).  Then come the same ops: its sum
-    over the group, its bias and the residual add, each op's output
-    dropped as soon as the next has read it."""
+    Each branch is one fused op that ends in a split partial output: the
+    attention op, which ends in its output projection, or the MLP op
+    (`tensor.mlp`, gelu(h w1 + b1) w2); neither keeps a buffer of the layer
+    beyond the log-sum-exp.  Then come the same ops: its sum over the
+    group, its bias and the residual add, each op's output dropped as soon
+    as the next has read it."""
     def residual(x: Tensor, out: Tensor, name: str) -> Tensor:
         out = allsum(group, out, prefix)
         out = T.add(out, w[f"{prefix}.b{name}"])
         return T.add(x, out)
 
     h = fanout(group, T.layernorm(x), prefix)
-    ctx = sdp_attention(h, w[f"{prefix}.wq"], w[f"{prefix}.bq"], w[f"{prefix}.wk"],
-                        w[f"{prefix}.wv"], local_heads(n_heads, group))
-    x = residual(x, T.matmul(ctx, w[f"{prefix}.wo"]), "o")  # the product keeps ctx
+    x = residual(x, sdp_attention(h, w[f"{prefix}.wq"], w[f"{prefix}.bq"], w[f"{prefix}.wk"],
+                                  w[f"{prefix}.wv"], w[f"{prefix}.wo"],
+                                  local_heads(n_heads, group)), "o")
     h = fanout(group, T.layernorm(x), prefix)
     return residual(x, T.mlp(h, w[f"{prefix}.w1"], w[f"{prefix}.b1"], w[f"{prefix}.w2"]), "2")
 
@@ -118,29 +124,31 @@ def cross_attention_aggregate(x: Tensor, w: dict, prefix: str, variant: str,
     vector is another), attends over the Ck tokens, keyed by `wk`.  The key
     projection is absorbed into the query (`learned_query_scores`), so one
     `tensor.attention_pool` scores the tokens themselves and no key tensor
-    is made; the pool projects the values by `wv` inside it.  full_cross:
-    the Ck tokens attend over themselves (Ck x Ck logits) through `wq`, `wk`
-    and `wv` in one fused `attention` op, with no query bias, then a learned
-    query `rq` reduces the Ck outputs to one by a single-head
-    `attention_pool` over them (scale 1/sqrt(D)), the outputs serving as
-    both keys and values.  Neither op keeps a projection for backward.
+    is made; the pool projects the values by `wv` and its output by `wo`
+    inside it.  full_cross: the Ck tokens attend over themselves (Ck x Ck
+    logits) through `wq`, `wk`, `wv` and `wo` in one fused `attention` op,
+    with no query bias, then a learned query `rq` reduces the Ck outputs to
+    one by a single-head `attention_pool` over them (scale 1/sqrt(D)), the
+    outputs serving as both keys and values.  Neither op keeps a projection
+    or a context for backward.
     """
     xf = fanout(group, x, prefix)
     heads = local_heads(n_heads, group)
     if variant == "single_query":
         u = learned_query_scores(w[f"{prefix}.wk"], w[f"{prefix}.q"], heads)
-        ctx = T.attention_pool(xf, u, w[f"{prefix}.wv"], heads)  # [..., 1, Dl]
+        out = allsum(group, T.attention_pool(xf, u, w[f"{prefix}.wv"], w[f"{prefix}.wo"], heads),
+                     prefix)  # [..., 1, D]
     else:
-        ctx = sdp_attention(xf, w[f"{prefix}.wq"], None, w[f"{prefix}.wk"], w[f"{prefix}.wv"],
-                            heads)  # [..., Ck, Dl]
-    out = allsum(group, T.matmul(ctx, w[f"{prefix}.wo"]), prefix)
+        out = allsum(group, sdp_attention(xf, w[f"{prefix}.wq"], None, w[f"{prefix}.wk"],
+                                          w[f"{prefix}.wv"], w[f"{prefix}.wo"], heads),
+                     prefix)  # [..., Ck, D]
     out = T.add(out, w[f"{prefix}.bo"])  # replicated from here on
     if variant == "single_query":
         return out
 
     # full_cross: a learned query reduces the Ck attended tokens to one
     rq = T.reshape(w[f"{prefix}.rq"], (out.shape[-1], 1))
-    return T.attention_pool(out, rq, None, 1)  # [..., 1, D]
+    return T.attention_pool(out, rq, None, None, 1)  # [..., 1, D]
 
 
 def linear_mix_aggregate(x: Tensor, w: dict, prefix: str) -> Tensor:

@@ -128,17 +128,28 @@ def apply_token_mask(agg: Tensor, mask: np.ndarray, mask_token: Tensor) -> Tenso
     return T.add(T.mul(agg, keep), T.mul(tok, m))
 
 
-def vit_forward(agg: Tensor, meta: Tensor, w: dict, model: ModelConfig,
+def vit_forward(agg: Tensor, mask: np.ndarray, meta: np.ndarray, w: dict, model: ModelConfig,
                 group: ProcessGroup | None = None) -> Tensor:
-    """The stream [B, S, 1, D] + metadata -> [B, S+1, D] through the
-    transformer (head-split over `group` when given)."""
-    b, s, _, d = agg.shape
-    meta_tok = linear(meta, w["special.meta_w"], w["special.meta_b"])
-    meta_tok = T.reshape(meta_tok, (b, 1, d))
-    x = T.concat([meta_tok, T.reshape(agg, (b, s, d))], axis=1)
-    for i in range(model.depth):
-        x = transformer_block(x, w, f"vit.blk{i}", model.heads, group)
-    return x
+    """The stream [B, S, 1, D], masked by the [B, S] token `mask`
+    (`apply_token_mask`), and the [B, 4] metadata -> [B, S+1, D] through
+    the transformer (head-split over `group` when given), under the `vit`
+    tag.
+
+    No backward reads the stream or the masked stream, so each goes once
+    read: callers pass `agg` straight from the aggregation, so this frame
+    holds the only reference to it (CPython, 3.11 on, hands a call's
+    arguments to the callee's frame), and the masked stream and the
+    metadata token go once the sequence is concatenated, before the first
+    block."""
+    with alloc_tag("vit"):
+        b, s, _, d = agg.shape
+        agg = apply_token_mask(agg, mask, w["dec.mask"])
+        meta_tok = linear(Tensor(meta), w["special.meta_w"], w["special.meta_b"])
+        x = T.concat([T.reshape(meta_tok, (b, 1, d)), T.reshape(agg, (b, s, d))], axis=1)
+        del agg, meta_tok
+        for i in range(model.depth):
+            x = transformer_block(x, w, f"vit.blk{i}", model.heads, group)
+        return x
 
 
 def decode(vit_out: Tensor, w: dict, model: ModelConfig, rows: np.ndarray) -> Tensor:
@@ -175,28 +186,25 @@ def masked_mse(pred: Tensor, images: np.ndarray, rows: np.ndarray,
     return T.scale(T.sum_all(T.mul(diff, diff)), 1.0 / diff.size)
 
 
-def trunk_loss(agg: Tensor, w: dict, model: ModelConfig, batch: Batch,
-               group: ProcessGroup | None = None) -> Tensor:
-    """The trunk every composition shares: mask the aggregated stream, run
-    the transformer (head-split over `group` when given) and the decoder,
-    and score the reconstruction of the masked positions.
+def trunk_loss(w: dict, model: ModelConfig, batch: Batch, group: ProcessGroup | None,
+               layer, *args) -> Tensor:
+    """The trunk every composition shares: reduce the channel stack to the
+    stream by `layer(*args)` (`aggregated`), mask it and run the
+    transformer (head-split over `group` when given; `vit_forward`), then
+    the decoder, and score the reconstruction of the masked positions.
 
-    Callers pass `agg` straight from `aggregated`, so this frame holds the
-    only reference to it (CPython, 3.11 on, hands a call's arguments to the
-    callee's frame), and the stream, which no backward reads, goes once
-    it is masked."""
+    The stream goes from `aggregated` straight into `vit_forward`, which
+    drops it and the masked stream before the first block."""
     rows = masked_rows(batch.mask)
-    with alloc_tag("vit"):
-        agg = apply_token_mask(agg, batch.mask, w["dec.mask"])
-        out = vit_forward(agg, Tensor(batch.meta), w, model, group)
+    out = vit_forward(aggregated(layer, *args), batch.mask, batch.meta, w, model, group)
     with alloc_tag("decoder"):
         return masked_mse(decode(out, w, model, rows), batch.images, rows, model)
 
 
 def aggregated(layer, *args) -> Tensor:
     """`layer(*args)`, the aggregation that reduces a channel stack to the
-    stream, under the `aggregate` tag; a composition hands the stream
-    straight to `trunk_loss`."""
+    stream, under the `aggregate` tag; `trunk_loss` hands the stream
+    straight to `vit_forward`."""
     with alloc_tag("aggregate"):
         return layer(*args)
 
@@ -210,8 +218,8 @@ def forward_loss_serial(w: dict, model: ModelConfig, batch: Batch) -> Tensor:
         tokens = tokenize_channels(Tensor(batch.images), w["tok.w"],
                                    w["special.channel_id"], w["special.pos"],
                                    model.patch)
-    return trunk_loss(aggregated(cross_attention_aggregate, tokens, w, "agg.flat",
-                                 model.agg_variant, model.heads), w, model, batch)
+    return trunk_loss(w, model, batch, None, cross_attention_aggregate, tokens, w, "agg.flat",
+                      model.agg_variant, model.heads)
 
 
 def forward_loss_dchag_reference(w: dict, model: ModelConfig,
@@ -239,4 +247,4 @@ def forward_loss_dchag_reference(w: dict, model: ModelConfig,
         stack = streams[0] if tp == 1 else T.concat(streams, axis=2)
         return cross_attention_aggregate(stack, w, "agg.final", model.agg_variant, model.heads)
 
-    return trunk_loss(aggregated(aggregate), w, model, batch)
+    return trunk_loss(w, model, batch, None, aggregate)

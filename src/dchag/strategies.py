@@ -50,8 +50,8 @@ import numpy as np
 from . import layers
 from . import tensor as T
 from .config import ConfigError, ModelConfig, ParallelConfig, StrategyConfig
-from .model import (Batch, aggregated, forward_loss_dchag_reference, forward_loss_serial,
-                    tokenize_channels, tree_aggregate, trunk_loss)
+from .model import (Batch, forward_loss_dchag_reference, forward_loss_serial, tokenize_channels,
+                    tree_aggregate, trunk_loss)
 from .params import rank_tree, shard_for_rank, unshard_grads
 from .runtime import CommLedger, ProcessGroup, RankContext, spawn_ranks
 from .tensor import Tensor
@@ -183,8 +183,7 @@ def parallel_forward_loss(w: dict, model: ModelConfig, strategy: StrategyConfig,
         return layers.cross_attention_aggregate(stack, w, prefix, model.agg_variant, model.heads,
                                                 ctx.tp if strategy.splits_agg else None)
 
-    return trunk_loss(aggregated(aggregate), w, model, batch,
-                      ctx.tp if strategy.splits_vit else None)
+    return trunk_loss(w, model, batch, ctx.tp if strategy.splits_vit else None, aggregate)
 
 
 # -- the parallel step driver ---------------------------------------------------

@@ -14,34 +14,39 @@ Design points that later modules rely on:
   backward concatenates their gradients.  Every buffer is charged to the
   allocation tracker once, by one rule (`tracking.AllocTracker.charge`):
   an op output, and every buffer a fused op holds outside a `Tensor` (the
-  attention op's projections, blocks and log-sum-exp, the pool's scores,
-  values, log-sum-exp and fold copy, the MLP's hidden activation and Phi
-  block, `layernorm`'s 1/sigma), from its allocation until its memory is
-  freed; a view of charged memory adds nothing; a leaf's memory, which its
-  caller owns, for as long as the engine holds a view of it;
-* three fused ops take a layer's input and its weights, and hold no
-  intermediate of the layer for backward, which recomputes what the
-  forward formed and freed, as selective recomputation does (Korthikanti
-  et al., 2022).  `attention` is self-attention: the ViT and decoder
-  blocks and full_cross's first aggregation stage.  It holds x, the
-  weights, its output and the per-row log-sum-exp; q, k, v and the logits
-  live only while it runs.  `attention_pool` is a learned query per head
-  over a position's tokens, with the key projection absorbed into the
-  query: single_query's aggregation layer and full_cross's reduce, whose
-  values are its input.  It holds x, the query scores u, the value
-  weights and the log-sum-exp; the scores and the values live only while
-  it runs.  `mlp` is a block's gelu(x w1 + b1) w2.  It holds x and the
-  three weights; the hidden activation and one block of Phi live only
-  while it runs;
+  attention op's context, projection and logit blocks and log-sum-exp, the
+  pool's scores, values, pooled values, log-sum-exp and fold copy, the
+  MLP's hidden activation and Phi block, `layernorm`'s 1/sigma), from its
+  allocation until its memory is freed; a view of charged memory adds
+  nothing; a leaf's memory, which its caller owns, for as long as the
+  engine holds a view of it;
+* three fused ops take a layer's input and its weights, output projection
+  included, and hold no intermediate of the layer for backward, which
+  recomputes what the forward formed and freed, as selective
+  recomputation does (Korthikanti et al., 2022).  `attention` is
+  self-attention: the ViT and decoder blocks and full_cross's first
+  aggregation stage.  It holds x, the four weights (and the query bias)
+  and the per-row log-sum-exp; one block of positions' q, k and v, the
+  logits and the context live only while it runs.  `attention_pool` is a
+  learned query per head over a position's tokens, with the key
+  projection absorbed into the query: single_query's aggregation layer,
+  which projects the values and the output, and full_cross's reduce, whose
+  values are its input and whose output is the pooled values.  It holds x,
+  the query scores u, the value and output weights and the log-sum-exp;
+  the scores, the values and the pooled values live only while it runs.
+  `mlp` is a block's gelu(x w1 + b1) w2.  It holds x and the three
+  weights; the hidden activation and one block of Phi live only while it
+  runs.  None holds its output, which goes once the next op has read it;
 * FLOPs follow `tracking`'s rule: only `matmul`, `attention`,
   `attention_pool` and `mlp` count any, each once, in forward: a
   recompute in backward adds none, as model FLOPs count no recomputation;
 * the fused attention op walks (position, head) blocks whose logits fit
   `ATTENTION_BLOCK` elements, a size chosen so that a block stays in cache:
-  whole positions while one position's logits fit, else heads of one
-  position; each head is computed with the same numpy calls whatever the
-  block size, so results do not depend on it, and only the transient (one
-  block, not every position) does;
+  whole positions while one position's logits fit, at most the run of x's
+  last lead axis, so that a block's rows of x are a view, else heads of
+  one position; each head is computed with the same numpy calls whatever
+  the block size, so results do not depend on it, and only the transient
+  (one block, not every position) does;
 * GELU's Phi(x) is numpy alone (`normal_cdf`), after Cephes' ndtr.c.  For
   |x| <= sqrt2 it is one rational in x^2, erf's with the 1/2 and 1/sqrt2
   folded into its coefficients, evaluated over the flat array in blocks of
@@ -355,90 +360,95 @@ def _heads(x: np.ndarray, n_heads: int, hs: slice) -> np.ndarray:
     return x.reshape(n, tn, n_heads, dl // n_heads)[:, :, hs].swapaxes(1, 2)
 
 
-def attention(x: Tensor, wq: Tensor, bq: Tensor | None, wk: Tensor, wv: Tensor,
+def attention(x: Tensor, wq: Tensor, bq: Tensor | None, wk: Tensor, wv: Tensor, wo: Tensor,
               n_heads: int) -> Tensor:
     """Scaled dot-product self-attention of x over `n_heads` heads, its
-    q, k and v projections included, as one tape node.
+    q, k, v and output projections included, as one tape node.
 
-    x is [..., T, D]; wq, wk and wv are [D, Dl], and the query bias bq, which
-    may be None, is [Dl].  With q = x wq + bq, k = x wk and v = x wv, head h
-    reads features h*Dl/H to (h+1)*Dl/H of each; the op returns the merged
-    context softmax(q k^T / sqrt(Dl/H)) v, [..., T, Dl].
+    x is [..., T, D]; wq, wk and wv are [D, Dl], the query bias bq, which
+    may be None, is [Dl], and wo is [Dl, Do].  With q = x wq + bq, k = x wk
+    and v = x wv, head h reads features h*Dl/H to (h+1)*Dl/H of each; the
+    op returns ctx wo, [..., T, Do], where ctx is the merged context
+    softmax(q k^T / sqrt(Dl/H)) v, [..., T, Dl].
 
-    q, k and v are x's products with the three weights, written into the
-    three position-major planes of one [3, ..., T, Dl] buffer, in which q
-    takes its bias and its scale.  Each product writes a contiguous plane,
-    and no concatenation of the weights is made, which at paper scale (D
-    large, few tokens per rank) would outweigh the buffer.
-    Only the output and the per-row log-sum-exp outlive the forward, beside
-    x and the weights, which the op saves: backward recomputes the
-    projections, as selective recomputation does (Korthikanti et al.,
-    2022), and the probabilities from the log-sum-exp, as FlashAttention
-    does (Dao et al., 2022).
+    Both passes walk blocks of positions of `attention_block`'s size, each
+    within x's last lead axis, so that the block's rows of x are a view of
+    x wherever it lies; a block whose logits exceed `ATTENTION_BLOCK` walks
+    its position's heads in groups.  Each block's q, k and v are x's rows'
+    products with the three weights, written into the three planes of one
+    block-sized [3, rows, T, Dl] buffer, in which q takes its bias and its
+    scale; no concatenation of the weights is made, which at paper scale
+    (D large, few tokens per rank) would outweigh the buffer.  One more
+    block-sized buffer each holds the logits and the row sums (and, in
+    backward, the logit gradient), so a block's elementwise passes run in
+    cache.  Each head's matrices go through the same numpy calls as an
+    unblocked pass would make, so the result does not depend on the block
+    size.
 
-    Both passes walk (position, head) blocks of `attention_block`'s size:
-    whole positions when one position's logits fit a block, else one
-    position and some of its heads.  Each pass reuses one block-sized
-    buffer each for the logits and the row sums (and, in backward, the
-    logit gradient), so no logit buffer exceeds one block and a block's
-    elementwise passes run in cache.  Each head's matrices go through the
-    same numpy calls as an unblocked pass would make, so the result does
-    not depend on the block size.  The forward charges every buffer it
-    allocates from its allocation until it is freed: the output and the
-    log-sum-exp, which backward reads, and the projections and the block
-    buffers, which go when it returns.  Backward writes dq, dk and dv into
-    the planes of one [3, ..., T, Dl] buffer, drops the recomputed
-    projections before it forms dx, and folds the weight gradients one
-    plane at a time.
+    The forward writes the context, then takes the output as one product
+    with wo and drops the context.  Only the output and the per-row
+    log-sum-exp outlive it, beside x and the weights, which the op saves:
+    backward recomputes each block's projections and its context, as
+    selective recomputation does (Korthikanti et al., 2022), and the
+    probabilities from the log-sum-exp, as FlashAttention does (Dao et al.,
+    2022).  The forward charges every buffer it allocates from its
+    allocation until it is freed: the log-sum-exp and the output, and the
+    context and the block buffers, which go when it returns.  Backward
+    takes the context's gradient as one product with wo^T, writes dq, dk
+    and dv whole into the planes of one [3, ..., T, Dl] buffer, so the
+    weight gradients fold as one product each, takes wo's gradient from the
+    recomputed context and drops it before it forms dx.
     """
     weights = (wq, wk, wv)
     if (x.ndim < 2 or any(w.ndim != 2 or w.shape != wq.shape for w in weights)
-            or wq.shape[0] != x.shape[-1] or (bq is not None and bq.shape != wq.shape[1:])):
-        raise ShapeError(f"attention needs x [..., T, D], wq, wk, wv [D, Dl] and bq [Dl], got "
-                         f"{x.shape}, {wq.shape}, {wk.shape}, {wv.shape}, "
-                         f"{None if bq is None else bq.shape}")
+            or wq.shape[0] != x.shape[-1] or (bq is not None and bq.shape != wq.shape[1:])
+            or wo.ndim != 2 or wo.shape[0] != wq.shape[1]):
+        raise ShapeError(f"attention needs x [..., T, D], wq, wk, wv [D, Dl], bq [Dl] and "
+                         f"wo [Dl, Do], got {x.shape}, {wq.shape}, {wk.shape}, {wv.shape}, "
+                         f"{None if bq is None else bq.shape}, {wo.shape}")
     if wq.shape[1] % n_heads:
         raise ShapeError(f"{n_heads} heads do not divide width {wq.shape[1]}")
     h = n_heads
     *lead, t, d = x.shape
-    dl = wq.shape[1]
+    dl, do = wo.shape
     n = math.prod(lead)
+    xd, wd, wod = x.data, tuple(w.data for w in weights), wo.data
+    xr = xd if lead else xd[None]  # one lead axis at least; a view
+    outer, run = xr.shape[:-3], xr.shape[-3]
     rows, hb = attention_block(h, t, t)
-    blk = min(n, rows)
+    blk = min(run, rows)
     scale = 1.0 / np.sqrt(dl // h)
-    xd, wd = x.data, tuple(w.data for w in weights)
     bd = None if bq is None else bq.data
 
-    def project(charge):
-        """q, k and v, x's products with wq, wk and wv, as the three planes of
-        one [3, n, T, Dl] buffer (to which `charge` is applied), q biased and
-        scaled."""
-        qkv = charge(np.empty((3, n, t, dl)))
-        for plane, w in zip(qkv, wd):
-            np.matmul(xd, w, out=plane.reshape(*lead, t, dl))
-        q = qkv[0]
-        if bd is not None:
-            q += bd
-        q *= scale
-        return qkv
-
     def blocks(qkv):
-        """(positions, heads, their q, k and v) of each block in order."""
-        for i in range(0, n, rows):
-            sl = slice(i, i + rows)
-            for j in range(0, h, hb):
-                hs = slice(j, j + hb)
-                yield sl, hs, *(_heads(plane[sl], h, hs) for plane in qkv)
+        """(positions, heads, their q, k and v) of each block in order: the
+        block's rows of x, a view, projected into the planes of `qkv` [3,
+        blk, T, Dl], q biased and scaled."""
+        for i, index in enumerate(np.ndindex(*outer)):
+            xo = xr[index]
+            for j in range(0, run, blk):
+                xs = xo[j:j + blk]
+                planes = qkv[:, :len(xs)]
+                for plane, w in zip(planes, wd):
+                    np.matmul(xs, w, out=plane)
+                q = planes[0]
+                if bd is not None:
+                    q += bd
+                q *= scale
+                sl = slice(i * run + j, i * run + j + len(xs))
+                for k in range(0, h, hb):
+                    hs = slice(k, k + hb)
+                    yield sl, hs, *(_heads(plane, h, hs) for plane in planes)
 
     def logits(qh, kh, p):
         """A block's logits into `p`, cut to the block's size."""
         return np.matmul(qh, kh.swapaxes(-1, -2), out=p[:len(kh), :kh.shape[1]])
 
     def fill():
-        """The forward pass: the output [n, T, Dl] and the log-sum-exp.  The
-        projections and the block buffers go on return."""
-        qkv = project(_charged)
+        """The forward's context [n, T, Dl] and log-sum-exp.  The block
+        buffers go on return."""
         ctxf, lse = _charged(np.empty((n, t, dl))), _charged(np.empty((n, h, t)))
+        qkv = _charged(np.empty((3, blk, t, dl)))
         p, rowsum = _charged(np.empty((blk, hb, t, t))), _charged(np.empty((blk, hb, t)))
         for sl, hs, qh, kh, vh in blocks(qkv):
             pb = logits(qh, kh, p)
@@ -453,14 +463,17 @@ def attention(x: Tensor, wq: Tensor, bq: Tensor | None, wk: Tensor, wv: Tensor,
         return ctxf, lse
 
     ctxf, lse = fill()
-    _flops(2 * n * t * d * 3 * dl + 4 * n * t * t * dl)
+    out = _charged(np.matmul(ctxf.reshape(*lead, t, dl), wod))
+    del ctxf
+    _flops(2 * n * t * d * 3 * dl + 4 * n * t * t * dl + 2 * n * t * dl * do)
 
-    def projection_grads(g, qkv):
-        """dq, dk and dv as the planes of one [3, n, T, Dl] buffer, from the
-        recomputed projections `qkv`, which go when it returns."""
-        gf = g.reshape(n, t, dl)
+    def projection_grads(gf):
+        """dq, dk and dv as the planes of one [3, n, T, Dl] buffer, and the
+        recomputed context [n, T, Dl], from the context's gradient `gf`."""
+        ctxf = np.empty((n, t, dl))
         dqkv = np.empty((3, n, t, dl))
         dq, dk, dv = dqkv
+        qkv = np.empty((3, blk, t, dl))
         p, ds = np.empty((blk, hb, t, t)), np.empty((blk, hb, t, t))
         dot = np.empty((blk, t, hb)).swapaxes(-1, -2)  # the layout einsum fills fastest
         for sl, hs, qh, kh, vh in blocks(qkv):
@@ -469,68 +482,80 @@ def attention(x: Tensor, wq: Tensor, bq: Tensor | None, wk: Tensor, wv: Tensor,
             np.exp(pb, out=pb)
             cut = (slice(len(pb)), slice(pb.shape[1]))
             gh = _heads(gf[sl], h, hs)
+            oh = np.matmul(pb, vh, out=_heads(ctxf[sl], h, hs))
             np.matmul(pb.swapaxes(-1, -2), gh, out=_heads(dv[sl], h, hs))
             dsb = np.matmul(gh, vh.swapaxes(-1, -2), out=ds[cut])
-            dsb -= np.einsum("...d,...d->...", gh, _heads(ctxf[sl], h, hs),
-                             out=dot[cut])[..., None]  # rowsum(dO*O)
+            dsb -= np.einsum("...d,...d->...", gh, oh, out=dot[cut])[..., None]  # rowsum(dO*O)
             dsb *= pb  # the logit gradient, without its factor `scale`
             np.matmul(dsb, kh, out=_heads(dq[sl], h, hs))
             np.matmul(dsb.swapaxes(-1, -2), qh, out=_heads(dk[sl], h, hs))
         dq *= scale
-        return dqkv
+        return dqkv, ctxf
 
     def back(g):
-        dqkv = projection_grads(g, project(lambda buf: buf))
+        dqkv, ctxf = projection_grads(np.matmul(g, wod.T).reshape(n, t, dl))
+        cf, gf = _fold_rows(ctxf.reshape(*lead, t, dl), g)
+        dwo = cf.T @ gf
+        del ctxf, cf, gf
         parts = [plane.reshape(*lead, t, dl) for plane in dqkv]
         dx = np.matmul(parts[0], wd[0].T)
         for part, w in zip(parts[1:], wd[1:]):
             dx += np.matmul(part, w.T)
         perm = _row_order(xd)
-        xr = xd.transpose(perm).reshape(-1, d)
-        dw = [xr.T @ part.transpose(perm).reshape(-1, dl) for part in parts]
+        xf = xd.transpose(perm).reshape(-1, d)
+        dw = [xf.T @ part.transpose(perm).reshape(-1, dl) for part in parts]
         if bd is None:
-            return dx, *dw
-        return dx, *dw, parts[0].sum(axis=tuple(range(len(lead) + 1)))
+            return dx, *dw, dwo
+        return dx, *dw, dwo, parts[0].sum(axis=tuple(range(len(lead) + 1)))
 
-    parents = (x, *weights) + (() if bq is None else (bq,))
-    return Tensor(ctxf.reshape(*lead, t, dl), _parents=parents, _backward=back)
+    parents = (x, *weights, wo) + (() if bq is None else (bq,))
+    return Tensor(out, _parents=parents, _backward=back)
 
 
-def attention_pool(x: Tensor, u: Tensor, wv: Tensor | None, n_heads: int) -> Tensor:
-    """One learned query per head pools the values of x's Tk tokens, as one
-    tape node.
+def attention_pool(x: Tensor, u: Tensor, wv: Tensor | None, wo: Tensor | None,
+                   n_heads: int) -> Tensor:
+    """One learned query per head pools the values of x's Tk tokens, its
+    value and output projections included, as one tape node.
 
-    x is [..., Tk, Dx], u is [Dx, H] and the value projection wv is [Dx,
-    Dl]; with wv None the values are x itself (Dl = Dx).  Head h scores each
-    of a position's Tk keys as x @ u[:, h], scaled by 1/sqrt(Dl/H) as
-    `attention` scales, takes the softmax of the scores over the keys and
-    pools the values' features h*Dl/H to (h+1)*Dl/H with it; returns [...,
-    1, Dl].  This is `attention` with query q_h and keys x @ W_k, where
-    u[:, h] = W_k[:, head h] @ q_h: q_h . (W_k^T x) = (W_k q_h) . x, so no
-    key is ever formed.
+    x is [..., Tk, Dx], u is [Dx, H], the value projection wv is [Dx, Dl]
+    and the output projection wo [Dl, Do]; wv and wo are given together or
+    not at all, and without them the values are x itself (Dl = Dx) and the
+    pooled values are the output.  Head h scores each of a position's Tk
+    keys as x @ u[:, h], scaled by 1/sqrt(Dl/H) as `attention` scales,
+    takes the softmax of the scores over the keys and pools the values'
+    features h*Dl/H to (h+1)*Dl/H with it, [..., 1, Dl]; with wo the op
+    returns that times wo, [..., 1, Do].  This is `attention` with query
+    q_h and keys x @ W_k, where u[:, h] = W_k[:, head h] @ q_h: q_h . (W_k^T
+    x) = (W_k q_h) . x, so no key is ever formed.
 
     The scores are one 2-D product over x's rows, folded in x's stride
     order (`_fold_rows`), so a transposed stack folds as a view; otherwise
     the fold copies x, and the copy is charged while the product reads it.
-    The op keeps x, u, wv and a per-(position, head) log-sum-exp for
-    backward, which recomputes the scores and the values; not its output.
-    Its transients are the scores (n*Tk*H), the fold's copy while the
-    scores are formed, the row sums, and the values x @ wv (n*Tk*Dl) while
-    the output is pooled.  With wv None, x's gradient through the scores is
-    added into its gradient as the values, so backward hands on one array.
+    The op keeps x, u, wv, wo and a per-(position, head) log-sum-exp for
+    backward, which recomputes the scores, the values and, for wo's
+    gradient, the pooled values; not its output.  Its transients are the
+    scores (n*Tk*H), the fold's copy while the scores are formed, the row
+    sums, and the values x @ wv (n*Tk*Dl) and the pooled values (n*Dl)
+    while the values are pooled; with wo, the pooled values are then live
+    with the output until the output is formed.  Without wv, x's gradient
+    through the scores is added into its gradient as the values, so
+    backward hands on one array.
     """
     dl = x.shape[-1] if wv is None else wv.shape[-1]
+    do = dl if wo is None else wo.shape[-1]
     if (x.ndim < 2 or u.shape != (x.shape[-1], n_heads) or dl % n_heads
-            or (wv is not None and wv.shape != (x.shape[-1], dl))):
-        raise ShapeError(f"attention_pool needs x [..., Tk, Dx], u [Dx, {n_heads}] and "
-                         f"wv [Dx, Dl] or None with {n_heads} heads dividing Dl, got "
-                         f"{x.shape}, {u.shape}, {None if wv is None else wv.shape}")
+            or (wv is None) != (wo is None)
+            or (wv is not None and (wv.shape != (x.shape[-1], dl) or wo.shape != (dl, do)))):
+        raise ShapeError(f"attention_pool needs x [..., Tk, Dx], u [Dx, {n_heads}], and "
+                         f"wv [Dx, Dl] and wo [Dl, Do] or neither, with {n_heads} heads "
+                         f"dividing Dl, got {x.shape}, {u.shape}, "
+                         f"{None if wv is None else wv.shape}, {None if wo is None else wo.shape}")
     h = n_heads
     *lead, tk, dx = x.shape
     dh = dl // h
     scale = 1.0 / np.sqrt(dh)
     xd, ud = x.data, u.data
-    wvd = None if wv is None else wv.data
+    wvd, wod = (None, None) if wv is None else (wv.data, wo.data)
     perm = _row_order(xd)
     inv = tuple(np.argsort(perm))
     folded = tuple(xd.shape[i] for i in perm[:-1])
@@ -544,6 +569,11 @@ def attention_pool(x: Tensor, u: Tensor, wv: Tensor | None, n_heads: int) -> Ten
         or x, and their heads [..., Tk, H, Dl/H]."""
         v = xd if wvd is None else charge(np.matmul(xd, wvd))
         return v, v.reshape(*lead, tk, h, dh)
+
+    def pool(sl, vh, out):
+        """The values `vh` pooled with the probabilities `sl` [..., Tk, H]
+        into `out` [..., H, Dl/H]."""
+        return np.einsum("...kh,...khd->...hd", sl, vh, out=out)
 
     xf = _charged(xd.transpose(perm).reshape(-1, dx))
     s = _charged(xf @ ud)  # the scores, [rows, H] in x's row order
@@ -559,10 +589,12 @@ def attention_pool(x: Tensor, u: Tensor, wv: Tensor | None, n_heads: int) -> Ten
     del rowsum
     v, vh = values(_charged)
     out = _charged(np.empty((*lead, 1, dl)))
-    np.einsum("...kh,...khd->...hd", sl, vh, out=out.reshape(*lead, h, dh))
-    del v, vh
+    pool(sl, vh, out.reshape(*lead, h, dh))
+    del v, vh, s, sl
+    if wod is not None:
+        out = _charged(np.matmul(out, wod))
     n = math.prod(lead)
-    _flops(2 * n * tk * (dx * h + dl) + (0 if wvd is None else 2 * n * tk * dx * dl))
+    _flops(2 * n * tk * (dx * h + dl) + (0 if wvd is None else 2 * n * (tk * dx + do) * dl))
 
     def back(g):
         xf = xd.transpose(perm).reshape(-1, dx)
@@ -571,8 +603,14 @@ def attention_pool(x: Tensor, u: Tensor, wv: Tensor | None, n_heads: int) -> Ten
         pl = unfold(p)
         pl -= lse[..., None, :]
         np.exp(p, out=p)
-        gh = g.reshape(*lead, h, dh)
         v, vh = values(lambda buf: buf)
+        if wod is not None:  # wo's gradient from the recomputed pooled values
+            pooled = pool(pl, vh, np.empty((*lead, h, dh))).reshape(*lead, 1, dl)
+            pf, gf = _fold_rows(pooled, g)
+            dwo = pf.T @ gf
+            del pooled, pf, gf
+            g = np.matmul(g, wod.T)
+        gh = g.reshape(*lead, h, dh)
         dv = np.empty(v.shape)
         np.multiply(pl[..., None], gh[..., None, :, :], out=dv.reshape(vh.shape))
         ds = np.empty(p.shape)  # the score gradient, in x's row order
@@ -589,9 +627,9 @@ def attention_pool(x: Tensor, u: Tensor, wv: Tensor | None, n_heads: int) -> Ten
         dwv = xf.T @ dv.transpose(perm).reshape(-1, dl)
         dxv = np.matmul(dv, wvd.T)
         dxv += dscore
-        return dxv, du, dwv
+        return dxv, du, dwv, dwo
 
-    return Tensor(out, _parents=(x, u) + (() if wv is None else (wv,)), _backward=back)
+    return Tensor(out, _parents=(x, u) + (() if wv is None else (wv, wo)), _backward=back)
 
 
 # Phi(x), the standard normal CDF, from Cephes' ndtr.c (S. L. Moshier, Cephes

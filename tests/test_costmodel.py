@@ -315,23 +315,30 @@ def test_tree_pools_charge_what_the_estimate_says(monkeypatch, max_group, batch)
     # the copy `_fold_copy` says its fold makes included: a node over part
     # of a level folds in place only at batch 1 on the tokens (level 0), and
     # only over one stream above it; the final layer's one stream folds in
-    # place.  The step's peaks alone do not see the copy on this desk.
+    # place.  The step's peaks alone do not see the copy on this desk.  A
+    # pool's projected output is its caller's in the estimate, and live
+    # when the pool returns.
     model = desk("single_query")
     strat = StrategyConfig(kind="dchag", tp_degree=1, max_group=max_group)
     b, s, d, h = batch, model.seq, model.embed, model.heads
     tree = rank_tree(model, strat)
-    want = [costmodel._pool(b * s, h, g, d, costmodel._fold_copy(b, s, d, g, sum(level), li))
-            for li, level in enumerate(tree) for g in level] + [costmodel._pool(b * s, h, 1, d, 0)]
+
+    def pool(g, fold):
+        kept, high = costmodel._pool(b * s, h, g, d, fold, d)
+        return kept + b * s * d, high
+
+    want = [pool(g, costmodel._fold_copy(b, s, d, g, sum(level), li))
+            for li, level in enumerate(tree) for g in level] + [pool(1, 0)]
     got, real = [], T.attention_pool
 
-    def pool(*args):
+    def spy(*args):
         tracker = current_tracker()
         tracker.peak_bytes = before = tracker.live_bytes
         out = real(*args)
         got.append(((tracker.live_bytes - before) // 8, (tracker.peak_bytes - before) // 8))
         return out
 
-    monkeypatch.setattr(T, "attention_pool", pool)
+    monkeypatch.setattr(T, "attention_pool", spy)
     run_step(model, strat, [make_batch(model, 5, 0, range(batch))])
     assert got == want
     copies = [f for li, level in enumerate(tree) for g in level

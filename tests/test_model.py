@@ -278,9 +278,12 @@ class TestFlatAggregate:
         # attention op, single_query C scores per head in the pool.  Either
         # op is the aggregation's first; right after it, the aggregate peak
         # exceeds the live bytes by exactly its transient.  full_cross's is
-        # its q/k/v projections and its block of logits and row sums.
-        # single_query's is its scores and values, which outlive the row sums
-        # and, its input folding as a view, meet no copy of it.
+        # its context, with one block's q/k/v projections, logits and row
+        # sums and then with its output, which stays live and is as large
+        # as the context.  single_query's is its scores and values, which
+        # outlive the row sums and, its input folding as a view, meet no
+        # copy of it; the pooled values and the output it forms from them
+        # are fewer.
         after = []
 
         def spy(name):
@@ -304,27 +307,30 @@ class TestFlatAggregate:
             return after[0].tag_peak("aggregate") - after[0].per_tag_live["aggregate"]
 
         model = tiny_model()
-        h, d, positions = model.heads, model.embed, 2 * model.seq  # at batch 2
+        h, d, run = model.heads, model.embed, model.seq
+        positions = 2 * run  # at batch 2
 
         def block(rows, c):  # logits and row sums of `rows` positions
             return 8 * rows * h * (c * c + c)
 
         def full_cross(rows, c):
-            return 8 * 3 * positions * c * d + block(rows, c)
+            return max(8 * 3 * rows * c * d + block(rows, c), 8 * positions * c * d)
 
-        # one block holds every position, and its logits grow with C^2; the
-        # projections, scores and values grow with C
+        # one block holds a run of S positions, the most a block holds, and
+        # its logits grow with C^2; the projections, scores and values grow
+        # with C
         logits = []
         for c in (8, 16):
-            assert transient("full_cross", c) == full_cross(positions, c), c
+            assert transient("full_cross", c) == full_cross(run, c) > 8 * positions * c * d, c
             assert transient("single_query", c) == 8 * positions * c * (h + d), c
-            logits.append(block(positions, c) - 8 * positions * h * c)
+            logits.append(block(run, c) - 8 * run * h * c)
         assert logits[1] == 4 * logits[0]
-        # a block of 16-channel full_cross logits is one position: at 16
-        # channels the op holds one position's, at 8 channels four positions'
-        monkeypatch.setattr(T, "ATTENTION_BLOCK", h * 16 * 16)
-        assert transient("full_cross", 16) == full_cross(1, 16)
-        assert transient("full_cross", 8) == full_cross(4, 8)
+        # a block of 16-channel full_cross logits is two positions: at 16
+        # channels the op holds two positions', at 8 channels a run's four,
+        # where a block of eight would cross the batch axis
+        monkeypatch.setattr(T, "ATTENTION_BLOCK", 2 * h * 16 * 16)
+        assert transient("full_cross", 16) == full_cross(2, 16) > 8 * positions * 16 * d
+        assert transient("full_cross", 8) == full_cross(4, 8) > 8 * positions * 8 * d
 
     def test_channel_permutation_equivariance(self, rng):
         model = tiny_model(channels=5, embed=8, heads=2)
@@ -519,7 +525,7 @@ class TestVit:
         w = wrap(master, requires_grad=False)
         agg = rng.normal((2, 4, 1, 8))
         meta = rng.normal((2, 4))
-        out = vit_forward(Tensor(agg), Tensor(meta), w, model)
+        out = vit_forward(Tensor(agg), np.zeros((2, 4)), meta, w, model)  # nothing masked
         assert out.shape == (2, 5, 8)
         np.testing.assert_array_equal(out.data[:, 1:, :], agg[:, :, 0])
         expect_meta = meta @ master["special.meta_w"] + master["special.meta_b"]
@@ -538,8 +544,8 @@ class TestVit:
         for s, cfg in ((4, tiny_model()), (16, tiny_model(image_h=16, image_w=16))):
             master = create_master(cfg, StrategyConfig(), RngState(1))
             w = wrap(master, requires_grad=False)
-            out = vit_forward(Tensor(rng.normal((1, s, 1, 8))), Tensor(rng.normal((1, 4))),
-                              w, cfg)
+            out = vit_forward(Tensor(rng.normal((1, s, 1, 8))), np.zeros((1, s)),
+                              rng.normal((1, 4)), w, cfg)
             assert out.shape[1] == s + 1
 
 

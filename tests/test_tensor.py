@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from dchag import costmodel
 from dchag import tensor as T
+from dchag.rng import RngState
 from dchag.tensor import Tensor, ShapeError, EngineError
 from dchag.tracking import AllocTracker, activate
 
@@ -131,16 +132,16 @@ class TestMatmulBackward:
 def _probabilities(logits):
     """Softmax of the rows of `logits` [R, Tk] (R <= Tk), or of one row
     [Tk], through the fused op: one head over Tk tokens that are the
-    identity rows, so k and v are the identity and q is wq, whose first R
-    rows are the logits (scaled by sqrt(Tk) to undo the op's scale); each
-    output row is then one row of probabilities."""
+    identity rows, so k, v and the output projection are the identity and
+    q is wq, whose first R rows are the logits (scaled by sqrt(Tk) to undo
+    the op's scale); each output row is then one row of probabilities."""
     logits = np.asarray(logits, dtype=np.float64)
     rows = np.atleast_2d(logits)
     r, tk = rows.shape
     wq = np.zeros((tk, tk))
     wq[:r] = rows * np.sqrt(tk)
     eye = Tensor(np.eye(tk))
-    return T.attention(eye, Tensor(wq), None, eye, eye, 1).data[:r].reshape(logits.shape)
+    return T.attention(eye, Tensor(wq), None, eye, eye, eye, 1).data[:r].reshape(logits.shape)
 
 
 def _projections(x, wq, wk, wv):
@@ -154,16 +155,18 @@ class TestSoftmax:
     more than a pool's keys."""
 
     def test_single_element(self, rng):
-        # one token: its probability is exactly 1, so the output is the op's
-        # value projection bit for bit
+        # one token: its probability is exactly 1, so the context is the op's
+        # value projection, and the output its product with wo, bit for bit
         x, wq, wk, wv = rng.normal((2, 1, 4)), *(rng.normal((4, 6)) for _ in range(3))
-        out = T.attention(Tensor(x), Tensor(wq), None, Tensor(wk), Tensor(wv), 2)
-        np.testing.assert_array_equal(out.data, _projections(x, wq, wk, wv)[2])
+        wo = rng.normal((6, 3))
+        out = T.attention(Tensor(x), Tensor(wq), None, Tensor(wk), Tensor(wv), Tensor(wo), 2)
+        np.testing.assert_array_equal(out.data, np.matmul(_projections(x, wq, wk, wv)[2], wo))
 
     def test_symmetry(self, rng):
         # equal logits (q = 0) weigh every token alike: the mean of the v rows
         x, wk, wv = rng.normal((2, 3, 4)), rng.normal((4, 4)), rng.normal((4, 4))
-        out = T.attention(Tensor(x), Tensor(np.zeros((4, 4))), None, Tensor(wk), Tensor(wv), 2)
+        out = T.attention(Tensor(x), Tensor(np.zeros((4, 4))), None, Tensor(wk), Tensor(wv),
+                          Tensor(np.eye(4)), 2)
         v = _projections(x, np.zeros((4, 4)), wk, wv)[2]
         assert rel_err(out.data, np.broadcast_to(v.mean(axis=-2, keepdims=True), v.shape)) < 1e-15
         np.testing.assert_array_equal(_probabilities([0.0, 0.0, 0.0]), [1 / 3] * 3)
@@ -189,15 +192,15 @@ class TestSoftmax:
         ts = {"b": Tensor(rng.normal((5,)), requires_grad=True)}
         eye, zero = Tensor(np.eye(5)), Tensor(np.zeros((5, 5)))
         w = rng.normal((5, 5))  # break symmetry so grads are generic
-        check_grad(lambda: T.sum_all(T.mul(T.attention(eye, zero, ts["b"], eye, eye, 1),
+        check_grad(lambda: T.sum_all(T.mul(T.attention(eye, zero, ts["b"], eye, eye, eye, 1),
                                            Tensor(w))), ts)
 
 
-def _exact_attention(x, wq, bq, wk, wv, g, n_heads):
+def _exact_attention(x, wq, bq, wk, wv, wo, g, n_heads):
     """The attention chain in long double, where it is exact to the float64
-    results' precision: its output and the x, wq, bq, wk and wv gradients
-    for the output gradient `g`, each as (value, first-order bound on the
-    float64 op's error).
+    results' precision: its output and the x, wq, bq, wk, wv and wo
+    gradients for the output gradient `g`, each as (value, first-order
+    bound on the float64 op's error).
 
     The bound follows every float64 rounding of the fused op to first
     order, elementwise, with u = 2**-53 and gamma_n = n*u:
@@ -214,7 +217,10 @@ def _exact_attention(x, wq, bq, wk, wv, g, n_heads):
       probability, in forward and recomputed in backward from the stored
       log-sum-exp, is off by at most p*rho with rho = 2*max_row(e) +
       u*(|s - max| + |lse| + 2*T + 8) (exp, the row sum and divide, the
-      stored lse).
+      stored lse);
+    * the context's product with wo, and its gradient g wo^T, carry their
+      operands' bounds as any product does; wo's gradient reads the
+      context that backward recomputes, which the same bound covers.
     So the logits' conditioning, their magnitude against their spread,
     sets the bound: at logits of O(1) it is typically near 1e-14 of the
     largest value, and at +-1000 near 2e-12.
@@ -241,15 +247,16 @@ def _exact_attention(x, wq, bq, wk, wv, g, n_heads):
             bound += abs(a) @ db
         return a @ b, bound
 
-    x, wq, wk, wv, g = (a.astype(ld) for a in (x, wq, wk, wv, g))
+    x, wq, wk, wv, wo, g = (a.astype(ld) for a in (x, wq, wk, wv, wo, g))
     b = np.zeros(dl, dtype=ld) if bq is None else bq.astype(ld)
     q, dq0 = mm(x, wq)
     q = q + b
     dq0 = dq0 + u * abs(q)
     k, dk0 = mm(x, wk)
     v, dv0 = mm(x, wv)
-    qh, kh, vh, gh = (heads(a) for a in (q, k, v, g))
-    eq, ek, ev = (heads(a) for a in (dq0, dk0, dv0))
+    gc, dgc = mm(g, wo.T)  # the context's gradient
+    qh, kh, vh, gh = (heads(a) for a in (q, k, v, gc))
+    eq, ek, ev, eg = (heads(a) for a in (dq0, dk0, dv0, dgc))
     kt, ekt = kh.swapaxes(-1, -2), ek.swapaxes(-1, -2)
     s = c * (qh @ kt)
     e = (dh + 2) * u * c * (abs(qh) @ abs(kt)) + c * (eq @ abs(kt) + abs(qh) @ ekt)
@@ -261,10 +268,13 @@ def _exact_attention(x, wq, bq, wk, wv, g, n_heads):
     rho = 2 * e.max(axis=-1, keepdims=True) + u * (abs(s - mx) + abs(lse) + 2 * s.shape[-1] + 8)
     dp = p * rho
     o, do = mm(p, vh, dp, ev)
-    dv, ddv = mm(p.swapaxes(-1, -2), gh, dp.swapaxes(-1, -2))
-    gv, dgv = mm(gh, vh.swapaxes(-1, -2), None, ev.swapaxes(-1, -2))
+    ctx, dctx = merged(o), merged(do)
+    out = mm(ctx, wo, dctx)
+    dwo = mm(ctx.reshape(-1, dl).T, g.reshape(-1, g.shape[-1]), dctx.reshape(-1, dl).T)
+    dv, ddv = mm(p.swapaxes(-1, -2), gh, dp.swapaxes(-1, -2), eg)
+    gv, dgv = mm(gh, vh.swapaxes(-1, -2), eg, ev.swapaxes(-1, -2))
     rows = (gh * o).sum(axis=-1, keepdims=True)  # rowsum(dO*O)
-    drows = (abs(gh) * (do + dh * u * abs(o))).sum(axis=-1, keepdims=True)
+    drows = (abs(gh) * (do + dh * u * abs(o)) + eg * abs(o)).sum(axis=-1, keepdims=True)
     ds = p * (gv - rows)
     dds = dp * abs(gv - rows) + p * (dgv + drows) + 2 * u * abs(ds)
     dq, ddq = mm(ds, kh, dds, ek)
@@ -280,16 +290,16 @@ def _exact_attention(x, wq, bq, wk, wv, g, n_heads):
              ddqkv[..., i * dl:(i + 1) * dl].reshape(-1, dl)) for i in range(3)]
     dqr, ddqr = dqkv[..., :dl].reshape(-1, dl), ddqkv[..., :dl].reshape(-1, dl)
     db = (dqr.sum(axis=0), ddqr.sum(axis=0) + (len(dqr) - 1) * u * abs(dqr).sum(axis=0))
-    return [(merged(o), merged(do)), dx, dw[0], db, dw[1], dw[2]]
+    return [out, dx, dw[0], db, dw[1], dw[2], dwo]
 
 
 @st.composite
 def _attention_operands(draw):
-    """x, wq, bq (or None), wk, wv, an output gradient, a head count and
+    """x, wq, bq (or None), wk, wv, wo, an output gradient, a head count and
     whether the logits are large: 1-4 heads, 0-3 leading axes, x sometimes
-    a transposed view, and sometimes logits near +-1000, where
-    probabilities only survive the recompute if the log-sum-exp is taken
-    after the row maximum.
+    a transposed view, an output width of 1-5, and sometimes logits near
+    +-1000, where probabilities only survive the recompute if the
+    log-sum-exp is taken after the row maximum.
 
     At ordinary logits wq, wk and wv are orthonormal columns of D >= 3*Dl,
     so every entry of q, k and v is an independent standard normal (q
@@ -331,13 +341,20 @@ def _attention_operands(draw):
         wq[1, ::dh] = 1000.0 * np.sqrt(dh)
         if bq is not None:
             bq[::dh] = 0.0
-    g = gen.standard_normal((*lead, t, dl))
-    return x, wq, bq, wk, wv, g, heads, large
+    do = draw(st.integers(1, 5))
+    wo = gen.standard_normal((dl, do)) / np.sqrt(dl)
+    g = gen.standard_normal((*lead, t, do))
+    return x, wq, bq, wk, wv, wo, g, heads, large
 
 
-def _attention_tensors(x, wq, bq, wk, wv):
-    """x, wq, bq (None stays None), wk, wv as tensors that need gradients."""
-    return [None if a is None else Tensor(a, requires_grad=True) for a in (x, wq, bq, wk, wv)]
+def _attention_tensors(x, wq, bq, wk, wv, wo):
+    """x, wq, bq (None stays None), wk, wv, wo as tensors that need
+    gradients."""
+    return [None if a is None else Tensor(a, requires_grad=True)
+            for a in (x, wq, bq, wk, wv, wo)]
+
+
+ATTENTION_GRADS = ("out", "dx", "dwq", "dbq", "dwk", "dwv", "dwo")
 
 
 class TestAttention:
@@ -353,8 +370,7 @@ class TestAttention:
         out = T.attention(*ts, heads)
         T.backward(T.sum_all(T.mul(out, Tensor(g))))
         want = _exact_attention(*arrays, g, heads)
-        for name, a, b in zip(("out", "dx", "dwq", "dbq", "dwk", "dwv"),
-                              [out] + ts, want):
+        for name, a, b in zip(ATTENTION_GRADS, [out] + ts, want):
             if a is None:  # no query bias
                 continue
             got = a.data if name == "out" else a.grad
@@ -367,14 +383,17 @@ class TestAttention:
     @settings(max_examples=100)
     @given(_attention_operands(), st.data())
     def test_block_size_changes_no_bit_and_no_estimate(self, operands, data):
-        # one head of one position per block, one block of every position,
-        # blocks that leave a ragged last block wherever there are three or
-        # more positions, and blocks of some of a position's heads
-        x, wq, bq, wk, wv, g, heads, _ = operands
+        # one head of one position per block; one block of every position,
+        # which a block cuts at each run of x's last lead axis; blocks that
+        # would cross a lead axis wherever there are several runs, or leave
+        # a ragged last block of a run of three or more positions; and blocks
+        # of some of a position's heads.  The estimate's output is its
+        # caller's, so the op leaves its output live beside what it keeps.
+        x, wq, bq, wk, wv, wo, g, heads, _ = operands
         *lead, t, _ = x.shape
-        dl = wq.shape[1]
-        n = math.prod(lead)
-        rows = data.draw(st.sampled_from([r for r in range(2, n) if n % r] or [1]))
+        dl, do = wo.shape
+        n, run = math.prod(lead), (lead or [1])[-1]
+        rows = data.draw(st.sampled_from([r for r in range(2, n) if run % r] or [1]))
         some_heads = data.draw(st.integers(1, max(1, heads - 1)))
         results = []
         for block in (1, 2 ** 40, rows * heads * t * t, some_heads * t * t):
@@ -382,60 +401,115 @@ class TestAttention:
                 mp.setattr(T, "ATTENTION_BLOCK", block)
                 tracker = AllocTracker()
                 with activate(tracker):
-                    ts = _attention_tensors(x, wq, bq, wk, wv)
+                    ts = _attention_tensors(x, wq, bq, wk, wv, wo)
                     before = tracker.stats()
                     out = T.attention(*ts, heads)
                     after = tracker.stats()
-                kept, high = costmodel._attention(n, heads, t, dl)
-                assert after.live_bytes - before.live_bytes == 8 * kept
+                kept, high = costmodel._attention(n, heads, t, dl, do, run)
+                assert after.live_bytes - before.live_bytes == 8 * (kept + n * t * do)
                 assert after.peak_bytes - before.live_bytes == 8 * high
                 T.backward(T.sum_all(T.mul(out, Tensor(g))))
             results.append([out.data] + [a.grad for a in ts if a is not None])
-        for name, *arrays in zip(("out", "dx", "dwq", "dbq", "dwk", "dwv"), *results):
+        for name, *arrays in zip(ATTENTION_GRADS, *results):
             assert all(np.array_equal(a, arrays[0]) for a in arrays[1:]), name
 
     @pytest.mark.parametrize("heads", [1, 2, 3])
     def test_grad_of_input_weights_and_bias(self, rng, heads):
         # a tp rank's shard (Dl = 2*heads below D = 8) of full_cross's first
-        # stage over a token slab read as its transposed view
+        # stage over a token slab read as its transposed view, projected
+        # back out to D
         d, dl = 8, 2 * heads
         ts = {"x": Tensor(rng.normal((2, 3, 2, d)), requires_grad=True),
               "bq": Tensor(rng.normal((dl,)), requires_grad=True),
               **{name: Tensor(rng.normal((d, dl)), requires_grad=True)
-                 for name in ("wq", "wk", "wv")}}
-        w = rng.normal((2, 2, 3, dl))
+                 for name in ("wq", "wk", "wv")},
+              "wo": Tensor(rng.normal((dl, d)), requires_grad=True)}
+        w = rng.normal((2, 2, 3, d))
         check_grad(lambda: T.sum_all(T.mul(
-            T.attention(_slab_view(ts["x"]), ts["wq"], ts["bq"], ts["wk"], ts["wv"], heads),
+            T.attention(_slab_view(ts["x"]), ts["wq"], ts["bq"], ts["wk"], ts["wv"], ts["wo"],
+                        heads),
             Tensor(w))), ts)
+
+    def test_grad_without_lead_axes(self, rng):
+        # x [T, D] alone: one position, whose rows are x itself
+        ts = {"x": Tensor(rng.normal((4, 6)), requires_grad=True),
+              **{name: Tensor(rng.normal((6, 4)), requires_grad=True)
+                 for name in ("wq", "wk", "wv")},
+              "wo": Tensor(rng.normal((4, 3)), requires_grad=True)}
+        w = rng.normal((4, 3))
+        check_grad(lambda: T.sum_all(T.mul(
+            T.attention(ts["x"], ts["wq"], None, ts["wk"], ts["wv"], ts["wo"], 2), Tensor(w))),
+            ts)
 
     @pytest.mark.parametrize("heads", [1, 2, 4])
     def test_matches_numpy_reference(self, rng, heads):
-        # softmax((x wq + bq)(x wk)^T / sqrt(dh)) (x wv), head by head
+        # softmax((x wq + bq)(x wk)^T / sqrt(dh)) (x wv), head by head, then wo
         d, dl = 6, 2 * heads
         x = rng.normal((2, 3, 5, d))
         wq, wk, wv = (rng.normal((d, dl)) for _ in range(3))
-        bq = rng.normal((dl,))
-        out = T.attention(Tensor(x), Tensor(wq), Tensor(bq), Tensor(wk), Tensor(wv), heads).data
+        bq, wo = rng.normal((dl,)), rng.normal((dl, d))
+        out = T.attention(Tensor(x), Tensor(wq), Tensor(bq), Tensor(wk), Tensor(wv), Tensor(wo),
+                          heads).data
         q, k, v = x @ wq + bq, x @ wk, x @ wv
-        want = np.empty(out.shape)
+        ctx = np.empty((2, 3, 5, dl))
         for h in range(heads):
             cols = slice(2 * h, 2 * h + 2)
             s = q[..., cols] @ np.swapaxes(k[..., cols], -1, -2) / np.sqrt(2)
             p = np.exp(s - s.max(axis=-1, keepdims=True))
             p /= p.sum(axis=-1, keepdims=True)
-            want[..., cols] = p @ v[..., cols]
-        assert rel_err(out, want) < 1e-12
+            ctx[..., cols] = p @ v[..., cols]
+        assert rel_err(out, ctx @ wo) < 1e-12
 
     def test_rejects_mismatched_shapes(self):
-        x, w = Tensor(np.zeros((2, 3, 4))), Tensor(np.zeros((4, 6)))
+        x, w, wo = Tensor(np.zeros((2, 3, 4))), Tensor(np.zeros((4, 6))), Tensor(np.zeros((6, 4)))
         with pytest.raises(ShapeError):  # x's width is not the weights' input width
-            T.attention(Tensor(np.zeros((2, 3, 5))), w, None, w, w, 2)
+            T.attention(Tensor(np.zeros((2, 3, 5))), w, None, w, w, wo, 2)
         with pytest.raises(ShapeError):  # the projections differ in width
-            T.attention(x, w, None, Tensor(np.zeros((4, 4))), w, 2)
+            T.attention(x, w, None, Tensor(np.zeros((4, 4))), w, wo, 2)
         with pytest.raises(ShapeError):  # the bias is not [Dl]
-            T.attention(x, w, Tensor(np.zeros(4)), w, w, 2)
+            T.attention(x, w, Tensor(np.zeros(4)), w, w, wo, 2)
+        with pytest.raises(ShapeError):  # wo's input width is not Dl
+            T.attention(x, w, None, w, w, Tensor(np.zeros((4, 4))), 2)
         with pytest.raises(ShapeError, match="heads"):
-            T.attention(x, w, None, w, w, 4)
+            T.attention(x, w, None, w, w, wo, 4)
+
+
+class TestAttentionOutputProjection:
+    """The op ends in its output projection: its output is its context's
+    product with wo, the context being the op's output through the
+    identity, and its gradients are the chain's, attention then `matmul`."""
+
+    @settings(max_examples=100)
+    @given(_attention_operands(), st.data())
+    def test_fused_matches_the_chain(self, operands, data):
+        # x with 0-3 lead axes, sometimes a transposed view, at the default
+        # block size and at blocks that would cross a lead axis.  The chain
+        # recomputes the context in its attention op's backward as the fused
+        # op does, so every gradient but wo's is the same to the bit; wo's
+        # reads the forward's context in the chain and the recomputed one in
+        # the fused op
+        x, wq, bq, wk, wv, wo, g, heads, _ = operands
+        *lead, t, _ = x.shape
+        n, dl = math.prod(lead), wo.shape[0]
+        block = data.draw(st.sampled_from([T.ATTENTION_BLOCK, n * heads * t * t]))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(T, "ATTENTION_BLOCK", block)
+            fused = _attention_tensors(x, wq, bq, wk, wv, wo)
+            out = T.attention(*fused, heads)
+            T.backward(T.sum_all(T.mul(out, Tensor(g))))
+            chain = _attention_tensors(x, wq, bq, wk, wv, wo)
+            ctx = T.attention(*chain[:5], Tensor(np.eye(dl)), heads)
+            want = T.matmul(ctx, chain[5])
+            T.backward(T.sum_all(T.mul(want, Tensor(g))))
+        np.testing.assert_array_equal(out.data, want.data)
+        np.testing.assert_array_equal(out.data, np.matmul(ctx.data, wo))
+        for name, a, b in zip(ATTENTION_GRADS[1:], fused, chain):
+            if a is None:  # no query bias
+                continue
+            if name == "dwo":
+                assert rel_err(a.grad, b.grad) < 1e-12, name
+            else:
+                np.testing.assert_array_equal(a.grad, b.grad, err_msg=name)
 
 
 def _owner(a):
@@ -445,64 +519,74 @@ def _owner(a):
     return a
 
 
-def _attention_inputs(rng, lead, t, d, dl):
-    """x [*lead, T, D] and wq, bq, wk, wv for Dl, as tensors that need
-    gradients."""
+def _attention_inputs(rng, lead, t, d, dl, do):
+    """x [*lead, T, D] and wq, bq, wk, wv for Dl and wo [Dl, Do], as tensors
+    that need gradients."""
     return (Tensor(rng.normal((*lead, t, d)), requires_grad=True),
             *(Tensor(rng.normal(shape), requires_grad=True)
-              for shape in ((d, dl), (dl,), (d, dl), (d, dl))))
+              for shape in ((d, dl), (dl,), (d, dl), (d, dl), (dl, do))))
 
 
 class TestAttentionMemory:
     def test_forward_charges_output_lse_and_transient_projections_and_logits(
             self, rng, monkeypatch):
         # one block of both positions; blocks of 2, 2 and 1 of 5 positions;
-        # blocks of one head of one position.  After the forward the op
-        # holds its output and log-sum-exp, and no projection.
-        t, d, dl, heads = 6, 5, 4, 2
-        for positions, block_size, blk, hb in ((2, None, 2, heads),
-                                               (5, 2 * heads * t * t, 2, heads),
-                                               (3, t * t, 1, 1)):
+        # blocks of one head of one position; and blocks of 4 of 2 x 3
+        # positions, which stop at each run of 3.  While the op runs it holds
+        # the context and the log-sum-exp, with one block's projections,
+        # logits and row sums and then with the output; after the forward it
+        # holds its output and log-sum-exp, and no projection or context.
+        t, d, dl, do, heads = 6, 5, 4, 3, 2
+        for lead, block_size, blk, hb in (((2,), None, 2, heads),
+                                          ((5,), 2 * heads * t * t, 2, heads),
+                                          ((3,), t * t, 1, 1),
+                                          ((2, 3), 4 * heads * t * t, 3, heads)):
             if block_size is not None:
                 monkeypatch.setattr(T, "ATTENTION_BLOCK", block_size)
             rows, got_hb = T.attention_block(heads, t, t)
-            assert (min(positions, rows), got_hb) == (blk, hb)
+            assert (min(lead[-1], rows), got_hb) == (blk, hb)
+            n = math.prod(lead)
             tracker = AllocTracker()
             with activate(tracker):
-                ts = _attention_inputs(rng, (positions,), t, d, dl)
+                ts = _attention_inputs(rng, lead, t, d, dl, do)
                 before = tracker.stats()
                 out = T.attention(*ts, heads)
                 after = tracker.stats()
-                lse = 8 * positions * heads * t
+                lse = 8 * n * heads * t
                 kept = out.data.nbytes + lse
-                qkv = 8 * 3 * positions * t * dl
+                ctx = 8 * n * t * dl
+                qkv = 8 * 3 * blk * t * dl
                 block = 8 * blk * hb * (t * t + t)  # logits and row sums
+                assert out.data.nbytes == 8 * n * t * do
                 assert before.peak_bytes == before.live_bytes
                 assert after.live_bytes - before.live_bytes == kept
-                assert after.peak_bytes - before.live_bytes == kept + qkv + block
+                assert (after.peak_bytes - before.live_bytes
+                        == lse + ctx + max(qkv + block, out.data.nbytes))
                 inputs = {id(_owner(a.data)) for a in ts}
                 saved = {id(o): o.nbytes for o in map(_owner, reachable_arrays(out))
                          if id(o) not in inputs}
                 assert sorted(saved.values()) == sorted((lse, out.data.nbytes))
-                assert max(a.size for a in reachable_arrays(out)) < positions * t * dl * 3
+                # no closure holds an [n, T, Dl] array: no context, no projection
+                assert all(a.size < n * t * dl for a in reachable_arrays(out)
+                           if id(_owner(a)) not in inputs and a is not out.data)
                 del out
                 assert tracker.live_bytes == before.live_bytes
 
     def test_a_transposed_input_is_read_in_place(self, rng):
         # a token slab's transposed view charges what a contiguous x does:
-        # the product reads it where it lies
-        t, d, dl, heads = 3, 4, 4, 2
+        # each block's product reads its rows where they lie
+        t, d, dl, do, heads = 3, 4, 4, 4, 2
         charges = []
         for view in (False, True):
             tracker = AllocTracker()
             with activate(tracker):
-                x, *weights = _attention_inputs(rng, (2, 3), t, d, dl)
+                x, *weights = _attention_inputs(rng, (2, 3), t, d, dl, do)
                 if view:
                     x = _slab_view(Tensor(rng.normal((2, t, 3, d)), requires_grad=True))
                 before = tracker.stats()
                 T.attention(x, *weights, heads)
                 charges.append(tracker.stats().peak_bytes - before.live_bytes)
-        assert charges[0] == charges[1] == 8 * costmodel._attention(6, heads, t, dl)[1]
+        assert charges[0] == charges[1] == 8 * costmodel._attention(6, heads, t, dl, do, 3)[1]
 
     def test_backward_holds_at_most_two_logit_buffers(self, rng):
         # a long_sequence vit block's attention on one rank: [B, T, D] = [4, 257, 64];
@@ -510,15 +594,15 @@ class TestAttentionMemory:
         # one position
         b, t, d, heads = 4, 257, 64, 8
         assert T.attention_block(heads, t, t) == (1, 1)
-        ts = _attention_inputs(rng, (b,), t, d, d)
+        ts = _attention_inputs(rng, (b,), t, d, d, d)
         out = T.attention(*ts, heads)
         loss = T.sum_all(T.mul(out, Tensor(rng.normal(out.shape))))
         block = 8 * t * t
-        # the recomputed projections and their gradient (3 each), and the
-        # three output-sized arrays the engine holds above the op: the
-        # gradients of `out` and of the product, and the product's gradient
-        # for the constant factor
-        grads = 9 * 8 * b * t * d
+        # the context's gradient, the recomputed context and dq, dk and dv,
+        # and the three output-sized arrays the engine holds above the op:
+        # the gradients of `out` and of the product, and the product's
+        # gradient for the constant factor; and one position's projections
+        grads = 8 * 8 * b * t * d + 3 * 8 * t * d
         tracemalloc.start()
         try:
             T.backward(loss)
@@ -529,13 +613,14 @@ class TestAttentionMemory:
         assert peak < 2 * block + grads + 2 ** 18, f"backward peak {peak / 2 ** 20:.2f} MiB"
 
 
-def _pool_operands(rng, lead, tk, dx, heads, dl):
+def _pool_operands(rng, lead, tk, dx, heads, dl, do=3):
     """x as the transposed view of a [lead0, Tk, lead1, Dx] array, the
-    layout of the token slabs, with u and wv to match."""
+    layout of the token slabs, with u, wv and wo [Dl, Do] to match."""
     x = Tensor(rng.normal((lead[0], tk, lead[1], dx)), requires_grad=True)
     u = Tensor(rng.normal((dx, heads)), requires_grad=True)
     wv = Tensor(rng.normal((dx, dl)), requires_grad=True)
-    return x, u, wv
+    wo = Tensor(rng.normal((dl, do)), requires_grad=True)
+    return x, u, wv, wo
 
 
 def _slab_view(x):
@@ -545,81 +630,113 @@ def _slab_view(x):
 class TestAttentionPool:
     @pytest.mark.parametrize("heads", [1, 2, 8])
     def test_grad(self, rng, heads):
-        x, u, wv = _pool_operands(rng, (2, 3), 3, 5, heads, 2 * heads)
-        w = rng.normal((2, 3, 1, 2 * heads))
-        check_grad(lambda: T.sum_all(T.mul(T.attention_pool(_slab_view(x), u, wv, heads),
-                                           Tensor(w))), {"x": x, "u": u, "wv": wv})
+        x, u, wv, wo = _pool_operands(rng, (2, 3), 3, 5, heads, 2 * heads)
+        w = rng.normal((2, 3, 1, 3))
+        check_grad(lambda: T.sum_all(T.mul(T.attention_pool(_slab_view(x), u, wv, wo, heads),
+                                           Tensor(w))), {"x": x, "u": u, "wv": wv, "wo": wo})
 
     @pytest.mark.parametrize("heads", [1, 2])
     def test_grad_when_x_is_the_values(self, rng, heads):
         # full_cross's reduce: x serves as keys and values, one gradient
-        x, u, _ = _pool_operands(rng, (2, 3), 3, 4, heads, 4)
+        x, u, _, _ = _pool_operands(rng, (2, 3), 3, 4, heads, 4)
         w = rng.normal((2, 3, 1, 4))
-        check_grad(lambda: T.sum_all(T.mul(T.attention_pool(_slab_view(x), u, None, heads),
+        check_grad(lambda: T.sum_all(T.mul(T.attention_pool(_slab_view(x), u, None, None, heads),
                                            Tensor(w))), {"x": x, "u": u})
 
     @pytest.mark.parametrize("heads", [1, 2])
     def test_x_as_the_values_matches_an_identity_projection(self, rng, heads):
-        x, u, _ = _pool_operands(rng, (2, 3), 4, 6, heads, 6)
+        x, u, _, _ = _pool_operands(rng, (2, 3), 4, 6, heads, 6)
         g = rng.normal((2, 3, 1, 6))
         results = []
         for wv in (None, Tensor(np.eye(6))):
             x.grad = u.grad = None
-            out = T.attention_pool(_slab_view(x), u, wv, heads)
+            out = T.attention_pool(_slab_view(x), u, wv, wv, heads)
             T.backward(T.sum_all(T.mul(out, Tensor(g))))
             results.append((out.data, x.grad, u.grad))
         for name, a, b in zip(("out", "dx", "du"), *results):
             assert rel_err(a, b) < 1e-12, name
 
     @pytest.mark.parametrize("heads", [1, 2, 8])
+    def test_fused_matches_the_chain(self, rng, heads):
+        # the output is the pooled values' product with wo, the pooled values
+        # being the op's output through the identity, bit for bit, and so
+        # are the gradients of the chain, the pool then `matmul`, but wo's,
+        # which reads the pooled values the backward recomputes
+        dl = 2 * heads
+        g = rng.normal((2, 3, 1, 5))
+        results = []
+        for fused in (True, False):
+            x, u, wv, wo = (Tensor(a.data, requires_grad=True)
+                            for a in _pool_operands(RngState(7), (2, 3), 4, 6, heads, dl, 5))
+            if fused:
+                out = T.attention_pool(_slab_view(x), u, wv, wo, heads)
+            else:
+                pooled = T.attention_pool(_slab_view(x), u, wv, Tensor(np.eye(dl)), heads)
+                out = T.matmul(pooled, wo)
+                np.testing.assert_array_equal(out.data, np.matmul(pooled.data, wo.data))
+            T.backward(T.sum_all(T.mul(out, Tensor(g))))
+            results.append((out.data, x.grad, u.grad, wv.grad, wo.grad))
+        for name, a, b in zip(("out", "dx", "du", "dwv", "dwo"), *results):
+            if name == "dwo":
+                assert rel_err(a, b) < 1e-12, name
+            else:
+                np.testing.assert_array_equal(a, b, err_msg=name)
+
+    @pytest.mark.parametrize("heads", [1, 2, 8])
     def test_matches_bruteforce(self, rng, heads):
         # per head, the softmax over the keys of the scaled scores x @ u[:, h]
-        # weighs the values x @ wv's head-h features
+        # weighs the values x @ wv's head-h features; then wo
         dl = 3 * heads
-        x, u, wv = _pool_operands(rng, (2, 4), 5, 6, heads, dl)
+        x, u, wv, wo = _pool_operands(rng, (2, 4), 5, 6, heads, dl)
         xs = np.swapaxes(x.data, 1, 2)
         v = xs @ wv.data
-        out = T.attention_pool(_slab_view(x), u, wv, heads).data
-        want = np.empty((2, 4, 1, dl))
+        out = T.attention_pool(_slab_view(x), u, wv, wo, heads).data
+        pooled = np.empty((2, 4, 1, dl))
         for h in range(heads):
             s = xs @ u.data[:, h] / np.sqrt(dl // heads)  # [2, 4, Tk]
             p = np.exp(s - s.max(axis=-1, keepdims=True))
             p /= p.sum(axis=-1, keepdims=True)
             cols = slice(h * 3, (h + 1) * 3)
-            want[..., 0, cols] = np.einsum("bsk,bskd->bsd", p, v[..., cols])
-        assert rel_err(out, want) < 1e-12
+            pooled[..., 0, cols] = np.einsum("bsk,bskd->bsd", p, v[..., cols])
+        assert rel_err(out, pooled @ wo.data) < 1e-12
 
     def test_one_key_gives_exactly_zero_score_gradient(self, rng):
         # the one key takes the whole softmax, so the scores, and u through
         # them, get no gradient at all, not rounding noise; x's gradient is
         # its values' alone
-        x, u, wv = _pool_operands(rng, (2, 3), 1, 5, 2, 4)
-        g = rng.normal((2, 3, 1, 4))
-        T.backward(T.sum_all(T.mul(T.attention_pool(_slab_view(x), u, wv, 2), Tensor(g))))
+        x, u, wv, wo = _pool_operands(rng, (2, 3), 1, 5, 2, 4)
+        g = rng.normal((2, 3, 1, 3))
+        T.backward(T.sum_all(T.mul(T.attention_pool(_slab_view(x), u, wv, wo, 2), Tensor(g))))
         assert (u.grad == 0.0).all()
-        np.testing.assert_array_equal(np.swapaxes(x.grad, 1, 2), np.matmul(g, wv.data.T))
-        assert rel_err(wv.grad, np.einsum("bskd,bske->de", np.swapaxes(x.data, 1, 2), g)) < 1e-12
+        gv = np.matmul(g, wo.data.T)  # the pooled values' gradient
+        np.testing.assert_array_equal(np.swapaxes(x.grad, 1, 2), np.matmul(gv, wv.data.T))
+        xs = np.swapaxes(x.data, 1, 2)
+        assert rel_err(wv.grad, np.einsum("bskd,bske->de", xs, gv)) < 1e-12
+        assert rel_err(wo.grad, np.einsum("bskd,bske->de", xs @ wv.data, g)) < 1e-12
 
     @pytest.mark.parametrize("narrow", [False, True])
     def test_charges_match_costmodel(self, rng, narrow):
         # a whole slab folds into rows as a view; two of its three channels
-        # do not, and the fold's copy is charged while the scores are formed
-        tk, dx, heads, dl = 3, 16, 2, 4
+        # do not, and the fold's copy is charged while the scores are formed.
+        # The estimate's output is its caller's, so the op leaves its output
+        # live beside what it keeps.
+        tk, dx, heads, dl, do = 3, 16, 2, 4, 3
         tracker = AllocTracker()
         with activate(tracker):
-            x, u, wv = _pool_operands(rng, (2, 5), tk, dx, heads, dl)
+            x, u, wv, wo = _pool_operands(rng, (2, 5), tk, dx, heads, dl, do)
             xs = _slab_view(x)
             if narrow:
                 tk = 2
                 xs = T.split(xs, 2, (1, tk))[1]
             before = tracker.stats()
-            out = T.attention_pool(xs, u, wv, heads)
+            out = T.attention_pool(xs, u, wv, wo, heads)
             after = tracker.stats()
-        kept, high = costmodel._pool(10, heads, tk, dl, 10 * tk * dx if narrow else 0)
+        kept, high = costmodel._pool(10, heads, tk, dl, 10 * tk * dx if narrow else 0, do)
         assert before.peak_bytes == before.live_bytes
-        assert after.live_bytes - before.live_bytes == 8 * kept
+        assert after.live_bytes - before.live_bytes == 8 * (kept + 10 * do)
         assert after.peak_bytes - before.live_bytes == 8 * high
-        # backward recomputes the scores and the values and does not read the output
+        # backward recomputes the scores, the values and the pooled values and
+        # does not read the output
         assert not any(np.shares_memory(a, out.data) for a in reachable_arrays(out)
                        if a is not out.data)
         del out
@@ -629,26 +746,32 @@ class TestAttentionPool:
         tk, dx, heads = 3, 8, 2
         tracker = AllocTracker()
         with activate(tracker):
-            x, u, _ = _pool_operands(rng, (2, 5), tk, dx, heads, dx)
+            x, u, _, _ = _pool_operands(rng, (2, 5), tk, dx, heads, dx)
             before = tracker.stats()
-            out = T.attention_pool(_slab_view(x), u, None, heads)
+            out = T.attention_pool(_slab_view(x), u, None, None, heads)
             after = tracker.stats()
-        kept, high = costmodel._pool(10, heads, tk, dx, 0, projects=False)
+        kept, high = costmodel._pool(10, heads, tk, dx, 0)
         assert after.live_bytes - before.live_bytes == 8 * kept
         assert after.peak_bytes - before.live_bytes == 8 * high
         del out
         assert tracker.live_bytes == before.live_bytes
 
     def test_rejects_mismatched_shapes(self):
-        x, wv = Tensor(np.zeros((2, 3, 4))), Tensor(np.zeros((4, 6)))
+        x, wv, wo = Tensor(np.zeros((2, 3, 4))), Tensor(np.zeros((4, 6))), Tensor(np.zeros((6, 2)))
         with pytest.raises(ShapeError):  # wv's input width is not x's
-            T.attention_pool(x, Tensor(np.zeros((4, 3))), Tensor(np.zeros((5, 6))), 3)
+            T.attention_pool(x, Tensor(np.zeros((4, 3))), Tensor(np.zeros((5, 6))), wo, 3)
         with pytest.raises(ShapeError):  # u has two heads, not three
-            T.attention_pool(x, Tensor(np.zeros((4, 2))), wv, 3)
+            T.attention_pool(x, Tensor(np.zeros((4, 2))), wv, wo, 3)
         with pytest.raises(ShapeError):  # four heads do not divide Dl = 6
-            T.attention_pool(x, Tensor(np.zeros((4, 4))), wv, 4)
+            T.attention_pool(x, Tensor(np.zeros((4, 4))), wv, wo, 4)
         with pytest.raises(ShapeError):  # nor three heads x's width, its values'
-            T.attention_pool(x, Tensor(np.zeros((4, 3))), None, 3)
+            T.attention_pool(x, Tensor(np.zeros((4, 3))), None, None, 3)
+        with pytest.raises(ShapeError):  # wo's input width is not Dl
+            T.attention_pool(x, Tensor(np.zeros((4, 3))), wv, Tensor(np.zeros((4, 2))), 3)
+        with pytest.raises(ShapeError):  # wv without wo
+            T.attention_pool(x, Tensor(np.zeros((4, 3))), wv, None, 3)
+        with pytest.raises(ShapeError):  # wo without wv
+            T.attention_pool(x, Tensor(np.zeros((4, 2))), None, Tensor(np.zeros((4, 4))), 2)
 
 
 class TestLayernorm:
@@ -1114,7 +1237,7 @@ class TestBackward:
 
         def run():
             x = Tensor(data.copy(), requires_grad=True)
-            y = T.attention(T.matmul(x, x), x, None, x, x, 1)
+            y = T.attention(T.matmul(x, x), x, None, x, x, x, 1)
             T.backward(T.sum_all(T.mul(y, y)))
             return x.grad.copy()
 

@@ -178,10 +178,11 @@ def test_flops_counted_per_tag():
 
 def test_only_matrix_products_count_flops():
     # elementwise ops, norms and reductions add none; attention adds its
-    # projection, 2*n*T*D*3Dl over its n positions, and its two products,
-    # 4*n*T*T*Dl; the pool its scores, 2*n*Tk*D*H, its value projection,
-    # 2*n*Tk*D*Dl, and its pooling, 2*n*Tk*Dl; the MLP its two products,
-    # 2*r*D*Dh and 2*r*Dh*Do over its r rows
+    # projection, 2*n*T*D*3Dl over its n positions, its two products,
+    # 4*n*T*T*Dl, and its output projection, 2*n*T*Dl*Do; the pool its
+    # scores, 2*n*Tk*D*H, its value projection, 2*n*Tk*D*Dl, its pooling,
+    # 2*n*Tk*Dl, and its output projection, 2*n*Dl*Do; the MLP its two
+    # products, 2*r*D*Dh and 2*r*Dh*Do over its r rows
     x = Tensor(np.random.default_rng(0).standard_normal((2, 3, 5, 4)))
     w = Tensor(np.ones((4, 6)))
     tr = AllocTracker()
@@ -190,11 +191,12 @@ def test_only_matrix_products_count_flops():
                    lambda t: T.sub(t, t), lambda t: T.mul(t, t), lambda t: T.scale(t, 2.0)):
             op(x)
             assert tr.per_tag_flops == {}, op
-        T.attention(x, w, None, w, w, 2)
-        attention = 2 * 6 * 5 * 4 * 18 + 4 * 6 * 5 * 5 * 6
+        wo = Tensor(np.ones((6, 3)))
+        T.attention(x, w, None, w, w, wo, 2)
+        attention = 2 * 6 * 5 * 4 * 18 + 4 * 6 * 5 * 5 * 6 + 2 * 6 * 5 * 6 * 3
         assert tr.per_tag_flops["aggregate"] == attention
-        T.attention_pool(x, Tensor(np.ones((4, 2))), w, 2)
-        pool = 2 * 6 * 5 * 4 * 2 + 2 * 6 * 5 * 4 * 6 + 2 * 6 * 5 * 6
+        T.attention_pool(x, Tensor(np.ones((4, 2))), w, wo, 2)
+        pool = 2 * 6 * 5 * 4 * 2 + 2 * 6 * 5 * 4 * 6 + 2 * 6 * 5 * 6 + 2 * 6 * 6 * 3
         assert tr.per_tag_flops["aggregate"] == attention + pool
         T.mlp(x, w, Tensor(np.ones(6)), Tensor(np.ones((6, 3))))
         mlp = 2 * 30 * 4 * 6 + 2 * 30 * 6 * 3
@@ -236,11 +238,11 @@ def graph_faults(loss):
 
 
 # every buffer that a fused op allocates and its backward reads: the
-# attention op's output and log-sum-exp (its projections it recomputes), the
-# pool's log-sum-exp (its scores and values it recomputes), and layernorm's
-# 1/sigma; the MLP op allocates none (its hidden activation it recomputes)
-SAVED_OUTSIDE_TENSORS = {("attention", "ctxf"), ("attention", "lse"), ("attention_pool", "lse"),
-                         ("layernorm", "inv")}
+# attention op's log-sum-exp (its projections and its context it
+# recomputes), the pool's log-sum-exp (its scores, values and pooled values
+# it recomputes), and layernorm's 1/sigma; the MLP op allocates none (its
+# hidden activation it recomputes)
+SAVED_OUTSIDE_TENSORS = {("attention", "lse"), ("attention_pool", "lse"), ("layernorm", "inv")}
 
 
 @pytest.mark.parametrize("variant", ["single_query", "full_cross"])
@@ -306,10 +308,11 @@ def test_no_closure_holds_a_hidden_activation():
 
 @pytest.mark.parametrize("variant", ["single_query", "full_cross"])
 def test_the_aggregated_stream_goes_before_the_first_vit_block(monkeypatch, variant):
-    # no backward reads the aggregation's output, the stream [B, S, 1, D];
-    # every composition hands it to trunk_loss, which drops it once masked,
-    # so it is freed, and its bytes leave the aggregate tag, before the
-    # transformer's first block runs
+    # no backward reads the aggregation's output, the stream [B, S, 1, D],
+    # or the masked stream; trunk_loss hands the stream to vit_forward,
+    # which drops it once masked and the masked stream once the sequence is
+    # concatenated, so both are freed, and the stream's bytes leave the
+    # aggregate tag, before the transformer's first block runs
     model = tracking_desk(agg_variant=variant)
     batch = make_batch(model, 7, 0, [0, 1])
     stream_bytes = 8 * 2 * model.seq * model.embed
@@ -319,13 +322,15 @@ def test_the_aggregated_stream_goes_before_the_first_vit_block(monkeypatch, vari
     def mask(agg, *args):
         assert agg.shape == (2, model.seq, 1, model.embed) and agg.data.base is None
         live = current_tracker().per_tag_live["aggregate"]
-        at_mask[threading.get_ident()] = weakref.ref(agg.data), live
-        return real_mask(agg, *args)
+        masked = real_mask(agg, *args)
+        assert masked.data.base is None
+        at_mask[threading.get_ident()] = weakref.ref(agg.data), weakref.ref(masked.data), live
+        return masked
 
     def block(x, w, prefix, *args):
         if prefix == "vit.blk0":
-            stream, live = at_mask.pop(threading.get_ident())
-            checked.append((stream() is None,
+            stream, masked, live = at_mask.pop(threading.get_ident())
+            checked.append((stream() is None, masked() is None,
                             live - current_tracker().per_tag_live["aggregate"]))
         return real_block(x, w, prefix, *args)
 
@@ -339,7 +344,7 @@ def test_the_aggregated_stream_goes_before_the_first_vit_block(monkeypatch, vari
         strat = StrategyConfig(kind=kind, tp_degree=2, max_group=2, agg_layer_kind=layer_kind)
         run_hybrid_step(ParallelConfig(dchag_tp=2), model, strat,
                         create_master(model, strat, RngState(3)), [batch])
-    assert checked == [(True, stream_bytes)] * (2 + 4 * 2)  # two single-process, four 2-rank
+    assert checked == [(True, True, stream_bytes)] * (2 + 4 * 2)  # two single-process, four 2-rank
 
 
 def test_backward_frees_what_it_has_passed():
@@ -395,7 +400,7 @@ def test_live_bytes_match_tracemalloc_after_a_forward():
     # the traced region, and the caller's references to them dropped, what
     # tracemalloc sees of a serial forward is the tracker's live bytes plus
     # the graph's Python objects
-    model = tracking_desk(channels=16, image_h=32, image_w=32, embed=32, depth=2, heads=4)
+    model = tracking_desk(channels=24, image_h=32, image_w=32, embed=32, depth=2, heads=4)
     import numpy.random  # noqa: F401  numpy loads it on first use, which is not to be traced
     tracemalloc.start()
     try:
