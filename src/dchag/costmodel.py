@@ -161,32 +161,30 @@ def _agg_layer(b, s, ck, d, heads, variant, tp, fold=0):
     head-split over tp; `fold` is the copy, if any, that `attention_pool`
     makes of its input stack (`_fold_copy`).
 
-    Activations: single_query keeps the learned query with the key
-    projection absorbed (D*H/tp) and pools the Ck tokens with it (`_pool`),
-    projecting the values (B*S*Ck*D/tp) and the output inside the pool; no
-    key is formed.  full_cross runs the fused attention op, Ck tokens
-    against themselves, whose context (B*S*Ck*D/tp) is transient, and so
-    are its projections (3*Ck*D/tp per position) and (H/tp)*Ck^2 logits per
-    position, one block of positions at a time, within one run of S.  Then
-    the full-width output chain (the op's output, the sum over tp, bias
-    add), which tp does not divide; and full_cross's reduce, a single-head
-    pool of the Ck full-width outputs, which are its values as they are.
-    The quadratic channel term is the full_cross logits, capped at one
-    block: once one block no longer holds a run of S positions, it grows
-    with Ck^2 only through the positions a block holds, down to one
-    position.
+    Activations: single_query pools the Ck tokens with its stored learned
+    query (`_pool`), projecting the values (B*S*Ck*D/tp) and the output
+    inside the pool; no key is formed.  full_cross runs the fused attention
+    op, Ck tokens against themselves, whose context (B*S*Ck*D/tp) is
+    transient, and so are its projections (3*Ck*D/tp per position) and
+    (H/tp)*Ck^2 logits per position, one block of positions at a time,
+    within one run of S.  Then the full-width output chain (the op's
+    output, the sum over tp, bias add), which tp does not divide; and
+    full_cross's reduce, a single-head pool of the Ck full-width outputs,
+    which are its values as they are.  The quadratic channel term is the
+    full_cross logits, capped at one block: once one block no longer holds
+    a run of S positions, it grows with Ck^2 only through the positions a
+    block holds, down to one position.
 
-    FLOPs: single_query's value projection, the absorbed query (2*D*D/tp),
-    the pool's scores (2*B*S*Ck*D*H/tp) and pooling (2*B*S*Ck*D/tp);
-    full_cross's key, value and query projections and the two attention
-    products; the output projection of every attended token; and
-    full_cross's reduce, whose scores and pooling are 2*B*S*Ck*D each.
+    FLOPs: single_query's value projection, the pool's scores
+    (2*B*S*Ck*D*H/tp) and pooling (2*B*S*Ck*D/tp); full_cross's key, value
+    and query projections and the two attention products; the output
+    projection of every attended token; and full_cross's reduce, whose
+    scores and pooling are 2*B*S*Ck*D each.
     """
     n, dl, hl = b * s, d / tp, heads / tp
     if variant == "single_query":
-        acts = _then(_stored(d * hl), _pool(n, hl, ck, dl, fold, d), _chain(n * d))
-        flops = (2 * n * ck * d * dl + 2 * d * dl + 2 * n * ck * (d * hl + dl)
-                 + 2 * n * d * dl)
+        acts = _then(_pool(n, hl, ck, dl, fold, d), _chain(n * d))
+        flops = 2 * n * ck * d * dl + 2 * n * ck * (d * hl + dl) + 2 * n * d * dl
         return acts, flops
     acts = _then(_attention(n, hl, ck, dl, d, s),
                  _chain(n * ck * d),

@@ -20,13 +20,13 @@ forms q, k and v one block of positions at a time and ends in the output
 projection, so it keeps neither the projections nor the context, and
 backward recomputes them.  A learned query over a position's tokens,
 single_query's layer and full_cross's reduce, is `tensor.attention_pool`,
-which scores the tokens against the query with the key projection
-absorbed, so it forms no key tensor; single_query's pool projects the
-values and its pooled output inside it, full_cross's pools the tokens
-themselves.  A block's MLP is `tensor.mlp`, which forms the hidden
-activation and its GELU inside it and recomputes them in backward.  Each
-op's output goes straight to `allsum`, so no name holds it while the sum
-is formed.
+which scores the tokens against the query as stored, the key projection
+absorbed into it (`params`), so it forms no key tensor; single_query's
+pool projects the values and its pooled output inside it, full_cross's
+pools the tokens themselves.  A block's MLP is `tensor.mlp`, which forms
+the hidden activation and its GELU inside it and recomputes them in
+backward.  Each op's output goes straight to `allsum`, so no name holds it
+while the sum is formed.
 """
 
 from __future__ import annotations
@@ -38,11 +38,8 @@ from .tensor import Tensor
 N_DECODER_HEADS = 1  # the reconstruction decoder is small; single-head attention
 
 
-def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
-    out = T.matmul(x, w)
-    if b is not None:
-        out = T.add(out, b)
-    return out
+def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    return T.add(T.matmul(x, w), b)
 
 
 def fanout(group: ProcessGroup | None, x: Tensor, tag: str) -> Tensor:
@@ -105,39 +102,26 @@ def transformer_block(x: Tensor, w: dict, prefix: str, n_heads: int,
     return residual(x, T.mlp(h, w[f"{prefix}.w1"], w[f"{prefix}.b1"], w[f"{prefix}.w2"]), "2")
 
 
-def learned_query_scores(wk: Tensor, q: Tensor, n_heads: int) -> Tensor:
-    """u [D, H], whose column h is wk's head-h columns times q's head-h
-    slice, so that x @ u[:, h] is q_h . (x @ wk)_h: each head's key
-    projection absorbed into its learned query."""
-    d, dl = wk.shape
-    dh = dl // n_heads
-    wkh = T.transpose(T.reshape(wk, (d, n_heads, dh)), (1, 0, 2))  # [H, D, Dl/H]
-    u = T.matmul(wkh, T.reshape(q, (n_heads, dh, 1)))  # [H, D, 1]
-    return T.transpose(T.reshape(u, (n_heads, d)), (1, 0))
-
-
 def cross_attention_aggregate(x: Tensor, w: dict, prefix: str, variant: str,
                               n_heads: int, group: ProcessGroup | None = None) -> Tensor:
     """Reduce [..., Ck, D] token stacks to [..., 1, D] per position.
 
-    single_query: a learned query `q`, unprojected (a projection of one
-    vector is another), attends over the Ck tokens, keyed by `wk`.  The key
-    projection is absorbed into the query (`learned_query_scores`), so one
-    `tensor.attention_pool` scores the tokens themselves and no key tensor
-    is made; the pool projects the values by `wv` and its output by `wo`
-    inside it.  full_cross: the Ck tokens attend over themselves (Ck x Ck
-    logits) through `wq`, `wk`, `wv` and `wo` in one fused `attention` op,
-    with no query bias, then a learned query `rq` reduces the Ck outputs to
+    single_query: a learned query `q` [D, H], one column per head with the
+    query and key projections absorbed (`params`), scores the Ck tokens
+    themselves in one `tensor.attention_pool`, so no key tensor is made;
+    the pool projects the values by `wv` and its output by `wo` inside it.
+    full_cross: the Ck tokens attend over themselves (Ck x Ck logits)
+    through `wq`, `wk`, `wv` and `wo` in one fused `attention` op, with no
+    query bias, then a learned query `rq` [D, 1] reduces the Ck outputs to
     one by a single-head `attention_pool` over them (scale 1/sqrt(D)), the
-    outputs serving as both keys and values.  Neither op keeps a projection
-    or a context for backward.
+    outputs serving as both keys and values.  Both pools take their query
+    as stored, and neither op keeps a projection or a context for backward.
     """
     xf = fanout(group, x, prefix)
     heads = local_heads(n_heads, group)
     if variant == "single_query":
-        u = learned_query_scores(w[f"{prefix}.wk"], w[f"{prefix}.q"], heads)
-        out = allsum(group, T.attention_pool(xf, u, w[f"{prefix}.wv"], w[f"{prefix}.wo"], heads),
-                     prefix)  # [..., 1, D]
+        out = allsum(group, T.attention_pool(xf, w[f"{prefix}.q"], w[f"{prefix}.wv"],
+                                             w[f"{prefix}.wo"], heads), prefix)  # [..., 1, D]
     else:
         out = allsum(group, sdp_attention(xf, w[f"{prefix}.wq"], None, w[f"{prefix}.wk"],
                                           w[f"{prefix}.wv"], w[f"{prefix}.wo"], heads),
@@ -147,8 +131,7 @@ def cross_attention_aggregate(x: Tensor, w: dict, prefix: str, variant: str,
         return out
 
     # full_cross: a learned query reduces the Ck attended tokens to one
-    rq = T.reshape(w[f"{prefix}.rq"], (out.shape[-1], 1))
-    return T.attention_pool(out, rq, None, None, 1)  # [..., 1, D]
+    return T.attention_pool(out, w[f"{prefix}.rq"], None, None, 1)  # [..., 1, D]
 
 
 def linear_mix_aggregate(x: Tensor, w: dict, prefix: str) -> Tensor:

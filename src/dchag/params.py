@@ -26,7 +26,10 @@ No parameter that another one absorbs (a change to it is one to that one):
   - ln1.b / ln2.b: bq's on q, cancelled on k, bo's on v, b1's on the MLP;
   - ln1.g / ln2.g: diag(g) @ W is wq's, wk's and wv's (w1's), per column
     shard under tp as well;
-  - single_query's query projection: q @ wq is one learned vector, q's;
+  - single_query's query and key projections: head h scores token x as
+    (q @ wq)_h . (x @ wk)_h = x . (wk[:, head h] @ (q @ wq)_h), so the
+    three are one [D, H] matrix, q, whose column h is head h's query;
+    full_cross's rq, a one-head reduce, is the [D, 1] case;
   - decoder projection bias: dec.pos is the per-position constant.
 Kept on purpose, as deleting them would make one block or node differ from
 the rest of its stack or tree:
@@ -34,15 +37,16 @@ the rest of its stack or tree:
     dec.head.b the decoder's (through dec.head.w);
   - a linear tree's biases below the root: a node is affine, so a child's
     bias reaches the loss only through its parent's;
-  - the query and wk of an attention node over one input (a one-channel
-    slab): its one key takes the whole softmax, so they are inert.  The
-    learned-query pools (`tensor.attention_pool`) give single_query's q
-    and wk, and full_cross's rq, a gradient of exactly 0; full_cross's
-    wq and wk get rounding noise through the fused attention op.
+  - the queries and keys of an attention node over one input (a
+    one-channel slab): its one key takes the whole softmax, so they are
+    inert.  The learned-query pools (`tensor.attention_pool`) give
+    single_query's q, and full_cross's rq, a gradient of exactly 0;
+    full_cross's wq and wk get rounding noise through the fused attention
+    op.
 
-Cross-attention aggregation nodes carry {q, wk, wv, wo, bo} in the
-single_query variant ({wq, wk, wv, wo, bo, rq} in full_cross); linear nodes
-carry {mix [g], w [D, D], b [D]}.
+Cross-attention aggregation nodes carry {q [D, H], wv, wo, bo} in the
+single_query variant ({wq, wk, wv, wo, bo, rq [D, 1]} in full_cross);
+linear nodes carry {mix [g], w [D, D], b [D]}.
 
 One shape-only rule, `placement`, says where each parameter lives across
 the tp group.  Sharding, gradient reassembly and the cost model's
@@ -55,10 +59,11 @@ properties of `StrategyConfig` (`slabs_channels`, `splits_agg`,
   tok.w, special.channel_id            split axis 0 (channel slab) when
                                          slabs_channels
   agg.slab{r}.*                        owned by tp rank r
-  agg.flat.* when splits_agg;          wq, wk, wv, w1: split axis 1
-    vit.blk*.* when splits_vit           (column); q, bq, b1: split axis 0;
-    (head-split layers)                  wo, w2: split axis 0 (row); other
-                                         leaves replicated
+  agg.flat.* when splits_agg;          wq, wk, wv, w1, q: split axis 1
+    vit.blk*.* when splits_vit           (column, q's a head per column);
+    (head-split layers)                  bq, b1: split axis 0; wo, w2:
+                                         split axis 0 (row); other leaves
+                                         replicated
   everything else, agg.final.* too     replicated
 
 Each parameter belongs to the component its name prefix names: tok.* and
@@ -77,19 +82,19 @@ from .config import ConfigError, ModelConfig, StrategyConfig, build_tree_spec
 from .rng import RngState
 
 
-def _agg_node_specs(prefix: str, variant: str, embed: int):
+def _agg_node_specs(prefix: str, variant: str, embed: int, heads: int):
     if variant == "single_query":
-        specs = [(f"{prefix}.q", (embed,), "normal")]
+        specs = [(f"{prefix}.q", (embed, heads), "normal")]
     else:
-        specs = [(f"{prefix}.wq", (embed, embed), "normal")]
+        specs = [(f"{prefix}.wq", (embed, embed), "normal"),
+                 (f"{prefix}.wk", (embed, embed), "normal")]
     specs += [
-        (f"{prefix}.wk", (embed, embed), "normal"),
         (f"{prefix}.wv", (embed, embed), "normal"),
         (f"{prefix}.wo", (embed, embed), "normal"),
         (f"{prefix}.bo", (embed,), "zeros"),
     ]
     if variant == "full_cross":
-        specs.append((f"{prefix}.rq", (embed,), "normal"))
+        specs.append((f"{prefix}.rq", (embed, 1), "normal"))
     return specs
 
 
@@ -101,18 +106,20 @@ def _linear_node_specs(prefix: str, group: int, embed: int):
     ]
 
 
-def _node_specs(prefix: str, group: int, layer_kind: str, variant: str, embed: int):
+def _node_specs(prefix: str, group: int, layer_kind: str, variant: str, embed: int,
+                heads: int):
     if layer_kind == "linear":
         return _linear_node_specs(prefix, group, embed)
-    return _agg_node_specs(prefix, variant, embed)
+    return _agg_node_specs(prefix, variant, embed, heads)
 
 
 def _tree_layout(prefix: str, tree: tuple, layer_kind: str, variant: str,
-                 embed: int, compact: bool):
+                 embed: int, heads: int, compact: bool):
     if not compact:
         for li, level in enumerate(tree):
             for gi, group in enumerate(level):
-                yield 1, _node_specs(f"{prefix}.l{li}.g{gi}", group, layer_kind, variant, embed)
+                yield 1, _node_specs(f"{prefix}.l{li}.g{gi}", group, layer_kind, variant,
+                                     embed, heads)
         return
     runs = {}  # group size -> [first node of that size, node count]
     for li, level in enumerate(tree):
@@ -120,7 +127,7 @@ def _tree_layout(prefix: str, tree: tuple, layer_kind: str, variant: str,
             run = runs.setdefault(group, [f"{prefix}.l{li}.g{level.index(group)}", 0])
             run[1] += level.count(group)
     for group, (node, count) in runs.items():
-        yield count, _node_specs(node, group, layer_kind, variant, embed)
+        yield count, _node_specs(node, group, layer_kind, variant, embed, heads)
 
 
 def _block_specs(prefix: str, width: int, mlp_ratio: int):
@@ -162,7 +169,7 @@ def _layout(model: ModelConfig, strategy: StrategyConfig, compact: bool):
     stack, are built once, under the first member's name, with the member
     count; and only slab 0's tree is listed, as every slab's tree is alike.
     """
-    c, d, s, p = model.channels, model.embed, model.seq, model.patch
+    c, d, s, p, h = model.channels, model.embed, model.seq, model.patch, model.heads
     yield 1, [
         ("tok.w", (c, p * p, d), "normal"),
         ("special.channel_id", (c, d), "normal"),
@@ -174,10 +181,10 @@ def _layout(model: ModelConfig, strategy: StrategyConfig, compact: bool):
         tree = rank_tree(model, strategy)
         for r in range(1 if compact else strategy.tp_degree):
             yield from _tree_layout(f"agg.slab{r}", tree, strategy.agg_layer_kind,
-                                    model.agg_variant, d, compact)
-        yield 1, _agg_node_specs("agg.final", model.agg_variant, d)
+                                    model.agg_variant, d, h, compact)
+        yield 1, _agg_node_specs("agg.final", model.agg_variant, d, h)
     else:
-        yield 1, _agg_node_specs("agg.flat", model.agg_variant, d)
+        yield 1, _agg_node_specs("agg.flat", model.agg_variant, d, h)
     yield from _blocks_layout("vit.blk", model.depth, d, model.mlp_ratio, compact)
     dd = model.decoder_dim
     yield 1, [
@@ -225,12 +232,12 @@ class Placement(NamedTuple):
 
 REPLICATED = Placement()
 _CHANNEL_SLAB = Placement(split_axis=0)
-# Head-split layers: column-split projections, their biases and the learned
-# query cut output features; row-split projections cut input features,
-# leaving partial sums.
+# Head-split layers: column-split projections and their biases cut output
+# features, and the learned query its heads; row-split projections cut input
+# features, leaving partial sums.
 _HEAD_SPLIT = {leaf: Placement(split_axis=axis) for leaf, axis in (
-    ("wq", 1), ("wk", 1), ("wv", 1), ("w1", 1),
-    ("q", 0), ("bq", 0), ("b1", 0),
+    ("wq", 1), ("wk", 1), ("wv", 1), ("w1", 1), ("q", 1),
+    ("bq", 0), ("b1", 0),
     ("wo", 0), ("w2", 0))}
 
 _CHANNEL_SLABBED = ("tok.w", "special.channel_id")

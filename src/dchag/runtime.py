@@ -20,7 +20,6 @@ other group and records payload 0.
 
 from __future__ import annotations
 
-import csv
 import threading
 from dataclasses import dataclass
 
@@ -81,15 +80,6 @@ class CommLedger:
             total += ev.payload_bytes_per_rank
             count += 1
         return total, count
-
-    def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["rank", "seq", "op", "axis", "phase",
-                        "payload_bytes_per_rank", "tag"])
-            for ev in self.events():
-                w.writerow([ev.rank, ev.seq, ev.op, ev.axis, ev.phase,
-                            ev.payload_bytes_per_rank, ev.tag])
 
 
 def ring_allgather_payload(shard_nbytes: int, group: int) -> int:

@@ -28,11 +28,11 @@ Design points that later modules rely on:
   aggregation stage.  It holds x, the four weights (and the query bias)
   and the per-row log-sum-exp; one block of positions' q, k and v, the
   logits and the context live only while it runs.  `attention_pool` is a
-  learned query per head over a position's tokens, with the key
-  projection absorbed into the query: single_query's aggregation layer,
-  which projects the values and the output, and full_cross's reduce, whose
-  values are its input and whose output is the pooled values.  It holds x,
-  the query scores u, the value and output weights and the log-sum-exp;
+  learned query per head over a position's tokens, taken as stored:
+  single_query's aggregation layer, which projects the values and the
+  output, and full_cross's reduce, whose values are its input and whose
+  output is the pooled values.  It holds x, the query q, the value and
+  output weights and the log-sum-exp;
   the scores, the values and the pooled values live only while it runs.
   `mlp` is a block's gelu(x w1 + b1) w2.  It holds x and the three
   weights; the hidden activation and one block of Phi live only while it
@@ -49,13 +49,14 @@ Design points that later modules rely on:
   (one block, not every position) does;
 * GELU's Phi(x) is numpy alone (`normal_cdf`), after Cephes' ndtr.c.  For
   |x| <= sqrt2 it is one rational in x^2, erf's with the 1/2 and 1/sqrt2
-  folded into its coefficients, evaluated over the flat array in blocks of
-  `PHI_BLOCK` elements, a size chosen, like `ATTENTION_BLOCK`, so that a
-  block's scratch stays in cache from one numpy pass to the next.  Beyond
-  sqrt2, erfc's rationals times exp(-x^2/2) run on those elements alone,
-  gathered, with |x| clamped at 40, where Phi is 0 or 1 in float64: infinities
-  give 0 and 1, NaN stays NaN, and no warning is raised.  `mlp` applies GELU
-  to its hidden activation in place, one such block at a time;
+  folded into its coefficients, evaluated in one pass over the flat array.
+  Beyond sqrt2, erfc's rationals times exp(-x^2/2) run on those elements
+  alone, gathered, with |x| clamped at 40, where Phi is 0 or 1 in float64:
+  infinities give 0 and 1, NaN stays NaN, and no warning is raised.  GELU
+  hands it `PHI_BLOCK` elements at a time, a size chosen, like
+  `ATTENTION_BLOCK`, so that a block's scratch stays in cache from one numpy
+  pass to the next; `mlp` applies GELU to its hidden activation in place,
+  one such block at a time;
 * importing this module sets glibc's allocation policy for the process
   (`MALLOC_POLICY_SET` says whether it took): one arena, no trimming, and
   a fixed 32 MiB mmap threshold.  A step frees what the next allocates
@@ -512,26 +513,26 @@ def attention(x: Tensor, wq: Tensor, bq: Tensor | None, wk: Tensor, wv: Tensor, 
     return Tensor(out, _parents=parents, _backward=back)
 
 
-def attention_pool(x: Tensor, u: Tensor, wv: Tensor | None, wo: Tensor | None,
+def attention_pool(x: Tensor, q: Tensor, wv: Tensor | None, wo: Tensor | None,
                    n_heads: int) -> Tensor:
     """One learned query per head pools the values of x's Tk tokens, its
     value and output projections included, as one tape node.
 
-    x is [..., Tk, Dx], u is [Dx, H], the value projection wv is [Dx, Dl]
+    x is [..., Tk, Dx], q is [Dx, H], the value projection wv is [Dx, Dl]
     and the output projection wo [Dl, Do]; wv and wo are given together or
     not at all, and without them the values are x itself (Dl = Dx) and the
     pooled values are the output.  Head h scores each of a position's Tk
-    keys as x @ u[:, h], scaled by 1/sqrt(Dl/H) as `attention` scales,
+    keys as x @ q[:, h], scaled by 1/sqrt(Dl/H) as `attention` scales,
     takes the softmax of the scores over the keys and pools the values'
     features h*Dl/H to (h+1)*Dl/H with it, [..., 1, Dl]; with wo the op
-    returns that times wo, [..., 1, Do].  This is `attention` with query
-    q_h and keys x @ W_k, where u[:, h] = W_k[:, head h] @ q_h: q_h . (W_k^T
-    x) = (W_k q_h) . x, so no key is ever formed.
+    returns that times wo, [..., 1, Do].  The query is taken as stored,
+    with the key projection absorbed into it (see `params`), so no key is
+    ever formed.
 
     The scores are one 2-D product over x's rows, folded in x's stride
     order (`_fold_rows`), so a transposed stack folds as a view; otherwise
     the fold copies x, and the copy is charged while the product reads it.
-    The op keeps x, u, wv, wo and a per-(position, head) log-sum-exp for
+    The op keeps x, q, wv, wo and a per-(position, head) log-sum-exp for
     backward, which recomputes the scores, the values and, for wo's
     gradient, the pooled values; not its output.  Its transients are the
     scores (n*Tk*H), the fold's copy while the scores are formed, the row
@@ -543,18 +544,18 @@ def attention_pool(x: Tensor, u: Tensor, wv: Tensor | None, wo: Tensor | None,
     """
     dl = x.shape[-1] if wv is None else wv.shape[-1]
     do = dl if wo is None else wo.shape[-1]
-    if (x.ndim < 2 or u.shape != (x.shape[-1], n_heads) or dl % n_heads
+    if (x.ndim < 2 or q.shape != (x.shape[-1], n_heads) or dl % n_heads
             or (wv is None) != (wo is None)
             or (wv is not None and (wv.shape != (x.shape[-1], dl) or wo.shape != (dl, do)))):
-        raise ShapeError(f"attention_pool needs x [..., Tk, Dx], u [Dx, {n_heads}], and "
+        raise ShapeError(f"attention_pool needs x [..., Tk, Dx], q [Dx, {n_heads}], and "
                          f"wv [Dx, Dl] and wo [Dl, Do] or neither, with {n_heads} heads "
-                         f"dividing Dl, got {x.shape}, {u.shape}, "
+                         f"dividing Dl, got {x.shape}, {q.shape}, "
                          f"{None if wv is None else wv.shape}, {None if wo is None else wo.shape}")
     h = n_heads
     *lead, tk, dx = x.shape
     dh = dl // h
     scale = 1.0 / np.sqrt(dh)
-    xd, ud = x.data, u.data
+    xd, qd = x.data, q.data
     wvd, wod = (None, None) if wv is None else (wv.data, wo.data)
     perm = _row_order(xd)
     inv = tuple(np.argsort(perm))
@@ -576,7 +577,7 @@ def attention_pool(x: Tensor, u: Tensor, wv: Tensor | None, wo: Tensor | None,
         return np.einsum("...kh,...khd->...hd", sl, vh, out=out)
 
     xf = _charged(xd.transpose(perm).reshape(-1, dx))
-    s = _charged(xf @ ud)  # the scores, [rows, H] in x's row order
+    s = _charged(xf @ qd)  # the scores, [rows, H] in x's row order
     del xf
     s *= scale
     sl = unfold(s)
@@ -598,7 +599,7 @@ def attention_pool(x: Tensor, u: Tensor, wv: Tensor | None, wo: Tensor | None,
 
     def back(g):
         xf = xd.transpose(perm).reshape(-1, dx)
-        p = xf @ ud
+        p = xf @ qd
         p *= scale
         pl = unfold(p)
         pl -= lse[..., None, :]
@@ -619,17 +620,17 @@ def attention_pool(x: Tensor, u: Tensor, wv: Tensor | None, wo: Tensor | None,
         dsl -= np.einsum("...kh,...kh->...h", pl, dsl)[..., None, :]
         ds *= p
         ds *= scale
-        du = xf.T @ ds
-        dscore = unfold(ds @ ud.T)
+        dq = xf.T @ ds
+        dscore = unfold(ds @ qd.T)
         if wvd is None:  # x is the values: one gradient
             dv += dscore
-            return dv, du
+            return dv, dq
         dwv = xf.T @ dv.transpose(perm).reshape(-1, dl)
         dxv = np.matmul(dv, wvd.T)
         dxv += dscore
-        return dxv, du, dwv, dwo
+        return dxv, dq, dwv, dwo
 
-    return Tensor(out, _parents=(x, u) + (() if wv is None else (wv, wo)), _backward=back)
+    return Tensor(out, _parents=(x, q) + (() if wv is None else (wv, wo)), _backward=back)
 
 
 # Phi(x), the standard normal CDF, from Cephes' ndtr.c (S. L. Moshier, Cephes
@@ -658,7 +659,7 @@ _ERFC_S = (2.26052863220117276590E0, 9.39603524938001434673E0, 1.204895398080966
 # and N takes the 1/2 and 1/sqrt2 of 1/2 erf(x/sqrt2).
 _PHI_CORE = math.sqrt(2.0)
 _PHI_NUM = tuple(t * 2.0 ** i * _INV_SQRT2 for i, t in enumerate(_ERF_T))
-_PHI_DEN = tuple(u * 2.0 ** (i + 1) for i, u in enumerate(_ERF_U))
+_PHI_DEN = (1.0, *(u * 2.0 ** (i + 1) for i, u in enumerate(_ERF_U)))
 # The tail, |x| > sqrt2: Phi(-|x|) = 1/2 erfc(|x|/sqrt2), the 1/2 folded into
 # P and R.  Phi(-40), about exp(-800)/(40 sqrt(2 pi)), is below the least
 # subnormal (Phi underflows from x = -38.49), so clamping |x| at 40 gives Phi
@@ -669,10 +670,11 @@ _TAIL_FAR = (tuple(0.5 * c for c in _ERFC_R), (1.0, *_ERFC_S))
 _TAIL_CLAMP = 40.0
 _VELTKAMP = 2.0 ** 27 + 1.0  # splits a double into two halves of 26 bits
 
-# Elements per block of `normal_cdf`'s core.  The core is 23 numpy passes over
-# a block (the range test, the square, two Horner loops, the quotient and
-# 1/2 + x N/D); the block's input, scratch (x^2 and D) and output, 1 MiB at
-# 2**15, stay in L2 from pass to pass.  On the Phi inputs of one benchmark
+# Elements per block of GELU's hidden activation, each block's Phi one
+# `normal_cdf` call.  Phi's core is some two dozen numpy passes over a block
+# (the range test, the square, two Horner loops, the quotient and 1/2 +
+# x N/D); the block's input, scratch (x^2 and D) and output, 1 MiB at 2**15,
+# stay in L2 from pass to pass.  On the Phi inputs of one benchmark
 # step per strategy (Xeon, 2 MiB L2 per core, one core, best of 15), blocks
 # of 2**14 to 2**16 ran alike; 2**12 was 1.6x slower (per-call overhead), and
 # 2**19, a `long_sequence` serial input of 263168 elements in one block,
@@ -719,42 +721,27 @@ def _phi_tail(x: np.ndarray) -> np.ndarray:
 
 def normal_cdf(x: np.ndarray) -> np.ndarray:
     """Phi(x), the standard normal CDF, elementwise into a new float64
-    array: the core rational over the flat array one `PHI_BLOCK` at a time,
-    then `_phi_tail` on the elements past sqrt2 (and NaNs), gathered.  A
-    block that holds none squares x directly; otherwise it squares x clipped
-    to the core, so x^2 cannot overflow, and the core's value for a tail
-    element (x times a positive N/D below 1) is finite or infinite but never
-    warns.  Relative error is at most ~3e-15 wherever Phi(x) is a normal
-    float."""
+    array: the core rational over the flat array, then `_phi_tail` on the
+    elements past sqrt2 (and NaNs), gathered.  An array that holds none
+    squares x directly; otherwise it squares x clipped to the core, so x^2
+    cannot overflow, and the core's value for a tail element (x times a
+    positive N/D below 1) is finite or infinite but never warns.  Relative
+    error is at most ~3e-15 wherever Phi(x) is a normal float.  Callers
+    hand it one `PHI_BLOCK` at a time."""
     xf = np.ravel(x)
-    phi = np.empty(xf.shape)
-    size = min(xf.size, PHI_BLOCK)
-    w, den = np.empty(size), np.empty(size)
-    tails = []
-    for start in range(0, xf.size, PHI_BLOCK):
-        xb, pb = xf[start:start + PHI_BLOCK], phi[start:start + PHI_BLOCK]
-        wb, db = w[:len(xb)], den[:len(xb)]
-        if xb.min() >= -_PHI_CORE and xb.max() <= _PHI_CORE:  # False on a NaN
-            np.multiply(xb, xb, out=wb)
-        else:
-            np.clip(xb, -_PHI_CORE, _PHI_CORE, out=wb)
-            tails.append(start + np.flatnonzero(wb != xb))
-            wb *= wb
-        np.multiply(wb, _PHI_NUM[0], out=pb)
-        pb += _PHI_NUM[1]
-        for c in _PHI_NUM[2:]:
-            pb *= wb
-            pb += c
-        np.add(wb, _PHI_DEN[0], out=db)
-        for c in _PHI_DEN[1:]:
-            db *= wb
-            db += c
-        pb /= db
-        pb *= xb  # a tail element's value here is overwritten below
-        pb += 0.5
-    if tails:
-        at = np.concatenate(tails)
-        phi[at] = _phi_tail(xf[at])
+    tail = None
+    if xf.min(initial=0.0) >= -_PHI_CORE and xf.max(initial=0.0) <= _PHI_CORE:  # False on a NaN
+        w = xf * xf
+    else:
+        w = np.clip(xf, -_PHI_CORE, _PHI_CORE)
+        tail = np.flatnonzero(w != xf)
+        w *= w
+    phi = _horner(w, _PHI_NUM)
+    phi /= _horner(w, _PHI_DEN)
+    phi *= xf  # a tail element's value here is overwritten below
+    phi += 0.5
+    if tail is not None:
+        phi[tail] = _phi_tail(xf[tail])
     return phi.reshape(np.shape(x))
 
 

@@ -190,9 +190,12 @@ class TestTokenize:
 # -- aggregation ---------------------------------------------------------------
 
 
-def brute_force_single_query(tokens, q, wk, wv, wo, bo, heads, wq=None):
-    """Explicit-loop scaled dot-product oracle for the learned-query reduce.
-    Given `wq`, it also applies the query projection the model leaves out."""
+def brute_force_single_query(tokens, q, wv, wo, bo, heads, wk=None, wq=None):
+    """Explicit-loop scaled dot-product oracle for the learned-query reduce,
+    head h scoring token x as x @ q[:, h].  Given `wk`, q is one vector [D]
+    and head h scores x as q_h . (x @ wk)_h, with the key projection the
+    model absorbs into q; given `wq` as well, the query is q @ wq, with the
+    query projection it absorbs too."""
     b_, s, c, d = tokens.shape
     dh = d // heads
     out = np.zeros((b_, s, 1, d))
@@ -200,12 +203,13 @@ def brute_force_single_query(tokens, q, wk, wv, wo, bo, heads, wq=None):
     for b in range(b_):
         for si in range(s):
             x = tokens[b, si]  # [C, D]
-            k = x @ wk
+            k = None if wk is None else x @ wk
             v = x @ wv
             merged = np.zeros(d)
             for h in range(heads):
                 sl = slice(h * dh, (h + 1) * dh)
-                logits = np.array([qp[sl] @ k[c_, sl] for c_ in range(c)]) / np.sqrt(dh)
+                logits = np.array([x[c_] @ qp[:, h] if wk is None else qp[sl] @ k[c_, sl]
+                                   for c_ in range(c)]) / np.sqrt(dh)
                 e = np.exp(logits - logits.max())
                 p = e / e.sum()
                 merged[sl] = sum(p[c_] * v[c_, sl] for c_ in range(c))
@@ -232,7 +236,7 @@ def brute_force_full_cross(tokens, wq, wk, wv, wo, bo, rq, heads):
                 p = e / e.sum(axis=1, keepdims=True)
                 att[:, sl] = p @ v[:, sl]
             proj = att @ wo + bo
-            scores = proj @ rq / np.sqrt(d)
+            scores = proj @ rq[:, 0] / np.sqrt(d)
             e = np.exp(scores - scores.max())
             weights[b, si] = e / e.sum()
             out[b, si, 0] = weights[b, si] @ proj
@@ -258,8 +262,7 @@ class TestFlatAggregate:
         tokens = rng.normal((2, 2, 3, 4))
         out = cross_attention_aggregate(Tensor(tokens), w, "agg.flat", "single_query", 1)
         expect = brute_force_single_query(
-            tokens, master["agg.flat.q"], master["agg.flat.wk"], master["agg.flat.wv"],
-            master["agg.flat.wo"], master["agg.flat.bo"], 1)
+            tokens, *(master[f"agg.flat.{leaf}"] for leaf in ("q", "wv", "wo", "bo")), 1)
         assert rel_err(out.data, expect) < 1e-12
 
     def test_full_cross_matches_bruteforce_multihead(self, rng):
@@ -361,7 +364,7 @@ class TestFullCrossReduce:
         d = self.D
         master = {f"agg.flat.{leaf}": rng.normal(shape, 0.5) for leaf, shape in (
             ("wq", (d, d)), ("wk", (d, d)), ("wv", (d, d)), ("wo", (d, d)), ("bo", (d,)))}
-        master["agg.flat.rq"] = rng.normal((d,), 1.5)
+        master["agg.flat.rq"] = rng.normal((d, 1), 1.5)
         x = rng.normal((2, 3, self.CK, d))  # [B, S, Ck, D]
         return master, x, rng.normal((2, 3, 1, d))
 
@@ -618,9 +621,9 @@ class TestAbsorbedBiases:
 
 
 class TestAbsorbedWeights:
-    """The norms' gains and single_query's query projection, kept in a numpy
-    brute force, give the same output as the model without them, with the
-    weights that absorb them folded; head-split at tp 2 as well."""
+    """The norms' gains and single_query's query and key projections, kept
+    in a numpy brute force, give the same output as the model without them,
+    with the weights that absorb them folded; head-split at tp 2 as well."""
 
     @pytest.mark.parametrize("tp", [1, 2])
     def test_block_gains(self, rng, tp):
@@ -647,17 +650,24 @@ class TestAbsorbedWeights:
         for out in spawn_ranks(ParallelConfig(dchag_tp=tp), program).results:
             assert rel_err(out, expect) < 1e-12
 
-    @pytest.mark.parametrize("tp", [1, 2])
-    def test_query_projection(self, rng, tp):
-        # the projected learned query q @ wq is itself one learned vector
+    @staticmethod
+    def check_single_query(rng, tp, project_query):
+        """The brute force with a learned vector q, a key projection wk and,
+        if `project_query`, a query projection wq, against the layer whose
+        stored query has column h = wk[:, head h] @ (q @ wq)_h."""
         d, heads, c = 8, 2, 3
-        q, wq = rng.normal((d,), 0.5), rng.normal((d, d), 0.5)
-        p = {leaf: rng.normal((d, d), 0.5) for leaf in ("wk", "wv", "wo")}
+        dh = d // heads
+        q, wk = rng.normal((d,), 0.5), rng.normal((d, d), 0.5)
+        wq = rng.normal((d, d), 0.5) if project_query else None
+        p = {leaf: rng.normal((d, d), 0.5) for leaf in ("wv", "wo")}
         p["bo"] = rng.normal((d,), 0.5)
         tokens = rng.normal((2, 3, c, d))  # [B, S, C, D]
-        expect = brute_force_single_query(tokens, q, p["wk"], p["wv"], p["wo"], p["bo"],
-                                          heads, wq=wq)
-        master = {f"agg.flat.{leaf}": v for leaf, v in {**p, "q": q @ wq}.items()}
+        expect = brute_force_single_query(tokens, q, p["wv"], p["wo"], p["bo"], heads,
+                                          wk=wk, wq=wq)
+        qp = q if wq is None else q @ wq
+        p["q"] = np.stack([wk[:, h * dh:(h + 1) * dh] @ qp[h * dh:(h + 1) * dh]
+                           for h in range(heads)], axis=1)
+        master = {f"agg.flat.{leaf}": v for leaf, v in p.items()}
         strategy = StrategyConfig(kind="tp_only", tp_degree=tp)
 
         def program(ctx):
@@ -667,6 +677,16 @@ class TestAbsorbedWeights:
 
         for out in spawn_ranks(ParallelConfig(dchag_tp=tp), program).results:
             assert rel_err(out, expect) < 1e-12
+
+    @pytest.mark.parametrize("tp", [1, 2])
+    def test_query_projection(self, rng, tp):
+        # the projected learned query q @ wq is itself one learned vector
+        self.check_single_query(rng, tp, project_query=True)
+
+    @pytest.mark.parametrize("tp", [1, 2])
+    def test_key_projection(self, rng, tp):
+        # head h scores x as q_h . (x @ wk)_h = x . (wk[:, head h] @ q_h)
+        self.check_single_query(rng, tp, project_query=False)
 
 
 class TestMae:

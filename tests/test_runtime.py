@@ -227,15 +227,3 @@ class TestLedger:
         assert led.query() == (1024, 1)
         assert led.query(op="AllReduce") == (0, 0)
         assert led.query(phase="forward", axis="tp") == (1024, 1)
-
-    def test_csv_export(self, tmp_path):
-        def program(ctx):
-            ctx.tp.all_reduce(np.zeros(4), tag="g")
-            return None
-
-        res = spawn_ranks(ParallelConfig(dchag_tp=2), program)
-        path = tmp_path / "ledger.csv"
-        res.ledger.to_csv(path)
-        lines = path.read_text().strip().split("\n")
-        assert lines[0] == "rank,seq,op,axis,phase,payload_bytes_per_rank,tag"
-        assert len(lines) == 3

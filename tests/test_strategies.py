@@ -271,7 +271,7 @@ class TestDchag:
         dchag_payload = model.seq * model.embed * 8 * (tp - 1)
         assert dist_payload // dchag_payload == model.channels // tp
 
-    @pytest.mark.parametrize("variant, inert", [("single_query", ("q", "wk")),
+    @pytest.mark.parametrize("variant, inert", [("single_query", ("q",)),
                                                 ("full_cross", ("rq",))])
     def test_one_channel_node_scores_get_exactly_zero_gradient(self, variant, inert):
         # C = tp: each rank's tree is one node over its one channel, whose

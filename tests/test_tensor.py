@@ -1042,15 +1042,18 @@ class TestNormalCdf:
         x, want = phi_grid
         assert_phi_accurate(T.normal_cdf(x), want)
 
-    @pytest.mark.parametrize("size", [1, BLK - 1, BLK, BLK + 1, 3 * BLK + 7])
-    def test_block_sizes(self, phi_grid, size):
-        """Core and tail elements at random positions; every second block
-        holds core elements only, so both ways through a block run."""
+    @pytest.mark.parametrize("size, core_only", [
+        (1, False), (BLK - 1, False), (BLK, False), (BLK + 1, False), (3 * BLK + 7, False),
+        (3 * BLK + 7, True)])
+    def test_block_sizes(self, phi_grid, size, core_only):
+        """Core and tail elements at random positions, every second block's
+        worth of them core elements only; or core elements alone, so that
+        the way without the clip runs on a multi-block-sized array too."""
         x, want = phi_grid
         rng = np.random.default_rng(size)
         pick = rng.integers(len(x), size=size)
         core = np.flatnonzero(np.abs(x) <= SQRT2)
-        core_block = np.arange(size) // BLK % 2 == 1
+        core_block = np.full(size, True) if core_only else np.arange(size) // BLK % 2 == 1
         pick[core_block] = rng.choice(core, core_block.sum())
         assert_phi_accurate(T.normal_cdf(x[pick]), want[pick])
 
