@@ -139,4 +139,4 @@ def linear_mix_aggregate(x: Tensor, w: dict, prefix: str) -> Tensor:
     g = x.shape[-2]
     mix = T.reshape(w[f"{prefix}.mix"], (1, g))
     mixed = T.matmul(mix, x)  # [..., 1, D]
-    return T.add(T.matmul(mixed, w[f"{prefix}.w"]), w[f"{prefix}.b"])
+    return linear(mixed, w[f"{prefix}.w"], w[f"{prefix}.b"])

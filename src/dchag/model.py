@@ -21,13 +21,13 @@ the parallel strategies concatenate along the channel axis:
 
 Channel aggregation comes in two architectures.  Flat: one cross-attention
 layer (`layers.cross_attention_aggregate`) reduces all C channels at once
-(`forward_loss_serial`, and tp_only / dist_token in `strategies`).
-Hierarchical (D-CHAG): the channels are cut into tp equal slabs, each slab
-is reduced by its own tree of small layers shaped by the strategy's
-`max_group` and `agg_layer_kind`, and a shared final cross-attention
-reduces the tp slab streams (`forward_loss_dchag_reference`, and dchag in
-`strategies`).  At tp=1 the hierarchical model is one tree over all
-channels followed by a final layer over its single stream.
+(serial, tp_only and dist_token).  Hierarchical (D-CHAG): the channels are
+cut into tp equal slabs, each slab is reduced by its own tree of small
+layers shaped by the strategy's `max_group` and `agg_layer_kind`, and a
+shared final cross-attention reduces the tp slab streams.  At tp=1 the
+hierarchical model is one tree over all channels followed by a final layer
+over its single stream.  One reference forward, `forward_loss_reference`,
+runs either in one process: the oracle of every parallel step.
 """
 
 from __future__ import annotations
@@ -158,7 +158,7 @@ def decode(vit_out: Tensor, w: dict, model: ModelConfig, rows: np.ndarray) -> Te
     positions; the prediction head reads only the masked rows."""
     b, s = vit_out.shape[0], model.seq
     _, z = T.split(vit_out, 1, (1, s))  # drop the metadata token
-    z = T.add(T.matmul(z, w["dec.proj.w"]), w["dec.pos"])
+    z = linear(z, w["dec.proj.w"], w["dec.pos"])
     for i in range(model.decoder_depth):
         z = transformer_block(z, w, f"dec.blk{i}", N_DECODER_HEADS)
     z = T.take_rows(T.reshape(z, (b * s, model.decoder_dim)), rows)
@@ -187,63 +187,46 @@ def masked_mse(pred: Tensor, images: np.ndarray, rows: np.ndarray,
 
 
 def trunk_loss(w: dict, model: ModelConfig, batch: Batch, group: ProcessGroup | None,
-               layer, *args) -> Tensor:
-    """The trunk every composition shares: reduce the channel stack to the
-    stream by `layer(*args)` (`aggregated`), mask it and run the
-    transformer (head-split over `group` when given; `vit_forward`), then
-    the decoder, and score the reconstruction of the masked positions.
+               aggregate) -> Tensor:
+    """The trunk every forward shares: reduce the channel stack to the
+    stream by `aggregate()` (`aggregated`), mask it and run the transformer
+    (head-split over `group` when given; `vit_forward`), then the decoder,
+    and score the reconstruction of the masked positions.
 
     The stream goes from `aggregated` straight into `vit_forward`, which
     drops it and the masked stream before the first block."""
     rows = masked_rows(batch.mask)
-    out = vit_forward(aggregated(layer, *args), batch.mask, batch.meta, w, model, group)
+    out = vit_forward(aggregated(aggregate), batch.mask, batch.meta, w, model, group)
     with alloc_tag("decoder"):
         return masked_mse(decode(out, w, model, rows), batch.images, rows, model)
 
 
-def aggregated(layer, *args) -> Tensor:
-    """`layer(*args)`, the aggregation that reduces a channel stack to the
+def aggregated(aggregate) -> Tensor:
+    """`aggregate()`, the aggregation that reduces a channel stack to the
     stream, under the `aggregate` tag; `trunk_loss` hands the stream
     straight to `vit_forward`."""
     with alloc_tag("aggregate"):
-        return layer(*args)
+        return aggregate()
 
 
-# -- single-process compositions ----------------------------------------------
-
-
-def forward_loss_serial(w: dict, model: ModelConfig, batch: Batch) -> Tensor:
-    """Reference forward of the flat architecture."""
-    with alloc_tag("tokenize"):
-        tokens = tokenize_channels(Tensor(batch.images), w["tok.w"],
-                                   w["special.channel_id"], w["special.pos"],
-                                   model.patch)
-    return trunk_loss(w, model, batch, None, cross_attention_aggregate, tokens, w, "agg.flat",
-                      model.agg_variant, model.heads)
-
-
-def forward_loss_dchag_reference(w: dict, model: ModelConfig,
-                                 strategy: StrategyConfig, batch: Batch) -> Tensor:
-    """Single-process execution of the slab-tree architecture: tokenization
-    of every channel, each slab of the channel stack reduced by its own
-    tree, the slab streams stacked in slab order, shared final
-    cross-attention, then the common trunk.  Valid at any tp, including 1
-    (one tree over all channels, a final layer over its single stream).
-
-    This is the oracle the multi-rank execution must match: same
-    parameters, same architecture, no collectives.
-    """
-    tp = strategy.tp_degree
-    cloc = model.channels // tp
-    tree = rank_tree(model, strategy)
+def forward_loss_reference(w: dict, model: ModelConfig, strategy: StrategyConfig,
+                           batch: Batch) -> Tensor:
+    """Single-process forward of `strategy`'s architecture, with no
+    collectives: every channel tokenized, then dchag's slab trees (one per
+    tp slab, at any tp) stacked in slab order under agg.final, or any other
+    kind's flat layer agg.flat over all channels."""
     with alloc_tag("tokenize"):
         tokens = tokenize_channels(Tensor(batch.images), w["tok.w"], w["special.channel_id"],
                                    w["special.pos"], model.patch)
 
     def aggregate():
+        if strategy.kind != "dchag":
+            return cross_attention_aggregate(tokens, w, "agg.flat", model.agg_variant,
+                                             model.heads)
+        tp, tree = strategy.tp_degree, rank_tree(model, strategy)
         streams = [tree_aggregate(slab, tree, w, f"agg.slab{r}", strategy.agg_layer_kind,
                                   model.agg_variant, model.heads)
-                   for r, slab in enumerate(T.split(tokens, 2, [cloc] * tp))]
+                   for r, slab in enumerate(T.split(tokens, 2, [model.channels // tp] * tp))]
         stack = streams[0] if tp == 1 else T.concat(streams, axis=2)
         return cross_attention_aggregate(stack, w, "agg.final", model.agg_variant, model.heads)
 

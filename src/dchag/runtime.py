@@ -4,10 +4,11 @@ Rank programs run in worker threads, but only one thread executes at a
 time: a turnstile scheduler hands the turn to one runnable rank, and the
 rank gives it back when it enters a collective (or finishes).  A
 collective completes only when every group member has entered it with a
-matching signature; the completing arrival computes the result for all
-members with a fixed, group-index-ordered reduction.  Because ranks
-interact only through collectives and every reduction order is fixed,
-results and per-rank ledgers are identical under any scheduling order.
+matching signature (op, tag, and axis or root); the completing arrival
+computes the result for all members with a fixed, group-index-ordered
+reduction.  Because ranks interact only through collectives and every
+reduction order is fixed, results and per-rank ledgers are identical under
+any scheduling order.
 
 Byte accounting follows ring algorithms, one rule per collective:
 AllGather and ReduceScatter move shard_bytes*(g-1) per rank
@@ -185,12 +186,12 @@ class _Runtime:
         ctx = self.contexts[group.rank]
         key = (group.axis, group.members)
         pending = self._pending.setdefault(key, {})
-        for other_rank, (o_op, _, _, o_tag, _) in pending.items():
-            if o_op != op or o_tag != tag:
+        for other_rank, (o_op, _, o_kw, o_tag, _) in pending.items():
+            if (o_op, o_tag, o_kw) != (op, tag, kw):
                 raise ProtocolError(
                     f"collective mismatch on {group.axis} group {group.members}: "
-                    f"rank {other_rank} called {o_op} tag={o_tag!r}, "
-                    f"rank {group.rank} called {op} tag={tag!r}")
+                    f"rank {other_rank} called {o_op} tag={o_tag!r} {o_kw}, "
+                    f"rank {group.rank} called {op} tag={tag!r} {kw}")
         pending[group.rank] = (op, arr, kw, tag, ctx.phase)
         self._state[group.rank] = _BLOCKED
         if len(pending) == len(group.members):

@@ -2,7 +2,7 @@
 
 Four step flavors share one model:
 
-* serial: the single-process reference.
+* serial: one process, the flat architecture.
 * tp_only: every rank tokenizes all channels redundantly; the flat
   aggregation layer and the transformer are head-split.
 * dist_token: like tp_only, but each rank tokenizes only its channel slab
@@ -38,7 +38,9 @@ One driver, `run_hybrid_step`, executes every parallel step over the
 (tp, fsdp, dp) grid; `run_tp_step`, `run_dist_token_step` and
 `run_dchag_step` are single-batch entry points that check the strategy
 kind.  FSDP is not executed: it is modeled by `costmodel` only, and a grid
-with fsdp > 1 is rejected.
+with fsdp > 1 is rejected.  The oracles `run_serial_step` and
+`run_dchag_reference_step` run `model.forward_loss_reference` as one rank.
+Every step checks its batches' shapes first and returns a `StepResult`.
 """
 
 from __future__ import annotations
@@ -50,12 +52,11 @@ import numpy as np
 from . import layers
 from . import tensor as T
 from .config import ConfigError, ModelConfig, ParallelConfig, StrategyConfig
-from .model import (Batch, forward_loss_dchag_reference, forward_loss_serial, tokenize_channels,
-                    tree_aggregate, trunk_loss)
+from .model import Batch, forward_loss_reference, tokenize_channels, tree_aggregate, trunk_loss
 from .params import rank_tree, shard_for_rank, unshard_grads
 from .runtime import CommLedger, ProcessGroup, RankContext, spawn_ranks
 from .tensor import Tensor
-from .tracking import AllocStats, AllocTracker, activate, alloc_tag
+from .tracking import AllocTracker, activate, alloc_tag
 
 DCHAG_BOUNDARY_TAG = "dchag-boundary"
 TOKEN_GATHER_TAG = "token-gather"
@@ -84,17 +85,13 @@ def gather_shards(group: ProcessGroup, x: Tensor, axis: int, tag: str) -> Tensor
 
 @dataclass
 class StepResult:
-    loss: float
-    grads: dict
-    stats: AllocStats
+    """Every step's result, one entry per rank in rank order; a
+    single-process step is one rank with an empty ledger."""
 
-
-@dataclass
-class ParallelStepResult:
     losses: list
     rank_grads: list
     grads: dict  # reassembled in master layout
-    stats: list
+    stats: list  # one tracking.AllocStats per rank
     ledger: CommLedger
 
     @property
@@ -115,20 +112,33 @@ def _extract_grads(w: dict) -> dict:
 # -- single-process steps ----------------------------------------------------------
 
 
-def _single_process_step(master: dict, forward) -> StepResult:
+def _check_batch(model: ModelConfig, batch: Batch) -> None:
+    """Images [B, C, H, W] of the model, meta [B, 4] and a mask [B, S]."""
+    b = batch.size if batch.images.ndim else None
+    for field, want in (("images", (b, model.channels, model.image_h, model.image_w)),
+                        ("meta", (b, 4)), ("mask", (b, model.seq))):
+        if (got := getattr(batch, field).shape) != want:
+            raise ConfigError(f"batch {field} has shape {got}, the model needs {want}")
+
+
+def _single_process_step(model: ModelConfig, strategy: StrategyConfig, master: dict,
+                         batch: Batch) -> StepResult:
+    """`forward_loss_reference` and its backward as one rank."""
+    _check_batch(model, batch)
     tracker = AllocTracker()
     with activate(tracker):
         w = _wrap_params(master)
-        loss = forward(w)
+        loss = forward_loss_reference(w, model, strategy, batch)
         T.backward(loss)
-        return StepResult(loss=loss.item(), grads=_extract_grads(w),
-                          stats=tracker.stats())
+        grads = _extract_grads(w)
+        return StepResult(losses=[loss.item()], rank_grads=[grads], grads=grads,
+                          stats=[tracker.stats()], ledger=CommLedger())
 
 
 def run_serial_step(model: ModelConfig, master: dict, batch: Batch) -> StepResult:
-    """Reference step; also captures per-component allocator statistics."""
+    """Reference step of the flat architecture."""
     model.validate()
-    return _single_process_step(master, lambda w: forward_loss_serial(w, model, batch))
+    return _single_process_step(model, StrategyConfig(), master, batch)
 
 
 def run_dchag_reference_step(model: ModelConfig, strategy: StrategyConfig,
@@ -138,8 +148,7 @@ def run_dchag_reference_step(model: ModelConfig, strategy: StrategyConfig,
     if strategy.kind != "dchag":
         raise ConfigError(f"the dchag reference step needs kind=dchag, got {strategy.kind}")
     strategy.validate(model)
-    return _single_process_step(
-        master, lambda w: forward_loss_dchag_reference(w, model, strategy, batch))
+    return _single_process_step(model, strategy, master, batch)
 
 
 # -- the parallel forward ------------------------------------------------------
@@ -191,11 +200,12 @@ def parallel_forward_loss(w: dict, model: ModelConfig, strategy: StrategyConfig,
 
 def run_hybrid_step(pconfig: ParallelConfig, model: ModelConfig,
                     strategy: StrategyConfig, master: dict,
-                    batches: list, schedule_seed=None) -> ParallelStepResult:
+                    batches: list, schedule_seed=None) -> StepResult:
     """One parallel step: `strategy` over the tp axis, one batch per dp
     coordinate.  The dp axis executes a real gradient AllReduce; gradients
-    are averaged, so the batches must be of equal size.  FSDP is modeled
-    by `costmodel` only, so fsdp > 1 is rejected."""
+    are averaged and each loss averages over its batch's masked positions,
+    so the batches must mask equally many.  FSDP is modeled by `costmodel`
+    only, so fsdp > 1 is rejected."""
     strategy.validate(model, pconfig)
     if strategy.kind == "serial":
         raise ConfigError("the serial strategy has no parallel step")
@@ -203,9 +213,11 @@ def run_hybrid_step(pconfig: ParallelConfig, model: ModelConfig,
         raise ConfigError(f"fsdp={pconfig.fsdp} is not executed; costmodel.estimate models it")
     if len(batches) != pconfig.dp:
         raise ConfigError(f"need {pconfig.dp} batches, got {len(batches)}")
-    sizes = [b.size for b in batches]
-    if len(set(sizes)) > 1:  # the gradient average weighs every batch alike
-        raise ConfigError(f"dp batches must be of equal size, got sizes {sizes}")
+    for batch in batches:
+        _check_batch(model, batch)
+    masked = [int(b.mask.sum()) for b in batches]
+    if len(set(masked)) > 1:  # the gradient average weighs every batch alike
+        raise ConfigError(f"dp batches must mask equally many positions, got {masked}")
 
     def program(ctx: RankContext):
         tp_i, _, dp_i = ctx.coords
@@ -227,24 +239,24 @@ def run_hybrid_step(pconfig: ParallelConfig, model: ModelConfig,
     losses = [r[0] for r in spawned.results]
     rank_grads = [r[1] for r in spawned.results]
     grads = unshard_grads(rank_grads[: pconfig.dchag_tp], master, strategy)
-    return ParallelStepResult(losses=losses, rank_grads=rank_grads, grads=grads,
-                              stats=spawned.stats, ledger=spawned.ledger)
+    return StepResult(losses=losses, rank_grads=rank_grads, grads=grads,
+                      stats=spawned.stats, ledger=spawned.ledger)
 
 
 def _single_batch_step(kind: str, pconfig, model, strategy, master, batch,
-                       **kw) -> ParallelStepResult:
+                       **kw) -> StepResult:
     if strategy.kind != kind:
         raise ConfigError(f"needs kind={kind}, got {strategy.kind}")
     return run_hybrid_step(pconfig, model, strategy, master, [batch], **kw)
 
 
-def run_tp_step(pconfig, model, strategy, master, batch, **kw) -> ParallelStepResult:
+def run_tp_step(pconfig, model, strategy, master, batch, **kw) -> StepResult:
     return _single_batch_step("tp_only", pconfig, model, strategy, master, batch, **kw)
 
 
-def run_dist_token_step(pconfig, model, strategy, master, batch, **kw) -> ParallelStepResult:
+def run_dist_token_step(pconfig, model, strategy, master, batch, **kw) -> StepResult:
     return _single_batch_step("dist_token", pconfig, model, strategy, master, batch, **kw)
 
 
-def run_dchag_step(pconfig, model, strategy, master, batch, **kw) -> ParallelStepResult:
+def run_dchag_step(pconfig, model, strategy, master, batch, **kw) -> StepResult:
     return _single_batch_step("dchag", pconfig, model, strategy, master, batch, **kw)

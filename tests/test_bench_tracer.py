@@ -11,6 +11,7 @@ from collections import Counter
 from pathlib import Path
 
 from dchag import costmodel, layers, strategies
+from dchag import model as dmodel
 from dchag.config import ModelConfig, ParallelConfig, StrategyConfig
 from dchag.params import create_master
 from dchag.rng import RngState
@@ -56,3 +57,24 @@ def test_strategies_call_the_aggregation_layer_through_layers(monkeypatch):
         strategies.run_hybrid_step(ParallelConfig(dchag_tp=2), model, strat,
                                    create_master(model, strat, RngState(3)), [batch])
         assert calls[prefix] == 2, (kind, dict(calls))  # one call on each rank
+
+
+def test_the_reference_calls_the_aggregation_layer_through_model(monkeypatch):
+    # the tracer wraps `model.cross_attention_aggregate` as well, which is
+    # the name the single-process forward and the tree nodes call
+    calls = Counter()
+    aggregate = dmodel.cross_attention_aggregate
+
+    def counting(x, w, prefix, *args):
+        calls[prefix.split(".")[1]] += 1
+        return aggregate(x, w, prefix, *args)
+
+    monkeypatch.setattr(dmodel, "cross_attention_aggregate", counting)
+    model = ModelConfig(channels=4, image_h=8, image_w=8, patch=4, embed=8, depth=1,
+                        heads=2, mlp_ratio=2, decoder_dim=8)
+    batch = make_batch(model, 11, 0, [0])
+    strategies.run_serial_step(model, create_master(model, StrategyConfig(), RngState(3)), batch)
+    strat = StrategyConfig(kind="dchag", tp_degree=2, max_group=2)
+    strategies.run_dchag_reference_step(model, strat, create_master(model, strat, RngState(3)),
+                                        batch)
+    assert calls == {"flat": 1, "final": 1, "slab0": 1, "slab1": 1}

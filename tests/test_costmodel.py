@@ -16,7 +16,7 @@ from dchag import tensor as T
 from dchag.config import (AGG_LAYER_KINDS, STRATEGY_KINDS, ConfigError, HardwareModel,
                           ModelConfig, ParallelConfig, StrategyConfig)
 from dchag.costmodel import estimate, plan
-from dchag.model import forward_loss_serial
+from dchag.model import forward_loss_reference
 from dchag.params import create_master, rank_tree, shard_for_rank
 from dchag.rng import RngState
 from dchag.strategies import run_dchag_reference_step, run_hybrid_step, run_serial_step
@@ -219,12 +219,12 @@ def step_costs(case, geometry):
     variant, strat = case
     model = desk(variant, **dict(geometry))
     res = run_step(model, strat, [make_batch(model, 5, 0, [0, 1])])
-    stats = res.stats if isinstance(res.stats, list) else [res.stats]
-    grads = busiest_bytes([res.grads] if strat.kind == "serial" else res.rank_grads)
+    grads = busiest_bytes(res.rank_grads)
     rep = estimate(model, strat, precision_bytes=8, batch=2)
     return ({c: Costs(rep.activation(c), rep.components[c].flops, rep.components[c].grad_bytes)
              for c in COMPONENT_TAGS},
-            {c: Costs(max(st.tag_peak(c) for st in stats), max(st.tag_flops(c) for st in stats),
+            {c: Costs(max(st.tag_peak(c) for st in res.stats),
+                      max(st.tag_flops(c) for st in res.stats),
                       grads[c]) for c in COMPONENT_TAGS})
 
 
@@ -264,7 +264,8 @@ class TestActivations:
             tracker = AllocTracker()
             with activate(tracker):
                 w = {k: Tensor(v, requires_grad=True) for k, v in master.items()}
-                loss = forward_loss_serial(w, model, make_batch(model, 5, 0, [0, 1]))
+                loss = forward_loss_reference(w, model, StrategyConfig(),
+                                              make_batch(model, 5, 0, [0, 1]))
                 st = tracker.stats()  # `loss` holds the graph, so its tensors are live
             del loss
             for comp in comps:
@@ -297,16 +298,12 @@ def test_drawn_grid_matches_allocator_and_ledger(case):
                                   for i in range(dp)])
     pconfig = ParallelConfig(dchag_tp=strat.tp_degree, dp=dp)
     rep = estimate(model, strat, pconfig, precision_bytes=8, batch=batch)
-    stats = res.stats if isinstance(res.stats, list) else [res.stats]
     for comp in COMPONENT_TAGS:
-        assert rep.activation(comp) == max(s.tag_peak(comp) for s in stats), comp
-        assert rep.components[comp].flops == max(s.tag_flops(comp) for s in stats), comp
+        assert rep.activation(comp) == max(s.tag_peak(comp) for s in res.stats), comp
+        assert rep.components[comp].flops == max(s.tag_flops(comp) for s in res.stats), comp
     want = {k: v for k, v in rep.comm.items() if v}
-    if strat.kind == "serial":
-        assert want == {}
-    else:
-        for rank in range(pconfig.world_size):
-            assert ledger_comm(res.ledger, rank) == want, rank
+    for rank in range(pconfig.world_size):  # a serial step's ledger is empty
+        assert ledger_comm(res.ledger, rank) == want, rank
 
 
 @pytest.mark.parametrize("max_group, batch", [(2, 1), (2, 2), (3, 2), (8, 2)])

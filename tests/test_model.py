@@ -9,9 +9,9 @@ from dchag import tensor as T
 from dchag.config import (ConfigError, ModelConfig, ParallelConfig, StrategyConfig,
                           build_tree_spec)
 from dchag.layers import allsum, cross_attention_aggregate, fanout, transformer_block
-from dchag.model import (Batch, apply_token_mask, decode, forward_loss_dchag_reference,
-                         forward_loss_serial, make_mask, masked_mse, masked_rows,
-                         tokenize_channels, tree_aggregate, vit_forward)
+from dchag.model import (Batch, apply_token_mask, decode, forward_loss_reference, make_mask,
+                         masked_mse, masked_rows, tokenize_channels, tree_aggregate,
+                         vit_forward)
 from dchag.params import create_master, shard_for_rank, unshard_grads
 from dchag.rng import RngState
 from dchag.runtime import ring_allreduce_payload, spawn_ranks
@@ -789,7 +789,7 @@ class TestMae:
         w = wrap(master)
         batch = tiny_batch(model, b=1)
         batch.mask = make_mask(model, [0], seed=7, step=0)
-        loss = forward_loss_serial(w, model, batch)
+        loss = forward_loss_reference(w, model, StrategyConfig(), batch)
         assert np.isfinite(loss.item())
 
 
@@ -828,20 +828,22 @@ class TestEndToEnd:
     def test_full_model_grad_flat(self):
         model = tiny_model()
         batch = tiny_batch(model, b=1)
-        self._fd_check(model, StrategyConfig(), lambda w: forward_loss_serial(w, model, batch))
+        strategy = StrategyConfig()
+        self._fd_check(model, strategy,
+                       lambda w: forward_loss_reference(w, model, strategy, batch))
 
     def test_full_model_grad_dchag_arch(self):
         model = tiny_model(channels=4, agg_variant="full_cross")
         strategy = StrategyConfig(kind="dchag", tp_degree=2, max_group=2)
         batch = tiny_batch(model, b=1)
         self._fd_check(model, strategy,
-                       lambda w: forward_loss_dchag_reference(w, model, strategy, batch))
+                       lambda w: forward_loss_reference(w, model, strategy, batch))
 
     def test_all_parameters_get_gradients(self):
         model = tiny_model(agg_variant="full_cross")
         master = create_master(model, StrategyConfig(), RngState(44))
         w = wrap(master)
-        loss = forward_loss_serial(w, model, tiny_batch(model, b=2))
+        loss = forward_loss_reference(w, model, StrategyConfig(), tiny_batch(model, b=2))
         T.backward(loss)
         for name, t in w.items():
             assert t.grad is not None, f"{name} got no gradient"

@@ -146,6 +146,18 @@ class TestProtocol:
         with pytest.raises(ProtocolError):
             spawn_ranks(ParallelConfig(dchag_tp=2), program)
 
+    @pytest.mark.parametrize("op, arg", [("all_gather", "axis"), ("reduce_scatter", "axis"),
+                                         ("broadcast", "root")])
+    def test_mismatched_arguments(self, op, arg):
+        # the axis or root is part of the signature: no rank is served the
+        # result of the first arrival's argument
+        def program(ctx):
+            return getattr(ctx.tp, op)(np.zeros((2, 2)), **{arg: ctx.rank})
+
+        both = f"rank 0 called .*'{arg}': 0}}, rank 1 called .*'{arg}': 1}}"
+        with pytest.raises(ProtocolError, match=both):
+            spawn_ranks(ParallelConfig(dchag_tp=2), program)
+
     def test_rank_finishing_while_peer_waits(self):
         def program(ctx):
             if ctx.rank == 0:

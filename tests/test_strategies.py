@@ -11,10 +11,11 @@ from dchag import layers
 from dchag import tensor as T
 from dchag.config import (AGG_LAYER_KINDS, AGG_VARIANTS, STRATEGY_KINDS, ConfigError,
                           ModelConfig, ParallelConfig, StrategyConfig)
+from dchag.model import Batch
 from dchag.params import (REPLICATED, create_master, parameter_specs, placement,
                           rank_parameter_sizes, shard_for_rank, unshard_grads)
 from dchag.rng import RngState
-from dchag.strategies import (DCHAG_BOUNDARY_TAG, TOKEN_GATHER_TAG,
+from dchag.strategies import (DCHAG_BOUNDARY_TAG, TOKEN_GATHER_TAG, StepResult,
                               run_dchag_reference_step, run_dchag_step,
                               run_dist_token_step, run_hybrid_step,
                               run_serial_step, run_tp_step)
@@ -45,9 +46,9 @@ class TestTpEquivalence:
         for k in ser.grads:
             np.testing.assert_array_equal(ser.grads[k], tp.grads[k])
         # a one-rank group splits nothing: the serial graph, no collectives
-        (st,) = tp.stats
-        assert st.per_tag_peak == ser.stats.per_tag_peak
-        assert st.per_tag_flops == ser.stats.per_tag_flops
+        ((st,), (ser_st,)) = tp.stats, ser.stats
+        assert st.per_tag_peak == ser_st.per_tag_peak
+        assert st.per_tag_flops == ser_st.per_tag_flops
         assert list(tp.ledger.events()) == []
 
     @pytest.mark.parametrize("tp", [2, 4])
@@ -127,7 +128,7 @@ class TestTpEquivalence:
         ser = run_serial_step(model, master, batch)
         res = run_tp_step(ParallelConfig(dchag_tp=2), model, strat, master, batch)
         for st in res.stats:
-            assert st.tag_flops("tokenize") == ser.stats.tag_flops("tokenize")
+            assert st.tag_flops("tokenize") == ser.stats[0].tag_flops("tokenize")
 
 
 class TestDistToken:
@@ -183,7 +184,7 @@ class TestDistToken:
                                   StrategyConfig(kind="dist_token", tp_degree=tp),
                                   master, batch)
         # gather output tensor is charged to the tokenize tag, so compare flops
-        serial_tok = ser.stats.tag_flops("tokenize")
+        serial_tok = ser.stats[0].tag_flops("tokenize")
         for st in res.stats:
             assert st.tag_flops("tokenize") == serial_tok // tp
 
@@ -370,15 +371,37 @@ class TestHybrid:
             run_hybrid_step(ParallelConfig(dchag_tp=2, dp=2), model, strat,
                             master, [make_batch(model, 1, 0, [0])])
 
-    def test_unequal_dp_batches_rejected(self):
+    @pytest.mark.parametrize("ids, unmask, totals", [([[0, 1], [2]], False, "4, 2"),
+                                                     ([[0, 1], [2, 3]], True, "4, 3")])
+    def test_unequal_dp_batches_rejected(self, ids, unmask, totals):
         # averaging the dp gradients weighs each batch alike, which is the
-        # gradient of the concatenated batch only when the sizes agree
+        # gradient of the concatenated batch only when each batch's loss
+        # averages over as many masked positions (two per sample here), the
+        # batch sizes aside; `unmask` drops one of sample 3's
         model = tiny()
         strat = StrategyConfig(kind="tp_only", tp_degree=2)
         master = create_master(model, strat, RngState(6))
-        with pytest.raises(ConfigError, match=r"sizes \[2, 1\]"):
-            run_hybrid_step(ParallelConfig(dchag_tp=2, dp=2), model, strat, master,
-                            [make_batch(model, 11, 0, [0, 1]), make_batch(model, 11, 0, [2])])
+        batches = [make_batch(model, 11, 0, i) for i in ids]
+        if unmask:
+            batches[1].mask[1, np.flatnonzero(batches[1].mask[1])[0]] = 0.0
+        with pytest.raises(ConfigError, match=rf"positions, got \[{totals}\]"):
+            run_hybrid_step(ParallelConfig(dchag_tp=2, dp=2), model, strat, master, batches)
+
+    def test_unequal_sizes_with_equal_masked_totals_match_the_concatenation(self):
+        # two samples masking one position each against one masking two:
+        # both losses average over two positions, so the dp average is the
+        # gradient of the three-sample batch
+        model = tiny()
+        strat = StrategyConfig(kind="dchag", tp_degree=2, max_group=2)
+        master = create_master(model, strat, RngState(6))
+        b1, b2 = make_batch(model, 11, 0, [0, 1]), make_batch(model, 11, 0, [2])
+        for row in b1.mask:
+            row[np.flatnonzero(row)[0]] = 0.0
+        concat = Batch(*(np.concatenate([getattr(b1, f), getattr(b2, f)])
+                         for f in ("images", "meta", "mask")))
+        hyb = run_hybrid_step(ParallelConfig(dchag_tp=2, dp=2), model, strat, master, [b1, b2])
+        ref = run_dchag_reference_step(model, strat, master, concat)
+        assert_grads_match(ref.grads, hyb.grads)
 
 
 @pytest.mark.parametrize("variant", AGG_VARIANTS)
@@ -500,6 +523,53 @@ def test_gathered_stacks_fold_as_views(monkeypatch, kind, prefix):
         assert x.flags.c_contiguous
         rows, _ = T._fold_rows(x, np.zeros(x.shape))
         assert np.shares_memory(rows, x)
+
+
+def malformed(model, field):
+    """A four-sample batch with one field of the wrong shape: a [1, S]
+    mask, a [1, 4] meta, or images of one 4 x 8 plane."""
+    batch = make_batch(model, 1, 0, [0, 1, 2, 3])
+    setattr(batch, field, {"mask": batch.mask[:1], "meta": batch.meta[:1],
+                           "images": np.zeros((4, 8))}[field])
+    return batch
+
+
+@pytest.mark.parametrize("field", ["images", "meta", "mask"])
+def test_serial_step_rejects_a_malformed_batch(field):
+    model = tiny()
+    master = create_master(model, StrategyConfig(), RngState(5))
+    with pytest.raises(ConfigError, match=f"batch {field} has shape"):
+        run_serial_step(model, master, malformed(model, field))
+
+
+@pytest.mark.parametrize("field", ["images", "meta", "mask"])
+def test_parallel_step_checks_every_dp_batch(field):
+    model = tiny()
+    strat = StrategyConfig(kind="tp_only", tp_degree=2)
+    master = create_master(model, strat, RngState(5))
+    batches = [make_batch(model, 1, 0, [4, 5, 6, 7]), malformed(model, field)]
+    with pytest.raises(ConfigError, match=f"batch {field} has shape"):
+        run_hybrid_step(ParallelConfig(dchag_tp=2, dp=2), model, strat, master, batches)
+
+
+def test_every_step_returns_one_result_type():
+    # one entry per rank; a single-process step is one rank with no ledger
+    # event
+    model = tiny()
+    strat = StrategyConfig(kind="dchag", tp_degree=2, max_group=2)
+    master = create_master(model, strat, RngState(5))
+    batch = make_batch(model, 1, 0, [0, 1])
+    serial = run_serial_step(model, create_master(model, StrategyConfig(), RngState(5)), batch)
+    reference = run_dchag_reference_step(model, strat, master, batch)
+    hybrid = run_hybrid_step(ParallelConfig(dchag_tp=2, dp=2), model, strat, master,
+                             [batch, make_batch(model, 1, 0, [2, 3])])
+    for res, ranks in ((serial, 1), (reference, 1), (hybrid, 4)):
+        assert isinstance(res, StepResult)
+        assert len(res.stats) == len(res.losses) == len(res.rank_grads) == ranks
+        assert res.loss == res.losses[0]
+    for res in (serial, reference):
+        assert list(res.ledger.events()) == []
+    assert list(hybrid.ledger.events()) != []
 
 
 def test_serial_step_rejects_invalid_model():

@@ -9,7 +9,7 @@ import pytest
 from dchag import model as dmodel
 from dchag import tensor as T
 from dchag.config import ModelConfig, ParallelConfig, StrategyConfig
-from dchag.model import forward_loss_dchag_reference, forward_loss_serial
+from dchag.model import forward_loss_reference
 from dchag.params import create_master, shard_for_rank
 from dchag.rng import RngState
 from dchag.runtime import spawn_ranks
@@ -255,8 +255,7 @@ def test_backward_closures_hold_only_charged_arrays(variant):
         master = create_master(model, strat, RngState(3))
         with activate(AllocTracker()):
             w = {name: Tensor(arr, requires_grad=True) for name, arr in master.items()}
-            loss = (forward_loss_serial(w, model, batch) if strat.kind == "serial"
-                    else forward_loss_dchag_reference(w, model, strat, batch))
+            loss = forward_loss_reference(w, model, strat, batch)
             faults, checked = graph_faults(loss)
         assert faults == set(), strat.kind
         assert SAVED_OUTSIDE_TENSORS <= checked
@@ -295,7 +294,8 @@ def test_no_closure_holds_a_hidden_activation():
 
     master = create_master(model, StrategyConfig(), RngState(3))
     w = {name: Tensor(arr, requires_grad=True) for name, arr in master.items()}
-    assert hidden_arrays(w, forward_loss_serial(w, model, batch), {24}) == set()
+    loss = forward_loss_reference(w, model, StrategyConfig(), batch)
+    assert hidden_arrays(w, loss, {24}) == set()
     strat = StrategyConfig(kind="tp_only", tp_degree=2)
 
     def program(ctx):
@@ -357,7 +357,7 @@ def test_backward_frees_what_it_has_passed():
     tr = AllocTracker()
     with activate(tr):
         w = {name: Tensor(arr, requires_grad=True) for name, arr in master.items()}
-        loss = forward_loss_serial(w, model, batch)
+        loss = forward_loss_reference(w, model, StrategyConfig(), batch)
         nodes = T._topo_order(loss.node)
         T.backward(loss)
         assert tr.live_bytes == sum(t.data.nbytes for t in w.values()) + loss.data.nbytes
@@ -377,7 +377,7 @@ def test_a_step_returns_the_tracker_to_its_start():
     tr = AllocTracker()
     with activate(tr):
         w = {name: Tensor(arr, requires_grad=True) for name, arr in master.items()}
-        loss = forward_loss_serial(w, model, batch)
+        loss = forward_loss_reference(w, model, StrategyConfig(), batch)
         assert tr.live_bytes > batch.images.nbytes
         T.backward(loss)
         del w, loss
@@ -411,7 +411,7 @@ def test_live_bytes_match_tracemalloc_after_a_forward():
             batch = make_batch(model, 5, 0, [0, 1, 2, 3])
             w = {name: Tensor(arr, requires_grad=True) for name, arr in master.items()}
             del master
-            loss = forward_loss_serial(w, model, batch)
+            loss = forward_loss_reference(w, model, StrategyConfig(), batch)
             del batch
             traced = tracemalloc.get_traced_memory()[0] - start
         nodes = len(T._topo_order(loss.node))
