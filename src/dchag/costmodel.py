@@ -6,14 +6,16 @@ The contract, per rank and per step:
   so at desk scale each component's estimate equals the allocator's
   per-tag peak.  A buffer is held while a backward closure saved it (the
   saved set: what each backward reads) or the model code still holds its
-  tensor.  Every other intermediate is a transient, live from its op until
-  the next op has read it, as are the fused attention op's context and its
-  projections and logit blocks, one block of positions at a time, the
-  pool's scores, fold copy, values and pooled values, and the MLP op's
-  hidden activation and Phi block; a transient counts in the component's
-  peak at the point it is live.  Each layer's terms are written once, on
-  the one function that returns its activation elements and FLOPs
-  together.
+  tensor.  An op output that a sum (over tp, a bias add, a residual add)
+  takes as its first operand is that sum's buffer too (`tensor.add_`), so
+  a chain of such sums holds one buffer.  Every other intermediate is a
+  transient, live from its op until the next op has read it, as are the
+  fused attention op's context and its projections and logit blocks, one
+  block of positions at a time, the pool's scores, fold copy, values and
+  pooled values, and the MLP op's hidden activation and Phi block; a
+  transient counts in the component's peak at the point it is live.
+  Each layer's terms are written once, on the one function that returns
+  its activation elements and FLOPs together.
 * FLOPs follow `tracking`'s rule and equal the tracker's per-tag count.
 * Parameter bytes come from `params`' table and placement rule, the ones
   that shard the simulator's ranks.  Grads equal params; optimizer state
@@ -80,8 +82,8 @@ class CostReport:
 # projection block and logit blocks, the pool's scores, fold copy, values
 # and pooled values, the MLP op's hidden activation and Phi block, and the
 # intermediates freed inside the layer.  A fused op that ends in an output
-# projection hands its output on to the sum over tp: the caller's chain
-# counts it.
+# projection hands its output on to the sum over tp, its bias add and any
+# residual add, which all write into it: the caller counts it, once.
 
 
 def _then(*parts):
@@ -104,19 +106,11 @@ def _freed(n):
     return -n, 0
 
 
-def _chain(n):
-    """Two or more ops in turn, each making n elements from its
-    predecessor's output, which nothing saves and which goes once read
-    (a projection's matmul, bias add and residual add): the last output
-    stays, and two are live at once."""
-    return n, 2 * n
-
-
 def _attention(n, hl, t, dl, do, run):
     """The fused attention op over `n` positions of T tokens, projected to
     width Dl and out to Do, in runs of `run` positions (its input's last
     lead axis): it keeps its per-row log-sum-exp (n*Hl*T); its output
-    (n*T*Do) the caller's chain counts, and x, which it also saves, is its
+    (n*T*Do) the caller counts, and x, which it also saves, is its
     caller's.  While it runs it holds the context (n*T*Dl) and the
     log-sum-exp, first with one block of positions of
     `tensor.attention_block`'s size, no longer than a run: the block's
@@ -134,7 +128,7 @@ def _pool(n, hl, tk, dl, fold, do=None):
     values to width Dl and its output to Do unless `do` is None, when its
     values are x itself.  It keeps its per-(position, head) log-sum-exp
     (n*Hl), and its output (n*Dl) when it projects none; a projected output
-    (n*Do) the caller's chain counts.  Its scores (n*Tk*Hl) are live
+    (n*Do) the caller counts.  Its scores (n*Tk*Hl) are live
     through the pooling: first with the `fold` elements of the copy its
     fold makes of x (none when x folds as a view), then with the
     log-sum-exp and the row sums, and at last with the log-sum-exp, the
@@ -150,7 +144,7 @@ def _pool(n, hl, tk, dl, fold, do=None):
 
 def _mlp(hidden, n):
     """`tensor.mlp` with `hidden` hidden and n output elements, whose output
-    the caller's chain counts: it stores nothing.  While it runs it holds
+    the caller counts: it stores nothing.  While it runs it holds
     its hidden activation, first with one block of Phi (min(hidden,
     PHI_BLOCK) elements), then with its output."""
     return 0, hidden + max(min(hidden, PHI_BLOCK), n)
@@ -167,13 +161,13 @@ def _agg_layer(b, s, ck, d, heads, variant, tp, fold=0):
     op, Ck tokens against themselves, whose context (B*S*Ck*D/tp) is
     transient, and so are its projections (3*Ck*D/tp per position) and
     (H/tp)*Ck^2 logits per position, one block of positions at a time,
-    within one run of S.  Then the full-width output chain (the op's
-    output, the sum over tp, bias add), which tp does not divide; and
-    full_cross's reduce, a single-head pool of the Ck full-width outputs,
-    which are its values as they are.  The quadratic channel term is the
-    full_cross logits, capped at one block: once one block no longer holds
-    a run of S positions, it grows with Ck^2 only through the positions a
-    block holds, down to one position.
+    within one run of S.  Then the full-width output (the op's output, in
+    which the sum over tp and the bias add are formed), which tp does not
+    divide; and full_cross's reduce, a single-head pool of the Ck
+    full-width outputs, which are its values as they are.  The quadratic
+    channel term is the full_cross logits, capped at one block: once one
+    block no longer holds a run of S positions, it grows with Ck^2 only
+    through the positions a block holds, down to one position.
 
     FLOPs: single_query's value projection, the pool's scores
     (2*B*S*Ck*D*H/tp) and pooling (2*B*S*Ck*D/tp); full_cross's key, value
@@ -183,11 +177,11 @@ def _agg_layer(b, s, ck, d, heads, variant, tp, fold=0):
     """
     n, dl, hl = b * s, d / tp, heads / tp
     if variant == "single_query":
-        acts = _then(_pool(n, hl, ck, dl, fold, d), _chain(n * d))
+        acts = _then(_pool(n, hl, ck, dl, fold, d), _stored(n * d))
         flops = 2 * n * ck * d * dl + 2 * n * ck * (d * hl + dl) + 2 * n * d * dl
         return acts, flops
     acts = _then(_attention(n, hl, ck, dl, d, s),
-                 _chain(n * ck * d),
+                 _stored(n * ck * d),
                  _pool(n, 1, ck, d, 0))
     flops = (3 * 2 * n * ck * d * dl + 2 * 2 * n * ck * ck * dl
              + 2 * n * ck * d * dl + 2 * 2 * n * ck * d)
@@ -213,8 +207,8 @@ def _tree(b, s, d, heads, tree: tuple, layer_kind, variant):
     """A rank's slab tree, its nodes run in order.
 
     A cross_attention node is an unsplit `_agg_layer` over its group.  A
-    linear node of group g keeps its mixed stream and the output of its
-    projection chain (matmul, bias add), B*S*D each, and costs
+    linear node of group g keeps its mixed stream and its projection's
+    product, into which the bias is added, B*S*D each, and costs
     2*B*S*D*(g+D) FLOPs (the channel mix, then the projection).  A level
     of several nodes concatenates their outputs, B*S*D per node, and then
     drops them.  No backward reads a node's output, so the tree's output
@@ -226,7 +220,7 @@ def _tree(b, s, d, heads, tree: tuple, layer_kind, variant):
     for li, level in enumerate(tree):
         for g in level:
             if layer_kind == "linear":
-                a, f = _then(_stored(b * s * d), _chain(b * s * d)), 2 * b * s * d * (g + d)
+                a, f = _stored(2 * b * s * d), 2 * b * s * d * (g + d)
             else:
                 fold = _fold_copy(b, s, d, g, sum(level), li) if variant == "single_query" else 0
                 a, f = _agg_layer(b, s, g, d, heads, variant, 1, fold)
@@ -244,13 +238,13 @@ def _block(b, t, d, heads, m, tp):
     (B*T*D); the attention op, which reads the norm's output and keeps its
     log-sum-exp, while its context (B*T*D/tp) is transient, and so are its
     q/k/v projections (3*T*D/tp per sequence) and (H/tp)*T^2 logits per
-    sequence, one block of sequences at a time; the attention branch's
-    chain from the op's output to the mid residual (B*T*D); the second
-    norm; the MLP op, which reads the norm's output and keeps nothing,
-    while its hidden activation (B*T*mD/tp) and one block of Phi are
-    transient; the MLP branch's chain from the op's output to the block's
-    output (B*T*D).  The mid residual and the block's input, which no
-    backward reads, then go.
+    sequence, one block of sequences at a time; the op's output (B*T*D),
+    in which the sum over tp, the bias and the residual add are formed, so
+    that it becomes the mid residual; the second norm; the MLP op, which
+    reads the norm's output and keeps nothing, while its hidden activation
+    (B*T*mD/tp) and one block of Phi are transient; its output, which
+    likewise becomes the block's output (B*T*D).  The mid residual and the
+    block's input, which no backward reads, then go.
 
     FLOPs: the q/k/v/output projections, the two attention products and
     the MLP's two products, each divided over tp; the backward of the
@@ -260,10 +254,10 @@ def _block(b, t, d, heads, m, tp):
     n, hidden = b * t * d, b * t * m * d / tp
     acts = _then(_stored(b * t + n),
                  _attention(b, heads / tp, t, d / tp, d, b),
-                 _chain(n),
+                 _stored(n),
                  _stored(b * t + n),
                  _mlp(hidden, n),
-                 _chain(n),
+                 _stored(n),
                  _freed(2 * n))
     flops = (4 * 2 * b * t * d * d + 2 * 2 * b * t * t * d + 2 * 2 * b * t * d * m * d) / tp
     return acts, flops
@@ -329,11 +323,12 @@ def estimate(model: ModelConfig, strategy: StrategyConfig,
             for comp, count, elems in sizes))
 
     # --- tokenize: the rank's images and their patch rows (B*Cs*S*pp each;
-    # the images go on return), then the token chain (embedding matmul,
-    # channel-ID and positional adds; B*Cs*S*D).  dist_token then gathers
-    # every rank's tokens and drops its own.  FLOPs: the embedding matmul.
+    # the images go on return), then the tokens (B*Cs*S*D), the embedding
+    # matmul with the channel-ID and positional adds written into it.
+    # dist_token then gathers every rank's tokens and drops its own.
+    # FLOPs: the embedding matmul.
     pixels, tokens = b * cloc * s * pp, b * cloc * s * d
-    acts = _then(_stored(2 * pixels), _chain(tokens), _freed(pixels))
+    acts = _then(_stored(2 * pixels), _stored(tokens), _freed(pixels))
     if strategy.kind == "dist_token":
         acts = _then(acts, _stored(b * c * s * d), _freed(tokens))
         add_comm("forward", "tp", ring_allgather_payload(b * cloc * s * d * pb, tp))
@@ -360,35 +355,37 @@ def estimate(model: ModelConfig, strategy: StrategyConfig,
         add_comm("backward", "tp", ring_allreduce_payload(b * s * c * d, pb, tp))  # input fanout
 
     # --- vit: the mask and its complement (B*S each), the masked stream
-    # (two products, then their sum), the [B, 4] metadata input and its
-    # token chain, and the concatenated sequence, which the first block
+    # (two products, the second added into the first, after which it goes),
+    # the [B, 4] metadata input and its token (a product, into which the
+    # bias is added), and the concatenated sequence, which the first block
     # drops; the masked stream and the metadata token go once it is made.
     # Then the blocks at T = S+1.  FLOPs: the metadata projection ([B, 4]
     # by [4, D]) and the blocks.
     block_acts, block_flops = _block(b, t, d, heads, m, tp)
-    prologue = _then(_stored(2 * b * s), _stored(3 * b * s * d), _freed(2 * b * s * d),
-                     _stored(4 * b), _chain(b * d), _stored(b * t * d), _freed(b * s * d + b * d))
+    prologue = _then(_stored(2 * b * s), _stored(2 * b * s * d), _freed(b * s * d),
+                     _stored(4 * b), _stored(b * d), _stored(b * t * d), _freed(b * s * d + b * d))
     cost("vit", _then(prologue, *[block_acts] * depth), 8 * b * d + depth * block_flops)
     if strategy.splits_vit:
         per_block = 2 * ring_allreduce_payload(b * t * d, pb, tp)  # two exchanges per phase
         add_comm("forward", "tp", depth * per_block)
         add_comm("backward", "tp", depth * per_block)
 
-    # --- decoder: the projection to Dd with its positional add, which the
-    # first block drops; blocks of N_DECODER_HEADS heads over all S
-    # positions; the gather of the B*M masked rows (M = `masked_count` per
-    # sample), after which the [B, S, Dd] rows it read go; then B*M*C*pp
-    # tensors: the prediction-head chain (matmul, bias add), the target
-    # (the masked positions' patch rows) and their difference, after which
-    # the prediction and the target go, and the square and the scalar sum.
+    # --- decoder: the projection to Dd, into which the positional add
+    # writes, which the first block drops; blocks of N_DECODER_HEADS heads
+    # over all S positions; the gather of the B*M masked rows (M =
+    # `masked_count` per sample), after which the [B, S, Dd] rows it read
+    # go; then B*M*C*pp tensors: the prediction (a product, into which the
+    # bias is added), the target (the masked positions' patch rows) and
+    # their difference, formed in the prediction's buffer, after which the
+    # target goes, and the square and the scalar sum.
     # FLOPs: the projection, the blocks and the head over the masked rows.
     dd, rows = model.decoder_dim, b * model.masked_count
     pixels = rows * c * pp
     block_acts, block_flops = _block(b, s, dd, N_DECODER_HEADS, m, 1)
     cost("decoder",
-         _then(_chain(b * s * dd), *[block_acts] * model.decoder_depth,
+         _then(_stored(b * s * dd), *[block_acts] * model.decoder_depth,
                _stored(rows * dd), _freed(b * s * dd),
-               _chain(pixels), _stored(2 * pixels), _freed(2 * pixels), _stored(pixels + 1)),
+               _stored(2 * pixels), _freed(pixels), _stored(pixels + 1)),
          2 * b * s * d * dd + model.decoder_depth * block_flops + 2 * rows * dd * c * pp)
 
     for cc in comps.values():

@@ -9,7 +9,8 @@ operators, each one AllReduce over the group: `fanout` (identity forward,
 gradient all-reduce backward) where a replicated tensor feeds a split
 projection or a per-rank computation (a channel slab's positional
 embedding), and `allsum` (all-reduce forward, identity backward) where
-split partial outputs merge.  With group=None both return their input,
+split partial outputs merge, followed by the layer's output bias.  With
+group=None `fanout` returns its input and `allsum` adds the bias alone,
 and the math is the single-process reference.
 
 Three fused tape ops take a layer's input and its weights, so no
@@ -26,7 +27,11 @@ pool projects the values and its pooled output inside it, full_cross's
 pools the tokens themselves.  A block's MLP is `tensor.mlp`, which forms
 the hidden activation and its GELU inside it and recomputes them in
 backward.  Each op's output goes straight to `allsum`, so no name holds it
-while the sum is formed.
+and no closure saved it.  The sum over the group (in place, as NCCL's
+AllReduce is), the bias add and, in a transformer block, the residual
+add all write into that buffer (`tensor.add_`), so a layer's output is
+one buffer from the op to the residual.  `linear` likewise adds its bias
+into its product.
 """
 
 from __future__ import annotations
@@ -39,7 +44,8 @@ N_DECODER_HEADS = 1  # the reconstruction decoder is small; single-head attentio
 
 
 def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    return T.add(T.matmul(x, w), b)
+    """x w + b, the bias added into the product's buffer."""
+    return T.add_(T.matmul(x, w), b)
 
 
 def fanout(group: ProcessGroup | None, x: Tensor, tag: str) -> Tensor:
@@ -47,18 +53,22 @@ def fanout(group: ProcessGroup | None, x: Tensor, tag: str) -> Tensor:
     partial input-gradients of every rank's split projection."""
     if group is None:
         return x
+    # the AllReduce sums in place, and g may be another parent's gradient
+    # too (`tensor`'s gradient rule) or a read-only broadcast: sum a copy
     return Tensor(x.data.view(), _parents=(x,),
-                  _backward=lambda g: (group.all_reduce(g, tag=tag),))
+                  _backward=lambda g: (group.all_reduce(g.copy(), tag=tag),))
 
 
-def allsum(group: ProcessGroup | None, x: Tensor, tag: str) -> Tensor:
-    """One AllReduce forward, the fixed-order sum of the split partial
-    outputs; identity backward, since downstream of the sum every rank
-    holds the full gradient already."""
-    if group is None:
-        return x
-    return Tensor(group.all_reduce(x.data, tag=tag), _parents=(x,),
-                  _backward=lambda g: (g,))
+def allsum(group: ProcessGroup | None, x: Tensor, b: Tensor, tag: str) -> Tensor:
+    """The layer's output: the split partial outputs x summed over the
+    group by one in-place AllReduce, in fixed order, then its output bias
+    b, both in x's buffer.  x must be an op output that no closure saved
+    and no caller names (`tensor.add_`).  Identity backward for x, since
+    downstream of the sum every rank holds the full gradient already."""
+    if group is not None:
+        x = Tensor(group.all_reduce(x.data, tag=tag), _parents=(x,),
+                   _backward=lambda g: (g,))
+    return T.add_(x, b)
 
 
 def local_heads(n_heads: int, group: ProcessGroup | None) -> int:
@@ -87,12 +97,10 @@ def transformer_block(x: Tensor, w: dict, prefix: str, n_heads: int,
     attention op, which ends in its output projection, or the MLP op
     (`tensor.mlp`, gelu(h w1 + b1) w2); neither keeps a buffer of the layer
     beyond the log-sum-exp.  Then come the same ops: its sum over the
-    group, its bias and the residual add, each op's output dropped as soon
-    as the next has read it."""
+    group, its bias and the residual add, all three in the branch output's
+    buffer."""
     def residual(x: Tensor, out: Tensor, name: str) -> Tensor:
-        out = allsum(group, out, prefix)
-        out = T.add(out, w[f"{prefix}.b{name}"])
-        return T.add(x, out)
+        return T.add_(allsum(group, out, w[f"{prefix}.b{name}"], prefix), x)
 
     h = fanout(group, T.layernorm(x), prefix)
     x = residual(x, sdp_attention(h, w[f"{prefix}.wq"], w[f"{prefix}.bq"], w[f"{prefix}.wk"],
@@ -119,16 +127,13 @@ def cross_attention_aggregate(x: Tensor, w: dict, prefix: str, variant: str,
     """
     xf = fanout(group, x, prefix)
     heads = local_heads(n_heads, group)
-    if variant == "single_query":
-        out = allsum(group, T.attention_pool(xf, w[f"{prefix}.q"], w[f"{prefix}.wv"],
-                                             w[f"{prefix}.wo"], heads), prefix)  # [..., 1, D]
-    else:
-        out = allsum(group, sdp_attention(xf, w[f"{prefix}.wq"], None, w[f"{prefix}.wk"],
-                                          w[f"{prefix}.wv"], w[f"{prefix}.wo"], heads),
-                     prefix)  # [..., Ck, D]
-    out = T.add(out, w[f"{prefix}.bo"])  # replicated from here on
-    if variant == "single_query":
-        return out
+    bo = w[f"{prefix}.bo"]
+    if variant == "single_query":  # [..., 1, D], replicated
+        return allsum(group, T.attention_pool(xf, w[f"{prefix}.q"], w[f"{prefix}.wv"],
+                                              w[f"{prefix}.wo"], heads), bo, prefix)
+    out = allsum(group, sdp_attention(xf, w[f"{prefix}.wq"], None, w[f"{prefix}.wk"],
+                                      w[f"{prefix}.wv"], w[f"{prefix}.wo"], heads),
+                 bo, prefix)  # [..., Ck, D], replicated
 
     # full_cross: a learned query reduces the Ck attended tokens to one
     return T.attention_pool(out, w[f"{prefix}.rq"], None, None, 1)  # [..., 1, D]

@@ -89,12 +89,12 @@ def tokenize_channels(images: Tensor, tok_w: Tensor, chan_id: Tensor,
     Each channel's P x P patches pass through that channel's embedding map
     (unfold + matmul, a stride-P convolution), read through a transposed
     view of the patch rows; its channel-ID row, the map's only bias, and
-    the positional embedding are then added.
+    the positional embedding are then added into the product's buffer.
     """
     rows = T.transpose(T.unfold_patches(images, patch), (0, 2, 1, 3))  # [B, Cs, S, P*P]
     tokens = T.matmul(rows, tok_w)  # [B, Cs, S, D]
-    tokens = T.add(tokens, T.reshape(chan_id, (chan_id.shape[0], 1, -1)))
-    return T.transpose(T.add(tokens, pos), (0, 2, 1, 3))
+    tokens = T.add_(tokens, T.reshape(chan_id, (chan_id.shape[0], 1, -1)))
+    return T.transpose(T.add_(tokens, pos), (0, 2, 1, 3))
 
 
 def tree_aggregate(x: Tensor, tree: tuple, w: dict, prefix: str,
@@ -119,13 +119,14 @@ def tree_aggregate(x: Tensor, tree: tuple, w: dict, prefix: str,
 
 def apply_token_mask(agg: Tensor, mask: np.ndarray, mask_token: Tensor) -> Tensor:
     """Replace masked spatial positions of the aggregated stream with the
-    learned mask token."""
+    learned mask token: the kept stream and the placed token are summed
+    in the kept stream's buffer."""
     b, s = mask.shape
     m = Tensor(mask.reshape(b, s, 1, 1))
     keep = Tensor(1.0 - mask.reshape(b, s, 1, 1))
     d = mask_token.shape[0]
     tok = T.reshape(mask_token, (1, 1, 1, d))
-    return T.add(T.mul(agg, keep), T.mul(tok, m))
+    return T.add_(T.mul(agg, keep), T.mul(tok, m))
 
 
 def vit_forward(agg: Tensor, mask: np.ndarray, meta: np.ndarray, w: dict, model: ModelConfig,
@@ -172,16 +173,17 @@ def masked_mse(pred: Tensor, images: np.ndarray, rows: np.ndarray,
 
     The target is those positions' patch rows, read from `images` [B, C,
     H, W] through its view [B, C, Hp, P, Wp, P], so no other position's
-    pixels are copied.  `pred` and the target go once their difference
-    exists: `trunk_loss` passes `pred` straight in, and CPython (3.11 on)
-    hands a call's arguments to the callee's frame.
+    pixels are copied.  The difference is formed in `pred`'s buffer, and
+    the target goes once it exists: `trunk_loss` passes `pred` straight
+    in, and CPython (3.11 on) hands a call's arguments to the callee's
+    frame.
     """
     b, c, h, w = images.shape
     p = model.patch
     bi, si = np.divmod(rows, model.seq)
     hi, wi = np.divmod(si, w // p)
     target = images.reshape(b, c, h // p, p, w // p, p)[bi, :, hi, :, wi, :]  # [M, C, P, P]
-    diff = T.sub(pred, Tensor(target.reshape(len(rows), -1)))
+    diff = T.sub_(pred, Tensor(target.reshape(len(rows), -1)))
     del pred, target
     return T.scale(T.sum_all(T.mul(diff, diff)), 1.0 / diff.size)
 

@@ -10,6 +10,14 @@ reduction.  Because ranks interact only through collectives and every
 reduction order is fixed, results and per-rank ledgers are identical under
 any scheduling order.
 
+AllReduce is in place, as NCCL's is: the sum is formed in member 0's
+array, in group order, and copied into each other member's array, and
+each member gets its own array back.  So a member passes an array of its
+own that it may overwrite, and two members' arrays that may share memory
+are a `ProtocolError`.  AllGather hands its concatenation to member 0 and
+a copy to each other member.  Every other result is a new array per
+member.
+
 Byte accounting follows ring algorithms, one rule per collective:
 AllGather and ReduceScatter move shard_bytes*(g-1) per rank
 (`ring_allgather_payload`), AllReduce moves 2*ceil(n/g)*itemsize*(g-1)
@@ -115,6 +123,7 @@ class ProcessGroup:
                                         {"axis": axis}, tag)
 
     def all_reduce(self, arr: np.ndarray, tag: str = "") -> np.ndarray:
+        """The group's sum, written into `arr`, which is returned."""
         return self._runtime.collective(self, "AllReduce", np.asarray(arr), {}, tag)
 
     def broadcast(self, arr: np.ndarray, root: int = 0, tag: str = "") -> np.ndarray:
@@ -219,8 +228,13 @@ class _Runtime:
                     raise ProtocolError(
                         f"AllGather shape mismatch on {axis_name} group: rank "
                         f"{members[0]} has {arrs[0].shape}, rank {r} has {a.shape}")
-            full = np.concatenate(arrs, axis=ax)
-            outs = {r: full.copy() for r in members}
+            shape = list(arrs[0].shape)
+            shape[ax] = sum(a.shape[ax] for a in arrs)
+            # in C order, as each copy is: a transposed shard's layout would
+            # change how the member's later products fold, and so their bits
+            full = np.concatenate(arrs, axis=ax, out=np.empty(shape, np.result_type(*arrs)))
+            outs = {r: full.copy() for r in members[1:]}
+            outs[members[0]] = full
             payloads = {r: ring_allgather_payload(a.nbytes, g)
                         for r, a in zip(members, arrs)}
         elif op == "ReduceScatter":
@@ -239,10 +253,18 @@ class _Runtime:
                         for i, r in enumerate(members)}
         elif op == "AllReduce":
             self._check_identical_shapes(op, axis_name, members, arrs)
-            total = arrs[0].copy()
+            for i, a in enumerate(arrs):
+                for j in range(i):
+                    if np.may_share_memory(a, arrs[j]):
+                        raise ProtocolError(
+                            f"AllReduce on {axis_name} group: ranks {members[j]} and "
+                            f"{members[i]} pass arrays that share memory")
+            total = arrs[0]
             for a in arrs[1:]:
                 total += a
-            outs = {r: total.copy() for r in members}
+            for a in arrs[1:]:
+                np.copyto(a, total)
+            outs = dict(zip(members, arrs))
             pay = ring_allreduce_payload(arrs[0].size, arrs[0].itemsize, g)
             payloads = {r: pay for r in members}
         elif op == "Broadcast":

@@ -232,7 +232,11 @@ def run_hybrid_step(pconfig: ParallelConfig, model: ModelConfig,
                 t = w[name]
                 if t.grad is None:
                     continue
-                t.grad = ctx.dp.all_reduce(t.grad, tag=f"dp-grad.{name}") * inv
+                # the AllReduce sums in place, and a stored gradient may be
+                # another's view, so it sums a copy
+                grad = ctx.dp.all_reduce(t.grad.copy(), tag=f"dp-grad.{name}")
+                grad *= inv
+                t.grad = grad
         return loss.item(), _extract_grads(w)
 
     spawned = spawn_ranks(pconfig, program, schedule_seed=schedule_seed)

@@ -9,17 +9,23 @@ Design points that later modules rely on:
   `Tensor`, unless a closure saved the array, as in PyTorch's autograd
   (Paszke et al., 2019);
 * every op output is a fresh `Tensor`; ops that are pure index
-  rearrangements (reshape/transpose/split) wrap numpy views, everything
-  else makes a new buffer.  `split`'s pieces share one node, whose
-  backward concatenates their gradients.  Every buffer is charged to the
-  allocation tracker once, by one rule (`tracking.AllocTracker.charge`):
-  an op output, and every buffer a fused op holds outside a `Tensor` (the
-  attention op's context, projection and logit blocks and log-sum-exp, the
-  pool's scores, values, pooled values, log-sum-exp and fold copy, the
-  MLP's hidden activation and Phi block, `layernorm`'s 1/sigma), from its
-  allocation until its memory is freed; a view of charged memory adds
-  nothing; a leaf's memory, which its caller owns, for as long as the
-  engine holds a view of it;
+  rearrangements (reshape/transpose/split) wrap numpy views, `add_` and
+  `sub_` write into their first operand's buffer, and everything else
+  makes a new buffer.  The in-place pair is for a first operand that is
+  an op output which no backward closure saved and no caller still names:
+  its old values are then read by nothing, so results and gradients are
+  the out-of-place op's.  PyTorch checks that condition with a version
+  counter at backward time; here a test does, over every step's graph.
+  `split`'s pieces share one node, whose backward concatenates their
+  gradients.  Every buffer is charged to the allocation tracker once, by
+  one rule (`tracking.AllocTracker.charge`): an op output, and every
+  buffer a fused op holds outside a `Tensor` (the attention op's context,
+  projection and logit blocks and log-sum-exp, the pool's scores, values,
+  pooled values, log-sum-exp and fold copy, the MLP's hidden activation
+  and Phi block, `layernorm`'s 1/sigma), from its allocation until its
+  memory is freed; a view of charged memory adds nothing; a leaf's
+  memory, which its caller owns, for as long as the engine holds a view
+  of it;
 * three fused ops take a layer's input and its weights, output projection
   included, and hold no intermediate of the layer for backward, which
   recomputes what the forward formed and freed, as selective
@@ -36,7 +42,8 @@ Design points that later modules rely on:
   the scores, the values and the pooled values live only while it runs.
   `mlp` is a block's gelu(x w1 + b1) w2.  It holds x and the three
   weights; the hidden activation and one block of Phi live only while it
-  runs.  None holds its output, which goes once the next op has read it;
+  runs.  None holds its output, which the next op reads or, as a sum's
+  first operand, takes over (`add_`);
 * FLOPs follow `tracking`'s rule: only `matmul`, `attention`,
   `attention_pool` and `mlp` count any, each once, in forward: a
   recompute in backward adds none, as model FLOPs count no recomputation;
@@ -244,14 +251,31 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     return Tensor(out, _parents=(a, b), _backward=back)
 
 
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    out = a.data - b.data
-    sa, sb = a.shape, b.shape
+def _into_first(a: Tensor, b: Tensor, ufunc, negate: bool) -> Tensor:
+    """ufunc(a, b) written into a's buffer; b broadcasts to a's shape."""
+    out = a.data
+    try:
+        ufunc(out, b.data, out=out)
+    except ValueError as exc:
+        raise ShapeError(f"{b.shape} does not broadcast into {a.shape}") from exc
+    sb = b.shape
 
     def back(g):
-        return _reduce_to(g, sa), _reduce_to(-g, sb)
+        return g, _reduce_to(-g if negate else g, sb)
 
     return Tensor(out, _parents=(a, b), _backward=back)
+
+
+def add_(a: Tensor, b: Tensor) -> Tensor:
+    """a + b, written into a's buffer: for an `a` that is an op output which
+    no backward closure saved and no caller still names, so the sum needs no
+    buffer of its own.  The values and gradients are `add`'s."""
+    return _into_first(a, b, np.add, False)
+
+
+def sub_(a: Tensor, b: Tensor) -> Tensor:
+    """a - b, written into a's buffer, on `add_`'s condition."""
+    return _into_first(a, b, np.subtract, True)
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:

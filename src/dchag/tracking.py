@@ -36,6 +36,7 @@ class AllocStats:
     peak_bytes: int = 0
     per_tag_live: dict = field(default_factory=dict)
     per_tag_peak: dict = field(default_factory=dict)
+    per_tag_at_peak: dict = field(default_factory=dict)  # per_tag_live when peak_bytes was reached
     per_tag_flops: dict = field(default_factory=dict)
 
     def tag_peak(self, tag: str) -> int:
@@ -76,6 +77,7 @@ class AllocTracker:
         self.peak_bytes = 0
         self.per_tag_live: dict[str, int] = {}
         self.per_tag_peak: dict[str, int] = {}
+        self.per_tag_at_peak: dict[str, int] = {}
         self.per_tag_flops: dict[str, int] = {}
         self._tag_stack = [DEFAULT_TAG]
         self._charges: dict[int, _Charge] = {}  # id of the owning array -> its charge
@@ -96,12 +98,13 @@ class AllocTracker:
         """Charge nbytes to the active tag; returns the tag for release pairing."""
         tag = self._tag_stack[-1]
         self.live_bytes += nbytes
-        if self.live_bytes > self.peak_bytes:
-            self.peak_bytes = self.live_bytes
         tl = self.per_tag_live.get(tag, 0) + nbytes
         self.per_tag_live[tag] = tl
         if tl > self.per_tag_peak.get(tag, 0):
             self.per_tag_peak[tag] = tl
+        if self.live_bytes > self.peak_bytes:
+            self.peak_bytes = self.live_bytes
+            self.per_tag_at_peak = dict(self.per_tag_live)
         return tag
 
     def release(self, nbytes: int, tag: str) -> None:
@@ -149,6 +152,7 @@ class AllocTracker:
             peak_bytes=self.peak_bytes,
             per_tag_live=dict(self.per_tag_live),
             per_tag_peak=dict(self.per_tag_peak),
+            per_tag_at_peak=dict(self.per_tag_at_peak),
             per_tag_flops=dict(self.per_tag_flops),
         )
 

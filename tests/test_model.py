@@ -46,10 +46,41 @@ def tiny_batch(model, seed=7, b=2):
 
 class TestExchanges:
     def test_no_group_returns_input(self, rng):
-        # the serial graph gains no op, allocation or tape node
+        # fanout adds no op, allocation or tape node to the serial graph, and
+        # allsum only the bias add, in its input's buffer
         x = Tensor(rng.normal((2, 3)), requires_grad=True)
         assert fanout(None, x, "t") is x
-        assert allsum(None, x, "t") is x
+        b = Tensor(rng.normal((3,)))
+        partial = T.scale(x, 1.0)
+        out = allsum(None, partial, b, "t")
+        assert out.data is partial.data
+        np.testing.assert_array_equal(out.data, x.data + b.data)
+
+    @pytest.mark.parametrize("tp", [2, 4])
+    def test_allsum_sums_and_adds_the_bias_in_the_partials_buffer(self, tp):
+        # each rank's output is its own partial's buffer, holding the sum in
+        # rank order and then the bias; x's gradient is the incoming one, and
+        # the bias's is it summed over the broadcast axes
+        gen = np.random.default_rng(5)
+        xs, g = gen.standard_normal((tp, 3, 2, 4)), gen.standard_normal((3, 2, 4))
+        bias = gen.standard_normal(4)
+        total = xs[0].copy()
+        for x in xs[1:]:
+            total += x
+
+        def program(ctx):
+            x, b = Tensor(xs[ctx.rank], requires_grad=True), Tensor(bias, requires_grad=True)
+            partial = T.scale(x, 1.0)
+            out = allsum(ctx.tp, partial, b, "t")
+            assert out.data is partial.data
+            values = out.data.copy()
+            T.backward(T.sum_all(T.mul(out, Tensor(g))))
+            return values, x.grad, b.grad
+
+        for values, dx, db in spawn_ranks(ParallelConfig(dchag_tp=tp), program).results:
+            np.testing.assert_array_equal(values, total + bias)
+            np.testing.assert_array_equal(dx, g)
+            np.testing.assert_array_equal(db, g.sum(axis=(0, 1)))
 
     @pytest.mark.parametrize("tp", [2, 4])
     def test_each_exchange_is_one_allreduce(self, tp):
@@ -60,7 +91,7 @@ class TestExchanges:
         def program(ctx):
             x = Tensor(np.ones(shape), requires_grad=True)
             T.backward(T.sum_all(fanout(ctx.tp, x, "f")))
-            allsum(ctx.tp, Tensor(np.ones(shape)), "a")
+            allsum(ctx.tp, Tensor(np.ones(shape)), Tensor(np.zeros(2 * tp)), "a")
 
         ledger = spawn_ranks(ParallelConfig(dchag_tp=tp), program).ledger
         pay = ring_allreduce_payload(3 * 2 * tp, 8, tp)
@@ -74,8 +105,10 @@ class TestExchanges:
            width=st.integers(1, 3), seed=st.integers(0, 2 ** 32 - 1))
     def test_fanout_and_allsum_are_conjugate(self, tp, lead, width, seed):
         # fanout: identity forward, sum of the ranks' gradients backward;
-        # allsum: sum forward, identity backward; so each one's backward is
-        # the other's forward, and <allsum(x), y> = <x, fanout'(y)> over ranks
+        # allsum (with a zero bias): sum forward, identity backward; so each
+        # one's backward is the other's forward, and <allsum(x), y> =
+        # <x, fanout'(y)> over ranks.  allsum sums into its input, so it is
+        # given op outputs, not the caller's arrays
         gen = np.random.default_rng(seed)
         shape = (*lead, tp * width)
         xs = gen.standard_normal((tp, *shape))
@@ -86,10 +119,10 @@ class TestExchanges:
             xf = Tensor(xs[r], requires_grad=True)
             out_f = fanout(ctx.tp, xf, "t")
             T.backward(T.sum_all(T.mul(out_f, Tensor(ys[r]))))
-            xa = Tensor(xs[r], requires_grad=True)
-            out_a = allsum(ctx.tp, xa, "t")
+            xa, zero = Tensor(xs[r], requires_grad=True), Tensor(np.zeros(tp * width))
+            out_a = allsum(ctx.tp, T.scale(xa, 1.0), zero, "t")
             T.backward(T.sum_all(T.mul(out_a, Tensor(ys[r]))))
-            sum_y = allsum(ctx.tp, Tensor(ys[r]), "t")
+            sum_y = allsum(ctx.tp, T.scale(Tensor(ys[r]), 1.0), zero, "t")
             return out_f.data, xf.grad, out_a.data, xa.grad, sum_y.data
 
         res = spawn_ranks(ParallelConfig(dchag_tp=tp), program).results

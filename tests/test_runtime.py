@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -56,7 +58,10 @@ class TestCollectives:
         res = spawn_ranks(ParallelConfig(), lambda ctx: getattr(ctx.tp, op)(x, tag="t"))
         (out,) = res.results
         np.testing.assert_array_equal(out, x)
-        assert not np.shares_memory(out, x)  # the rank owns its result
+        if op == "all_reduce":  # in place: the member's own array is the sum
+            assert out is x
+        else:
+            assert not np.shares_memory(out, x)  # the rank owns its result
         assert [e.payload_bytes_per_rank for e in res.ledger.events()] == [0]
 
     def test_all_gather_concatenates_and_accounts(self):
@@ -120,6 +125,62 @@ class TestCollectives:
         res = spawn_ranks(ParallelConfig(dchag_tp=4), program)
         for out in res.results:
             np.testing.assert_array_equal(out, 2.0)
+
+
+def traced_peak(run):
+    """run() and the most bytes tracemalloc saw allocated at once during it,
+    beyond what was allocated before."""
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        result = run()
+        return result, tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+
+
+class TestCollectiveMemory:
+    TP = 4
+    N = 2 ** 16  # elements of each member's array: 512 KiB
+
+    def test_all_reduce_sums_into_each_members_own_array(self):
+        # the sum is formed in member 0's array in group order and copied
+        # into the others', so the collective allocates no array of the
+        # payload's size (a copy per member and one for the sum before)
+        arrs = [np.random.default_rng(r).standard_normal(self.N) for r in range(self.TP)]
+        want = arrs[0].copy()
+        for a in arrs[1:]:
+            want += a
+        res, peak = traced_peak(lambda: spawn_ranks(
+            ParallelConfig(dchag_tp=self.TP), lambda ctx: ctx.tp.all_reduce(arrs[ctx.rank])))
+        assert peak < arrs[0].nbytes
+        for out, arr in zip(res.results, arrs):
+            assert out is arr
+            np.testing.assert_array_equal(out, want)
+
+    def test_all_gather_allocates_one_array_per_member(self):
+        # member 0 gets the concatenation and the others a copy each: g
+        # arrays of the gathered size, not g + 1; each in C order, and no
+        # two share memory
+        shards = [np.random.default_rng(r).standard_normal((2, self.N // self.TP))
+                  for r in range(self.TP)]
+        res, peak = traced_peak(lambda: spawn_ranks(
+            ParallelConfig(dchag_tp=self.TP), lambda ctx: ctx.tp.all_gather(
+                shards[ctx.rank].T, axis=0)))
+        full = np.concatenate([shard.T for shard in shards], axis=0)
+        assert self.TP * full.nbytes <= peak < (self.TP + 0.5) * full.nbytes
+        for i, out in enumerate(res.results):
+            np.testing.assert_array_equal(out, full)
+            assert out.flags.c_contiguous
+            assert not any(np.shares_memory(out, other) for other in res.results[:i])
+
+    def test_all_reduce_rejects_members_that_share_memory(self):
+        # a member's array is overwritten by the sum, so two members may not
+        # pass the same memory
+        buf = np.zeros((3, 3))
+        with pytest.raises(ProtocolError, match="ranks 0 and 1 pass arrays that share memory"):
+            spawn_ranks(ParallelConfig(dchag_tp=2),
+                        lambda ctx: ctx.tp.all_reduce(buf[ctx.rank:ctx.rank + 2]))
 
 
 class TestProtocol:

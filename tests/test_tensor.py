@@ -365,7 +365,17 @@ class TestAttention:
         # and within the rounding bound that the logits' conditioning sets
         # (see `_exact_attention`) everywhere, which at +-1000 is what
         # decides: there two float64 results may differ by a few 1e-12
+        #
+        # Two tokens and one head of width 1 is the exception: there a
+        # logit's gradient is p1*p2*(dP1 - dP2), formed as dP1 less the
+        # probability-weighted dP, and dq is ds1*(k1 - k2) and dk ds*q, so a
+        # saturated softmax, a query near 0 or two near-equal keys or values
+        # cancel the q and k gradients below the rounding of their terms, in
+        # every position at once; relative error then says nothing, and the
+        # rounding bound, which holds, is the check of those three
         *arrays, g, heads, large = operands
+        x, wq = arrays[:2]
+        cancelling = x.shape[-2] == 2 and wq.shape[1] == 1
         ts = _attention_tensors(*arrays)
         out = T.attention(*ts, heads)
         T.backward(T.sum_all(T.mul(out, Tensor(g))))
@@ -377,7 +387,7 @@ class TestAttention:
             value, bound = b
             assert got.shape == value.shape and np.isfinite(got).all(), name
             assert (abs(got - value) <= bound).all(), name
-            if not large:
+            if not large and not (cancelling and name in ("dwq", "dbq", "dwk")):
                 assert rel_err(got, value.astype(np.float64)) < 1e-12, name
 
     @settings(max_examples=100)
@@ -1193,6 +1203,32 @@ class TestRearrange:
             return T.sum_all(T.mul(y, Tensor(w)))
 
         check_grad(f, ts)
+
+
+class TestInPlace:
+    """`add_` and `sub_` write into their first operand's buffer, with the
+    values and gradients of the out-of-place sum and difference."""
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_the_first_operands_buffer_holds_the_result(self, rng, sign):
+        x = Tensor(rng.normal((2, 3, 4)), requires_grad=True)
+        b = Tensor(rng.normal((3, 1)), requires_grad=True)
+        g = rng.normal((2, 3, 4))
+        tr = AllocTracker()
+        with activate(tr):
+            a = T.scale(x, 1.0)
+            live = tr.live_bytes
+            out = (T.add_ if sign > 0 else T.sub_)(a, b)
+            assert out.data is a.data and tr.live_bytes == live
+            np.testing.assert_array_equal(out.data, x.data + sign * b.data)
+            T.backward(T.sum_all(T.mul(out, Tensor(g))))
+        np.testing.assert_array_equal(x.grad, g)
+        np.testing.assert_array_equal(b.grad, sign * g.sum(axis=0).sum(axis=1, keepdims=True))
+
+    def test_rejects_an_operand_that_does_not_broadcast_into_the_first(self):
+        for op in (T.add_, T.sub_):
+            with pytest.raises(ShapeError, match="broadcast"):
+                op(T.scale(Tensor(np.zeros((3, 1))), 1.0), Tensor(np.zeros((3, 4))))
 
 
 class TestBackward:

@@ -64,6 +64,28 @@ def test_peak_and_tag_accounting():
         del b
     assert tr.live_bytes == 0
     assert tr.peak_bytes == 384
+    # what each tag held when the peak was reached
+    assert tr.stats().per_tag_at_peak == {"tokenize": 128, "aggregate": 256}
+
+
+def test_the_tp_peak_holds_one_flat_layer_output():
+    # a many_channels-shaped desk (full_cross, D = 64, 8 heads) at tp 2: the
+    # flat layer's sum over tp and its bias add write into the attention
+    # op's partial output, so its partial and its sum are never both live,
+    # and the aggregate tag holds less than two B*S*C*D buffers at the peak,
+    # where before it held both beside the tokens
+    model = ModelConfig(channels=32, image_h=32, image_w=32, patch=4, embed=64, depth=1,
+                        heads=8, agg_variant="full_cross")
+    batch = make_batch(model, 7, 0, [0, 1])
+    strat = StrategyConfig(kind="tp_only", tp_degree=2)
+    res = run_hybrid_step(ParallelConfig(dchag_tp=2), model, strat,
+                          create_master(model, strat, RngState(3)), [batch])
+    stack = 8 * 2 * model.seq * model.channels * model.embed
+    for st in res.stats:
+        assert sum(st.per_tag_at_peak.values()) == st.peak_bytes
+        assert all(st.per_tag_at_peak[tag] <= st.tag_peak(tag) for tag in st.per_tag_at_peak)
+        assert st.per_tag_at_peak["tokenize"] >= stack  # the tokens, which the layer saves
+        assert st.per_tag_at_peak["aggregate"] < 2 * stack
 
 
 def test_release_follows_allocation_tag():
@@ -188,7 +210,8 @@ def test_only_matrix_products_count_flops():
     tr = AllocTracker()
     with activate(tr), alloc_tag("aggregate"):
         for op in (T.layernorm, T.sum_all, lambda t: T.add(t, t),
-                   lambda t: T.sub(t, t), lambda t: T.mul(t, t), lambda t: T.scale(t, 2.0)):
+                   lambda t: T.add_(T.scale(t, 1.0), t), lambda t: T.sub_(T.scale(t, 1.0), t),
+                   lambda t: T.mul(t, t), lambda t: T.scale(t, 2.0)):
             op(x)
             assert tr.per_tag_flops == {}, op
         wo = Tensor(np.ones((6, 3)))
@@ -273,6 +296,65 @@ def test_backward_closures_hold_only_charged_arrays(variant):
         for faults, checked in spawn_ranks(ParallelConfig(dchag_tp=2), program).results:
             assert faults == set(), (kind, layer_kind)
             assert SAVED_OUTSIDE_TENSORS <= checked
+
+
+def snapshot_saved_arrays(monkeypatch) -> list:
+    """From now on, each node made records (op, variable, array, copy) of
+    every array its backward closure captured, as the node is made."""
+    saved = []
+
+    class SnapshotNode(T.Node):
+        __slots__ = ()
+
+        def __init__(self, backward, parents):
+            super().__init__(backward, parents)
+            if backward is not None:
+                op = backward.__qualname__.split(".")[0]
+                saved.extend((op, var, held, held.copy()) for var, held in closure_cells(backward)
+                             if isinstance(held, np.ndarray))
+
+    monkeypatch.setattr(T, "Node", SnapshotNode)
+    return saved
+
+
+def overwritten(saved) -> set:
+    """(op, variable) of each saved array that no longer equals its copy."""
+    return {(op, var) for op, var, held, copy in saved if not np.array_equal(held, copy)}
+
+
+@pytest.mark.parametrize("variant", ["single_query", "full_cross"])
+def test_no_op_writes_into_an_array_a_backward_saved(monkeypatch, variant):
+    # the in-place rule: `add_`, `sub_`, the in-place AllReduce and the ops
+    # that fill their own buffers write only into buffers that no backward
+    # closure has captured; PyTorch's autograd checks this with a version
+    # counter, here every captured array is compared, after the forward,
+    # with a copy taken when its node was made
+    model = tracking_desk(agg_variant=variant)
+    batch = make_batch(model, 7, 0, [0, 1])
+    saved = snapshot_saved_arrays(monkeypatch)
+    for strat in (StrategyConfig(), StrategyConfig(kind="dchag", tp_degree=2, max_group=2)):
+        w = {name: Tensor(arr, requires_grad=True)
+             for name, arr in create_master(model, strat, RngState(3)).items()}
+        forward_loss_reference(w, model, strat, batch)
+        assert saved
+        assert overwritten(saved) == set(), strat.kind
+        saved.clear()
+
+    for kind, layer_kind in (("tp_only", "cross_attention"), ("dist_token", "cross_attention"),
+                             ("dchag", "cross_attention"), ("dchag", "linear")):
+        strat = StrategyConfig(kind=kind, tp_degree=2, max_group=2, agg_layer_kind=layer_kind)
+        master = create_master(model, strat, RngState(3))
+
+        def program(ctx):
+            w = {name: Tensor(arr, requires_grad=True)
+                 for name, arr in shard_for_rank(master, strat, ctx.coords[0]).items()}
+            parallel_forward_loss(w, model, strat, batch, ctx)
+            return overwritten(saved)
+
+        assert spawn_ranks(ParallelConfig(dchag_tp=2), program).results == [set(), set()], \
+            (kind, layer_kind)
+        assert saved
+        saved.clear()
 
 
 def test_no_closure_holds_a_hidden_activation():
