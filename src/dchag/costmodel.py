@@ -10,10 +10,11 @@ The contract, per rank and per step:
   takes as its first operand is that sum's buffer too (`tensor.add_`), so
   a chain of such sums holds one buffer.  Every other intermediate is a
   transient, live from its op until the next op has read it, as are the
-  fused attention op's context and its projections and logit blocks, one
-  block of positions at a time, the pool's scores, fold copy, values and
-  pooled values, and the MLP op's hidden activation and Phi block; a
-  transient counts in the component's peak at the point it is live.
+  fused attention op's projections, context and logits and the MLP op's
+  hidden activation and Phi, one block of positions at a time, the pool's
+  scores, fold copy, values and pooled values, and the loss's target, one
+  block of rows at a time; a transient counts in the component's peak at
+  the point it is live.
   Each layer's terms are written once, on the one function that returns
   its activation elements and FLOPs together.
 * FLOPs follow `tracking`'s rule and equal the tracker's per-tag count.
@@ -32,11 +33,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from . import model as dmodel
+from . import tensor
 from .config import ConfigError, HardwareModel, ModelConfig, ParallelConfig, StrategyConfig
 from .layers import N_DECODER_HEADS
 from .params import rank_parameter_sizes, rank_tree
 from .runtime import ring_allgather_payload, ring_allreduce_payload
-from .tensor import PHI_BLOCK, attention_block
+from .tensor import attention_block
 from .tracking import COMPONENT_TAGS
 
 
@@ -78,12 +81,15 @@ class CostReport:
 # buffer stays live while a backward closure saved it or the model code
 # still holds its tensor; the rest go as soon as the next op has read
 # them.  So kept is the layer's saved set plus the outputs the code still
-# holds, and high adds the transients: the fused attention op's context,
-# projection block and logit blocks, the pool's scores, fold copy, values
-# and pooled values, the MLP op's hidden activation and Phi block, and the
-# intermediates freed inside the layer.  A fused op that ends in an output
-# projection hands its output on to the sum over tp, its bias add and any
-# residual add, which all write into it: the caller counts it, once.
+# holds, and high adds the transients: the fused attention op's block of
+# projections, context and logits, the pool's scores, fold copy, values and
+# pooled values, the MLP op's block of hidden activation and its Phi block,
+# and the intermediates freed inside the layer.  A fused op's blocks are
+# whole positions, so only the block, never the whole layer's inner
+# activation, is live; the op's output is live beside the blocks once a
+# second block runs.  A fused op that ends in an output projection hands
+# its output on to the sum over tp, its bias add and any residual add,
+# which all write into it: the caller counts it, once.
 
 
 def _then(*parts):
@@ -111,16 +117,18 @@ def _attention(n, hl, t, dl, do, run):
     width Dl and out to Do, in runs of `run` positions (its input's last
     lead axis): it keeps its per-row log-sum-exp (n*Hl*T); its output
     (n*T*Do) the caller counts, and x, which it also saves, is its
-    caller's.  While it runs it holds the context (n*T*Dl) and the
-    log-sum-exp, first with one block of positions of
-    `tensor.attention_block`'s size, no longer than a run: the block's
-    projections [q | k | v] (3*T*Dl per position) and its logits and row
-    sums (T*T + T per head, for some of a position's heads if one
-    position's logits exceed a block); then with its output."""
-    lse = n * hl * t
+    caller's.  While it runs it holds the log-sum-exp and one block of
+    positions of `tensor.attention_block`'s size, no longer than a run:
+    the block's q, which becomes its context (T*Dl per position), its k
+    and v (2*T*Dl) and its logits and row sums (T*T + T per head, for some
+    of a position's heads if one position's logits exceed a block).  Over
+    several blocks the output is live throughout; one block, which holds
+    every position, is projected once its k, v and logits have gone."""
+    lse, out = n * hl * t, n * t * do
     rows, heads = attention_block(hl, t, t)
     blk = min(run, rows)
-    return lse, lse + n * t * dl + max(blk * (3 * t * dl + heads * (t * t + t)), n * t * do)
+    q, rest = blk * t * dl, blk * (2 * t * dl + heads * (t * t + t))
+    return lse, lse + q + (max(rest, out) if blk == n else rest + out)
 
 
 def _pool(n, hl, tk, dl, fold, do=None):
@@ -142,12 +150,21 @@ def _pool(n, hl, tk, dl, fold, do=None):
     return lse, max(n * tk * hl + max(fold, lse + n * tk * dl + pooled), lse + pooled + n * do)
 
 
-def _mlp(hidden, n):
-    """`tensor.mlp` with `hidden` hidden and n output elements, whose output
-    the caller counts: it stores nothing.  While it runs it holds
-    its hidden activation, first with one block of Phi (min(hidden,
-    PHI_BLOCK) elements), then with its output."""
-    return 0, hidden + max(min(hidden, PHI_BLOCK), n)
+def _mlp(lead, rows, dh, n):
+    """`tensor.mlp` over `lead` positions of `rows` rows each, all in one
+    run, at hidden width dh, with n output elements, which the caller
+    counts: it stores nothing.  While it runs it holds one block of
+    positions' hidden activation (`tensor.MLP_BLOCK`), first with one
+    block of Phi (at most PHI_BLOCK elements), then with its output, which
+    is made once the first block's GELU is done; from the second block on,
+    with the output and a block of Phi."""
+    per = rows * dh
+    blk = min(lead, max(1, tensor.MLP_BLOCK // per))
+
+    def phi(k):  # the largest Phi scratch of a block of k positions
+        return min(k * per, tensor.PHI_BLOCK)
+
+    return 0, blk * per + max(phi(blk), n + phi(min(blk, lead - blk)))
 
 
 def _agg_layer(b, s, ck, d, heads, variant, tp, fold=0):
@@ -158,10 +175,10 @@ def _agg_layer(b, s, ck, d, heads, variant, tp, fold=0):
     Activations: single_query pools the Ck tokens with its stored learned
     query (`_pool`), projecting the values (B*S*Ck*D/tp) and the output
     inside the pool; no key is formed.  full_cross runs the fused attention
-    op, Ck tokens against themselves, whose context (B*S*Ck*D/tp) is
-    transient, and so are its projections (3*Ck*D/tp per position) and
-    (H/tp)*Ck^2 logits per position, one block of positions at a time,
-    within one run of S.  Then the full-width output (the op's output, in
+    op, Ck tokens against themselves, whose projections (3*Ck*D/tp per
+    position, the context taking q's place) and (H/tp)*Ck^2 logits per
+    position are transient, one block of positions at a time, within one
+    run of S.  Then the full-width output (the op's output, in
     which the sum over tp and the bias add are formed), which tp does not
     divide; and full_cross's reduce, a single-head pool of the Ck
     full-width outputs, which are its values as they are.  The quadratic
@@ -236,27 +253,28 @@ def _block(b, t, d, heads, m, tp):
 
     Activations, in order: the first norm's 1/sigma (B*T) and output
     (B*T*D); the attention op, which reads the norm's output and keeps its
-    log-sum-exp, while its context (B*T*D/tp) is transient, and so are its
-    q/k/v projections (3*T*D/tp per sequence) and (H/tp)*T^2 logits per
-    sequence, one block of sequences at a time; the op's output (B*T*D),
+    log-sum-exp, while its q/k/v projections (3*T*D/tp per sequence, the
+    context taking q's place) and (H/tp)*T^2 logits per sequence are
+    transient, one block of sequences at a time; the op's output (B*T*D),
     in which the sum over tp, the bias and the residual add are formed, so
     that it becomes the mid residual; the second norm; the MLP op, which
     reads the norm's output and keeps nothing, while its hidden activation
-    (B*T*mD/tp) and one block of Phi are transient; its output, which
-    likewise becomes the block's output (B*T*D).  The mid residual and the
-    block's input, which no backward reads, then go.
+    (T*mD/tp per sequence) and one block of Phi are transient, one block
+    of sequences at a time; its output, which likewise becomes the block's
+    output (B*T*D).  The mid residual and the block's input, which no
+    backward reads, then go.
 
     FLOPs: the q/k/v/output projections, the two attention products and
     the MLP's two products, each divided over tp; the backward of the
     attention op and of the MLP op recomputes their projections, context
     and hidden activation, which adds no model FLOPs.
     """
-    n, hidden = b * t * d, b * t * m * d / tp
+    n = b * t * d
     acts = _then(_stored(b * t + n),
                  _attention(b, heads / tp, t, d / tp, d, b),
                  _stored(n),
                  _stored(b * t + n),
-                 _mlp(hidden, n),
+                 _mlp(b, t, m * d // tp, n),
                  _stored(n),
                  _freed(2 * n))
     flops = (4 * 2 * b * t * d * d + 2 * 2 * b * t * t * d + 2 * 2 * b * t * d * m * d) / tp
@@ -374,18 +392,19 @@ def estimate(model: ModelConfig, strategy: StrategyConfig,
     # writes, which the first block drops; blocks of N_DECODER_HEADS heads
     # over all S positions; the gather of the B*M masked rows (M =
     # `masked_count` per sample), after which the [B, S, Dd] rows it read
-    # go; then B*M*C*pp tensors: the prediction (a product, into which the
-    # bias is added), the target (the masked positions' patch rows) and
-    # their difference, formed in the prediction's buffer, after which the
-    # target goes, and the square and the scalar sum.
+    # go; then the prediction, B*M*C*pp (a product, into which the bias is
+    # added), in whose buffer the target (the masked positions' patch rows)
+    # is subtracted one block of whole rows (`model.LOSS_BLOCK`) at a time,
+    # each block going once subtracted; and two scalars, the sum of squares
+    # and the loss.
     # FLOPs: the projection, the blocks and the head over the masked rows.
     dd, rows = model.decoder_dim, b * model.masked_count
-    pixels = rows * c * pp
+    target = min(rows, max(1, dmodel.LOSS_BLOCK // (c * pp))) * c * pp
     block_acts, block_flops = _block(b, s, dd, N_DECODER_HEADS, m, 1)
     cost("decoder",
          _then(_stored(b * s * dd), *[block_acts] * model.decoder_depth,
                _stored(rows * dd), _freed(b * s * dd),
-               _stored(2 * pixels), _freed(pixels), _stored(pixels + 1)),
+               _stored(rows * c * pp), _stored(target), _freed(target), _stored(2)),
          2 * b * s * d * dd + model.decoder_depth * block_flops + 2 * rows * dd * c * pp)
 
     for cc in comps.values():

@@ -17,17 +17,18 @@ Three fused tape ops take a layer's input and its weights, so no
 projection, no attention context and no hidden activation is a tensor of
 the graph.  Self-attention, in the ViT and decoder blocks and full_cross's
 first stage, is `sdp_attention`, the engine's fused `attention` op: it
-forms q, k and v one block of positions at a time and ends in the output
-projection, so it keeps neither the projections nor the context, and
-backward recomputes them.  A learned query over a position's tokens,
-single_query's layer and full_cross's reduce, is `tensor.attention_pool`,
-which scores the tokens against the query as stored, the key projection
-absorbed into it (`params`), so it forms no key tensor; single_query's
-pool projects the values and its pooled output inside it, full_cross's
-pools the tokens themselves.  A block's MLP is `tensor.mlp`, which forms
-the hidden activation and its GELU inside it and recomputes them in
-backward.  Each op's output goes straight to `allsum`, so no name holds it
-and no closure saved it.  The sum over the group (in place, as NCCL's
+forms q, k, v and the context one block of positions at a time and
+projects each block into its output, so it keeps neither the projections
+nor the context, and backward recomputes them.  A learned query over a
+position's tokens, single_query's layer and full_cross's reduce, is
+`tensor.attention_pool`, which scores the tokens against the query as
+stored, the key projection absorbed into it (`params`), so it forms no key
+tensor; single_query's pool projects the values and its pooled output
+inside it, full_cross's pools the tokens themselves.  A block's MLP is
+`tensor.mlp`, which forms the hidden activation and its GELU inside it,
+one block of positions at a time, and recomputes them in backward.  Each
+op's output goes straight to `allsum`, so no name holds it and no closure
+saved it.  The sum over the group (in place, as NCCL's
 AllReduce is), the bias add and, in a transformer block, the residual
 add all write into that buffer (`tensor.add_`), so a layer's output is
 one buffer from the op to the residual.  `linear` likewise adds its bias

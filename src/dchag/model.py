@@ -44,7 +44,14 @@ from .params import rank_tree
 from .rng import RngState
 from .runtime import ProcessGroup
 from .tensor import Tensor
-from .tracking import alloc_tag
+from .tracking import alloc_tag, current_tracker
+
+
+# Target elements per block of the loss: a block is as many whole masked rows
+# as fit, at least one.  Few enough that the gather and the subtraction of a
+# block run in cache, and many enough that a step's loss is a handful of
+# numpy calls, not one per masked row.
+LOSS_BLOCK = 2 ** 14
 
 
 @dataclass
@@ -171,21 +178,32 @@ def masked_mse(pred: Tensor, images: np.ndarray, rows: np.ndarray,
     """Mean squared reconstruction error of the predictions `pred` [M,
     C*P*P] of the masked positions `rows` (`masked_rows`).
 
-    The target is those positions' patch rows, read from `images` [B, C,
-    H, W] through its view [B, C, Hp, P, Wp, P], so no other position's
-    pixels are copied.  The difference is formed in `pred`'s buffer, and
-    the target goes once it exists: `trunk_loss` passes `pred` straight
-    in, and CPython (3.11 on) hands a call's arguments to the callee's
-    frame.
+    The target, those positions' patch rows, is never whole: it is
+    gathered from `images` [B, C, H, W], through its view [B, C, Hp, P,
+    Wp, P], one block of `LOSS_BLOCK` elements of whole rows at a time,
+    and each block, charged while it lives, is subtracted in `pred`'s
+    buffer.  `trunk_loss` passes `pred` straight in, and CPython (3.11 on)
+    hands a call's arguments to the callee's frame, so no other name holds
+    it.  `tensor.sum_squares` then sums the difference's squares with no
+    square buffer, and saves the difference; the target is a constant, so
+    the difference's gradient, 2 g (pred - target), is `pred`'s.
     """
     b, c, h, w = images.shape
     p = model.patch
     bi, si = np.divmod(rows, model.seq)
     hi, wi = np.divmod(si, w // p)
-    target = images.reshape(b, c, h // p, p, w // p, p)[bi, :, hi, :, wi, :]  # [M, C, P, P]
-    diff = T.sub_(pred, Tensor(target.reshape(len(rows), -1)))
-    del pred, target
-    return T.scale(T.sum_all(T.mul(diff, diff)), 1.0 / diff.size)
+    patches = images.reshape(b, c, h // p, p, w // p, p)
+    diff = pred.data.reshape(len(rows), c, p, p)
+    step = max(1, LOSS_BLOCK // (c * p * p))
+    tracker = current_tracker()
+    for i in range(0, len(rows), step):
+        cut = slice(i, i + step)
+        target = patches[bi[cut], :, hi[cut], :, wi[cut], :]  # [rows, C, P, P]
+        if tracker is not None:
+            tracker.charge(target)
+        diff[cut] -= target
+        del target  # before the next block is gathered
+    return T.scale(T.sum_squares(pred), 1.0 / pred.size)
 
 
 def trunk_loss(w: dict, model: ModelConfig, batch: Batch, group: ProcessGroup | None,

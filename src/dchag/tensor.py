@@ -9,31 +9,32 @@ Design points that later modules rely on:
   `Tensor`, unless a closure saved the array, as in PyTorch's autograd
   (Paszke et al., 2019);
 * every op output is a fresh `Tensor`; ops that are pure index
-  rearrangements (reshape/transpose/split) wrap numpy views, `add_` and
-  `sub_` write into their first operand's buffer, and everything else
-  makes a new buffer.  The in-place pair is for a first operand that is
-  an op output which no backward closure saved and no caller still names:
+  rearrangements (reshape/transpose/split) wrap numpy views, `add_`
+  writes into its first operand's buffer, and everything else makes a
+  new buffer.  `add_` is for a first operand that is an op output which
+  no backward closure saved and no caller still names:
   its old values are then read by nothing, so results and gradients are
   the out-of-place op's.  PyTorch checks that condition with a version
   counter at backward time; here a test does, over every step's graph.
   `split`'s pieces share one node, whose backward concatenates their
   gradients.  Every buffer is charged to the allocation tracker once, by
   one rule (`tracking.AllocTracker.charge`): an op output, and every
-  buffer a fused op holds outside a `Tensor` (the attention op's context,
+  buffer a fused op holds outside a `Tensor` (the attention op's
   projection and logit blocks and log-sum-exp, the pool's scores, values,
-  pooled values, log-sum-exp and fold copy, the MLP's hidden activation
-  and Phi block, `layernorm`'s 1/sigma), from its allocation until its
-  memory is freed; a view of charged memory adds nothing; a leaf's
-  memory, which its caller owns, for as long as the engine holds a view
-  of it;
+  pooled values, log-sum-exp and fold copy, the MLP's hidden block and Phi
+  block, `layernorm`'s 1/sigma), from its allocation until its memory is
+  freed; a view of charged memory adds nothing; a leaf's memory, which its
+  caller owns, for as long as the engine holds a view of it;
 * three fused ops take a layer's input and its weights, output projection
   included, and hold no intermediate of the layer for backward, which
   recomputes what the forward formed and freed, as selective
-  recomputation does (Korthikanti et al., 2022).  `attention` is
-  self-attention: the ViT and decoder blocks and full_cross's first
-  aggregation stage.  It holds x, the four weights (and the query bias)
-  and the per-row log-sum-exp; one block of positions' q, k and v, the
-  logits and the context live only while it runs.  `attention_pool` is a
+  recomputation does (Korthikanti et al., 2022).  Their forwards hold one
+  block of the layer's inner activation at a time, never all of it.
+  `attention` is self-attention: the ViT and decoder blocks and
+  full_cross's first aggregation stage.  It holds x, the four weights (and
+  the query bias) and the per-row log-sum-exp; one block of positions' q,
+  k and v, the logits and the context, which takes q's place, live only
+  while it runs.  `attention_pool` is a
   learned query per head over a position's tokens, taken as stored:
   single_query's aggregation layer, which projects the values and the
   output, and full_cross's reduce, whose values are its input and whose
@@ -41,9 +42,9 @@ Design points that later modules rely on:
   output weights and the log-sum-exp;
   the scores, the values and the pooled values live only while it runs.
   `mlp` is a block's gelu(x w1 + b1) w2.  It holds x and the three
-  weights; the hidden activation and one block of Phi live only while it
-  runs.  None holds its output, which the next op reads or, as a sum's
-  first operand, takes over (`add_`);
+  weights; one block of positions' hidden activation and one block of Phi
+  live only while it runs.  None holds its output, which the next op
+  reads or, as a sum's first operand, takes over (`add_`);
 * FLOPs follow `tracking`'s rule: only `matmul`, `attention`,
   `attention_pool` and `mlp` count any, each once, in forward: a
   recompute in backward adds none, as model FLOPs count no recomputation;
@@ -51,9 +52,13 @@ Design points that later modules rely on:
   `ATTENTION_BLOCK` elements, a size chosen so that a block stays in cache:
   whole positions while one position's logits fit, at most the run of x's
   last lead axis, so that a block's rows of x are a view, else heads of
-  one position; each head is computed with the same numpy calls whatever
-  the block size, so results do not depend on it, and only the transient
-  (one block, not every position) does;
+  one position; the MLP op's forward walks blocks of whole positions whose
+  hidden activation fits `MLP_BLOCK` elements, likewise within a run.  A
+  block is never part of one position's matrix: numpy takes a stack of
+  matrices' products one matrix at a time, so each head and each position
+  is computed with the same numpy calls whatever the block size, and
+  results do not depend on it; only the transient (one block, not every
+  position) does;
 * GELU's Phi(x) is numpy alone (`normal_cdf`), after Cephes' ndtr.c.  For
   |x| <= sqrt2 it is one rational in x^2, erf's with the 1/2 and 1/sqrt2
   folded into its coefficients, evaluated in one pass over the flat array.
@@ -251,31 +256,22 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     return Tensor(out, _parents=(a, b), _backward=back)
 
 
-def _into_first(a: Tensor, b: Tensor, ufunc, negate: bool) -> Tensor:
-    """ufunc(a, b) written into a's buffer; b broadcasts to a's shape."""
+def add_(a: Tensor, b: Tensor) -> Tensor:
+    """a + b, written into a's buffer: for an `a` that is an op output which
+    no backward closure saved and no caller still names, so the sum needs no
+    buffer of its own; b broadcasts to a's shape.  The values and gradients
+    are `add`'s."""
     out = a.data
     try:
-        ufunc(out, b.data, out=out)
+        np.add(out, b.data, out=out)
     except ValueError as exc:
         raise ShapeError(f"{b.shape} does not broadcast into {a.shape}") from exc
     sb = b.shape
 
     def back(g):
-        return g, _reduce_to(-g if negate else g, sb)
+        return g, _reduce_to(g, sb)
 
     return Tensor(out, _parents=(a, b), _backward=back)
-
-
-def add_(a: Tensor, b: Tensor) -> Tensor:
-    """a + b, written into a's buffer: for an `a` that is an op output which
-    no backward closure saved and no caller still names, so the sum needs no
-    buffer of its own.  The values and gradients are `add`'s."""
-    return _into_first(a, b, np.add, False)
-
-
-def sub_(a: Tensor, b: Tensor) -> Tensor:
-    """a - b, written into a's buffer, on `add_`'s condition."""
-    return _into_first(a, b, np.subtract, True)
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
@@ -400,29 +396,34 @@ def attention(x: Tensor, wq: Tensor, bq: Tensor | None, wk: Tensor, wv: Tensor, 
     within x's last lead axis, so that the block's rows of x are a view of
     x wherever it lies; a block whose logits exceed `ATTENTION_BLOCK` walks
     its position's heads in groups.  Each block's q, k and v are x's rows'
-    products with the three weights, written into the three planes of one
-    block-sized [3, rows, T, Dl] buffer, in which q takes its bias and its
-    scale; no concatenation of the weights is made, which at paper scale
-    (D large, few tokens per rank) would outweigh the buffer.  One more
-    block-sized buffer each holds the logits and the row sums (and, in
-    backward, the logit gradient), so a block's elementwise passes run in
-    cache.  Each head's matrices go through the same numpy calls as an
-    unblocked pass would make, so the result does not depend on the block
-    size.
+    products with the three weights, written into block-sized buffers, q
+    into a [rows, T, Dl] one, in which it takes its bias and its scale, and
+    k and v into the planes of a [2, rows, T, Dl] one; no concatenation of
+    the weights is made, which at paper scale (D large, few tokens per rank)
+    would outweigh the buffers.  One more block-sized buffer each holds the
+    logits and the row sums (and, in backward, the logit gradient), so a
+    block's elementwise passes run in cache.  Each head's matrices go
+    through the same numpy calls as an unblocked pass would make, and a
+    stack of positions' matrices is one product per position, so the
+    result does not depend on the block size.
 
-    The forward writes the context, then takes the output as one product
-    with wo and drops the context.  Only the output and the per-row
-    log-sum-exp outlive it, beside x and the weights, which the op saves:
-    backward recomputes each block's projections and its context, as
-    selective recomputation does (Korthikanti et al., 2022), and the
-    probabilities from the log-sum-exp, as FlashAttention does (Dao et al.,
-    2022).  The forward charges every buffer it allocates from its
-    allocation until it is freed: the log-sum-exp and the output, and the
-    context and the block buffers, which go when it returns.  Backward
-    takes the context's gradient as one product with wo^T, writes dq, dk
-    and dv whole into the planes of one [3, ..., T, Dl] buffer, so the
-    weight gradients fold as one product each, takes wo's gradient from the
-    recomputed context and drops it before it forms dx.
+    The forward writes each head group's context over its q, which its
+    logits have read, so a block's q buffer becomes the block's context,
+    and projects that by wo into the block's rows of the output once the
+    block's last head group is done; no context of every position is
+    formed, as in FlashAttention (Dao et al., 2022).  When one block holds
+    every position, it is projected once the k, v and logit buffers have
+    gone.  Only the output and the per-row log-sum-exp outlive the forward,
+    beside x and the weights, which the op saves: backward recomputes each
+    block's projections and its context, as selective recomputation does
+    (Korthikanti et al., 2022), and the probabilities from the log-sum-exp,
+    as FlashAttention does.  The forward charges every buffer it allocates
+    from its allocation until it is freed: the log-sum-exp and the output,
+    and the block buffers, which go when it returns.  Backward takes the
+    context's gradient as one product with wo^T, writes dq, dk and dv whole
+    into the planes of one [3, ..., T, Dl] buffer, so the weight gradients
+    fold as one product each, takes wo's gradient from the recomputed
+    context and drops it before it forms dx.
     """
     weights = (wq, wk, wv)
     if (x.ndim < 2 or any(w.ndim != 2 or w.shape != wq.shape for w in weights)
@@ -445,21 +446,21 @@ def attention(x: Tensor, wq: Tensor, bq: Tensor | None, wk: Tensor, wv: Tensor, 
     scale = 1.0 / np.sqrt(dl // h)
     bd = None if bq is None else bq.data
 
-    def blocks(qkv):
+    def blocks(q, kv):
         """(positions, heads, their q, k and v) of each block in order: the
-        block's rows of x, a view, projected into the planes of `qkv` [3,
-        blk, T, Dl], q biased and scaled."""
+        block's rows of x, a view, projected into `q` [blk, T, Dl], biased
+        and scaled, and into the planes of `kv` [2, blk, T, Dl]."""
         for i, index in enumerate(np.ndindex(*outer)):
             xo = xr[index]
             for j in range(0, run, blk):
                 xs = xo[j:j + blk]
-                planes = qkv[:, :len(xs)]
+                planes = (q[:len(xs)], *kv[:, :len(xs)])
                 for plane, w in zip(planes, wd):
                     np.matmul(xs, w, out=plane)
-                q = planes[0]
+                qb = planes[0]
                 if bd is not None:
-                    q += bd
-                q *= scale
+                    qb += bd
+                qb *= scale
                 sl = slice(i * run + j, i * run + j + len(xs))
                 for k in range(0, h, hb):
                     hs = slice(k, k + hb)
@@ -469,13 +470,15 @@ def attention(x: Tensor, wq: Tensor, bq: Tensor | None, wk: Tensor, wv: Tensor, 
         """A block's logits into `p`, cut to the block's size."""
         return np.matmul(qh, kh.swapaxes(-1, -2), out=p[:len(kh), :kh.shape[1]])
 
-    def fill():
-        """The forward's context [n, T, Dl] and log-sum-exp.  The block
-        buffers go on return."""
-        ctxf, lse = _charged(np.empty((n, t, dl))), _charged(np.empty((n, h, t)))
-        qkv = _charged(np.empty((3, blk, t, dl)))
+    def fill(q, out):
+        """The log-sum-exp into `lse` and each block's context into `q`,
+        over the q its logits have read; unless `out` is None, each block's
+        context projected by wo into its rows of `out` [n, T, Do] once the
+        block's last head group is done.  The k, v and logit buffers go on
+        return."""
+        kv = _charged(np.empty((2, blk, t, dl)))
         p, rowsum = _charged(np.empty((blk, hb, t, t))), _charged(np.empty((blk, hb, t)))
-        for sl, hs, qh, kh, vh in blocks(qkv):
+        for sl, hs, qh, kh, vh in blocks(q, kv):
             pb = logits(qh, kh, p)
             lb, rb = lse[sl, hs], rowsum[:len(pb), :pb.shape[1]]
             pb.max(axis=-1, out=lb)
@@ -484,12 +487,19 @@ def attention(x: Tensor, wq: Tensor, bq: Tensor | None, wk: Tensor, wv: Tensor, 
             pb.sum(axis=-1, out=rb)
             pb /= rb[..., None]
             lb += np.log(rb, out=rb)
-            np.matmul(pb, vh, out=_heads(ctxf[sl], h, hs))
-        return ctxf, lse
+            np.matmul(pb, vh, out=qh)
+            if out is not None and hs.stop >= h:
+                np.matmul(q[:len(pb)], wod, out=out[sl])
 
-    ctxf, lse = fill()
-    out = _charged(np.matmul(ctxf.reshape(*lead, t, dl), wod))
-    del ctxf
+    lse, q = _charged(np.empty((n, h, t))), _charged(np.empty((blk, t, dl)))
+    if blk < n:
+        out = _charged(np.empty((n, t, do)))
+        fill(q, out)
+    else:  # one block, projected once its k, v and logit buffers have gone
+        fill(q, None)
+        out = _charged(np.matmul(q, wod))
+    del q
+    out = out.reshape(*lead, t, do)
     _flops(2 * n * t * d * 3 * dl + 4 * n * t * t * dl + 2 * n * t * dl * do)
 
     def projection_grads(gf):
@@ -498,10 +508,10 @@ def attention(x: Tensor, wq: Tensor, bq: Tensor | None, wk: Tensor, wv: Tensor, 
         ctxf = np.empty((n, t, dl))
         dqkv = np.empty((3, n, t, dl))
         dq, dk, dv = dqkv
-        qkv = np.empty((3, blk, t, dl))
+        q, kv = np.empty((blk, t, dl)), np.empty((2, blk, t, dl))
         p, ds = np.empty((blk, hb, t, t)), np.empty((blk, hb, t, t))
         dot = np.empty((blk, t, hb)).swapaxes(-1, -2)  # the layout einsum fills fastest
-        for sl, hs, qh, kh, vh in blocks(qkv):
+        for sl, hs, qh, kh, vh in blocks(q, kv):
             pb = logits(qh, kh, p)
             pb -= lse[sl, hs, :, None]
             np.exp(pb, out=pb)
@@ -705,6 +715,14 @@ _VELTKAMP = 2.0 ** 27 + 1.0  # splits a double into two halves of 26 bits
 # 1.4x slower (out of cache).
 PHI_BLOCK = 2 ** 15
 
+# Hidden elements per block of the MLP op's forward.  A block is as many whole
+# positions of x's lead axes as fit, at least one: a position's matrix of rows
+# is never cut, since a product over part of a matrix's rows need not give the
+# whole product's bits, while a stack of matrices is one product each.  Equal
+# to PHI_BLOCK, so that a block of several positions is one Phi call and its
+# hidden activation stays in L2 from its first product to its second.
+MLP_BLOCK = 2 ** 15
+
 
 def _horner(x: np.ndarray, coefs: tuple) -> np.ndarray:
     """The polynomial with `coefs`, highest power first, at `x`: Horner's
@@ -800,34 +818,59 @@ def mlp(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor) -> Tensor:
     """gelu(x w1 + b1) w2, with exact GELU (a Phi(a)), as one tape node.
 
     x is [..., D], w1 [D, Dh], b1 [Dh] and w2 [Dh, Do]; returns [..., Do].
-    The hidden activation a = x w1 + b1 is one buffer, which GELU overwrites
-    one `PHI_BLOCK` at a time, each block's Phi a block-sized scratch that
-    goes once read; the output's product reads a, and it goes on return.
-    The op saves x, w1, b1 and w2, and no hidden-sized buffer: backward
-    recomputes a, as selective recomputation does (Korthikanti et al.,
-    2022), and per block writes gelu(a) into one buffer and turns a into
-    GELU's derivative Phi(a) + a pdf(a).  Every value comes from the numpy
-    calls of the chain matmul, bias add, GELU and matmul, so the output and
-    the gradients are that chain's to the bit.  The forward charges a, the
-    Phi block and the output while each lives.
+    The forward walks blocks of whole positions of x's lead axes
+    (`MLP_BLOCK`), each within the last lead axis, so that its rows of x are
+    a view: the block's hidden activation a = x w1 + b1 is formed in one
+    block-sized buffer, which GELU overwrites one `PHI_BLOCK` at a time,
+    each Phi a scratch that goes once read, and its product with w2 fills
+    the block's rows of the output, which is made once the first block's
+    GELU is done; the buffer goes on return.  The op saves x, w1, b1 and
+    w2, and no hidden-sized buffer: backward recomputes a whole, as
+    selective recomputation does (Korthikanti et al., 2022), and per
+    `PHI_BLOCK` writes gelu(a) into one buffer and turns a into GELU's
+    derivative Phi(a) + a pdf(a).  Every value comes from the numpy calls of
+    the chain matmul, bias add, GELU and matmul, and a stack of positions'
+    matrices is one product per position, so the output and the gradients
+    are that chain's to the bit, whatever the block size.  The forward
+    charges the hidden block, the Phi scratch and the output while each
+    lives.
     """
     if (x.ndim < 2 or w1.ndim != 2 or w2.ndim != 2 or w1.shape[0] != x.shape[-1]
             or b1.shape != w1.shape[1:] or w2.shape[0] != w1.shape[1]):
         raise ShapeError(f"mlp needs x [..., D], w1 [D, Dh], b1 [Dh] and w2 [Dh, Do], got "
                          f"{x.shape}, {w1.shape}, {b1.shape}, {w2.shape}")
     xd, w1d, b1d, w2d = x.data, w1.data, b1.data, w2.data
+    *lead, r, d = xd.shape
+    dh, do = w2d.shape
+    xr = xd if lead else xd[None]  # one lead axis at least; a view
+    outer, run = xr.shape[:-3], xr.shape[-3]
+    blk = min(run, max(1, MLP_BLOCK // (r * dh)))
+
+    def forward():
+        """The output, [*outer, run, R, Do], one block at a time."""
+        a = _charged(np.empty((blk, r, dh)))
+        out = None
+        for index in np.ndindex(*outer):
+            xo = xr[index]
+            for j in range(0, run, blk):
+                xs = xo[j:j + blk]
+                ab = a[:len(xs)]
+                np.matmul(xs, w1d, out=ab)
+                ab += b1d
+                _gelu_in_place(ab)
+                if out is None:
+                    out = _charged(np.empty((*outer, run, r, do)))
+                np.matmul(ab, w2d, out=out[index][j:j + len(xs)])
+        return out
+
+    out = forward().reshape(*lead, r, do)
+    _flops(2 * math.prod(lead) * r * dh * (d + do))
 
     def hidden():
         """a = x w1 + b1, the pre-activation, in a new buffer."""
         a = np.matmul(xd, w1d)
         a += b1d
         return a
-
-    a = _charged(hidden())
-    _gelu_in_place(a)
-    out = _charged(np.matmul(a, w2d))
-    _flops(2 * a.size * (xd.shape[-1] + w2d.shape[1]))
-    del a
 
     def back(g):
         a = hidden()
@@ -1000,6 +1043,19 @@ def sum_all(x: Tensor) -> Tensor:
 
     def back(g):
         return (np.broadcast_to(g, shape),)
+
+    return Tensor(out, _parents=(x,), _backward=back)
+
+
+def sum_squares(x: Tensor) -> Tensor:
+    """The sum of x's squared elements, as one dot product of x with itself,
+    so no square is formed.  It saves x; backward is 2 g x."""
+    xd = x.data
+    flat = xd.reshape(-1)
+    out = np.dot(flat, flat)
+
+    def back(g):
+        return (xd * (2.0 * g),)
 
     return Tensor(out, _parents=(x,), _backward=back)
 

@@ -1,11 +1,14 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dchag import model as dmodel
 from dchag import tensor as T
+from dchag.costmodel import estimate
 from dchag.config import (ConfigError, ModelConfig, ParallelConfig, StrategyConfig,
                           build_tree_spec)
 from dchag.layers import allsum, cross_attention_aggregate, fanout, transformer_block
@@ -314,11 +317,12 @@ class TestFlatAggregate:
         # attention op, single_query C scores per head in the pool.  Either
         # op is the aggregation's first; right after it, the aggregate peak
         # exceeds the live bytes by exactly its transient.  full_cross's is
-        # its context, with one block's q/k/v projections, logits and row
-        # sums and then with its output, which stays live and is as large
-        # as the context.  single_query's is its scores and values, which
-        # outlive the row sums and, its input folding as a view, meet no
-        # copy of it; the pooled values and the output it forms from them
+        # one block's q (which becomes the block's context), k, v, logits
+        # and row sums, live beside its output, which stays live: at batch 2
+        # the op runs at least one block per sample, so no context of every
+        # position is formed.  single_query's is its scores and values,
+        # which outlive the row sums and, its input folding as a view, meet
+        # no copy of it; the pooled values and the output it forms from them
         # are fewer.
         after = []
 
@@ -350,7 +354,7 @@ class TestFlatAggregate:
             return 8 * rows * h * (c * c + c)
 
         def full_cross(rows, c):
-            return max(8 * 3 * rows * c * d + block(rows, c), 8 * positions * c * d)
+            return 8 * 3 * rows * c * d + block(rows, c)
 
         # one block holds a run of S positions, the most a block holds, and
         # its logits grow with C^2; the projections, scores and values grow
@@ -367,6 +371,11 @@ class TestFlatAggregate:
         monkeypatch.setattr(T, "ATTENTION_BLOCK", 2 * h * 16 * 16)
         assert transient("full_cross", 16) == full_cross(2, 16) > 8 * positions * 16 * d
         assert transient("full_cross", 8) == full_cross(4, 8) > 8 * positions * 8 * d
+        # one position per block at 8 channels: the block is less than the
+        # output, which an op holding every position's context held beside
+        # that context, as its transient
+        monkeypatch.setattr(T, "ATTENTION_BLOCK", h * 8 * 8)
+        assert transient("full_cross", 8) == full_cross(1, 8) < 8 * positions * 8 * d
 
     def test_channel_permutation_equivariance(self, rng):
         model = tiny_model(channels=5, embed=8, heads=2)
@@ -772,6 +781,56 @@ class TestMae:
         assert rel_err(loss.item(), (err ** 2).sum() / n) < 1e-12
         assert rel_err(w["dec.head.w"].grad, np.einsum("bsd,bsk->dk", z, dpred)) < 1e-12
         assert rel_err(w["dec.head.b"].grad, dpred.sum(axis=(0, 1))) < 1e-12
+
+    def test_block_size_changes_no_bit_and_no_estimate(self, rng, monkeypatch):
+        # one masked row per block; blocks of three of the eight rows, the
+        # last ragged; and one block of every row.  The loss and the
+        # prediction's gradient are the same to the bit, and the decoder's
+        # estimate is its allocator peak at each block size: the prediction
+        # and one block of the target, which grows with the block
+        model = tiny_model(channels=12)
+        batch = tiny_batch(model, b=4)
+        rows = masked_rows(batch.mask)
+        width = model.channels * model.patch_pixels
+        pred = rng.normal((len(rows), width))
+        master = create_master(model, StrategyConfig(), RngState(4))
+        results, peaks = [], []
+        for block in (1, 3 * width, 2 ** 40):
+            monkeypatch.setattr(dmodel, "LOSS_BLOCK", block)
+            leaf = Tensor(pred, requires_grad=True)
+            loss = masked_mse(T.scale(leaf, 1.0), batch.images, rows, model)
+            T.backward(loss)
+            results.append((loss.data, leaf.grad))
+            peak = run_serial_step(model, master, batch).stats[0].tag_peak("decoder")
+            assert peak == estimate(model, StrategyConfig(), precision_bytes=8,
+                                    batch=4).activation("decoder"), block
+            peaks.append(peak)
+        for name, *arrays in zip(("loss", "dpred"), *results):
+            assert all(np.array_equal(a, arrays[0]) for a in arrays[1:]), name
+        assert peaks[1] - peaks[0] == 8 * 2 * width and peaks[2] - peaks[1] == 8 * 5 * width
+
+    def test_holds_one_block_of_the_target(self, rng):
+        # tracemalloc's peak over the loss is the tracker's, one charged
+        # block of 16 of the 64 masked rows, to within the mask's index
+        # arrays and Python objects: no block is gathered while the one
+        # before it lives, and the target is never whole
+        model = tiny_model(channels=64, image_h=32, image_w=32)
+        batch = tiny_batch(model)
+        rows = masked_rows(batch.mask)
+        width = model.channels * model.patch_pixels
+        assert len(rows) == 4 * dmodel.LOSS_BLOCK // width
+        pred = T.scale(Tensor(rng.normal((len(rows), width)), requires_grad=True), 1.0)
+        tracker = AllocTracker()
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            with activate(tracker):
+                masked_mse(pred, batch.images, rows, model)
+            traced = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert tracker.peak_bytes == 8 * dmodel.LOSS_BLOCK
+        assert 0 <= traced - tracker.peak_bytes <= 2 ** 14
 
     def test_no_buffer_of_every_position_pixels(self, rng):
         # the head and the loss see only the masked rows: no array that the

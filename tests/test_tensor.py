@@ -543,9 +543,12 @@ class TestAttentionMemory:
         # one block of both positions; blocks of 2, 2 and 1 of 5 positions;
         # blocks of one head of one position; and blocks of 4 of 2 x 3
         # positions, which stop at each run of 3.  While the op runs it holds
-        # the context and the log-sum-exp, with one block's projections,
-        # logits and row sums and then with the output; after the forward it
-        # holds its output and log-sum-exp, and no projection or context.
+        # the log-sum-exp and one block's q, which becomes the block's
+        # context, k and v, logits and row sums: over several blocks with the
+        # output throughout, and one block's context then alone with the
+        # output.  No context of every position is formed.  After the
+        # forward it holds its output and log-sum-exp, and no projection or
+        # context.
         t, d, dl, do, heads = 6, 5, 4, 3, 2
         for lead, block_size, blk, hb in (((2,), None, 2, heads),
                                           ((5,), 2 * heads * t * t, 2, heads),
@@ -564,14 +567,17 @@ class TestAttentionMemory:
                 after = tracker.stats()
                 lse = 8 * n * heads * t
                 kept = out.data.nbytes + lse
-                ctx = 8 * n * t * dl
-                qkv = 8 * 3 * blk * t * dl
+                q, kv = 8 * blk * t * dl, 8 * 2 * blk * t * dl
                 block = 8 * blk * hb * (t * t + t)  # logits and row sums
                 assert out.data.nbytes == 8 * n * t * do
                 assert before.peak_bytes == before.live_bytes
                 assert after.live_bytes - before.live_bytes == kept
-                assert (after.peak_bytes - before.live_bytes
-                        == lse + ctx + max(qkv + block, out.data.nbytes))
+                held = (max(kv + block, out.data.nbytes) if blk == n
+                        else kv + block + out.data.nbytes)
+                assert after.peak_bytes - before.live_bytes == lse + q + held
+                # below the whole context beside one block, then the output
+                ctx = 8 * n * t * dl
+                assert lse + q + held < lse + ctx + max(q + kv + block, out.data.nbytes)
                 inputs = {id(_owner(a.data)) for a in ts}
                 saved = {id(o): o.nbytes for o in map(_owner, reachable_arrays(out))
                          if id(o) not in inputs}
@@ -584,8 +590,11 @@ class TestAttentionMemory:
 
     def test_a_transposed_input_is_read_in_place(self, rng):
         # a token slab's transposed view charges what a contiguous x does:
-        # each block's product reads its rows where they lie
-        t, d, dl, do, heads = 3, 4, 4, 4, 2
+        # each block's product reads its rows where they lie.  Two blocks,
+        # one per run of 3, and an output narrower than the context: the op
+        # holds the output and one block, 288 bytes below the whole context
+        # beside one block's buffers
+        t, d, dl, do, heads = 3, 4, 4, 2, 2
         charges = []
         for view in (False, True):
             tracker = AllocTracker()
@@ -597,6 +606,8 @@ class TestAttentionMemory:
                 T.attention(x, *weights, heads)
                 charges.append(tracker.stats().peak_bytes - before.live_bytes)
         assert charges[0] == charges[1] == 8 * costmodel._attention(6, heads, t, dl, do, 3)[1]
+        lse, ctx, out, block = 6 * heads * t, 6 * t * dl, 6 * t * do, 3 * (3 * t * dl + heads * 12)
+        assert charges[0] == 8 * (lse + out + block) == 8 * (lse + ctx + block) - 288
 
     def test_backward_holds_at_most_two_logit_buffers(self, rng):
         # a long_sequence vit block's attention on one rank: [B, T, D] = [4, 257, 64];
@@ -912,6 +923,39 @@ class TestMlp:
         for name, a, b in zip(("out", "dx", "dw1", "db1", "dw2"), *results):
             np.testing.assert_array_equal(a, b, err_msg=name)
 
+    @pytest.mark.parametrize("transposed", [False, True])
+    @pytest.mark.parametrize("lead, rows", [((3,), 5), ((5,), 40), ((2, 3), 4)])
+    def test_block_size_changes_no_bit_and_no_estimate(self, rng, monkeypatch, transposed,
+                                                        lead, rows):
+        # one position per block; blocks of two positions, ragged at the end
+        # of a run of 3 or 5 and never crossing a lead axis; and one block of
+        # every position.  A transposed x is the view a token slab arrives
+        # as.  With one lead axis the estimate is the allocator's peak.
+        d, hidden = 4, 6
+        shape = (*lead[:-1], rows, lead[-1], d) if transposed else (*lead, rows, d)
+        x = rng.normal(shape, 2.0)
+        if transposed:
+            x = x.swapaxes(-3, -2)
+        ts = _mlp_operands(rng, x, hidden, 5)
+        g = rng.normal((*lead, rows, 5))
+        results = []
+        for block in (1, 2 * rows * hidden, 2 ** 40):
+            monkeypatch.setattr(T, "MLP_BLOCK", block)
+            for t in ts:
+                t.grad = None
+            tracker = AllocTracker()
+            with activate(tracker):
+                before = tracker.stats()
+                out = T.mlp(*ts)
+                after = tracker.stats()
+            if len(lead) == 1:
+                high = costmodel._mlp(lead[0], rows, hidden, out.size)[1]
+                assert after.peak_bytes - before.live_bytes == 8 * high, block
+            T.backward(T.sum_all(T.mul(out, Tensor(g))))
+            results.append((out.data, *(t.grad for t in ts)))
+        for name, *arrays in zip(("out", "dx", "dw1", "db1", "dw2"), *results):
+            assert all(np.array_equal(a, arrays[0]) for a in arrays[1:]), name
+
     @pytest.mark.parametrize("scale", [0.5, 3.0])
     def test_grad(self, rng, scale):
         # at scale 3 most pre-activations lie in Phi's tail, on both sides
@@ -958,27 +1002,39 @@ class TestMlp:
         np.testing.assert_array_equal(dx, t)  # NaN where t is NaN
 
     @pytest.mark.parametrize("rows, hidden", [(6, 4), (12, 2), (40, T.PHI_BLOCK // 20 + 3)])
-    def test_charges_match_costmodel(self, rng, rows, hidden):
-        # the op keeps its output alone; while it ran it held the hidden
-        # activation with one block of Phi, then with the output.  An output
+    def test_charges_match_costmodel(self, rng, monkeypatch, rows, hidden):
+        # x is two positions of rows/2 rows, in one block at the default
+        # block size but in the last case, past one PHI_BLOCK, and then one
+        # position per block.  The op keeps its output alone; while it ran
+        # it held one block's hidden activation, with one block of Phi, then
+        # with the output and, in the second block, with both.  An output
         # width of 3 against a hidden width of 4 or 2 makes the Phi block or
-        # the output the larger; the last case is past one PHI_BLOCK.
-        tracker = AllocTracker()
-        with activate(tracker):
-            x, w1, b1, w2 = _mlp_operands(rng, rng.normal((2, rows // 2, 3)), hidden, 3)
-            before = tracker.stats()
-            out = T.mlp(x, w1, b1, w2)
-            after = tracker.stats()
-        kept, high = costmodel._mlp(rows * hidden, out.size)
-        assert kept == 0  # the output is the first link of the block's chain, which counts it
-        assert before.peak_bytes == before.live_bytes
-        assert after.live_bytes - before.live_bytes == out.data.nbytes
-        assert after.peak_bytes - before.live_bytes == 8 * high
-        # backward reads x and the weights alone: no other array is saved
-        inputs = {id(_owner(t.data)) for t in (x, w1, b1, w2)}
-        assert {id(_owner(a)) for a in reachable_arrays(out) if a is not out.data} <= inputs
-        del out
-        assert tracker.live_bytes == before.live_bytes
+        # the output the larger.
+        per, n = rows // 2 * hidden, rows * 3
+        whole = 2 * per + max(min(2 * per, T.PHI_BLOCK), n)  # every position's at once
+        for block in (T.MLP_BLOCK, 1):
+            monkeypatch.setattr(T, "MLP_BLOCK", block)
+            tracker = AllocTracker()
+            with activate(tracker):
+                x, w1, b1, w2 = _mlp_operands(rng, rng.normal((2, rows // 2, 3)), hidden, 3)
+                before = tracker.stats()
+                out = T.mlp(x, w1, b1, w2)
+                after = tracker.stats()
+            kept, high = costmodel._mlp(2, rows // 2, hidden, out.size)
+            assert kept == 0  # the output is the first link of the block's chain, which counts it
+            assert before.peak_bytes == before.live_bytes
+            assert after.live_bytes - before.live_bytes == out.data.nbytes
+            assert after.peak_bytes - before.live_bytes == 8 * high
+            if block >= 2 * per:
+                assert high == whole
+            else:
+                assert high == per + min(per, T.PHI_BLOCK) + n <= whole
+            # backward reads x and the weights alone: no other array is saved
+            inputs = {id(_owner(t.data)) for t in (x, w1, b1, w2)}
+            assert {id(_owner(a)) for a in reachable_arrays(out)
+                    if _owner(a) is not _owner(out.data)} <= inputs
+            del out
+            assert tracker.live_bytes == before.live_bytes
 
     def test_rejects_mismatched_shapes(self):
         x, w1, b1, w2 = (Tensor(np.zeros(s)) for s in ((2, 3, 4), (4, 6), (6,), (6, 5)))
@@ -1206,11 +1262,10 @@ class TestRearrange:
 
 
 class TestInPlace:
-    """`add_` and `sub_` write into their first operand's buffer, with the
-    values and gradients of the out-of-place sum and difference."""
+    """`add_` writes into its first operand's buffer, with the values and
+    gradients of the out-of-place sum."""
 
-    @pytest.mark.parametrize("sign", [1.0, -1.0])
-    def test_the_first_operands_buffer_holds_the_result(self, rng, sign):
+    def test_the_first_operands_buffer_holds_the_result(self, rng):
         x = Tensor(rng.normal((2, 3, 4)), requires_grad=True)
         b = Tensor(rng.normal((3, 1)), requires_grad=True)
         g = rng.normal((2, 3, 4))
@@ -1218,17 +1273,16 @@ class TestInPlace:
         with activate(tr):
             a = T.scale(x, 1.0)
             live = tr.live_bytes
-            out = (T.add_ if sign > 0 else T.sub_)(a, b)
+            out = T.add_(a, b)
             assert out.data is a.data and tr.live_bytes == live
-            np.testing.assert_array_equal(out.data, x.data + sign * b.data)
+            np.testing.assert_array_equal(out.data, x.data + b.data)
             T.backward(T.sum_all(T.mul(out, Tensor(g))))
         np.testing.assert_array_equal(x.grad, g)
-        np.testing.assert_array_equal(b.grad, sign * g.sum(axis=0).sum(axis=1, keepdims=True))
+        np.testing.assert_array_equal(b.grad, g.sum(axis=0).sum(axis=1, keepdims=True))
 
     def test_rejects_an_operand_that_does_not_broadcast_into_the_first(self):
-        for op in (T.add_, T.sub_):
-            with pytest.raises(ShapeError, match="broadcast"):
-                op(T.scale(Tensor(np.zeros((3, 1))), 1.0), Tensor(np.zeros((3, 4))))
+        with pytest.raises(ShapeError, match="broadcast"):
+            T.add_(T.scale(Tensor(np.zeros((3, 1))), 1.0), Tensor(np.zeros((3, 4))))
 
 
 class TestBackward:

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from dchag import model as dmodel
+from dchag import runtime
 from dchag import tensor as T
 from dchag.config import ModelConfig, ParallelConfig, StrategyConfig
 from dchag.model import forward_loss_reference
@@ -17,7 +18,7 @@ from dchag.strategies import (parallel_forward_loss, run_dchag_reference_step,
                               run_hybrid_step, run_serial_step)
 from dchag.synthetic import make_batch
 from dchag.tensor import EngineError, Tensor
-from dchag.tracking import AllocTracker, activate, alloc_tag, current_tracker
+from dchag.tracking import AllocTracker, _memory_owner, activate, alloc_tag, current_tracker
 
 
 def test_views_not_charged():
@@ -164,19 +165,24 @@ def test_a_product_with_a_constant_keeps_only_the_constant():
 
 
 @pytest.mark.parametrize("n", [6, T.PHI_BLOCK + 5])
-def test_mlp_keeps_its_input_not_its_hidden_activation(n):
-    # n rows of width one, a hidden width of two: once the op returns, what
-    # it leaves beyond its input and weights is its output; while it ran it
-    # held the 2n hidden elements, with one block of Phi, then the output
+def test_mlp_keeps_its_input_not_its_hidden_activation(monkeypatch, n):
+    # two positions of n rows of width one, a hidden width of two, one
+    # position per block (as a block of the default size is at the larger
+    # n): once the op returns, what it leaves beyond its input and weights
+    # is its output; while it ran it held one position's 2n hidden
+    # elements, with one block of Phi, then with the output (2n), and in
+    # the second block with both, fewer than both positions' 4n
+    monkeypatch.setattr(T, "MLP_BLOCK", 1)
     tr = AllocTracker()
     with activate(tr):
-        x = Tensor(np.linspace(-4.0, 4.0, n)[:, None], requires_grad=True)
+        x = Tensor(np.linspace(-4.0, 4.0, 2 * n).reshape(2, n, 1), requires_grad=True)
         w1, b1, w2 = (Tensor(np.full(shape, 0.5), requires_grad=True)
                       for shape in ((1, 2), (2,), (2, 1)))
         h = T.scale(x, 2.0)
         start = tr.live_bytes
         y = T.mlp(h, w1, b1, w2)
-        assert tr.peak_bytes == start + 8 * (2 * n + max(min(2 * n, T.PHI_BLOCK), n))
+        assert tr.peak_bytes == start + 8 * (2 * n + min(2 * n, T.PHI_BLOCK) + 2 * n)
+        assert tr.peak_bytes < start + 8 * (4 * n + max(min(4 * n, T.PHI_BLOCK), 2 * n))
         del h  # backward reads it: it stays
         assert tr.live_bytes == start + y.data.nbytes
 
@@ -210,7 +216,7 @@ def test_only_matrix_products_count_flops():
     tr = AllocTracker()
     with activate(tr), alloc_tag("aggregate"):
         for op in (T.layernorm, T.sum_all, lambda t: T.add(t, t),
-                   lambda t: T.add_(T.scale(t, 1.0), t), lambda t: T.sub_(T.scale(t, 1.0), t),
+                   lambda t: T.add_(T.scale(t, 1.0), t), T.sum_squares,
                    lambda t: T.mul(t, t), lambda t: T.scale(t, 2.0)):
             op(x)
             assert tr.per_tag_flops == {}, op
@@ -324,11 +330,11 @@ def overwritten(saved) -> set:
 
 @pytest.mark.parametrize("variant", ["single_query", "full_cross"])
 def test_no_op_writes_into_an_array_a_backward_saved(monkeypatch, variant):
-    # the in-place rule: `add_`, `sub_`, the in-place AllReduce and the ops
-    # that fill their own buffers write only into buffers that no backward
-    # closure has captured; PyTorch's autograd checks this with a version
-    # counter, here every captured array is compared, after the forward,
-    # with a copy taken when its node was made
+    # the in-place rule: `add_`, the loss's subtraction, the in-place
+    # AllReduce and the ops that fill their own buffers write only into
+    # buffers that no backward closure has captured; PyTorch's autograd
+    # checks this with a version counter, here every captured array is
+    # compared, after the forward, with a copy taken when its node was made
     model = tracking_desk(agg_variant=variant)
     batch = make_batch(model, 7, 0, [0, 1])
     saved = snapshot_saved_arrays(monkeypatch)
@@ -501,3 +507,104 @@ def test_live_bytes_match_tracemalloc_after_a_forward():
         tracemalloc.stop()
     assert tr.live_bytes > 2 ** 22, tr.live_bytes
     assert 0 <= traced - tr.live_bytes <= OBJECT_BYTES_PER_NODE * nodes
+
+
+# `tensor.normal_cdf`'s scratch that no tracker charges: x^2 and the core
+# rational's denominator, each as large as its Phi block, which GELU's blocks
+# keep at PHI_BLOCK elements or fewer.  Every GELU input of the desk below
+# lies in the core, so the tail branch's scratch is never made.
+PHI_SCRATCH_BYTES = 2 * 8 * T.PHI_BLOCK
+
+
+class ForwardTracker(AllocTracker):
+    """Charges only memory made after it: the memory under the `existing`
+    arrays (the master parameters and the batch), which tracemalloc,
+    started after they were made, does not see, is skipped, and so is every
+    view of it."""
+
+    def __init__(self, existing):
+        super().__init__()
+        self.existing = {id(_memory_owner(a)) for a in existing}
+
+    def charge(self, buf, borrowed=False):
+        if id(_memory_owner(buf)) not in self.existing:
+            super().charge(buf, borrowed)
+
+
+def peak_desk():
+    """A many_channels-shaped desk of batch 4 on which the flat attention op
+    (two blocks per sample serially, one at tp 2), the ViT's attention and
+    MLP ops (one position per block serially, three at tp 2) and the loss
+    (16 of its 128 masked rows per block, 1 MiB of target in all) each run
+    several blocks."""
+    model = tracking_desk(channels=16, image_h=64, image_w=64, patch=8, embed=64, heads=8,
+                          mlp_ratio=4, decoder_dim=16)
+    t, hidden = model.seq + 1, model.mlp_ratio * model.embed // 2
+    assert T.attention_block(model.heads, model.channels, model.channels)[0] < model.seq
+    assert T.attention_block(4, t, t)[0] < 4 and T.MLP_BLOCK // (t * hidden) < 4
+    assert model.masked_count * model.channels * model.patch_pixels > dmodel.LOSS_BLOCK
+    return model
+
+
+def traced_forward(model, strat, parallel, monkeypatch):
+    """(tracemalloc's peak, the tracker's peak, graph nodes) of one forward
+    of `strat`: at tp 2 if `parallel`, with both ranks charging one shared
+    tracker, which they may, as one runs at a time; else in one process.
+    Each is counted from the forward's start; the master parameters, their
+    shards and the batch exist before it.  An AllGather's result is charged
+    when the runtime makes it: a rank that is not running holds it
+    uncharged until it resumes."""
+    batch = make_batch(model, 5, 0, [0, 1, 2, 3])
+    master = create_master(model, strat, RngState(3))
+    shards = [shard_for_rank(master, strat, r) for r in range(2)] if parallel else [master]
+    tr = ForwardTracker([batch.images, batch.meta, batch.mask,
+                         *(a for shard in shards for a in shard.values())])
+    complete = runtime._Runtime._complete_rendezvous
+
+    def rendezvous(self, key, members):
+        complete(self, key, members)
+        for r in members:
+            tr.charge(self._mailbox[r])
+
+    monkeypatch.setattr(runtime._Runtime, "_complete_rendezvous", rendezvous)
+
+    def forward(shard, ctx=None):
+        with activate(tr):
+            w = {name: Tensor(arr, requires_grad=True) for name, arr in shard.items()}
+            if ctx is None:
+                return forward_loss_reference(w, model, strat, batch)
+            return parallel_forward_loss(w, model, strat, batch, ctx)
+
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        if parallel:
+            losses = spawn_ranks(ParallelConfig(dchag_tp=2),
+                                 lambda ctx: forward(shards[ctx.coords[0]], ctx)).results
+        else:
+            losses = [forward(master)]
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    return peak, tr.peak_bytes, sum(len(T._topo_order(loss.node)) for loss in losses)
+
+
+@pytest.mark.parametrize("strat, parallel", [
+    (StrategyConfig(), False),
+    (StrategyConfig(kind="dchag", tp_degree=2, max_group=4), False),
+    (StrategyConfig(kind="tp_only", tp_degree=2), True),
+    (StrategyConfig(kind="dist_token", tp_degree=2), True),
+    (StrategyConfig(kind="dchag", tp_degree=2, max_group=4), True),
+    (StrategyConfig(kind="dchag", tp_degree=2, max_group=4, agg_layer_kind="linear"), True)],
+    ids=["serial", "dchag-reference", "tp_only", "dist_token", "dchag", "dchag-linear"])
+def test_the_forward_peak_is_the_trackers(monkeypatch, strat, parallel):
+    # an independent oracle of the peak: tracemalloc's peak over one forward
+    # is at least the tracker's, as every charged byte is allocated, and
+    # above it by no more than the graph's Python objects and normal_cdf's
+    # uncharged scratch (PHI_SCRATCH_BYTES).  An uncharged copy of a
+    # whole-layer activation, held beside a fused op's or the loss's block,
+    # would show: the desk's target alone is 1 MiB, above that bound, and a
+    # loss that gathered it whole, uncharged, failed every case here.
+    traced, charged, nodes = traced_forward(peak_desk(), strat, parallel, monkeypatch)
+    assert charged > 2 ** 22, charged
+    assert 0 <= traced - charged <= OBJECT_BYTES_PER_NODE * nodes + PHI_SCRATCH_BYTES
