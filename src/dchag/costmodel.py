@@ -33,13 +33,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from . import model as dmodel
 from . import tensor
 from .config import ConfigError, HardwareModel, ModelConfig, ParallelConfig, StrategyConfig
 from .layers import N_DECODER_HEADS
 from .params import rank_parameter_sizes, rank_tree
 from .runtime import ring_allgather_payload, ring_allreduce_payload
-from .tensor import attention_block
 from .tracking import COMPONENT_TAGS
 
 
@@ -118,15 +116,15 @@ def _attention(n, hl, t, dl, do, run):
     lead axis): it keeps its per-row log-sum-exp (n*Hl*T); its output
     (n*T*Do) the caller counts, and x, which it also saves, is its
     caller's.  While it runs it holds the log-sum-exp and one block of
-    positions of `tensor.attention_block`'s size, no longer than a run:
-    the block's q, which becomes its context (T*Dl per position), its k
-    and v (2*T*Dl) and its logits and row sums (T*T + T per head, for some
-    of a position's heads if one position's logits exceed a block).  Over
-    several blocks the output is live throughout; one block, which holds
-    every position, is projected once its k, v and logits have gone."""
+    positions (`tensor._position_blocks`): the block's q, which becomes its
+    context (T*Dl per position), its k and v (2*T*Dl) and its logits and
+    row sums (T*T + T per head, for some of a position's heads if one
+    position's logits exceed a block).  Over several blocks the output is
+    live throughout; one block, which holds every position, is projected
+    once its k, v and logits have gone."""
     lse, out = n * hl * t, n * t * do
-    rows, heads = attention_block(hl, t, t)
-    blk = min(run, rows)
+    blk = tensor._block_length(run, hl * t * t, tensor.ATTENTION_BLOCK)
+    heads = tensor._block_length(hl, t * t, tensor.ATTENTION_BLOCK)
     q, rest = blk * t * dl, blk * (2 * t * dl + heads * (t * t + t))
     return lse, lse + q + (max(rest, out) if blk == n else rest + out)
 
@@ -159,10 +157,10 @@ def _mlp(lead, rows, dh, n):
     is made once the first block's GELU is done; from the second block on,
     with the output and a block of Phi."""
     per = rows * dh
-    blk = min(lead, max(1, tensor.MLP_BLOCK // per))
+    blk = tensor._block_length(lead, per, tensor.MLP_BLOCK)
 
     def phi(k):  # the largest Phi scratch of a block of k positions
-        return min(k * per, tensor.PHI_BLOCK)
+        return tensor._block_length(k * per, 1, tensor.PHI_BLOCK)
 
     return 0, blk * per + max(phi(blk), n + phi(min(blk, lead - blk)))
 
@@ -394,12 +392,12 @@ def estimate(model: ModelConfig, strategy: StrategyConfig,
     # `masked_count` per sample), after which the [B, S, Dd] rows it read
     # go; then the prediction, B*M*C*pp (a product, into which the bias is
     # added), in whose buffer the target (the masked positions' patch rows)
-    # is subtracted one block of whole rows (`model.LOSS_BLOCK`) at a time,
+    # is subtracted one block of whole rows (`tensor.LOSS_BLOCK`) at a time,
     # each block going once subtracted; and two scalars, the sum of squares
     # and the loss.
     # FLOPs: the projection, the blocks and the head over the masked rows.
     dd, rows = model.decoder_dim, b * model.masked_count
-    target = min(rows, max(1, dmodel.LOSS_BLOCK // (c * pp))) * c * pp
+    target = tensor._block_length(rows, c * pp, tensor.LOSS_BLOCK) * c * pp
     block_acts, block_flops = _block(b, s, dd, N_DECODER_HEADS, m, 1)
     cost("decoder",
          _then(_stored(b * s * dd), *[block_acts] * model.decoder_depth,

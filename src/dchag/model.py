@@ -44,14 +44,7 @@ from .params import rank_tree
 from .rng import RngState
 from .runtime import ProcessGroup
 from .tensor import Tensor
-from .tracking import alloc_tag, current_tracker
-
-
-# Target elements per block of the loss: a block is as many whole masked rows
-# as fit, at least one.  Few enough that the gather and the subtraction of a
-# block run in cache, and many enough that a step's loss is a handful of
-# numpy calls, not one per masked row.
-LOSS_BLOCK = 2 ** 14
+from .tracking import alloc_tag
 
 
 @dataclass
@@ -180,11 +173,10 @@ def masked_mse(pred: Tensor, images: np.ndarray, rows: np.ndarray,
 
     The target, those positions' patch rows, is never whole: it is
     gathered from `images` [B, C, H, W], through its view [B, C, Hp, P,
-    Wp, P], one block of `LOSS_BLOCK` elements of whole rows at a time,
-    and each block, charged while it lives, is subtracted in `pred`'s
-    buffer.  `trunk_loss` passes `pred` straight in, and CPython (3.11 on)
-    hands a call's arguments to the callee's frame, so no other name holds
-    it.  `tensor.sum_squares` then sums the difference's squares with no
+    Wp, P], one block of rows (`tensor.LOSS_BLOCK`) at a time, and each
+    block, charged while it lives, is subtracted in `pred`'s buffer.
+    `trunk_loss` passes `pred` straight in, and CPython (3.11 on) hands a
+    call's arguments to the callee's frame, so no other name holds it.  `tensor.sum_squares` then sums the difference's squares with no
     square buffer, and saves the difference; the target is a constant, so
     the difference's gradient, 2 g (pred - target), is `pred`'s.
     """
@@ -194,14 +186,10 @@ def masked_mse(pred: Tensor, images: np.ndarray, rows: np.ndarray,
     hi, wi = np.divmod(si, w // p)
     patches = images.reshape(b, c, h // p, p, w // p, p)
     diff = pred.data.reshape(len(rows), c, p, p)
-    step = max(1, LOSS_BLOCK // (c * p * p))
-    tracker = current_tracker()
-    for i in range(0, len(rows), step):
-        cut = slice(i, i + step)
-        target = patches[bi[cut], :, hi[cut], :, wi[cut], :]  # [rows, C, P, P]
-        if tracker is not None:
-            tracker.charge(target)
-        diff[cut] -= target
+    blk = T._block_length(len(rows), c * p * p, T.LOSS_BLOCK)
+    for cut, block in T._position_blocks(diff, 3, blk):
+        target = T._charged(patches[bi[cut], :, hi[cut], :, wi[cut], :])  # [rows, C, P, P]
+        block -= target
         del target  # before the next block is gathered
     return T.scale(T.sum_squares(pred), 1.0 / pred.size)
 

@@ -48,34 +48,23 @@ Design points that later modules rely on:
 * FLOPs follow `tracking`'s rule: only `matmul`, `attention`,
   `attention_pool` and `mlp` count any, each once, in forward: a
   recompute in backward adds none, as model FLOPs count no recomputation;
-* the fused attention op walks (position, head) blocks whose logits fit
-  `ATTENTION_BLOCK` elements, a size chosen so that a block stays in cache:
-  whole positions while one position's logits fit, at most the run of x's
-  last lead axis, so that a block's rows of x are a view, else heads of
-  one position; the MLP op's forward walks blocks of whole positions whose
-  hidden activation fits `MLP_BLOCK` elements, likewise within a run.  A
-  block is never part of one position's matrix: numpy takes a stack of
-  matrices' products one matrix at a time, so each head and each position
-  is computed with the same numpy calls whatever the block size, and
-  results do not depend on it; only the transient (one block, not every
-  position) does;
+* every blocked pass (the fused ops', GELU's and `model.masked_mse`'s)
+  walks its input's positions with `_position_blocks`, in blocks that
+  `_block_length` sizes against one budget each (`ATTENTION_BLOCK`,
+  `PHI_BLOCK`, `MLP_BLOCK`, `LOSS_BLOCK`); results do not depend on the
+  block size, only the transient does;
 * GELU's Phi(x) is numpy alone (`normal_cdf`), after Cephes' ndtr.c.  For
   |x| <= sqrt2 it is one rational in x^2, erf's with the 1/2 and 1/sqrt2
   folded into its coefficients, evaluated in one pass over the flat array.
   Beyond sqrt2, erfc's rationals times exp(-x^2/2) run on those elements
   alone, gathered, with |x| clamped at 40, where Phi is 0 or 1 in float64:
   infinities give 0 and 1, NaN stays NaN, and no warning is raised.  GELU
-  hands it `PHI_BLOCK` elements at a time, a size chosen, like
-  `ATTENTION_BLOCK`, so that a block's scratch stays in cache from one numpy
-  pass to the next; `mlp` applies GELU to its hidden activation in place,
-  one such block at a time;
+  hands it one block of `PHI_BLOCK` elements at a time;
 * importing this module sets glibc's allocation policy for the process
   (`MALLOC_POLICY_SET` says whether it took): one arena, no trimming, and
-  a fixed 32 MiB mmap threshold.  A step frees what the next allocates
-  again; by default glibc handed those pages back and faulted them in anew
-  each step, 15-33 thousand minor faults per `long_sequence` step, and the
-  ranks' per-thread arenas each held their own.  The tracker's numbers
-  count tensor bytes, not pages, so the policy does not move them;
+  a fixed 32 MiB mmap threshold, so that pages a step frees serve the
+  next step (`_set_malloc_policy`).  The tracker's numbers count tensor
+  bytes, not pages, so the policy does not move them;
 * graphs are reference-cycle free, so buffers are reclaimed (and
   de-accounted) deterministically by refcounting; `backward` drops each
   node's closure once it has handed on its gradients, and every gradient
@@ -91,6 +80,7 @@ Design points that later modules rely on:
 from __future__ import annotations
 
 import ctypes
+import itertools
 import math
 
 import numpy as np
@@ -109,16 +99,19 @@ _MALLOC_POLICY = ((_M_ARENA_MAX, 1), (_M_MMAP_THRESHOLD, 32 * 2 ** 20), (_M_TRIM
 def _set_malloc_policy() -> bool:
     """Keep freed heap pages in the process, in one arena (glibc only).
 
-    A step frees ~100 MiB that the next step allocates again.  By default
-    glibc trims that memory back to the OS and serves large blocks by mmap,
-    so every step faults its pages in anew; and each rank thread gets an
+    A step frees buffers that the next step allocates again.  By default
+    glibc trims freed memory back to the OS and serves large blocks by mmap,
+    so each step faults its pages in anew; and each rank thread gets an
     arena of its own, stranding one rank's freed pages where the next rank
     cannot reuse them, though ranks run one at a time.  One arena, blocks
-    under 32 MiB from the heap and no trimming fix both.  Both thresholds
-    are set because setting either one turns off glibc's dynamic mmap
-    threshold: the trim threshold alone made faults worse (`long_sequence`
-    serial 33k to 46k per step, dchag 19k to 79k).  Returns whether every
-    setting took; without glibc's mallopt, sets nothing and returns False.
+    under 32 MiB from the heap and no trimming fix both: over 15 warm
+    benchmark steps (seed 11, one CPU), a serial step took ~1 minor fault
+    with the policy against 3.9k (`many_channels`) and 5.5k
+    (`long_sequence`) without it, and a `long_sequence` parallel step
+    100-250 against 2.4k-5.1k.  Both thresholds are set because setting
+    either one turns off glibc's dynamic mmap threshold.  Returns whether
+    every setting took; without glibc's mallopt, sets nothing and returns
+    False.
     """
     try:
         mallopt = ctypes.CDLL(None).mallopt
@@ -351,28 +344,60 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return Tensor(out, _parents=(a, b), _backward=back)
 
 
-# -- nonlinearities ---------------------------------------------------------
-
-# The fused attention op walks (position, head) blocks whose logits fit this
-# many elements.  A sweep of forward plus backward at the desk's hot shapes
-# (Xeon, 2 MiB L2 per core, one core, BLAS on one thread; blocks of 2**12 to
-# 2**20 elements, and one block holding every position) found 2**15 to 2**17
-# equally fast.  One block was 1.9x slower on the [4,64,64,64] 8-head
-# full_cross aggregation (273 against 146 ms) and 1.6x on its 2-head tp shard
-# (54 against 34 ms), and 1.4x on the [4,257,64] ViT attention; the dchag tree
-# nodes and the decoder did not move.  At 2**16 the backward's two
-# logit-sized blocks (1 MiB) fit in L2.
+# -- blocks ------------------------------------------------------------------
+#
+# The elements of inner activation one block may hold.  Each keeps a block's
+# working set in cache from one numpy pass to the next (Xeon, 2 MiB L2 per
+# core, one core, BLAS on one thread); they differ with what a block holds:
+# * ATTENTION_BLOCK, a block's logits: a sweep of forward plus backward at
+#   the desk's hot shapes (2**12 to 2**20, and one block of every position)
+#   found 2**15 to 2**17 equally fast, where one block was 1.9x slower on the
+#   [4,64,64,64] 8-head full_cross aggregation (273 against 146 ms), 1.6x on
+#   its 2-head tp shard and 1.4x on the [4,257,64] ViT attention.  At 2**16
+#   the backward's two logit-sized blocks (1 MiB) fit in L2;
+# * PHI_BLOCK, the elements of one `normal_cdf` call, some two dozen passes
+#   whose input, x^2, D and output (1 MiB at 2**15) stay in L2: on the Phi
+#   inputs of one benchmark step per strategy (best of 15), 2**14 to 2**16
+#   ran alike, 2**12 1.6x slower (per-call overhead) and 2**19 1.4x;
+# * MLP_BLOCK, a block's hidden activation: PHI_BLOCK, so that a block of
+#   several positions is one Phi call and stays in L2 from its first product
+#   to its second;
+# * LOSS_BLOCK, a block's target, which one gather and one subtraction read:
+#   few enough to run in cache, many enough that a step's loss is a handful
+#   of numpy calls.
 ATTENTION_BLOCK = 2 ** 16
+PHI_BLOCK = 2 ** 15
+MLP_BLOCK = PHI_BLOCK
+LOSS_BLOCK = 2 ** 14
 
 
-def attention_block(n_heads, tq: int, tk: int) -> tuple:
-    """(positions, heads) per block of the fused attention op.  When one
-    broadcast position's H*Tq*Tk logits fit `ATTENTION_BLOCK` elements, a
-    block is as many whole positions as fit; otherwise it is one position
-    and as many of its heads as fit, at least one."""
-    if n_heads * tq * tk <= ATTENTION_BLOCK:
-        return ATTENTION_BLOCK // (n_heads * tq * tk), n_heads
-    return 1, max(1, ATTENTION_BLOCK // (tq * tk))
+def _block_length(count, per, budget: int):
+    """How many of `count` items of `per` elements each one block holds:
+    as many as fit `budget` elements, at least one and at most `count`."""
+    return min(count, max(1, budget // per))
+
+
+def _position_blocks(x: np.ndarray, core_ndim: int, blk: int):
+    """(slice of flat positions, x's rows there) of each block, in order.
+
+    A position is an index of x's lead axes, all but its last `core_ndim`
+    (an x with none is one position).  A block is at most `blk` whole
+    positions within one run of the last lead axis, so its rows are a view
+    of x wherever x lies, a transposed stack too.  A position's matrix is
+    never cut: numpy takes a stack of matrices' products one matrix at a
+    time, so each position goes through the same numpy calls whatever the
+    block size, and results do not depend on it; only the transient, one
+    block rather than every position, does."""
+    xr = x if x.ndim > core_ndim else x[None]
+    *outer, run = xr.shape[:xr.ndim - core_ndim]
+    for i, index in enumerate(itertools.product(*map(range, outer))):
+        xo = xr[index]
+        for j in range(0, run, blk):
+            xs = xo[j:j + blk]
+            yield slice(i * run + j, i * run + j + len(xs)), xs
+
+
+# -- nonlinearities ---------------------------------------------------------
 
 
 def _heads(x: np.ndarray, n_heads: int, hs: slice) -> np.ndarray:
@@ -392,20 +417,17 @@ def attention(x: Tensor, wq: Tensor, bq: Tensor | None, wk: Tensor, wv: Tensor, 
     op returns ctx wo, [..., T, Do], where ctx is the merged context
     softmax(q k^T / sqrt(Dl/H)) v, [..., T, Dl].
 
-    Both passes walk blocks of positions of `attention_block`'s size, each
-    within x's last lead axis, so that the block's rows of x are a view of
-    x wherever it lies; a block whose logits exceed `ATTENTION_BLOCK` walks
-    its position's heads in groups.  Each block's q, k and v are x's rows'
-    products with the three weights, written into block-sized buffers, q
-    into a [rows, T, Dl] one, in which it takes its bias and its scale, and
-    k and v into the planes of a [2, rows, T, Dl] one; no concatenation of
-    the weights is made, which at paper scale (D large, few tokens per rank)
-    would outweigh the buffers.  One more block-sized buffer each holds the
-    logits and the row sums (and, in backward, the logit gradient), so a
-    block's elementwise passes run in cache.  Each head's matrices go
-    through the same numpy calls as an unblocked pass would make, and a
-    stack of positions' matrices is one product per position, so the
-    result does not depend on the block size.
+    Both passes walk blocks of positions (`_position_blocks`) whose logits
+    fit `ATTENTION_BLOCK`; a position whose logits alone exceed it is a
+    block whose heads are walked in groups, as blocks of its log-sum-exp
+    rows.  Each block's q, k and v are x's rows' products with the three
+    weights, written into block-sized buffers, q into a [rows, T, Dl] one,
+    in which it takes its bias and its scale, and k and v into the planes
+    of a [2, rows, T, Dl] one; no concatenation of the weights is made,
+    which at paper scale (D large, few tokens per rank) would outweigh the
+    buffers.  One more block-sized buffer each holds the logits and the row
+    sums (and, in backward, the logit gradient), so a block's elementwise
+    passes run in cache.
 
     The forward writes each head group's context over its q, which its
     logits have read, so a block's q buffer becomes the block's context,
@@ -439,32 +461,25 @@ def attention(x: Tensor, wq: Tensor, bq: Tensor | None, wk: Tensor, wv: Tensor, 
     dl, do = wo.shape
     n = math.prod(lead)
     xd, wd, wod = x.data, tuple(w.data for w in weights), wo.data
-    xr = xd if lead else xd[None]  # one lead axis at least; a view
-    outer, run = xr.shape[:-3], xr.shape[-3]
-    rows, hb = attention_block(h, t, t)
-    blk = min(run, rows)
+    blk = _block_length(lead[-1] if lead else 1, h * t * t, ATTENTION_BLOCK)
+    hb = _block_length(h, t * t, ATTENTION_BLOCK)
     scale = 1.0 / np.sqrt(dl // h)
     bd = None if bq is None else bq.data
 
     def blocks(q, kv):
         """(positions, heads, their q, k and v) of each block in order: the
-        block's rows of x, a view, projected into `q` [blk, T, Dl], biased
-        and scaled, and into the planes of `kv` [2, blk, T, Dl]."""
-        for i, index in enumerate(np.ndindex(*outer)):
-            xo = xr[index]
-            for j in range(0, run, blk):
-                xs = xo[j:j + blk]
-                planes = (q[:len(xs)], *kv[:, :len(xs)])
-                for plane, w in zip(planes, wd):
-                    np.matmul(xs, w, out=plane)
-                qb = planes[0]
-                if bd is not None:
-                    qb += bd
-                qb *= scale
-                sl = slice(i * run + j, i * run + j + len(xs))
-                for k in range(0, h, hb):
-                    hs = slice(k, k + hb)
-                    yield sl, hs, *(_heads(plane, h, hs) for plane in planes)
+        block's rows of x projected into `q` [blk, T, Dl], biased and
+        scaled, and into the planes of `kv` [2, blk, T, Dl]."""
+        for sl, xs in _position_blocks(xd, 2, blk):
+            planes = (q[:len(xs)], *kv[:, :len(xs)])
+            for plane, w in zip(planes, wd):
+                np.matmul(xs, w, out=plane)
+            qb = planes[0]
+            if bd is not None:
+                qb += bd
+            qb *= scale
+            for hs, _ in _position_blocks(lse[sl.start], 1, hb):
+                yield sl, hs, *(_heads(plane, h, hs) for plane in planes)
 
     def logits(qh, kh, p):
         """A block's logits into `p`, cut to the block's size."""
@@ -704,25 +719,6 @@ _TAIL_FAR = (tuple(0.5 * c for c in _ERFC_R), (1.0, *_ERFC_S))
 _TAIL_CLAMP = 40.0
 _VELTKAMP = 2.0 ** 27 + 1.0  # splits a double into two halves of 26 bits
 
-# Elements per block of GELU's hidden activation, each block's Phi one
-# `normal_cdf` call.  Phi's core is some two dozen numpy passes over a block
-# (the range test, the square, two Horner loops, the quotient and 1/2 +
-# x N/D); the block's input, scratch (x^2 and D) and output, 1 MiB at 2**15,
-# stay in L2 from pass to pass.  On the Phi inputs of one benchmark
-# step per strategy (Xeon, 2 MiB L2 per core, one core, best of 15), blocks
-# of 2**14 to 2**16 ran alike; 2**12 was 1.6x slower (per-call overhead), and
-# 2**19, a `long_sequence` serial input of 263168 elements in one block,
-# 1.4x slower (out of cache).
-PHI_BLOCK = 2 ** 15
-
-# Hidden elements per block of the MLP op's forward.  A block is as many whole
-# positions of x's lead axes as fit, at least one: a position's matrix of rows
-# is never cut, since a product over part of a matrix's rows need not give the
-# whole product's bits, while a stack of matrices is one product each.  Equal
-# to PHI_BLOCK, so that a block of several positions is one Phi call and its
-# hidden activation stays in L2 from its first product to its second.
-MLP_BLOCK = 2 ** 15
-
 
 def _horner(x: np.ndarray, coefs: tuple) -> np.ndarray:
     """The polynomial with `coefs`, highest power first, at `x`: Horner's
@@ -790,9 +786,7 @@ def normal_cdf(x: np.ndarray) -> np.ndarray:
 def _gelu_in_place(a: np.ndarray) -> None:
     """a = a Phi(a) over contiguous a, one `PHI_BLOCK` at a time; each
     block's Phi (`normal_cdf`) is a charged scratch that goes once read."""
-    flat = a.reshape(-1)
-    for i in range(0, flat.size, PHI_BLOCK):
-        block = flat[i:i + PHI_BLOCK]
+    for _, block in _position_blocks(a.reshape(-1), 0, PHI_BLOCK):
         block *= _charged(normal_cdf(block))
 
 
@@ -800,11 +794,10 @@ def _gelu_and_derivative(a: np.ndarray) -> np.ndarray:
     """a Phi(a) in a new buffer, with contiguous a turned into GELU's
     derivative Phi(a) + a pdf(a), one `PHI_BLOCK` at a time."""
     act = np.empty(a.shape)
-    flat, act_flat = a.reshape(-1), act.reshape(-1)
-    for i in range(0, flat.size, PHI_BLOCK):
-        block = flat[i:i + PHI_BLOCK]
+    act_flat = act.reshape(-1)
+    for sl, block in _position_blocks(a.reshape(-1), 0, PHI_BLOCK):
         phi = normal_cdf(block)
-        np.multiply(block, phi, out=act_flat[i:i + PHI_BLOCK])
+        np.multiply(block, phi, out=act_flat[sl])
         t = block * block  # a pdf(a)
         t *= -0.5
         np.exp(t, out=t)
@@ -818,9 +811,8 @@ def mlp(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor) -> Tensor:
     """gelu(x w1 + b1) w2, with exact GELU (a Phi(a)), as one tape node.
 
     x is [..., D], w1 [D, Dh], b1 [Dh] and w2 [Dh, Do]; returns [..., Do].
-    The forward walks blocks of whole positions of x's lead axes
-    (`MLP_BLOCK`), each within the last lead axis, so that its rows of x are
-    a view: the block's hidden activation a = x w1 + b1 is formed in one
+    The forward walks blocks of positions (`_position_blocks`) whose hidden
+    activation fits `MLP_BLOCK`: the block's a = x w1 + b1 is formed in one
     block-sized buffer, which GELU overwrites one `PHI_BLOCK` at a time,
     each Phi a scratch that goes once read, and its product with w2 fills
     the block's rows of the output, which is made once the first block's
@@ -829,11 +821,9 @@ def mlp(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor) -> Tensor:
     selective recomputation does (Korthikanti et al., 2022), and per
     `PHI_BLOCK` writes gelu(a) into one buffer and turns a into GELU's
     derivative Phi(a) + a pdf(a).  Every value comes from the numpy calls of
-    the chain matmul, bias add, GELU and matmul, and a stack of positions'
-    matrices is one product per position, so the output and the gradients
-    are that chain's to the bit, whatever the block size.  The forward
-    charges the hidden block, the Phi scratch and the output while each
-    lives.
+    the chain matmul, bias add, GELU and matmul, so the output and the
+    gradients are that chain's to the bit.  The forward charges the hidden
+    block, the Phi scratch and the output while each lives.
     """
     if (x.ndim < 2 or w1.ndim != 2 or w2.ndim != 2 or w1.shape[0] != x.shape[-1]
             or b1.shape != w1.shape[1:] or w2.shape[0] != w1.shape[1]):
@@ -842,29 +832,25 @@ def mlp(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor) -> Tensor:
     xd, w1d, b1d, w2d = x.data, w1.data, b1.data, w2.data
     *lead, r, d = xd.shape
     dh, do = w2d.shape
-    xr = xd if lead else xd[None]  # one lead axis at least; a view
-    outer, run = xr.shape[:-3], xr.shape[-3]
-    blk = min(run, max(1, MLP_BLOCK // (r * dh)))
+    n = math.prod(lead)
+    blk = _block_length(lead[-1] if lead else 1, r * dh, MLP_BLOCK)
 
     def forward():
-        """The output, [*outer, run, R, Do], one block at a time."""
+        """The output, [n, R, Do], one block at a time."""
         a = _charged(np.empty((blk, r, dh)))
         out = None
-        for index in np.ndindex(*outer):
-            xo = xr[index]
-            for j in range(0, run, blk):
-                xs = xo[j:j + blk]
-                ab = a[:len(xs)]
-                np.matmul(xs, w1d, out=ab)
-                ab += b1d
-                _gelu_in_place(ab)
-                if out is None:
-                    out = _charged(np.empty((*outer, run, r, do)))
-                np.matmul(ab, w2d, out=out[index][j:j + len(xs)])
+        for sl, xs in _position_blocks(xd, 2, blk):
+            ab = a[:len(xs)]
+            np.matmul(xs, w1d, out=ab)
+            ab += b1d
+            _gelu_in_place(ab)
+            if out is None:
+                out = _charged(np.empty((n, r, do)))
+            np.matmul(ab, w2d, out=out[sl])
         return out
 
     out = forward().reshape(*lead, r, do)
-    _flops(2 * math.prod(lead) * r * dh * (d + do))
+    _flops(2 * n * r * dh * (d + do))
 
     def hidden():
         """a = x w1 + b1, the pre-activation, in a new buffer."""

@@ -256,8 +256,10 @@ class TestActivations:
         # what the forward leaves live is less than its peak: the peak was
         # reached while an attention op held its block buffers, of several
         # positions (LONG's aggregation) or of three heads of one (TALL's vit)
-        assert T.attention_block(4, 16, 16) == (64, 4)
-        assert T.attention_block(4, 145, 145) == (1, 3)
+        assert (T._block_length(128, 4 * 16 * 16, T.ATTENTION_BLOCK),
+                T._block_length(4, 16 * 16, T.ATTENTION_BLOCK)) == (64, 4)
+        assert (T._block_length(2, 4 * 145 * 145, T.ATTENTION_BLOCK),
+                T._block_length(4, 145 * 145, T.ATTENTION_BLOCK)) == (1, 3)
         for geometry, comps in ((LONG, ("aggregate", "vit")), (TALL, ("vit",))):
             model = desk(variant, **dict(geometry))
             master = create_master(model, StrategyConfig(), RngState(3))

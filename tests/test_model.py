@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dchag import model as dmodel
 from dchag import tensor as T
 from dchag.costmodel import estimate
 from dchag.config import (ConfigError, ModelConfig, ParallelConfig, StrategyConfig,
@@ -796,7 +795,7 @@ class TestMae:
         master = create_master(model, StrategyConfig(), RngState(4))
         results, peaks = [], []
         for block in (1, 3 * width, 2 ** 40):
-            monkeypatch.setattr(dmodel, "LOSS_BLOCK", block)
+            monkeypatch.setattr(T, "LOSS_BLOCK", block)
             leaf = Tensor(pred, requires_grad=True)
             loss = masked_mse(T.scale(leaf, 1.0), batch.images, rows, model)
             T.backward(loss)
@@ -818,7 +817,7 @@ class TestMae:
         batch = tiny_batch(model)
         rows = masked_rows(batch.mask)
         width = model.channels * model.patch_pixels
-        assert len(rows) == 4 * dmodel.LOSS_BLOCK // width
+        assert len(rows) == 4 * T.LOSS_BLOCK // width
         pred = T.scale(Tensor(rng.normal((len(rows), width)), requires_grad=True), 1.0)
         tracker = AllocTracker()
         tracemalloc.start()
@@ -829,7 +828,7 @@ class TestMae:
             traced = tracemalloc.get_traced_memory()[1] - start
         finally:
             tracemalloc.stop()
-        assert tracker.peak_bytes == 8 * dmodel.LOSS_BLOCK
+        assert tracker.peak_bytes == 8 * T.LOSS_BLOCK
         assert 0 <= traced - tracker.peak_bytes <= 2 ** 14
 
     def test_no_buffer_of_every_position_pixels(self, rng):

@@ -556,8 +556,8 @@ class TestAttentionMemory:
                                           ((2, 3), 4 * heads * t * t, 3, heads)):
             if block_size is not None:
                 monkeypatch.setattr(T, "ATTENTION_BLOCK", block_size)
-            rows, got_hb = T.attention_block(heads, t, t)
-            assert (min(lead[-1], rows), got_hb) == (blk, hb)
+            assert (T._block_length(lead[-1], heads * t * t, T.ATTENTION_BLOCK),
+                    T._block_length(heads, t * t, T.ATTENTION_BLOCK)) == (blk, hb)
             n = math.prod(lead)
             tracker = AllocTracker()
             with activate(tracker):
@@ -614,7 +614,8 @@ class TestAttentionMemory:
         # one head's 257*257 logits exceed a block, so a block is one head of
         # one position
         b, t, d, heads = 4, 257, 64, 8
-        assert T.attention_block(heads, t, t) == (1, 1)
+        assert (T._block_length(b, heads * t * t, T.ATTENTION_BLOCK),
+                T._block_length(heads, t * t, T.ATTENTION_BLOCK)) == (1, 1)
         ts = _attention_inputs(rng, (b,), t, d, d, d)
         out = T.attention(*ts, heads)
         loss = T.sum_all(T.mul(out, Tensor(rng.normal(out.shape))))
@@ -1156,6 +1157,58 @@ class TestNormalCdf:
         old = 0.5 * (1.0 + np.vectorize(math.erf, otypes=[float])(x / SQRT2))
         assert phi_errors(old, want)[0] > 1e-2
         assert_phi_accurate(T.normal_cdf(x), want)
+
+
+@st.composite
+def _walked_array(draw):
+    """(x, its positions as a [n, *core] copy, the run, core_ndim, blk): x has
+    0-3 lead axes and 0-2 core axes, and is sometimes a transposed view."""
+    core = tuple(draw(st.lists(st.integers(1, 3), max_size=2)))
+    lead = tuple(draw(st.lists(st.integers(1, 4), min_size=0 if core else 1, max_size=3)))
+    base = np.arange(math.prod(lead + core), dtype=np.float64).reshape(lead + core)
+    x = base
+    if len(lead) >= 2 and draw(st.booleans()):  # lay the last two lead axes out swapped
+        perm = (*range(len(lead) - 2), len(lead) - 1, len(lead) - 2)
+        x = np.ascontiguousarray(base.transpose(*perm, *range(len(lead), base.ndim)))
+        x = x.transpose(*perm, *range(len(lead), base.ndim))
+    rows = x.reshape(-1, *core)  # a copy where x is transposed
+    return x, rows, (lead or (1,))[-1], len(core), draw(st.integers(1, 6))
+
+
+class TestPositionBlocks:
+    @settings(max_examples=60, deadline=None)
+    @given(_walked_array())
+    def test_walks_each_position_once_in_order_as_views(self, case):
+        x, rows, run, core_ndim, blk = case
+        blocks = list(T._position_blocks(x, core_ndim, blk))
+        assert [i for sl, _ in blocks for i in range(sl.start, sl.stop)] == list(range(len(rows)))
+        for sl, xs in blocks:
+            assert 1 <= sl.stop - sl.start == len(xs) <= blk
+            assert sl.start // run == (sl.stop - 1) // run  # within one run
+            assert np.shares_memory(xs, x)
+            np.testing.assert_array_equal(xs, rows[sl])
+
+    def test_a_transposed_stack_is_read_in_place(self, rng):
+        # a token slab [B, S, C, D] is a transposed view of [B, C, S, D]:
+        # each block of S positions is a view of it, cut at each sample
+        x = rng.normal((2, 3, 5, 4)).transpose(0, 2, 1, 3)
+        blocks = list(T._position_blocks(x, 2, 3))
+        assert [sl for sl, _ in blocks] == [slice(0, 3), slice(3, 5), slice(5, 8), slice(8, 10)]
+        for sl, xs in blocks:
+            assert np.shares_memory(xs, x)
+            np.testing.assert_array_equal(xs, x.reshape(10, 3, 4)[sl])
+
+    def test_no_lead_axis_is_one_position(self, rng):
+        x = rng.normal((3, 4))
+        [(sl, xs)] = T._position_blocks(x, 2, 5)
+        assert sl == slice(0, 1) and xs.shape == (1, 3, 4) and np.shares_memory(xs, x)
+
+    @given(st.integers(1, 50), st.integers(1, 300), st.integers(1, 2 ** 12))
+    def test_block_length_fits_at_least_one_and_at_most_count(self, count, per, budget):
+        blk = T._block_length(count, per, budget)
+        assert 1 <= blk <= count
+        assert blk * per <= budget or blk == 1  # fits, unless one item alone does not
+        assert blk == count or (blk + 1) * per > budget  # and is the most that fit
 
 
 class TestRearrange:

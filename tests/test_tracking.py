@@ -540,9 +540,11 @@ def peak_desk():
     model = tracking_desk(channels=16, image_h=64, image_w=64, patch=8, embed=64, heads=8,
                           mlp_ratio=4, decoder_dim=16)
     t, hidden = model.seq + 1, model.mlp_ratio * model.embed // 2
-    assert T.attention_block(model.heads, model.channels, model.channels)[0] < model.seq
-    assert T.attention_block(4, t, t)[0] < 4 and T.MLP_BLOCK // (t * hidden) < 4
-    assert model.masked_count * model.channels * model.patch_pixels > dmodel.LOSS_BLOCK
+    c = model.channels
+    assert T._block_length(model.seq, model.heads * c * c, T.ATTENTION_BLOCK) < model.seq
+    assert T._block_length(4, 4 * t * t, T.ATTENTION_BLOCK) < 4
+    assert T._block_length(4, t * hidden, T.MLP_BLOCK) < 4
+    assert model.masked_count * c * model.patch_pixels > T.LOSS_BLOCK
     return model
 
 
@@ -608,3 +610,84 @@ def test_the_forward_peak_is_the_trackers(monkeypatch, strat, parallel):
     traced, charged, nodes = traced_forward(peak_desk(), strat, parallel, monkeypatch)
     assert charged > 2 ** 22, charged
     assert 0 <= traced - charged <= OBJECT_BYTES_PER_NODE * nodes + PHI_SCRATCH_BYTES
+
+
+# What an op may allocate beyond what it charges, on the inputs below: numpy's
+# ufunc buffer (`np.getbufsize()` elements), which a broadcast elementwise
+# pass makes, and Python objects and small index arrays (OP_OBJECT_BYTES).
+# normal_cdf's uncharged scratch is two arrays of its Phi block (x^2 and D).
+# Every allowance is below the smallest block its op walks, so a second block,
+# or any other copy of a block, that an op held uncharged would show.
+UFUNC_BUFFER_BYTES = 8 * np.getbufsize()
+OP_OBJECT_BYTES = 24 * 2 ** 10
+
+
+def per_op_cases():
+    """(name, make the inputs, the op, allowance) on peak_desk's shapes, with
+    weights at the scale of the desk's, so that every GELU input lies in
+    Phi's core: the ViT's attention (one position per block) and MLP (one
+    position's 65x256 hidden layer per block), the flat layer's attention
+    over a transposed token stack (32 positions per block), single_query's
+    pool and full_cross's reduce, layernorm and the loss (16 of 128 masked
+    rows per block)."""
+    model = peak_desk()
+    b, s, c, d, heads = 4, model.seq, model.channels, model.embed, model.heads
+    hidden = model.mlp_ratio * d
+    gen = RngState(8)
+
+    def leaf(*shape, scale=1.0):
+        return Tensor(gen.normal(shape) * scale, requires_grad=True)
+
+    def output(*shape):  # an op output, as every op's input in the model is
+        return T.scale(leaf(*shape), 1.0)
+
+    def weights(*shapes):
+        return tuple(leaf(*shape, scale=0.02) for shape in shapes)
+
+    batch = make_batch(model, 5, 0, [0, 1, 2, 3])
+    rows = dmodel.masked_rows(batch.mask)
+    width = c * model.patch_pixels
+    attn = ((d, d), (d,), (d, d), (d, d), (d, d))
+    phi_scratch = 2 * 8 * min(T.PHI_BLOCK, (s + 1) * hidden)
+    return [
+        ("attention", lambda: (output(b, s + 1, d), *weights(*attn)),
+         lambda *a: T.attention(*a, heads), UFUNC_BUFFER_BYTES + OP_OBJECT_BYTES),
+        ("attention-slab", lambda: (output(b, c, s, d), *weights(*attn)),
+         lambda x, *a: T.attention(T.transpose(x, (0, 2, 1, 3)), *a, heads),
+         UFUNC_BUFFER_BYTES + OP_OBJECT_BYTES),
+        ("attention_pool", lambda: (output(b, s, c, d), *weights((d, heads), (d, d), (d, d))),
+         lambda *a: T.attention_pool(*a, heads), OP_OBJECT_BYTES),
+        ("attention_pool-reduce", lambda: (output(b, s, c, d), *weights((d, 1))),
+         lambda x, q: T.attention_pool(x, q, None, None, 1), OP_OBJECT_BYTES),
+        ("mlp", lambda: (output(b, s + 1, d), *weights((d, hidden), (hidden,), (hidden, d))),
+         T.mlp, phi_scratch + OP_OBJECT_BYTES),
+        ("layernorm", lambda: (output(b, s + 1, d),), T.layernorm,
+         UFUNC_BUFFER_BYTES + OP_OBJECT_BYTES),
+        ("masked_mse", lambda: (output(len(rows), width),),
+         lambda pred: dmodel.masked_mse(pred, batch.images, rows, model), OP_OBJECT_BYTES),
+    ]
+
+
+@pytest.mark.parametrize("case", per_op_cases(), ids=lambda case: case[0])
+def test_each_op_allocates_only_what_it_charges(case):
+    # a per-op oracle of the tracker: tracemalloc's rise over one call of the
+    # op is the tracker's rise, as every charged byte is allocated, to within
+    # the op's allowance.  Sharper than the whole-forward oracle above: a loss
+    # that gathered each target block before it freed the one before (one
+    # uncharged 128 KiB block) passed every case there and fails here
+    _, make, op, allowance = case
+    for _ in range(2):  # the first call warms numpy's caches
+        tr = AllocTracker()
+        with activate(tr):
+            inputs = make()
+            tr.peak_bytes = start = tr.live_bytes  # count from the op's start
+            tracemalloc.start()
+            try:
+                traced_start = tracemalloc.get_traced_memory()[0]
+                op(*inputs)
+                traced = tracemalloc.get_traced_memory()[1] - traced_start
+            finally:
+                tracemalloc.stop()
+    charged = tr.peak_bytes - start
+    assert charged >= 2 ** 17, charged
+    assert 0 <= traced - charged <= allowance
