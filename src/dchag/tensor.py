@@ -30,6 +30,11 @@ Design points that later modules rely on:
   recomputes what the forward formed and freed, as selective
   recomputation does (Korthikanti et al., 2022).  Their forwards hold one
   block of the layer's inner activation at a time, never all of it.
+  `attention`'s and `mlp`'s backwards walk the same blocks, as
+  FlashAttention-2 does (Dao, 2023), and hold one block of what they
+  recompute and of the layer's inner gradients: only x's gradient and the
+  weight gradients are whole.  `attention_pool`'s backward forms its
+  scores and values whole, as its forward does.
   `attention` is self-attention: the ViT and decoder blocks and
   full_cross's first aggregation stage.  It holds x, the four weights (and
   the query bias) and the per-row log-sum-exp; one block of positions' q,
@@ -51,8 +56,10 @@ Design points that later modules rely on:
 * every blocked pass (the fused ops', GELU's and `model.masked_mse`'s)
   walks its input's positions with `_position_blocks`, in blocks that
   `_block_length` sizes against one budget each (`ATTENTION_BLOCK`,
-  `PHI_BLOCK`, `MLP_BLOCK`, `LOSS_BLOCK`); results do not depend on the
-  block size, only the transient does;
+  `PHI_BLOCK`, `MLP_BLOCK`, `LOSS_BLOCK`); outputs and input gradients do
+  not depend on the block size, only the transient does, while the fused
+  backwards' weight and bias gradients, summed block by block, round
+  differently at each block size;
 * GELU's Phi(x) is numpy alone (`normal_cdf`), after Cephes' ndtr.c.  For
   |x| <= sqrt2 it is one rational in x^2, erf's with the 1/2 and 1/sqrt2
   folded into its coefficients, evaluated in one pass over the flat array.
@@ -353,8 +360,13 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 #   the desk's hot shapes (2**12 to 2**20, and one block of every position)
 #   found 2**15 to 2**17 equally fast, where one block was 1.9x slower on the
 #   [4,64,64,64] 8-head full_cross aggregation (273 against 146 ms), 1.6x on
-#   its 2-head tp shard and 1.4x on the [4,257,64] ViT attention.  At 2**16
-#   the backward's two logit-sized blocks (1 MiB) fit in L2;
+#   its 2-head tp shard and 1.4x on the [4,257,64] ViT attention.  With the
+#   backward walking the forward's blocks, forward plus backward at 2**14,
+#   2**15, 2**16 and 2**17 (best of 10, two sweeps) read 185-188, 169-172,
+#   164-166 and 164-166 ms on the aggregation, 54, 49, 48 and 50 ms on its
+#   tp shard, and 12 ms on the [4,64,8,64] tree node and 27 ms on the ViT
+#   attention at every size.  At 2**16 the backward's two logit-sized
+#   blocks (1 MiB) fit in L2;
 # * PHI_BLOCK, the elements of one `normal_cdf` call, some two dozen passes
 #   whose input, x^2, D and output (1 MiB at 2**15) stay in L2: on the Phi
 #   inputs of one benchmark step per strategy (best of 15), 2**14 to 2**16
@@ -427,7 +439,12 @@ def attention(x: Tensor, wq: Tensor, bq: Tensor | None, wk: Tensor, wv: Tensor, 
     which at paper scale (D large, few tokens per rank) would outweigh the
     buffers.  One more block-sized buffer each holds the logits and the row
     sums (and, in backward, the logit gradient), so a block's elementwise
-    passes run in cache.
+    passes run in cache.  The logits are key-major, [keys, queries], so a
+    query's softmax (its maximum, its sum and the log-sum-exp's
+    subtraction) reduces across the rows of a block, each pass over whole
+    contiguous rows rather than along a short last axis; the probabilities
+    are normalised by one product with the reciprocal of their sums, and
+    the context is p^T v.
 
     The forward writes each head group's context over its q, which its
     logits have read, so a block's q buffer becomes the block's context,
@@ -441,11 +458,21 @@ def attention(x: Tensor, wq: Tensor, bq: Tensor | None, wk: Tensor, wv: Tensor, 
     (Korthikanti et al., 2022), and the probabilities from the log-sum-exp,
     as FlashAttention does.  The forward charges every buffer it allocates
     from its allocation until it is freed: the log-sum-exp and the output,
-    and the block buffers, which go when it returns.  Backward takes the
-    context's gradient as one product with wo^T, writes dq, dk and dv whole
-    into the planes of one [3, ..., T, Dl] buffer, so the weight gradients
-    fold as one product each, takes wo's gradient from the recomputed
-    context and drops it before it forms dx.
+    and the block buffers, which go when it returns.
+
+    Backward walks the forward's blocks, as FlashAttention-2 does (Dao,
+    2023).  At a block's first head group it forms the context's gradient,
+    g wo^T, into a block buffer; at each head group it recomputes the
+    probabilities and the context into block buffers and writes dv, dq and
+    dk into the planes of one [3, blk, T, Dl] buffer; after the last it
+    writes the block's rows of dx as the products of dq, dk and dv with
+    wq^T, wk^T and wv^T, one matrix per position, and adds the block's
+    folds into the weight gradients (over x's rows there, copied if x is a
+    transposed stack) and its row sum into the bias's.  Only dx and the
+    weight gradients are whole.  Each position's rows go through the same
+    numpy calls at any block size, so the output and dx do not depend on
+    it; the weight and bias gradients, summed block by block, round
+    differently.
     """
     weights = (wq, wk, wv)
     if (x.ndim < 2 or any(w.ndim != 2 or w.shape != wq.shape for w in weights)
@@ -467,9 +494,10 @@ def attention(x: Tensor, wq: Tensor, bq: Tensor | None, wk: Tensor, wv: Tensor, 
     bd = None if bq is None else bq.data
 
     def blocks(q, kv):
-        """(positions, heads, their q, k and v) of each block in order: the
-        block's rows of x projected into `q` [blk, T, Dl], biased and
-        scaled, and into the planes of `kv` [2, blk, T, Dl]."""
+        """(positions, x's rows there, heads, their q, k and v) of each
+        block in order: the block's rows of x projected into `q` [blk, T,
+        Dl], biased and scaled, and into the planes of `kv` [2, blk, T,
+        Dl]."""
         for sl, xs in _position_blocks(xd, 2, blk):
             planes = (q[:len(xs)], *kv[:, :len(xs)])
             for plane, w in zip(planes, wd):
@@ -479,11 +507,12 @@ def attention(x: Tensor, wq: Tensor, bq: Tensor | None, wk: Tensor, wv: Tensor, 
                 qb += bd
             qb *= scale
             for hs, _ in _position_blocks(lse[sl.start], 1, hb):
-                yield sl, hs, *(_heads(plane, h, hs) for plane in planes)
+                yield sl, xs, hs, *(_heads(plane, h, hs) for plane in planes)
 
     def logits(qh, kh, p):
-        """A block's logits into `p`, cut to the block's size."""
-        return np.matmul(qh, kh.swapaxes(-1, -2), out=p[:len(kh), :kh.shape[1]])
+        """A block's logits into `p`, cut to the block's size, key-major:
+        [keys, queries], so that a query's softmax reduces across rows."""
+        return np.matmul(kh, qh.swapaxes(-1, -2), out=p[:len(kh), :kh.shape[1]])
 
     def fill(q, out):
         """The log-sum-exp into `lse` and each block's context into `q`,
@@ -493,16 +522,17 @@ def attention(x: Tensor, wq: Tensor, bq: Tensor | None, wk: Tensor, wv: Tensor, 
         return."""
         kv = _charged(np.empty((2, blk, t, dl)))
         p, rowsum = _charged(np.empty((blk, hb, t, t))), _charged(np.empty((blk, hb, t)))
-        for sl, hs, qh, kh, vh in blocks(q, kv):
+        for sl, _, hs, qh, kh, vh in blocks(q, kv):
             pb = logits(qh, kh, p)
             lb, rb = lse[sl, hs], rowsum[:len(pb), :pb.shape[1]]
-            pb.max(axis=-1, out=lb)
-            pb -= lb[..., None]
+            pb.max(axis=-2, out=lb)
+            pb -= lb[..., None, :]
             np.exp(pb, out=pb)
-            pb.sum(axis=-1, out=rb)
-            pb /= rb[..., None]
-            lb += np.log(rb, out=rb)
-            np.matmul(pb, vh, out=qh)
+            pb.sum(axis=-2, out=rb)
+            np.reciprocal(rb, out=rb)
+            pb *= rb[..., None, :]
+            lb -= np.log(rb, out=rb)
+            np.matmul(pb.swapaxes(-1, -2), vh, out=qh)
             if out is not None and hs.stop >= h:
                 np.matmul(q[:len(pb)], wod, out=out[sl])
 
@@ -517,46 +547,47 @@ def attention(x: Tensor, wq: Tensor, bq: Tensor | None, wk: Tensor, wv: Tensor, 
     out = out.reshape(*lead, t, do)
     _flops(2 * n * t * d * 3 * dl + 4 * n * t * t * dl + 2 * n * t * dl * do)
 
-    def projection_grads(gf):
-        """dq, dk and dv as the planes of one [3, n, T, Dl] buffer, and the
-        recomputed context [n, T, Dl], from the context's gradient `gf`."""
-        ctxf = np.empty((n, t, dl))
-        dqkv = np.empty((3, n, t, dl))
-        dq, dk, dv = dqkv
+    def back(g):
+        gf = g.reshape(n, t, do)
+        dx, dw = np.empty((n, t, d)), np.zeros((3, d, dl))
+        dwo, dbq = np.zeros((dl, do)), np.zeros(dl)
         q, kv = np.empty((blk, t, dl)), np.empty((2, blk, t, dl))
+        ctx, dctx, dqkv = np.empty((blk, t, dl)), np.empty((blk, t, dl)), np.empty((3, blk, t, dl))
         p, ds = np.empty((blk, hb, t, t)), np.empty((blk, hb, t, t))
         dot = np.empty((blk, t, hb)).swapaxes(-1, -2)  # the layout einsum fills fastest
-        for sl, hs, qh, kh, vh in blocks(q, kv):
+        part = np.empty((blk, t, d))
+        for sl, xs, hs, qh, kh, vh in blocks(q, kv):
+            m = len(xs)
+            if hs.start == 0:
+                np.matmul(gf[sl], wod.T, out=dctx[:m])
             pb = logits(qh, kh, p)
-            pb -= lse[sl, hs, :, None]
+            pb -= lse[sl, hs, None, :]
             np.exp(pb, out=pb)
-            cut = (slice(len(pb)), slice(pb.shape[1]))
-            gh = _heads(gf[sl], h, hs)
-            oh = np.matmul(pb, vh, out=_heads(ctxf[sl], h, hs))
-            np.matmul(pb.swapaxes(-1, -2), gh, out=_heads(dv[sl], h, hs))
-            dsb = np.matmul(gh, vh.swapaxes(-1, -2), out=ds[cut])
-            dsb -= np.einsum("...d,...d->...", gh, oh, out=dot[cut])[..., None]  # rowsum(dO*O)
+            cut = (slice(m), slice(pb.shape[1]))
+            gh = _heads(dctx[:m], h, hs)
+            oh = np.matmul(pb.swapaxes(-1, -2), vh, out=_heads(ctx[:m], h, hs))
+            dq, dk, dv = (_heads(plane[:m], h, hs) for plane in dqkv)
+            np.matmul(pb, gh, out=dv)
+            dsb = np.matmul(vh, gh.swapaxes(-1, -2), out=ds[cut])
+            dsb -= np.einsum("...d,...d->...", gh, oh, out=dot[cut])[..., None, :]  # rowsum(dO*O)
             dsb *= pb  # the logit gradient, without its factor `scale`
-            np.matmul(dsb, kh, out=_heads(dq[sl], h, hs))
-            np.matmul(dsb.swapaxes(-1, -2), qh, out=_heads(dk[sl], h, hs))
-        dq *= scale
-        return dqkv, ctxf
-
-    def back(g):
-        dqkv, ctxf = projection_grads(np.matmul(g, wod.T).reshape(n, t, dl))
-        cf, gf = _fold_rows(ctxf.reshape(*lead, t, dl), g)
-        dwo = cf.T @ gf
-        del ctxf, cf, gf
-        parts = [plane.reshape(*lead, t, dl) for plane in dqkv]
-        dx = np.matmul(parts[0], wd[0].T)
-        for part, w in zip(parts[1:], wd[1:]):
-            dx += np.matmul(part, w.T)
-        perm = _row_order(xd)
-        xf = xd.transpose(perm).reshape(-1, d)
-        dw = [xf.T @ part.transpose(perm).reshape(-1, dl) for part in parts]
+            np.matmul(dsb.swapaxes(-1, -2), kh, out=dq)
+            np.matmul(dsb, qh, out=dk)
+            if hs.stop < h:
+                continue
+            planes = dqkv[:, :m]
+            planes[0] *= scale
+            np.matmul(planes[0], wd[0].T, out=dx[sl])
+            for plane, w in zip(planes[1:], wd[1:]):
+                dx[sl] += np.matmul(plane, w.T, out=part[:m])
+            flat = planes.reshape(3, -1, dl)
+            dw += np.matmul(np.ascontiguousarray(xs).reshape(-1, d).T, flat)
+            dwo += ctx[:m].reshape(-1, dl).T @ gf[sl].reshape(-1, do)
+            dbq += flat[0].sum(axis=0)
+        dx = dx.reshape(*lead, t, d)
         if bd is None:
             return dx, *dw, dwo
-        return dx, *dw, dwo, parts[0].sum(axis=tuple(range(len(lead) + 1)))
+        return dx, *dw, dwo, dbq
 
     parents = (x, *weights, wo) + (() if bq is None else (bq,))
     return Tensor(out, _parents=parents, _backward=back)
@@ -817,13 +848,18 @@ def mlp(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor) -> Tensor:
     each Phi a scratch that goes once read, and its product with w2 fills
     the block's rows of the output, which is made once the first block's
     GELU is done; the buffer goes on return.  The op saves x, w1, b1 and
-    w2, and no hidden-sized buffer: backward recomputes a whole, as
-    selective recomputation does (Korthikanti et al., 2022), and per
-    `PHI_BLOCK` writes gelu(a) into one buffer and turns a into GELU's
-    derivative Phi(a) + a pdf(a).  Every value comes from the numpy calls of
-    the chain matmul, bias add, GELU and matmul, so the output and the
-    gradients are that chain's to the bit.  The forward charges the hidden
-    block, the Phi scratch and the output while each lives.
+    w2, and no hidden-sized buffer: backward walks the forward's blocks and
+    recomputes each block's a, as selective recomputation does (Korthikanti
+    et al., 2022).  Per `PHI_BLOCK` it writes gelu(a) into one buffer and
+    turns a into GELU's derivative Phi(a) + a pdf(a); then it folds the
+    block's w2 gradient, writes the hidden gradient over gelu(a) and the
+    block's rows of dx, and folds its w1 and b1 gradients.  Only dx and the
+    weight gradients are whole.  The output and dx come from the numpy
+    calls of the chain matmul, bias add, GELU and matmul, one matrix per
+    position, so they are that chain's to the bit at any block size; the
+    weight and bias gradients, summed block by block, round differently.
+    The forward charges the hidden block, the Phi scratch and the output
+    while each lives.
     """
     if (x.ndim < 2 or w1.ndim != 2 or w2.ndim != 2 or w1.shape[0] != x.shape[-1]
             or b1.shape != w1.shape[1:] or w2.shape[0] != w1.shape[1]):
@@ -852,22 +888,24 @@ def mlp(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor) -> Tensor:
     out = forward().reshape(*lead, r, do)
     _flops(2 * n * r * dh * (d + do))
 
-    def hidden():
-        """a = x w1 + b1, the pre-activation, in a new buffer."""
-        a = np.matmul(xd, w1d)
-        a += b1d
-        return a
-
     def back(g):
-        a = hidden()
-        hf, gf = _fold_rows(_gelu_and_derivative(a), g)  # a is GELU's derivative from here
-        dw2 = hf.T @ gf
-        del hf, gf
-        da = np.matmul(g, w2d.T)
-        da *= a
-        del a
-        xf, df = _fold_rows(xd, da)
-        return np.matmul(da, w1d.T), xf.T @ df, _reduce_to(da, b1d.shape), dw2
+        gf = g.reshape(n, r, do)
+        dx, a = np.empty((n, r, d)), np.empty((blk, r, dh))
+        dw1, db1, dw2 = np.zeros((d, dh)), np.zeros(dh), np.zeros((dh, do))
+        for sl, xs in _position_blocks(xd, 2, blk):
+            ab = a[:len(xs)]
+            np.matmul(xs, w1d, out=ab)
+            ab += b1d
+            act = _gelu_and_derivative(ab)  # ab is GELU's derivative from here
+            gs = gf[sl]
+            dw2 += act.reshape(-1, dh).T @ gs.reshape(-1, do)
+            da = np.matmul(gs, w2d.T, out=act)
+            da *= ab
+            np.matmul(da, w1d.T, out=dx[sl])
+            da = da.reshape(-1, dh)
+            dw1 += np.ascontiguousarray(xs).reshape(-1, d).T @ da
+            db1 += da.sum(axis=0)
+        return dx.reshape(*lead, r, d), dw1, db1, dw2
 
     return Tensor(out, _parents=(x, w1, b1, w2), _backward=back)
 

@@ -691,3 +691,78 @@ def test_each_op_allocates_only_what_it_charges(case):
     charged = tr.peak_bytes - start
     assert charged >= 2 ** 17, charged
     assert 0 <= traced - charged <= allowance
+
+
+def backward_cases():
+    """(name, the block constant and its value, make the op's output) for
+    each fused op whose backward walks blocks, on a transposed token stack
+    [B, S, C, D], the view a token slab arrives as, so every block of x is
+    copied to rows: attention over blocks of two positions with a query
+    bias, over blocks of two of a position's four heads without one, and the
+    MLP over blocks of two positions.  `make` returns the output with the
+    number of its blocks of positions, its whole-layer size (the
+    elements of dq, dk and dv, or of the hidden layer and its GELU, for
+    every position) and its stated allowance in elements."""
+    b, s, c, d, heads, hidden = 2, 24, 16, 32, 4, 128
+    n, gen = b * s, RngState(9)
+
+    def leaf(*shape, scale=1.0):
+        return Tensor(gen.normal(shape) * scale, requires_grad=True)
+
+    def stack():
+        return T.transpose(leaf(b, c, s, d), (0, 2, 1, 3))
+
+    def attention(bias, blk, hb):
+        # the recomputed q, k, v and context, the context's gradient and
+        # dq, dk and dv (8 blocks of blk*C*D); one block of x copied to rows
+        # and one term of dx (blk*C*D each); the logits, their gradient and
+        # the row dots; one fold of the weight gradients (4*D*D, and D for
+        # the bias)
+        def make():
+            ws = (leaf(d, d, scale=0.1), leaf(d, scale=0.1) if bias else None,
+                  *(leaf(d, d, scale=0.1) for _ in range(3)))
+            allowance = 10 * blk * c * d + blk * hb * c * (2 * c + 1) + 4 * d * d + d
+            return T.attention(stack(), *ws, heads), n // blk, 3 * n * c * d, allowance
+        return make
+
+    def mlp():
+        # the hidden block, its GELU (which then holds da) and normal_cdf's
+        # x^2, Phi and denominator, each a block here (PHI_BLOCK is larger);
+        # one block of x copied to rows; one fold of a weight gradient
+        def make():
+            ws = leaf(d, hidden, scale=0.1), leaf(hidden, scale=0.1), leaf(hidden, d, scale=0.1)
+            allowance = 5 * 2 * c * hidden + 2 * c * d + d * hidden + hidden
+            return T.mlp(stack(), *ws), n // 2, 2 * n * c * hidden, allowance
+        return make
+
+    return [("attention-blocks", "ATTENTION_BLOCK", 2 * heads * c * c, attention(True, 2, heads)),
+            ("attention-head-groups", "ATTENTION_BLOCK", 2 * c * c, attention(False, 1, 2)),
+            ("mlp-blocks", "MLP_BLOCK", 2 * c * hidden, mlp())]
+
+
+@pytest.mark.parametrize("case", backward_cases(), ids=lambda case: case[0])
+def test_a_fused_backward_holds_one_block(monkeypatch, case):
+    # a backward oracle of the fused ops: tracemalloc's rise over one call of
+    # the op's backward closure is its results, x's gradient and the weight
+    # gradients, plus what one block holds, to within Python's objects.
+    # Whole dq, dk and dv, or a whole hidden layer and its GELU, exceed that
+    # bound: the check sees a backward that forms any of them for every
+    # position
+    _, constant, value, make = case
+    monkeypatch.setattr(T, constant, value)
+    for _ in range(2):  # the first call warms numpy's caches
+        out, blocks, whole, allowance = make()
+        g = np.ones(out.shape)
+        back = out.node.backward
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            grads = back(g)
+            traced = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+    results = 8 * sum(a.size for a in grads)
+    assert blocks >= 12
+    assert allowance < whole
+    assert results <= traced <= results + 8 * allowance + OP_OBJECT_BYTES, (
+        f"{(traced - results) / 2 ** 10:.1f} KiB above the results")
