@@ -72,7 +72,8 @@ class ModelConfig:
     @property
     def masked_count(self) -> int:
         """Spatial tokens masked per sample: `mask_ratio` of the sequence,
-        rounded, and at least one, so the loss always has a term."""
+        rounded, and at least one, so the loss always has a term; `validate`
+        rejects a count that leaves no position to keep."""
         return max(1, int(round(self.mask_ratio * self.seq)))
 
     def validate(self) -> None:
@@ -88,6 +89,9 @@ class ModelConfig:
             raise ConfigError(f"embed {self.embed} not divisible by heads {self.heads}")
         if not (0 <= self.mask_ratio < 1):
             raise ConfigError(f"mask_ratio must be in [0, 1), got {self.mask_ratio}")
+        if self.masked_count == self.seq:
+            raise ConfigError(f"mask_ratio {self.mask_ratio} masks all {self.seq} positions,"
+                              " so no position is kept to aggregate")
         if self.agg_variant not in AGG_VARIANTS:
             raise ConfigError(f"agg_variant must be one of {AGG_VARIANTS}")
 

@@ -17,6 +17,10 @@ The contract, per rank and per step:
   the point it is live.
   Each layer's terms are written once, on the one function that returns
   its activation elements and FLOPs together.
+* Tokenization and aggregation run over the K = B*(S - `masked_count`)
+  positions the mask keeps, as one run of K positions ([1, K, ...]), and
+  so do the token and stream gathers and the flat layer's exchanges; the
+  transformer and the decoder run over every position of the B samples.
 * FLOPs follow `tracking`'s rule and equal the tracker's per-tag count.
 * Parameter bytes come from `params`' table and placement rule, the ones
   that shard the simulator's ranks.  Grads equal params; optimizer state
@@ -165,37 +169,38 @@ def _mlp(lead, rows, dh, n):
     return 0, blk * per + max(phi(blk), n + phi(min(blk, lead - blk)))
 
 
-def _agg_layer(b, s, ck, d, heads, variant, tp, fold=0):
-    """One cross-attention aggregation layer over Ck token stacks,
-    head-split over tp; `fold` is the copy, if any, that `attention_pool`
-    makes of its input stack (`_fold_copy`).
+def _agg_layer(n, ck, d, heads, variant, tp, fold=0):
+    """One cross-attention aggregation layer over the Ck token stacks of
+    `n` positions, one run ([1, n, Ck, D]), head-split over tp; `fold` is
+    the copy, if any, that `attention_pool` makes of its input stack
+    (`_fold_copy`).
 
     Activations: single_query pools the Ck tokens with its stored learned
-    query (`_pool`), projecting the values (B*S*Ck*D/tp) and the output
+    query (`_pool`), projecting the values (n*Ck*D/tp) and the output
     inside the pool; no key is formed.  full_cross runs the fused attention
     op, Ck tokens against themselves, whose projections (3*Ck*D/tp per
     position, the context taking q's place) and (H/tp)*Ck^2 logits per
-    position are transient, one block of positions at a time, within one
-    run of S.  Then the full-width output (the op's output, in
+    position are transient, one block of positions at a time.  Then the
+    full-width output (the op's output, in
     which the sum over tp and the bias add are formed), which tp does not
     divide; and full_cross's reduce, a single-head pool of the Ck
     full-width outputs, which are its values as they are.  The quadratic
     channel term is the full_cross logits, capped at one block: once one
-    block no longer holds a run of S positions, it grows with Ck^2 only
-    through the positions a block holds, down to one position.
+    block no longer holds every position, it grows with Ck^2 only through
+    the positions a block holds, down to one position.
 
     FLOPs: single_query's value projection, the pool's scores
-    (2*B*S*Ck*D*H/tp) and pooling (2*B*S*Ck*D/tp); full_cross's key, value
-    and query projections and the two attention products; the output
+    (2*n*Ck*D*H/tp) and pooling (2*n*Ck*D/tp); full_cross's key, value and
+    query projections and the two attention products; the output
     projection of every attended token; and full_cross's reduce, whose
-    scores and pooling are 2*B*S*Ck*D each.
+    scores and pooling are 2*n*Ck*D each.
     """
-    n, dl, hl = b * s, d / tp, heads / tp
+    dl, hl = d / tp, heads / tp
     if variant == "single_query":
         acts = _then(_pool(n, hl, ck, dl, fold, d), _stored(n * d))
         flops = 2 * n * ck * d * dl + 2 * n * ck * (d * hl + dl) + 2 * n * d * dl
         return acts, flops
-    acts = _then(_attention(n, hl, ck, dl, d, s),
+    acts = _then(_attention(n, hl, ck, dl, d, n),
                  _stored(n * ck * d),
                  _pool(n, 1, ck, d, 0))
     flops = (3 * 2 * n * ck * d * dl + 2 * 2 * n * ck * ck * dl
@@ -203,31 +208,29 @@ def _agg_layer(b, s, ck, d, heads, variant, tp, fold=0):
     return acts, flops
 
 
-def _fold_copy(b, s, d, g, width, level):
+def _fold_copy(n, d, g, width, level):
     """Elements of the copy that a single_query tree node's pool makes when
     it folds its input into rows (`tensor.attention_pool`): a node over g
     of its level's `width` channels reads a `split` piece of the level's
-    stack.  At level 0 that stack is the rank's tokens, channel-major in
-    memory ([B, Cs, S, D]), so g < width channels fold in place only at
-    B = 1 (or when S = g = 1); above it, the stack is the concatenated
-    streams of the level below, position-major ([B, S, width, D]), so they
-    fold in place only at g = 1 (or when S = B = 1)."""
-    if g == width:
-        return 0
-    in_place = (b == 1 or s == g == 1) if level == 0 else (g == 1 or s == b == 1)
-    return 0 if in_place else b * s * g * d
+    stack of n positions.  At level 0 that stack is the rank's tokens,
+    channel-major in memory ([Cs, n, D]), so any piece folds in place;
+    above it, the stack is the concatenated streams of the level below,
+    position-major ([1, n, width, D]), so g < width streams fold in place
+    only at g = 1 (or at one position)."""
+    in_place = g == width or level == 0 or g == 1 or n == 1
+    return 0 if in_place else n * g * d
 
 
-def _tree(b, s, d, heads, tree: tuple, layer_kind, variant):
-    """A rank's slab tree, its nodes run in order.
+def _tree(n, d, heads, tree: tuple, layer_kind, variant):
+    """A rank's slab tree over n positions, its nodes run in order.
 
     A cross_attention node is an unsplit `_agg_layer` over its group.  A
     linear node of group g keeps its mixed stream and its projection's
-    product, into which the bias is added, B*S*D each, and costs
-    2*B*S*D*(g+D) FLOPs (the channel mix, then the projection).  A level
-    of several nodes concatenates their outputs, B*S*D per node, and then
+    product, into which the bias is added, n*D each, and costs
+    2*n*D*(g+D) FLOPs (the channel mix, then the projection).  A level
+    of several nodes concatenates their outputs, n*D per node, and then
     drops them.  No backward reads a node's output, so the tree's output
-    stream, B*S*D, goes once it is gathered.
+    stream, n*D, goes once it is gathered.
 
     Returns the activation pair and the FLOPs.
     """
@@ -235,14 +238,14 @@ def _tree(b, s, d, heads, tree: tuple, layer_kind, variant):
     for li, level in enumerate(tree):
         for g in level:
             if layer_kind == "linear":
-                a, f = _stored(2 * b * s * d), 2 * b * s * d * (g + d)
+                a, f = _stored(2 * n * d), 2 * n * d * (g + d)
             else:
-                fold = _fold_copy(b, s, d, g, sum(level), li) if variant == "single_query" else 0
-                a, f = _agg_layer(b, s, g, d, heads, variant, 1, fold)
+                fold = _fold_copy(n, d, g, sum(level), li) if variant == "single_query" else 0
+                a, f = _agg_layer(n, g, d, heads, variant, 1, fold)
             parts.append(a)
             flops += f
         if len(level) > 1:
-            parts += [_stored(b * s * len(level) * d), _freed(len(level) * b * s * d)]
+            parts += [_stored(n * len(level) * d), _freed(len(level) * n * d)]
     return _then(*parts), flops
 
 
@@ -338,47 +341,50 @@ def estimate(model: ModelConfig, strategy: StrategyConfig,
                                            pb, dp)
             for comp, count, elems in sizes))
 
-    # --- tokenize: the rank's images and their patch rows (B*Cs*S*pp each;
-    # the images go on return), then the tokens (B*Cs*S*D), the embedding
-    # matmul with the channel-ID and positional adds written into it.
-    # dist_token then gathers every rank's tokens and drops its own.
-    # FLOPs: the embedding matmul.
-    pixels, tokens = b * cloc * s * pp, b * cloc * s * d
-    acts = _then(_stored(2 * pixels), _stored(tokens), _freed(pixels))
+    # --- tokenize: only the K = B*(S - `masked_count`) kept positions.
+    # Their patch rows (K*Cs*pp), gathered from the images, which are not
+    # the engine's; the tokens (K*Cs*D), the embedding matmul, with the
+    # channel-ID adds written into it; and the positional rows (K*D), added
+    # into it and gone.  dist_token then gathers every rank's tokens and
+    # drops its own.  FLOPs: the embedding matmul.
+    k = b * (s - model.masked_count)
+    tokens = k * cloc * d
+    acts = _then(_stored(k * cloc * pp), _stored(tokens), _stored(k * d), _freed(k * d))
     if strategy.kind == "dist_token":
-        acts = _then(acts, _stored(b * c * s * d), _freed(tokens))
-        add_comm("forward", "tp", ring_allgather_payload(b * cloc * s * d * pb, tp))
+        acts = _then(acts, _stored(k * c * d), _freed(tokens))
+        add_comm("forward", "tp", ring_allgather_payload(tokens * pb, tp))
     if strategy.slabs_channels and tp > 1:  # fanout of the shared positional embedding
         add_comm("backward", "tp", ring_allreduce_payload(s * d, pb, tp))
-    cost("tokenize", acts, 2 * b * cloc * s * pp * d)
+    cost("tokenize", acts, 2 * k * cloc * pp * d)
 
-    # --- aggregate: agg.flat over the C token stacks, head-split over tp;
-    # or dchag's slab tree, the gathered tp streams (after which the rank's
-    # own stream goes) and agg.final over them, replicated.
+    # --- aggregate, over the K kept positions: agg.flat over the C token
+    # stacks, head-split over tp; or dchag's slab tree, the gathered tp
+    # streams (after which the rank's own stream goes) and agg.final over
+    # them, replicated.
     acts, flops = _stored(0), 0
     ck, agg_tp = c, tp
     if strategy.kind == "dchag":
-        tree_acts, flops = _tree(b, s, d, heads, rank_tree(model, strategy),
+        tree_acts, flops = _tree(k, d, heads, rank_tree(model, strategy),
                                  strategy.agg_layer_kind, model.agg_variant)
-        acts = _then(tree_acts, _stored(b * tp * s * d), _freed(b * s * d))
-        add_comm("forward", "tp", ring_allgather_payload(b * s * d * pb, tp))
+        acts = _then(tree_acts, _stored(k * tp * d), _freed(k * d))
+        add_comm("forward", "tp", ring_allgather_payload(k * d * pb, tp))
         ck, agg_tp = tp, 1
-    layer_acts, layer_flops = _agg_layer(b, s, ck, d, heads, model.agg_variant, agg_tp)
+    layer_acts, layer_flops = _agg_layer(k, ck, d, heads, model.agg_variant, agg_tp)
     cost("aggregate", _then(acts, layer_acts), flops + layer_flops)
     if strategy.splits_agg:
-        width = (c if model.agg_variant == "full_cross" else 1) * b * s * d
+        width = (c if model.agg_variant == "full_cross" else 1) * k * d
         add_comm("forward", "tp", ring_allreduce_payload(width, pb, tp))  # output allsum
-        add_comm("backward", "tp", ring_allreduce_payload(b * s * c * d, pb, tp))  # input fanout
+        add_comm("backward", "tp", ring_allreduce_payload(k * c * d, pb, tp))  # input fanout
 
-    # --- vit: the mask and its complement (B*S each), the masked stream
-    # (two products, the second added into the first, after which it goes),
-    # the [B, 4] metadata input and its token (a product, into which the
-    # bias is added), and the concatenated sequence, which the first block
-    # drops; the masked stream and the metadata token go once it is made.
+    # --- vit: the stream's K rows and the mask token, concatenated
+    # ((K+1)*D), and the B*S rows placed from it, after which it goes; the
+    # [B, 4] metadata input and its token (a product, into which the bias
+    # is added), and the concatenated sequence, which the first block
+    # drops; the placed rows and the metadata token go once it is made.
     # Then the blocks at T = S+1.  FLOPs: the metadata projection ([B, 4]
     # by [4, D]) and the blocks.
     block_acts, block_flops = _block(b, t, d, heads, m, tp)
-    prologue = _then(_stored(2 * b * s), _stored(2 * b * s * d), _freed(b * s * d),
+    prologue = _then(_stored((k + 1) * d), _stored(b * s * d), _freed((k + 1) * d),
                      _stored(4 * b), _stored(b * d), _stored(b * t * d), _freed(b * s * d + b * d))
     cost("vit", _then(prologue, *[block_acts] * depth), 8 * b * d + depth * block_flops)
     if strategy.splits_vit:

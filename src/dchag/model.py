@@ -1,23 +1,36 @@
 """Multi-channel ViT with channel aggregation and an MAE reconstruction head.
 
-Forward flow: per-channel patch tokenization (+ channel-ID and positional
-embeddings), channel aggregation down to one stream, random masking of
-spatial tokens, metadata-token concatenation, transformer blocks, and a
-small decoder whose prediction head and loss run on the masked positions
-alone: they reconstruct the pixels of every channel there.
+Forward flow: the positions the token mask keeps (`kept_rows`) are
+selected first, and only they are tokenized per channel (+ channel-ID and
+positional embeddings) and aggregated down to one stream; the stream is
+then placed at its positions and the learned mask token at the masked
+ones, the metadata token is concatenated, and the sequence of every
+position runs through the transformer blocks and a small decoder whose
+prediction head and loss run on the masked positions alone: they
+reconstruct the pixels of every channel there.  A masked position's
+stream would reach the loss only multiplied by 0, so it is never formed;
+the loss is the same function of the parameters as a forward that
+tokenizes and aggregates every position and then replaces the masked
+streams by the mask token, as in MAE (He et al., 2022), whose encoder
+drops the masked patches for the same reason.
 
-Every activation between layers is position-major, since aggregation
-reduces the channels at each spatial position, and the channel gathers of
-the parallel strategies concatenate along the channel axis:
+Every activation before the transformer is position-major, since
+aggregation reduces the channels at each spatial position, and the
+channel gathers of the parallel strategies concatenate along the channel
+axis.  Its positions are the K kept ones, flat: the lead is [1, K], so a
+mask may keep a different count in each sample:
 
-* patch rows are [B, S, C, P*P] (`tensor.unfold_patches`);
-* channel stacks are [B, S, C, D]: the tokens, a tree level's streams, and
-  the slab streams that the final layer reduces;
-* a stream is a one-channel stack, [B, S, 1, D];
+* patch rows are [K, C, P*P], gathered from the images (`patch_rows`);
+* channel stacks are [1, K, C, D]: the tokens, a tree level's streams,
+  and the slab streams that the final layer reduces;
+* a stream is a one-channel stack, [1, K, 1, D];
+* the transformer's sequence is [B, S+1, D], every position of each
+  sample and the metadata token;
 * predictions are [M, C*P*P], one row per masked position, holding that
-  position's patch rows; the M positions are the flat indices b*S + s of
-  the mask, in order (`masked_rows`), so a mask may mask a different count
-  in each sample.
+  position's patch rows.
+
+The K kept and the M masked positions are the flat indices b*S + s of the
+mask, in order (`kept_rows`, `masked_rows`).
 
 Channel aggregation comes in two architectures.  Flat: one cross-attention
 layer (`layers.cross_attention_aggregate`) reduces all C channels at once
@@ -70,31 +83,64 @@ def make_mask(model: ModelConfig, sample_ids, seed: int, step: int) -> np.ndarra
     return mask
 
 
+def _check_mask(mask: np.ndarray) -> None:
+    if not np.isin(mask, (0.0, 1.0)).all():
+        raise ConfigError("a token mask holds only 0 and 1")
+
+
 def masked_rows(mask: np.ndarray) -> np.ndarray:
     """The flat indices b*S + s of a [B, S] mask's masked positions, in
     order.  Raises ConfigError unless every entry is 0 or 1 and at least
     one position is masked: the loss averages over the masked positions."""
-    if not np.isin(mask, (0.0, 1.0)).all():
-        raise ConfigError("a token mask holds only 0 and 1")
+    _check_mask(mask)
     rows = np.flatnonzero(mask)
     if rows.size == 0:
         raise ConfigError("the token mask masks no position, so the loss has no term")
     return rows
 
 
-def tokenize_channels(images: Tensor, tok_w: Tensor, chan_id: Tensor,
-                      pos: Tensor, patch: int) -> Tensor:
-    """[B, Cs, H, W] -> the channel stack [B, S, Cs, D].
+def kept_rows(mask: np.ndarray) -> np.ndarray:
+    """The flat indices b*S + s of a [B, S] mask's kept positions, in
+    order: the positions tokenized and aggregated.  Raises ConfigError
+    unless every entry is 0 or 1 and at least one position is kept."""
+    _check_mask(mask)
+    rows = np.flatnonzero(mask == 0.0)
+    if rows.size == 0:
+        raise ConfigError("the token mask keeps no position, so nothing is aggregated")
+    return rows
 
-    Each channel's P x P patches pass through that channel's embedding map
-    (unfold + matmul, a stride-P convolution), read through a transposed
-    view of the patch rows; its channel-ID row, the map's only bias, and
-    the positional embedding are then added into the product's buffer.
+
+def patch_rows(images: np.ndarray, rows: np.ndarray, patch: int) -> np.ndarray:
+    """The pixels [len(rows), C, P, P] of the flat positions `rows` (b*S +
+    s) of `images` [B, C, H, W], gathered through its view [B, C, Hp, P,
+    Wp, P] into a new array; row (k, c) holds channel c's pixels of
+    position k's patch, row-major within the patch."""
+    b, c, h, w = images.shape
+    bi, si = np.divmod(rows, (h // patch) * (w // patch))
+    hi, wi = np.divmod(si, w // patch)
+    return images.reshape(b, c, h // patch, patch, w // patch, patch)[bi, :, hi, :, wi, :]
+
+
+def tokenize_channels(images: np.ndarray, rows: np.ndarray, tok_w: Tensor, chan_id: Tensor,
+                      pos: Tensor, patch: int) -> Tensor:
+    """The positions `rows` (`kept_rows`) of [B, Cs, H, W] -> the channel
+    stack [1, K, Cs, D], K = len(rows).
+
+    Each channel's P x P patches at those positions (`patch_rows`) pass
+    through that channel's embedding map (a stride-P convolution there),
+    read through a transposed view of the patch rows; its channel-ID row,
+    the map's only bias, and each position's positional row (`take_rows`
+    of `pos`) are then added into the product's buffer, which is
+    channel-major, [Cs, K, D]: the stack is a transposed view of it, so a
+    `split` piece of its channels folds into rows in place.
     """
-    rows = T.transpose(T.unfold_patches(images, patch), (0, 2, 1, 3))  # [B, Cs, S, P*P]
-    tokens = T.matmul(rows, tok_w)  # [B, Cs, S, D]
-    tokens = T.add_(tokens, T.reshape(chan_id, (chan_id.shape[0], 1, -1)))
-    return T.transpose(T.add_(tokens, pos), (0, 2, 1, 3))
+    k, cs = len(rows), images.shape[1]
+    x = Tensor(patch_rows(images, rows, patch).reshape(k, cs, patch * patch))
+    tokens = T.matmul(T.transpose(x, (1, 0, 2)), tok_w)  # [Cs, K, D]
+    d = tokens.shape[-1]
+    tokens = T.add_(tokens, T.reshape(chan_id, (cs, 1, d)))
+    tokens = T.add_(tokens, T.take_rows(pos, rows % pos.shape[0]))
+    return T.reshape(T.transpose(tokens, (1, 0, 2)), (1, k, cs, d))
 
 
 def tree_aggregate(x: Tensor, tree: tuple, w: dict, prefix: str,
@@ -117,34 +163,29 @@ def tree_aggregate(x: Tensor, tree: tuple, w: dict, prefix: str,
     return x
 
 
-def apply_token_mask(agg: Tensor, mask: np.ndarray, mask_token: Tensor) -> Tensor:
-    """Replace masked spatial positions of the aggregated stream with the
-    learned mask token: the kept stream and the placed token are summed
-    in the kept stream's buffer."""
-    b, s = mask.shape
-    m = Tensor(mask.reshape(b, s, 1, 1))
-    keep = Tensor(1.0 - mask.reshape(b, s, 1, 1))
-    d = mask_token.shape[0]
-    tok = T.reshape(mask_token, (1, 1, 1, d))
-    return T.add_(T.mul(agg, keep), T.mul(tok, m))
-
-
 def vit_forward(agg: Tensor, mask: np.ndarray, meta: np.ndarray, w: dict, model: ModelConfig,
                 group: ProcessGroup | None = None) -> Tensor:
-    """The stream [B, S, 1, D], masked by the [B, S] token `mask`
-    (`apply_token_mask`), and the [B, 4] metadata -> [B, S+1, D] through
-    the transformer (head-split over `group` when given), under the `vit`
-    tag.
+    """The stream [1, K, 1, D] of the positions the [B, S] token `mask`
+    keeps (`kept_rows`) and the [B, 4] metadata -> [B, S+1, D] through the
+    transformer (head-split over `group` when given), under the `vit` tag.
 
-    No backward reads the stream or the masked stream, so each goes once
+    The stream is placed at its positions, and the learned mask token
+    `dec.mask` at every masked one, by one `take_rows` over the stream's K
+    rows and the token, row K.
+
+    No backward reads the stream or the placed rows, so each goes once
     read: callers pass `agg` straight from the aggregation, so this frame
     holds the only reference to it (CPython, 3.11 on, hands a call's
-    arguments to the callee's frame), and the masked stream and the
+    arguments to the callee's frame), and the placed rows and the
     metadata token go once the sequence is concatenated, before the first
     block."""
     with alloc_tag("vit"):
-        b, s, _, d = agg.shape
-        agg = apply_token_mask(agg, mask, w["dec.mask"])
+        b, s = mask.shape
+        k, d = agg.shape[1], agg.shape[-1]
+        index = np.full(b * s, k)
+        index[kept_rows(mask)] = np.arange(k)
+        agg = T.take_rows(T.concat([T.reshape(agg, (k, d)),
+                                    T.reshape(w["dec.mask"], (1, d))]), index)
         meta_tok = linear(Tensor(meta), w["special.meta_w"], w["special.meta_b"])
         x = T.concat([T.reshape(meta_tok, (b, 1, d)), T.reshape(agg, (b, s, d))], axis=1)
         del agg, meta_tok
@@ -172,23 +213,20 @@ def masked_mse(pred: Tensor, images: np.ndarray, rows: np.ndarray,
     C*P*P] of the masked positions `rows` (`masked_rows`).
 
     The target, those positions' patch rows, is never whole: it is
-    gathered from `images` [B, C, H, W], through its view [B, C, Hp, P,
-    Wp, P], one block of rows (`tensor.LOSS_BLOCK`) at a time, and each
-    block, charged while it lives, is subtracted in `pred`'s buffer.
-    `trunk_loss` passes `pred` straight in, and CPython (3.11 on) hands a
-    call's arguments to the callee's frame, so no other name holds it.  `tensor.sum_squares` then sums the difference's squares with no
-    square buffer, and saves the difference; the target is a constant, so
-    the difference's gradient, 2 g (pred - target), is `pred`'s.
+    gathered from `images` [B, C, H, W] (`patch_rows`), one block of rows
+    (`tensor.LOSS_BLOCK`) at a time, and each block, charged while it
+    lives, is subtracted in `pred`'s buffer.  `trunk_loss` passes `pred`
+    straight in, and CPython (3.11 on) hands a call's arguments to the
+    callee's frame, so no other name holds it.  `tensor.sum_squares` then
+    sums the difference's squares with no square buffer, and saves the
+    difference; the target is a constant, so the difference's gradient, 2 g
+    (pred - target), is `pred`'s.
     """
-    b, c, h, w = images.shape
-    p = model.patch
-    bi, si = np.divmod(rows, model.seq)
-    hi, wi = np.divmod(si, w // p)
-    patches = images.reshape(b, c, h // p, p, w // p, p)
+    c, p = images.shape[1], model.patch
     diff = pred.data.reshape(len(rows), c, p, p)
     blk = T._block_length(len(rows), c * p * p, T.LOSS_BLOCK)
     for cut, block in T._position_blocks(diff, 3, blk):
-        target = T._charged(patches[bi[cut], :, hi[cut], :, wi[cut], :])  # [rows, C, P, P]
+        target = T._charged(patch_rows(images, rows[cut], p))  # [rows, C, P, P]
         block -= target
         del target  # before the next block is gathered
     return T.scale(T.sum_squares(pred), 1.0 / pred.size)
@@ -196,13 +234,14 @@ def masked_mse(pred: Tensor, images: np.ndarray, rows: np.ndarray,
 
 def trunk_loss(w: dict, model: ModelConfig, batch: Batch, group: ProcessGroup | None,
                aggregate) -> Tensor:
-    """The trunk every forward shares: reduce the channel stack to the
-    stream by `aggregate()` (`aggregated`), mask it and run the transformer
-    (head-split over `group` when given; `vit_forward`), then the decoder,
-    and score the reconstruction of the masked positions.
+    """The trunk every forward shares: reduce the kept positions' channel
+    stack to the stream by `aggregate()` (`aggregated`), place it and the
+    mask token and run the transformer (head-split over `group` when given;
+    `vit_forward`), then the decoder, and score the reconstruction of the
+    masked positions.
 
     The stream goes from `aggregated` straight into `vit_forward`, which
-    drops it and the masked stream before the first block."""
+    drops it and the placed rows before the first block."""
     rows = masked_rows(batch.mask)
     out = vit_forward(aggregated(aggregate), batch.mask, batch.meta, w, model, group)
     with alloc_tag("decoder"):
@@ -220,11 +259,13 @@ def aggregated(aggregate) -> Tensor:
 def forward_loss_reference(w: dict, model: ModelConfig, strategy: StrategyConfig,
                            batch: Batch) -> Tensor:
     """Single-process forward of `strategy`'s architecture, with no
-    collectives: every channel tokenized, then dchag's slab trees (one per
-    tp slab, at any tp) stacked in slab order under agg.final, or any other
-    kind's flat layer agg.flat over all channels."""
+    collectives: every channel of the kept positions tokenized, then
+    dchag's slab trees (one per tp slab, at any tp) stacked in slab order
+    under agg.final, or any other kind's flat layer agg.flat over all
+    channels."""
+    rows = kept_rows(batch.mask)
     with alloc_tag("tokenize"):
-        tokens = tokenize_channels(Tensor(batch.images), w["tok.w"], w["special.channel_id"],
+        tokens = tokenize_channels(batch.images, rows, w["tok.w"], w["special.channel_id"],
                                    w["special.pos"], model.patch)
 
     def aggregate():

@@ -23,6 +23,12 @@ head-split).  Both split properties are false at tp=1, so a one-rank
 parallel step runs the serial layers.  `parallel_forward_loss` is the
 one forward of every parallel kind.
 
+Every kind tokenizes and aggregates the K positions the token mask keeps
+(`model.kept_rows`) alone, so dist_token's token gather, dchag's stream
+gather and the flat layer's exchanges carry K positions, not B*S; the
+transformer's exchanges carry every position.  A rank reads its channel
+slab's pixels where they lie in the batch's images.
+
 A layer the strategy splits is given the rank's tp group, and `None`
 otherwise; the layer derives its local heads and its exchanges from the
 group (see `layers`).  The token and stream gathers of dist_token and
@@ -52,7 +58,8 @@ import numpy as np
 from . import layers
 from . import tensor as T
 from .config import ConfigError, ModelConfig, ParallelConfig, StrategyConfig
-from .model import Batch, forward_loss_reference, tokenize_channels, tree_aggregate, trunk_loss
+from .model import (Batch, forward_loss_reference, kept_rows, tokenize_channels, tree_aggregate,
+                    trunk_loss)
 from .params import rank_tree, shard_for_rank, unshard_grads
 from .runtime import CommLedger, ProcessGroup, RankContext, spawn_ranks
 from .tensor import Tensor
@@ -154,29 +161,22 @@ def run_dchag_reference_step(model: ModelConfig, strategy: StrategyConfig,
 # -- the parallel forward ------------------------------------------------------
 
 
-def _rank_images(model: ModelConfig, strategy: StrategyConfig, batch: Batch,
-                 tp_i: int) -> Tensor:
-    """The images tp rank `tp_i` tokenizes: a copy of its channel slab, or
-    every channel (tp_only tokenizes redundantly).  Tokenization drops
-    them, so they are not held beyond it."""
-    if not strategy.slabs_channels:
-        return Tensor(batch.images)
-    cloc = strategy.local_channels(model)
-    return Tensor(batch.images[:, tp_i * cloc:(tp_i + 1) * cloc].copy())
-
-
 def parallel_forward_loss(w: dict, model: ModelConfig, strategy: StrategyConfig,
                           batch: Batch, ctx: RankContext) -> Tensor:
-    """Forward of every parallel kind: tokenize the rank's channel slab (or
-    all channels), gather dist_token's tokens or reduce dchag's slab with
-    its tree and gather the streams, apply one flat aggregation layer, then
-    the common trunk; each layer head-split where the strategy splits it."""
+    """Forward of every parallel kind: tokenize the kept positions of the
+    rank's channel slab (or of all channels), gather dist_token's tokens or
+    reduce dchag's slab with its tree and gather the streams, apply one flat
+    aggregation layer, then the common trunk; each layer head-split where
+    the strategy splits it."""
     tp_i = ctx.coords[0]
+    cloc = strategy.local_channels(model)
+    first = tp_i * cloc if strategy.slabs_channels else 0  # tp_only tokenizes every channel
+    rows = kept_rows(batch.mask)
     with alloc_tag("tokenize"):
         shares_pos = strategy.slabs_channels and strategy.tp_degree > 1
         pos = layers.fanout(ctx.tp if shares_pos else None, w["special.pos"],
                             "shared-grad.special.pos")
-        tokens = tokenize_channels(_rank_images(model, strategy, batch, tp_i), w["tok.w"],
+        tokens = tokenize_channels(batch.images[:, first:first + cloc], rows, w["tok.w"],
                                    w["special.channel_id"], pos, model.patch)
         if strategy.kind == "dist_token":
             tokens = gather_shards(ctx.tp, tokens, axis=2, tag=TOKEN_GATHER_TAG)

@@ -1021,41 +1021,18 @@ def split(x: Tensor, axis: int, sizes) -> list[Tensor]:
 
 def take_rows(x: Tensor, rows: np.ndarray) -> Tensor:
     """Rows `rows` of x along its first axis, as a new buffer ([N, F] ->
-    [M, F]).  The rows must be distinct: backward scatters the gradient
-    into zeros by assignment.  It saves only the indices and the shape."""
+    [M, F]).  A row may be taken more than once: backward sums the
+    gradient of each take into zeros (`np.add.at`), which for distinct
+    rows is assignment, bit for bit.  It saves only the indices and the
+    shape."""
     shape = x.data.shape
 
     def back(g):
         full = np.zeros(shape)
-        full[rows] = g
+        np.add.at(full, rows, g)
         return (full,)
 
     return Tensor(x.data[rows], _parents=(x,), _backward=back)
-
-
-def unfold_patches(x: Tensor, patch: int) -> Tensor:
-    """[..., C, H, W] -> patch rows [..., S, C, P*P], S = (H/P)*(W/P).
-
-    Pure bijective rearrangement of pixels: row (s, c) holds channel c's
-    pixels of patch s, row-major within the patch.  Position-major, as
-    every activation is (`model`), so a position's rows are contiguous.
-    """
-    *lead, c, h, w = x.shape
-    if h % patch or w % patch:
-        raise ShapeError(f"image {h}x{w} not divisible by patch {patch}")
-    hp, wp = h // patch, w // patch
-    n = len(lead)
-    # [..., C, Hp, P, Wp, P] -> [..., Hp, Wp, C, P, P]
-    perm = (*range(n), n + 1, n + 3, n, n + 2, n + 4)
-    inv = tuple(np.argsort(perm))
-    src = x.data.reshape(*lead, c, hp, patch, wp, patch)
-    xd = src.transpose(perm).reshape(*lead, hp * wp, c, patch * patch)
-
-    def back(g):
-        gg = g.reshape(*lead, hp, wp, c, patch, patch).transpose(inv)
-        return (gg.reshape(*lead, c, h, w),)
-
-    return Tensor(xd, _parents=(x,), _backward=back)
 
 
 # -- reductions --------------------------------------------------------------

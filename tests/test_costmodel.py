@@ -312,21 +312,21 @@ def test_drawn_grid_matches_allocator_and_ledger(case):
 def test_tree_pools_charge_what_the_estimate_says(monkeypatch, max_group, batch):
     # every pool of a one-rank single_query tree charges `_pool`'s terms,
     # the copy `_fold_copy` says its fold makes included: a node over part
-    # of a level folds in place only at batch 1 on the tokens (level 0), and
-    # only over one stream above it; the final layer's one stream folds in
-    # place.  The step's peaks alone do not see the copy on this desk.  A
-    # pool's projected output is its caller's in the estimate, and live
-    # when the pool returns.
+    # of a level folds in place on the channel-major tokens (level 0) at
+    # any batch, and only over one stream above it; the final layer's one
+    # stream folds in place.  The step's peaks alone do not see the copy on
+    # this desk.  A pool's projected output is its caller's in the
+    # estimate, and live when the pool returns.
     model = desk("single_query")
     strat = StrategyConfig(kind="dchag", tp_degree=1, max_group=max_group)
-    b, s, d, h = batch, model.seq, model.embed, model.heads
+    n, d, h = batch * (model.seq - model.masked_count), model.embed, model.heads
     tree = rank_tree(model, strat)
 
     def pool(g, fold):
-        kept, high = costmodel._pool(b * s, h, g, d, fold, d)
-        return kept + b * s * d, high
+        kept, high = costmodel._pool(n, h, g, d, fold, d)
+        return kept + n * d, high
 
-    want = [pool(g, costmodel._fold_copy(b, s, d, g, sum(level), li))
+    want = [pool(g, costmodel._fold_copy(n, d, g, sum(level), li))
             for li, level in enumerate(tree) for g in level] + [pool(1, 0)]
     got, real = [], T.attention_pool
 
@@ -341,8 +341,9 @@ def test_tree_pools_charge_what_the_estimate_says(monkeypatch, max_group, batch)
     run_step(model, strat, [make_batch(model, 5, 0, range(batch))])
     assert got == want
     copies = [f for li, level in enumerate(tree) for g in level
-              if (f := costmodel._fold_copy(b, s, d, g, sum(level), li))]
-    assert bool(copies) == (max_group < 8)  # the one node of 8 reads the whole slab
+              if (f := costmodel._fold_copy(n, d, g, sum(level), li))]
+    # only the binary tree has a level above the tokens with several nodes
+    assert bool(copies) == (max_group == 2)
 
 
 # The paper's regime on a desk small in D and S only: 128 channels over 8 tp

@@ -11,9 +11,9 @@ from dchag.costmodel import estimate
 from dchag.config import (ConfigError, ModelConfig, ParallelConfig, StrategyConfig,
                           build_tree_spec)
 from dchag.layers import allsum, cross_attention_aggregate, fanout, transformer_block
-from dchag.model import (Batch, apply_token_mask, decode, forward_loss_reference, make_mask,
-                         masked_mse, masked_rows, tokenize_channels, tree_aggregate,
-                         vit_forward)
+from dchag.model import (Batch, decode, forward_loss_reference, kept_rows, make_mask,
+                         masked_mse, masked_rows, patch_rows, tokenize_channels,
+                         tree_aggregate, vit_forward)
 from dchag.params import create_master, shard_for_rank, unshard_grads
 from dchag.rng import RngState
 from dchag.runtime import ring_allreduce_payload, spawn_ranks
@@ -190,36 +190,65 @@ class TestExchanges:
 
 class TestTokenize:
     def test_paper_scale_shapes(self):
-        # 500 spectral channels, 64x64 images, 16-pixel patches
-        model = tiny_model(channels=500, image_h=64, image_w=64, patch=16, embed=8)
+        # 500 spectral channels, 64x64 images, 16-pixel patches, 6 of the
+        # 16 positions kept
         rng = RngState(0)
         tok_w = Tensor(rng.normal((500, 256, 8)))
         chan = Tensor(np.zeros((500, 8)))
         pos = Tensor(np.zeros((16, 8)))
-        imgs = Tensor(rng.normal((1, 500, 64, 64)))
-        out = tokenize_channels(imgs, tok_w, chan, pos, 16)
-        assert out.shape == (1, 16, 500, 8)
+        imgs = rng.normal((1, 500, 64, 64))
+        out = tokenize_channels(imgs, np.array([0, 2, 3, 7, 11, 15]), tok_w, chan, pos, 16)
+        assert out.shape == (1, 6, 500, 8)
 
     def test_zero_everything_gives_zero_tokens(self):
-        out = tokenize_channels(Tensor(np.zeros((1, 2, 4, 4))),
+        out = tokenize_channels(np.zeros((1, 2, 4, 4)), np.arange(4),
                                 Tensor(np.zeros((2, 4, 3))), Tensor(np.zeros((2, 3))),
                                 Tensor(np.zeros((4, 3))), 2)
         np.testing.assert_array_equal(out.data, 0.0)
 
     def test_gradient(self, rng):
+        # positions 1 and 3 are kept in both samples, so their positional
+        # rows gather the gradient of two tokens each
         ts = {
             "w": Tensor(rng.normal((2, 16, 6), 0.1), requires_grad=True),
             "cid": Tensor(rng.normal((2, 6), 0.1), requires_grad=True),
             "pos": Tensor(rng.normal((4, 6), 0.1), requires_grad=True),
         }
-        imgs = Tensor(rng.normal((1, 2, 8, 8)))
-        probe = rng.normal((1, 4, 2, 6))
+        imgs = rng.normal((2, 2, 8, 8))
+        rows = np.array([0, 1, 3, 5, 7])
+        probe = rng.normal((1, 5, 2, 6))
 
         def f():
-            out = tokenize_channels(imgs, ts["w"], ts["cid"], ts["pos"], 4)
+            out = tokenize_channels(imgs, rows, ts["w"], ts["cid"], ts["pos"], 4)
             return T.sum_all(T.mul(out, Tensor(probe)))
 
         check_grad(f, ts, tol=1e-5)
+
+    def test_patch_rows_shape(self, rng):
+        out = patch_rows(rng.normal((1, 3, 64, 64)), np.arange(16), 16)
+        assert out.shape == (16, 3, 16, 16)
+
+    def test_patch_rows_is_pixel_permutation(self):
+        # every position's rows hold every pixel once; row (k, c) holds
+        # channel c's pixels of position k's patch, row-major within it
+        x = np.arange(2 * 3 * 8 * 12, dtype=float).reshape(2, 3, 8, 12)
+        out = patch_rows(x, np.arange(12), 4)
+        assert out.shape == (12, 3, 4, 4)
+        np.testing.assert_array_equal(np.sort(out, axis=None), x.ravel())
+        np.testing.assert_array_equal(out[6 + 4, 2], x[1, 2, 4:8, 4:8])
+
+    def test_indivisible_images_are_rejected(self):
+        # patch rows are read only from images that patches tile
+        with pytest.raises(ConfigError, match="not divisible by patch"):
+            tiny_model(image_h=10, image_w=10)
+
+    def test_a_slab_is_read_where_it_lies(self, rng):
+        # a rank's channel slab is a view of the batch's images: its patch
+        # rows are those channels' rows of the whole images'
+        x = rng.normal((2, 6, 8, 8))
+        rows = np.array([1, 4, 6])
+        np.testing.assert_array_equal(patch_rows(x[:, 2:4], rows, 4),
+                                      patch_rows(x, rows, 4)[:, 2:4])
 
 
 # -- aggregation ---------------------------------------------------------------
@@ -317,12 +346,12 @@ class TestFlatAggregate:
         # op is the aggregation's first; right after it, the aggregate peak
         # exceeds the live bytes by exactly its transient.  full_cross's is
         # one block's q (which becomes the block's context), k, v, logits
-        # and row sums, live beside its output, which stays live: at batch 2
-        # the op runs at least one block per sample, so no context of every
-        # position is formed.  single_query's is its scores and values,
-        # which outlive the row sums and, its input folding as a view, meet
-        # no copy of it; the pooled values and the output it forms from them
-        # are fewer.
+        # and row sums; over several blocks they live beside its output,
+        # which stays live, while one block of every kept position is
+        # projected once its k, v and logits have gone.  single_query's is
+        # its scores and values, which outlive the row sums and, its input
+        # folding as a view, meet no copy of it; the pooled values and the
+        # output it forms from them are fewer.
         after = []
 
         def spy(name):
@@ -342,12 +371,12 @@ class TestFlatAggregate:
             model = tiny_model(channels=c, agg_variant=variant)
             after.clear()
             run_serial_step(model, create_master(model, StrategyConfig(), RngState(3)),
-                            tiny_batch(model))
+                            tiny_batch(model, b=4))
             return after[0].tag_peak("aggregate") - after[0].per_tag_live["aggregate"]
 
         model = tiny_model()
-        h, d, run = model.heads, model.embed, model.seq
-        positions = 2 * run  # at batch 2
+        h, d = model.heads, model.embed
+        positions = 4 * (model.seq - model.masked_count)  # kept at batch 4, one run
 
         def block(rows, c):  # logits and row sums of `rows` positions
             return 8 * rows * h * (c * c + c)
@@ -355,26 +384,28 @@ class TestFlatAggregate:
         def full_cross(rows, c):
             return 8 * 3 * rows * c * d + block(rows, c)
 
-        # one block holds a run of S positions, the most a block holds, and
-        # its logits grow with C^2; the projections, scores and values grow
-        # with C
+        def output(c):
+            return 8 * positions * c * d
+
+        # one block holds every kept position, and its logits grow with C^2;
+        # the projections, scores and values grow with C
         logits = []
         for c in (8, 16):
-            assert transient("full_cross", c) == full_cross(run, c) > 8 * positions * c * d, c
+            assert transient("full_cross", c) == full_cross(positions, c) - output(c) > output(c)
             assert transient("single_query", c) == 8 * positions * c * (h + d), c
-            logits.append(block(run, c) - 8 * run * h * c)
+            logits.append(block(positions, c) - 8 * positions * h * c)
         assert logits[1] == 4 * logits[0]
         # a block of 16-channel full_cross logits is two positions: at 16
-        # channels the op holds two positions', at 8 channels a run's four,
-        # where a block of eight would cross the batch axis
+        # channels the op holds two positions' beside its output, at 8
+        # channels still every position's
         monkeypatch.setattr(T, "ATTENTION_BLOCK", 2 * h * 16 * 16)
-        assert transient("full_cross", 16) == full_cross(2, 16) > 8 * positions * 16 * d
-        assert transient("full_cross", 8) == full_cross(4, 8) > 8 * positions * 8 * d
+        assert transient("full_cross", 16) == full_cross(2, 16) > output(16)
+        assert transient("full_cross", 8) == full_cross(positions, 8) - output(8)
         # one position per block at 8 channels: the block is less than the
         # output, which an op holding every position's context held beside
         # that context, as its transient
         monkeypatch.setattr(T, "ATTENTION_BLOCK", h * 8 * 8)
-        assert transient("full_cross", 8) == full_cross(1, 8) < 8 * positions * 8 * d
+        assert transient("full_cross", 8) == full_cross(1, 8) < output(8)
 
     def test_channel_permutation_equivariance(self, rng):
         model = tiny_model(channels=5, embed=8, heads=2)
@@ -384,7 +415,8 @@ class TestFlatAggregate:
         perm = RngState(9).permutation(5)
 
         def agg_of(images, chan_rows):
-            tokens = tokenize_channels(Tensor(images), Tensor(master["tok.w"][chan_rows]),
+            tokens = tokenize_channels(images, np.arange(model.seq),
+                                       Tensor(master["tok.w"][chan_rows]),
                                        Tensor(master["special.channel_id"][chan_rows]),
                                        Tensor(master["special.pos"]), model.patch)
             return cross_attention_aggregate(tokens, w, "agg.flat", "single_query", model.heads)
@@ -567,11 +599,11 @@ class TestVit:
         model = tiny_model(depth=0)
         master = create_master(model, StrategyConfig(), RngState(2))
         w = wrap(master, requires_grad=False)
-        agg = rng.normal((2, 4, 1, 8))
+        agg = rng.normal((1, 8, 1, 8))  # the stream of every position of two samples
         meta = rng.normal((2, 4))
         out = vit_forward(Tensor(agg), np.zeros((2, 4)), meta, w, model)  # nothing masked
         assert out.shape == (2, 5, 8)
-        np.testing.assert_array_equal(out.data[:, 1:, :], agg[:, :, 0])
+        np.testing.assert_array_equal(out.data[:, 1:, :], agg.reshape(2, 4, 8))
         expect_meta = meta @ master["special.meta_w"] + master["special.meta_b"]
         np.testing.assert_array_equal(out.data[:, 0, :], expect_meta)
 
@@ -631,16 +663,17 @@ class TestAbsorbedBiases:
         tok_w = rng.normal((c, patch * patch, d))
         tok_b, chan_id = rng.normal((c, d)), rng.normal((c, d))
         pos = rng.normal(((side // patch) ** 2, d))
-        expect = np.zeros((b, len(pos), c, d))
-        for bi in range(b):
+        seq = len(pos)
+        kept = np.array([0, 3, 4, 5, 6])  # three positions of sample 0, two of sample 1
+        expect = np.zeros((1, len(kept), c, d))
+        for k, row in enumerate(kept):
+            bi, s = divmod(row, seq)
+            i, j = divmod(s, side // patch)
             for ci in range(c):
-                for i in range(side // patch):
-                    for j in range(side // patch):
-                        rows = images[bi, ci, i * patch:(i + 1) * patch, j * patch:(j + 1) * patch]
-                        s = i * (side // patch) + j
-                        expect[bi, s, ci] = (rows.reshape(-1) @ tok_w[ci] + tok_b[ci]
-                                             + chan_id[ci] + pos[s])
-        out = tokenize_channels(Tensor(images), Tensor(tok_w), Tensor(chan_id + tok_b),
+                pixels = images[bi, ci, i * patch:(i + 1) * patch, j * patch:(j + 1) * patch]
+                expect[0, k, ci] = (pixels.reshape(-1) @ tok_w[ci] + tok_b[ci]
+                                    + chan_id[ci] + pos[s])
+        out = tokenize_channels(images, kept, Tensor(tok_w), Tensor(chan_id + tok_b),
                                 Tensor(pos), patch)
         assert rel_err(out.data, expect) < 1e-12
 
@@ -745,7 +778,8 @@ class TestMae:
         model = tiny_model()
         imgs = rng.normal((1, 4, 8, 8))
         rows = masked_rows(make_mask(model, [0], seed=1, step=0))
-        target = T.unfold_patches(Tensor(imgs), 4).data.reshape(model.seq, 64)[rows]
+        corners = [(4 * (r // 2), 4 * (r % 2)) for r in rows]  # a row of two patches
+        target = np.stack([imgs[0, :, i:i + 4, j:j + 4].ravel() for i, j in corners])
         loss = masked_mse(Tensor(target), imgs, rows, model)
         assert loss.item() == 0.0
 
@@ -866,13 +900,47 @@ class TestMae:
         with pytest.raises(ConfigError, match=what):
             run_serial_step(model, master, batch)
 
-    def test_apply_mask_replaces_positions(self, rng):
-        agg = rng.normal((1, 4, 1, 8))
-        mask = np.array([[0.0, 1.0, 0.0, 1.0]])
-        tok = rng.normal((8,))
-        out = apply_token_mask(Tensor(agg), mask, Tensor(tok))
-        np.testing.assert_array_equal(out.data[0, 0, 0], agg[0, 0, 0])
-        np.testing.assert_array_equal(out.data[0, 1, 0], tok)
+    def test_stream_and_mask_token_are_placed(self, rng):
+        # the kept stream's rows go to the kept positions in order, the mask
+        # token to every masked one; the token's gradient sums the masked
+        # positions', the stream's is its positions'
+        model = tiny_model(depth=0)
+        mask = np.array([[0.0, 1.0, 0.0, 1.0], [1.0, 1.0, 1.0, 0.0]])
+        agg = Tensor(rng.normal((1, 3, 1, model.embed)), requires_grad=True)
+        master = create_master(model, StrategyConfig(), RngState(4))
+        w = wrap(master)
+        out = vit_forward(agg, mask, rng.normal((2, 4)), w, model)
+        seq = out.data[:, 1:].reshape(8, model.embed)
+        np.testing.assert_array_equal(seq[kept_rows(mask)], agg.data[0, :, 0])
+        np.testing.assert_array_equal(seq[masked_rows(mask)], master["dec.mask"][None].repeat(5, 0))
+        g = rng.normal(out.shape)
+        T.backward(T.sum_all(T.mul(out, Tensor(g))))
+        gseq = g[:, 1:].reshape(8, model.embed)
+        np.testing.assert_array_equal(agg.grad[0, :, 0], gseq[kept_rows(mask)])
+        assert rel_err(w["dec.mask"].grad, gseq[masked_rows(mask)].sum(axis=0)) < 1e-15
+
+    def test_a_mask_ratio_that_keeps_nothing_is_rejected(self):
+        # 0.9 of four positions rounds to all four
+        model = ModelConfig(channels=4, image_h=8, image_w=8, patch=4, embed=16, depth=1,
+                            heads=2, mask_ratio=0.9)
+        assert model.masked_count == model.seq == 4
+        with pytest.raises(ConfigError, match="no position is kept"):
+            model.validate()
+
+    def test_a_batch_mask_that_keeps_nothing_is_rejected(self):
+        model = tiny_model()
+        batch = tiny_batch(model)
+        batch.mask = np.ones((2, 4))
+        master = create_master(model, StrategyConfig(), RngState(5))
+        with pytest.raises(ConfigError, match="keeps no position"):
+            kept_rows(batch.mask)
+        with pytest.raises(ConfigError, match="keeps no position"):
+            run_serial_step(model, master, batch)
+
+    def test_kept_and_masked_rows_partition_the_positions(self):
+        mask = np.array([[1.0, 0.0, 1.0, 1.0], [0.0, 1.0, 0.0, 0.0]])
+        np.testing.assert_array_equal(kept_rows(mask), [1, 4, 6, 7])
+        np.testing.assert_array_equal(masked_rows(mask), [0, 2, 3, 5])
 
     def test_mask_ratio_zero_runs_end_to_end(self):
         model = tiny_model(mask_ratio=0.0)

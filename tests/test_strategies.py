@@ -11,15 +11,17 @@ from dchag import layers
 from dchag import tensor as T
 from dchag.config import (AGG_LAYER_KINDS, AGG_VARIANTS, STRATEGY_KINDS, ConfigError,
                           ModelConfig, ParallelConfig, StrategyConfig)
-from dchag.model import Batch
+from dchag.layers import cross_attention_aggregate, linear, transformer_block
+from dchag.model import Batch, decode, masked_mse, masked_rows, tree_aggregate
 from dchag.params import (REPLICATED, create_master, parameter_specs, placement,
-                          rank_parameter_sizes, shard_for_rank, unshard_grads)
+                          rank_parameter_sizes, rank_tree, shard_for_rank, unshard_grads)
 from dchag.rng import RngState
 from dchag.strategies import (DCHAG_BOUNDARY_TAG, TOKEN_GATHER_TAG, StepResult,
                               run_dchag_reference_step, run_dchag_step,
                               run_dist_token_step, run_hybrid_step,
                               run_serial_step, run_tp_step)
 from dchag.synthetic import make_batch
+from dchag.tensor import Tensor
 
 from conftest import assert_grads_match
 
@@ -148,7 +150,8 @@ class TestDistToken:
         assert_grads_match(base.grads, dist.grads)
 
     def test_channel_gather_payload_formula(self):
-        # payload per rank = B*(C/tp)*S*D*8*(tp-1) bytes on the channel axis
+        # payload per rank = K*(C/tp)*D*8*(tp-1) bytes on the channel axis,
+        # K = B*(S - masked) the kept positions
         model = tiny(channels=8)
         tp = 2
         master = create_master(model, StrategyConfig(kind="dist_token", tp_degree=tp),
@@ -157,7 +160,8 @@ class TestDistToken:
         res = run_dist_token_step(ParallelConfig(dchag_tp=tp), model,
                                   StrategyConfig(kind="dist_token", tp_degree=tp),
                                   master, batch)
-        expect = (model.channels // tp) * model.seq * model.embed * 8 * (tp - 1)
+        kept = model.seq - model.masked_count
+        expect = (model.channels // tp) * kept * model.embed * 8 * (tp - 1)
         total, n = res.ledger.query(phase="forward", tag=TOKEN_GATHER_TAG)
         assert n == tp  # one gather per rank
         assert total == tp * expect
@@ -251,15 +255,16 @@ class TestDchag:
                 run_dchag_reference_step(model, strat, master, make_batch(model, 1, 0, [0]))
 
     def test_boundary_gather_contract(self):
-        # forward: exactly one AllGather of S*D*8*(tp-1) bytes per rank;
-        # backward: zero boundary-tagged events.
+        # forward: exactly one AllGather of K*D*8*(tp-1) bytes per rank, K =
+        # B*(S - masked) the kept positions; backward: zero boundary-tagged
+        # events.
         model = tiny(channels=8)
         tp = 4
         strat = StrategyConfig(kind="dchag", tp_degree=tp, max_group=2)
         master = create_master(model, strat, RngState(6))
         res = run_dchag_step(ParallelConfig(dchag_tp=tp), model, strat, master,
                              make_batch(model, 11, 0, [0]))
-        expect = model.seq * model.embed * 8 * (tp - 1)
+        expect = (model.seq - model.masked_count) * model.embed * 8 * (tp - 1)
         total, n = res.ledger.query(phase="forward", tag=DCHAG_BOUNDARY_TAG)
         assert n == tp
         assert total == tp * expect
@@ -402,6 +407,95 @@ class TestHybrid:
         hyb = run_hybrid_step(ParallelConfig(dchag_tp=2, dp=2), model, strat, master, [b1, b2])
         ref = run_dchag_reference_step(model, strat, master, concat)
         assert_grads_match(ref.grads, hyb.grads)
+
+
+# -- the kept-row forward against every position tokenized -------------------
+
+
+def every_position_loss(w, model, strategy, batch):
+    """A brute force of the loss that tokenizes and aggregates every
+    position, then replaces the masked positions' streams by the mask token
+    through products with the mask and its complement, as the model did
+    before it tokenized the kept positions alone."""
+    b, c, h, wd = batch.images.shape
+    p, s, d = model.patch, model.seq, model.embed
+    pixels = batch.images.reshape(b, c, h // p, p, wd // p, p).transpose(0, 1, 2, 4, 3, 5)
+    tokens = T.matmul(Tensor(pixels.reshape(b, c, s, p * p)), w["tok.w"])  # [B, C, S, D]
+    tokens = T.add(tokens, T.reshape(w["special.channel_id"], (c, 1, d)))
+    tokens = T.transpose(T.add(tokens, w["special.pos"]), (0, 2, 1, 3))  # [B, S, C, D]
+    if strategy.kind == "dchag":
+        tp, tree = strategy.tp_degree, rank_tree(model, strategy)
+        streams = [tree_aggregate(slab, tree, w, f"agg.slab{r}", strategy.agg_layer_kind,
+                                  model.agg_variant, model.heads)
+                   for r, slab in enumerate(T.split(tokens, 2, [c // tp] * tp))]
+        agg = cross_attention_aggregate(T.concat(streams, axis=2), w, "agg.final",
+                                        model.agg_variant, model.heads)
+    else:
+        agg = cross_attention_aggregate(tokens, w, "agg.flat", model.agg_variant, model.heads)
+    mask = batch.mask.reshape(b, s, 1, 1)
+    agg = T.add(T.mul(agg, Tensor(1.0 - mask)),
+                T.mul(T.reshape(w["dec.mask"], (1, 1, 1, d)), Tensor(mask)))
+    meta = linear(Tensor(batch.meta), w["special.meta_w"], w["special.meta_b"])
+    out = T.concat([T.reshape(meta, (b, 1, d)), T.reshape(agg, (b, s, d))], axis=1)
+    for i in range(model.depth):
+        out = transformer_block(out, w, f"vit.blk{i}", model.heads)
+    rows = masked_rows(batch.mask)
+    return masked_mse(decode(out, w, model, rows), batch.images, rows, model)
+
+
+def every_position_step(model, strategy, master, batch):
+    w = {k: Tensor(v, requires_grad=True) for k, v in master.items()}
+    loss = every_position_loss(w, model, strategy, batch)
+    T.backward(loss)
+    return loss.item(), {k: t.grad if t.grad is not None else np.zeros(t.shape)
+                         for k, t in w.items()}
+
+
+class TestKeptRowsAgainstEveryPosition:
+    """The steps tokenize and aggregate the kept positions alone; their
+    losses and gradients are those of a brute force over every position,
+    masked afterwards, with masks that keep unequally many positions per
+    sample."""
+
+    MASKS = (np.array([[1.0, 0.0, 1.0, 1.0], [0.0, 1.0, 0.0, 0.0]]),
+             np.array([[0.0, 1.0, 1.0, 1.0], [1.0, 0.0, 0.0, 0.0]]))
+
+    def batch(self, model, i):
+        batch = make_batch(model, 11, 0, [2 * i, 2 * i + 1])
+        batch.mask = self.MASKS[i].copy()
+        return batch
+
+    @pytest.mark.parametrize("variant", AGG_VARIANTS)
+    @pytest.mark.parametrize("kind", ["serial", "dchag"])
+    def test_single_process_steps(self, variant, kind):
+        model = tiny(channels=8, agg_variant=variant)
+        batch = self.batch(model, 0)
+        if kind == "serial":
+            strat = StrategyConfig()
+            master = create_master(model, strat, RngState(6))
+            res = run_serial_step(model, master, batch)
+        else:
+            strat = StrategyConfig(kind="dchag", tp_degree=2, max_group=2)
+            master = create_master(model, strat, RngState(6))
+            res = run_dchag_reference_step(model, strat, master, batch)
+        loss, grads = every_position_step(model, strat, master, batch)
+        assert abs(res.loss - loss) <= 1e-12 * abs(loss)
+        assert_grads_match(grads, res.grads)
+
+    @pytest.mark.parametrize("variant", AGG_VARIANTS)
+    @pytest.mark.parametrize("kind", ["tp_only", "dist_token", "dchag"])
+    def test_tp2_dp2_steps(self, variant, kind):
+        model = tiny(channels=8, agg_variant=variant)
+        strat = StrategyConfig(kind=kind, tp_degree=2, max_group=2)
+        master = create_master(model, strat, RngState(6))
+        batches = [self.batch(model, i) for i in range(2)]
+        res = run_hybrid_step(ParallelConfig(dchag_tp=2, dp=2), model, strat, master, batches)
+        oracle = [every_position_step(model, strat, master, batch) for batch in batches]
+        for rank, loss in enumerate(res.losses):  # ranks are (dp, tp) row-major
+            want = oracle[rank // 2][0]
+            assert abs(loss - want) <= 1e-12 * abs(want), rank
+        assert_grads_match({k: (oracle[0][1][k] + oracle[1][1][k]) / 2 for k in master},
+                           res.grads)
 
 
 @pytest.mark.parametrize("variant", AGG_VARIANTS)

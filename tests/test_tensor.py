@@ -1210,8 +1210,9 @@ class TestPositionBlocks:
             np.testing.assert_array_equal(xs, rows[sl])
 
     def test_a_transposed_stack_is_read_in_place(self, rng):
-        # a token slab [B, S, C, D] is a transposed view of [B, C, S, D]:
-        # each block of S positions is a view of it, cut at each sample
+        # a stack [B, S, C, D] that is a transposed view of [B, C, S, D], as
+        # a token slab is at B = 1: each block of S positions is a view of
+        # it, cut at each sample
         x = rng.normal((2, 3, 5, 4)).transpose(0, 2, 1, 3)
         blocks = list(T._position_blocks(x, 2, 3))
         assert [sl for sl, _ in blocks] == [slice(0, 3), slice(3, 5), slice(5, 8), slice(8, 10)]
@@ -1233,33 +1234,28 @@ class TestPositionBlocks:
 
 
 class TestRearrange:
-    def test_unfold_shape(self, rng):
-        x = Tensor(rng.normal((3, 64, 64)))
-        out = T.unfold_patches(x, 16)
-        assert out.shape == (16, 3, 256)
-
-    def test_unfold_is_pixel_permutation(self):
-        x = Tensor(np.arange(2 * 3 * 8 * 12, dtype=float).reshape(2, 3, 8, 12))
-        out = T.unfold_patches(x, 4)
-        assert out.shape == (2, 6, 3, 16)
-        np.testing.assert_array_equal(np.sort(out.data, axis=None), x.data.ravel())
-        # row (s, c) holds channel c's pixels of patch s, row-major within the patch
-        np.testing.assert_array_equal(out.data[1, 4, 2], x.data[1, 2, 4:8, 4:8].ravel())
-
-    def test_unfold_rejects_indivisible(self):
-        with pytest.raises(ShapeError):
-            T.unfold_patches(Tensor(np.zeros((1, 10, 10))), 4)
-
-    def test_unfold_grad(self, rng):
-        ts = {"x": Tensor(rng.normal((1, 2, 4, 4)), requires_grad=True)}
-        w = rng.normal((1, 4, 2, 4))
-        check_grad(lambda: T.sum_all(T.mul(T.unfold_patches(ts["x"], 2), Tensor(w))), ts)
-
     def test_take_rows_grad(self, rng):
         ts = {"x": Tensor(rng.normal((5, 3)), requires_grad=True)}
         w = rng.normal((3, 3))
         rows = np.array([4, 0, 2])
         check_grad(lambda: T.sum_all(T.mul(T.take_rows(ts["x"], rows), Tensor(w))), ts)
+
+    def test_take_rows_grad_repeated_rows(self, rng):
+        # a row taken several times gets the sum of its takes' gradients
+        ts = {"x": Tensor(rng.normal((5, 3)), requires_grad=True)}
+        w = rng.normal((7, 3))
+        rows = np.array([4, 0, 4, 2, 0, 4, 1])
+        check_grad(lambda: T.sum_all(T.mul(T.take_rows(ts["x"], rows), Tensor(w))), ts)
+
+    def test_take_rows_distinct_rows_scatter_by_assignment(self, rng):
+        # summing into zeros is assignment, bit for bit, for distinct rows
+        x = Tensor(rng.normal((6, 4)), requires_grad=True)
+        rows = np.array([5, 1, 3])
+        g = rng.normal((3, 4))
+        T.backward(T.sum_all(T.mul(T.take_rows(x, rows), Tensor(g))))
+        want = np.zeros((6, 4))
+        want[rows] = g
+        np.testing.assert_array_equal(x.grad, want)
 
     def test_take_rows_charges_only_its_output(self, rng):
         # the gathered rows are a new buffer, and backward reads none of x

@@ -73,15 +73,16 @@ def test_the_tp_peak_holds_one_flat_layer_output():
     # a many_channels-shaped desk (full_cross, D = 64, 8 heads) at tp 2: the
     # flat layer's sum over tp and its bias add write into the attention
     # op's partial output, so its partial and its sum are never both live,
-    # and the aggregate tag holds less than two B*S*C*D buffers at the peak,
-    # where before it held both beside the tokens
+    # and the aggregate tag holds less than two K*C*D buffers at the peak
+    # (K = B*(S - masked), the kept positions), where before it held both
+    # beside the tokens
     model = ModelConfig(channels=32, image_h=32, image_w=32, patch=4, embed=64, depth=1,
                         heads=8, agg_variant="full_cross")
     batch = make_batch(model, 7, 0, [0, 1])
     strat = StrategyConfig(kind="tp_only", tp_degree=2)
     res = run_hybrid_step(ParallelConfig(dchag_tp=2), model, strat,
                           create_master(model, strat, RngState(3)), [batch])
-    stack = 8 * 2 * model.seq * model.channels * model.embed
+    stack = 8 * 2 * (model.seq - model.masked_count) * model.channels * model.embed
     for st in res.stats:
         assert sum(st.per_tag_at_peak.values()) == st.peak_bytes
         assert all(st.per_tag_at_peak[tag] <= st.tag_peak(tag) for tag in st.per_tag_at_peak)
@@ -396,33 +397,39 @@ def test_no_closure_holds_a_hidden_activation():
 
 @pytest.mark.parametrize("variant", ["single_query", "full_cross"])
 def test_the_aggregated_stream_goes_before_the_first_vit_block(monkeypatch, variant):
-    # no backward reads the aggregation's output, the stream [B, S, 1, D],
-    # or the masked stream; trunk_loss hands the stream to vit_forward,
-    # which drops it once masked and the masked stream once the sequence is
-    # concatenated, so both are freed, and the stream's bytes leave the
-    # aggregate tag, before the transformer's first block runs
+    # no backward reads the aggregation's output, the stream [1, K, 1, D]
+    # of the K kept positions, or the rows placed from it; trunk_loss hands
+    # the stream to vit_forward, which drops it once placed and the placed
+    # rows once the sequence is concatenated, so the stream is freed, and
+    # its bytes leave the aggregate tag, before the transformer's first
+    # block runs, when the vit tag holds the sequence and the metadata
+    # input alone
     model = tracking_desk(agg_variant=variant)
     batch = make_batch(model, 7, 0, [0, 1])
-    stream_bytes = 8 * 2 * model.seq * model.embed
-    at_mask, checked = {}, []
-    real_mask, real_block = dmodel.apply_token_mask, dmodel.transformer_block
+    kept = 2 * (model.seq - model.masked_count)
+    stream_bytes = 8 * kept * model.embed
+    vit_bytes = 8 * 2 * ((model.seq + 1) * model.embed + 4)
+    at_vit, checked = {}, []
+    real_vit, real_block = dmodel.vit_forward, dmodel.transformer_block
 
-    def mask(agg, *args):
-        assert agg.shape == (2, model.seq, 1, model.embed) and agg.data.base is None
+    def vit(agg, mask, meta, w, model, group):
+        assert agg.shape == (1, kept, 1, model.embed) and agg.data.base is None
         live = current_tracker().per_tag_live["aggregate"]
-        masked = real_mask(agg, *args)
-        assert masked.data.base is None
-        at_mask[threading.get_ident()] = weakref.ref(agg.data), weakref.ref(masked.data), live
-        return masked
+        at_vit[threading.get_ident()] = weakref.ref(agg.data), live
+        box = [agg]
+        del agg  # the call below takes the stream from the box: no name holds it
+        return real_vit(box.pop(), mask, meta, w, model, group)
 
     def block(x, w, prefix, *args):
         if prefix == "vit.blk0":
-            stream, masked, live = at_mask.pop(threading.get_ident())
-            checked.append((stream() is None, masked() is None,
-                            live - current_tracker().per_tag_live["aggregate"]))
+            stream, live = at_vit.pop(threading.get_ident())
+            tracker = current_tracker()
+            checked.append((stream() is None,
+                            live - tracker.per_tag_live["aggregate"],
+                            tracker.per_tag_live["vit"]))
         return real_block(x, w, prefix, *args)
 
-    monkeypatch.setattr(dmodel, "apply_token_mask", mask)
+    monkeypatch.setattr(dmodel, "vit_forward", vit)
     monkeypatch.setattr(dmodel, "transformer_block", block)
     dchag = StrategyConfig(kind="dchag", tp_degree=2, max_group=2)
     run_serial_step(model, create_master(model, StrategyConfig(), RngState(3)), batch)
@@ -432,7 +439,8 @@ def test_the_aggregated_stream_goes_before_the_first_vit_block(monkeypatch, vari
         strat = StrategyConfig(kind=kind, tp_degree=2, max_group=2, agg_layer_kind=layer_kind)
         run_hybrid_step(ParallelConfig(dchag_tp=2), model, strat,
                         create_master(model, strat, RngState(3)), [batch])
-    assert checked == [(True, True, stream_bytes)] * (2 + 4 * 2)  # two single-process, four 2-rank
+    # two single-process steps, four of two ranks
+    assert checked == [(True, stream_bytes, vit_bytes)] * (2 + 4 * 2)
 
 
 def test_backward_frees_what_it_has_passed():
@@ -496,7 +504,7 @@ def test_live_bytes_match_tracemalloc_after_a_forward():
         tr = AllocTracker()
         with activate(tr):
             master = create_master(model, StrategyConfig(), RngState(3))
-            batch = make_batch(model, 5, 0, [0, 1, 2, 3])
+            batch = make_batch(model, 5, 0, range(8))
             w = {name: Tensor(arr, requires_grad=True) for name, arr in master.items()}
             del master
             loss = forward_loss_reference(w, model, StrategyConfig(), batch)
@@ -696,10 +704,10 @@ def test_each_op_allocates_only_what_it_charges(case):
 def backward_cases():
     """(name, the block constant and its value, make the op's output) for
     each fused op whose backward walks blocks, on a transposed token stack
-    [B, S, C, D], the view a token slab arrives as, so every block of x is
-    copied to rows: attention over blocks of two positions with a query
-    bias, over blocks of two of a position's four heads without one, and the
-    MLP over blocks of two positions.  `make` returns the output with the
+    [B, S, C, D], the view a token slab arrives as at B = 1, so every block
+    of x is copied to rows: attention over blocks of two positions with a
+    query bias, over blocks of two of a position's four heads without one,
+    and the MLP over blocks of two positions.  `make` returns the output with the
     number of its blocks of positions, its whole-layer size (the
     elements of dq, dk and dv, or of the hidden layer and its GELU, for
     every position) and its stated allowance in elements."""
