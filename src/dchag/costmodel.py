@@ -29,8 +29,11 @@ The contract, per rank and per step:
   and optimizer state by its degree, and its payload is the tp-local
   block bytes.
 * Every tp and dp collective is charged through the ledger's own payload
-  functions, `ring_allgather_payload` and `ring_allreduce_payload`, so
-  estimate and ledger share one byte rule per collective.
+  functions, `ring_allgather_payload` (an AllGather, and a ReduceScatter,
+  which moves what an AllGather of its result does) and
+  `ring_allreduce_payload`, so estimate and ledger share one byte rule per
+  collective.  The flat layer's input gradient is tp_only's AllReduce of
+  the whole stack, but dist_token's ReduceScatter to the rank's slab.
 """
 
 from __future__ import annotations
@@ -346,7 +349,8 @@ def estimate(model: ModelConfig, strategy: StrategyConfig,
     # the engine's; the tokens (K*Cs*D), the embedding matmul, with the
     # channel-ID adds written into it; and the positional rows (K*D), added
     # into it and gone.  dist_token then gathers every rank's tokens and
-    # drops its own.  FLOPs: the embedding matmul.
+    # drops its own; the gather's backward is the flat layer's (below).
+    # FLOPs: the embedding matmul.
     k = b * (s - model.masked_count)
     tokens = k * cloc * d
     acts = _then(_stored(k * cloc * pp), _stored(tokens), _stored(k * d), _freed(k * d))
@@ -374,7 +378,10 @@ def estimate(model: ModelConfig, strategy: StrategyConfig,
     if strategy.splits_agg:
         width = (c if model.agg_variant == "full_cross" else 1) * k * d
         add_comm("forward", "tp", ring_allreduce_payload(width, pb, tp))  # output allsum
-        add_comm("backward", "tp", ring_allreduce_payload(k * c * d, pb, tp))  # input fanout
+        # the input's gradient: dist_token's token gather reduce-scatters it
+        # to the rank's slab, tp_only's fanout all-reduces the whole stack
+        add_comm("backward", "tp", ring_allgather_payload(tokens * pb, tp)
+                 if strategy.kind == "dist_token" else ring_allreduce_payload(k * c * d, pb, tp))
 
     # --- vit: the stream's K rows and the mask token, concatenated
     # ((K+1)*D), and the B*S rows placed from it, after which it goes; the

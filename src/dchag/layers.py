@@ -4,14 +4,17 @@ Every function takes plain weight tensors, so the same code serves full
 weights (serial) and head-sliced weights (tensor parallel).  A head-split
 layer takes the model's head count and its tp `group`, holds
 `n_heads // group.size` of the heads, and tags its collectives with its
-parameter prefix.  Its only exchanges are Megatron's two conjugate
-operators, each one AllReduce over the group: `fanout` (identity forward,
-gradient all-reduce backward) where a replicated tensor feeds a split
-projection or a per-rank computation (a channel slab's positional
+parameter prefix.  Its exchanges are Megatron's conjugate operators.
+Two are here, each one AllReduce over the group: `fanout` (identity
+forward, gradient all-reduce backward) where a replicated tensor feeds a
+split projection or a per-rank computation (a channel slab's positional
 embedding), and `allsum` (all-reduce forward, identity backward) where
-split partial outputs merge, followed by the layer's output bias.  With
-group=None `fanout` returns its input and `allsum` adds the bias alone,
-and the math is the single-process reference.
+split partial outputs merge, followed by the layer's output bias.  A
+transformer block fans out its own input; the flat aggregation layer's
+input comes in by its caller's choice, a `fanout` or a gather whose
+backward reduce-scatters the gradient (`strategies.gather_into_split`).
+With group=None `fanout` returns its input and `allsum` adds the bias
+alone, and the math is the single-process reference.
 
 Three fused tape ops take a layer's input and its weights, so no
 projection, no attention context and no hidden activation is a tensor of
@@ -125,14 +128,17 @@ def cross_attention_aggregate(x: Tensor, w: dict, prefix: str, variant: str,
     one by a single-head `attention_pool` over them (scale 1/sqrt(D)), the
     outputs serving as both keys and values.  Both pools take their query
     as stored, and neither op keeps a projection or a context for backward.
+
+    Split over `group`, x must already be in the split region: the caller
+    decides how it enters, by `fanout` or by a gather whose backward sums
+    the ranks' partial gradients (`strategies.gather_into_split`).
     """
-    xf = fanout(group, x, prefix)
     heads = local_heads(n_heads, group)
     bo = w[f"{prefix}.bo"]
     if variant == "single_query":  # [..., 1, D], replicated
-        return allsum(group, T.attention_pool(xf, w[f"{prefix}.q"], w[f"{prefix}.wv"],
+        return allsum(group, T.attention_pool(x, w[f"{prefix}.q"], w[f"{prefix}.wv"],
                                               w[f"{prefix}.wo"], heads), bo, prefix)
-    out = allsum(group, sdp_attention(xf, w[f"{prefix}.wq"], None, w[f"{prefix}.wk"],
+    out = allsum(group, sdp_attention(x, w[f"{prefix}.wq"], None, w[f"{prefix}.wk"],
                                       w[f"{prefix}.wv"], w[f"{prefix}.wo"], heads),
                  bo, prefix)  # [..., Ck, D], replicated
 

@@ -7,7 +7,9 @@ Four step flavors share one model:
   aggregation layer and the transformer are head-split.
 * dist_token: like tp_only, but each rank tokenizes only its channel slab
   and an AllGather over the channel axis rebuilds the full channel stack;
-  the gather's backward is a local slice.
+  the gather's backward is its conjugate, a ReduceScatter, which sums the
+  head-split flat layer's partial gradients of the stack and hands each
+  rank its slab's piece.
 * dchag: each rank tokenizes its slab and reduces it with its own
   aggregation tree to a single stream; one AllGather stacks the tp
   streams; a replicated final cross-attention (agg.final) reduces them,
@@ -30,15 +32,22 @@ transformer's exchanges carry every position.  A rank reads its channel
 slab's pixels where they lie in the batch's images.
 
 A layer the strategy splits is given the rank's tp group, and `None`
-otherwise; the layer derives its local heads and its exchanges from the
-group (see `layers`).  The token and stream gathers of dist_token and
-dchag are `gather_shards`, whose backward is a local slice.  Both
-concatenate position-major stacks (`model`) along the channel axis, 2, so
-each yields its aggregation layer's input as one contiguous array.  That
-layer is called as `layers.cross_attention_aggregate`, looked up at each
-call, so a wrapper set on `layers` (`bench/tracer.py`) sees it.  A slab rank
-reads the replicated positional embedding through `layers.fanout`, so its
-gradient is summed over tp inside the backward.
+otherwise; the layer derives its local heads and its output's exchange
+from the group (see `layers`).  How the flat layer's input enters its
+split region is decided here, by one of two conjugate pairs: tp_only's
+replicated stack by `layers.fanout` (identity forward, AllReduce of the
+gradient backward), dist_token's slabs by `gather_into_split` (AllGather
+forward, ReduceScatter backward); at tp = 1 the layer is whole, and the
+one-member ReduceScatter hands on the whole gradient and moves nothing, as
+the one-member AllGather does.  dchag's stream gather is `gather_shards`,
+whose backward is a local slice, because the layer it feeds, agg.final, is
+replicated.  Both gathers concatenate position-major stacks (`model`)
+along the channel axis, 2, so each yields its aggregation layer's input as
+one contiguous array.  That layer is called as
+`layers.cross_attention_aggregate`, looked up at each call, so a wrapper
+set on `layers` (`bench/tracer.py`) sees it.  A slab rank reads the
+replicated positional embedding through `layers.fanout`, so its gradient
+is summed over tp inside the backward.
 
 One driver, `run_hybrid_step`, executes every parallel step over the
 (tp, fsdp, dp) grid; `run_tp_step`, `run_dist_token_step` and
@@ -75,7 +84,8 @@ TOKEN_GATHER_TAG = "token-gather"
 def gather_shards(group: ProcessGroup, x: Tensor, axis: int, tag: str) -> Tensor:
     """AllGather along `axis`; backward hands on the local slice of the
     incoming gradient, a view (no collective — valid when the gradient of
-    the gathered tensor is already complete on every rank)."""
+    the gathered tensor is already complete on every rank, as it is when
+    a replicated layer reads it)."""
     full = group.all_gather(x.data, axis=axis, tag=tag)
     index, width = group.index, x.shape[axis]
 
@@ -85,6 +95,17 @@ def gather_shards(group: ProcessGroup, x: Tensor, axis: int, tag: str) -> Tensor
         return (g[tuple(sl)],)
 
     return Tensor(full, _parents=(x,), _backward=back)
+
+
+def gather_into_split(group: ProcessGroup, x: Tensor, axis: int, tag: str) -> Tensor:
+    """AllGather along `axis` into a layer split over `group`; backward is
+    its conjugate, one ReduceScatter along `axis` (Megatron's sequence
+    parallelism): each rank's gradient of the gathered tensor is its split
+    layer's partial, so the group's sum is formed, in group order, and
+    each rank gets its own shard's piece of it."""
+    full = group.all_gather(x.data, axis=axis, tag=tag)
+    return Tensor(full, _parents=(x,),
+                  _backward=lambda g: (group.reduce_scatter(g, axis=axis, tag=tag),))
 
 
 # -- step results ---------------------------------------------------------------
@@ -172,25 +193,31 @@ def parallel_forward_loss(w: dict, model: ModelConfig, strategy: StrategyConfig,
     cloc = strategy.local_channels(model)
     first = tp_i * cloc if strategy.slabs_channels else 0  # tp_only tokenizes every channel
     rows = kept_rows(batch.mask)
+    agg_group = ctx.tp if strategy.splits_agg else None
     with alloc_tag("tokenize"):
         shares_pos = strategy.slabs_channels and strategy.tp_degree > 1
         pos = layers.fanout(ctx.tp if shares_pos else None, w["special.pos"],
                             "shared-grad.special.pos")
         tokens = tokenize_channels(batch.images[:, first:first + cloc], rows, w["tok.w"],
                                    w["special.channel_id"], pos, model.patch)
+        # how the flat layer's input enters its split region: dist_token's
+        # gather sums the stack's partial gradients by a ReduceScatter,
+        # tp_only's fanout by an AllReduce
         if strategy.kind == "dist_token":
-            tokens = gather_shards(ctx.tp, tokens, axis=2, tag=TOKEN_GATHER_TAG)
+            tokens = gather_into_split(ctx.tp, tokens, axis=2, tag=TOKEN_GATHER_TAG)
+        elif strategy.kind == "tp_only":
+            tokens = layers.fanout(agg_group, tokens, "agg.flat")
 
     def aggregate():
-        stack, prefix = tokens, "agg.flat"
-        if strategy.kind == "dchag":
-            stream = tree_aggregate(tokens, rank_tree(model, strategy), w, f"agg.slab{tp_i}",
-                                    strategy.agg_layer_kind, model.agg_variant, model.heads)
-            stack = gather_shards(ctx.tp, stream, axis=2, tag=DCHAG_BOUNDARY_TAG)
-            del stream  # the gather's backward does not read it
-            prefix = "agg.final"
-        return layers.cross_attention_aggregate(stack, w, prefix, model.agg_variant, model.heads,
-                                                ctx.tp if strategy.splits_agg else None)
+        if strategy.kind != "dchag":
+            return layers.cross_attention_aggregate(tokens, w, "agg.flat", model.agg_variant,
+                                                    model.heads, agg_group)
+        stream = tree_aggregate(tokens, rank_tree(model, strategy), w, f"agg.slab{tp_i}",
+                                strategy.agg_layer_kind, model.agg_variant, model.heads)
+        stack = gather_shards(ctx.tp, stream, axis=2, tag=DCHAG_BOUNDARY_TAG)
+        del stream  # the gather's backward does not read it
+        return layers.cross_attention_aggregate(stack, w, "agg.final", model.agg_variant,
+                                                model.heads)
 
     return trunk_loss(w, model, batch, ctx.tp if strategy.splits_vit else None, aggregate)
 

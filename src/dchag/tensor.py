@@ -1021,15 +1021,28 @@ def split(x: Tensor, axis: int, sizes) -> list[Tensor]:
 
 def take_rows(x: Tensor, rows: np.ndarray) -> Tensor:
     """Rows `rows` of x along its first axis, as a new buffer ([N, F] ->
-    [M, F]).  A row may be taken more than once: backward sums the
-    gradient of each take into zeros (`np.add.at`), which for distinct
-    rows is assignment, bit for bit.  It saves only the indices and the
-    shape."""
+    [M, F]).  A row may be taken more than once: backward sums its takes'
+    gradients into zeros one after another, in index order.  Distinct rows
+    are assigned; otherwise the rows taken equally often, c times, are
+    summed at once, as one sum over an axis of their c takes, which numpy
+    forms take after take wherever a row has more than one element.  That
+    is `np.add.at`'s sum, bit for bit, in a few whole-array ops per distinct
+    take count where `np.add.at` adds one take at a time.  It saves only
+    the indices and the shape."""
     shape = x.data.shape
 
     def back(g):
         full = np.zeros(shape)
-        np.add.at(full, rows, g)
+        counts = np.bincount(rows, minlength=shape[0])
+        if counts.max(initial=0) <= 1:
+            full[rows] = g
+            return (full,)
+        order = np.argsort(rows, kind="stable")  # each row's takes together, in index order
+        taken = rows[order]
+        per_row = counts[taken]
+        for c in np.unique(per_row):
+            sel = per_row == c
+            full[taken[sel][::c]] = g[order[sel].reshape(-1, c)].sum(axis=1)
         return (full,)
 
     return Tensor(x.data[rows], _parents=(x,), _backward=back)

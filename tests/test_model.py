@@ -17,7 +17,7 @@ from dchag.model import (Batch, decode, forward_loss_reference, kept_rows, make_
 from dchag.params import create_master, shard_for_rank, unshard_grads
 from dchag.rng import RngState
 from dchag.runtime import ring_allreduce_payload, spawn_ranks
-from dchag.strategies import gather_shards, run_serial_step
+from dchag.strategies import gather_into_split, gather_shards, run_serial_step
 from dchag.synthetic import make_batch
 from dchag.tensor import Tensor
 from dchag.tracking import AllocTracker, activate, current_tracker
@@ -166,6 +166,42 @@ class TestExchanges:
             np.testing.assert_array_equal(full, np.concatenate(list(xs), axis=axis))
             np.testing.assert_array_equal(own, xs[r])
             np.testing.assert_array_equal(grad, ys[r])
+
+    @settings(max_examples=20)
+    @given(tp=st.sampled_from((2, 4)), ndim=st.integers(1, 3), data=st.data(),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_gather_into_split_reduce_scatters_the_partials(self, tp, ndim, data, seed):
+        # forward: gather_shards' AllGather; backward: each rank's gradient
+        # of the gathered tensor is a split layer's partial, and the shard's
+        # gradient is its slice of their sum in rank order (the bits of an
+        # AllReduce then a slice), by one ReduceScatter that moves the
+        # AllGather's bytes
+        shape = tuple(data.draw(st.lists(st.integers(1, 3), min_size=ndim, max_size=ndim)))
+        axis = data.draw(st.integers(0, ndim - 1))
+        gen = np.random.default_rng(seed)
+        xs = gen.standard_normal((tp, *shape))
+        full_shape = list(shape)
+        full_shape[axis] *= tp
+        ys = gen.standard_normal((tp, *full_shape))
+
+        def program(ctx):
+            x = Tensor(xs[ctx.rank], requires_grad=True)
+            full = gather_into_split(ctx.tp, x, axis, "t")
+            ctx.phase = "backward"
+            T.backward(T.sum_all(T.mul(full, Tensor(ys[ctx.rank]))))
+            return full.data, x.grad
+
+        spawned = spawn_ranks(ParallelConfig(dchag_tp=tp), program)
+        total = ys[0].copy()
+        for y in ys[1:]:
+            total += y
+        pay = xs[0].nbytes * (tp - 1)
+        for r, (full, grad) in enumerate(spawned.results):
+            np.testing.assert_array_equal(full, np.concatenate(list(xs), axis=axis))
+            np.testing.assert_array_equal(grad, np.split(total, tp, axis=axis)[r])
+            assert [(e.op, e.phase, e.tag, e.payload_bytes_per_rank)
+                    for e in spawned.ledger.per_rank[r]] == [
+                        ("AllGather", "forward", "t", pay), ("ReduceScatter", "backward", "t", pay)]
 
     def test_gather_and_sum_hand_on_views_of_their_gradient(self):
         # neither backward copies: each parent's gradient shares memory with
@@ -470,9 +506,10 @@ class TestFullCrossReduce:
         strategy = StrategyConfig(kind="tp_only", tp_degree=2)
 
         def run(w, group):
+            # the caller brings the input into the split region
             ts = {**wrap(w), "x": Tensor(x, requires_grad=True)}
-            out = cross_attention_aggregate(ts["x"], ts, "agg.flat", "full_cross",
-                                            self.HEADS, group)
+            out = cross_attention_aggregate(fanout(group, ts["x"], "agg.flat"), ts, "agg.flat",
+                                            "full_cross", self.HEADS, group)
             T.backward(T.sum_all(T.mul(out, Tensor(probe))))
             return out.data, {name: t.grad for name, t in ts.items()}
 

@@ -16,6 +16,7 @@ from dchag.model import Batch, decode, masked_mse, masked_rows, tree_aggregate
 from dchag.params import (REPLICATED, create_master, parameter_specs, placement,
                           rank_parameter_sizes, rank_tree, shard_for_rank, unshard_grads)
 from dchag.rng import RngState
+from dchag.runtime import ring_allgather_payload, ring_allreduce_payload
 from dchag.strategies import (DCHAG_BOUNDARY_TAG, TOKEN_GATHER_TAG, StepResult,
                               run_dchag_reference_step, run_dchag_step,
                               run_dist_token_step, run_hybrid_step,
@@ -166,16 +167,26 @@ class TestDistToken:
         assert n == tp  # one gather per rank
         assert total == tp * expect
 
-    def test_gather_backward_is_local(self):
+    @pytest.mark.parametrize("tp", [1, 2, 4])
+    def test_gather_backward_reduce_scatters_into_the_split_layer(self, tp):
+        # the split flat layer leaves each rank a partial gradient of the
+        # gathered stack: one ReduceScatter per rank of its slab's piece of
+        # the sum, K*(C/tp)*D*8*(tp-1) bytes, and no AllReduce of the flat
+        # layer's input.  At tp = 1 the one-member ReduceScatter moves 0
         model = tiny(channels=8)
-        tp = 2
-        master = create_master(model, StrategyConfig(kind="dist_token", tp_degree=tp),
-                               RngState(5))
-        res = run_dist_token_step(ParallelConfig(dchag_tp=tp), model,
-                                  StrategyConfig(kind="dist_token", tp_degree=tp),
-                                  master, make_batch(model, 11, 0, [0]))
-        _, n = res.ledger.query(phase="backward", tag=TOKEN_GATHER_TAG)
-        assert n == 0
+        strat = StrategyConfig(kind="dist_token", tp_degree=tp)
+        res = run_dist_token_step(ParallelConfig(dchag_tp=tp), model, strat,
+                                  create_master(model, strat, RngState(5)),
+                                  make_batch(model, 11, 0, [0]))
+        kept = model.seq - model.masked_count
+        expect = kept * (model.channels // tp) * model.embed * 8 * (tp - 1)
+        for rank in range(tp):
+            gather = res.ledger.query(phase="backward", tag=TOKEN_GATHER_TAG, rank=rank)
+            assert gather == (expect, 1)
+            assert res.ledger.query(phase="backward", op="ReduceScatter",
+                                    rank=rank) == gather
+            assert res.ledger.query(phase="backward", op="AllReduce", tag="agg.flat",
+                                    rank=rank) == (0, 0)
 
     def test_slabbed_tokenizer_flops(self):
         model = tiny(channels=8)
@@ -196,6 +207,66 @@ class TestDistToken:
         model = tiny(channels=6)
         with pytest.raises(ConfigError, match="divisible"):
             StrategyConfig(kind="dist_token", tp_degree=4).validate(model)
+
+
+class TestExchangesByName:
+    """Every tp exchange of a step, per rank, derived from Megatron's
+    conjugate pairs rather than from the cost model, which would share a
+    waste with the code it checks.  Each exchange is a forward collective
+    and its conjugate in backward: a fanout is the identity forward and an
+    AllReduce of its gradient backward, an allsum an AllReduce forward and
+    the identity backward, and an AllGather is a ReduceScatter backward
+    into a split layer and a slice into a replicated one.  The backward
+    meets the exchanges in the reverse of the forward's order."""
+
+    DEPTH = 2
+
+    def exchanges(self, kind, variant, model, b, tp):
+        """(forward event, backward event) pairs, in the forward's order;
+        an event is (op, tag, payload bytes), or None for no collective."""
+        k = b * (model.seq - model.masked_count)
+        c, d, t = model.channels, model.embed, model.seq + 1
+
+        def allreduce(tag, n):
+            return ("AllReduce", tag, ring_allreduce_payload(n, 8, tp))
+
+        pairs = []
+        if kind != "tp_only":  # a slab rank's positional rows
+            pairs.append((None, allreduce("shared-grad.special.pos", model.seq * d)))
+        if kind == "dist_token":
+            # an AllGather and its ReduceScatter move the same bytes
+            slab = ring_allgather_payload(k * (c // tp) * d * 8, tp)
+            pairs.append((("AllGather", TOKEN_GATHER_TAG, slab),
+                          ("ReduceScatter", TOKEN_GATHER_TAG, slab)))
+        if kind == "tp_only":
+            pairs.append((None, allreduce("agg.flat", k * c * d)))
+        if kind == "dchag":  # agg.final is replicated: its gradient is whole
+            pairs.append((("AllGather", DCHAG_BOUNDARY_TAG,
+                           ring_allgather_payload(k * d * 8, tp)), None))
+        else:  # the flat layer's output allsum
+            width = k * d * (c if variant == "full_cross" else 1)
+            pairs.append((allreduce("agg.flat", width), None))
+        for i in range(self.DEPTH):  # attention, then the MLP
+            pairs += [(None, allreduce(f"vit.blk{i}", b * t * d)),
+                      (allreduce(f"vit.blk{i}", b * t * d), None)] * 2
+        return pairs
+
+    @pytest.mark.parametrize("variant", AGG_VARIANTS)
+    @pytest.mark.parametrize("tp", [2, 4])
+    @pytest.mark.parametrize("kind", ["tp_only", "dist_token", "dchag"])
+    def test_each_rank_records_the_conjugate_pairs(self, kind, tp, variant):
+        model = tiny(channels=8, depth=self.DEPTH, agg_variant=variant)
+        strat = StrategyConfig(kind=kind, tp_degree=tp, max_group=2)
+        master = create_master(model, strat, RngState(5))
+        res = run_hybrid_step(ParallelConfig(dchag_tp=tp), model, strat, master,
+                              [make_batch(model, 11, 0, [0, 1])])
+        pairs = self.exchanges(kind, variant, model, 2, tp)
+        want = ([("forward", *f) for f, _ in pairs if f is not None]
+                + [("backward", *bk) for _, bk in reversed(pairs) if bk is not None])
+        for rank in range(tp):
+            assert [(e.phase, e.op, e.tag, e.payload_bytes_per_rank)
+                    for e in res.ledger.per_rank[rank]] == want, rank
+            assert {e.axis for e in res.ledger.per_rank[rank]} == {"tp"}
 
 
 class TestDchag:
@@ -271,11 +342,19 @@ class TestDchag:
         assert res.ledger.query(phase="backward", tag=DCHAG_BOUNDARY_TAG) == (0, 0)
 
     def test_boundary_payload_is_c_over_tp_smaller_than_dist_token(self):
+        # dchag gathers one stream per rank where dist_token gathers the
+        # rank's C/tp token stacks, as the two steps' ledgers record
         model = tiny(channels=8)
         tp = 2
-        dist_payload = (model.channels // tp) * model.seq * model.embed * 8 * (tp - 1)
-        dchag_payload = model.seq * model.embed * 8 * (tp - 1)
-        assert dist_payload // dchag_payload == model.channels // tp
+        forward = {}
+        for kind, tag in (("dist_token", TOKEN_GATHER_TAG), ("dchag", DCHAG_BOUNDARY_TAG)):
+            strat = StrategyConfig(kind=kind, tp_degree=tp, max_group=2)
+            res = run_hybrid_step(ParallelConfig(dchag_tp=tp), model, strat,
+                                  create_master(model, strat, RngState(6)),
+                                  [make_batch(model, 11, 0, [0])])
+            forward[kind] = res.ledger.query(phase="forward", op="AllGather", tag=tag)
+        assert forward["dist_token"][1] == forward["dchag"][1] == tp
+        assert forward["dist_token"][0] == (model.channels // tp) * forward["dchag"][0] > 0
 
     @pytest.mark.parametrize("variant, inert", [("single_query", ("q",)),
                                                 ("full_cross", ("rq",))])

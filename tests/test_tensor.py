@@ -5,7 +5,7 @@ import warnings
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dchag import costmodel
@@ -296,18 +296,9 @@ def _exact_attention(x, wq, bq, wk, wv, wo, g, n_heads):
 @st.composite
 def _attention_operands(draw):
     """x, wq, bq (or None), wk, wv, wo, an output gradient, a head count and
-    whether the logits are large: 1-4 heads, 0-3 leading axes, x sometimes
-    a transposed view, an output width of 1-5, and sometimes logits near
-    +-1000, where probabilities only survive the recompute if the
-    log-sum-exp is taken after the row maximum.
-
-    At ordinary logits wq, wk and wv are orthonormal columns of D >= 3*Dl,
-    so every entry of q, k and v is an independent standard normal (q
-    shifted by a small bias): the logits are those of independent normal
-    queries and keys.  Weights of random norm scale every token's logits
-    alike, and correlated features add up over a head, so a few draws would
-    saturate the softmax, where the rounding bound, not 1e-12, is what
-    holds.  At large logits D is 2 to 5, below, at or above Dl."""
+    whether the logits are large (`_attention_arrays`): 1-4 heads, 0-3
+    leading axes, x sometimes a transposed view, an output width of 1-5, and
+    sometimes logits near +-1000."""
     heads = draw(st.integers(1, 4))
     large = draw(st.booleans())
     dh = draw(st.integers(2 if large else 1, 3))
@@ -317,9 +308,29 @@ def _attention_operands(draw):
     # one token makes the q and k gradients rounding noise, where relative
     # error says nothing
     t = draw(st.integers(2, 5))
+    perm = tuple(draw(st.permutations(range(len(lead) + 2))))
+    return _attention_arrays(heads, large, dh, d, lead, t, perm,
+                             draw(st.integers(0, 2 ** 32 - 1)), draw(st.booleans()),
+                             draw(st.integers(1, 5)))
+
+
+def _attention_arrays(heads, large, dh, d, lead, t, perm, seed, bias, do):
+    """The operands of `heads` heads of width dh over x [*lead, t, d], laid
+    out in memory in axis order `perm`, drawn from `seed`, with a query bias
+    if `bias`, and an output width `do`.
+
+    Where probabilities only survive the recompute if the log-sum-exp is
+    taken after the row maximum, `large` sets the logits near +-1000.  At
+    ordinary logits wq, wk and wv are orthonormal columns of D >= 3*Dl,
+    so every entry of q, k and v is an independent standard normal (q
+    shifted by a small bias): the logits are those of independent normal
+    queries and keys.  Weights of random norm scale every token's logits
+    alike, and correlated features add up over a head, so a few draws would
+    saturate the softmax, where the rounding bound, not 1e-12, is what
+    holds.  At large logits D is 2 to 5, below, at or above Dl."""
+    dl = heads * dh
     shape = (*lead, t, d)
-    perm = draw(st.permutations(range(len(shape))))
-    gen = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    gen = np.random.default_rng(seed)
     x = gen.standard_normal([shape[i] for i in perm]).transpose(np.argsort(perm))
     if large:
         wq, wk, wv = (w / np.linalg.norm(w, axis=0)
@@ -327,7 +338,7 @@ def _attention_operands(draw):
     else:
         basis = np.linalg.qr(gen.standard_normal((d, 3 * dl)))[0]
         wq, wk, wv = (np.ascontiguousarray(w) for w in np.split(basis, 3, axis=1))
-    bq = 0.5 * gen.standard_normal(dl) if draw(st.booleans()) else None
+    bq = 0.5 * gen.standard_normal(dl) if bias else None
     if large:
         # the first feature of every head: x's feature 0 is 1 and feature 1
         # is +-1 in every token; k reads feature 0, so it is 1 in every token,
@@ -341,7 +352,6 @@ def _attention_operands(draw):
         wq[1, ::dh] = 1000.0 * np.sqrt(dh)
         if bq is not None:
             bq[::dh] = 0.0
-    do = draw(st.integers(1, 5))
     wo = gen.standard_normal((dl, do)) / np.sqrt(dl)
     g = gen.standard_normal((*lead, t, do))
     return x, wq, bq, wk, wv, wo, g, heads, large
@@ -497,18 +507,25 @@ class TestAttentionOutputProjection:
     identity, and its gradients are the chain's, attention then `matmul`."""
 
     @settings(max_examples=100)
-    @given(_attention_operands(), st.data())
-    def test_fused_matches_the_chain(self, operands, data):
+    @given(_attention_operands(), st.booleans())
+    @example(_attention_arrays(2, True, 2, 3, (), 3, (0, 1), 882273653, False, 1), False)
+    @example(_attention_arrays(1, True, 2, 2, (3, 3, 3), 3, (4, 1, 3, 0, 2), 4213112154,
+                               False, 1), True)
+    def test_fused_matches_the_chain(self, operands, whole):
         # x with 0-3 lead axes, sometimes a transposed view, at the default
         # block size and at blocks that would cross a lead axis.  The chain
         # recomputes the context in its attention op's backward as the fused
         # op does, so every gradient but wo's is the same to the bit; wo's
         # reads the forward's context in the chain and the recomputed one in
-        # the fused op
-        x, wq, bq, wk, wv, wo, g, heads, _ = operands
+        # the fused op.  Each of those is within the rounding bound of the
+        # exact one (`_exact_attention`), and at ordinary logits the two
+        # agree within 1e-12.  At logits near +-1000 the softmax saturates
+        # and the bound is what holds: in the examples (wq entries of 1414)
+        # the two differ by 3.4e-12 and 1.1e-12 of the largest
+        x, wq, bq, wk, wv, wo, g, heads, large = operands
         *lead, t, _ = x.shape
         n, dl = math.prod(lead), wo.shape[0]
-        block = data.draw(st.sampled_from([T.ATTENTION_BLOCK, n * heads * t * t]))
+        block = n * heads * t * t if whole else T.ATTENTION_BLOCK
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(T, "ATTENTION_BLOCK", block)
             fused = _attention_tensors(x, wq, bq, wk, wv, wo)
@@ -524,7 +541,11 @@ class TestAttentionOutputProjection:
             if a is None:  # no query bias
                 continue
             if name == "dwo":
-                assert rel_err(a.grad, b.grad) < 1e-12, name
+                value, bound = _exact_attention(x, wq, bq, wk, wv, wo, g, heads)[-1]
+                for grad in (a.grad, b.grad):
+                    assert (abs(grad - value) <= bound).all(), name
+                if not large:
+                    assert rel_err(a.grad, b.grad) < 1e-12, name
             else:
                 np.testing.assert_array_equal(a.grad, b.grad, err_msg=name)
 
@@ -1246,6 +1267,25 @@ class TestRearrange:
         w = rng.normal((7, 3))
         rows = np.array([4, 0, 4, 2, 0, 4, 1])
         check_grad(lambda: T.sum_all(T.mul(T.take_rows(ts["x"], rows), Tensor(w))), ts)
+
+    @settings(max_examples=60)
+    @given(st.integers(1, 6), st.integers(0, 40), st.integers(2, 5),
+           st.integers(0, 2 ** 32 - 1))
+    def test_take_rows_sums_each_rows_takes_in_index_order(self, n, m, f, seed):
+        # a row's takes are summed one after another in index order, the
+        # order `np.add.at` sums them in, to the bit: rows taken once, rows
+        # taken by many takes (the mask token's) and rows taken once per
+        # sample (the positional rows'), all in one draw
+        gen = np.random.default_rng(seed)
+        rows = np.concatenate([gen.permutation(n)[:gen.integers(0, n + 1)],
+                               np.zeros(gen.integers(0, 30), int), gen.integers(0, n, m)])
+        gen.shuffle(rows)
+        g = gen.standard_normal((rows.size, f)) * 10.0 ** gen.uniform(-8, 8, (rows.size, 1))
+        x = Tensor(np.zeros((n, f)), requires_grad=True)
+        T.backward(T.sum_all(T.mul(T.take_rows(x, rows), Tensor(g))))
+        want = np.zeros((n, f))
+        np.add.at(want, rows, g)
+        assert x.grad.tobytes() == want.tobytes()
 
     def test_take_rows_distinct_rows_scatter_by_assignment(self, rng):
         # summing into zeros is assignment, bit for bit, for distinct rows
