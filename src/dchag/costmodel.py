@@ -33,7 +33,12 @@ The contract, per rank and per step:
   which moves what an AllGather of its result does) and
   `ring_allreduce_payload`, so estimate and ledger share one byte rule per
   collective.  The flat layer's input gradient is tp_only's AllReduce of
-  the whole stack, but dist_token's ReduceScatter to the rank's slab.
+  the whole stack, but dist_token's ReduceScatter to the rank's slab.  Its
+  output is one AllReduce of K*D; a full_cross flat layer, which pools
+  each rank's heads' context before projecting it (`layers`), adds its
+  reduce's partial scores, K*C, all-reduced once in forward and twice in
+  backward (the recompute and the probabilities' gradient), and rq's
+  gradient, D, and exchanges no K*C*D stack of attended tokens.
 """
 
 from __future__ import annotations
@@ -119,40 +124,42 @@ def _freed(n):
 
 def _attention(n, hl, t, dl, do, run):
     """The fused attention op over `n` positions of T tokens, projected to
-    width Dl and out to Do, in runs of `run` positions (its input's last
-    lead axis): it keeps its per-row log-sum-exp (n*Hl*T); its output
-    (n*T*Do) the caller counts, and x, which it also saves, is its
-    caller's.  While it runs it holds the log-sum-exp and one block of
-    positions (`tensor._position_blocks`): the block's q, which becomes its
-    context (T*Dl per position), its k and v (2*T*Dl) and its logits and
-    row sums (T*T + T per head, for some of a position's heads if one
-    position's logits exceed a block).  Over several blocks the output is
-    live throughout; one block, which holds every position, is projected
-    once its k, v and logits have gone."""
-    lse, out = n * hl * t, n * t * do
+    width Dl and out to Do, or to the merged context itself when `do` is
+    None, in runs of `run` positions (its input's last lead axis): it keeps
+    its per-row log-sum-exp (n*Hl*T); its output (n*T*Do, or n*T*Dl) the
+    caller counts, and x, which it also saves, is its caller's.  While it
+    runs it holds the log-sum-exp and one block of positions
+    (`tensor._position_blocks`): the block's q, which becomes its context
+    (T*Dl per position), its k and v (2*T*Dl) and its logits and row sums
+    (T*T + T per head, for some of a position's heads if one position's
+    logits exceed a block).  Over several blocks the output is live
+    throughout; one block, which holds every position, is projected once
+    its k, v and logits have gone.  An op that returns its context forms
+    each block's q in the output's rows, which are live throughout."""
+    lse = n * hl * t
     blk = tensor._block_length(run, hl * t * t, tensor.ATTENTION_BLOCK)
     heads = tensor._block_length(hl, t * t, tensor.ATTENTION_BLOCK)
     q, rest = blk * t * dl, blk * (2 * t * dl + heads * (t * t + t))
+    if do is None:
+        return lse, lse + n * t * dl + rest
+    out = n * t * do
     return lse, lse + q + (max(rest, out) if blk == n else rest + out)
 
 
-def _pool(n, hl, tk, dl, fold, do=None):
+def _pool(n, hl, tk, dl, fold, do, wv=True):
     """`tensor.attention_pool` over `n` positions of Tk keys, projecting its
-    values to width Dl and its output to Do unless `do` is None, when its
-    values are x itself.  It keeps its per-(position, head) log-sum-exp
-    (n*Hl), and its output (n*Dl) when it projects none; a projected output
-    (n*Do) the caller counts.  Its scores (n*Tk*Hl) are live
-    through the pooling: first with the `fold` elements of the copy its
-    fold makes of x (none when x folds as a view), then with the
-    log-sum-exp and the row sums, and at last with the log-sum-exp, the
-    projected values (n*Tk*Dl) and the pooled values (n*Dl), which are no
-    fewer than the row sums.  A projected output is then live with the
-    log-sum-exp and the pooled values."""
-    if do is None:
-        kept = n * (dl + hl)
-        return kept, n * tk * hl + max(fold, kept)
+    values to width Dl, or, when `wv` is false, pooling x itself (Dl wide),
+    and projecting the pooled values to Do.  It keeps its per-(position,
+    head) log-sum-exp (n*Hl); its output (n*Do) the caller counts.  Its
+    scores (n*Tk*Hl) are live through the pooling: first with the `fold`
+    elements of the copy its fold makes of x (none when x folds as a view),
+    then with the log-sum-exp and the row sums, and at last with the
+    log-sum-exp, the projected values (n*Tk*Dl, none without wv) and the
+    pooled values (n*Dl), which are no fewer than the row sums.  The output
+    is then live with the log-sum-exp and the pooled values."""
     lse, pooled = n * hl, n * dl
-    return lse, max(n * tk * hl + max(fold, lse + n * tk * dl + pooled), lse + pooled + n * do)
+    values = n * tk * dl if wv else 0
+    return lse, max(n * tk * hl + max(fold, lse + values + pooled), lse + pooled + n * do)
 
 
 def _mlp(lead, rows, dh, n):
@@ -182,32 +189,38 @@ def _agg_layer(n, ck, d, heads, variant, tp, fold=0):
     query (`_pool`), projecting the values (n*Ck*D/tp) and the output
     inside the pool; no key is formed.  full_cross runs the fused attention
     op, Ck tokens against themselves, whose projections (3*Ck*D/tp per
-    position, the context taking q's place) and (H/tp)*Ck^2 logits per
-    position are transient, one block of positions at a time.  Then the
-    full-width output (the op's output, in
-    which the sum over tp and the bias add are formed), which tp does not
-    divide; and full_cross's reduce, a single-head pool of the Ck
-    full-width outputs, which are its values as they are.  The quadratic
-    channel term is the full_cross logits, capped at one block: once one
-    block no longer holds every position, it grows with Ck^2 only through
-    the positions a block holds, down to one position.
+    position, the context formed in the output's rows) and (H/tp)*Ck^2
+    logits per position are transient, one block of positions at a time.
+    It returns the rank's heads' merged context (n*Ck*D/tp), which the
+    reduce saves; no attended token is projected (`layers`: pool(ctx wo +
+    bo; rq) = pool(ctx; wo rq) wo + bo, exact up to rounding).  Then
+    u = wo rq (D/tp), which the reduce saves too, and the reduce, a
+    single-head pool of the context against u, whose values are the
+    context itself.  Either layer's output (n*D) is the pool's projected
+    output, in which the sum over tp and the bias add are formed.  The
+    quadratic channel term is the full_cross logits, capped at one block:
+    once one block no longer holds every position, it grows with Ck^2 only
+    through the positions a block holds, down to one position.
 
     FLOPs: single_query's value projection, the pool's scores
-    (2*n*Ck*D*H/tp) and pooling (2*n*Ck*D/tp); full_cross's key, value and
-    query projections and the two attention products; the output
-    projection of every attended token; and full_cross's reduce, whose
-    scores and pooling are 2*n*Ck*D each.
+    (2*n*Ck*D*H/tp) and pooling (2*n*Ck*D/tp) and its output projection
+    (2*n*D*D/tp); full_cross's key, value and query projections and the
+    two attention products, u's product (2*D*D/tp), the reduce's scores
+    and pooling, 2*n*Ck*D/tp each, and the output projection over the n
+    pooled rows (2*n*D*D/tp).
     """
     dl, hl = d / tp, heads / tp
     if variant == "single_query":
         acts = _then(_pool(n, hl, ck, dl, fold, d), _stored(n * d))
         flops = 2 * n * ck * d * dl + 2 * n * ck * (d * hl + dl) + 2 * n * d * dl
         return acts, flops
-    acts = _then(_attention(n, hl, ck, dl, d, n),
-                 _stored(n * ck * d),
-                 _pool(n, 1, ck, d, 0))
+    acts = _then(_attention(n, hl, ck, dl, None, n),
+                 _stored(n * ck * dl),
+                 _stored(dl),
+                 _pool(n, 1, ck, dl, 0, d, wv=False),
+                 _stored(n * d))
     flops = (3 * 2 * n * ck * d * dl + 2 * 2 * n * ck * ck * dl
-             + 2 * n * ck * d * dl + 2 * 2 * n * ck * d)
+             + 2 * dl * d + 2 * 2 * n * ck * dl + 2 * n * dl * d)
     return acts, flops
 
 
@@ -376,8 +389,13 @@ def estimate(model: ModelConfig, strategy: StrategyConfig,
     layer_acts, layer_flops = _agg_layer(k, ck, d, heads, model.agg_variant, agg_tp)
     cost("aggregate", _then(acts, layer_acts), flops + layer_flops)
     if strategy.splits_agg:
-        width = (c if model.agg_variant == "full_cross" else 1) * k * d
-        add_comm("forward", "tp", ring_allreduce_payload(width, pb, tp))  # output allsum
+        add_comm("forward", "tp", ring_allreduce_payload(k * d, pb, tp))  # output allsum
+        if model.agg_variant == "full_cross":
+            # the reduce's partial scores, all-reduced in forward and in the
+            # backward's recompute; the probabilities' gradient; rq's fanout
+            scores = ring_allreduce_payload(k * c, pb, tp)
+            add_comm("forward", "tp", scores)
+            add_comm("backward", "tp", 2 * scores + ring_allreduce_payload(d, pb, tp))
         # the input's gradient: dist_token's token gather reduce-scatters it
         # to the rank's slab, tp_only's fanout all-reduces the whole stack
         add_comm("backward", "tp", ring_allgather_payload(tokens * pb, tp)

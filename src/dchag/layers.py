@@ -2,43 +2,52 @@
 
 Every function takes plain weight tensors, so the same code serves full
 weights (serial) and head-sliced weights (tensor parallel).  A head-split
-layer takes the model's head count and its tp `group`, holds
-`n_heads // group.size` of the heads, and tags its collectives with its
-parameter prefix.  Its exchanges are Megatron's conjugate operators.
-Two are here, each one AllReduce over the group: `fanout` (identity
-forward, gradient all-reduce backward) where a replicated tensor feeds a
-split projection or a per-rank computation (a channel slab's positional
-embedding), and `allsum` (all-reduce forward, identity backward) where
-split partial outputs merge, followed by the layer's output bias.  A
-transformer block fans out its own input; the flat aggregation layer's
-input comes in by its caller's choice, a `fanout` or a gather whose
-backward reduce-scatters the gradient (`strategies.gather_into_split`).
-With group=None `fanout` returns its input and `allsum` adds the bias
-alone, and the math is the single-process reference.
+layer takes the model's head count and its tp `group`, holds `n_heads //
+group.size` of the heads, and tags its collectives with its parameter
+prefix.  Its exchanges are Megatron's conjugate operators.  Two are here,
+each one AllReduce over the group: `fanout` (identity forward, gradient
+all-reduce backward) where a replicated tensor feeds a split projection or
+a per-rank computation (a channel slab's positional embedding), and
+`allsum` (all-reduce forward, identity backward) where split partial
+outputs merge, followed by the layer's output bias.  A transformer block
+fans out its own input; the flat aggregation layer's input comes in by its
+caller's choice, a `fanout` or a gather whose backward reduce-scatters the
+gradient (`strategies.gather_into_split`).  full_cross's reduce adds a
+third, which a tensor op applies, since its scores are formed inside the
+op: it pools each rank's heads' context before projecting it, by the
+identity pool(ctx wo + bo; rq) = pool(ctx; wo rq) wo + bo, exact up to
+rounding (`cross_attention_aggregate`), so the ranks' partial scores [...,
+Ck] and the probabilities' gradient are all-reduced, and no projected
+token [..., Ck, D] is.  With group=None `fanout` returns its input,
+`allsum` adds the bias alone and no exchange is made, and the math is the
+single-process reference.
 
 Three fused tape ops take a layer's input and its weights, so no
 projection, no attention context and no hidden activation is a tensor of
 the graph.  Self-attention, in the ViT and decoder blocks and full_cross's
 first stage, is `sdp_attention`, the engine's fused `attention` op: it
 forms q, k, v and the context one block of positions at a time and
-projects each block into its output, so it keeps neither the projections
-nor the context, and backward recomputes them.  A learned query over a
-position's tokens, single_query's layer and full_cross's reduce, is
-`tensor.attention_pool`, which scores the tokens against the query as
-stored, the key projection absorbed into it (`params`), so it forms no key
-tensor; single_query's pool projects the values and its pooled output
-inside it, full_cross's pools the tokens themselves.  A block's MLP is
-`tensor.mlp`, which forms the hidden activation and its GELU inside it,
-one block of positions at a time, and recomputes them in backward.  Each
-op's output goes straight to `allsum`, so no name holds it and no closure
-saved it.  The sum over the group (in place, as NCCL's
-AllReduce is), the bias add and, in a transformer block, the residual
-add all write into that buffer (`tensor.add_`), so a layer's output is
-one buffer from the op to the residual.  `linear` likewise adds its bias
-into its product.
+projects each block into its output (full_cross's first stage returns the
+context itself, which its reduce pools), so it keeps neither the
+projections nor the context, and backward recomputes them.  A learned
+query over a position's tokens, single_query's layer and full_cross's
+reduce, is `tensor.attention_pool`, which scores the tokens against the
+query as stored, the key projection absorbed into it (`params`), so it
+forms no key tensor, and projects its pooled values by `wo` inside it;
+single_query's pool projects the values too, full_cross's pools the
+context itself.  A block's MLP is `tensor.mlp`, which forms the hidden
+activation and its GELU inside it, one block of positions at a time, and
+recomputes them in backward.  Each op's output goes straight to `allsum`,
+so no name holds it and no closure saved it.  The sum over the group (in
+place, as NCCL's AllReduce is), the bias add and, in a transformer block,
+the residual add all write into that buffer (`tensor.add_`), so a layer's
+output is one buffer from the op to the residual.  `linear` likewise adds
+its bias into its product.
 """
 
 from __future__ import annotations
+
+import math
 
 from . import tensor as T
 from .runtime import ProcessGroup
@@ -81,10 +90,11 @@ def local_heads(n_heads: int, group: ProcessGroup | None) -> int:
 
 
 def sdp_attention(x: Tensor, wq: Tensor, bq: Tensor | None, wk: Tensor, wv: Tensor,
-                  wo: Tensor, n_heads: int) -> Tensor:
+                  wo: Tensor | None, n_heads: int) -> Tensor:
     """Scaled dot-product self-attention of x [..., Tn, D] through the
     projections wq, wk, wv [D, Dl] and the optional query bias bq, ending in
-    the output projection wo [Dl, Do].
+    the output projection wo [Dl, Do], or in the merged context [..., Tn,
+    Dl] when wo is None.
 
     One fused tape op (`tensor.attention`): q, k, v, the logits and the
     context are formed inside it and none outlives the forward; backward
@@ -122,28 +132,50 @@ def cross_attention_aggregate(x: Tensor, w: dict, prefix: str, variant: str,
     query and key projections absorbed (`params`), scores the Ck tokens
     themselves in one `tensor.attention_pool`, so no key tensor is made;
     the pool projects the values by `wv` and its output by `wo` inside it.
+
     full_cross: the Ck tokens attend over themselves (Ck x Ck logits)
-    through `wq`, `wk`, `wv` and `wo` in one fused `attention` op, with no
-    query bias, then a learned query `rq` [D, 1] reduces the Ck outputs to
-    one by a single-head `attention_pool` over them (scale 1/sqrt(D)), the
-    outputs serving as both keys and values.  Both pools take their query
-    as stored, and neither op keeps a projection or a context for backward.
+    through `wq`, `wk` and `wv` in one fused `attention` op, with no query
+    bias, and a learned query `rq` [D, 1] reduces the Ck attended tokens
+    ctx_k wo + bo to one by a single-head pool (scale 1/sqrt(D)), the
+    tokens serving as both keys and values.  Softmax ignores the constant
+    bo . rq, and its weights p sum to one, so
+
+        pool(ctx wo + bo; rq) = (sum_k p_k ctx_k) wo + bo,
+        p = softmax(ctx (wo rq) / sqrt(D)),
+
+    exact up to rounding.  So the attention op returns its merged context,
+    and one `attention_pool` scores it against u = wo rq, pools the
+    context itself and projects the pooled context by `wo`: no attended
+    token is projected.  Neither op keeps a projection or a context for
+    backward.
 
     Split over `group`, x must already be in the split region: the caller
     decides how it enters, by `fanout` or by a gather whose backward sums
-    the ranks' partial gradients (`strategies.gather_into_split`).
+    the ranks' partial gradients (`strategies.gather_into_split`).  A rank
+    holds its heads' context ctx_r [..., Ck, D/tp] and wo's rows wo_r, so
+    its scores ctx_r u_r, u_r = wo_r rq, are its part of the scores, and
+    its pooled output its part of the output.  The exchanges are
+    Megatron's conjugate pairs: `rq` enters by `fanout` (its gradient one
+    AllReduce of D); the pool's `exchange` all-reduces the partial scores,
+    [..., Ck], in forward and again in backward's recompute, and the
+    probabilities' gradient in backward; and `allsum` sums the [..., 1, D]
+    outputs.  No [..., Ck, D] tensor is exchanged.  A whole layer (serial,
+    dchag's tree nodes and agg.final) runs the same code, its exchanges
+    the identity.
     """
     heads = local_heads(n_heads, group)
-    bo = w[f"{prefix}.bo"]
+    wo, bo = w[f"{prefix}.wo"], w[f"{prefix}.bo"]
+    d = x.shape[-1]
     if variant == "single_query":  # [..., 1, D], replicated
-        return allsum(group, T.attention_pool(x, w[f"{prefix}.q"], w[f"{prefix}.wv"],
-                                              w[f"{prefix}.wo"], heads), bo, prefix)
-    out = allsum(group, sdp_attention(x, w[f"{prefix}.wq"], None, w[f"{prefix}.wk"],
-                                      w[f"{prefix}.wv"], w[f"{prefix}.wo"], heads),
-                 bo, prefix)  # [..., Ck, D], replicated
-
-    # full_cross: a learned query reduces the Ck attended tokens to one
-    return T.attention_pool(out, w[f"{prefix}.rq"], None, None, 1)  # [..., 1, D]
+        return allsum(group, T.attention_pool(x, w[f"{prefix}.q"], w[f"{prefix}.wv"], wo, heads,
+                                              1.0 / math.sqrt(d // n_heads)), bo, prefix)
+    # full_cross: the rank's heads' context [..., Ck, D/tp], scored against wo rq
+    ctx = sdp_attention(x, w[f"{prefix}.wq"], None, w[f"{prefix}.wk"], w[f"{prefix}.wv"],
+                        None, heads)
+    u = T.matmul(wo, fanout(group, w[f"{prefix}.rq"], prefix))
+    exchange = None if group is None else (lambda a: group.all_reduce(a, tag=prefix))
+    return allsum(group, T.attention_pool(ctx, u, None, wo, 1, 1.0 / math.sqrt(d), exchange),
+                  bo, prefix)  # [..., 1, D], replicated
 
 
 def linear_mix_aggregate(x: Tensor, w: dict, prefix: str) -> Tensor:

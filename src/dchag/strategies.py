@@ -32,8 +32,13 @@ transformer's exchanges carry every position.  A rank reads its channel
 slab's pixels where they lie in the batch's images.
 
 A layer the strategy splits is given the rank's tp group, and `None`
-otherwise; the layer derives its local heads and its output's exchange
-from the group (see `layers`).  How the flat layer's input enters its
+otherwise; the layer derives its local heads and its exchanges from the
+group (see `layers`).  A split flat layer's output is one AllReduce of
+K*D.  A full_cross one pools each rank's heads' context before projecting
+it, exact up to rounding, so it all-reduces its reduce's K*C partial
+scores (in forward, and in backward for their recompute and for the
+probabilities' gradient) and fans out rq, and no K*C*D stack of attended
+tokens is exchanged.  How the flat layer's input enters its
 split region is decided here, by one of two conjugate pairs: tp_only's
 replicated stack by `layers.fanout` (identity forward, AllReduce of the
 gradient backward), dist_token's slabs by `gather_into_split` (AllGather

@@ -26,7 +26,8 @@ Design points that later modules rely on:
   freed; a view of charged memory adds nothing; a leaf's memory, which its
   caller owns, for as long as the engine holds a view of it;
 * three fused ops take a layer's input and its weights, output projection
-  included, and hold no intermediate of the layer for backward, which
+  included (`attention` may stop at its context), and hold no
+  intermediate of the layer for backward, which
   recomputes what the forward formed and freed, as selective
   recomputation does (Korthikanti et al., 2022).  Their forwards hold one
   block of the layer's inner activation at a time, never all of it.
@@ -36,16 +37,18 @@ Design points that later modules rely on:
   weight gradients are whole.  `attention_pool`'s backward forms its
   scores and values whole, as its forward does.
   `attention` is self-attention: the ViT and decoder blocks and
-  full_cross's first aggregation stage.  It holds x, the four weights (and
-  the query bias) and the per-row log-sum-exp; one block of positions' q,
-  k and v, the logits and the context, which takes q's place, live only
-  while it runs.  `attention_pool` is a
-  learned query per head over a position's tokens, taken as stored:
-  single_query's aggregation layer, which projects the values and the
-  output, and full_cross's reduce, whose values are its input and whose
-  output is the pooled values.  It holds x, the query q, the value and
-  output weights and the log-sum-exp;
-  the scores, the values and the pooled values live only while it runs.
+  full_cross's first aggregation stage, which takes the merged context
+  itself, unprojected.  It holds x, its weights (and the query bias) and
+  the per-row log-sum-exp; one block of positions' q, k and v, the logits
+  and the context, which takes q's place, live only while it runs.
+  `attention_pool` is a learned query per head over a position's tokens,
+  taken as stored, ending in the output projection of the pooled values:
+  single_query's aggregation layer, which projects the values too, and
+  full_cross's reduce, whose values are its input, the first stage's
+  context.  On a split layer its scores are partial sums, which the
+  layer's `exchange` completes (full_cross's reduce).  It holds x, the
+  query q, the value and output weights and the log-sum-exp; the scores,
+  the values and the pooled values live only while it runs.
   `mlp` is a block's gelu(x w1 + b1) w2.  It holds x and the three
   weights; one block of positions' hidden activation and one block of Phi
   live only while it runs.  None holds its output, which the next op
@@ -418,16 +421,18 @@ def _heads(x: np.ndarray, n_heads: int, hs: slice) -> np.ndarray:
     return x.reshape(n, tn, n_heads, dl // n_heads)[:, :, hs].swapaxes(1, 2)
 
 
-def attention(x: Tensor, wq: Tensor, bq: Tensor | None, wk: Tensor, wv: Tensor, wo: Tensor,
-              n_heads: int) -> Tensor:
+def attention(x: Tensor, wq: Tensor, bq: Tensor | None, wk: Tensor, wv: Tensor,
+              wo: Tensor | None, n_heads: int) -> Tensor:
     """Scaled dot-product self-attention of x over `n_heads` heads, its
     q, k, v and output projections included, as one tape node.
 
     x is [..., T, D]; wq, wk and wv are [D, Dl], the query bias bq, which
-    may be None, is [Dl], and wo is [Dl, Do].  With q = x wq + bq, k = x wk
-    and v = x wv, head h reads features h*Dl/H to (h+1)*Dl/H of each; the
-    op returns ctx wo, [..., T, Do], where ctx is the merged context
-    softmax(q k^T / sqrt(Dl/H)) v, [..., T, Dl].
+    may be None, is [Dl], and wo is [Dl, Do] or None.  With q = x wq + bq,
+    k = x wk and v = x wv, head h reads features h*Dl/H to (h+1)*Dl/H of
+    each; the op returns ctx wo, [..., T, Do], where ctx is the merged
+    context softmax(q k^T / sqrt(Dl/H)) v, [..., T, Dl], or with wo None
+    ctx itself, for a caller that pools the context before it projects it
+    (full_cross's reduce, `layers`).
 
     Both passes walk blocks of positions (`_position_blocks`) whose logits
     fit `ATTENTION_BLOCK`; a position whose logits alone exceed it is a
@@ -452,9 +457,11 @@ def attention(x: Tensor, wq: Tensor, bq: Tensor | None, wk: Tensor, wv: Tensor, 
     block's last head group is done; no context of every position is
     formed, as in FlashAttention (Dao et al., 2022).  When one block holds
     every position, it is projected once the k, v and logit buffers have
-    gone.  Only the output and the per-row log-sum-exp outlive the forward,
-    beside x and the weights, which the op saves: backward recomputes each
-    block's projections and its context, as selective recomputation does
+    gone.  Without wo the output is the context: each block's q is formed
+    in the block's rows of it, and no q buffer is made.  Only the output
+    and the per-row log-sum-exp outlive the forward, beside x and the
+    weights, which the op saves: backward recomputes each block's
+    projections and its context, as selective recomputation does
     (Korthikanti et al., 2022), and the probabilities from the log-sum-exp,
     as FlashAttention does.  The forward charges every buffer it allocates
     from its allocation until it is freed: the log-sum-exp and the output,
@@ -462,32 +469,34 @@ def attention(x: Tensor, wq: Tensor, bq: Tensor | None, wk: Tensor, wv: Tensor, 
 
     Backward walks the forward's blocks, as FlashAttention-2 does (Dao,
     2023).  At a block's first head group it forms the context's gradient,
-    g wo^T, into a block buffer; at each head group it recomputes the
-    probabilities and the context into block buffers and writes dv, dq and
-    dk into the planes of one [3, blk, T, Dl] buffer; after the last it
-    writes the block's rows of dx as the products of dq, dk and dv with
-    wq^T, wk^T and wv^T, one matrix per position, and adds the block's
-    folds into the weight gradients (over x's rows there, copied if x is a
-    transposed stack) and its row sum into the bias's.  Only dx and the
-    weight gradients are whole.  Each position's rows go through the same
-    numpy calls at any block size, so the output and dx do not depend on
-    it; the weight and bias gradients, summed block by block, round
-    differently.
+    g wo^T, into a block buffer; without wo, g is the context's gradient,
+    and neither g wo^T nor wo's gradient is formed.  At each head group it
+    recomputes the probabilities and the context into block buffers and
+    writes dv, dq and dk into the planes of one [3, blk, T, Dl] buffer;
+    after the last it writes the block's rows of dx as the products of dq,
+    dk and dv with wq^T, wk^T and wv^T, one matrix per position, and adds
+    the block's folds into the weight gradients (over x's rows there,
+    copied if x is a transposed stack) and its row sum into the bias's.
+    Only dx and the weight gradients are whole.  Each position's rows go
+    through the same numpy calls at any block size, so the output and dx do
+    not depend on it; the weight and bias gradients, summed block by block,
+    round differently.
     """
     weights = (wq, wk, wv)
     if (x.ndim < 2 or any(w.ndim != 2 or w.shape != wq.shape for w in weights)
             or wq.shape[0] != x.shape[-1] or (bq is not None and bq.shape != wq.shape[1:])
-            or wo.ndim != 2 or wo.shape[0] != wq.shape[1]):
+            or (wo is not None and (wo.ndim != 2 or wo.shape[0] != wq.shape[1]))):
         raise ShapeError(f"attention needs x [..., T, D], wq, wk, wv [D, Dl], bq [Dl] and "
                          f"wo [Dl, Do], got {x.shape}, {wq.shape}, {wk.shape}, {wv.shape}, "
-                         f"{None if bq is None else bq.shape}, {wo.shape}")
+                         f"{None if bq is None else bq.shape}, {None if wo is None else wo.shape}")
     if wq.shape[1] % n_heads:
         raise ShapeError(f"{n_heads} heads do not divide width {wq.shape[1]}")
     h = n_heads
     *lead, t, d = x.shape
-    dl, do = wo.shape
+    dl = wq.shape[1]
+    do = dl if wo is None else wo.shape[1]
     n = math.prod(lead)
-    xd, wd, wod = x.data, tuple(w.data for w in weights), wo.data
+    xd, wd, wod = x.data, tuple(w.data for w in weights), None if wo is None else wo.data
     blk = _block_length(lead[-1] if lead else 1, h * t * t, ATTENTION_BLOCK)
     hb = _block_length(h, t * t, ATTENTION_BLOCK)
     scale = 1.0 / np.sqrt(dl // h)
@@ -495,11 +504,12 @@ def attention(x: Tensor, wq: Tensor, bq: Tensor | None, wk: Tensor, wv: Tensor, 
 
     def blocks(q, kv):
         """(positions, x's rows there, heads, their q, k and v) of each
-        block in order: the block's rows of x projected into `q` [blk, T,
-        Dl], biased and scaled, and into the planes of `kv` [2, blk, T,
-        Dl]."""
+        block in order: the block's rows of x projected into `q`, biased
+        and scaled, and into the planes of `kv` [2, blk, T, Dl].  `q` is a
+        block buffer [blk, T, Dl] or the whole context [n, T, Dl], in which
+        a block's q takes the block's rows (the two agree when blk = n)."""
         for sl, xs in _position_blocks(xd, 2, blk):
-            planes = (q[:len(xs)], *kv[:, :len(xs)])
+            planes = (q[sl] if len(q) == n else q[:len(xs)], *kv[:, :len(xs)])
             for plane, w in zip(planes, wd):
                 np.matmul(xs, w, out=plane)
             qb = planes[0]
@@ -536,35 +546,46 @@ def attention(x: Tensor, wq: Tensor, bq: Tensor | None, wk: Tensor, wv: Tensor, 
             if out is not None and hs.stop >= h:
                 np.matmul(q[:len(pb)], wod, out=out[sl])
 
-    lse, q = _charged(np.empty((n, h, t))), _charged(np.empty((blk, t, dl)))
-    if blk < n:
-        out = _charged(np.empty((n, t, do)))
-        fill(q, out)
-    else:  # one block, projected once its k, v and logit buffers have gone
-        fill(q, None)
-        out = _charged(np.matmul(q, wod))
-    del q
+    lse = _charged(np.empty((n, h, t)))
+    if wod is None:  # the context is the output, each block's q formed in its rows
+        out = _charged(np.empty((n, t, dl)))
+        fill(out, None)
+    else:
+        q = _charged(np.empty((blk, t, dl)))
+        if blk < n:
+            out = _charged(np.empty((n, t, do)))
+            fill(q, out)
+        else:  # one block, projected once its k, v and logit buffers have gone
+            fill(q, None)
+            out = _charged(np.matmul(q, wod))
+        del q
     out = out.reshape(*lead, t, do)
-    _flops(2 * n * t * d * 3 * dl + 4 * n * t * t * dl + 2 * n * t * dl * do)
+    _flops(2 * n * t * d * 3 * dl + 4 * n * t * t * dl
+           + (0 if wod is None else 2 * n * t * dl * do))
 
     def back(g):
         gf = g.reshape(n, t, do)
         dx, dw = np.empty((n, t, d)), np.zeros((3, d, dl))
-        dwo, dbq = np.zeros((dl, do)), np.zeros(dl)
+        dwo, dbq = (None if wod is None else np.zeros((dl, do))), np.zeros(dl)
         q, kv = np.empty((blk, t, dl)), np.empty((2, blk, t, dl))
-        ctx, dctx, dqkv = np.empty((blk, t, dl)), np.empty((blk, t, dl)), np.empty((3, blk, t, dl))
+        ctx, dqkv = np.empty((blk, t, dl)), np.empty((3, blk, t, dl))
+        dctx = None if wod is None else np.empty((blk, t, dl))
         p, ds = np.empty((blk, hb, t, t)), np.empty((blk, hb, t, t))
         dot = np.empty((blk, t, hb)).swapaxes(-1, -2)  # the layout einsum fills fastest
         part = np.empty((blk, t, d))
         for sl, xs, hs, qh, kh, vh in blocks(q, kv):
             m = len(xs)
-            if hs.start == 0:
-                np.matmul(gf[sl], wod.T, out=dctx[:m])
+            if wod is None:
+                gb = gf[sl]
+            else:
+                if hs.start == 0:
+                    np.matmul(gf[sl], wod.T, out=dctx[:m])
+                gb = dctx[:m]
             pb = logits(qh, kh, p)
             pb -= lse[sl, hs, None, :]
             np.exp(pb, out=pb)
             cut = (slice(m), slice(pb.shape[1]))
-            gh = _heads(dctx[:m], h, hs)
+            gh = _heads(gb, h, hs)
             oh = np.matmul(pb.swapaxes(-1, -2), vh, out=_heads(ctx[:m], h, hs))
             dq, dk, dv = (_heads(plane[:m], h, hs) for plane in dqkv)
             np.matmul(pb, gh, out=dv)
@@ -582,32 +603,38 @@ def attention(x: Tensor, wq: Tensor, bq: Tensor | None, wk: Tensor, wv: Tensor, 
                 dx[sl] += np.matmul(plane, w.T, out=part[:m])
             flat = planes.reshape(3, -1, dl)
             dw += np.matmul(np.ascontiguousarray(xs).reshape(-1, d).T, flat)
-            dwo += ctx[:m].reshape(-1, dl).T @ gf[sl].reshape(-1, do)
+            if dwo is not None:
+                dwo += ctx[:m].reshape(-1, dl).T @ gf[sl].reshape(-1, do)
             dbq += flat[0].sum(axis=0)
-        dx = dx.reshape(*lead, t, d)
-        if bd is None:
-            return dx, *dw, dwo
-        return dx, *dw, dwo, dbq
+        grads = (dx.reshape(*lead, t, d), *dw) + (() if dwo is None else (dwo,))
+        return grads if bd is None else (*grads, dbq)
 
-    parents = (x, *weights, wo) + (() if bq is None else (bq,))
+    parents = (x, *weights) + (() if wo is None else (wo,)) + (() if bq is None else (bq,))
     return Tensor(out, _parents=parents, _backward=back)
 
 
-def attention_pool(x: Tensor, q: Tensor, wv: Tensor | None, wo: Tensor | None,
-                   n_heads: int) -> Tensor:
-    """One learned query per head pools the values of x's Tk tokens, its
-    value and output projections included, as one tape node.
+def attention_pool(x: Tensor, q: Tensor, wv: Tensor | None, wo: Tensor, n_heads: int,
+                   scale: float, exchange=None) -> Tensor:
+    """One learned query per head pools the values of x's Tk tokens, and
+    the output projection wo projects the pooled values, as one tape node.
 
-    x is [..., Tk, Dx], q is [Dx, H], the value projection wv is [Dx, Dl]
-    and the output projection wo [Dl, Do]; wv and wo are given together or
-    not at all, and without them the values are x itself (Dl = Dx) and the
-    pooled values are the output.  Head h scores each of a position's Tk
-    keys as x @ q[:, h], scaled by 1/sqrt(Dl/H) as `attention` scales,
-    takes the softmax of the scores over the keys and pools the values'
-    features h*Dl/H to (h+1)*Dl/H with it, [..., 1, Dl]; with wo the op
-    returns that times wo, [..., 1, Do].  The query is taken as stored,
-    with the key projection absorbed into it (see `params`), so no key is
-    ever formed.
+    x is [..., Tk, Dx], q is [Dx, H], the value projection wv, which may be
+    None, is [Dx, Dl] and wo is [Dl, Do]; without wv the values are x
+    itself (Dl = Dx).  Head h scores each of a position's Tk keys as
+    x @ q[:, h] times `scale`, takes the softmax of the scores over the keys
+    and pools the values' features h*Dl/H to (h+1)*Dl/H with it, [..., 1,
+    Dl]; the op returns that times wo, [..., 1, Do].  The query is taken as
+    stored, with the key projection absorbed into it (see `params`), so no
+    key is ever formed.
+
+    `exchange` completes partial scores.  On a layer split over tp, x and q
+    hold the rank's share of the features, so x @ q is the rank's part of
+    the scores and the probabilities' gradient from the rank's pooled
+    values is its part of theirs (Megatron's row-parallel product, Shoeybi
+    et al., 2019); `exchange(a)` sums such a part over the group into `a`
+    in place.  The op hands it the scores it forms, in forward and in
+    backward's recompute, and the probabilities' gradient, before it reads
+    them.  A whole layer passes None and no exchange is made.
 
     The scores are one 2-D product over x's rows, folded in x's stride
     order (`_fold_rows`), so a transposed stack folds as a view; otherwise
@@ -616,27 +643,25 @@ def attention_pool(x: Tensor, q: Tensor, wv: Tensor | None, wo: Tensor | None,
     backward, which recomputes the scores, the values and, for wo's
     gradient, the pooled values; not its output.  Its transients are the
     scores (n*Tk*H), the fold's copy while the scores are formed, the row
-    sums, and the values x @ wv (n*Tk*Dl) and the pooled values (n*Dl)
-    while the values are pooled; with wo, the pooled values are then live
-    with the output until the output is formed.  Without wv, x's gradient
-    through the scores is added into its gradient as the values, so
-    backward hands on one array.
+    sums, the projected values x @ wv (n*Tk*Dl, none without wv) and the
+    pooled values (n*Dl) while the values are pooled, and the pooled
+    values with the output until the output is formed.  Without wv, x's
+    gradient through the scores is added into its gradient as the values,
+    so backward hands on one array.
     """
     dl = x.shape[-1] if wv is None else wv.shape[-1]
-    do = dl if wo is None else wo.shape[-1]
     if (x.ndim < 2 or q.shape != (x.shape[-1], n_heads) or dl % n_heads
-            or (wv is None) != (wo is None)
-            or (wv is not None and (wv.shape != (x.shape[-1], dl) or wo.shape != (dl, do)))):
-        raise ShapeError(f"attention_pool needs x [..., Tk, Dx], q [Dx, {n_heads}], and "
-                         f"wv [Dx, Dl] and wo [Dl, Do] or neither, with {n_heads} heads "
-                         f"dividing Dl, got {x.shape}, {q.shape}, "
-                         f"{None if wv is None else wv.shape}, {None if wo is None else wo.shape}")
+            or (wv is not None and wv.shape != (x.shape[-1], dl))
+            or wo.ndim != 2 or wo.shape[0] != dl):
+        raise ShapeError(f"attention_pool needs x [..., Tk, Dx], q [Dx, {n_heads}], wv [Dx, Dl] "
+                         f"or None (Dl = Dx) and wo [Dl, Do], with {n_heads} heads dividing Dl, "
+                         f"got {x.shape}, {q.shape}, {None if wv is None else wv.shape}, "
+                         f"{wo.shape}")
     h = n_heads
     *lead, tk, dx = x.shape
-    dh = dl // h
-    scale = 1.0 / np.sqrt(dh)
-    xd, qd = x.data, q.data
-    wvd, wod = (None, None) if wv is None else (wv.data, wo.data)
+    dh, do = dl // h, wo.shape[-1]
+    xd, qd, wod = x.data, q.data, wo.data
+    wvd = None if wv is None else wv.data
     perm = _row_order(xd)
     inv = tuple(np.argsort(perm))
     folded = tuple(xd.shape[i] for i in perm[:-1])
@@ -644,6 +669,15 @@ def attention_pool(x: Tensor, q: Tensor, wv: Tensor | None, wo: Tensor | None,
     def unfold(rows):
         """[rows, n] in x's row order as the view [..., Tk, n]."""
         return rows.reshape(*folded, rows.shape[-1]).transpose(inv)
+
+    def scores(xf, charge):
+        """The scaled scores [rows, H] in x's row order, x's rows `xf` by q,
+        completed by `exchange` (to which `charge` is applied)."""
+        s = charge(xf @ qd)
+        if exchange is not None:
+            exchange(s)
+        s *= scale
+        return s
 
     def values(charge):
         """The values [..., Tk, Dl], x @ wv (to which `charge` is applied)
@@ -657,9 +691,8 @@ def attention_pool(x: Tensor, q: Tensor, wv: Tensor | None, wo: Tensor | None,
         return np.einsum("...kh,...khd->...hd", sl, vh, out=out)
 
     xf = _charged(xd.transpose(perm).reshape(-1, dx))
-    s = _charged(xf @ qd)  # the scores, [rows, H] in x's row order
+    s = scores(xf, _charged)
     del xf
-    s *= scale
     sl = unfold(s)
     lse = _charged(sl.max(axis=-2))
     sl -= lse[..., None, :]
@@ -669,34 +702,35 @@ def attention_pool(x: Tensor, q: Tensor, wv: Tensor | None, wo: Tensor | None,
     lse += np.log(rowsum, out=rowsum)
     del rowsum
     v, vh = values(_charged)
-    out = _charged(np.empty((*lead, 1, dl)))
-    pool(sl, vh, out.reshape(*lead, h, dh))
+    pooled = _charged(np.empty((*lead, 1, dl)))
+    pool(sl, vh, pooled.reshape(*lead, h, dh))
     del v, vh, s, sl
-    if wod is not None:
-        out = _charged(np.matmul(out, wod))
+    out = _charged(np.matmul(pooled, wod))
+    del pooled
     n = math.prod(lead)
-    _flops(2 * n * tk * (dx * h + dl) + (0 if wvd is None else 2 * n * (tk * dx + do) * dl))
+    _flops(2 * n * tk * (dx * h + dl) + 2 * n * dl * do
+           + (0 if wvd is None else 2 * n * tk * dx * dl))
 
     def back(g):
         xf = xd.transpose(perm).reshape(-1, dx)
-        p = xf @ qd
-        p *= scale
+        p = scores(xf, lambda buf: buf)
         pl = unfold(p)
         pl -= lse[..., None, :]
         np.exp(p, out=p)
         v, vh = values(lambda buf: buf)
-        if wod is not None:  # wo's gradient from the recomputed pooled values
-            pooled = pool(pl, vh, np.empty((*lead, h, dh))).reshape(*lead, 1, dl)
-            pf, gf = _fold_rows(pooled, g)
-            dwo = pf.T @ gf
-            del pooled, pf, gf
-            g = np.matmul(g, wod.T)
-        gh = g.reshape(*lead, h, dh)
+        # wo's gradient from the recomputed pooled values
+        pooled = pool(pl, vh, np.empty((*lead, h, dh))).reshape(*lead, 1, dl)
+        pf, gf = _fold_rows(pooled, g)
+        dwo = pf.T @ gf
+        del pooled, pf, gf
+        gh = np.matmul(g, wod.T).reshape(*lead, h, dh)
         dv = np.empty(v.shape)
         np.multiply(pl[..., None], gh[..., None, :, :], out=dv.reshape(vh.shape))
         ds = np.empty(p.shape)  # the score gradient, in x's row order
         dsl = np.einsum("...hd,...khd->...kh", gh, vh, out=unfold(ds))
         del v, vh
+        if exchange is not None:  # the probabilities' gradient, completed
+            exchange(ds)
         dsl -= np.einsum("...kh,...kh->...h", pl, dsl)[..., None, :]
         ds *= p
         ds *= scale
@@ -704,13 +738,14 @@ def attention_pool(x: Tensor, q: Tensor, wv: Tensor | None, wo: Tensor | None,
         dscore = unfold(ds @ qd.T)
         if wvd is None:  # x is the values: one gradient
             dv += dscore
-            return dv, dq
+            return dv, dq, dwo
         dwv = xf.T @ dv.transpose(perm).reshape(-1, dl)
         dxv = np.matmul(dv, wvd.T)
         dxv += dscore
         return dxv, dq, dwv, dwo
 
-    return Tensor(out, _parents=(x, q) + (() if wv is None else (wv, wo)), _backward=back)
+    parents = (x, q, wo) if wv is None else (x, q, wv, wo)
+    return Tensor(out, _parents=parents, _backward=back)
 
 
 # Phi(x), the standard normal CDF, from Cephes' ndtr.c (S. L. Moshier, Cephes
@@ -1022,27 +1057,30 @@ def split(x: Tensor, axis: int, sizes) -> list[Tensor]:
 def take_rows(x: Tensor, rows: np.ndarray) -> Tensor:
     """Rows `rows` of x along its first axis, as a new buffer ([N, F] ->
     [M, F]).  A row may be taken more than once: backward sums its takes'
-    gradients into zeros one after another, in index order.  Distinct rows
-    are assigned; otherwise the rows taken equally often, c times, are
-    summed at once, as one sum over an axis of their c takes, which numpy
-    forms take after take wherever a row has more than one element.  That
-    is `np.add.at`'s sum, bit for bit, in a few whole-array ops per distinct
-    take count where `np.add.at` adds one take at a time.  It saves only
-    the indices and the shape."""
+    gradients into zeros one after another, in index order.  The takes are
+    assigned, unless every row is taken more than once; then each row taken
+    more than once gets its takes' sum.  Those rows, grouped by how often
+    (c times) each is taken, are summed at once, as one sum over an axis of
+    their c takes in index order, which numpy forms take after take
+    wherever a row has more than one element.  That is `np.add.at`'s sum,
+    bit for bit, and only the takes of repeated rows (the mask token's, the
+    positional rows') are sorted and gathered.  It saves only the indices
+    and the shape."""
     shape = x.data.shape
 
     def back(g):
         full = np.zeros(shape)
-        counts = np.bincount(rows, minlength=shape[0])
-        if counts.max(initial=0) <= 1:
-            full[rows] = g
-            return (full,)
-        order = np.argsort(rows, kind="stable")  # each row's takes together, in index order
-        taken = rows[order]
-        per_row = counts[taken]
-        for c in np.unique(per_row):
-            sel = per_row == c
-            full[taken[sel][::c]] = g[order[sel].reshape(-1, c)].sum(axis=1)
+        per_take = np.bincount(rows, minlength=shape[0])[rows]
+        repeated = np.flatnonzero(per_take > 1)  # the takes of repeated rows
+        if repeated.size < rows.size:
+            full[rows] = g  # a repeated row holds one take until its sum
+        if repeated.size:
+            # each row's takes together, in index order
+            repeated = repeated[np.argsort(rows[repeated], kind="stable")]
+            taken, per_row = rows[repeated], per_take[repeated]
+            for c in np.unique(per_row):
+                sel = per_row == c
+                full[taken[sel][::c]] = g[repeated[sel].reshape(-1, c)].sum(axis=1)
         return (full,)
 
     return Tensor(x.data[rows], _parents=(x,), _backward=back)

@@ -67,6 +67,32 @@ def check_grad(fn, tensors, tol=1e-5, h=1e-6):
         assert err < tol, f"gradient mismatch for {name}: rel err {err:.3e}"
 
 
+def brute_force_full_cross(tokens, wq, wk, wv, wo, bo, rq, heads):
+    """Explicit-loop full_cross layer; returns its output [B, S, 1, D] and
+    the reduce stage's weights [B, S, C] over the C attended tokens."""
+    b_, s, c, d = tokens.shape
+    dh = d // heads
+    out = np.zeros((b_, s, 1, d))
+    weights = np.zeros((b_, s, c))
+    for b in range(b_):
+        for si in range(s):
+            x = tokens[b, si]
+            q, k, v = x @ wq, x @ wk, x @ wv
+            att = np.zeros((c, d))
+            for h in range(heads):
+                sl = slice(h * dh, (h + 1) * dh)
+                logits = q[:, sl] @ k[:, sl].T / np.sqrt(dh)
+                e = np.exp(logits - logits.max(axis=1, keepdims=True))
+                p = e / e.sum(axis=1, keepdims=True)
+                att[:, sl] = p @ v[:, sl]
+            proj = att @ wo + bo
+            scores = proj @ rq[:, 0] / np.sqrt(d)
+            e = np.exp(scores - scores.max())
+            weights[b, si] = e / e.sum()
+            out[b, si, 0] = weights[b, si] @ proj
+    return out, weights
+
+
 def reachable_arrays(t):
     """Every numpy array reachable from tensor `t` through its data, its
     node's parents and the cells of each node's backward closure."""

@@ -22,7 +22,8 @@ from dchag.synthetic import make_batch
 from dchag.tensor import Tensor
 from dchag.tracking import AllocTracker, activate, current_tracker
 
-from conftest import assert_grads_match, check_grad, reachable_arrays, rel_err
+from conftest import (assert_grads_match, brute_force_full_cross, check_grad, fd_grad,
+                      reachable_arrays, rel_err)
 
 
 def tiny_model(**kw):
@@ -317,32 +318,6 @@ def brute_force_single_query(tokens, q, wv, wo, bo, heads, wk=None, wq=None):
     return out
 
 
-def brute_force_full_cross(tokens, wq, wk, wv, wo, bo, rq, heads):
-    """Explicit-loop full_cross layer; returns its output [B, S, 1, D] and
-    the reduce stage's weights [B, S, C] over the C attended tokens."""
-    b_, s, c, d = tokens.shape
-    dh = d // heads
-    out = np.zeros((b_, s, 1, d))
-    weights = np.zeros((b_, s, c))
-    for b in range(b_):
-        for si in range(s):
-            x = tokens[b, si]
-            q, k, v = x @ wq, x @ wk, x @ wv
-            att = np.zeros((c, d))
-            for h in range(heads):
-                sl = slice(h * dh, (h + 1) * dh)
-                logits = q[:, sl] @ k[:, sl].T / np.sqrt(dh)
-                e = np.exp(logits - logits.max(axis=1, keepdims=True))
-                p = e / e.sum(axis=1, keepdims=True)
-                att[:, sl] = p @ v[:, sl]
-            proj = att @ wo + bo
-            scores = proj @ rq[:, 0] / np.sqrt(d)
-            e = np.exp(scores - scores.max())
-            weights[b, si] = e / e.sum()
-            out[b, si, 0] = weights[b, si] @ proj
-    return out, weights
-
-
 class TestFlatAggregate:
     def test_single_channel_single_query_weight_is_one(self, rng):
         model = tiny_model(channels=1)
@@ -381,10 +356,10 @@ class TestFlatAggregate:
         # attention op, single_query C scores per head in the pool.  Either
         # op is the aggregation's first; right after it, the aggregate peak
         # exceeds the live bytes by exactly its transient.  full_cross's is
-        # one block's q (which becomes the block's context), k, v, logits
-        # and row sums; over several blocks they live beside its output,
-        # which stays live, while one block of every kept position is
-        # projected once its k, v and logits have gone.  single_query's is
+        # one block's k, v, logits and row sums: the op returns its merged
+        # context, which stays live, and forms each block's q in the
+        # context's rows, where it becomes the block's context, so no
+        # block holds a q of its own.  single_query's is
         # its scores and values, which outlive the row sums and, its input
         # folding as a view, meet no copy of it; the pooled values and the
         # output it forms from them are fewer.
@@ -417,8 +392,8 @@ class TestFlatAggregate:
         def block(rows, c):  # logits and row sums of `rows` positions
             return 8 * rows * h * (c * c + c)
 
-        def full_cross(rows, c):
-            return 8 * 3 * rows * c * d + block(rows, c)
+        def full_cross(rows, c):  # k, v, logits and row sums
+            return 8 * 2 * rows * c * d + block(rows, c)
 
         def output(c):
             return 8 * positions * c * d
@@ -427,19 +402,18 @@ class TestFlatAggregate:
         # the projections, scores and values grow with C
         logits = []
         for c in (8, 16):
-            assert transient("full_cross", c) == full_cross(positions, c) - output(c) > output(c)
+            assert transient("full_cross", c) == full_cross(positions, c) > output(c)
             assert transient("single_query", c) == 8 * positions * c * (h + d), c
             logits.append(block(positions, c) - 8 * positions * h * c)
         assert logits[1] == 4 * logits[0]
         # a block of 16-channel full_cross logits is two positions: at 16
-        # channels the op holds two positions' beside its output, at 8
-        # channels still every position's
+        # channels the op holds two positions', at 8 channels still every
+        # position's
         monkeypatch.setattr(T, "ATTENTION_BLOCK", 2 * h * 16 * 16)
         assert transient("full_cross", 16) == full_cross(2, 16) > output(16)
-        assert transient("full_cross", 8) == full_cross(positions, 8) - output(8)
+        assert transient("full_cross", 8) == full_cross(positions, 8)
         # one position per block at 8 channels: the block is less than the
-        # output, which an op holding every position's context held beside
-        # that context, as its transient
+        # context, which stays live
         monkeypatch.setattr(T, "ATTENTION_BLOCK", h * 8 * 8)
         assert transient("full_cross", 8) == full_cross(1, 8) < output(8)
 
@@ -466,7 +440,7 @@ class TestFullCrossReduce:
     """full_cross's learned-query reduce where it weighs its inputs: the
     drawn weights make it far from a mean, yet no input is saturated."""
 
-    D, HEADS, CK = 8, 2, 4
+    D, HEADS, CK = 8, 4, 4
 
     def draw(self, seed):
         rng = RngState(seed)
@@ -500,10 +474,17 @@ class TestFullCrossReduce:
         largest = max(np.abs(t.grad).max() for t in ts.values())
         assert np.abs(ts["agg.flat.rq"].grad).max() > 1e-2 * largest
 
+    @pytest.mark.parametrize("tp", [2, 4])
     @pytest.mark.parametrize("seed", [0, 1, 5])
-    def test_head_split_matches_unsplit(self, seed):
+    def test_head_split_matches_unsplit(self, seed, tp):
+        # each rank pools its heads' context against its share of wo rq;
+        # the ranks' outputs and the master layout of their gradients are
+        # the whole layer's, and every rank's output is the explicit loop's
         master, x, probe = self.draw(seed)
-        strategy = StrategyConfig(kind="tp_only", tp_degree=2)
+        strategy = StrategyConfig(kind="tp_only", tp_degree=tp)
+        expect, _ = brute_force_full_cross(
+            x, *(master[f"agg.flat.{leaf}"] for leaf in ("wq", "wk", "wv", "wo", "bo", "rq")),
+            self.HEADS)
 
         def run(w, group):
             # the caller brings the input into the split region
@@ -517,12 +498,47 @@ class TestFullCrossReduce:
             return run(shard_for_rank(master, strategy, ctx.coords[0]), ctx.tp)
 
         out, grads = run(master, None)
-        ranks = spawn_ranks(ParallelConfig(dchag_tp=2), program).results
+        assert rel_err(out, expect) < 1e-12
+        ranks = spawn_ranks(ParallelConfig(dchag_tp=tp), program).results
         split = unshard_grads([g for _, g in ranks], master, strategy)
         for rank_out, rank_grads in ranks:
-            assert rel_err(rank_out, out) < 1e-10
+            assert rel_err(rank_out, expect) < 1e-12
             assert_grads_match({"x": grads["x"]}, {"x": rank_grads["x"]})
         assert_grads_match({k: grads[k] for k in master}, split)
+
+    @pytest.mark.parametrize("tp", [2, 4])
+    def test_split_gradients_match_finite_differences(self, tp):
+        # through wo (whose rows each rank scores with and projects by), rq
+        # (which enters by a fanout) and x, on the split path: each rank
+        # runs the same central differences of the replicated output, one
+        # split forward per evaluation, in lockstep with the other ranks
+        master, x, probe = self.draw(0)
+        master["x"] = x[:1, :2]
+        probe = probe[:1, :2]
+        strategy = StrategyConfig(kind="tp_only", tp_degree=tp)
+
+        def loss(arrays, group):
+            w = wrap(shard_for_rank(arrays, strategy, group.index))
+            out = cross_attention_aggregate(fanout(group, w["x"], "agg.flat"), w, "agg.flat",
+                                            "full_cross", self.HEADS, group)
+            return T.sum_all(T.mul(out, Tensor(probe))), w
+
+        def program(ctx):
+            arrays = {k: v.copy() for k, v in master.items()}
+            value, w = loss(arrays, ctx.tp)
+            T.backward(value)
+            grads = {k: t.grad for k, t in w.items()}
+            leaves = {k: Tensor(v) for k, v in arrays.items()}
+            fd = {name: fd_grad(lambda: loss({k: t.data for k, t in leaves.items()}, ctx.tp)[0],
+                                leaves, name)
+                  for name in ("agg.flat.wo", "agg.flat.rq", "x")}
+            return grads, fd
+
+        ranks = spawn_ranks(ParallelConfig(dchag_tp=tp), program).results
+        split = unshard_grads([g for g, _ in ranks], master, strategy)
+        for name in ("agg.flat.wo", "agg.flat.rq", "x"):
+            for _, fd in ranks:
+                assert rel_err(split[name], fd[name]) < 1e-6, name
 
 
 class TestTreeAggregate:

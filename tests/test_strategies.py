@@ -8,6 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from dchag import layers
+from dchag import model as dmodel
 from dchag import tensor as T
 from dchag.config import (AGG_LAYER_KINDS, AGG_VARIANTS, STRATEGY_KINDS, ConfigError,
                           ModelConfig, ParallelConfig, StrategyConfig)
@@ -24,7 +25,7 @@ from dchag.strategies import (DCHAG_BOUNDARY_TAG, TOKEN_GATHER_TAG, StepResult,
 from dchag.synthetic import make_batch
 from dchag.tensor import Tensor
 
-from conftest import assert_grads_match
+from conftest import assert_grads_match, brute_force_full_cross
 
 
 def tiny(channels=4, **kw):
@@ -217,20 +218,25 @@ class TestExchangesByName:
     AllReduce of its gradient backward, an allsum an AllReduce forward and
     the identity backward, and an AllGather is a ReduceScatter backward
     into a split layer and a slice into a replicated one.  The backward
-    meets the exchanges in the reverse of the forward's order."""
+    meets the exchanges in the reverse of the forward's order, but for a
+    parameter's fanout (full_cross's `rq`), which hangs off a leaf: the
+    engine's order reaches it last.  C differs from D, so that full_cross's
+    K*C scores and its K*D output differ in size."""
 
     DEPTH = 2
+    CHANNELS = 16
 
     def exchanges(self, kind, variant, model, b, tp):
-        """(forward event, backward event) pairs, in the forward's order;
-        an event is (op, tag, payload bytes), or None for no collective."""
+        """(forward event, backward event) pairs, in the forward's order,
+        and the backward events of parameter fanouts; an event is (op, tag,
+        payload bytes), or None for no collective."""
         k = b * (model.seq - model.masked_count)
         c, d, t = model.channels, model.embed, model.seq + 1
 
         def allreduce(tag, n):
             return ("AllReduce", tag, ring_allreduce_payload(n, 8, tp))
 
-        pairs = []
+        pairs, last = [], []
         if kind != "tp_only":  # a slab rank's positional rows
             pairs.append((None, allreduce("shared-grad.special.pos", model.seq * d)))
         if kind == "dist_token":
@@ -243,30 +249,57 @@ class TestExchangesByName:
         if kind == "dchag":  # agg.final is replicated: its gradient is whole
             pairs.append((("AllGather", DCHAG_BOUNDARY_TAG,
                            ring_allgather_payload(k * d * 8, tp)), None))
+        elif variant == "full_cross":
+            # the reduce pools each rank's heads' context against u = wo rq
+            # before it projects it (`layers`): the ranks' partial scores
+            # [K, C] are an allsum; the probabilities feed each rank's
+            # split pool, a fanout; the op's backward first recomputes its
+            # scores, one more allsum; then the output's allsum, [K, D].
+            # rq enters by a fanout of [D, 1]
+            scores = allreduce("agg.flat", k * c)
+            pairs += [(scores, None), (None, scores), (None, scores),
+                      (allreduce("agg.flat", k * d), None)]
+            last.append(allreduce("agg.flat", d))
         else:  # the flat layer's output allsum
-            width = k * d * (c if variant == "full_cross" else 1)
-            pairs.append((allreduce("agg.flat", width), None))
+            pairs.append((allreduce("agg.flat", k * d), None))
         for i in range(self.DEPTH):  # attention, then the MLP
             pairs += [(None, allreduce(f"vit.blk{i}", b * t * d)),
                       (allreduce(f"vit.blk{i}", b * t * d), None)] * 2
-        return pairs
+        return pairs, last
+
+    def step(self, kind, tp, variant, depth):
+        model = tiny(channels=self.CHANNELS, depth=depth, agg_variant=variant)
+        strat = StrategyConfig(kind=kind, tp_degree=tp, max_group=2)
+        master = create_master(model, strat, RngState(5))
+        return model, run_hybrid_step(ParallelConfig(dchag_tp=tp), model, strat, master,
+                                      [make_batch(model, 11, 0, [0, 1])])
 
     @pytest.mark.parametrize("variant", AGG_VARIANTS)
     @pytest.mark.parametrize("tp", [2, 4])
     @pytest.mark.parametrize("kind", ["tp_only", "dist_token", "dchag"])
     def test_each_rank_records_the_conjugate_pairs(self, kind, tp, variant):
-        model = tiny(channels=8, depth=self.DEPTH, agg_variant=variant)
-        strat = StrategyConfig(kind=kind, tp_degree=tp, max_group=2)
-        master = create_master(model, strat, RngState(5))
-        res = run_hybrid_step(ParallelConfig(dchag_tp=tp), model, strat, master,
-                              [make_batch(model, 11, 0, [0, 1])])
-        pairs = self.exchanges(kind, variant, model, 2, tp)
+        model, res = self.step(kind, tp, variant, self.DEPTH)
+        pairs, last = self.exchanges(kind, variant, model, 2, tp)
         want = ([("forward", *f) for f, _ in pairs if f is not None]
-                + [("backward", *bk) for _, bk in reversed(pairs) if bk is not None])
+                + [("backward", *bk) for _, bk in reversed(pairs) if bk is not None]
+                + [("backward", *bk) for bk in last])
         for rank in range(tp):
             assert [(e.phase, e.op, e.tag, e.payload_bytes_per_rank)
                     for e in res.ledger.per_rank[rank]] == want, rank
             assert {e.axis for e in res.ledger.per_rank[rank]} == {"tp"}
+
+    @pytest.mark.parametrize("tp", [2, 4])
+    @pytest.mark.parametrize("kind", ["tp_only", "dist_token"])
+    def test_full_cross_exchanges_no_attended_token_stack(self, kind, tp):
+        # no exchange carries what an AllReduce of K*C*D elements does, the
+        # attended tokens' projection, but tp_only's fanout of its input
+        model, res = self.step(kind, tp, "full_cross", 1)
+        k = 2 * (model.seq - model.masked_count)
+        stack = ring_allreduce_payload(k * model.channels * model.embed, 8, tp)
+        found = [(e.phase, e.op, e.tag) for e in res.ledger.events()
+                 if e.payload_bytes_per_rank == stack]
+        assert found == ([("backward", "AllReduce", "agg.flat")] * tp if kind == "tp_only"
+                         else [])
 
 
 class TestDchag:
@@ -386,6 +419,71 @@ class TestDchag:
                 np.testing.assert_array_equal(g1[k], g2[k])
         for rank in range(4):
             assert r1.ledger.per_rank[rank] == r2.ledger.per_rank[rank]
+
+
+class TestFullCrossWeighsItsInputs:
+    """Step-level oracles where full_cross's reduce weighs its inputs.  At
+    the benchmark's initialisation (weights of std 0.02) the reduce is
+    close to a plain mean and `agg.flat.rq`'s gradient is ~1e-22 of the
+    largest, below the equivalence rule's floor, so no step comparison
+    would see a wrong gradient through the reduce's scores.  Here the
+    tokenizer, the aggregation weights and rq are drawn large enough that
+    the pool's weights spread (as `tests/test_model.py::TestFullCrossReduce`
+    draws them), and the other matrices at 0.35, about 1/sqrt(D), so that
+    the loss's gradient reaches the aggregation undamped.  agg.final
+    reduces the tree's outputs, which are larger than tokens, so its rq is
+    drawn smaller, lest its softmax saturate."""
+
+    def draw(self, model, strategy, seed):
+        master = create_master(model, strategy, RngState(seed))
+        rng = RngState(seed + 1)
+        for name in sorted(master):
+            prefix, leaf = name.rsplit(".", 1)
+            if leaf == "rq":
+                std = 3.0 if prefix == "agg.flat" else 0.5
+            elif name == "tok.w" or (name.startswith("agg.") and leaf in ("wq", "wk", "wv", "wo")):
+                std = 0.5
+            elif master[name].ndim == 2 and not name.startswith("agg."):
+                std = 0.35
+            else:
+                continue
+            master[name] = rng.normal(master[name].shape, std)
+        return master
+
+    @pytest.mark.parametrize("tp", [2, 4])
+    @pytest.mark.parametrize("kind", ["tp_only", "dist_token", "dchag"])
+    def test_parallel_step_matches_its_oracle(self, monkeypatch, kind, tp):
+        model = tiny(channels=8, agg_variant="full_cross")
+        assert model.heads >= tp
+        strat = StrategyConfig(kind=kind, tp_degree=tp, max_group=2,
+                               agg_layer_kind="cross_attention")
+        master = self.draw(model, strat, 3)
+        batch = make_batch(model, 11, 0, [0, 1])
+        layer = "agg.final" if kind == "dchag" else "agg.flat"
+        inputs = {}
+        aggregate = layers.cross_attention_aggregate
+
+        def spy(x, w, prefix, *args):
+            inputs.setdefault(prefix, x.data.copy())
+            return aggregate(x, w, prefix, *args)
+
+        # the reference forward calls the layer through `model`'s global
+        monkeypatch.setattr(layers, "cross_attention_aggregate", spy)
+        monkeypatch.setattr(dmodel, "cross_attention_aggregate", spy)
+        ref = (run_dchag_reference_step(model, strat, master, batch) if kind == "dchag"
+               else run_serial_step(model, master, batch))
+        _, weights = brute_force_full_cross(
+            inputs[layer], *(master[f"{layer}.{leaf}"]
+                             for leaf in ("wq", "wk", "wv", "wo", "bo", "rq")), model.heads)
+        assert weights.std(axis=-1).mean() > 0.1
+        # rq's gradient clears the rule's floor, so the rule weighs it
+        # against itself
+        scale = max(np.abs(g).max() for g in ref.grads.values())
+        assert np.abs(ref.grads[f"{layer}.rq"]).max() > 1e-3 * scale
+        res = run_hybrid_step(ParallelConfig(dchag_tp=tp), model, strat, master, [batch])
+        for loss in res.losses:
+            assert abs(loss - ref.loss) <= 1e-10 * abs(ref.loss)
+        assert_grads_match(ref.grads, res.grads)
 
 
 class TestHybrid:

@@ -10,7 +10,9 @@ from hypothesis import strategies as st
 
 from dchag import costmodel
 from dchag import tensor as T
+from dchag.config import ParallelConfig
 from dchag.rng import RngState
+from dchag.runtime import ring_allreduce_payload, spawn_ranks
 from dchag.tensor import Tensor, ShapeError, EngineError
 from dchag.tracking import AllocTracker, activate
 
@@ -549,6 +551,52 @@ class TestAttentionOutputProjection:
             else:
                 np.testing.assert_array_equal(a.grad, b.grad, err_msg=name)
 
+    @settings(max_examples=60)
+    @given(_attention_operands(), st.booleans())
+    def test_the_context_alone_is_the_identity_projection(self, operands, whole):
+        # without wo the op returns its merged context: what it returns with
+        # wo = I, to the bit, and so are dx and the gradients of wq, wk, wv
+        # and bq, since g I^T is g; it forms no wo gradient.  It holds what
+        # `costmodel._attention` says of an op without an output projection
+        x, wq, bq, wk, wv, wo, _, heads, _ = operands
+        *lead, t, _ = x.shape
+        n, run, dl = math.prod(lead), (lead or [1])[-1], wo.shape[0]
+        g = np.random.default_rng(n * t).standard_normal((*lead, t, dl))
+        block = n * heads * t * t if whole else T.ATTENTION_BLOCK
+        results = []
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(T, "ATTENTION_BLOCK", block)
+            for eye in (None, np.eye(dl)):
+                tracker = AllocTracker()
+                with activate(tracker):
+                    ts = _attention_tensors(x, wq, bq, wk, wv, eye)
+                    before = tracker.stats()
+                    out = T.attention(*ts, heads)
+                    after = tracker.stats()
+                if eye is None:
+                    assert ts[5] is None
+                    kept, high = costmodel._attention(n, heads, t, dl, None, run)
+                    assert after.live_bytes - before.live_bytes == 8 * (kept + n * t * dl)
+                    assert after.peak_bytes - before.live_bytes == 8 * high
+                T.backward(T.sum_all(T.mul(out, Tensor(g))))
+                results.append([out.data] + [None if a is None else a.grad for a in ts[:5]])
+        for name, a, b in zip(ATTENTION_GRADS, *results):
+            if a is not None:  # no query bias
+                np.testing.assert_array_equal(a, b, err_msg=name)
+
+    @pytest.mark.parametrize("heads", [1, 2])
+    def test_grad_of_the_context(self, rng, heads):
+        # full_cross's first stage over a token slab's transposed view, on a
+        # tp rank's heads
+        d, dl = 5, 2 * heads
+        ts = {"x": Tensor(rng.normal((2, 3, 4, d)), requires_grad=True),
+              **{name: Tensor(rng.normal((d, dl)), requires_grad=True)
+                 for name in ("wq", "wk", "wv")}}
+        w = rng.normal((2, 4, 3, dl))
+        check_grad(lambda: T.sum_all(T.mul(
+            T.attention(_slab_view(ts["x"]), ts["wq"], None, ts["wk"], ts["wv"], None, heads),
+            Tensor(w))), ts)
+
 
 def _owner(a):
     """The array that owns `a`'s memory."""
@@ -679,37 +727,45 @@ def _slab_view(x):
     return T.transpose(x, (0, 2, 1, 3))
 
 
+def _pool(x, u, wv, wo, heads, exchange=None):
+    """The pool at the attention op's scale, 1/sqrt of the values' head
+    width."""
+    dl = (x if wv is None else wv).shape[-1]
+    return T.attention_pool(x, u, wv, wo, heads, 1.0 / np.sqrt(dl // heads), exchange)
+
+
 class TestAttentionPool:
     @pytest.mark.parametrize("heads", [1, 2, 8])
     def test_grad(self, rng, heads):
         x, u, wv, wo = _pool_operands(rng, (2, 3), 3, 5, heads, 2 * heads)
         w = rng.normal((2, 3, 1, 3))
-        check_grad(lambda: T.sum_all(T.mul(T.attention_pool(_slab_view(x), u, wv, wo, heads),
-                                           Tensor(w))), {"x": x, "u": u, "wv": wv, "wo": wo})
+        check_grad(lambda: T.sum_all(T.mul(_pool(_slab_view(x), u, wv, wo, heads), Tensor(w))),
+                   {"x": x, "u": u, "wv": wv, "wo": wo})
 
     @pytest.mark.parametrize("heads", [1, 2])
     def test_grad_when_x_is_the_values(self, rng, heads):
         # full_cross's reduce: x serves as keys and values, one gradient
-        x, u, _, _ = _pool_operands(rng, (2, 3), 3, 4, heads, 4)
-        w = rng.normal((2, 3, 1, 4))
-        check_grad(lambda: T.sum_all(T.mul(T.attention_pool(_slab_view(x), u, None, None, heads),
-                                           Tensor(w))), {"x": x, "u": u})
+        x, u, _, wo = _pool_operands(rng, (2, 3), 3, 4, heads, 4, 5)
+        w = rng.normal((2, 3, 1, 5))
+        check_grad(lambda: T.sum_all(T.mul(_pool(_slab_view(x), u, None, wo, heads), Tensor(w))),
+                   {"x": x, "u": u, "wo": wo})
 
     @pytest.mark.parametrize("heads", [1, 2])
     def test_x_as_the_values_matches_an_identity_projection(self, rng, heads):
-        x, u, _, _ = _pool_operands(rng, (2, 3), 4, 6, heads, 6)
-        g = rng.normal((2, 3, 1, 6))
+        x, u, _, wo = _pool_operands(rng, (2, 3), 4, 6, heads, 6)
+        g = rng.normal((2, 3, 1, 3))
         results = []
         for wv in (None, Tensor(np.eye(6))):
-            x.grad = u.grad = None
-            out = T.attention_pool(_slab_view(x), u, wv, wv, heads)
+            x.grad = u.grad = wo.grad = None
+            out = _pool(_slab_view(x), u, wv, wo, heads)
             T.backward(T.sum_all(T.mul(out, Tensor(g))))
-            results.append((out.data, x.grad, u.grad))
-        for name, a, b in zip(("out", "dx", "du"), *results):
+            results.append((out.data, x.grad, u.grad, wo.grad))
+        for name, a, b in zip(("out", "dx", "du", "dwo"), *results):
             assert rel_err(a, b) < 1e-12, name
 
     @pytest.mark.parametrize("heads", [1, 2, 8])
-    def test_fused_matches_the_chain(self, rng, heads):
+    @pytest.mark.parametrize("values", ["projected", "x"])
+    def test_fused_matches_the_chain(self, rng, heads, values):
         # the output is the pooled values' product with wo, the pooled values
         # being the op's output through the identity, bit for bit, and so
         # are the gradients of the chain, the pool then `matmul`, but wo's,
@@ -719,15 +775,16 @@ class TestAttentionPool:
         results = []
         for fused in (True, False):
             x, u, wv, wo = (Tensor(a.data, requires_grad=True)
-                            for a in _pool_operands(RngState(7), (2, 3), 4, 6, heads, dl, 5))
+                            for a in _pool_operands(RngState(7), (2, 3), 4, dl, heads, dl, 5))
+            wv = wv if values == "projected" else None
             if fused:
-                out = T.attention_pool(_slab_view(x), u, wv, wo, heads)
+                out = _pool(_slab_view(x), u, wv, wo, heads)
             else:
-                pooled = T.attention_pool(_slab_view(x), u, wv, Tensor(np.eye(dl)), heads)
+                pooled = _pool(_slab_view(x), u, wv, Tensor(np.eye(dl)), heads)
                 out = T.matmul(pooled, wo)
                 np.testing.assert_array_equal(out.data, np.matmul(pooled.data, wo.data))
             T.backward(T.sum_all(T.mul(out, Tensor(g))))
-            results.append((out.data, x.grad, u.grad, wv.grad, wo.grad))
+            results.append((out.data, x.grad, u.grad, None if wv is None else wv.grad, wo.grad))
         for name, a, b in zip(("out", "dx", "du", "dwv", "dwo"), *results):
             if name == "dwo":
                 assert rel_err(a, b) < 1e-12, name
@@ -742,7 +799,7 @@ class TestAttentionPool:
         x, u, wv, wo = _pool_operands(rng, (2, 4), 5, 6, heads, dl)
         xs = np.swapaxes(x.data, 1, 2)
         v = xs @ wv.data
-        out = T.attention_pool(_slab_view(x), u, wv, wo, heads).data
+        out = _pool(_slab_view(x), u, wv, wo, heads).data
         pooled = np.empty((2, 4, 1, dl))
         for h in range(heads):
             s = xs @ u.data[:, h] / np.sqrt(dl // heads)  # [2, 4, Tk]
@@ -752,19 +809,95 @@ class TestAttentionPool:
             pooled[..., 0, cols] = np.einsum("bsk,bskd->bsd", p, v[..., cols])
         assert rel_err(out, pooled @ wo.data) < 1e-12
 
+    def test_scale_multiplies_the_scores(self, rng):
+        # the scale is the caller's: scaling the scores by s is scaling the
+        # query by s
+        x, u, wv, wo = _pool_operands(rng, (2, 3), 4, 6, 2, 4)
+        xs = _slab_view(x)
+        out = T.attention_pool(xs, u, wv, wo, 2, 0.3).data
+        assert rel_err(out, T.attention_pool(xs, Tensor(0.3 * u.data), wv, wo, 2, 1.0).data) < 1e-12
+        assert rel_err(out, T.attention_pool(xs, u, wv, wo, 2, 0.6).data) > 1e-3
+
     def test_one_key_gives_exactly_zero_score_gradient(self, rng):
         # the one key takes the whole softmax, so the scores, and u through
         # them, get no gradient at all, not rounding noise; x's gradient is
         # its values' alone
         x, u, wv, wo = _pool_operands(rng, (2, 3), 1, 5, 2, 4)
         g = rng.normal((2, 3, 1, 3))
-        T.backward(T.sum_all(T.mul(T.attention_pool(_slab_view(x), u, wv, wo, 2), Tensor(g))))
+        T.backward(T.sum_all(T.mul(_pool(_slab_view(x), u, wv, wo, 2), Tensor(g))))
         assert (u.grad == 0.0).all()
         gv = np.matmul(g, wo.data.T)  # the pooled values' gradient
         np.testing.assert_array_equal(np.swapaxes(x.grad, 1, 2), np.matmul(gv, wv.data.T))
         xs = np.swapaxes(x.data, 1, 2)
         assert rel_err(wv.grad, np.einsum("bskd,bske->de", xs, gv)) < 1e-12
         assert rel_err(wo.grad, np.einsum("bskd,bske->de", xs @ wv.data, g)) < 1e-12
+
+    @pytest.mark.parametrize("values", ["projected", "x"])
+    def test_exchange_completes_the_scores_and_their_gradient(self, rng, values):
+        # the exchange is handed the scores in forward, then the recomputed
+        # scores and the probabilities' gradient in backward, each [rows, H]
+        # in x's row order, and the op reads what it leaves there: an
+        # identity exchange changes no bit, and one that adds a constant to
+        # each changes results only by rounding, since softmax ignores a
+        # constant added to the scores, and its Jacobian one added to the
+        # probabilities' gradient
+        x, u, wv, wo = _pool_operands(rng, (2, 3), 4, 6, 2, 6)
+        wv = wv if values == "projected" else None
+        g = rng.normal((2, 3, 1, 3))
+        results, calls = [], []
+
+        def shift(a):
+            calls.append(a.shape)
+            a += 5.0
+            return a
+
+        for exchange in (None, lambda a: a, shift):
+            x.grad = u.grad = wo.grad = None
+            if wv is not None:
+                wv.grad = None
+            out = _pool(_slab_view(x), u, wv, wo, 2, exchange)
+            T.backward(T.sum_all(T.mul(out, Tensor(g))))
+            results.append([out.data, x.grad, u.grad, wo.grad]
+                           + ([] if wv is None else [wv.grad]))
+        assert calls == [(2 * 3 * 4, 2)] * 3
+        for a, b, c in zip(*results):
+            np.testing.assert_array_equal(a, b)
+            assert rel_err(a, c) < 1e-12
+
+    @pytest.mark.parametrize("tp", [2, 4])
+    def test_features_split_over_a_group_sum_to_the_whole(self, tp):
+        # a rank holds a slice of x's features, u's rows and wo's rows, the
+        # layout of a head-split full_cross reduce; with the group's
+        # AllReduce as the exchange, the ranks' outputs sum to the whole
+        # pool's output and their gradients are its gradients' slices
+        rng = RngState(3)
+        dx, do = 2 * tp, 3
+        x, u, _, wo = _pool_operands(rng, (2, 3), 5, dx, 1, dx, do)
+        g = rng.normal((2, 3, 1, do))
+        whole = T.attention_pool(_slab_view(x), u, None, wo, 1, 0.7)
+        T.backward(T.sum_all(T.mul(whole, Tensor(g))))
+
+        def program(ctx):
+            cols = slice(2 * ctx.coords[0], 2 * ctx.coords[0] + 2)
+            ts = [Tensor(np.ascontiguousarray(a), requires_grad=True)
+                  for a in (x.data[..., cols], u.data[cols], wo.data[cols])]
+            out = T.attention_pool(_slab_view(ts[0]), ts[1], None, ts[2], 1, 0.7,
+                                   lambda a: ctx.tp.all_reduce(a, tag="pool"))
+            ctx.phase = "backward"
+            T.backward(T.sum_all(T.mul(out, Tensor(g))))
+            return out.data, [t.grad for t in ts]
+
+        ranks = spawn_ranks(ParallelConfig(dchag_tp=tp), program)
+        assert rel_err(sum(out for out, _ in ranks.results), whole.data) < 1e-12
+        for i, (_, grads) in enumerate(ranks.results):
+            cols = slice(2 * i, 2 * i + 2)
+            for got, want in zip(grads, (x.grad[..., cols], u.grad[cols], wo.grad[cols])):
+                assert rel_err(got, want) < 1e-12
+        # three score-sized AllReduces per rank, two of them in backward
+        scores = ring_allreduce_payload(2 * 3 * 5, 8, tp)
+        for events in ranks.ledger.per_rank.values():
+            assert [(e.phase, e.op, e.payload_bytes_per_rank) for e in events] == [
+                ("forward", "AllReduce", scores), *[("backward", "AllReduce", scores)] * 2]
 
     @pytest.mark.parametrize("narrow", [False, True])
     def test_charges_match_costmodel(self, rng, narrow):
@@ -781,7 +914,7 @@ class TestAttentionPool:
                 tk = 2
                 xs = T.split(xs, 2, (1, tk))[1]
             before = tracker.stats()
-            out = T.attention_pool(xs, u, wv, wo, heads)
+            out = _pool(xs, u, wv, wo, heads)
             after = tracker.stats()
         kept, high = costmodel._pool(10, heads, tk, dl, 10 * tk * dx if narrow else 0, do)
         assert before.peak_bytes == before.live_bytes
@@ -795,15 +928,15 @@ class TestAttentionPool:
         assert tracker.live_bytes == before.live_bytes
 
     def test_charges_match_costmodel_when_x_is_the_values(self, rng):
-        tk, dx, heads = 3, 8, 2
+        tk, dx, heads, do = 3, 8, 2, 5
         tracker = AllocTracker()
         with activate(tracker):
-            x, u, _, _ = _pool_operands(rng, (2, 5), tk, dx, heads, dx)
+            x, u, _, wo = _pool_operands(rng, (2, 5), tk, dx, heads, dx, do)
             before = tracker.stats()
-            out = T.attention_pool(_slab_view(x), u, None, None, heads)
+            out = _pool(_slab_view(x), u, None, wo, heads)
             after = tracker.stats()
-        kept, high = costmodel._pool(10, heads, tk, dx, 0)
-        assert after.live_bytes - before.live_bytes == 8 * kept
+        kept, high = costmodel._pool(10, heads, tk, dx, 0, do, wv=False)
+        assert after.live_bytes - before.live_bytes == 8 * (kept + 10 * do)
         assert after.peak_bytes - before.live_bytes == 8 * high
         del out
         assert tracker.live_bytes == before.live_bytes
@@ -811,19 +944,19 @@ class TestAttentionPool:
     def test_rejects_mismatched_shapes(self):
         x, wv, wo = Tensor(np.zeros((2, 3, 4))), Tensor(np.zeros((4, 6))), Tensor(np.zeros((6, 2)))
         with pytest.raises(ShapeError):  # wv's input width is not x's
-            T.attention_pool(x, Tensor(np.zeros((4, 3))), Tensor(np.zeros((5, 6))), wo, 3)
+            T.attention_pool(x, Tensor(np.zeros((4, 3))), Tensor(np.zeros((5, 6))), wo, 3, 1.0)
         with pytest.raises(ShapeError):  # u has two heads, not three
-            T.attention_pool(x, Tensor(np.zeros((4, 2))), wv, wo, 3)
+            T.attention_pool(x, Tensor(np.zeros((4, 2))), wv, wo, 3, 1.0)
         with pytest.raises(ShapeError):  # four heads do not divide Dl = 6
-            T.attention_pool(x, Tensor(np.zeros((4, 4))), wv, wo, 4)
+            T.attention_pool(x, Tensor(np.zeros((4, 4))), wv, wo, 4, 1.0)
         with pytest.raises(ShapeError):  # nor three heads x's width, its values'
-            T.attention_pool(x, Tensor(np.zeros((4, 3))), None, None, 3)
+            T.attention_pool(x, Tensor(np.zeros((4, 3))), None, Tensor(np.zeros((4, 2))), 3, 1.0)
         with pytest.raises(ShapeError):  # wo's input width is not Dl
-            T.attention_pool(x, Tensor(np.zeros((4, 3))), wv, Tensor(np.zeros((4, 2))), 3)
-        with pytest.raises(ShapeError):  # wv without wo
-            T.attention_pool(x, Tensor(np.zeros((4, 3))), wv, None, 3)
-        with pytest.raises(ShapeError):  # wo without wv
-            T.attention_pool(x, Tensor(np.zeros((4, 2))), None, Tensor(np.zeros((4, 4))), 2)
+            T.attention_pool(x, Tensor(np.zeros((4, 3))), wv, Tensor(np.zeros((4, 2))), 3, 1.0)
+        with pytest.raises(ShapeError):  # without wv, wo's input width is not x's
+            T.attention_pool(x, Tensor(np.zeros((4, 2))), None, wo, 2, 1.0)
+        with pytest.raises(ShapeError):  # wo is a matrix
+            T.attention_pool(x, Tensor(np.zeros((4, 2))), None, Tensor(np.zeros(4)), 2, 1.0)
 
 
 class TestLayernorm:

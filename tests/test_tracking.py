@@ -225,12 +225,19 @@ def test_only_matrix_products_count_flops():
         T.attention(x, w, None, w, w, wo, 2)
         attention = 2 * 6 * 5 * 4 * 18 + 4 * 6 * 5 * 5 * 6 + 2 * 6 * 5 * 6 * 3
         assert tr.per_tag_flops["aggregate"] == attention
-        T.attention_pool(x, Tensor(np.ones((4, 2))), w, wo, 2)
+        T.attention_pool(x, Tensor(np.ones((4, 2))), w, wo, 2, 1.0)
         pool = 2 * 6 * 5 * 4 * 2 + 2 * 6 * 5 * 4 * 6 + 2 * 6 * 5 * 6 + 2 * 6 * 6 * 3
         assert tr.per_tag_flops["aggregate"] == attention + pool
+        # the context alone forms no output projection; a pool of x itself
+        # forms no value projection
+        T.attention(x, w, None, w, w, None, 2)
+        context = 2 * 6 * 5 * 4 * 18 + 4 * 6 * 5 * 5 * 6
+        T.attention_pool(x, Tensor(np.ones((4, 1))), None, Tensor(np.ones((4, 3))), 1, 1.0)
+        reduce = 2 * 6 * 5 * 4 * 1 + 2 * 6 * 5 * 4 + 2 * 6 * 4 * 3
+        assert tr.per_tag_flops["aggregate"] == attention + pool + context + reduce
         T.mlp(x, w, Tensor(np.ones(6)), Tensor(np.ones((6, 3))))
         mlp = 2 * 30 * 4 * 6 + 2 * 30 * 6 * 3
-        assert tr.per_tag_flops["aggregate"] == attention + pool + mlp
+        assert tr.per_tag_flops["aggregate"] == attention + pool + context + reduce + mlp
 
 
 def closure_cells(fn):
@@ -663,10 +670,12 @@ def per_op_cases():
         ("attention-slab", lambda: (output(b, c, s, d), *weights(*attn)),
          lambda x, *a: T.attention(T.transpose(x, (0, 2, 1, 3)), *a, heads),
          UFUNC_BUFFER_BYTES + OP_OBJECT_BYTES),
+        ("attention-context", lambda: (output(b, s, c, d), *weights(*attn[:4])),
+         lambda *a: T.attention(*a, None, heads), UFUNC_BUFFER_BYTES + OP_OBJECT_BYTES),
         ("attention_pool", lambda: (output(b, s, c, d), *weights((d, heads), (d, d), (d, d))),
-         lambda *a: T.attention_pool(*a, heads), OP_OBJECT_BYTES),
-        ("attention_pool-reduce", lambda: (output(b, s, c, d), *weights((d, 1))),
-         lambda x, q: T.attention_pool(x, q, None, None, 1), OP_OBJECT_BYTES),
+         lambda *a: T.attention_pool(*a, heads, 1.0), OP_OBJECT_BYTES),
+        ("attention_pool-reduce", lambda: (output(b, s, c, d), *weights((d, 1), (d, d))),
+         lambda x, q, wo: T.attention_pool(x, q, None, wo, 1, 1.0), OP_OBJECT_BYTES),
         ("mlp", lambda: (output(b, s + 1, d), *weights((d, hidden), (hidden,), (hidden, d))),
          T.mlp, phi_scratch + OP_OBJECT_BYTES),
         ("layernorm", lambda: (output(b, s + 1, d),), T.layernorm,
